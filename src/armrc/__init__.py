@@ -25,7 +25,6 @@ from .readout import (
     ReadoutWeights,
     TrainingAssembly,
     assemble,
-    averaged_error,
     correlation_matrix,
     nrmse_percent,
     predict,
@@ -38,18 +37,13 @@ from .surrogate import (
     simulate,
     simulate_grid,
     stability_margin,
-    state_bound,
 )
 from .tasks import (
     PayloadStatus,
     TaskKind,
-    TaskSpec,
     bending_target,
     detect_payload,
-    detection_target,
     estimate_mass,
-    mass_step_target,
-    stack_tasks,
 )
 from .config import ConfigError, ExperimentConfig, default_config, load_config
 from .runio import export_run, ingest_run, load_weights, save_weights

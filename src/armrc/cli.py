@@ -13,22 +13,15 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from .config import ConfigError, ExperimentConfig, default_config, load_config
-from .core import (
-    InputCondition,
-    Window,
-    condition_grid,
-    parse_condition_label,
-    slice_series,
-)
+from .core import Window, condition_grid, parse_condition_label, slice_series
 from .readout import correlation_matrix, nrmse_percent, predict
 from .runio import (
     config_digest,
     export_run,
     ingest_run,
     load_weights,
+    read_matrix_csv,
     save_weights,
     write_manifest,
     write_matrix_csv,
@@ -37,25 +30,26 @@ from .surrogate import simulate_grid
 from .sweeps import (
     HARDWARE_NOTE,
     SweepSpec,
-    all_profile_pairs,
-    bending_conditions,
+    experiments,
     multitask_grid,
     multitask_training_subsets,
-    nested_bending_subsets,
-    nested_payload_subsets,
-    payload_conditions,
     sample_count_sweep,
     sensor_ablation_sweep,
     simulate_conditions,
     subset_sweep,
     tip_sensor_masks,
     train_on_subset,
+    training_window,
 )
-from .tasks import TaskKind
+from .tasks import TaskKind, mass_error_percent, payload_status
 
 
 def _subset_label(subset) -> str:
     return "+".join(c.label for c in subset)
+
+
+def _labels(conditions) -> list:
+    return [c.label for c in conditions]
 
 
 def _parse_mask(text):
@@ -110,28 +104,14 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _training_weights(cfg: ExperimentConfig, task: TaskKind, subset,
-                      runs, mask):
-    if task is TaskKind.BENDING_ANGLE:
-        window = cfg.train
-    elif task is TaskKind.PAYLOAD_DETECT:
-        window = Window(cfg.train.start, cfg.train.start + cfg.detection_seconds)
-    else:
-        window = Window(cfg.train.start,
-                        cfg.train.start + cfg.mass_segment_seconds)
-    return train_on_subset(subset, runs, cfg.payloads, task, window,
-                           mask, cfg.ridge)
-
-
 def cmd_train(args) -> int:
     cfg = _load(args)
     task = TaskKind(args.task)
     subset = tuple(parse_condition_label(t) for t in args.subset.split(","))
     mask = _parse_mask(args.mask)
-    runs = simulate_conditions(
-        cfg.surrogate, cfg.profiles, cfg.payloads, cfg.grid, subset
-    )
-    weights = _training_weights(cfg, task, subset, runs, mask)
+    runs = _simulate(cfg, subset)
+    weights = train_on_subset(subset, runs, cfg.payloads, task,
+                              training_window(cfg, task), mask, cfg.ridge)
     save_weights(
         args.out, weights,
         provenance={
@@ -155,16 +135,14 @@ def cmd_evaluate(args) -> int:
     mass = None
     if series.condition is not None:
         mass = cfg.payloads.mass_of(series.condition.payload_index)
-    status = 0
-    for k, name in enumerate(weights.task_names):
-        out = predict(weights, series, window)
-        trace = out if out.ndim == 1 else out[:, k]
+    outputs = predict(weights, series, window).reshape(-1, weights.n_tasks)
+    for name, trace in zip(weights.task_names, outputs.T):
         if name == TaskKind.BENDING_ANGLE.value:
             truth = slice_series(series, window).theta
             err = nrmse_percent(trace, truth, cfg.normalizer)
             print(f"task=bending nrmse_percent={err:.4f}")
         elif name == TaskKind.PAYLOAD_DETECT.value:
-            verdict = "absent" if trace.mean() > 0 else "present"
+            verdict = payload_status(trace.mean()).value
             line = f"task=detect mean_output={trace.mean():.4f} verdict={verdict}"
             if mass is not None:
                 truth = "present" if mass > 0 else "absent"
@@ -174,146 +152,95 @@ def cmd_evaluate(args) -> int:
             est = float(trace.mean())
             line = f"task=mass estimate_grams={est:.4f}"
             if mass is not None and mass > 0:
-                line += f" truth_grams={mass:.1f} relative_error_percent={abs(est - mass) / mass * 100:.4f}"
+                line += (f" truth_grams={mass:.1f} relative_error_percent="
+                         f"{mass_error_percent(est, mass):.4f}")
             print(line)
         else:
             print(f"task={name} mean_output={trace.mean():.4f}")
-    return status
+    return 0
+
+
+def _simulate(cfg: ExperimentConfig, conditions) -> dict:
+    return simulate_conditions(cfg.surrogate, cfg.profiles, cfg.payloads,
+                               cfg.grid, conditions)
+
+
+def _write_result(path: Path, matrix, rows, cols, cfg: ExperimentConfig,
+                  digest: str, **labels) -> Path:
+    """Write one result matrix; its provenance line carries the config hash,
+    the seed and ``labels``."""
+    return write_matrix_csv(path, matrix, rows, cols, provenance={
+        "config": digest, "seed": cfg.seed, **labels})
 
 
 def _sweep_conditions(cfg: ExperimentConfig, out: Path, digest: str) -> list:
+    table = experiments(cfg)
+    runs = _simulate(cfg, [c for exp in table.values() for c in exp.conditions])
     written = []
-    bend_eval = bending_conditions(len(cfg.profiles))
-    bend_runs = simulate_conditions(
-        cfg.surrogate, cfg.profiles, cfg.payloads, cfg.grid, bend_eval
-    )
-    common = dict(train_window=cfg.train, test_window=cfg.test,
-                  base_seed=cfg.seed, ridge=cfg.ridge,
-                  normalizer=cfg.normalizer)
-
-    spec = SweepSpec(task=TaskKind.BENDING_ANGLE,
-                     subsets=nested_bending_subsets(),
-                     evaluation=bend_eval, **common)
-    res = subset_sweep(spec, bend_runs, cfg.payloads)
-    written.append(write_matrix_csv(
-        out / "bending_subsets.csv", res.error_grid,
-        [_subset_label(s) for s in res.subsets],
-        [c.label for c in res.evaluation],
-        provenance={"config": digest, "seed": cfg.seed, "task": "bending"},
-    ))
-
-    spec = SweepSpec(task=TaskKind.BENDING_ANGLE,
-                     subsets=all_profile_pairs(len(cfg.profiles)),
-                     evaluation=bend_eval, **common)
-    res = subset_sweep(spec, bend_runs, cfg.payloads)
-    written.append(write_matrix_csv(
-        out / "bending_pairs.csv", res.error_grid,
-        [_subset_label(s) for s in res.subsets],
-        [c.label for c in res.evaluation],
-        provenance={"config": digest, "seed": cfg.seed, "task": "bending"},
-    ))
-
-    pay_eval = payload_conditions(len(cfg.payloads))[1:]
-    pay_runs = simulate_conditions(
-        cfg.surrogate, cfg.profiles, cfg.payloads, cfg.grid,
-        payload_conditions(len(cfg.payloads)),
-    )
-    mass_window = int(round(cfg.mass_segment_seconds * cfg.grid.sample_rate))
-    spec = SweepSpec(task=TaskKind.PAYLOAD_MASS,
-                     subsets=nested_payload_subsets(),
-                     evaluation=pay_eval,
-                     samples_per_condition=mass_window, **common)
-    res = subset_sweep(spec, pay_runs, cfg.payloads)
-    written.append(write_matrix_csv(
-        out / "payload_subsets.csv", res.error_grid,
-        [_subset_label(s) for s in res.subsets],
-        [c.label for c in res.evaluation],
-        provenance={"config": digest, "seed": cfg.seed, "task": "mass"},
-    ))
+    for name, exp in table.items():
+        for family, subsets in exp.families.items():
+            spec = SweepSpec(task=exp.task, subsets=subsets,
+                             evaluation=exp.evaluation,
+                             train_window=training_window(cfg, exp.task),
+                             test_window=cfg.test, ridge=cfg.ridge,
+                             normalizer=cfg.normalizer)
+            res = subset_sweep(spec, runs, cfg.payloads)
+            written.append(_write_result(
+                out / f"{name}_{family}.csv", res.error_grid,
+                [_subset_label(s) for s in subsets], _labels(exp.evaluation),
+                cfg, digest, task=exp.task.value))
     return written
 
 
 def _sweep_samples(cfg: ExperimentConfig, out: Path, digest: str) -> list:
     written = []
-    jobs = (
-        ("bending", TaskKind.BENDING_ANGLE,
-         (InputCondition(1, 1), InputCondition(7, 1)),
-         bending_conditions(len(cfg.profiles))),
-        ("payload", TaskKind.PAYLOAD_MASS,
-         tuple(InputCondition(1, j) for j in range(2, len(cfg.payloads) + 1)),
-         payload_conditions(len(cfg.payloads))[1:]),
-    )
-    for name, task, subset, evaluation in jobs:
+    rows = [str(c) for c in cfg.sample_counts]
+    for name, exp in experiments(cfg).items():
         res = sample_count_sweep(
-            task, cfg.sample_counts, subset, evaluation,
+            exp.task, cfg.sample_counts, exp.subset, exp.evaluation,
             cfg.surrogate, cfg.profiles, cfg.payloads, cfg.grid,
             train_window=cfg.train, test_window=cfg.test,
             repeats=cfg.sample_repeats, base_seed=cfg.seed,
             ridge=cfg.ridge, normalizer=cfg.normalizer,
         )
-        rows = [str(c) for c in res.counts]
-        cols = [c.label for c in res.evaluation]
-        prov = {"config": digest, "seed": cfg.seed, "task": name,
-                "repeats": cfg.sample_repeats}
-        written.append(write_matrix_csv(
-            out / f"{name}_sample_counts_mean.csv", res.mean_grid, rows, cols,
-            provenance=prov))
-        written.append(write_matrix_csv(
-            out / f"{name}_sample_counts_std.csv", res.std_grid, rows, cols,
-            provenance=prov))
+        for stat, grid in (("mean", res.mean_grid), ("std", res.std_grid)):
+            written.append(_write_result(
+                out / f"{name}_sample_counts_{stat}.csv", grid, rows,
+                _labels(exp.evaluation), cfg, digest, task=name,
+                repeats=cfg.sample_repeats))
     return written
 
 
 def _sweep_sensors(cfg: ExperimentConfig, out: Path, digest: str) -> list:
-    written = []
     n = cfg.surrogate.n_nodes
     masks = (tuple(range(n)),) + tip_sensor_masks(n)
-    sensor_cols = [f"s{k + 1}" for k in range(n)]
-
-    bend_eval = bending_conditions(len(cfg.profiles))
-    bend_runs = simulate_conditions(
-        cfg.surrogate, cfg.profiles, cfg.payloads, cfg.grid, bend_eval
-    )
-    pay_all = payload_conditions(len(cfg.payloads))
-    pay_runs = simulate_conditions(
-        cfg.surrogate, cfg.profiles, cfg.payloads, cfg.grid, pay_all
-    )
-    mass_window = Window(cfg.train.start,
-                         cfg.train.start + cfg.mass_segment_seconds)
-    jobs = (
-        ("bending", TaskKind.BENDING_ANGLE, bend_runs,
-         (InputCondition(1, 1), InputCondition(7, 1)), bend_eval, cfg.train),
-        ("payload", TaskKind.PAYLOAD_MASS, pay_runs,
-         tuple(InputCondition(1, j) for j in range(2, len(cfg.payloads) + 1)),
-         pay_all[1:], mass_window),
-    )
-    for name, task, runs, subset, evaluation, window in jobs:
+    rows = ["+".join(f"s{m + 1}" for m in mask) for mask in masks]
+    table = experiments(cfg)
+    runs = _simulate(cfg, [c for exp in table.values() for c in exp.conditions])
+    written = []
+    for name, exp in table.items():
         res = sensor_ablation_sweep(
-            task, masks, subset, evaluation, runs, cfg.payloads,
-            train_window=window, test_window=cfg.test,
+            exp.task, masks, exp.subset, exp.evaluation, runs, cfg.payloads,
+            train_window=training_window(cfg, exp.task), test_window=cfg.test,
             ridge=cfg.ridge, normalizer=cfg.normalizer,
         )
-        rows = ["+".join(f"s{m + 1}" for m in mask) for mask in res.masks]
-        prov = {"config": digest, "seed": cfg.seed, "task": name}
-        written.append(write_matrix_csv(
+        written.append(_write_result(
             out / f"{name}_ablation.csv", res.error_grid, rows,
-            [c.label for c in res.evaluation], provenance=prov))
-        written.append(write_matrix_csv(
+            _labels(exp.evaluation), cfg, digest, task=name))
+        written.append(_write_result(
             out / f"{name}_weight_shares.csv", res.weight_shares, rows,
-            sensor_cols, provenance=prov))
+            [f"s{k + 1}" for k in range(n)], cfg, digest, task=name))
     return written
 
 
 def _sweep_multitask(cfg: ExperimentConfig, out: Path, digest: str) -> list:
-    written = []
     n_profiles = len(cfg.profiles)
     payloads = cfg.multitask_payloads
-    grid_conditions = condition_grid(n_profiles, payloads)
-    runs = simulate_conditions(
-        cfg.surrogate, cfg.profiles, payloads, cfg.grid, grid_conditions
-    )
-    payload_cols = [f"{m:g}g" for m in payloads.masses]
-    profile_rows = [f"P{i}" for i in range(1, n_profiles + 1)]
+    runs = simulate_conditions(cfg.surrogate, cfg.profiles, payloads, cfg.grid,
+                               condition_grid(n_profiles, payloads))
+    rows = [f"P{i}" for i in range(1, n_profiles + 1)]
+    cols = [f"{m:g}g" for m in payloads.masses]
+    written = []
     summary = {}
     for name, cells in multitask_training_subsets(n_profiles, len(payloads)).items():
         res = multitask_grid(
@@ -321,27 +248,27 @@ def _sweep_multitask(cfg: ExperimentConfig, out: Path, digest: str) -> list:
             train_window=cfg.train, test_window=cfg.test,
             ridge=cfg.ridge, normalizer=cfg.normalizer,
         )
-        prov = {"config": digest, "seed": cfg.seed, "training": name}
-        for grid_name, grid_vals in (
-            ("detect", res.detect_output),
-            ("angle", res.angle_error),
-            ("mass", res.mass_error),
-        ):
-            written.append(write_matrix_csv(
-                out / f"multitask_{name}_{grid_name}.csv", grid_vals,
-                profile_rows, payload_cols, provenance=prov))
-        summary[name] = {
-            "detection_perfect": res.detection_perfect,
-            "step2_mean_percent": res.step2_mean,
-        }
-    written.append(write_matrix_csv(
-        out / "multitask_summary.csv",
-        np.array([[float(summary[k]["detection_perfect"]),
-                   summary[k]["step2_mean_percent"]] for k in sorted(summary)]),
-        sorted(summary), ["detection_perfect", "step2_mean_percent"],
-        provenance={"config": digest, "seed": cfg.seed},
-    ))
+        for part, grid in (("detect", res.detect_output),
+                           ("angle", res.angle_error),
+                           ("mass", res.mass_error)):
+            written.append(_write_result(
+                out / f"multitask_{name}_{part}.csv", grid, rows, cols,
+                cfg, digest, training=name))
+        summary[name] = (float(res.detection_perfect), res.step2_mean)
+    names = sorted(summary)
+    written.append(_write_result(
+        out / "multitask_summary.csv", [summary[k] for k in names], names,
+        ["detection_perfect", "step2_mean_percent"], cfg, digest))
     return written
+
+
+def _multitask_table(path: Path) -> str:
+    matrix, rows, _, _ = read_matrix_csv(path)
+    lines = [f"{'training':>10} {'detection':>10} {'step-2 mean %':>14}"]
+    for label, (perfect, step2) in zip(rows, matrix):
+        verdict = "perfect" if perfect == 1 else "errors"
+        lines.append(f"{label:>10} {verdict:>10} {step2:>14.2f}")
+    return "\n".join(lines)
 
 
 def cmd_sweep(args) -> int:
@@ -362,6 +289,8 @@ def cmd_sweep(args) -> int:
         elapsed_seconds=time.perf_counter() - t0,
         extra={"command": f"sweep {args.kind}", "note": HARDWARE_NOTE},
     )
+    if args.kind == "multitask":
+        _say(args, _multitask_table(out / "multitask_summary.csv"))
     _say(args, f"wrote {len(written)} result files to {out}")
     return 0
 
@@ -373,20 +302,14 @@ def cmd_correlate(args) -> int:
     labels = []
     for path in args.runs:
         series = ingest_run(path)
-        if channel == "s_in":
-            trace = series.s_in
-        else:
+        if channel != "s_in":
             idx = int(channel[1:]) - 1
             if not 0 <= idx < series.n_sensors:
                 raise ValueError(
                     f"channel {args.channel!r} outside s1..s{series.n_sensors}"
                 )
-            trace = series.sensors[idx]
-        start = Window(cfg.washout.end, series.grid.t_end)
-        sub = slice_series(series, start)
-        traces.append(
-            sub.s_in if channel == "s_in" else sub.sensors[idx]
-        )
+        sub = slice_series(series, Window(cfg.washout.end, series.grid.t_end))
+        traces.append(sub.s_in if channel == "s_in" else sub.sensors[idx])
         labels.append(
             series.condition.label if series.condition else Path(path).stem
         )
@@ -396,11 +319,8 @@ def cmd_correlate(args) -> int:
         for label, row in zip(labels, corr):
             print(label + "," + ",".join(f"{v:.6f}" for v in row))
     else:
-        write_matrix_csv(
-            args.out, corr, labels, labels,
-            provenance={"config": config_digest(cfg), "seed": cfg.seed,
-                        "channel": channel},
-        )
+        _write_result(Path(args.out), corr, labels, labels, cfg,
+                      config_digest(cfg), channel=channel)
         _say(args, f"wrote correlation matrix to {args.out}")
     return 0
 

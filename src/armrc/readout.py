@@ -195,20 +195,11 @@ def predict(
     weights: ReadoutWeights,
     series: PressureStateSeries,
     window: Optional[Window] = None,
-    sensor_mask: Optional[Sequence[int]] = None,
 ) -> np.ndarray:
     """Per-sample readout output over a window, one trace per task.
 
     Returns shape (n_samples,) for a single task, else (n_samples, n_tasks).
-    The mask, when given, must match the training mask.
     """
-    if sensor_mask is not None:
-        mask = normalize_mask(sensor_mask, series.n_sensors)
-        if mask != weights.sensor_mask:
-            raise ValueError(
-                f"sensor mask {mask} does not match training mask "
-                f"{weights.sensor_mask}"
-            )
     if max(weights.sensor_mask) >= series.n_sensors:
         raise ValueError(
             f"weights trained on sensors {weights.sensor_mask} cannot read a "
@@ -249,13 +240,6 @@ def nrmse_percent(pred: np.ndarray, truth: np.ndarray,
     if scale == 0.0:
         raise ValueError("ground-truth scale is zero; percent error undefined")
     return 100.0 * rmse(pred, truth) / scale
-
-
-def averaged_error(errors: Sequence[float]) -> float:
-    """Arithmetic mean of per-condition errors (the e_avg of a sweep row)."""
-    if len(errors) == 0:
-        raise ValueError("cannot average an empty error list")
-    return float(np.mean(errors))
 
 
 def correlation_matrix(traces: Sequence[np.ndarray]) -> np.ndarray:

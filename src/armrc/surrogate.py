@@ -148,11 +148,6 @@ def stability_margin(params: SurrogateParams) -> float:
     return float(1.0 - np.abs(m).sum(axis=1).max())
 
 
-def state_bound(params: SurrogateParams, u_max: float) -> float:
-    """Bound on |x_m[k]| for any input trace with |u| <= u_max."""
-    return u_max * max(params.input_gain) / stability_margin(params)
-
-
 def _noise_stream(seed: int, condition: Optional[InputCondition], sensor: int,
                   n_samples: int, noise_std: float) -> np.ndarray:
     ci = condition.profile_index if condition is not None else 0

@@ -3,10 +3,13 @@ sweeps, sensor ablations with readout-weight shares, and the multi-task
 grid with its two-step detect-then-predict pipeline.
 
 All sweeps are deterministic for a fixed base seed; repeated runs vary only
-the sensor-noise stream. Results carry their full provenance so the CSV
-emitters can reproduce them byte-for-byte. Reported percentages follow the
-normalizer convention in `readout.nrmse_percent`; the paper's hardware
-percentages are ordering targets for these sweeps, not equality targets.
+the sensor-noise stream. Reported percentages follow the normalizer
+convention in `readout.nrmse_percent`; the paper's hardware percentages are
+ordering targets for these sweeps, not equality targets.
+
+`experiments` is the table of the two shipped single-task experiments and
+`training_window` the one rule for each task's per-condition training
+window; the CLI sweeps are loops over both.
 """
 
 from __future__ import annotations
@@ -32,9 +35,12 @@ from .surrogate import SurrogateParams, simulate
 from .tasks import (
     DETECT_ABSENT,
     DETECT_PRESENT,
+    PayloadStatus,
     TaskKind,
     bending_target,
     estimate_mass,
+    mass_error_percent,
+    payload_status,
 )
 
 HARDWARE_NOTE = (
@@ -55,8 +61,7 @@ class SweepSpec:
     test_window: Window = TEST_WINDOW
     sensor_mask: Optional[tuple] = None
     samples_per_condition: Optional[int] = None
-    repeats: int = 1
-    base_seed: int = 7
+    base_seed: int = 7  # informational: the runs arrive already simulated
     ridge: float = 0.0
     normalizer: str = "range"
 
@@ -65,8 +70,6 @@ class SweepSpec:
             raise ValueError("evaluation set must be non-empty")
         if len(self.subsets) == 0:
             raise ValueError("need at least one training subset")
-        if self.repeats < 1:
-            raise ValueError(f"repeats must be >= 1, got {self.repeats}")
 
     def effective_train_window(self, grid: TimeGrid) -> Window:
         if self.samples_per_condition is None:
@@ -88,15 +91,12 @@ class SweepResult:
     """Grid of percent errors, one row per training subset."""
 
     error_grid: np.ndarray
-    row_means: np.ndarray
     subsets: tuple
     evaluation: tuple
-    provenance: dict
 
-    def __post_init__(self) -> None:
-        expected = self.error_grid.mean(axis=1)
-        if not np.array_equal(expected, self.row_means):
-            raise ValueError("row_means must equal recomputed row averages")
+    @property
+    def row_means(self) -> np.ndarray:
+        return self.error_grid.mean(axis=1)
 
 
 def _require(runs: Mapping, cond: InputCondition) -> PressureStateSeries:
@@ -134,7 +134,7 @@ def _score(task: TaskKind, weights, series: PressureStateSeries,
                 f"relative mass error undefined for zero-payload condition "
                 f"{series.condition.label}"
             )
-        return abs(estimate_mass(weights, series, window) - mass) / mass * 100.0
+        return mass_error_percent(estimate_mass(weights, series, window), mass)
     raise ValueError(f"unsupported evaluation task {task}")
 
 
@@ -173,22 +173,10 @@ def subset_sweep(spec: SweepSpec, runs: Mapping,
                    payloads, spec.normalizer)
             for cond in spec.evaluation
         ])
-    error_grid = np.array(rows)
     return SweepResult(
-        error_grid=error_grid,
-        row_means=error_grid.mean(axis=1),
+        error_grid=np.array(rows),
         subsets=tuple(tuple(s) for s in spec.subsets),
         evaluation=tuple(spec.evaluation),
-        provenance={
-            "task": spec.task.value,
-            "train_window": (window.start, window.end),
-            "test_window": (spec.test_window.start, spec.test_window.end),
-            "sensor_mask": spec.sensor_mask,
-            "ridge": spec.ridge,
-            "base_seed": spec.base_seed,
-            "normalizer": spec.normalizer,
-            "note": HARDWARE_NOTE,
-        },
     )
 
 
@@ -200,7 +188,17 @@ def simulate_conditions(
     conditions: Sequence[InputCondition],
     seed: Optional[int] = None,
 ) -> dict:
-    """Simulate just the listed conditions (deduplicated)."""
+    """Simulate just the listed conditions (deduplicated).
+
+    A condition outside the profiles x payloads grid is refused up front.
+    """
+    for cond in conditions:
+        if (cond.profile_index > len(profile_specs)
+                or cond.payload_index > len(payloads)):
+            raise ValueError(
+                f"condition {cond.label} is outside the "
+                f"{len(profile_specs)}x{len(payloads)} profile x payload grid"
+            )
     runs = {}
     traces = {}
     for cond in conditions:
@@ -225,7 +223,6 @@ class SampleCountResult:
     mean_grid: np.ndarray
     std_grid: np.ndarray
     evaluation: tuple
-    provenance: dict
 
 
 def sample_count_sweep(
@@ -275,15 +272,6 @@ def sample_count_sweep(
         mean_grid=errors.mean(axis=2),
         std_grid=errors.std(axis=2),
         evaluation=tuple(evaluation),
-        provenance={
-            "task": task.value,
-            "subset": tuple(c.label for c in subset),
-            "repeats": repeats,
-            "base_seed": base_seed,
-            "ridge": ridge,
-            "normalizer": normalizer,
-            "note": HARDWARE_NOTE,
-        },
     )
 
 
@@ -296,7 +284,6 @@ class AblationResult:
     mean_errors: np.ndarray
     weight_shares: np.ndarray
     evaluation: tuple
-    provenance: dict
 
 
 def sensor_ablation_sweep(
@@ -339,13 +326,6 @@ def sensor_ablation_sweep(
         mean_errors=error_grid.mean(axis=1),
         weight_shares=share_rows,
         evaluation=tuple(evaluation),
-        provenance={
-            "task": task.value,
-            "subset": tuple(c.label for c in subset),
-            "ridge": ridge,
-            "normalizer": normalizer,
-            "note": HARDWARE_NOTE,
-        },
     )
 
 
@@ -362,8 +342,6 @@ class MultitaskGridResult:
     detect_correct: np.ndarray
     angle_error: np.ndarray
     mass_error: np.ndarray
-    training_cells: tuple
-    provenance: dict
 
     @property
     def detection_perfect(self) -> bool:
@@ -375,7 +353,8 @@ class MultitaskGridResult:
         return float(np.nanmean(pool))
 
 
-MULTITASK_TASK_NAMES = ("bending", "detect", "mass")
+MULTITASK_TASKS = (TaskKind.BENDING_ANGLE, TaskKind.PAYLOAD_DETECT,
+                   TaskKind.PAYLOAD_MASS)
 
 
 def multitask_grid(
@@ -398,16 +377,11 @@ def multitask_grid(
     data = []
     for cond in training_cells:
         series = _require(runs, cond)
-        mass = payloads.mass_of(cond.payload_index)
-        target = np.column_stack([
-            np.asarray(series.theta),
-            np.full(series.grid.n_samples,
-                    DETECT_ABSENT if mass == 0 else DETECT_PRESENT),
-            np.full(series.grid.n_samples, mass),
-        ])
-        data.append((series, target))
+        data.append((series, np.column_stack([
+            _target_trace(task, series, payloads) for task in MULTITASK_TASKS
+        ])))
     weights = train(assemble(data, train_window), ridge,
-                    task_names=MULTITASK_TASK_NAMES)
+                    task_names=tuple(t.value for t in MULTITASK_TASKS))
 
     n_payloads = len(payloads)
     detect_output = np.empty((n_profiles, n_payloads))
@@ -421,7 +395,7 @@ def multitask_grid(
             mass = payloads.mass_of(j)
             out = predict(weights, series, test_window)
             det = float(out[:, 1].mean())
-            present = det <= 0
+            present = payload_status(det) is PayloadStatus.PRESENT
             detect_output[i - 1, j - 1] = det
             detect_correct[i - 1, j - 1] = present == (mass > 0)
             run_step2 = present and mass > 0
@@ -431,22 +405,14 @@ def multitask_grid(
                     out[:, 0], truth, normalizer
                 )
             if run_step2:
-                mass_error[i - 1, j - 1] = (
-                    abs(float(out[:, 2].mean()) - mass) / mass * 100.0
+                mass_error[i - 1, j - 1] = mass_error_percent(
+                    float(out[:, 2].mean()), mass
                 )
     return MultitaskGridResult(
         detect_output=detect_output,
         detect_correct=detect_correct,
         angle_error=angle_error,
         mass_error=mass_error,
-        training_cells=tuple(training_cells),
-        provenance={
-            "training_cells": tuple(c.label for c in training_cells),
-            "payloads": payloads.masses,
-            "ridge": ridge,
-            "normalizer": normalizer,
-            "note": HARDWARE_NOTE,
-        },
     )
 
 
@@ -504,3 +470,58 @@ def multitask_training_subsets(n_profiles: int = 7,
         "3x3": tuple(InputCondition(i, j)
                      for i in (lo, mid, hi) for j in (jlo, jmid, jhi)),
     }
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One shipped single-task experiment.
+
+    ``subset`` is the fixed training subset of the sample-count and sensor
+    sweeps; ``families`` names the training-subset families the condition
+    sweep compares. All of them are scored on ``evaluation``.
+    """
+
+    task: TaskKind
+    subset: tuple
+    evaluation: tuple
+    families: Mapping
+
+    @property
+    def conditions(self) -> tuple:
+        """The runs each sweep of the experiment simulates. A family member
+        outside them is reported missing by name when it is trained on."""
+        return self.subset + self.evaluation
+
+
+def experiments(cfg) -> dict:
+    """The bending and payload experiments of an `ExperimentConfig`, keyed
+    by the name their result files carry."""
+    payload_eval = payload_conditions(len(cfg.payloads))[1:]
+    return {
+        "bending": Experiment(
+            task=TaskKind.BENDING_ANGLE,
+            subset=(InputCondition(1, 1), InputCondition(7, 1)),
+            evaluation=bending_conditions(len(cfg.profiles)),
+            families={"subsets": nested_bending_subsets(),
+                      "pairs": all_profile_pairs(len(cfg.profiles))},
+        ),
+        "payload": Experiment(
+            task=TaskKind.PAYLOAD_MASS,
+            subset=payload_eval,
+            evaluation=payload_eval,
+            families={"subsets": nested_payload_subsets()},
+        ),
+    }
+
+
+def training_window(cfg, task: TaskKind) -> Window:
+    """Per-condition training window of a task under an `ExperimentConfig`.
+
+    Bending trains on the whole train window; detection and mass train on
+    its first ``detection_seconds`` / ``mass_segment_seconds``.
+    """
+    if task is TaskKind.BENDING_ANGLE:
+        return cfg.train
+    seconds = (cfg.detection_seconds if task is TaskKind.PAYLOAD_DETECT
+               else cfg.mass_segment_seconds)
+    return Window(cfg.train.start, cfg.train.start + seconds)

@@ -5,8 +5,6 @@ bending-angle prediction, payload detection, and payload-mass estimation.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Optional, Sequence
 
 import numpy as np
 
@@ -15,7 +13,6 @@ from .readout import ReadoutWeights, predict
 
 DETECT_ABSENT = 1.0
 DETECT_PRESENT = -1.0
-DEFAULT_DETECTION_SECONDS = 5.0
 
 
 class TaskKind(enum.Enum):
@@ -29,54 +26,10 @@ class PayloadStatus(enum.Enum):
     PRESENT = "present"
 
 
-@dataclass(frozen=True)
-class TaskSpec:
-    """Which perception task to train, with its target parameters.
-
-    detection_labels is (label when absent, label when present);
-    payload_segments lists (mass_grams, duration_seconds) pairs for
-    step-function mass targets.
-    """
-
-    kind: TaskKind
-    detection_labels: tuple = (DETECT_ABSENT, DETECT_PRESENT)
-    payload_segments: Optional[tuple] = None
-
-    def __post_init__(self) -> None:
-        absent, present = self.detection_labels
-        if {absent, present} != {1.0, -1.0}:
-            raise ValueError(
-                f"detection labels must be +1/-1, got {self.detection_labels}"
-            )
-        if self.payload_segments is not None:
-            for mass, duration in self.payload_segments:
-                if duration <= 0:
-                    raise ValueError(
-                        f"step segment durations must be > 0 s, got {duration}"
-                    )
-                if mass < 0:
-                    raise ValueError(f"step masses must be >= 0 g, got {mass}")
-
-
 def bending_target(series: PressureStateSeries, window: Window) -> np.ndarray:
     """Ground-truth bending angle over the window (degrees)."""
     i0, i1 = window_indices(series.grid, window)
     return series.theta[i0:i1]
-
-
-def detection_target(
-    durations: tuple = (DEFAULT_DETECTION_SECONDS, DEFAULT_DETECTION_SECONDS),
-    sample_rate: float = 40.0,
-) -> np.ndarray:
-    """Two-segment +1/-1 trace: payload absent first, present second."""
-    d_absent, d_present = durations
-    if d_absent <= 0 or d_present <= 0:
-        raise ValueError(f"both durations must be > 0 s, got {durations}")
-    n_absent = int(round(d_absent * sample_rate))
-    n_present = int(round(d_present * sample_rate))
-    return np.concatenate(
-        [np.full(n_absent, DETECT_ABSENT), np.full(n_present, DETECT_PRESENT)]
-    )
 
 
 def detect_payload(
@@ -84,62 +37,29 @@ def detect_payload(
     series: PressureStateSeries,
     window: Window,
 ) -> PayloadStatus:
-    """Sign rule on the window-averaged readout output.
+    """Sign rule (see `payload_status`) on the window-averaged output."""
+    return payload_status(float(np.mean(predict(weights, series, window))))
+
+
+def payload_status(mean_output: float) -> PayloadStatus:
+    """Detection sign rule on a window-averaged detect output.
 
     Positive mean -> absent, negative -> present; an exact zero resolves to
     present so the downstream mass step never silently skips a real payload.
     """
-    mean_out = float(np.mean(predict(weights, series, window)))
-    return PayloadStatus.ABSENT if mean_out > 0 else PayloadStatus.PRESENT
-
-
-def default_segment_seconds(n_masses: int) -> float:
-    """Stock step-segment length: 12.5 s for two-mass training, 5 s beyond."""
-    return 12.5 if n_masses <= 2 else 5.0
-
-
-def mass_step_target(
-    masses: Sequence[float],
-    per_segment: Optional[float] = None,
-    sample_rate: float = 40.0,
-) -> np.ndarray:
-    """Step-function mass target: one constant segment per training mass."""
-    if len(masses) == 0:
-        raise ValueError("need at least one mass for a step target")
-    if per_segment is None:
-        per_segment = default_segment_seconds(len(masses))
-    if per_segment <= 0:
-        raise ValueError(f"per_segment must be > 0 s, got {per_segment}")
-    n_seg = int(round(per_segment * sample_rate))
-    return np.concatenate([np.full(n_seg, float(m)) for m in masses])
+    return PayloadStatus.ABSENT if mean_output > 0 else PayloadStatus.PRESENT
 
 
 def estimate_mass(
     weights: ReadoutWeights,
     series: PressureStateSeries,
     window: Window,
-    estimator: str = "mean",
 ) -> float:
-    """Point estimate of the payload mass from the readout trace.
-
-    The raw trace (available via predict) oscillates with the actuation
-    cycle; the window mean is the stock scalarization, median the
-    outlier-robust alternative.
-    """
-    trace = predict(weights, series, window)
-    if estimator == "mean":
-        return float(np.mean(trace))
-    if estimator == "median":
-        return float(np.median(trace))
-    raise ValueError(f"unknown estimator {estimator!r}")
+    """Point estimate of the payload mass: the window mean of the readout
+    trace, which oscillates with the actuation cycle."""
+    return float(np.mean(predict(weights, series, window)))
 
 
-def stack_tasks(targets: Sequence[np.ndarray]) -> np.ndarray:
-    """Column-stack per-task target traces for multi-task training."""
-    if len(targets) == 0:
-        raise ValueError("need at least one target to stack")
-    arrays = [np.asarray(t, dtype=float) for t in targets]
-    lengths = {a.shape[0] for a in arrays}
-    if len(lengths) != 1:
-        raise ValueError(f"target lengths differ: {sorted(lengths)}")
-    return np.column_stack(arrays)
+def mass_error_percent(estimate: float, mass: float) -> float:
+    """Relative mass error |estimate - mass| / mass in percent."""
+    return abs(estimate - mass) / mass * 100.0

@@ -111,14 +111,23 @@ class TestSweeps:
         sums = np.nansum(shares, axis=1)
         assert np.allclose(sums, 100.0)
 
-    def test_multitask_sweep_layout(self, tmp_path):
+    def test_multitask_sweep_layout(self, tmp_path, capsys):
         out = tmp_path / "sweep"
-        assert main(["sweep", "multitask", "--out", str(out), "--quiet"]) == 0
+        assert main(["sweep", "multitask", "--out", str(out)]) == 0
         detect, rows, cols, _ = read_matrix_csv(out / "multitask_2x2_detect.csv")
         assert detect.shape == (7, 5)
         assert cols == ["0g", "100g", "200g", "300g", "400g"]
         mass, _, _, _ = read_matrix_csv(out / "multitask_2x2_mass.csv")
         assert np.all(np.isnan(mass[:, 0]))
+        # the printed summary table restates multitask_summary.csv
+        summary, names, _, _ = read_matrix_csv(out / "multitask_summary.csv")
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split() == ["training", "detection", "step-2",
+                                    "mean", "%"]
+        for line, name, (perfect, step2) in zip(lines[1:], names, summary):
+            verdict = "perfect" if perfect == 1 else "errors"
+            assert line.split() == [name, verdict, f"{step2:.2f}"]
+        assert len(lines) == 1 + len(names) + 1
 
     def test_correlate_run_with_itself(self, grid_dir, tmp_path):
         out = tmp_path / "corr.csv"
@@ -133,6 +142,52 @@ class TestSweeps:
         rc = main(["correlate", "--runs", run, "--channel", "s9"])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestOneMassWindow:
+    def test_condition_and_sensor_sweeps_train_on_the_same_window(self,
+                                                                 tmp_path):
+        # 4.99 s is 199.6 samples at 40 Hz: a window rounded to whole
+        # samples and one floored from seconds would disagree
+        cfg = tmp_path / "mass499.yaml"
+        cfg.write_text("mass_segment_seconds: 4.99\n")
+        for kind in ("conditions", "sensors"):
+            assert main(["sweep", kind, "--config", str(cfg), "--out",
+                         str(tmp_path / kind), "--quiet"]) == 0
+        subsets, rows, cols, _ = read_matrix_csv(
+            tmp_path / "conditions" / "payload_subsets.csv")
+        ablation, masks, ablation_cols, _ = read_matrix_csv(
+            tmp_path / "sensors" / "payload_ablation.csv")
+        assert rows[-1] == "+".join(f"P1M{j}" for j in range(2, 8))
+        assert masks[0] == "s1+s2+s3+s4+s5+s6+s7"
+        assert cols == ablation_cols
+        assert np.array_equal(subsets[-1], ablation[0])
+
+
+FIVE_PROFILES = """profiles:
+  - {u_min: 1.0, u_max: 32.25}
+  - {u_min: 3.5, u_max: 34.75}
+  - {u_min: 6.0, u_max: 37.25}
+  - {u_min: 8.5, u_max: 39.75}
+  - {u_min: 11.0, u_max: 42.25}
+"""
+
+
+class TestOutOfGridConditions:
+    @pytest.mark.parametrize("argv", [
+        ["train", "--task", "bending", "--subset", "P1,P7"],
+        ["sweep", "samples"],
+    ], ids=["train", "sweep-samples"])
+    def test_profile_beyond_the_grid_is_an_error_line(self, argv, tmp_path,
+                                                      capsys):
+        cfg = tmp_path / "five.yaml"
+        cfg.write_text(FIVE_PROFILES)
+        rc = main(argv + ["--config", str(cfg), "--out",
+                          str(tmp_path / "out"), "--quiet"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:")
+        assert "P7M1" in err and "5x7" in err
 
 
 class TestOverrides:

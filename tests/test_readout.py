@@ -9,7 +9,6 @@ from armrc.readout import (
     ReadoutWeights,
     TrainingAssembly,
     assemble,
-    averaged_error,
     correlation_matrix,
     normalize_mask,
     nrmse_percent,
@@ -211,12 +210,6 @@ class TestPredict:
         i0 = 2000
         assert np.allclose(pred, target[i0:i0 + 1000], atol=1e-8)
 
-    def test_mask_mismatch_raises(self):
-        weights = ReadoutWeights(np.zeros((4, 1)), (4, 5, 6))
-        series = series_from_sensors(np.zeros((7, 100)))
-        with pytest.raises(ValueError, match="mask"):
-            predict(weights, series, sensor_mask=(0, 1, 2))
-
     def test_multitask_prediction_shape(self):
         weights = ReadoutWeights(np.ones((8, 3)), tuple(range(7)))
         series = series_from_sensors(np.zeros((7, 50)))
@@ -260,12 +253,6 @@ class TestErrors:
             nrmse_percent(pred, truth, "other")
         with pytest.raises(ValueError):
             nrmse_percent(np.ones(3), np.ones(3))  # zero range
-
-    def test_averaged_error(self):
-        assert averaged_error([0.1, 0.2, 0.3]) == pytest.approx(0.2)
-        assert averaged_error([2.0, 2.0]) == 2.0
-        with pytest.raises(ValueError):
-            averaged_error([])
 
 
 class TestCorrelationMatrix:

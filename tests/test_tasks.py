@@ -6,14 +6,9 @@ from armrc.core import PressureStateSeries, TimeGrid, Window
 from armrc.readout import ReadoutWeights
 from armrc.tasks import (
     PayloadStatus,
-    TaskKind,
-    TaskSpec,
     bending_target,
     detect_payload,
-    detection_target,
     estimate_mass,
-    mass_step_target,
-    stack_tasks,
 )
 
 
@@ -27,42 +22,12 @@ def flat_series(value, n=400, n_sensors=7):
     )
 
 
-class TestTaskSpec:
-    def test_detection_labels_must_be_plus_minus_one(self):
-        with pytest.raises(ValueError):
-            TaskSpec(TaskKind.PAYLOAD_DETECT, detection_labels=(1.0, 0.0))
-
-    def test_step_segments_validated(self):
-        with pytest.raises(ValueError):
-            TaskSpec(TaskKind.PAYLOAD_MASS, payload_segments=((100.0, 0.0),))
-        spec = TaskSpec(TaskKind.PAYLOAD_MASS,
-                        payload_segments=((100.0, 12.5), (300.0, 12.5)))
-        assert spec.payload_segments is not None
-
-
 class TestBendingTarget:
     def test_returns_the_stored_angle_over_the_window(self):
         series = flat_series(0.0, n=4000)
         window = Window(50.0, 75.0)
         target = bending_target(series, window)
         assert np.array_equal(target, series.theta[2000:3000])
-
-
-class TestDetectionTarget:
-    def test_default_is_200_plus_200_minus(self):
-        trace = detection_target()
-        assert trace.shape == (400,)
-        assert np.all(trace[:200] == 1.0)
-        assert np.all(trace[200:] == -1.0)
-
-    def test_equal_durations_are_zero_mean(self):
-        assert detection_target((3.0, 3.0)).mean() == 0.0
-
-    def test_single_segment_rejected(self):
-        with pytest.raises(ValueError):
-            detection_target((5.0, 0.0))
-        with pytest.raises(ValueError):
-            detection_target((0.0, 5.0))
 
 
 class TestDetectPayload:
@@ -92,35 +57,6 @@ class TestDetectPayload:
         assert base is scaled
 
 
-class TestMassStepTarget:
-    def test_two_mass_default_spans_25_seconds(self):
-        trace = mass_step_target([100.0, 300.0])
-        assert trace.shape == (1000,)
-        assert np.all(trace[:500] == 100.0)
-        assert np.all(trace[500:] == 300.0)
-
-    def test_six_mass_default_spans_30_seconds(self):
-        trace = mass_step_target([100, 140, 160, 200, 240, 300])
-        assert trace.shape == (1200,)
-        assert np.all(trace[:200] == 100.0)
-        assert np.all(trace[-200:] == 300.0)
-
-    def test_single_mass_is_constant(self):
-        trace = mass_step_target([200.0], per_segment=2.0)
-        assert np.all(trace == 200.0)
-        assert trace.shape == (80,)
-
-    def test_length_is_exactly_the_segment_sum(self):
-        trace = mass_step_target([1.0, 2.0, 3.0], per_segment=1.7)
-        assert trace.shape[0] == 3 * int(round(1.7 * 40.0))
-
-    def test_rejects_empty_and_nonpositive(self):
-        with pytest.raises(ValueError):
-            mass_step_target([])
-        with pytest.raises(ValueError):
-            mass_step_target([100.0], per_segment=0.0)
-
-
 class TestEstimateMass:
     def test_constant_prediction(self):
         w = ReadoutWeights(np.array([[300.0]] + [[0.0]] * 7), tuple(range(7)))
@@ -131,38 +67,3 @@ class TestEstimateMass:
         w = ReadoutWeights(np.array([[42.0]] + [[0.0]] * 7), tuple(range(7)))
         series = flat_series(123.0)
         assert estimate_mass(w, series, Window(0.0, 10.0)) == pytest.approx(42.0)
-
-    def test_median_estimator(self):
-        w = ReadoutWeights(np.array([[0.0], [1.0]] + [[0.0]] * 6),
-                           tuple(range(7)))
-        grid = TimeGrid(sample_rate=40.0, n_samples=4)
-        sensors = np.zeros((7, 4))
-        sensors[0] = [0.0, 0.0, 0.0, 100.0]
-        series = PressureStateSeries(grid, np.zeros(4), sensors, np.zeros(4))
-        window = Window(0.0, 0.1)
-        assert estimate_mass(w, series, window, "median") == pytest.approx(0.0)
-        assert estimate_mass(w, series, window, "mean") == pytest.approx(25.0)
-        with pytest.raises(ValueError):
-            estimate_mass(w, series, window, "mode")
-
-
-class TestStackTasks:
-    def test_column_stacking(self):
-        a = np.arange(5.0)
-        b = np.ones(5)
-        stacked = stack_tasks([a, b])
-        assert stacked.shape == (5, 2)
-        assert np.array_equal(stacked[:, 0], a)
-
-    def test_single_target_becomes_one_column(self):
-        assert stack_tasks([np.zeros(4)]).shape == (4, 1)
-
-    def test_three_tasks(self):
-        stacked = stack_tasks([np.zeros(8), np.ones(8), np.full(8, 2.0)])
-        assert stacked.shape == (8, 3)
-
-    def test_rejects_mismatched_lengths_and_empty(self):
-        with pytest.raises(ValueError):
-            stack_tasks([np.zeros(4), np.zeros(5)])
-        with pytest.raises(ValueError):
-            stack_tasks([])
