@@ -158,8 +158,9 @@ class PressureStateSeries:
     """One run: actuation trace, sensor pressure matrix, and bending angle.
 
     ``sensors`` is (n_sensors, n_samples) with row k the k-th sensor ordered
-    base to tip. All traces share the grid's clock. Arrays are stored
-    read-only; slicing produces new read-only views.
+    base to tip. All traces share the grid's clock. Each array is stored
+    as a read-only copy of the one passed in, so slicing (`slice_series`)
+    also copies.
     """
 
     grid: TimeGrid

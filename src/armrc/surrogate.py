@@ -34,17 +34,28 @@ functional of the node states plus a mass-proportional droop:
 
 Sensor readings are the node states plus white Gaussian noise drawn from
 counter-based streams keyed by (seed, condition, sensor), so results never
-depend on simulation order.
+depend on simulation order. The noise is added after the states are
+computed, so one noise-free run serves every seed (`add_noise`).
+
+One kernel, `simulate_batch`, steps all runs of a call together; every
+other entry point is a thin call into it. A run's bits do not depend on
+the batch it runs in.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .core import InputCondition, PayloadSet, PressureStateSeries, TimeGrid
+from .core import (
+    InputCondition,
+    PayloadSet,
+    PressureStateSeries,
+    TimeGrid,
+    condition_grid,
+)
 from .profiles import RampProfileSpec, generate_profile
 
 # Payload-term pressure scale (psi): well inside the profiles' range, so
@@ -52,6 +63,10 @@ from .profiles import RampProfileSpec, generate_profile
 U_PAYLOAD_REF = 15.0
 
 _UINT64_MASK = (1 << 64) - 1
+
+# Time steps buffered between flushes into the per-run state arrays: short,
+# so the buffers stay small next to the runs themselves.
+_CHUNK = 64
 
 
 def default_coupling(n_nodes: int = 7, strength: float = 0.02) -> tuple:
@@ -148,16 +163,134 @@ def stability_margin(params: SurrogateParams) -> float:
     return float(1.0 - np.abs(m).sum(axis=1).max())
 
 
+def _noise_key(condition: Optional[InputCondition], sensor: int) -> int:
+    """Second Philox key word, (profile << 32) | (payload << 16) | (sensor + 1).
+    An index that overflows its field would alias another stream."""
+    ci, cj = ((0, 0) if condition is None
+              else (condition.profile_index, condition.payload_index))
+    if ci >> 32 or cj >> 16 or (sensor + 1) >> 16:
+        raise ValueError(
+            f"condition {condition.label if condition else '-'} sensor "
+            f"s{sensor + 1} overflows the noise key (profile < 2**32, "
+            "payload and sensor < 2**16)"
+        )
+    return (ci << 32) | (cj << 16) | (sensor + 1)
+
+
 def _noise_stream(seed: int, condition: Optional[InputCondition], sensor: int,
                   n_samples: int, noise_std: float) -> np.ndarray:
-    ci = condition.profile_index if condition is not None else 0
-    cj = condition.payload_index if condition is not None else 0
-    key = np.array(
-        [seed & _UINT64_MASK, (ci << 32) | (cj << 16) | (sensor + 1)],
-        dtype=np.uint64,
-    )
+    key = np.array([seed & _UINT64_MASK, _noise_key(condition, sensor)],
+                   dtype=np.uint64)
     gen = np.random.Generator(np.random.Philox(key=key))
     return gen.normal(0.0, noise_std, n_samples)
+
+
+def add_noise(params: SurrogateParams, run: PressureStateSeries,
+              seed: Optional[int] = None) -> PressureStateSeries:
+    """A noise-free run plus its sensor noise at ``seed``: the run
+    ``simulate(..., seed=seed)`` gives, as noise never feeds back into the
+    states."""
+    if params.noise_std == 0:
+        return run
+    sensors = run.sensors.copy()
+    noise_seed = params.seed if seed is None else seed
+    for m in range(sensors.shape[0]):
+        sensors[m] += _noise_stream(noise_seed, run.condition, m,
+                                    sensors.shape[1], params.noise_std)
+    return replace(run, sensors=sensors)
+
+
+def _advance(params: SurrogateParams, traces: list, masses: Sequence[float],
+             x0: Optional[np.ndarray]) -> list:
+    """Noise-free (n, T) states of B runs, stepped together as one block.
+
+    The block is held as (n, B), a column per run. A run meets only
+    elementwise operations, the coupling summed column by column of C in a
+    fixed order (never a BLAS product on the block), and drive terms taken
+    with ``np.tanh`` on the same shapes in every path: per distinct (T,)
+    trace and per scalar mass. So its bits do not depend on the batch.
+    """
+    n, n_samples, n_runs = params.n_nodes, len(traces[0]), len(traces)
+    leak, kp, ig, pg = (np.asarray(v)[:, None] for v in (
+        params.leak, params.leak_pressure_coeff, params.input_gain,
+        params.payload_gain))
+    cols = [np.array(c)[:, None] for c in np.asarray(params.coupling).T]
+    distinct = {id(t): t for t in traces}
+    row = {key: u for u, key in enumerate(distinct)}
+    idx = [row[id(t)] for t in traces]
+    s_u = np.array(list(distinct.values()))
+    phi_u = np.array([0.5 * (1.0 + np.tanh(
+        (t - params.leak_pressure_knee) / params.leak_pressure_width))
+        for t in s_u])
+    v_u = np.array([np.tanh(t / U_PAYLOAD_REF) for t in s_u])
+    rho = np.array([np.tanh(m / params.payload_sat) for m in masses])
+
+    x = np.zeros((n, n_runs)) if x0 is None else np.array(x0, dtype=float).T
+    states = [np.empty((n, n_samples)) for _ in traces]
+    buf = np.empty((_CHUNK, n, n_runs))
+    cx, term = np.empty((n, n_runs)), np.empty((n, n_runs))
+    for k0 in range(0, n_samples, _CHUNK):
+        k1 = min(k0 + _CHUNK, n_samples)
+        phi = phi_u[idx, k0:k1].T[:, None, :]
+        gain = ((1.0 - leak * (1.0 - kp * phi))
+                + pg * (rho * v_u[idx, k0:k1].T)[:, None, :])
+        drive = ig * s_u[idx, k0:k1].T[:, None, :]
+        for k in range(k1 - k0):
+            np.multiply(cols[0], x[0], out=cx)
+            for j in range(1, n):
+                cx += np.multiply(cols[j], x[j], out=term)
+            x = np.multiply(gain[k], x, out=buf[k])
+            x += cx
+            x += drive[k]
+        for b, st in enumerate(states):
+            st[:, k0:k1] = buf[:k1 - k0, :, b].T
+    return states
+
+
+def simulate_batch(
+    params: SurrogateParams,
+    traces: Sequence[np.ndarray],
+    masses: Sequence[float],
+    grid: TimeGrid,
+    *,
+    conditions: Optional[Sequence[Optional[InputCondition]]] = None,
+    x0: Optional[np.ndarray] = None,
+    with_noise: bool = True,
+    seed: Optional[int] = None,
+) -> list:
+    """Run B (trace, mass) pairs through one shared step loop, one series
+    each, every one bit-identical to the run ``simulate`` gives alone.
+
+    ``x0`` is (B, n). Pass a repeated trace as the same array object so its
+    drive terms are computed once.
+    """
+    traces = [np.asarray(t, dtype=float) for t in traces]
+    conditions = [None] * len(traces) if conditions is None else conditions
+    if not len(traces) == len(masses) == len(conditions):
+        raise ValueError("need one mass and one condition per trace")
+    for t, mass in zip(traces, masses):
+        if t.shape != (grid.n_samples,):
+            raise ValueError(
+                f"s_in must have shape ({grid.n_samples},), got {t.shape}"
+            )
+        if mass < 0:
+            raise ValueError(f"payload mass must be >= 0 grams, got {mass}")
+    shape = (len(traces), params.n_nodes)
+    if x0 is not None and np.shape(x0) != shape:
+        raise ValueError(f"x0 must have shape {shape}, got {np.shape(x0)}")
+    noisy = with_noise and params.noise_std > 0
+    for cond in conditions if noisy else ():
+        _noise_key(cond, params.n_nodes - 1)
+    states = _advance(params, traces, masses, x0) if traces else []
+    runs = []
+    for b, (trace, mass, cond) in enumerate(zip(traces, masses, conditions)):
+        st, states[b] = states[b], None
+        theta = (sum(w * s for w, s in zip(params.angle_weights, st))
+                 + params.angle_payload_slope * mass)
+        run = PressureStateSeries(grid=grid, s_in=trace, sensors=st,
+                                  theta=theta, condition=cond)
+        runs.append(add_noise(params, run, seed) if noisy else run)
+    return runs
 
 
 def simulate(
@@ -171,52 +304,12 @@ def simulate(
     with_noise: bool = True,
     seed: Optional[int] = None,
 ) -> PressureStateSeries:
-    """Run the surrogate on one actuation trace and payload mass.
-
-    Bit-reproducible for fixed (params, inputs, seed); independent
-    conditions can be simulated concurrently.
-    """
-    s_in = np.asarray(s_in, dtype=float)
-    if s_in.shape != (grid.n_samples,):
-        raise ValueError(
-            f"s_in must have shape ({grid.n_samples},), got {s_in.shape}"
-        )
-    if payload < 0:
-        raise ValueError(f"payload mass must be >= 0 grams, got {payload}")
-    n = params.n_nodes
-    leak = np.asarray(params.leak)
-    cmat = np.asarray(params.coupling)
-    ig = np.asarray(params.input_gain)
-    pg = np.asarray(params.payload_gain)
-    aw = np.asarray(params.angle_weights)
-    kp = np.asarray(params.leak_pressure_coeff)
-    rho = np.tanh(payload / params.payload_sat)
-
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
-    if x.shape != (n,):
-        raise ValueError(f"x0 must have shape ({n},), got {x.shape}")
-
-    states = np.empty((n, grid.n_samples))
-    phi = 0.5 * (1.0 + np.tanh(
-        (s_in - params.leak_pressure_knee) / params.leak_pressure_width))
-    v_pay = np.tanh(s_in / U_PAYLOAD_REF)
-    for k in range(grid.n_samples):
-        retain = 1.0 - leak * (1.0 - kp * phi[k])
-        x = (retain + pg * (rho * v_pay[k])) * x + cmat @ x + ig * s_in[k]
-        states[:, k] = x
-
-    sensors = states
-    if with_noise and params.noise_std > 0:
-        sensors = states.copy()
-        noise_seed = params.seed if seed is None else seed
-        for m in range(n):
-            sensors[m] += _noise_stream(
-                noise_seed, condition, m, grid.n_samples, params.noise_std
-            )
-    theta = aw @ states + params.angle_payload_slope * payload
-    return PressureStateSeries(
-        grid=grid, s_in=s_in, sensors=sensors, theta=theta, condition=condition
-    )
+    """Run the surrogate on one actuation trace and payload mass: a batch of
+    one. Bit-reproducible for fixed (params, inputs, seed)."""
+    return simulate_batch(
+        params, [s_in], [payload], grid, conditions=[condition],
+        x0=None if x0 is None else [x0], with_noise=with_noise, seed=seed,
+    )[0]
 
 
 def echo_check(
@@ -232,21 +325,52 @@ def echo_check(
     """Common-signal synchronization test.
 
     Runs the noise-free surrogate from two random initial states under the
-    same input; True iff the post-washout state trajectories agree within
-    ``tol``. Required before treating the arm as a reservoir: readouts of
-    the state must not depend on where the state started.
+    same input, as one two-row batch; True iff the post-washout state
+    trajectories agree within ``tol``. Required before treating the arm as a
+    reservoir: readouts of the state must not depend on where the state
+    started.
     """
     s_in = np.asarray(s_in, dtype=float)
     if grid is None:
         grid = TimeGrid(n_samples=len(s_in))
     rng = np.random.Generator(np.random.Philox(key=rng_seed & _UINT64_MASK))
-    x0_a = rng.uniform(0.0, 10.0, params.n_nodes)
-    x0_b = rng.uniform(0.0, 10.0, params.n_nodes)
-    run_a = simulate(params, s_in, payload, grid, x0=x0_a, with_noise=False)
-    run_b = simulate(params, s_in, payload, grid, x0=x0_b, with_noise=False)
+    x0 = [rng.uniform(0.0, 10.0, params.n_nodes) for _ in range(2)]
+    run_a, run_b = simulate_batch(params, [s_in, s_in], [payload, payload],
+                                  grid, x0=x0, with_noise=False)
     k0 = int(round(washout_seconds * grid.sample_rate))
     gap = np.abs(run_a.sensors[:, k0:] - run_b.sensors[:, k0:]).max()
     return bool(gap < tol)
+
+
+def simulate_conditions(
+    params: SurrogateParams,
+    profile_specs: Sequence[RampProfileSpec],
+    payloads: PayloadSet,
+    grid: TimeGrid,
+    conditions: Sequence[InputCondition],
+    seed: Optional[int] = None,
+    with_noise: bool = True,
+) -> dict:
+    """Simulate just the listed conditions (deduplicated), as one batch.
+
+    A condition outside the profiles x payloads grid is refused up front.
+    """
+    for cond in conditions:
+        if (cond.profile_index > len(profile_specs)
+                or cond.payload_index > len(payloads)):
+            raise ValueError(
+                f"condition {cond.label} is outside the "
+                f"{len(profile_specs)}x{len(payloads)} profile x payload grid"
+            )
+    conds = list(dict.fromkeys(conditions))
+    traces = {i: generate_profile(profile_specs[i - 1], grid)
+              for i in {c.profile_index for c in conds}}
+    runs = simulate_batch(
+        params, [traces[c.profile_index] for c in conds],
+        [payloads.mass_of(c.payload_index) for c in conds], grid,
+        conditions=conds, with_noise=with_noise, seed=seed,
+    )
+    return dict(zip(conds, runs))
 
 
 def simulate_grid(
@@ -258,13 +382,7 @@ def simulate_grid(
     seed: Optional[int] = None,
 ) -> Mapping[InputCondition, PressureStateSeries]:
     """Simulate every (profile, payload) condition of the experiment grid."""
-    runs = {}
-    for i, spec in enumerate(profile_specs, start=1):
-        trace = generate_profile(spec, grid)
-        for j in range(1, len(payloads) + 1):
-            cond = InputCondition(i, j)
-            runs[cond] = simulate(
-                params, trace, payloads.mass_of(j), grid,
-                condition=cond, seed=seed,
-            )
-    return runs
+    return simulate_conditions(
+        params, profile_specs, payloads, grid,
+        condition_grid(len(profile_specs), payloads), seed=seed,
+    )

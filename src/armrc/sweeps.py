@@ -29,9 +29,9 @@ from .core import (
     TimeGrid,
     Window,
 )
-from .profiles import RampProfileSpec, generate_profile
+from .profiles import RampProfileSpec
 from .readout import assemble, normalize_mask, nrmse_percent, predict, train
-from .surrogate import SurrogateParams, simulate
+from .surrogate import SurrogateParams, add_noise, simulate_conditions
 from .tasks import (
     DETECT_ABSENT,
     DETECT_PRESENT,
@@ -180,40 +180,6 @@ def subset_sweep(spec: SweepSpec, runs: Mapping,
     )
 
 
-def simulate_conditions(
-    params: SurrogateParams,
-    profile_specs: Sequence[RampProfileSpec],
-    payloads: PayloadSet,
-    grid: TimeGrid,
-    conditions: Sequence[InputCondition],
-    seed: Optional[int] = None,
-) -> dict:
-    """Simulate just the listed conditions (deduplicated).
-
-    A condition outside the profiles x payloads grid is refused up front.
-    """
-    for cond in conditions:
-        if (cond.profile_index > len(profile_specs)
-                or cond.payload_index > len(payloads)):
-            raise ValueError(
-                f"condition {cond.label} is outside the "
-                f"{len(profile_specs)}x{len(payloads)} profile x payload grid"
-            )
-    runs = {}
-    traces = {}
-    for cond in conditions:
-        if cond in runs:
-            continue
-        i = cond.profile_index
-        if i not in traces:
-            traces[i] = generate_profile(profile_specs[i - 1], grid)
-        runs[cond] = simulate(
-            params, traces[i], payloads.mass_of(cond.payload_index), grid,
-            condition=cond, seed=seed,
-        )
-    return runs
-
-
 @dataclass(frozen=True, eq=False)
 class SampleCountResult:
     """Error statistics versus training-sample count (mean and std over
@@ -242,7 +208,11 @@ def sample_count_sweep(
     normalizer: str = "range",
 ) -> SampleCountResult:
     """Truncate each condition's training rows to each count, retrain, and
-    score on the fixed full test window; repeats vary only the noise seed."""
+    score on the fixed full test window; repeats vary only the noise seed.
+
+    Each condition's noise-free states are simulated once; a repeat only
+    draws its noise, which never feeds back into the states.
+    """
     full = int(round(train_window.duration * grid.sample_rate))
     counts = tuple(int(c) for c in counts)
     for c in counts:
@@ -253,10 +223,11 @@ def sample_count_sweep(
     base_seed = params.seed if base_seed is None else base_seed
     needed = list(subset) + list(evaluation)
     errors = np.empty((len(counts), len(evaluation), repeats))
+    noise_free = simulate_conditions(params, profile_specs, payloads, grid,
+                                     needed, with_noise=False)
     for r in range(repeats):
-        runs = simulate_conditions(
-            params, profile_specs, payloads, grid, needed, seed=base_seed + r
-        )
+        runs = {c: add_noise(params, run, base_seed + r)
+                for c, run in noise_free.items()}
         for ci, count in enumerate(counts):
             window = Window(train_window.start,
                             train_window.start + count / grid.sample_rate)

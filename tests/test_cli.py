@@ -3,7 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from armrc import cli
 from armrc.cli import main
+from armrc.config import ExperimentConfig
+from armrc.core import PayloadSet
 from armrc.runio import read_matrix_csv
 
 
@@ -188,6 +191,21 @@ class TestOutOfGridConditions:
         assert rc == 1
         assert err.startswith("error:")
         assert "P7M1" in err and "5x7" in err
+
+
+class TestNoiseKeyRange:
+    def test_payload_index_beyond_16_bits_is_an_error_line(self, tmp_path,
+                                                           capsys,
+                                                           monkeypatch):
+        # P1M65536's noise key would alias P2's; building the 65536-mass
+        # config in code skips a slow YAML parse
+        wide = ExperimentConfig(payloads=PayloadSet(tuple(range(1 << 16))))
+        monkeypatch.setattr(cli, "default_config", lambda: wide)
+        rc = main(["train", "--task", "bending", "--subset", "P1M65536",
+                   "--out", str(tmp_path / "w.json"), "--quiet"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and "P1M65536" in err
 
 
 class TestOverrides:

@@ -2,14 +2,22 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from armrc.core import InputCondition, PayloadSet, TimeGrid
-from armrc.profiles import default_profile_family, generate_profile
+from armrc.profiles import (
+    RampProfileSpec,
+    default_profile_family,
+    generate_profile,
+)
 from armrc.readout import correlation_matrix
 from armrc.surrogate import (
     SurrogateParams,
+    _noise_stream,
     echo_check,
     simulate,
+    simulate_batch,
+    simulate_conditions,
     simulate_grid,
     stability_margin,
 )
@@ -126,6 +134,9 @@ class TestEchoCheck:
         u = np.zeros(GRID.n_samples)
         assert echo_check(SurrogateParams(), u, 0.0)
 
+    def test_fails_before_the_two_initial_states_synchronize(self):
+        assert not echo_check(SurrogateParams(), P1, 0.0, washout_seconds=0.0)
+
 
 class TestCorrelationStructure:
     def test_payload_decorrelates_tip_more_than_profiles_do(self, cfg,
@@ -156,3 +167,89 @@ class TestGridSimulation:
             InputCondition(2, 1), InputCondition(2, 2),
         }
         assert all(r.condition == c for c, r in grid_runs.items())
+
+
+SHORT = TimeGrid(n_samples=40)
+
+
+class TestNoiseKey:
+    """The Philox key packs (profile << 32) | (payload << 16) | (sensor + 1);
+    an index that overflows its field would alias another stream."""
+
+    # (1 << 32) | (65536 << 16) would equal the key of P2 with payload 0
+    @pytest.mark.parametrize("cond", [InputCondition(1, 1 << 16),
+                                      InputCondition(1 << 32, 1)],
+                             ids=["payload", "profile"])
+    def test_index_beyond_its_field_is_refused(self, cond):
+        with pytest.raises(ValueError, match=cond.label):
+            simulate(SurrogateParams(), P1[:40], 0.0, SHORT, condition=cond)
+
+    def test_sensor_index_beyond_16_bits_is_refused(self):
+        with pytest.raises(ValueError, match="P1M1"):
+            _noise_stream(7, InputCondition(1, 1), (1 << 16) - 1, 4, 1.0)
+
+    def test_largest_in_range_indices_are_accepted(self):
+        cond = InputCondition((1 << 32) - 1, (1 << 16) - 1)
+        assert _noise_stream(7, cond, (1 << 16) - 2, 4, 1.0).shape == (4,)
+
+    def test_in_range_keys_are_unchanged(self):
+        key = np.array([7, (3 << 32) | (4 << 16) | 3], dtype=np.uint64)
+        expected = np.random.Generator(np.random.Philox(key=key)).normal(
+            0.0, 0.5, 16)
+        got = _noise_stream(7, InputCondition(3, 4), 2, 16, 0.5)
+        assert np.array_equal(got, expected)
+
+    def test_noise_free_runs_need_no_key(self):
+        run = simulate(SurrogateParams(), P1[:40], 0.0, SHORT,
+                       condition=InputCondition(1, 1 << 16), with_noise=False)
+        assert run.sensors.shape == (7, 40)
+
+
+@st.composite
+def batches(draw):
+    """A short grid, 1-3 profiles, 1-3 payloads, and a condition list drawn
+    from that grid in any order with duplicates, each with its own x0."""
+    grid = TimeGrid(n_samples=draw(st.integers(1, 150)))
+    specs = tuple(
+        RampProfileSpec(u_min=lo, u_max=lo + swing)
+        for lo, swing in draw(st.lists(
+            st.tuples(st.floats(0.0, 45.0), st.floats(1.0, 30.0)),
+            min_size=1, max_size=3))
+    )
+    masses = draw(st.lists(st.floats(0.0, 400.0), min_size=1, max_size=3,
+                           unique=True))
+    payloads = PayloadSet(tuple(sorted(masses)))
+    conds = draw(st.lists(
+        st.builds(InputCondition, st.integers(1, len(specs)),
+                  st.integers(1, len(payloads))),
+        min_size=1, max_size=8))
+    x0 = draw(st.lists(st.lists(st.floats(-10.0, 10.0), min_size=7,
+                                max_size=7),
+                       min_size=len(conds), max_size=len(conds)))
+    return grid, specs, payloads, conds, np.array(x0), draw(st.integers(0, 2**32))
+
+
+class TestBatchIndependence:
+    @settings(max_examples=25, deadline=None)
+    @given(batches())
+    def test_a_run_is_bit_identical_alone_and_in_any_batch(self, batch):
+        grid, specs, payloads, conds, x0, seed = batch
+        params = SurrogateParams()
+        traces = [generate_profile(spec, grid) for spec in specs]
+        by_conditions = simulate_conditions(params, specs, payloads, grid,
+                                            conds, seed=seed)
+        by_grid = simulate_grid(params, specs, payloads, grid, seed=seed)
+        from_x0 = simulate_batch(
+            params, [traces[c.profile_index - 1] for c in conds],
+            [payloads.mass_of(c.payload_index) for c in conds], grid,
+            conditions=conds, x0=x0, seed=seed)
+        for cond, start, batched in zip(conds, x0, from_x0):
+            args = (params, traces[cond.profile_index - 1],
+                    payloads.mass_of(cond.payload_index), grid)
+            alone = simulate(*args, condition=cond, seed=seed)
+            for other in (by_conditions[cond], by_grid[cond]):
+                assert np.array_equal(alone.sensors, other.sensors)
+                assert np.array_equal(alone.theta, other.theta)
+            alone = simulate(*args, condition=cond, x0=start, seed=seed)
+            assert np.array_equal(alone.sensors, batched.sensors)
+            assert np.array_equal(alone.theta, batched.theta)

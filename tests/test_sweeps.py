@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from armrc import sweeps
 from armrc.core import InputCondition
+from armrc.profiles import generate_profile
 from armrc.readout import assemble, train
-from armrc.surrogate import SurrogateParams
+from armrc.surrogate import SurrogateParams, simulate
 from armrc.sweeps import (
     SweepSpec,
     all_profile_pairs,
@@ -163,6 +165,37 @@ class TestSampleCountSweep:
             repeats=3, base_seed=cfg.seed,
         )
         assert res.std_grid[0, 0] > 0.0
+
+    def test_repeats_score_exactly_the_runs_simulate_gives(self, cfg,
+                                                           monkeypatch):
+        # the noise-free states are simulated once and each repeat only
+        # adds its noise; that must equal simulating at base_seed + r
+        seen = []
+
+        def spy(subset, runs, *args):
+            seen.append(runs)
+            return train_on_subset(subset, runs, *args)
+
+        monkeypatch.setattr(sweeps, "train_on_subset", spy)
+        subset, evaluation = (P(1, 1), P(7, 2)), (P(4, 3),)
+        sample_count_sweep(
+            TaskKind.BENDING_ANGLE, [100, 400], subset, evaluation,
+            cfg.surrogate, cfg.profiles, cfg.payloads, cfg.grid,
+            repeats=3, base_seed=11,
+        )
+        per_repeat = list({id(runs): runs for runs in seen}.values())
+        assert len(per_repeat) == 3
+        for r, runs in enumerate(per_repeat):
+            for cond in subset + evaluation:
+                alone = simulate(
+                    cfg.surrogate,
+                    generate_profile(cfg.profiles[cond.profile_index - 1],
+                                     cfg.grid),
+                    cfg.payloads.mass_of(cond.payload_index), cfg.grid,
+                    condition=cond, seed=11 + r,
+                )
+                assert np.array_equal(runs[cond].sensors, alone.sensors)
+                assert np.array_equal(runs[cond].theta, alone.theta)
 
 
 class TestAblation:
