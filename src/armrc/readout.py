@@ -1,9 +1,13 @@
 """Linear readout training and scoring.
 
-Training solves w = pinv([1 | S]) y per task column: a rank-revealing
-minimum-norm least-squares fit with a relative singular-value cutoff, or a
-ridge solution when a regularizer is given. Predictions are per-sample
-weighted sums of the masked sensor readings plus a bias.
+Training has one solver: a QR of the design [1 | S], then an SVD of its
+small R factor, which gives the minimum-norm least-squares fit with a
+relative singular-value cutoff (ridge 0) or the ridge solution from the
+same factors. `reduce_assembly` shrinks an assembly to its (R, Q^T Y)
+rows, which pose the same least-squares problem for any subset of its
+columns.
+Predictions are per-sample weighted sums of the masked sensor readings plus
+a bias.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import PressureStateSeries, Window, slice_series, window_indices
+from .core import PressureStateSeries, Window, window_indices
 
 # Relative singular-value cutoff for the minimum-norm pseudoinverse path.
 # A bare pseudoinverse is ill-posed on noisy, near-collinear sensor data.
@@ -43,8 +47,9 @@ def normalize_mask(mask: Optional[Sequence[int]], n_sensors: int) -> tuple:
 class TrainingAssembly:
     """Stacked design matrix [1 | S(t)] and matching targets.
 
-    Rows concatenate the chosen conditions' training windows in list order;
-    the first column is the all-ones bias regressor.
+    Rows concatenate the chosen conditions' training windows in list order,
+    or their (R, Q^T Y) rows after `reduce_assembly`; the first column is
+    the bias regressor.
     """
 
     states: np.ndarray
@@ -163,31 +168,52 @@ def train(
 ) -> ReadoutWeights:
     """Fit readout weights for every target column.
 
-    ridge == 0 uses the minimum-norm pseudoinverse with singular values
-    below RCOND * sigma_max dropped; ridge > 0 solves the standard
-    regularized normal equations. Columns are solved one at a time so
-    multi-task training is bit-identical to task-by-task training.
+    One path for every ridge: Phi = QR, R = U diag(s) V^T, and
+    w = V diag(d) U^T Q^T y. At ridge == 0, d = 1/s for singular values
+    above RCOND * s[0] and 0 below it (the minimum-norm pseudoinverse). At
+    ridge > 0, d = s / (s^2 + ridge), which minimizes
+    |Phi w - y|^2 + ridge |w|^2; the penalty covers every column, the bias
+    included. Columns are solved one at a time so multi-task training is
+    bit-identical to task-by-task training.
     """
     if ridge < 0:
         raise ValueError(f"ridge must be >= 0, got {ridge}")
     if assembly.states.shape[0] == 0:
         raise ValueError("cannot train on an empty assembly")
-    phi = assembly.states
-    y = assembly.targets
+    reduced = reduce_assembly(assembly)
+    u, s, vt = np.linalg.svd(reduced.states, full_matrices=False)
     if ridge == 0.0:
-        u, s, vt = np.linalg.svd(phi, full_matrices=False)
         keep = s > (RCOND * s[0] if s.size and s[0] > 0 else np.inf)
-        s_inv = np.zeros_like(s)
-        s_inv[keep] = 1.0 / s[keep]
-        pinv = (vt.T * s_inv) @ u.T
-        cols = [pinv @ y[:, k] for k in range(y.shape[1])]
+        d = np.zeros_like(s)
+        d[keep] = 1.0 / s[keep]
     else:
-        gram = phi.T @ phi + ridge * np.eye(phi.shape[1])
-        cols = [np.linalg.solve(gram, phi.T @ y[:, k]) for k in range(y.shape[1])]
+        d = s / (s * s + ridge)
+    solve = (vt.T * d) @ u.T
+    z = reduced.targets
+    cols = [solve @ z[:, k] for k in range(z.shape[1])]
     return ReadoutWeights(
         weights=np.column_stack(cols),
         sensor_mask=assembly.sensor_mask,
         task_names=tuple(task_names),
+    )
+
+
+def reduce_assembly(assembly: TrainingAssembly) -> TrainingAssembly:
+    """The (R, Q^T Y) assembly of Phi = QR: at most one row per column.
+
+    Phi[:, cols] = Q R[:, cols] with Q's columns orthonormal, so training on
+    the reduced rows, alone or stacked with other reduced assemblies, and on
+    any subset of their columns, solves the same least-squares problem as
+    the original rows. Q^T y is taken column by column, so a task's column
+    does not depend on the others.
+    """
+    q, r = np.linalg.qr(assembly.states)
+    y = assembly.targets
+    return TrainingAssembly(
+        states=r,
+        targets=np.column_stack([q.T @ y[:, k] for k in range(y.shape[1])]),
+        condition_ids=assembly.condition_ids,
+        sensor_mask=assembly.sensor_mask,
     )
 
 
@@ -205,8 +231,9 @@ def predict(
             f"weights trained on sensors {weights.sensor_mask} cannot read a "
             f"{series.n_sensors}-sensor series"
         )
-    sub = series if window is None else slice_series(series, window)
-    rows = sub.sensors[list(weights.sensor_mask), :].T
+    i0, i1 = ((0, series.grid.n_samples) if window is None
+              else window_indices(series.grid, window))
+    rows = series.sensors[list(weights.sensor_mask), i0:i1].T
     out = weights.bias + rows @ weights.sensor_weights
     return out[:, 0] if weights.n_tasks == 1 else out
 

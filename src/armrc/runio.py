@@ -24,7 +24,8 @@ from .readout import ReadoutWeights
 
 RUN_FORMAT = "armrc-run-v1"
 WEIGHTS_FORMAT = "armrc-weights-v1"
-# uniform-spacing tolerance for ingested time columns (seconds)
+# tolerance (seconds) for an ingested time column's spacing and for its
+# first time stamp against the sidecar's t0
 CLOCK_TOLERANCE = 1e-6
 _FLOAT_FMT = "%.17g"
 
@@ -116,7 +117,17 @@ def ingest_run(csv_path, sidecar: Optional[Path] = None) -> PressureStateSeries:
             f"{csv_path.name}: non-finite value in column "
             f"{expected[col]!r} at data row {row}"
         )
+    if int(meta["n_samples"]) != data.shape[0]:
+        raise ValueError(
+            f"{csv_path.name}: sidecar n_samples {meta['n_samples']} does "
+            f"not match the {data.shape[0]} data rows"
+        )
     t = data[:, 0]
+    if abs(t[0] - float(meta["t0"])) > CLOCK_TOLERANCE:
+        raise ValueError(
+            f"{csv_path.name}: sidecar t0 {meta['t0']} does not match the "
+            f"first time stamp {t[0]!r} within {CLOCK_TOLERANCE} s"
+        )
     if data.shape[0] > 1:
         steps = np.diff(t)
         if (steps <= 0).any():

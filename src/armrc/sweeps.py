@@ -30,7 +30,15 @@ from .core import (
     Window,
 )
 from .profiles import RampProfileSpec
-from .readout import assemble, normalize_mask, nrmse_percent, predict, train
+from .readout import (
+    TrainingAssembly,
+    assemble,
+    normalize_mask,
+    nrmse_percent,
+    predict,
+    reduce_assembly,
+    train,
+)
 from .surrogate import SurrogateParams, add_noise, simulate_conditions
 from .tasks import (
     DETECT_ABSENT,
@@ -148,12 +156,43 @@ def train_on_subset(
     ridge: float = 0.0,
 ):
     """Assemble and train one readout from a condition subset."""
-    data = []
+    return _fit(subset, {}, runs, payloads, (task,), window, sensor_mask,
+                ridge)
+
+
+def _fit(subset, blocks: dict, runs: Mapping, payloads: PayloadSet,
+         tasks: tuple, window: Window, sensor_mask, ridge: float):
+    """Train one readout, one column per task, on the stacked reduced
+    blocks of a subset's conditions.
+
+    ``blocks`` maps (condition, window) to the condition's reduced
+    all-sensor assembly (`readout.reduce_assembly`). A sweep passes one dict
+    to all its fits, which share their runs and tasks, so it factors each
+    block once; a sensor mask then only picks columns of the stacked R rows.
+    """
+    if len(subset) == 0:
+        raise ValueError("need at least one condition to assemble")
+    parts = []
     for cond in subset:
-        series = _require(runs, cond)
-        data.append((series, _target_trace(task, series, payloads)))
-    return train(assemble(data, window, sensor_mask), ridge,
-                 task_names=(task.value,))
+        key = (cond, window)
+        if key not in blocks:
+            series = _require(runs, cond)
+            target = np.column_stack(
+                [_target_trace(task, series, payloads) for task in tasks])
+            blocks[key] = reduce_assembly(assemble([(series, target)], window))
+        parts.append(blocks[key])
+    widths = sorted({part.states.shape[1] - 1 for part in parts})
+    if len(widths) > 1:
+        raise ValueError(f"conditions disagree on sensor count: {widths}")
+    mask = normalize_mask(sensor_mask, widths[0])
+    cols = [0] + [1 + m for m in mask]
+    stacked = TrainingAssembly(
+        states=np.vstack([part.states[:, cols] for part in parts]),
+        targets=np.vstack([part.targets for part in parts]),
+        condition_ids=tuple(subset),
+        sensor_mask=mask,
+    )
+    return train(stacked, ridge, task_names=tuple(t.value for t in tasks))
 
 
 def subset_sweep(spec: SweepSpec, runs: Mapping,
@@ -163,11 +202,10 @@ def subset_sweep(spec: SweepSpec, runs: Mapping,
     grid = _require(runs, spec.evaluation[0]).grid
     window = spec.effective_train_window(grid)
     rows = []
+    blocks = {}
     for subset in spec.subsets:
-        weights = train_on_subset(
-            subset, runs, payloads, spec.task, window,
-            spec.sensor_mask, spec.ridge,
-        )
+        weights = _fit(subset, blocks, runs, payloads, (spec.task,), window,
+                       spec.sensor_mask, spec.ridge)
         rows.append([
             _score(spec.task, weights, _require(runs, cond), spec.test_window,
                    payloads, spec.normalizer)
@@ -277,10 +315,10 @@ def sensor_ablation_sweep(
     masks = tuple(normalize_mask(m, n_sensors) for m in masks)
     error_rows = []
     share_rows = np.full((len(masks), n_sensors), np.nan)
+    blocks = {}
     for mi, mask in enumerate(masks):
-        weights = train_on_subset(
-            subset, runs, payloads, task, train_window, mask, ridge
-        )
+        weights = _fit(subset, blocks, runs, payloads, (task,), train_window,
+                       mask, ridge)
         error_rows.append([
             _score(task, weights, _require(runs, cond), test_window,
                    payloads, normalizer)
@@ -345,14 +383,8 @@ def multitask_grid(
     mean. Step 2 (angle plus mass prediction) runs only where a payload is
     detected; zero-payload cells are scored on angle alone.
     """
-    data = []
-    for cond in training_cells:
-        series = _require(runs, cond)
-        data.append((series, np.column_stack([
-            _target_trace(task, series, payloads) for task in MULTITASK_TASKS
-        ])))
-    weights = train(assemble(data, train_window), ridge,
-                    task_names=tuple(t.value for t in MULTITASK_TASKS))
+    weights = _fit(training_cells, {}, runs, payloads, MULTITASK_TASKS,
+                   train_window, None, ridge)
 
     n_payloads = len(payloads)
     detect_output = np.empty((n_profiles, n_payloads))

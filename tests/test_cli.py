@@ -1,8 +1,14 @@
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import armrc
 from armrc import cli
 from armrc.cli import main
 from armrc.config import ExperimentConfig
@@ -145,6 +151,43 @@ class TestSweeps:
         rc = main(["correlate", "--runs", run, "--channel", "s9"])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestSidecarMismatch:
+    @pytest.mark.parametrize("field, value", [("n_samples", 3999),
+                                              ("t0", 1.0)])
+    def test_sidecar_disagreeing_with_its_csv_is_an_error_line(
+            self, grid_dir, tmp_path, capsys, field, value):
+        run = tmp_path / "P1M1.csv"
+        shutil.copy(grid_dir / "runs" / "P1M1.csv", run)
+        meta = json.loads((grid_dir / "runs" / "P1M1.meta.json").read_text())
+        meta[field] = value
+        (tmp_path / "P1M1.meta.json").write_text(json.dumps(meta))
+        rc = main(["correlate", "--runs", str(run), "--channel", "s7",
+                   "--out", str(tmp_path / "corr.csv"), "--quiet"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and "P1M1.csv" in err and field in err
+
+
+class TestBlasThreadCount:
+    def test_sensor_sweep_csvs_do_not_depend_on_the_thread_count(self,
+                                                                  tmp_path):
+        src = str(Path(armrc.__file__).resolve().parents[1])
+        trees = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           p for p in (src, os.environ.get("PYTHONPATH"))
+                           if p))
+            subprocess.run([sys.executable, "-m", "armrc.cli", "sweep",
+                            "sensors", "--out", str(out), "--quiet"],
+                           env=env, check=True)
+            trees.append({p.name: p.read_bytes()
+                          for p in sorted(out.glob("*.csv"))})
+        assert len(trees[0]) == 4
+        assert trees[0] == trees[1]
 
 
 class TestOneMassWindow:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from armrc.core import InputCondition, PressureStateSeries, TimeGrid, Window
@@ -13,6 +13,7 @@ from armrc.readout import (
     normalize_mask,
     nrmse_percent,
     predict,
+    reduce_assembly,
     rmse,
     train,
 )
@@ -112,6 +113,16 @@ class TestTrain:
         w = train(make_assembly(phi, y), ridge=0.5).weights[:, 0]
         assert np.allclose(w, ridge_oracle(phi, y, 0.5), atol=1e-10)
 
+    def test_ridge_penalizes_the_bias(self):
+        # the penalty covers every column, the bias included, so the bias
+        # of a constant target shrinks instead of fitting it exactly
+        rng = np.random.default_rng(8)
+        phi = random_design(rng, rows=80, cols=7)
+        y = np.full(80, 100.0)
+        w = train(make_assembly(phi, y), ridge=1e3).weights[:, 0]
+        assert w[0] < 100.0
+        assert np.allclose(w, ridge_oracle(phi, y, 1e3), rtol=0, atol=1e-10)
+
     def test_row_permutation_leaves_solution_unchanged(self):
         rng = np.random.default_rng(5)
         phi = random_design(rng, rows=60, cols=5)
@@ -139,6 +150,60 @@ class TestTrain:
             train(make_assembly(phi, y), ridge=-1.0)
         with pytest.raises(ValueError):
             train(make_assembly(np.empty((0, 4)), np.empty(0)))
+
+
+def _stacked_reduced_fit(phi, y, sizes, mask, ridge):
+    """Train on the stacked (R, Q^T y) blocks of consecutive row blocks,
+    keeping the bias column and the masked sensor columns."""
+    cols = [0] + [1 + m for m in mask]
+    edges = np.cumsum([0] + list(sizes))
+    blocks = [reduce_assembly(make_assembly(phi[a:b], y[a:b]))
+              for a, b in zip(edges[:-1], edges[1:])]
+    stacked = TrainingAssembly(
+        states=np.vstack([b.states[:, cols] for b in blocks]),
+        targets=np.vstack([b.targets for b in blocks]),
+        condition_ids=(None,), sensor_mask=tuple(mask),
+    )
+    return train(stacked, ridge).weights
+
+
+class TestFactoredFit:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           sizes=st.lists(st.integers(1, 40), min_size=1, max_size=6),
+           n_tasks=st.integers(1, 3),
+           ridge=st.sampled_from([0.0, 0.5]),
+           data=st.data())
+    def test_stacked_blocks_match_a_fit_on_the_rows(self, seed, sizes,
+                                                    n_tasks, ridge, data):
+        mask = data.draw(st.lists(st.integers(0, 6), min_size=1, max_size=7,
+                                  unique=True))
+        rows = sum(sizes)
+        # enough rows for a well-conditioned full-column-rank design
+        assume(rows >= 3 * (len(mask) + 1))
+        rng = np.random.default_rng(seed)
+        phi = random_design(rng, rows=rows, cols=7)
+        y = rng.normal(size=(rows, n_tasks))
+        w = _stacked_reduced_fit(phi, y, sizes, mask, ridge)
+        design = phi[:, [0] + [1 + m for m in mask]]
+        if ridge == 0.0:
+            ref = np.linalg.lstsq(design, y, rcond=None)[0]
+        else:
+            ref = ridge_oracle(design, y, ridge)
+        assert np.linalg.norm(w - ref) <= 1e-9 * np.linalg.norm(ref)
+
+    def test_rank_deficient_blocks_keep_the_rcond_cutoff(self):
+        rng = np.random.default_rng(9)
+        base = rng.normal(size=(90, 4))
+        # s7 duplicates s1: the zero singular value must be cut, giving
+        # the minimum-norm solution with equal weight on both copies
+        phi = np.hstack([np.ones((90, 1)), base, rng.normal(size=(90, 2)),
+                         base[:, [0]]])
+        y = rng.normal(size=(90, 1))
+        w = _stacked_reduced_fit(phi, y, (5, 40, 45), range(7), 0.0)
+        assert np.allclose(w, np.linalg.pinv(phi, rcond=RCOND) @ y,
+                           atol=1e-10)
+        assert w[1, 0] == pytest.approx(w[7, 0], abs=1e-10)
 
 
 class TestAssemble:

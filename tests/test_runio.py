@@ -7,6 +7,7 @@ from armrc.core import InputCondition, TimeGrid
 from armrc.profiles import default_profile_family, generate_profile
 from armrc.readout import ReadoutWeights
 from armrc.runio import (
+    CLOCK_TOLERANCE,
     config_digest,
     export_run,
     ingest_run,
@@ -92,6 +93,29 @@ class TestIngestValidation:
         path = self._write(tmp_path, jitter)
         with pytest.raises(ValueError, match="non-uniform|not increasing"):
             ingest_run(path)
+
+    def _retag(self, tmp_path, **fields):
+        path = self._write(tmp_path, lambda lines: lines)
+        meta = json.loads(sidecar_path(path).read_text())
+        meta.update(fields)
+        sidecar_path(path).write_text(json.dumps(meta))
+        return path
+
+    @pytest.mark.parametrize("n_samples", [49, 51])
+    def test_sidecar_sample_count_must_match_the_rows(self, tmp_path,
+                                                      n_samples):
+        path = self._retag(tmp_path, n_samples=n_samples)
+        with pytest.raises(ValueError, match=r"run\.csv.*n_samples"):
+            ingest_run(path)
+
+    def test_sidecar_t0_must_match_the_first_time_stamp(self, tmp_path):
+        path = self._retag(tmp_path, t0=0.5)
+        with pytest.raises(ValueError, match=r"run\.csv.*t0"):
+            ingest_run(path)
+
+    def test_t0_within_the_clock_tolerance_is_accepted(self, tmp_path):
+        path = self._retag(tmp_path, t0=CLOCK_TOLERANCE / 2)
+        assert ingest_run(path).grid.n_samples == 50
 
     def test_missing_sidecar_rejected(self, tmp_path, sample_run):
         path = export_run(sample_run, tmp_path / "run.csv")

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from armrc import sweeps
 from armrc.core import InputCondition
@@ -233,6 +234,47 @@ class TestAblation:
                 TaskKind.BENDING_ANGLE, [], (P(1, 1),), (P(1, 1),),
                 bending_runs, cfg.payloads,
             )
+
+
+class TestBatchIndependence:
+    # a sweep factors each condition once and shares those blocks between
+    # its fits; a subset's weights must not depend on what else it fits
+    @settings(max_examples=20, deadline=None)
+    @given(subsets=st.lists(st.lists(st.integers(1, 7), min_size=1,
+                                     max_size=4), min_size=1, max_size=5),
+           masks=st.lists(st.lists(st.integers(0, 6), min_size=1,
+                                   max_size=7, unique=True),
+                          min_size=1, max_size=4),
+           ridge=st.sampled_from([0.0, 1e-3]))
+    def test_sweep_weights_equal_a_lone_train_on_subset(self, cfg,
+                                                        bending_runs,
+                                                        subsets, masks,
+                                                        ridge):
+        task = TaskKind.BENDING_ANGLE
+        subsets = tuple(tuple(P(i, 1) for i in s) for s in subsets)
+        masks = tuple(tuple(m) for m in masks)
+        fitted = []
+
+        def spy(*args, **kwargs):
+            fitted.append(train(*args, **kwargs))
+            return fitted[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sweeps, "train", spy)
+            subset_sweep(SweepSpec(task=task, subsets=subsets,
+                                   evaluation=(P(4, 1),),
+                                   sensor_mask=masks[0], ridge=ridge),
+                         bending_runs, cfg.payloads)
+            sensor_ablation_sweep(task, masks, subsets[0], (P(4, 1),),
+                                  bending_runs, cfg.payloads, ridge=ridge)
+        lone = [train_on_subset(s, bending_runs, cfg.payloads, task,
+                                cfg.train, masks[0], ridge) for s in subsets]
+        lone += [train_on_subset(subsets[0], bending_runs, cfg.payloads,
+                                 task, cfg.train, m, ridge) for m in masks]
+        assert len(fitted) == len(lone)
+        for swept, alone in zip(fitted, lone):
+            assert swept.sensor_mask == alone.sensor_mask
+            assert np.array_equal(swept.weights, alone.weights)
 
 
 class TestMultitaskGrid:
