@@ -41,7 +41,7 @@ from .sweeps import (
     train_on_subset,
     training_window,
 )
-from .tasks import TaskKind, mass_error_percent, payload_status
+from .tasks import TaskKind, bending_target, mass_error_percent, payload_status
 
 
 def _subset_label(subset) -> str:
@@ -138,7 +138,7 @@ def cmd_evaluate(args) -> int:
     outputs = predict(weights, series, window).reshape(-1, weights.n_tasks)
     for name, trace in zip(weights.task_names, outputs.T):
         if name == TaskKind.BENDING_ANGLE.value:
-            truth = slice_series(series, window).theta
+            truth = bending_target(series, window)
             err = nrmse_percent(trace, truth, cfg.normalizer)
             print(f"task=bending nrmse_percent={err:.4f}")
         elif name == TaskKind.PAYLOAD_DETECT.value:

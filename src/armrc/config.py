@@ -12,7 +12,7 @@ from typing import Optional
 
 import yaml
 
-from .core import PayloadSet, TimeGrid, Window, window_indices
+from .core import PayloadSet, TimeGrid, Window, sample_count, window_indices
 from .profiles import RampProfileSpec, default_profile_family
 from .surrogate import SurrogateParams
 
@@ -89,7 +89,7 @@ def validate_config(cfg: ExperimentConfig) -> list:
             problems.append(
                 f"{name} window [{win.start}, {win.end}) lies outside the run"
             )
-    train_samples = int(round(cfg.train.duration * cfg.grid.sample_rate))
+    train_samples = sample_count(cfg.train, cfg.grid.sample_rate)
     for c in cfg.sample_counts:
         if not 1 <= int(c) <= train_samples:
             problems.append(

@@ -195,14 +195,18 @@ def window_indices(grid: TimeGrid, window: Window) -> tuple:
     half-open windows never double-count boundary samples.
     """
     i0 = int(np.floor((window.start - grid.t0) * grid.sample_rate + _INDEX_EPS))
-    count = int(np.floor(window.duration * grid.sample_rate + _INDEX_EPS))
-    i1 = i0 + count
+    i1 = i0 + sample_count(window, grid.sample_rate)
     if i0 < 0 or i1 > grid.n_samples:
         raise ValueError(
             f"window [{window.start}, {window.end}) outside run "
             f"[{grid.t0}, {grid.t_end})"
         )
     return i0, i1
+
+
+def sample_count(window: Window, sample_rate: float) -> int:
+    """Number of samples a window holds: floor(duration * rate)."""
+    return int(np.floor(window.duration * sample_rate + _INDEX_EPS))
 
 
 def slice_series(series: PressureStateSeries, window: Window) -> PressureStateSeries:

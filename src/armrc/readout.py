@@ -5,7 +5,7 @@ small R factor, which gives the minimum-norm least-squares fit with a
 relative singular-value cutoff (ridge 0) or the ridge solution from the
 same factors. `reduce_assembly` shrinks an assembly to its (R, Q^T Y)
 rows, which pose the same least-squares problem for any subset of its
-columns.
+columns, and `solve_reduced` fits such rows, alone or stacked.
 Predictions are per-sample weighted sums of the masked sensor readings plus
 a bias.
 """
@@ -54,7 +54,6 @@ class TrainingAssembly:
 
     states: np.ndarray
     targets: np.ndarray
-    condition_ids: tuple
     sensor_mask: tuple
 
     def __post_init__(self) -> None:
@@ -123,7 +122,6 @@ def assemble(
         raise ValueError("need at least one condition to assemble")
     blocks = []
     target_blocks = []
-    ids = []
     mask = None
     n_sensors = None
     n_tasks = None
@@ -152,11 +150,9 @@ def assemble(
         rows = series.sensors[list(mask), i0:i1].T
         blocks.append(np.hstack([np.ones((rows.shape[0], 1)), rows]))
         target_blocks.append(target[i0:i1])
-        ids.append(series.condition)
     return TrainingAssembly(
         states=np.vstack(blocks),
         targets=np.vstack(target_blocks),
-        condition_ids=tuple(ids),
         sensor_mask=mask,
     )
 
@@ -166,21 +162,32 @@ def train(
     ridge: float = 0.0,
     task_names: Sequence[str] = (),
 ) -> ReadoutWeights:
-    """Fit readout weights for every target column.
+    """Fit readout weights for every target column:
+    ``solve_reduced(reduce_assembly(assembly))``."""
+    if assembly.states.shape[0] == 0:
+        raise ValueError("cannot train on an empty assembly")
+    return solve_reduced(reduce_assembly(assembly), ridge, task_names)
 
-    One path for every ridge: Phi = QR, R = U diag(s) V^T, and
-    w = V diag(d) U^T Q^T y. At ridge == 0, d = 1/s for singular values
-    above RCOND * s[0] and 0 below it (the minimum-norm pseudoinverse). At
-    ridge > 0, d = s / (s^2 + ridge), which minimizes
+
+def solve_reduced(
+    reduced: TrainingAssembly,
+    ridge: float = 0.0,
+    task_names: Sequence[str] = (),
+) -> ReadoutWeights:
+    """Fit readout weights on (R, Q^T Y) rows, one reduced assembly or
+    several stacked.
+
+    R = U diag(s) V^T and w = V diag(d) U^T Q^T y. At ridge == 0, d = 1/s
+    for singular values above RCOND * s[0] and 0 below it (the minimum-norm
+    pseudoinverse). At ridge > 0, d = s / (s^2 + ridge), which minimizes
     |Phi w - y|^2 + ridge |w|^2; the penalty covers every column, the bias
     included. Columns are solved one at a time so multi-task training is
     bit-identical to task-by-task training.
     """
     if ridge < 0:
         raise ValueError(f"ridge must be >= 0, got {ridge}")
-    if assembly.states.shape[0] == 0:
+    if reduced.states.shape[0] == 0:
         raise ValueError("cannot train on an empty assembly")
-    reduced = reduce_assembly(assembly)
     u, s, vt = np.linalg.svd(reduced.states, full_matrices=False)
     if ridge == 0.0:
         keep = s > (RCOND * s[0] if s.size and s[0] > 0 else np.inf)
@@ -193,7 +200,7 @@ def train(
     cols = [solve @ z[:, k] for k in range(z.shape[1])]
     return ReadoutWeights(
         weights=np.column_stack(cols),
-        sensor_mask=assembly.sensor_mask,
+        sensor_mask=reduced.sensor_mask,
         task_names=tuple(task_names),
     )
 
@@ -212,7 +219,6 @@ def reduce_assembly(assembly: TrainingAssembly) -> TrainingAssembly:
     return TrainingAssembly(
         states=r,
         targets=np.column_stack([q.T @ y[:, k] for k in range(y.shape[1])]),
-        condition_ids=assembly.condition_ids,
         sensor_mask=assembly.sensor_mask,
     )
 
@@ -251,22 +257,31 @@ def rmse(pred: np.ndarray, truth: np.ndarray) -> float:
 
 def nrmse_percent(pred: np.ndarray, truth: np.ndarray,
                   normalizer: str = "range") -> float:
-    """RMSE as a percentage of the ground-truth scale.
+    """RMSE as a percentage of the ground-truth scale (`truth_scale`)."""
+    scale = truth_scale(truth, normalizer)
+    return scaled_percent(rmse(pred, truth), scale)
 
-    normalizer "range" divides by max(truth) - min(truth) over the
-    evaluation window, "maxabs" by max |truth|. The choice is a reporting
-    convention; both are exposed because percent errors depend on it.
+
+def truth_scale(truth: np.ndarray, normalizer: str = "range") -> float:
+    """The scale percent errors divide by; 0.0 for a flat or empty truth.
+
+    normalizer "range" is max(truth) - min(truth) over the evaluation
+    window, "maxabs" is max |truth|. The choice is a reporting convention;
+    both are exposed because percent errors depend on it.
     """
     truth = np.asarray(truth, dtype=float)
     if normalizer == "range":
-        scale = float(truth.max() - truth.min()) if truth.size else 0.0
-    elif normalizer == "maxabs":
-        scale = float(np.abs(truth).max()) if truth.size else 0.0
-    else:
-        raise ValueError(f"unknown normalizer {normalizer!r}")
+        return float(truth.max() - truth.min()) if truth.size else 0.0
+    if normalizer == "maxabs":
+        return float(np.abs(truth).max()) if truth.size else 0.0
+    raise ValueError(f"unknown normalizer {normalizer!r}")
+
+
+def scaled_percent(error: float, scale: float) -> float:
+    """``error`` as a percentage of a `truth_scale`."""
     if scale == 0.0:
         raise ValueError("ground-truth scale is zero; percent error undefined")
-    return 100.0 * rmse(pred, truth) / scale
+    return 100.0 * error / scale
 
 
 def correlation_matrix(traces: Sequence[np.ndarray]) -> np.ndarray:

@@ -10,13 +10,18 @@ ordering targets for these sweeps, not equality targets.
 `experiments` is the table of the two shipped single-task experiments and
 `training_window` the one rule for each task's per-condition training
 window; the CLI sweeps are loops over both.
+
+Sweeps fit on per-condition (R, Q^T Y) blocks and score on per-condition
+`ScoreBlock`s, each factored once per sweep call; see README's "Readout
+solver" section.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -28,16 +33,19 @@ from .core import (
     TRAIN_WINDOW,
     TimeGrid,
     Window,
+    sample_count,
+    window_indices,
 )
 from .profiles import RampProfileSpec
 from .readout import (
+    ReadoutWeights,
     TrainingAssembly,
     assemble,
     normalize_mask,
-    nrmse_percent,
-    predict,
     reduce_assembly,
-    train,
+    scaled_percent,
+    solve_reduced,
+    truth_scale,
 )
 from .surrogate import SurrogateParams, add_noise, simulate_conditions
 from .tasks import (
@@ -45,8 +53,6 @@ from .tasks import (
     DETECT_PRESENT,
     PayloadStatus,
     TaskKind,
-    bending_target,
-    estimate_mass,
     mass_error_percent,
     payload_status,
 )
@@ -82,16 +88,20 @@ class SweepSpec:
     def effective_train_window(self, grid: TimeGrid) -> Window:
         if self.samples_per_condition is None:
             return self.train_window
-        full = int(round(self.train_window.duration * grid.sample_rate))
-        if self.samples_per_condition > full:
-            raise ValueError(
-                f"samples_per_condition {self.samples_per_condition} exceeds "
-                f"the {full}-sample training window"
-            )
-        return Window(
-            self.train_window.start,
-            self.train_window.start + self.samples_per_condition / grid.sample_rate,
+        return first_samples(self.train_window, self.samples_per_condition,
+                             grid)
+
+
+def first_samples(window: Window, count: int, grid: TimeGrid) -> Window:
+    """The window of the first ``count`` samples of ``window`` on ``grid``'s
+    clock; a count the window does not hold (`core.sample_count`) is
+    refused."""
+    full = sample_count(window, grid.sample_rate)
+    if not 1 <= count <= full:
+        raise ValueError(
+            f"sample count {count} outside the {full}-sample training window"
         )
+    return Window(window.start, window.start + count / grid.sample_rate)
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,20 +140,103 @@ def _target_trace(task: TaskKind, series: PressureStateSeries,
     raise ValueError(f"unsupported task {task}")
 
 
-def _score(task: TaskKind, weights, series: PressureStateSeries,
-           window: Window, payloads: PayloadSet, normalizer: str) -> float:
+class ScoreBlock(NamedTuple):
+    """What scoring any readout on one run's test window needs, from one QR
+    of its all-sensor design Phi = [1 | S] = Q R. Q itself is not kept.
+
+    For full-width weights w (`full_width`), theta - Q z is orthogonal to
+    Q's columns, so |Phi w - theta|^2 = |R w - z|^2 + floor; the window mean
+    of Phi w is means . w. (A NamedTuple: a dataclass would add about 1 ms
+    to every `armrc` start-up.)
+    """
+
+    r: np.ndarray       # R, at most (1 + n_sensors) square
+    z: np.ndarray       # Q^T theta
+    floor: float        # |theta - Q z|^2, the error no readout avoids
+    n_rows: int
+    scale: float        # `truth_scale` of theta over the window
+    means: np.ndarray   # column means of Phi
+
+
+def score_block(series: PressureStateSeries, window: Window,
+                normalizer: str = "range") -> ScoreBlock:
+    """Factor one run's design over a window for `block_nrmse` and
+    `block_mean`."""
+    i0, i1 = window_indices(series.grid, window)
+    if i1 == i0:
+        raise ValueError(
+            f"window [{window.start}, {window.end}) holds no samples")
+    phi = np.hstack([np.ones((i1 - i0, 1)), series.sensors[:, i0:i1].T])
+    theta = series.theta[i0:i1]
+    q, r = np.linalg.qr(phi)
+    z = q.T @ theta
+    resid = theta - q @ z
+    return ScoreBlock(r=r, z=z, floor=float(resid @ resid), n_rows=i1 - i0,
+                      scale=truth_scale(theta, normalizer),
+                      means=phi.mean(axis=0))
+
+
+def full_width(weights: ReadoutWeights, n_sensors: int) -> np.ndarray:
+    """Weights as (n_tasks, 1 + n_sensors) rows over the all-sensor design,
+    zero on the sensors outside the mask."""
+    if max(weights.sensor_mask) >= n_sensors:
+        raise ValueError(
+            f"weights trained on sensors {weights.sensor_mask} cannot read a "
+            f"{n_sensors}-sensor run"
+        )
+    rows = np.zeros((weights.n_tasks, 1 + n_sensors))
+    rows[:, [0] + [1 + m for m in weights.sensor_mask]] = weights.weights.T
+    return rows
+
+
+def block_nrmse(block: ScoreBlock, w: np.ndarray) -> float:
+    """`nrmse_percent` of the bending readout ``w`` (one `full_width` row)
+    on the block's window, in O(k^2) instead of O(T k)."""
+    resid = block.r @ w - block.z
+    rms = math.sqrt((float(resid @ resid) + block.floor) / block.n_rows)
+    return scaled_percent(rms, block.scale)
+
+
+def block_mean(block: ScoreBlock, w: np.ndarray) -> float:
+    """Window mean of the readout ``w`` (one `full_width` row): the mass
+    estimate of `tasks.estimate_mass`, or the detect output."""
+    return float(block.means @ w)
+
+
+def _score_blocks(runs: Mapping, evaluation, window: Window,
+                  normalizer: str) -> list:
+    """The evaluation conditions' score blocks, which a sweep call factors
+    once and scores all its fits from."""
+    return [score_block(_require(runs, cond), window, normalizer)
+            for cond in evaluation]
+
+
+def _score(task: TaskKind, w: np.ndarray, block: ScoreBlock,
+           cond: InputCondition, payloads: PayloadSet) -> float:
+    if w.shape != block.means.shape:
+        raise ValueError(
+            f"weights over {w.shape[0] - 1} sensors cannot read the "
+            f"{block.means.shape[0] - 1}-sensor run {cond.label}"
+        )
     if task is TaskKind.BENDING_ANGLE:
-        pred = predict(weights, series, window)
-        return nrmse_percent(pred, bending_target(series, window), normalizer)
+        return block_nrmse(block, w)
     if task is TaskKind.PAYLOAD_MASS:
-        mass = payloads.mass_of(series.condition.payload_index)
+        mass = payloads.mass_of(cond.payload_index)
         if mass == 0:
             raise ValueError(
                 f"relative mass error undefined for zero-payload condition "
-                f"{series.condition.label}"
+                f"{cond.label}"
             )
-        return mass_error_percent(estimate_mass(weights, series, window), mass)
+        return mass_error_percent(block_mean(block, w), mass)
     raise ValueError(f"unsupported evaluation task {task}")
+
+
+def _score_row(task: TaskKind, weights: ReadoutWeights, evaluation,
+               blocks: list, payloads: PayloadSet) -> list:
+    """One single-task readout's scores on every evaluation condition."""
+    w = full_width(weights, blocks[0].means.shape[0] - 1)[0]
+    return [_score(task, w, block, cond, payloads)
+            for cond, block in zip(evaluation, blocks)]
 
 
 def train_on_subset(
@@ -168,7 +261,8 @@ def _fit(subset, blocks: dict, runs: Mapping, payloads: PayloadSet,
     ``blocks`` maps (condition, window) to the condition's reduced
     all-sensor assembly (`readout.reduce_assembly`). A sweep passes one dict
     to all its fits, which share their runs and tasks, so it factors each
-    block once; a sensor mask then only picks columns of the stacked R rows.
+    block once; a sensor mask then only picks columns of the stacked R rows,
+    which go to `readout.solve_reduced` with no second QR.
     """
     if len(subset) == 0:
         raise ValueError("need at least one condition to assemble")
@@ -189,10 +283,10 @@ def _fit(subset, blocks: dict, runs: Mapping, payloads: PayloadSet,
     stacked = TrainingAssembly(
         states=np.vstack([part.states[:, cols] for part in parts]),
         targets=np.vstack([part.targets for part in parts]),
-        condition_ids=tuple(subset),
         sensor_mask=mask,
     )
-    return train(stacked, ridge, task_names=tuple(t.value for t in tasks))
+    return solve_reduced(stacked, ridge,
+                         task_names=tuple(t.value for t in tasks))
 
 
 def subset_sweep(spec: SweepSpec, runs: Mapping,
@@ -203,14 +297,13 @@ def subset_sweep(spec: SweepSpec, runs: Mapping,
     window = spec.effective_train_window(grid)
     rows = []
     blocks = {}
+    tests = _score_blocks(runs, spec.evaluation, spec.test_window,
+                          spec.normalizer)
     for subset in spec.subsets:
         weights = _fit(subset, blocks, runs, payloads, (spec.task,), window,
                        spec.sensor_mask, spec.ridge)
-        rows.append([
-            _score(spec.task, weights, _require(runs, cond), spec.test_window,
-                   payloads, spec.normalizer)
-            for cond in spec.evaluation
-        ])
+        rows.append(_score_row(spec.task, weights, spec.evaluation, tests,
+                               payloads))
     return SweepResult(
         error_grid=np.array(rows),
         subsets=tuple(tuple(s) for s in spec.subsets),
@@ -249,15 +342,11 @@ def sample_count_sweep(
     score on the fixed full test window; repeats vary only the noise seed.
 
     Each condition's noise-free states are simulated once; a repeat only
-    draws its noise, which never feeds back into the states.
+    draws its noise, which never feeds back into the states, and factors
+    its test windows once for all counts.
     """
-    full = int(round(train_window.duration * grid.sample_rate))
     counts = tuple(int(c) for c in counts)
-    for c in counts:
-        if not 1 <= c <= full:
-            raise ValueError(
-                f"sample count {c} outside the {full}-sample training window"
-            )
+    windows = [first_samples(train_window, c, grid) for c in counts]
     base_seed = params.seed if base_seed is None else base_seed
     needed = list(subset) + list(evaluation)
     errors = np.empty((len(counts), len(evaluation), repeats))
@@ -266,16 +355,13 @@ def sample_count_sweep(
     for r in range(repeats):
         runs = {c: add_noise(params, run, base_seed + r)
                 for c, run in noise_free.items()}
-        for ci, count in enumerate(counts):
-            window = Window(train_window.start,
-                            train_window.start + count / grid.sample_rate)
+        tests = _score_blocks(runs, evaluation, test_window, normalizer)
+        for ci, window in enumerate(windows):
             weights = train_on_subset(
                 subset, runs, payloads, task, window, None, ridge
             )
-            for ei, cond in enumerate(evaluation):
-                errors[ci, ei, r] = _score(
-                    task, weights, runs[cond], test_window, payloads, normalizer
-                )
+            errors[ci, :, r] = _score_row(task, weights, evaluation, tests,
+                                          payloads)
     return SampleCountResult(
         counts=counts,
         mean_grid=errors.mean(axis=2),
@@ -316,14 +402,12 @@ def sensor_ablation_sweep(
     error_rows = []
     share_rows = np.full((len(masks), n_sensors), np.nan)
     blocks = {}
+    tests = _score_blocks(runs, evaluation, test_window, normalizer)
     for mi, mask in enumerate(masks):
         weights = _fit(subset, blocks, runs, payloads, (task,), train_window,
                        mask, ridge)
-        error_rows.append([
-            _score(task, weights, _require(runs, cond), test_window,
-                   payloads, normalizer)
-            for cond in evaluation
-        ])
+        error_rows.append(_score_row(task, weights, evaluation, tests,
+                                     payloads))
         mags = np.abs(weights.sensor_weights[:, 0])
         total = mags.sum()
         for k, sensor in enumerate(mask):
@@ -381,10 +465,13 @@ def multitask_grid(
 
     Step 1 classifies payload presence from the detect column's window
     mean. Step 2 (angle plus mass prediction) runs only where a payload is
-    detected; zero-payload cells are scored on angle alone.
+    detected; zero-payload cells are scored on angle alone. Each cell is
+    scored once, from its own `ScoreBlock`.
     """
     weights = _fit(training_cells, {}, runs, payloads, MULTITASK_TASKS,
                    train_window, None, ridge)
+    w_angle, w_detect, w_mass = full_width(weights,
+                                           len(weights.sensor_mask))
 
     n_payloads = len(payloads)
     detect_output = np.empty((n_profiles, n_payloads))
@@ -394,22 +481,18 @@ def multitask_grid(
     for i in range(1, n_profiles + 1):
         for j in range(1, n_payloads + 1):
             cond = InputCondition(i, j)
-            series = _require(runs, cond)
+            block = score_block(_require(runs, cond), test_window, normalizer)
             mass = payloads.mass_of(j)
-            out = predict(weights, series, test_window)
-            det = float(out[:, 1].mean())
+            det = block_mean(block, w_detect)
             present = payload_status(det) is PayloadStatus.PRESENT
             detect_output[i - 1, j - 1] = det
             detect_correct[i - 1, j - 1] = present == (mass > 0)
             run_step2 = present and mass > 0
             if run_step2 or mass == 0:
-                truth = bending_target(series, test_window)
-                angle_error[i - 1, j - 1] = nrmse_percent(
-                    out[:, 0], truth, normalizer
-                )
+                angle_error[i - 1, j - 1] = block_nrmse(block, w_angle)
             if run_step2:
                 mass_error[i - 1, j - 1] = mass_error_percent(
-                    float(out[:, 2].mean()), mass
+                    block_mean(block, w_mass), mass
                 )
     return MultitaskGridResult(
         detect_output=detect_output,

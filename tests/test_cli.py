@@ -171,8 +171,11 @@ class TestSidecarMismatch:
 
 
 class TestBlasThreadCount:
-    def test_sensor_sweep_csvs_do_not_depend_on_the_thread_count(self,
-                                                                  tmp_path):
+    @pytest.mark.parametrize("kind, n_csvs", [("sensors", 4),
+                                              ("conditions", 3),
+                                              ("multitask", 10)])
+    def test_sweep_csvs_do_not_depend_on_the_thread_count(self, kind,
+                                                           n_csvs, tmp_path):
         src = str(Path(armrc.__file__).resolve().parents[1])
         trees = []
         for threads in ("1", "2"):
@@ -182,11 +185,11 @@ class TestBlasThreadCount:
                            p for p in (src, os.environ.get("PYTHONPATH"))
                            if p))
             subprocess.run([sys.executable, "-m", "armrc.cli", "sweep",
-                            "sensors", "--out", str(out), "--quiet"],
+                            kind, "--out", str(out), "--quiet"],
                            env=env, check=True)
             trees.append({p.name: p.read_bytes()
                           for p in sorted(out.glob("*.csv"))})
-        assert len(trees[0]) == 4
+        assert len(trees[0]) == n_csvs
         assert trees[0] == trees[1]
 
 

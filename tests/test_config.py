@@ -76,6 +76,13 @@ class TestValidation:
         with pytest.raises(ConfigError, match="5000"):
             load_config(path)
 
+    def test_sample_counts_use_the_windows_floored_row_count(self):
+        # 24.99 s at 40 Hz holds 999 rows, not round(999.6) = 1000
+        short = type(default_config().train)(50.0, 74.99)
+        assert ExperimentConfig(train=short, sample_counts=(999,))
+        with pytest.raises(ConfigError, match="1000"):
+            ExperimentConfig(train=short, sample_counts=(999, 1000))
+
     def test_parse_error_is_a_config_error(self, tmp_path):
         path = tmp_path / "broken.yaml"
         path.write_text("grid: [unclosed", encoding="utf-8")

@@ -37,8 +37,7 @@ def ridge_oracle(phi, y, lam):
 def make_assembly(phi, y):
     y = y if y.ndim == 2 else y[:, None]
     return TrainingAssembly(
-        states=phi, targets=y, condition_ids=(None,),
-        sensor_mask=tuple(range(phi.shape[1] - 1)),
+        states=phi, targets=y, sensor_mask=tuple(range(phi.shape[1] - 1)),
     )
 
 
@@ -162,7 +161,7 @@ def _stacked_reduced_fit(phi, y, sizes, mask, ridge):
     stacked = TrainingAssembly(
         states=np.vstack([b.states[:, cols] for b in blocks]),
         targets=np.vstack([b.targets for b in blocks]),
-        condition_ids=(None,), sensor_mask=tuple(mask),
+        sensor_mask=tuple(mask),
     )
     return train(stacked, ridge).weights
 
@@ -219,7 +218,6 @@ class TestAssemble:
         assert asm.states.shape == (2000, 8)
         assert asm.targets.shape == (2000, 1)
         assert np.all(asm.states[:, 0] == 1.0)
-        assert asm.condition_ids == (InputCondition(1, 1), InputCondition(7, 1))
         # row order follows the condition list then time
         assert np.array_equal(asm.states[0, 1:], data[0][0].sensors[:, 2000])
 

@@ -3,25 +3,35 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from armrc import sweeps
-from armrc.core import InputCondition
+from armrc.core import (
+    InputCondition,
+    PressureStateSeries,
+    TEST_WINDOW,
+    TimeGrid,
+    Window,
+)
 from armrc.profiles import generate_profile
-from armrc.readout import assemble, train
+from armrc.readout import assemble, nrmse_percent, predict, solve_reduced, train
 from armrc.surrogate import SurrogateParams, simulate
 from armrc.sweeps import (
     SweepSpec,
     all_profile_pairs,
+    block_mean,
+    block_nrmse,
+    full_width,
     multitask_grid,
     multitask_training_subsets,
     nested_bending_subsets,
     nested_payload_subsets,
     sample_count_sweep,
+    score_block,
     sensor_ablation_sweep,
     simulate_conditions,
     subset_sweep,
     tip_sensor_masks,
     train_on_subset,
 )
-from armrc.tasks import TaskKind
+from armrc.tasks import TaskKind, bending_target, estimate_mass, mass_error_percent
 
 P = InputCondition
 
@@ -133,6 +143,35 @@ class TestSubsetSweep:
         w_big = train_on_subset(conds, runs, cfg.payloads,
                                 TaskKind.BENDING_ANGLE, window)
         assert residual(small, w_big) >= residual(small, w_small) - 1e-12
+
+
+class TestSampleCountRule:
+    # 24.99 s at 40 Hz is 999.6 samples and `window_indices` floors it to
+    # 999 rows; a count of 1000 would train past the end of the window
+    SHORT = Window(50.0, 74.99)
+
+    def spec(self, samples=None):
+        return SweepSpec(task=TaskKind.BENDING_ANGLE,
+                         subsets=((P(1, 1), P(7, 1)),),
+                         evaluation=(P(4, 1),), train_window=self.SHORT,
+                         samples_per_condition=samples)
+
+    def test_full_count_equals_the_uncapped_window(self, cfg, bending_runs):
+        uncapped = subset_sweep(self.spec(), bending_runs, cfg.payloads)
+        capped = subset_sweep(self.spec(999), bending_runs, cfg.payloads)
+        assert np.array_equal(capped.error_grid, uncapped.error_grid)
+
+    def test_one_past_the_full_count_is_refused(self, cfg, bending_runs):
+        with pytest.raises(ValueError, match="1000"):
+            subset_sweep(self.spec(1000), bending_runs, cfg.payloads)
+
+    def test_sample_count_sweep_refuses_it_too(self, cfg):
+        with pytest.raises(ValueError, match="1000"):
+            sample_count_sweep(
+                TaskKind.BENDING_ANGLE, [999, 1000], [P(1, 1)], [P(1, 1)],
+                cfg.surrogate, cfg.profiles, cfg.payloads, cfg.grid,
+                train_window=self.SHORT, repeats=1,
+            )
 
 
 class TestSampleCountSweep:
@@ -256,11 +295,11 @@ class TestBatchIndependence:
         fitted = []
 
         def spy(*args, **kwargs):
-            fitted.append(train(*args, **kwargs))
+            fitted.append(solve_reduced(*args, **kwargs))
             return fitted[-1]
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sweeps, "train", spy)
+            mp.setattr(sweeps, "solve_reduced", spy)
             subset_sweep(SweepSpec(task=task, subsets=subsets,
                                    evaluation=(P(4, 1),),
                                    sensor_mask=masks[0], ridge=ridge),
@@ -313,3 +352,177 @@ class TestMultitaskGrid:
         pool = np.concatenate([res.angle_error.ravel(),
                                res.mass_error.ravel()])
         assert res.step2_mean == pytest.approx(np.nanmean(pool))
+
+
+def _random_series(rng, n=160):
+    # theta sits well away from 0, so mass-style window means are too
+    sensors = rng.normal(size=(7, n))
+    theta = 50.0 + rng.normal(size=7) @ sensors + 0.1 * rng.normal(size=n)
+    return PressureStateSeries(grid=TimeGrid(sample_rate=40.0, n_samples=n),
+                               s_in=np.zeros(n), sensors=sensors, theta=theta,
+                               condition=P(1, 2))
+
+
+class TestFactoredScore:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1),
+           mask=st.lists(st.integers(0, 6), min_size=1, max_size=7,
+                         unique=True),
+           ridge=st.sampled_from([0.0, 0.5]),
+           start=st.integers(80, 120),
+           rows=st.integers(1, 40),
+           normalizer=st.sampled_from(["range", "maxabs"]))
+    def test_block_scores_equal_the_per_trace_scores(self, seed, mask, ridge,
+                                                     start, rows, normalizer):
+        rng = np.random.default_rng(seed)
+        series = _random_series(rng)
+        weights = train(assemble([(series, series.theta)], Window(0.0, 2.0),
+                                 mask), ridge)
+        window = Window(start / 40.0, (start + rows) / 40.0)
+        block = score_block(series, window, normalizer)
+        w = full_width(weights, 7)[0]
+        truth = bending_target(series, window)
+        assert truth.shape == (rows,) and block.n_rows == rows
+        try:
+            ref = nrmse_percent(predict(weights, series, window), truth,
+                                normalizer)
+        except ValueError as err:
+            # one flat row under "range": both refuse with one message
+            with pytest.raises(ValueError, match=str(err)):
+                block_nrmse(block, w)
+        else:
+            assert abs(block_nrmse(block, w) - ref) <= 1e-10 * ref
+        mass = estimate_mass(weights, series, window)
+        assert abs(block_mean(block, w) - mass) <= 1e-10 * abs(mass)
+
+    def test_flat_truth_keeps_the_zero_scale_error(self):
+        rng = np.random.default_rng(3)
+        series = _random_series(rng)
+        flat = PressureStateSeries(grid=series.grid, s_in=series.s_in,
+                                   sensors=series.sensors,
+                                   theta=np.full(160, 2.0))
+        weights = train(assemble([(series, series.theta)], Window(0.0, 2.0)))
+        block = score_block(flat, Window(2.0, 4.0))
+        with pytest.raises(ValueError, match="ground-truth scale is zero"):
+            block_nrmse(block, full_width(weights, 7)[0])
+        # the mass estimate does not need the angle's scale
+        assert block_mean(block, full_width(weights, 7)[0]) == pytest.approx(
+            estimate_mass(weights, flat, Window(2.0, 4.0)), rel=1e-10)
+
+
+class TestScoreSensorCount:
+    @pytest.mark.parametrize("evaluation", [(P(4, 1),), (P(1, 1), P(4, 1))])
+    def test_a_run_with_fewer_sensors_is_refused(self, cfg, bending_runs,
+                                                 evaluation):
+        run = bending_runs[P(4, 1)]
+        runs = dict(bending_runs)
+        runs[P(4, 1)] = PressureStateSeries(
+            grid=run.grid, s_in=run.s_in, sensors=run.sensors[:5],
+            theta=run.theta, condition=run.condition)
+        spec = SweepSpec(task=TaskKind.BENDING_ANGLE,
+                         subsets=((P(1, 1), P(7, 1)),), evaluation=evaluation)
+        with pytest.raises(ValueError, match="cannot read"):
+            subset_sweep(spec, runs, cfg.payloads)
+
+
+def _lone_score(task, weights, runs, cond, payloads, k=0):
+    """A cell's score from a block factored for that condition alone."""
+    block = score_block(runs[cond], TEST_WINDOW)
+    w = full_width(weights, runs[cond].n_sensors)[k]
+    if task is TaskKind.BENDING_ANGLE:
+        return block_nrmse(block, w)
+    return mass_error_percent(block_mean(block, w),
+                              payloads.mass_of(cond.payload_index))
+
+
+def _spy_on_fits(mp):
+    fitted = []
+
+    def spy(*args, **kwargs):
+        fitted.append(solve_reduced(*args, **kwargs))
+        return fitted[-1]
+
+    mp.setattr(sweeps, "solve_reduced", spy)
+    return fitted
+
+
+class TestScoreBatchIndependence:
+    # a sweep factors each test window once and scores every fit from it;
+    # a cell must not depend on what else the sweep scores
+    @settings(max_examples=15, deadline=None)
+    @given(subsets=st.lists(st.lists(st.integers(1, 7), min_size=1,
+                                     max_size=4), min_size=1, max_size=4),
+           masks=st.lists(st.lists(st.integers(0, 6), min_size=1,
+                                   max_size=7, unique=True),
+                          min_size=1, max_size=3),
+           ridge=st.sampled_from([0.0, 1e-3]))
+    def test_bending_cells_equal_a_lone_factored_score(self, cfg,
+                                                       bending_runs, subsets,
+                                                       masks, ridge):
+        task = TaskKind.BENDING_ANGLE
+        subsets = tuple(tuple(P(i, 1) for i in s) for s in subsets)
+        evaluation = tuple(P(i, 1) for i in range(1, 8))
+        with pytest.MonkeyPatch.context() as mp:
+            fitted = _spy_on_fits(mp)
+            swept = subset_sweep(
+                SweepSpec(task=task, subsets=subsets, evaluation=evaluation,
+                          sensor_mask=tuple(masks[0]), ridge=ridge),
+                bending_runs, cfg.payloads).error_grid
+            ablated = sensor_ablation_sweep(
+                task, masks, subsets[0], evaluation, bending_runs,
+                cfg.payloads, ridge=ridge).error_grid
+        grid = np.vstack([swept, ablated])
+        assert len(fitted) == grid.shape[0]
+        for weights, row in zip(fitted, grid):
+            for cond, cell in zip(evaluation, row):
+                assert cell == _lone_score(task, weights, bending_runs, cond,
+                                           cfg.payloads)
+
+    def test_mass_cells_equal_a_lone_factored_score(self, cfg, payload_runs):
+        task = TaskKind.PAYLOAD_MASS
+        evaluation = tuple(P(1, j) for j in range(2, 8))
+        window = Window(cfg.train.start, cfg.train.start + 5.0)
+        with pytest.MonkeyPatch.context() as mp:
+            fitted = _spy_on_fits(mp)
+            swept = subset_sweep(
+                SweepSpec(task=task, subsets=nested_payload_subsets(),
+                          evaluation=evaluation, train_window=window),
+                payload_runs, cfg.payloads).error_grid
+            ablated = sensor_ablation_sweep(
+                task, tip_sensor_masks(), evaluation, evaluation,
+                payload_runs, cfg.payloads, train_window=window).error_grid
+        grid = np.vstack([swept, ablated])
+        assert len(fitted) == grid.shape[0]
+        for weights, row in zip(fitted, grid):
+            for cond, cell in zip(evaluation, row):
+                assert cell == _lone_score(task, weights, payload_runs, cond,
+                                           cfg.payloads)
+
+    def test_multitask_cells_equal_a_lone_factored_score(self, cfg,
+                                                         multitask_runs):
+        payloads = cfg.multitask_payloads
+        with pytest.MonkeyPatch.context() as mp:
+            fitted = _spy_on_fits(mp)
+            res = multitask_grid(multitask_training_subsets()["2x2"],
+                                 multitask_runs, payloads)
+        (weights,) = fitted
+        angle, detect, mass = full_width(weights, 7)
+        for i in range(1, 8):
+            for j in range(1, len(payloads) + 1):
+                cond = P(i, j)
+                block = score_block(multitask_runs[cond], TEST_WINDOW)
+                assert res.detect_output[i - 1, j - 1] == block_mean(block,
+                                                                     detect)
+                cell = res.angle_error[i - 1, j - 1]
+                if not np.isnan(cell):
+                    assert cell == block_nrmse(block, angle)
+                    # and within rounding of the per-trace API
+                    ref = nrmse_percent(
+                        predict(weights, multitask_runs[cond],
+                                TEST_WINDOW)[:, 0],
+                        bending_target(multitask_runs[cond], TEST_WINDOW))
+                    assert abs(cell - ref) <= 1e-10 * ref
+                cell = res.mass_error[i - 1, j - 1]
+                if not np.isnan(cell):
+                    assert cell == mass_error_percent(
+                        block_mean(block, mass), payloads.mass_of(j))
