@@ -15,6 +15,8 @@ import yaml
 from .core import PayloadSet, TimeGrid, Window, sample_count, window_indices
 from .profiles import RampProfileSpec, default_profile_family
 from .surrogate import SurrogateParams
+from .sweeps import training_window
+from .tasks import TaskKind
 
 MULTITASK_PAYLOADS_G = (0.0, 100.0, 200.0, 300.0, 400.0)
 DEFAULT_SAMPLE_COUNTS = tuple(range(100, 1001, 100))
@@ -61,12 +63,6 @@ def validate_config(cfg: ExperimentConfig) -> list:
         problems.append(f"ridge must be >= 0, got {cfg.ridge}")
     if cfg.normalizer not in ("range", "maxabs"):
         problems.append(f"normalizer must be 'range' or 'maxabs', got {cfg.normalizer!r}")
-    if cfg.detection_seconds <= 0:
-        problems.append(f"detection_seconds must be > 0, got {cfg.detection_seconds}")
-    if cfg.mass_segment_seconds <= 0:
-        problems.append(
-            f"mass_segment_seconds must be > 0, got {cfg.mass_segment_seconds}"
-        )
     if cfg.sample_repeats < 1:
         problems.append(f"sample_repeats must be >= 1, got {cfg.sample_repeats}")
     if len(cfg.profiles) == 0:
@@ -90,6 +86,19 @@ def validate_config(cfg: ExperimentConfig) -> list:
                 f"{name} window [{win.start}, {win.end}) lies outside the run"
             )
     train_samples = sample_count(cfg.train, cfg.grid.sample_rate)
+    for task, key in ((TaskKind.PAYLOAD_DETECT, "detection_seconds"),
+                      (TaskKind.PAYLOAD_MASS, "mass_segment_seconds")):
+        seconds = getattr(cfg, key)
+        if seconds <= 0:
+            problems.append(f"{key} must be > 0, got {seconds}")
+            continue
+        n = sample_count(training_window(cfg, task), cfg.grid.sample_rate)
+        if not 1 <= n <= train_samples:
+            problems.append(
+                f"{key} {seconds} gives a {n}-sample {task.value} training "
+                f"window; it must hold 1..{train_samples} samples, inside "
+                f"the train window"
+            )
     for c in cfg.sample_counts:
         if not 1 <= int(c) <= train_samples:
             problems.append(

@@ -1,11 +1,9 @@
 """Linear readout training and scoring.
 
-Training has one solver: a QR of the design [1 | S], then an SVD of its
-small R factor, which gives the minimum-norm least-squares fit with a
-relative singular-value cutoff (ridge 0) or the ridge solution from the
-same factors. `reduce_assembly` shrinks an assembly to its (R, Q^T Y)
-rows, which pose the same least-squares problem for any subset of its
-columns, and `solve_reduced` fits such rows, alone or stacked.
+Training and sweep scoring share one factorization: `factor` takes the QR
+of a window's design [1 | S] and keeps a `WindowFactor`, from which
+`solve_reduced` fits readouts (an SVD of the small R rows, alone or
+stacked, for any subset of the columns) and the sweeps score them.
 Predictions are per-sample weighted sums of the masked sensor readings plus
 a bias.
 """
@@ -14,7 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -47,9 +45,8 @@ def normalize_mask(mask: Optional[Sequence[int]], n_sensors: int) -> tuple:
 class TrainingAssembly:
     """Stacked design matrix [1 | S(t)] and matching targets.
 
-    Rows concatenate the chosen conditions' training windows in list order,
-    or their (R, Q^T Y) rows after `reduce_assembly`; the first column is
-    the bias regressor.
+    Rows concatenate the chosen conditions' training windows in list order;
+    the first column is the bias regressor.
     """
 
     states: np.ndarray
@@ -162,20 +159,60 @@ def train(
     ridge: float = 0.0,
     task_names: Sequence[str] = (),
 ) -> ReadoutWeights:
-    """Fit readout weights for every target column:
-    ``solve_reduced(reduce_assembly(assembly))``."""
-    if assembly.states.shape[0] == 0:
-        raise ValueError("cannot train on an empty assembly")
-    return solve_reduced(reduce_assembly(assembly), ridge, task_names)
+    """Fit readout weights for every target column from the design's
+    `factor`, one column at a time."""
+    y = assembly.targets
+    parts = [factor(assembly.states, y[:, k]) for k in range(y.shape[1])]
+    return solve_reduced(parts[0].r, np.column_stack([p.z for p in parts]),
+                         assembly.sensor_mask, ridge, task_names)
+
+
+class WindowFactor(NamedTuple):
+    """One QR of a window's design Phi = [1 | S] = Q R and what fitting and
+    scoring need from it, for a target theta; Q itself is not kept.
+
+    Phi[:, cols] = Q R[:, cols] with Q's columns orthonormal, so the R rows
+    with z pose the same least-squares problem as the window's rows, for
+    any subset of the columns, alone or stacked with other factors' rows.
+    Since Phi's first column is all ones, a constant target c has
+    Q^T (c 1) = c R[:, 0] and needs no factor of its own. For weights w
+    over all of Phi's columns, theta - Q z is orthogonal to Q's columns, so
+    |Phi w - theta|^2 = |R w - z|^2 + floor, and the window mean of Phi w
+    is means . w. (A NamedTuple: a dataclass would add about 1 ms to every
+    `armrc` start-up.)
+    """
+
+    r: np.ndarray       # R, at most (1 + n_sensors) square
+    z: np.ndarray       # Q^T theta
+    floor: float        # |theta - Q z|^2, the error no readout avoids
+    n_rows: int
+    scale: float        # `truth_scale` of theta over the window
+    means: np.ndarray   # column means of Phi
+
+
+def factor(phi: np.ndarray, theta: np.ndarray,
+           normalizer: str = "range") -> WindowFactor:
+    """The `WindowFactor` of design rows ``phi`` and target ``theta``."""
+    if phi.shape[0] == 0:
+        raise ValueError("cannot factor a design with no rows")
+    q, r = np.linalg.qr(phi)
+    z = q.T @ theta
+    resid = theta - q @ z
+    return WindowFactor(r=r, z=z, floor=float(resid @ resid),
+                        n_rows=phi.shape[0],
+                        scale=truth_scale(theta, normalizer),
+                        means=phi.mean(axis=0))
 
 
 def solve_reduced(
-    reduced: TrainingAssembly,
+    r: np.ndarray,
+    z: np.ndarray,
+    sensor_mask: tuple,
     ridge: float = 0.0,
     task_names: Sequence[str] = (),
 ) -> ReadoutWeights:
-    """Fit readout weights on (R, Q^T Y) rows, one reduced assembly or
-    several stacked.
+    """Fit readout weights on (R, Q^T Y) rows, one factor's or several
+    stacked, with one column of ``z`` per task.
 
     R = U diag(s) V^T and w = V diag(d) U^T Q^T y. At ridge == 0, d = 1/s
     for singular values above RCOND * s[0] and 0 below it (the minimum-norm
@@ -186,9 +223,9 @@ def solve_reduced(
     """
     if ridge < 0:
         raise ValueError(f"ridge must be >= 0, got {ridge}")
-    if reduced.states.shape[0] == 0:
+    if r.shape[0] == 0:
         raise ValueError("cannot train on an empty assembly")
-    u, s, vt = np.linalg.svd(reduced.states, full_matrices=False)
+    u, s, vt = np.linalg.svd(r, full_matrices=False)
     if ridge == 0.0:
         keep = s > (RCOND * s[0] if s.size and s[0] > 0 else np.inf)
         d = np.zeros_like(s)
@@ -196,30 +233,11 @@ def solve_reduced(
     else:
         d = s / (s * s + ridge)
     solve = (vt.T * d) @ u.T
-    z = reduced.targets
     cols = [solve @ z[:, k] for k in range(z.shape[1])]
     return ReadoutWeights(
         weights=np.column_stack(cols),
-        sensor_mask=reduced.sensor_mask,
+        sensor_mask=sensor_mask,
         task_names=tuple(task_names),
-    )
-
-
-def reduce_assembly(assembly: TrainingAssembly) -> TrainingAssembly:
-    """The (R, Q^T Y) assembly of Phi = QR: at most one row per column.
-
-    Phi[:, cols] = Q R[:, cols] with Q's columns orthonormal, so training on
-    the reduced rows, alone or stacked with other reduced assemblies, and on
-    any subset of their columns, solves the same least-squares problem as
-    the original rows. Q^T y is taken column by column, so a task's column
-    does not depend on the others.
-    """
-    q, r = np.linalg.qr(assembly.states)
-    y = assembly.targets
-    return TrainingAssembly(
-        states=r,
-        targets=np.column_stack([q.T @ y[:, k] for k in range(y.shape[1])]),
-        sensor_mask=assembly.sensor_mask,
     )
 
 

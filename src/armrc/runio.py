@@ -175,17 +175,54 @@ def save_weights(path, weights: ReadoutWeights, *,
     return path
 
 
+def _weights_mask(value) -> tuple:
+    if not isinstance(value, list) or not value or any(
+            type(m) is not int or m < 0 for m in value):
+        raise TypeError("expected a non-empty list of sensor indices >= 0")
+    return tuple(value)
+
+
+def _weights_names(value) -> tuple:
+    if not isinstance(value, list) or any(type(n) is not str for n in value):
+        raise TypeError("expected a list of task names")
+    return tuple(value)
+
+
+def _weights_matrix(value) -> np.ndarray:
+    matrix = np.array(value, dtype=float)
+    if not np.isfinite(matrix).all():
+        raise ValueError("non-finite weight")
+    return matrix
+
+
 def load_weights(path):
-    """Returns (ReadoutWeights, provenance dict)."""
+    """Returns (ReadoutWeights, provenance dict). A malformed file raises a
+    ValueError that names the file and the field."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(
+            f"{path}: expected a JSON object, got {type(doc).__name__}")
     if doc.get("format") != WEIGHTS_FORMAT:
-        raise ValueError(f"unsupported weights format {doc.get('format')!r}")
-    weights = ReadoutWeights(
-        weights=np.array(doc["weights"], dtype=float),
-        sensor_mask=tuple(int(m) for m in doc["sensor_mask"]),
-        task_names=tuple(doc["task_names"]),
-    )
+        raise ValueError(
+            f"{path}: unsupported weights format {doc.get('format')!r}")
+    fields = {}
+    for key, parse in (("weights", _weights_matrix),
+                       ("sensor_mask", _weights_mask),
+                       ("task_names", _weights_names)):
+        if key not in doc:
+            raise ValueError(f"{path}: missing field {key!r}")
+        try:
+            fields[key] = parse(doc[key])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: field {key!r}: {exc}") from None
+    try:
+        weights = ReadoutWeights(**fields)
+    except ValueError as exc:
+        raise ValueError(f"{path}: field 'weights': {exc}") from None
     return weights, doc.get("provenance", {})
 
 

@@ -11,9 +11,8 @@ ordering targets for these sweeps, not equality targets.
 `training_window` the one rule for each task's per-condition training
 window; the CLI sweeps are loops over both.
 
-Sweeps fit on per-condition (R, Q^T Y) blocks and score on per-condition
-`ScoreBlock`s, each factored once per sweep call; see README's "Readout
-solver" section.
+Sweeps fit and score from one `readout.WindowFactor` per (run, window),
+each factored once per sweep call; see README's "Readout solver" section.
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -39,13 +38,11 @@ from .core import (
 from .profiles import RampProfileSpec
 from .readout import (
     ReadoutWeights,
-    TrainingAssembly,
-    assemble,
+    WindowFactor,
+    factor,
     normalize_mask,
-    reduce_assembly,
     scaled_percent,
     solve_reduced,
-    truth_scale,
 )
 from .surrogate import SurrogateParams, add_noise, simulate_conditions
 from .tasks import (
@@ -126,54 +123,27 @@ def _require(runs: Mapping, cond: InputCondition) -> PressureStateSeries:
         ) from None
 
 
-def _target_trace(task: TaskKind, series: PressureStateSeries,
-                  payloads: PayloadSet) -> np.ndarray:
-    if task is TaskKind.BENDING_ANGLE:
-        return np.asarray(series.theta)
-    if task is TaskKind.PAYLOAD_MASS:
-        mass = payloads.mass_of(series.condition.payload_index)
-        return np.full(series.grid.n_samples, mass)
-    if task is TaskKind.PAYLOAD_DETECT:
-        mass = payloads.mass_of(series.condition.payload_index)
-        label = DETECT_ABSENT if mass == 0 else DETECT_PRESENT
-        return np.full(series.grid.n_samples, label)
-    raise ValueError(f"unsupported task {task}")
-
-
-class ScoreBlock(NamedTuple):
-    """What scoring any readout on one run's test window needs, from one QR
-    of its all-sensor design Phi = [1 | S] = Q R. Q itself is not kept.
-
-    For full-width weights w (`full_width`), theta - Q z is orthogonal to
-    Q's columns, so |Phi w - theta|^2 = |R w - z|^2 + floor; the window mean
-    of Phi w is means . w. (A NamedTuple: a dataclass would add about 1 ms
-    to every `armrc` start-up.)
-    """
-
-    r: np.ndarray       # R, at most (1 + n_sensors) square
-    z: np.ndarray       # Q^T theta
-    floor: float        # |theta - Q z|^2, the error no readout avoids
-    n_rows: int
-    scale: float        # `truth_scale` of theta over the window
-    means: np.ndarray   # column means of Phi
-
-
-def score_block(series: PressureStateSeries, window: Window,
-                normalizer: str = "range") -> ScoreBlock:
-    """Factor one run's design over a window for `block_nrmse` and
-    `block_mean`."""
+def window_factor(series: PressureStateSeries, window: Window,
+                  normalizer: str = "range") -> WindowFactor:
+    """The `readout.factor` of one run's all-sensor design and bending angle
+    over a window, which every fit and score on that window reads."""
     i0, i1 = window_indices(series.grid, window)
     if i1 == i0:
         raise ValueError(
             f"window [{window.start}, {window.end}) holds no samples")
     phi = np.hstack([np.ones((i1 - i0, 1)), series.sensors[:, i0:i1].T])
-    theta = series.theta[i0:i1]
-    q, r = np.linalg.qr(phi)
-    z = q.T @ theta
-    resid = theta - q @ z
-    return ScoreBlock(r=r, z=z, floor=float(resid @ resid), n_rows=i1 - i0,
-                      scale=truth_scale(theta, normalizer),
-                      means=phi.mean(axis=0))
+    return factor(phi, series.theta[i0:i1], normalizer)
+
+
+def _factor(factors: dict, runs: Mapping, cond: InputCondition,
+            window: Window, normalizer: str) -> WindowFactor:
+    """``factors[(cond, window)]``, factored on first use. A sweep call
+    passes one dict to all its fits and scores, which share their
+    normalizer."""
+    key = (cond, window)
+    if key not in factors:
+        factors[key] = window_factor(_require(runs, cond), window, normalizer)
+    return factors[key]
 
 
 def full_width(weights: ReadoutWeights, n_sensors: int) -> np.ndarray:
@@ -189,29 +159,21 @@ def full_width(weights: ReadoutWeights, n_sensors: int) -> np.ndarray:
     return rows
 
 
-def block_nrmse(block: ScoreBlock, w: np.ndarray) -> float:
+def block_nrmse(block: WindowFactor, w: np.ndarray) -> float:
     """`nrmse_percent` of the bending readout ``w`` (one `full_width` row)
-    on the block's window, in O(k^2) instead of O(T k)."""
+    on the factor's window, in O(k^2) instead of O(T k)."""
     resid = block.r @ w - block.z
     rms = math.sqrt((float(resid @ resid) + block.floor) / block.n_rows)
     return scaled_percent(rms, block.scale)
 
 
-def block_mean(block: ScoreBlock, w: np.ndarray) -> float:
+def block_mean(block: WindowFactor, w: np.ndarray) -> float:
     """Window mean of the readout ``w`` (one `full_width` row): the mass
     estimate of `tasks.estimate_mass`, or the detect output."""
     return float(block.means @ w)
 
 
-def _score_blocks(runs: Mapping, evaluation, window: Window,
-                  normalizer: str) -> list:
-    """The evaluation conditions' score blocks, which a sweep call factors
-    once and scores all its fits from."""
-    return [score_block(_require(runs, cond), window, normalizer)
-            for cond in evaluation]
-
-
-def _score(task: TaskKind, w: np.ndarray, block: ScoreBlock,
+def _score(task: TaskKind, w: np.ndarray, block: WindowFactor,
            cond: InputCondition, payloads: PayloadSet) -> float:
     if w.shape != block.means.shape:
         raise ValueError(
@@ -248,44 +210,48 @@ def train_on_subset(
     sensor_mask=None,
     ridge: float = 0.0,
 ):
-    """Assemble and train one readout from a condition subset."""
-    return _fit(subset, {}, runs, payloads, (task,), window, sensor_mask,
-                ridge)
+    """Train one readout from a condition subset."""
+    return _fit(_stack(subset, {}, runs, payloads, (task,), window),
+                sensor_mask, ridge, (task,))
 
 
-def _fit(subset, blocks: dict, runs: Mapping, payloads: PayloadSet,
-         tasks: tuple, window: Window, sensor_mask, ridge: float):
-    """Train one readout, one column per task, on the stacked reduced
-    blocks of a subset's conditions.
+def _target(task: TaskKind, part: WindowFactor, cond: InputCondition,
+            payloads: PayloadSet) -> np.ndarray:
+    """A task's target column over a factor's R rows: Q^T theta for the
+    bending angle, c R[:, 0] for a task whose target is a constant c."""
+    if task is TaskKind.BENDING_ANGLE:
+        return part.z
+    mass = payloads.mass_of(cond.payload_index)
+    if task is TaskKind.PAYLOAD_MASS:
+        return mass * part.r[:, 0]
+    return (DETECT_ABSENT if mass == 0 else DETECT_PRESENT) * part.r[:, 0]
 
-    ``blocks`` maps (condition, window) to the condition's reduced
-    all-sensor assembly (`readout.reduce_assembly`). A sweep passes one dict
-    to all its fits, which share their runs and tasks, so it factors each
-    block once; a sensor mask then only picks columns of the stacked R rows,
-    which go to `readout.solve_reduced` with no second QR.
-    """
+
+def _stack(subset, factors: dict, runs: Mapping, payloads: PayloadSet,
+           tasks: tuple, window: Window, normalizer: str = "range") -> tuple:
+    """A subset's training rows: its conditions' all-sensor R factors over
+    ``window`` (`_factor`), stacked, with one target column per task."""
     if len(subset) == 0:
         raise ValueError("need at least one condition to assemble")
-    parts = []
-    for cond in subset:
-        key = (cond, window)
-        if key not in blocks:
-            series = _require(runs, cond)
-            target = np.column_stack(
-                [_target_trace(task, series, payloads) for task in tasks])
-            blocks[key] = reduce_assembly(assemble([(series, target)], window))
-        parts.append(blocks[key])
-    widths = sorted({part.states.shape[1] - 1 for part in parts})
+    parts = [_factor(factors, runs, cond, window, normalizer)
+             for cond in subset]
+    widths = sorted({part.r.shape[1] - 1 for part in parts})
     if len(widths) > 1:
         raise ValueError(f"conditions disagree on sensor count: {widths}")
-    mask = normalize_mask(sensor_mask, widths[0])
-    cols = [0] + [1 + m for m in mask]
-    stacked = TrainingAssembly(
-        states=np.vstack([part.states[:, cols] for part in parts]),
-        targets=np.vstack([part.targets for part in parts]),
-        sensor_mask=mask,
-    )
-    return solve_reduced(stacked, ridge,
+    targets = [np.column_stack([_target(task, part, cond, payloads)
+                                for task in tasks])
+               for cond, part in zip(subset, parts)]
+    return np.vstack([part.r for part in parts]), np.vstack(targets)
+
+
+def _fit(stacked: tuple, sensor_mask, ridge: float,
+         tasks: tuple) -> ReadoutWeights:
+    """Train one readout, one column per task, on `_stack` rows: a sensor
+    mask only picks columns of the stacked R rows, which go to
+    `readout.solve_reduced` with no second QR."""
+    r, z = stacked
+    mask = normalize_mask(sensor_mask, r.shape[1] - 1)
+    return solve_reduced(r[:, [0] + [1 + m for m in mask]], z, mask, ridge,
                          task_names=tuple(t.value for t in tasks))
 
 
@@ -296,12 +262,13 @@ def subset_sweep(spec: SweepSpec, runs: Mapping,
     grid = _require(runs, spec.evaluation[0]).grid
     window = spec.effective_train_window(grid)
     rows = []
-    blocks = {}
-    tests = _score_blocks(runs, spec.evaluation, spec.test_window,
-                          spec.normalizer)
+    factors = {}
+    tests = [_factor(factors, runs, cond, spec.test_window, spec.normalizer)
+             for cond in spec.evaluation]
     for subset in spec.subsets:
-        weights = _fit(subset, blocks, runs, payloads, (spec.task,), window,
-                       spec.sensor_mask, spec.ridge)
+        stacked = _stack(subset, factors, runs, payloads, (spec.task,),
+                         window, spec.normalizer)
+        weights = _fit(stacked, spec.sensor_mask, spec.ridge, (spec.task,))
         rows.append(_score_row(spec.task, weights, spec.evaluation, tests,
                                payloads))
     return SweepResult(
@@ -355,7 +322,9 @@ def sample_count_sweep(
     for r in range(repeats):
         runs = {c: add_noise(params, run, base_seed + r)
                 for c, run in noise_free.items()}
-        tests = _score_blocks(runs, evaluation, test_window, normalizer)
+        factors = {}
+        tests = [_factor(factors, runs, cond, test_window, normalizer)
+                 for cond in evaluation]
         for ci, window in enumerate(windows):
             weights = train_on_subset(
                 subset, runs, payloads, task, window, None, ridge
@@ -401,11 +370,13 @@ def sensor_ablation_sweep(
     masks = tuple(normalize_mask(m, n_sensors) for m in masks)
     error_rows = []
     share_rows = np.full((len(masks), n_sensors), np.nan)
-    blocks = {}
-    tests = _score_blocks(runs, evaluation, test_window, normalizer)
+    factors = {}
+    tests = [_factor(factors, runs, cond, test_window, normalizer)
+             for cond in evaluation]
+    stacked = _stack(subset, factors, runs, payloads, (task,), train_window,
+                     normalizer)
     for mi, mask in enumerate(masks):
-        weights = _fit(subset, blocks, runs, payloads, (task,), train_window,
-                       mask, ridge)
+        weights = _fit(stacked, mask, ridge, (task,))
         error_rows.append(_score_row(task, weights, evaluation, tests,
                                      payloads))
         mags = np.abs(weights.sensor_weights[:, 0])
@@ -466,10 +437,12 @@ def multitask_grid(
     Step 1 classifies payload presence from the detect column's window
     mean. Step 2 (angle plus mass prediction) runs only where a payload is
     detected; zero-payload cells are scored on angle alone. Each cell is
-    scored once, from its own `ScoreBlock`.
+    scored once, from its own test-window factor.
     """
-    weights = _fit(training_cells, {}, runs, payloads, MULTITASK_TASKS,
-                   train_window, None, ridge)
+    factors = {}
+    weights = _fit(_stack(training_cells, factors, runs, payloads,
+                          MULTITASK_TASKS, train_window, normalizer),
+                   None, ridge, MULTITASK_TASKS)
     w_angle, w_detect, w_mass = full_width(weights,
                                            len(weights.sensor_mask))
 
@@ -481,7 +454,7 @@ def multitask_grid(
     for i in range(1, n_profiles + 1):
         for j in range(1, n_payloads + 1):
             cond = InputCondition(i, j)
-            block = score_block(_require(runs, cond), test_window, normalizer)
+            block = _factor(factors, runs, cond, test_window, normalizer)
             mass = payloads.mass_of(j)
             det = block_mean(block, w_detect)
             present = payload_status(det) is PayloadStatus.PRESENT

@@ -13,7 +13,8 @@ from armrc import cli
 from armrc.cli import main
 from armrc.config import ExperimentConfig
 from armrc.core import PayloadSet
-from armrc.runio import read_matrix_csv
+from armrc.readout import ReadoutWeights
+from armrc.runio import read_matrix_csv, save_weights
 
 
 @pytest.fixture(scope="module")
@@ -170,13 +171,75 @@ class TestSidecarMismatch:
         assert err.startswith("error:") and "P1M1.csv" in err and field in err
 
 
+class TestTrainingWindowBounds:
+    # a task's training window starts where the train window does; it must
+    # end inside it and hold at least one sample, or the config is refused
+    # at load, before any sweep trains on test rows or on nothing
+    @pytest.mark.parametrize("key, seconds", [
+        ("mass_segment_seconds", 40),  # [50, 90) runs into the test window
+        ("mass_segment_seconds", 60),  # [50, 110) runs past the run
+        ("detection_seconds", 45),
+        ("detection_seconds", 0.01),   # 0.4 samples at 40 Hz
+    ])
+    def test_a_window_leaving_the_train_window_is_a_config_error(
+            self, key, seconds, tmp_path, capsys):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(f"{key}: {seconds}\n")
+        rc = main(["train", "--task", "bending", "--subset", "P1",
+                   "--config", str(cfg), "--out", str(tmp_path / "w.json"),
+                   "--quiet"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: config:")
+        assert "training window" in err and key in err
+
+
+def _valid_weights_doc(tmp_path) -> dict:
+    path = save_weights(tmp_path / "valid.json",
+                        ReadoutWeights(np.ones((8, 1)), tuple(range(7)),
+                                       ("bending",)))
+    return json.loads(path.read_text())
+
+
+class TestMalformedWeights:
+    @pytest.mark.parametrize("edit, field", [
+        (lambda doc: {**doc, "task_names": 5}, "task_names"),
+        (lambda doc: {**doc, "sensor_mask": None}, "sensor_mask"),
+        (lambda doc: {k: v for k, v in doc.items() if k != "weights"},
+         "weights"),
+        (lambda doc: {**doc, "weights": [[1.0], [1.0, 2.0]]}, "weights"),
+        (lambda doc: [doc], "object"),
+    ], ids=["task-names-number", "mask-null", "no-weights", "ragged-weights",
+            "top-level-list"])
+    def test_is_one_error_line_naming_the_file_and_field(self, edit, field,
+                                                         tmp_path, capsys):
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps(edit(_valid_weights_doc(tmp_path))))
+        rc = main(["evaluate", "--weights", str(path),
+                   "--run", str(tmp_path / "absent.csv")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert "w.json" in err and field in err
+
+
 class TestBlasThreadCount:
+    # the samples sweep runs on a small config to keep the suite fast
+    CONFIGS = {"samples": "sample_repeats: 2\nsample_counts: [100, 1000]\n"}
+
     @pytest.mark.parametrize("kind, n_csvs", [("sensors", 4),
                                               ("conditions", 3),
-                                              ("multitask", 10)])
+                                              ("multitask", 10),
+                                              ("samples", 4)])
     def test_sweep_csvs_do_not_depend_on_the_thread_count(self, kind,
                                                            n_csvs, tmp_path):
         src = str(Path(armrc.__file__).resolve().parents[1])
+        argv = []
+        if kind in self.CONFIGS:
+            cfg = tmp_path / "cfg.yaml"
+            cfg.write_text(self.CONFIGS[kind])
+            argv = ["--config", str(cfg)]
         trees = []
         for threads in ("1", "2"):
             out = tmp_path / f"threads{threads}"
@@ -185,7 +248,7 @@ class TestBlasThreadCount:
                            p for p in (src, os.environ.get("PYTHONPATH"))
                            if p))
             subprocess.run([sys.executable, "-m", "armrc.cli", "sweep",
-                            kind, "--out", str(out), "--quiet"],
+                            kind, "--out", str(out), "--quiet"] + argv,
                            env=env, check=True)
             trees.append({p.name: p.read_bytes()
                           for p in sorted(out.glob("*.csv"))})

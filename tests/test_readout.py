@@ -12,9 +12,10 @@ from armrc.readout import (
     correlation_matrix,
     normalize_mask,
     nrmse_percent,
+    factor,
     predict,
-    reduce_assembly,
     rmse,
+    solve_reduced,
     train,
 )
 
@@ -152,18 +153,16 @@ class TestTrain:
 
 
 def _stacked_reduced_fit(phi, y, sizes, mask, ridge):
-    """Train on the stacked (R, Q^T y) blocks of consecutive row blocks,
-    keeping the bias column and the masked sensor columns."""
+    """Train on the stacked (R, Q^T y) rows of consecutive row blocks'
+    factors, keeping the bias column and the masked sensor columns."""
     cols = [0] + [1 + m for m in mask]
     edges = np.cumsum([0] + list(sizes))
-    blocks = [reduce_assembly(make_assembly(phi[a:b], y[a:b]))
+    blocks = [[factor(phi[a:b], y[a:b, k]) for k in range(y.shape[1])]
               for a, b in zip(edges[:-1], edges[1:])]
-    stacked = TrainingAssembly(
-        states=np.vstack([b.states[:, cols] for b in blocks]),
-        targets=np.vstack([b.targets for b in blocks]),
-        sensor_mask=tuple(mask),
-    )
-    return train(stacked, ridge).weights
+    return solve_reduced(
+        np.vstack([b[0].r[:, cols] for b in blocks]),
+        np.vstack([np.column_stack([f.z for f in b]) for b in blocks]),
+        tuple(mask), ridge).weights
 
 
 class TestFactoredFit:
@@ -203,6 +202,28 @@ class TestFactoredFit:
         assert np.allclose(w, np.linalg.pinv(phi, rcond=RCOND) @ y,
                            atol=1e-10)
         assert w[1, 0] == pytest.approx(w[7, 0], abs=1e-10)
+
+
+class TestWindowFactor:
+    # Phi's first column is all ones, so Q^T (c 1) = c R[:, 0]: the sweeps
+    # build constant (mass, detect) targets from R with no target trace
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 40),
+           sensors=st.integers(0, 7),
+           c=st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3))
+    def test_a_constant_target_is_c_times_the_bias_column_of_r(
+            self, seed, rows, sensors, c):
+        # rows < 1 + sensors gives a wide design and a wide R
+        phi = random_design(np.random.default_rng(seed), rows=rows,
+                            cols=sensors)
+        q, r = np.linalg.qr(phi)
+        target = np.full(rows, c)
+        f = factor(phi, target)
+        assert np.array_equal(f.r, r)
+        ref = q.T @ target
+        assert np.linalg.norm(c * f.r[:, 0] - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert np.array_equal(f.z, ref)
+        assert f.floor <= 1e-24 * (target @ target)
 
 
 class TestAssemble:

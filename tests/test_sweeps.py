@@ -24,12 +24,13 @@ from armrc.sweeps import (
     nested_bending_subsets,
     nested_payload_subsets,
     sample_count_sweep,
-    score_block,
     sensor_ablation_sweep,
     simulate_conditions,
     subset_sweep,
     tip_sensor_masks,
     train_on_subset,
+    training_window,
+    window_factor,
 )
 from armrc.tasks import TaskKind, bending_target, estimate_mass, mass_error_percent
 
@@ -276,10 +277,13 @@ class TestAblation:
 
 
 class TestBatchIndependence:
-    # a sweep factors each condition once and shares those blocks between
-    # its fits; a subset's weights must not depend on what else it fits
+    # a sweep factors each (run, window) once and shares those factors
+    # between its fits and scores; a subset's weights must not depend on
+    # what else it fits or scores, for any task
     @settings(max_examples=20, deadline=None)
-    @given(subsets=st.lists(st.lists(st.integers(1, 7), min_size=1,
+    @given(task=st.sampled_from([TaskKind.BENDING_ANGLE,
+                                 TaskKind.PAYLOAD_MASS]),
+           subsets=st.lists(st.lists(st.integers(1, 7), min_size=1,
                                      max_size=4), min_size=1, max_size=5),
            masks=st.lists(st.lists(st.integers(0, 6), min_size=1,
                                    max_size=7, unique=True),
@@ -287,33 +291,50 @@ class TestBatchIndependence:
            ridge=st.sampled_from([0.0, 1e-3]))
     def test_sweep_weights_equal_a_lone_train_on_subset(self, cfg,
                                                         bending_runs,
+                                                        payload_runs, task,
                                                         subsets, masks,
                                                         ridge):
-        task = TaskKind.BENDING_ANGLE
-        subsets = tuple(tuple(P(i, 1) for i in s) for s in subsets)
+        if task is TaskKind.BENDING_ANGLE:
+            runs, cond = bending_runs, lambda k: P(k, 1)
+        else:
+            runs, cond = payload_runs, lambda k: P(1, k)
+        subsets = tuple(tuple(cond(k) for k in s) for s in subsets)
         masks = tuple(tuple(m) for m in masks)
-        fitted = []
-
-        def spy(*args, **kwargs):
-            fitted.append(solve_reduced(*args, **kwargs))
-            return fitted[-1]
-
+        window = training_window(cfg, task)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sweeps, "solve_reduced", spy)
+            fitted = _spy_on_fits(mp)
             subset_sweep(SweepSpec(task=task, subsets=subsets,
-                                   evaluation=(P(4, 1),),
+                                   evaluation=(cond(4),),
+                                   train_window=window,
                                    sensor_mask=masks[0], ridge=ridge),
-                         bending_runs, cfg.payloads)
-            sensor_ablation_sweep(task, masks, subsets[0], (P(4, 1),),
-                                  bending_runs, cfg.payloads, ridge=ridge)
-        lone = [train_on_subset(s, bending_runs, cfg.payloads, task,
-                                cfg.train, masks[0], ridge) for s in subsets]
-        lone += [train_on_subset(subsets[0], bending_runs, cfg.payloads,
-                                 task, cfg.train, m, ridge) for m in masks]
+                         runs, cfg.payloads)
+            sensor_ablation_sweep(task, masks, subsets[0], (cond(4),),
+                                  runs, cfg.payloads, train_window=window,
+                                  ridge=ridge)
+        lone = [train_on_subset(s, runs, cfg.payloads, task, window,
+                                masks[0], ridge) for s in subsets]
+        lone += [train_on_subset(subsets[0], runs, cfg.payloads, task,
+                                 window, m, ridge) for m in masks]
         assert len(fitted) == len(lone)
         for swept, alone in zip(fitted, lone):
             assert swept.sensor_mask == alone.sensor_mask
             assert np.array_equal(swept.weights, alone.weights)
+
+    @pytest.mark.parametrize("geometry", ["2x2", "5x2", "3x3"])
+    def test_multitask_columns_equal_lone_single_task_fits(self, cfg,
+                                                           multitask_runs,
+                                                           geometry):
+        payloads = cfg.multitask_payloads
+        cells = multitask_training_subsets()[geometry]
+        with pytest.MonkeyPatch.context() as mp:
+            fitted = _spy_on_fits(mp)
+            multitask_grid(cells, multitask_runs, payloads)
+        (weights,) = fitted
+        for k, task in enumerate(sweeps.MULTITASK_TASKS):
+            alone = train_on_subset(cells, multitask_runs, payloads, task,
+                                    cfg.train)
+            assert weights.task_names[k] == task.value
+            assert np.array_equal(weights.weights[:, k], alone.weights[:, 0])
 
 
 class TestMultitaskGrid:
@@ -379,7 +400,7 @@ class TestFactoredScore:
         weights = train(assemble([(series, series.theta)], Window(0.0, 2.0),
                                  mask), ridge)
         window = Window(start / 40.0, (start + rows) / 40.0)
-        block = score_block(series, window, normalizer)
+        block = window_factor(series, window, normalizer)
         w = full_width(weights, 7)[0]
         truth = bending_target(series, window)
         assert truth.shape == (rows,) and block.n_rows == rows
@@ -402,7 +423,7 @@ class TestFactoredScore:
                                    sensors=series.sensors,
                                    theta=np.full(160, 2.0))
         weights = train(assemble([(series, series.theta)], Window(0.0, 2.0)))
-        block = score_block(flat, Window(2.0, 4.0))
+        block = window_factor(flat, Window(2.0, 4.0))
         with pytest.raises(ValueError, match="ground-truth scale is zero"):
             block_nrmse(block, full_width(weights, 7)[0])
         # the mass estimate does not need the angle's scale
@@ -427,7 +448,7 @@ class TestScoreSensorCount:
 
 def _lone_score(task, weights, runs, cond, payloads, k=0):
     """A cell's score from a block factored for that condition alone."""
-    block = score_block(runs[cond], TEST_WINDOW)
+    block = window_factor(runs[cond], TEST_WINDOW)
     w = full_width(weights, runs[cond].n_sensors)[k]
     if task is TaskKind.BENDING_ANGLE:
         return block_nrmse(block, w)
@@ -510,7 +531,7 @@ class TestScoreBatchIndependence:
         for i in range(1, 8):
             for j in range(1, len(payloads) + 1):
                 cond = P(i, j)
-                block = score_block(multitask_runs[cond], TEST_WINDOW)
+                block = window_factor(multitask_runs[cond], TEST_WINDOW)
                 assert res.detect_output[i - 1, j - 1] == block_mean(block,
                                                                      detect)
                 cell = res.angle_error[i - 1, j - 1]
