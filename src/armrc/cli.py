@@ -132,9 +132,12 @@ def cmd_evaluate(args) -> int:
     series = ingest_run(args.run)
     window = {"train": cfg.train, "test": cfg.test,
               "full": Window(cfg.grid.t0, cfg.grid.t_end)}[args.window]
-    mass = None
-    if series.condition is not None:
+    mass = series.payload_grams
+    if mass is None and series.condition is not None:
         mass = cfg.payloads.mass_of(series.condition.payload_index)
+        print(f"warning: {args.run}: the sidecar records no payload_grams; "
+              f"taking {mass:g} g for {series.condition.label} from the "
+              "config's payloads", file=sys.stderr)
     outputs = predict(weights, series, window).reshape(-1, weights.n_tasks)
     for name, trace in zip(weights.task_names, outputs.T):
         if name == TaskKind.BENDING_ANGLE.value:
@@ -160,9 +163,9 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _simulate(cfg: ExperimentConfig, conditions) -> dict:
+def _simulate(cfg: ExperimentConfig, conditions, with_noise=True) -> dict:
     return simulate_conditions(cfg.surrogate, cfg.profiles, cfg.payloads,
-                               cfg.grid, conditions)
+                               cfg.grid, conditions, with_noise=with_noise)
 
 
 def _write_result(path: Path, matrix, rows, cols, cfg: ExperimentConfig,
@@ -193,12 +196,15 @@ def _sweep_conditions(cfg: ExperimentConfig, out: Path, digest: str) -> list:
 
 
 def _sweep_samples(cfg: ExperimentConfig, out: Path, digest: str) -> list:
+    table = experiments(cfg)
+    noise_free = _simulate(cfg, [c for exp in table.values()
+                                 for c in exp.conditions], with_noise=False)
     written = []
     rows = [str(c) for c in cfg.sample_counts]
-    for name, exp in experiments(cfg).items():
+    for name, exp in table.items():
         res = sample_count_sweep(
             exp.task, cfg.sample_counts, exp.subset, exp.evaluation,
-            cfg.surrogate, cfg.profiles, cfg.payloads, cfg.grid,
+            cfg.surrogate, noise_free, cfg.payloads, cfg.grid,
             train_window=cfg.train, test_window=cfg.test,
             repeats=cfg.sample_repeats, base_seed=cfg.seed,
             ridge=cfg.ridge, normalizer=cfg.normalizer,

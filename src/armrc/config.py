@@ -85,6 +85,9 @@ def validate_config(cfg: ExperimentConfig) -> list:
             problems.append(
                 f"{name} window [{win.start}, {win.end}) lies outside the run"
             )
+        if name != "washout" and sample_count(win, cfg.grid.sample_rate) < 1:
+            problems.append(
+                f"{name} window [{win.start}, {win.end}) holds no samples")
     train_samples = sample_count(cfg.train, cfg.grid.sample_rate)
     for task, key in ((TaskKind.PAYLOAD_DETECT, "detection_seconds"),
                       (TaskKind.PAYLOAD_MASS, "mass_segment_seconds")):

@@ -160,7 +160,8 @@ class PressureStateSeries:
     ``sensors`` is (n_sensors, n_samples) with row k the k-th sensor ordered
     base to tip. All traces share the grid's clock. Each array is stored
     as a read-only copy of the one passed in, so slicing (`slice_series`)
-    also copies.
+    also copies. ``payload_grams`` is the end mass the run carried, when
+    known: a payload index means different grams in different payload sets.
     """
 
     grid: TimeGrid
@@ -168,6 +169,7 @@ class PressureStateSeries:
     sensors: np.ndarray
     theta: np.ndarray
     condition: Optional[InputCondition] = None
+    payload_grams: Optional[float] = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "s_in", _as_readonly(self.s_in))
@@ -223,4 +225,5 @@ def slice_series(series: PressureStateSeries, window: Window) -> PressureStateSe
         sensors=series.sensors[:, i0:i1],
         theta=series.theta[i0:i1],
         condition=series.condition,
+        payload_grams=series.payload_grams,
     )

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import platform
 import time
 from pathlib import Path
@@ -22,7 +23,10 @@ import numpy as np
 from .core import InputCondition, PressureStateSeries, TimeGrid
 from .readout import ReadoutWeights
 
-RUN_FORMAT = "armrc-run-v1"
+RUN_FORMAT = "armrc-run-v2"
+# still read, with unknown grams (`payload_grams` None): a reader takes them
+# from a payload set
+RUN_FORMAT_V1 = "armrc-run-v1"
 WEIGHTS_FORMAT = "armrc-weights-v1"
 # tolerance (seconds) for an ingested time column's spacing and for its
 # first time stamp against the sidecar's t0
@@ -65,6 +69,7 @@ def export_run(series: PressureStateSeries, csv_path, *,
             "profile_index": series.condition.profile_index,
             "payload_index": series.condition.payload_index,
         },
+        "payload_grams": series.payload_grams,
         "units": {"pressure": "psi", "angle": "deg", "time": "s"},
         "config_hash": config_hash,
         "seed": seed,
@@ -84,8 +89,18 @@ def ingest_run(csv_path, sidecar: Optional[Path] = None) -> PressureStateSeries:
         raise FileNotFoundError(f"missing metadata sidecar {sidecar}")
     with open(sidecar, "r", encoding="utf-8") as fh:
         meta = json.load(fh)
-    if meta.get("format") != RUN_FORMAT:
+    if meta.get("format") not in (RUN_FORMAT, RUN_FORMAT_V1):
         raise ValueError(f"unsupported run format {meta.get('format')!r}")
+    grams = None
+    if meta["format"] == RUN_FORMAT:
+        if "payload_grams" not in meta:
+            raise ValueError(f"{sidecar.name}: missing field 'payload_grams'")
+        grams = meta["payload_grams"]
+        if grams is not None and (type(grams) not in (int, float)
+                                  or not math.isfinite(grams) or grams < 0):
+            raise ValueError(
+                f"{sidecar.name}: field 'payload_grams' must be null or a "
+                f"finite mass >= 0, got {grams!r}")
     n_sensors = int(meta["n_sensors"])
     expected = _run_header(n_sensors)
 
@@ -153,6 +168,7 @@ def ingest_run(csv_path, sidecar: Optional[Path] = None) -> PressureStateSeries:
         sensors=data[:, 2 : 2 + n_sensors].T,
         theta=data[:, -1],
         condition=condition,
+        payload_grams=None if grams is None else float(grams),
     )
 
 

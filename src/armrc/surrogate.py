@@ -205,16 +205,18 @@ def _advance(params: SurrogateParams, traces: list, masses: Sequence[float],
     """Noise-free (n, T) states of B runs, stepped together as one block.
 
     The block is held as (n, B), a column per run. A run meets only
-    elementwise operations, the coupling summed column by column of C in a
-    fixed order (never a BLAS product on the block), and drive terms taken
-    with ``np.tanh`` on the same shapes in every path: per distinct (T,)
-    trace and per scalar mass. So its bits do not depend on the batch.
+    elementwise operations, drive terms taken with ``np.tanh`` per distinct
+    (T,) trace and per scalar mass, and the coupling: one multiply into a
+    (j, i, B) block of ``C[i, j] * x[j]`` and one reduce over its outermost
+    axis j, which adds the slabs in j order for every B (never BLAS). Axis 1
+    of an (i, j, B) block would not do: at B = 1 and n >= 8 numpy sums that
+    contiguous axis pairwise. So a run's bits do not depend on the batch.
     """
     n, n_samples, n_runs = params.n_nodes, len(traces[0]), len(traces)
     leak, kp, ig, pg = (np.asarray(v)[:, None] for v in (
         params.leak, params.leak_pressure_coeff, params.input_gain,
         params.payload_gain))
-    cols = [np.array(c)[:, None] for c in np.asarray(params.coupling).T]
+    ct = np.asarray(params.coupling).T[:, :, None]
     distinct = {id(t): t for t in traces}
     row = {key: u for u, key in enumerate(distinct)}
     idx = [row[id(t)] for t in traces]
@@ -228,7 +230,7 @@ def _advance(params: SurrogateParams, traces: list, masses: Sequence[float],
     x = np.zeros((n, n_runs)) if x0 is None else np.array(x0, dtype=float).T
     states = [np.empty((n, n_samples)) for _ in traces]
     buf = np.empty((_CHUNK, n, n_runs))
-    cx, term = np.empty((n, n_runs)), np.empty((n, n_runs))
+    t3, cx = np.empty((n, n, n_runs)), np.empty((n, n_runs))
     for k0 in range(0, n_samples, _CHUNK):
         k1 = min(k0 + _CHUNK, n_samples)
         phi = phi_u[idx, k0:k1].T[:, None, :]
@@ -236,9 +238,8 @@ def _advance(params: SurrogateParams, traces: list, masses: Sequence[float],
                 + pg * (rho * v_u[idx, k0:k1].T)[:, None, :])
         drive = ig * s_u[idx, k0:k1].T[:, None, :]
         for k in range(k1 - k0):
-            np.multiply(cols[0], x[0], out=cx)
-            for j in range(1, n):
-                cx += np.multiply(cols[j], x[j], out=term)
+            np.multiply(ct, x[:, None, :], out=t3)
+            np.add.reduce(t3, axis=0, out=cx)
             x = np.multiply(gain[k], x, out=buf[k])
             x += cx
             x += drive[k]
@@ -288,7 +289,8 @@ def simulate_batch(
         theta = (sum(w * s for w, s in zip(params.angle_weights, st))
                  + params.angle_payload_slope * mass)
         run = PressureStateSeries(grid=grid, s_in=trace, sensors=st,
-                                  theta=theta, condition=cond)
+                                  theta=theta, condition=cond,
+                                  payload_grams=float(mass))
         runs.append(add_noise(params, run, seed) if noisy else run)
     return runs
 

@@ -35,7 +35,6 @@ from .core import (
     sample_count,
     window_indices,
 )
-from .profiles import RampProfileSpec
 from .readout import (
     ReadoutWeights,
     WindowFactor,
@@ -44,6 +43,7 @@ from .readout import (
     scaled_percent,
     solve_reduced,
 )
+# simulate_conditions is looked up here by the CLI and by perfbench's spans
 from .surrogate import SurrogateParams, add_noise, simulate_conditions
 from .tasks import (
     DETECT_ABSENT,
@@ -295,7 +295,7 @@ def sample_count_sweep(
     subset: Sequence[InputCondition],
     evaluation: Sequence[InputCondition],
     params: SurrogateParams,
-    profile_specs: Sequence[RampProfileSpec],
+    noise_free: Mapping[InputCondition, PressureStateSeries],
     payloads: PayloadSet,
     grid: TimeGrid,
     train_window: Window = TRAIN_WINDOW,
@@ -308,20 +308,18 @@ def sample_count_sweep(
     """Truncate each condition's training rows to each count, retrain, and
     score on the fixed full test window; repeats vary only the noise seed.
 
-    Each condition's noise-free states are simulated once; a repeat only
-    draws its noise, which never feeds back into the states, and factors
-    its test windows once for all counts.
+    ``noise_free`` holds each condition's run simulated without noise; a
+    repeat only draws its noise, which never feeds back into the states,
+    and factors its test windows once for all counts.
     """
     counts = tuple(int(c) for c in counts)
     windows = [first_samples(train_window, c, grid) for c in counts]
     base_seed = params.seed if base_seed is None else base_seed
-    needed = list(subset) + list(evaluation)
+    needed = {c: _require(noise_free, c) for c in (*subset, *evaluation)}
     errors = np.empty((len(counts), len(evaluation), repeats))
-    noise_free = simulate_conditions(params, profile_specs, payloads, grid,
-                                     needed, with_noise=False)
     for r in range(repeats):
         runs = {c: add_noise(params, run, base_seed + r)
-                for c, run in noise_free.items()}
+                for c, run in needed.items()}
         factors = {}
         tests = [_factor(factors, runs, cond, test_window, normalizer)
                  for cond in evaluation]

@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 
 import armrc
-from armrc import cli
+from armrc import cli, surrogate
 from armrc.cli import main
-from armrc.config import ExperimentConfig
-from armrc.core import PayloadSet
+from armrc.config import ExperimentConfig, default_config
+from armrc.core import InputCondition, PayloadSet
 from armrc.readout import ReadoutWeights
-from armrc.runio import read_matrix_csv, save_weights
+from armrc.runio import export_run, read_matrix_csv, save_weights
+from armrc.sweeps import experiments, simulate_conditions
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +113,23 @@ class TestSweeps:
         assert std.shape == (2, 6)
         assert np.all(std >= 0.0)
 
+    def test_samples_sweep_simulates_both_experiments_in_one_batch(
+            self, tmp_path, monkeypatch):
+        calls = []
+        real = surrogate.simulate_batch
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs["conditions"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(surrogate, "simulate_batch", spy)
+        cfg = ExperimentConfig(sample_counts=(100,), sample_repeats=1)
+        cli._sweep_samples(cfg, tmp_path, "digest")
+        union = {c for exp in experiments(cfg).values()
+                 for c in exp.conditions}
+        assert len(union) == 13
+        assert len(calls) == 1 and set(calls[0]) == union
+
     def test_sensors_sweep_layout(self, tmp_path):
         out = tmp_path / "sweep"
         assert main(["sweep", "sensors", "--out", str(out), "--quiet"]) == 0
@@ -192,6 +210,76 @@ class TestTrainingWindowBounds:
         assert rc == 1
         assert err.startswith("error: config:")
         assert "training window" in err and key in err
+
+
+class TestEmptyWindows:
+    # a train or test window holding no sample is refused at load, before
+    # anything is simulated
+    @pytest.mark.parametrize("window", ["train", "test"])
+    @pytest.mark.parametrize("argv", [
+        ["train", "--task", "bending", "--subset", "P1"],
+        ["sweep", "sensors"],
+    ], ids=["train", "sweep-sensors"])
+    def test_is_a_config_error_naming_the_window(self, argv, window,
+                                                  tmp_path, capsys,
+                                                  monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulated a config with an empty window")
+
+        monkeypatch.setattr(surrogate, "simulate_batch", refuse)
+        cfg = tmp_path / "empty.yaml"
+        cfg.write_text(f"windows: {{{window}: [75.0, 75.0]}}\n")
+        rc = main(argv + ["--config", str(cfg), "--out",
+                          str(tmp_path / "out"), "--quiet"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: config:") and err.count("error:") == 1
+        assert f"{window} window [75.0, 75.0) holds no samples" in err
+
+
+class TestPayloadGrams:
+    @pytest.fixture(scope="class")
+    def mass_weights(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("mass") / "w.json"
+        assert main(["train", "--task", "mass", "--subset",
+                     "M2,M3,M4,M5,M6,M7", "--out", str(path),
+                     "--quiet"]) == 0
+        return path
+
+    @pytest.fixture
+    def p1m5_400g(self, tmp_path):
+        # M5 is 400 g among the multitask payloads, 200 g in the default set
+        cfg = default_config()
+        cond = InputCondition(1, 5)
+        run = simulate_conditions(cfg.surrogate, cfg.profiles,
+                                  cfg.multitask_payloads, cfg.grid,
+                                  [cond])[cond]
+        return export_run(run, tmp_path / "P1M5.csv")
+
+    def test_evaluate_takes_the_truth_from_the_run(self, mass_weights,
+                                                   p1m5_400g, capsys):
+        rc = main(["evaluate", "--weights", str(mass_weights),
+                   "--run", str(p1m5_400g)])
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert "truth_grams=400.0" in captured.out
+        assert captured.err == ""
+
+    def test_a_v1_run_takes_its_grams_from_the_index_with_a_warning(
+            self, mass_weights, p1m5_400g, capsys):
+        sidecar = p1m5_400g.with_suffix(".meta.json")
+        meta = json.loads(sidecar.read_text())
+        del meta["payload_grams"]
+        meta["format"] = "armrc-run-v1"
+        sidecar.write_text(json.dumps(meta))
+        rc = main(["evaluate", "--weights", str(mass_weights),
+                   "--run", str(p1m5_400g)])
+        captured = capsys.readouterr()
+        assert rc == 0
+        assert "truth_grams=200.0" in captured.out
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("warning:")
+        assert "payload_grams" in lines[0] and "P1M5" in lines[0]
 
 
 def _valid_weights_doc(tmp_path) -> dict:

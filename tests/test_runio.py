@@ -39,6 +39,7 @@ class TestRunRoundTrip:
         assert np.array_equal(back.theta, sample_run.theta)
         assert back.grid == sample_run.grid
         assert back.condition == sample_run.condition
+        assert back.payload_grams == sample_run.payload_grams == 100.0
 
     def test_sidecar_carries_provenance_and_units(self, sample_run, tmp_path):
         path = export_run(sample_run, tmp_path / "run.csv",
@@ -116,6 +117,29 @@ class TestIngestValidation:
     def test_t0_within_the_clock_tolerance_is_accepted(self, tmp_path):
         path = self._retag(tmp_path, t0=CLOCK_TOLERANCE / 2)
         assert ingest_run(path).grid.n_samples == 50
+
+    def test_a_v1_sidecar_reads_with_unknown_grams(self, tmp_path):
+        path = self._retag(tmp_path, format="armrc-run-v1")
+        meta = json.loads(sidecar_path(path).read_text())
+        del meta["payload_grams"]
+        sidecar_path(path).write_text(json.dumps(meta))
+        back = ingest_run(path)
+        assert back.payload_grams is None
+        assert back.condition == InputCondition(1, 1)
+
+    @pytest.mark.parametrize("grams", [-1.0, "400", True, float("inf")])
+    def test_bad_payload_grams_is_named(self, tmp_path, grams):
+        path = self._retag(tmp_path, payload_grams=grams)
+        with pytest.raises(ValueError, match=r"run\.meta\.json.*payload_grams"):
+            ingest_run(path)
+
+    def test_a_v2_sidecar_must_carry_payload_grams(self, tmp_path):
+        path = self._retag(tmp_path)
+        meta = json.loads(sidecar_path(path).read_text())
+        del meta["payload_grams"]
+        sidecar_path(path).write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match="payload_grams"):
+            ingest_run(path)
 
     def test_missing_sidecar_rejected(self, tmp_path, sample_run):
         path = export_run(sample_run, tmp_path / "run.csv")

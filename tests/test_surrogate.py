@@ -206,9 +206,32 @@ class TestNoiseKey:
 
 
 @st.composite
+def node_params(draw):
+    """Valid surrogate parameters for 1-12 nodes with a dense coupling:
+    leak * (1 - leak_pressure_coeff) >= 0.05 outweighs the coupling's row
+    sums (<= 0.04), and payload gains only damp. A nearest-neighbour
+    coupling would not pin the coupling's summation order: with at most
+    two nonzero terms per row, every order gives the same bits."""
+    n = draw(st.integers(1, 12))
+
+    def per_node(lo, hi):
+        return tuple(draw(st.lists(st.floats(lo, hi), min_size=n,
+                                   max_size=n)))
+
+    return SurrogateParams(
+        n_nodes=n, leak=per_node(0.1, 0.5),
+        coupling=tuple(per_node(0.0, 0.04 / n) for _ in range(n)),
+        input_gain=tuple(sorted(per_node(0.01, 0.05))),
+        payload_gain=per_node(-0.4, 0.0), angle_weights=per_node(0.0, 1.0),
+        leak_pressure_coeff=per_node(0.0, 0.5))
+
+
+@st.composite
 def batches(draw):
-    """A short grid, 1-3 profiles, 1-3 payloads, and a condition list drawn
-    from that grid in any order with duplicates, each with its own x0."""
+    """Parameters for 1-12 nodes, a short grid, 1-3 profiles, 1-3 payloads,
+    and a condition list drawn from that grid in any order with duplicates,
+    each with its own x0."""
+    params = draw(node_params())
     grid = TimeGrid(n_samples=draw(st.integers(1, 150)))
     specs = tuple(
         RampProfileSpec(u_min=lo, u_max=lo + swing)
@@ -223,18 +246,19 @@ def batches(draw):
         st.builds(InputCondition, st.integers(1, len(specs)),
                   st.integers(1, len(payloads))),
         min_size=1, max_size=8))
-    x0 = draw(st.lists(st.lists(st.floats(-10.0, 10.0), min_size=7,
-                                max_size=7),
+    x0 = draw(st.lists(st.lists(st.floats(-10.0, 10.0),
+                                min_size=params.n_nodes,
+                                max_size=params.n_nodes),
                        min_size=len(conds), max_size=len(conds)))
-    return grid, specs, payloads, conds, np.array(x0), draw(st.integers(0, 2**32))
+    return (params, grid, specs, payloads, conds, np.array(x0),
+            draw(st.integers(0, 2**32)))
 
 
 class TestBatchIndependence:
     @settings(max_examples=25, deadline=None)
     @given(batches())
     def test_a_run_is_bit_identical_alone_and_in_any_batch(self, batch):
-        grid, specs, payloads, conds, x0, seed = batch
-        params = SurrogateParams()
+        params, grid, specs, payloads, conds, x0, seed = batch
         traces = [generate_profile(spec, grid) for spec in specs]
         by_conditions = simulate_conditions(params, specs, payloads, grid,
                                             conds, seed=seed)

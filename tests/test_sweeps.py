@@ -37,6 +37,11 @@ from armrc.tasks import TaskKind, bending_target, estimate_mass, mass_error_perc
 P = InputCondition
 
 
+def _noise_free(cfg, *conds):
+    return simulate_conditions(cfg.surrogate, cfg.profiles, cfg.payloads,
+                               cfg.grid, conds, with_noise=False)
+
+
 class TestFamilies:
     def test_nested_bending_subsets_grow_from_one_to_seven(self):
         fams = nested_bending_subsets()
@@ -170,8 +175,8 @@ class TestSampleCountRule:
         with pytest.raises(ValueError, match="1000"):
             sample_count_sweep(
                 TaskKind.BENDING_ANGLE, [999, 1000], [P(1, 1)], [P(1, 1)],
-                cfg.surrogate, cfg.profiles, cfg.payloads, cfg.grid,
-                train_window=self.SHORT, repeats=1,
+                cfg.surrogate, _noise_free(cfg, P(1, 1)), cfg.payloads,
+                cfg.grid, train_window=self.SHORT, repeats=1,
             )
 
 
@@ -180,15 +185,23 @@ class TestSampleCountSweep:
         with pytest.raises(ValueError, match="sample count"):
             sample_count_sweep(
                 TaskKind.BENDING_ANGLE, [2000], [P(1, 1)], [P(1, 1)],
-                cfg.surrogate, cfg.profiles, cfg.payloads, cfg.grid,
-                repeats=1,
+                cfg.surrogate, _noise_free(cfg, P(1, 1)), cfg.payloads,
+                cfg.grid, repeats=1,
+            )
+
+    def test_a_condition_missing_from_the_runs_is_refused(self, cfg):
+        with pytest.raises(KeyError, match="P4M1 is not present"):
+            sample_count_sweep(
+                TaskKind.BENDING_ANGLE, [400], [P(1, 1)], [P(4, 1)],
+                cfg.surrogate, _noise_free(cfg, P(1, 1)), cfg.payloads,
+                cfg.grid, repeats=1,
             )
 
     def test_full_count_matches_subset_sweep(self, cfg, bending_runs):
         res = sample_count_sweep(
-            TaskKind.BENDING_ANGLE, [1000], [P(1, 1), P(7, 1)],
-            [P(4, 1)], cfg.surrogate, cfg.profiles, cfg.payloads, cfg.grid,
-            repeats=1, base_seed=cfg.seed,
+            TaskKind.BENDING_ANGLE, [1000], [P(1, 1), P(7, 1)], [P(4, 1)],
+            cfg.surrogate, _noise_free(cfg, P(1, 1), P(7, 1), P(4, 1)),
+            cfg.payloads, cfg.grid, repeats=1, base_seed=cfg.seed,
         )
         spec = SweepSpec(
             task=TaskKind.BENDING_ANGLE,
@@ -202,8 +215,8 @@ class TestSampleCountSweep:
     def test_repeats_vary_only_the_noise_seed(self, cfg):
         res = sample_count_sweep(
             TaskKind.BENDING_ANGLE, [400], [P(1, 1), P(7, 1)], [P(4, 1)],
-            cfg.surrogate, cfg.profiles, cfg.payloads, cfg.grid,
-            repeats=3, base_seed=cfg.seed,
+            cfg.surrogate, _noise_free(cfg, P(1, 1), P(7, 1), P(4, 1)),
+            cfg.payloads, cfg.grid, repeats=3, base_seed=cfg.seed,
         )
         assert res.std_grid[0, 0] > 0.0
 
@@ -221,8 +234,8 @@ class TestSampleCountSweep:
         subset, evaluation = (P(1, 1), P(7, 2)), (P(4, 3),)
         sample_count_sweep(
             TaskKind.BENDING_ANGLE, [100, 400], subset, evaluation,
-            cfg.surrogate, cfg.profiles, cfg.payloads, cfg.grid,
-            repeats=3, base_seed=11,
+            cfg.surrogate, _noise_free(cfg, *subset, *evaluation),
+            cfg.payloads, cfg.grid, repeats=3, base_seed=11,
         )
         per_repeat = list({id(runs): runs for runs in seen}.values())
         assert len(per_repeat) == 3
