@@ -66,16 +66,9 @@ def _parse_mask(text):
 
 def _load(args) -> ExperimentConfig:
     cfg = default_config() if args.config is None else load_config(args.config)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-        overrides["surrogate"] = dataclasses.replace(cfg.surrogate,
-                                                     seed=args.seed)
-    if args.ridge is not None:
-        overrides["ridge"] = args.ridge
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
-    return cfg
+    overrides = {key: getattr(args, key) for key in ("seed", "ridge")
+                 if getattr(args, key) is not None}
+    return dataclasses.replace(cfg, **overrides) if overrides else cfg
 
 
 def _say(args, text) -> None:
@@ -88,7 +81,8 @@ def cmd_simulate(args) -> int:
     digest = config_digest(cfg)
     out = Path(args.out)
     t0 = time.perf_counter()
-    runs = simulate_grid(cfg.surrogate, cfg.profiles, cfg.payloads, cfg.grid)
+    runs = simulate_grid(cfg.surrogate, cfg.profiles, cfg.payloads, cfg.grid,
+                         seed=cfg.seed)
     written = []
     for cond, series in runs.items():
         path = export_run(series, out / "runs" / f"{cond.label}.csv",
@@ -163,9 +157,12 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _simulate(cfg: ExperimentConfig, conditions, with_noise=True) -> dict:
-    return simulate_conditions(cfg.surrogate, cfg.profiles, cfg.payloads,
-                               cfg.grid, conditions, with_noise=with_noise)
+def _simulate(cfg: ExperimentConfig, conditions, with_noise=True,
+              payloads=None) -> dict:
+    """``conditions``' runs under ``cfg``, noised at its run seed."""
+    return simulate_conditions(
+        cfg.surrogate, cfg.profiles, payloads or cfg.payloads, cfg.grid,
+        conditions, seed=cfg.seed, with_noise=with_noise)
 
 
 def _write_result(path: Path, matrix, rows, cols, cfg: ExperimentConfig,
@@ -242,8 +239,8 @@ def _sweep_sensors(cfg: ExperimentConfig, out: Path, digest: str) -> list:
 def _sweep_multitask(cfg: ExperimentConfig, out: Path, digest: str) -> list:
     n_profiles = len(cfg.profiles)
     payloads = cfg.multitask_payloads
-    runs = simulate_conditions(cfg.surrogate, cfg.profiles, payloads, cfg.grid,
-                               condition_grid(n_profiles, payloads))
+    runs = _simulate(cfg, condition_grid(n_profiles, payloads),
+                     payloads=payloads)
     rows = [f"P{i}" for i in range(1, n_profiles + 1)]
     cols = [f"{m:g}g" for m in payloads.masses]
     written = []

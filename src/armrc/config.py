@@ -12,7 +12,8 @@ from typing import Optional
 
 import yaml
 
-from .core import PayloadSet, TimeGrid, Window, sample_count, window_indices
+from .core import (DEFAULT_SEED, PayloadSet, TimeGrid, Window, sample_count,
+                   window_indices)
 from .profiles import RampProfileSpec, default_profile_family
 from .surrogate import SurrogateParams
 from .sweeps import training_window
@@ -48,7 +49,7 @@ class ExperimentConfig:
     mass_segment_seconds: float = 5.0
     sample_counts: tuple = DEFAULT_SAMPLE_COUNTS
     sample_repeats: int = 10
-    seed: int = 7
+    seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
         problems = validate_config(self)
@@ -187,8 +188,6 @@ def build_config(raw: dict) -> ExperimentConfig:
                     tuple(row) if isinstance(row, list) else row
                     for row in section[name]
                 ) if name == "coupling" else tuple(section[name])
-        if "seed" not in section and "seed" in raw:
-            section["seed"] = raw["seed"]
         try:
             values["surrogate"] = SurrogateParams(**section)
         except (TypeError, ValueError) as exc:
@@ -222,14 +221,6 @@ def build_config(raw: dict) -> ExperimentConfig:
             values["sample_counts"] = tuple(int(c) for c in raw["sample_counts"])
         except (TypeError, ValueError):
             problems.append(f"sample_counts: expected integers, got {raw['sample_counts']!r}")
-
-    # the run seed governs the surrogate's noise streams unless the
-    # surrogate section pins its own
-    if "surrogate" not in values and "seed" in values:
-        try:
-            values["surrogate"] = SurrogateParams(seed=values["seed"])
-        except ValueError as exc:
-            problems.append(f"surrogate: {exc}")
 
     if problems:
         raise ConfigError(problems)

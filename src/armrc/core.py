@@ -15,6 +15,8 @@ DEFAULT_SAMPLE_RATE = 40.0
 DEFAULT_RUN_SECONDS = 100.0
 DEFAULT_N_SENSORS = 7
 DEFAULT_PAYLOADS_G = (0.0, 100.0, 140.0, 160.0, 200.0, 240.0, 300.0)
+# The run seed when none is given; it keys every sensor-noise stream.
+DEFAULT_SEED = 7
 
 # Fuzz for seconds -> sample-index conversion; window edges are human-entered
 # decimals while the clock itself is exact.

@@ -80,6 +80,18 @@ def export_run(series: PressureStateSeries, csv_path, *,
     return csv_path
 
 
+def _field(meta: dict, key: str, sidecar: Path, parse=None):
+    """A required sidecar field, through ``parse`` if given; a missing or
+    unparsable one is a ValueError naming the sidecar and the field."""
+    if key not in meta:
+        raise ValueError(f"{sidecar.name}: missing field {key!r}")
+    try:
+        return meta[key] if parse is None else parse(meta[key])
+    except (TypeError, ValueError):
+        raise ValueError(f"{sidecar.name}: field {key!r}: expected a number, "
+                         f"got {meta[key]!r}") from None
+
+
 def ingest_run(csv_path, sidecar: Optional[Path] = None) -> PressureStateSeries:
     """Parse and validate a recorded run; returns the series bit-identical
     to the one exported."""
@@ -93,15 +105,16 @@ def ingest_run(csv_path, sidecar: Optional[Path] = None) -> PressureStateSeries:
         raise ValueError(f"unsupported run format {meta.get('format')!r}")
     grams = None
     if meta["format"] == RUN_FORMAT:
-        if "payload_grams" not in meta:
-            raise ValueError(f"{sidecar.name}: missing field 'payload_grams'")
-        grams = meta["payload_grams"]
+        grams = _field(meta, "payload_grams", sidecar)
         if grams is not None and (type(grams) not in (int, float)
                                   or not math.isfinite(grams) or grams < 0):
             raise ValueError(
                 f"{sidecar.name}: field 'payload_grams' must be null or a "
                 f"finite mass >= 0, got {grams!r}")
-    n_sensors = int(meta["n_sensors"])
+    n_sensors, n_samples, t0, sample_rate = (
+        _field(meta, key, sidecar, parse) for key, parse in (
+            ("n_sensors", int), ("n_samples", int), ("t0", float),
+            ("sample_rate", float)))
     expected = _run_header(n_sensors)
 
     with open(csv_path, "r", encoding="utf-8") as fh:
@@ -132,32 +145,28 @@ def ingest_run(csv_path, sidecar: Optional[Path] = None) -> PressureStateSeries:
             f"{csv_path.name}: non-finite value in column "
             f"{expected[col]!r} at data row {row}"
         )
-    if int(meta["n_samples"]) != data.shape[0]:
+    if n_samples != data.shape[0]:
         raise ValueError(
-            f"{csv_path.name}: sidecar n_samples {meta['n_samples']} does "
+            f"{csv_path.name}: sidecar n_samples {n_samples} does "
             f"not match the {data.shape[0]} data rows"
         )
     t = data[:, 0]
-    if abs(t[0] - float(meta["t0"])) > CLOCK_TOLERANCE:
+    if abs(t[0] - t0) > CLOCK_TOLERANCE:
         raise ValueError(
-            f"{csv_path.name}: sidecar t0 {meta['t0']} does not match the "
+            f"{csv_path.name}: sidecar t0 {t0} does not match the "
             f"first time stamp {t[0]!r} within {CLOCK_TOLERANCE} s"
         )
     if data.shape[0] > 1:
         steps = np.diff(t)
         if (steps <= 0).any():
             raise ValueError(f"{csv_path.name}: time column is not increasing")
-        nominal = 1.0 / float(meta["sample_rate"])
+        nominal = 1.0 / sample_rate
         if np.abs(steps - nominal).max() > CLOCK_TOLERANCE:
             raise ValueError(
                 f"{csv_path.name}: non-uniform sampling (expected "
                 f"{nominal:.6g} s steps within {CLOCK_TOLERANCE} s)"
             )
-    grid = TimeGrid(
-        sample_rate=float(meta["sample_rate"]),
-        n_samples=data.shape[0],
-        t0=float(meta["t0"]),
-    )
+    grid = TimeGrid(sample_rate=sample_rate, n_samples=n_samples, t0=t0)
     cond = meta.get("condition")
     condition = None if cond is None else InputCondition(
         int(cond["profile_index"]), int(cond["payload_index"])

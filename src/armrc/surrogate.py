@@ -50,6 +50,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .core import (
+    DEFAULT_SEED,
     InputCondition,
     PayloadSet,
     PressureStateSeries,
@@ -94,7 +95,6 @@ class SurrogateParams:
     leak_pressure_coeff: tuple = (0.90, 0.90, 0.05, 0.75, 0.45, 0.25, 0.12)
     leak_pressure_knee: float = 38.0
     leak_pressure_width: float = 3.0
-    seed: int = 7
 
     def __post_init__(self) -> None:
         n = self.n_nodes
@@ -186,16 +186,15 @@ def _noise_stream(seed: int, condition: Optional[InputCondition], sensor: int,
 
 
 def add_noise(params: SurrogateParams, run: PressureStateSeries,
-              seed: Optional[int] = None) -> PressureStateSeries:
+              seed: int) -> PressureStateSeries:
     """A noise-free run plus its sensor noise at ``seed``: the run
     ``simulate(..., seed=seed)`` gives, as noise never feeds back into the
     states."""
     if params.noise_std == 0:
         return run
     sensors = run.sensors.copy()
-    noise_seed = params.seed if seed is None else seed
     for m in range(sensors.shape[0]):
-        sensors[m] += _noise_stream(noise_seed, run.condition, m,
+        sensors[m] += _noise_stream(seed, run.condition, m,
                                     sensors.shape[1], params.noise_std)
     return replace(run, sensors=sensors)
 
@@ -257,7 +256,7 @@ def simulate_batch(
     conditions: Optional[Sequence[Optional[InputCondition]]] = None,
     x0: Optional[np.ndarray] = None,
     with_noise: bool = True,
-    seed: Optional[int] = None,
+    seed: int = DEFAULT_SEED,
 ) -> list:
     """Run B (trace, mass) pairs through one shared step loop, one series
     each, every one bit-identical to the run ``simulate`` gives alone.
@@ -304,7 +303,7 @@ def simulate(
     condition: Optional[InputCondition] = None,
     x0: Optional[np.ndarray] = None,
     with_noise: bool = True,
-    seed: Optional[int] = None,
+    seed: int = DEFAULT_SEED,
 ) -> PressureStateSeries:
     """Run the surrogate on one actuation trace and payload mass: a batch of
     one. Bit-reproducible for fixed (params, inputs, seed)."""
@@ -350,7 +349,7 @@ def simulate_conditions(
     payloads: PayloadSet,
     grid: TimeGrid,
     conditions: Sequence[InputCondition],
-    seed: Optional[int] = None,
+    seed: int = DEFAULT_SEED,
     with_noise: bool = True,
 ) -> dict:
     """Simulate just the listed conditions (deduplicated), as one batch.
@@ -381,7 +380,7 @@ def simulate_grid(
     payloads: PayloadSet,
     grid: TimeGrid,
     *,
-    seed: Optional[int] = None,
+    seed: int = DEFAULT_SEED,
 ) -> Mapping[InputCondition, PressureStateSeries]:
     """Simulate every (profile, payload) condition of the experiment grid."""
     return simulate_conditions(

@@ -25,6 +25,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .core import (
+    DEFAULT_SEED,
     InputCondition,
     PayloadSet,
     PressureStateSeries,
@@ -70,9 +71,8 @@ class SweepSpec:
     evaluation: tuple
     train_window: Window = TRAIN_WINDOW
     test_window: Window = TEST_WINDOW
-    sensor_mask: Optional[tuple] = None
     samples_per_condition: Optional[int] = None
-    base_seed: int = 7  # informational: the runs arrive already simulated
+    base_seed: int = DEFAULT_SEED  # informational: the runs arrive simulated
     ridge: float = 0.0
     normalizer: str = "range"
 
@@ -268,7 +268,7 @@ def subset_sweep(spec: SweepSpec, runs: Mapping,
     for subset in spec.subsets:
         stacked = _stack(subset, factors, runs, payloads, (spec.task,),
                          window, spec.normalizer)
-        weights = _fit(stacked, spec.sensor_mask, spec.ridge, (spec.task,))
+        weights = _fit(stacked, None, spec.ridge, (spec.task,))
         rows.append(_score_row(spec.task, weights, spec.evaluation, tests,
                                payloads))
     return SweepResult(
@@ -301,7 +301,7 @@ def sample_count_sweep(
     train_window: Window = TRAIN_WINDOW,
     test_window: Window = TEST_WINDOW,
     repeats: int = 10,
-    base_seed: Optional[int] = None,
+    base_seed: int = DEFAULT_SEED,
     ridge: float = 0.0,
     normalizer: str = "range",
 ) -> SampleCountResult:
@@ -314,7 +314,6 @@ def sample_count_sweep(
     """
     counts = tuple(int(c) for c in counts)
     windows = [first_samples(train_window, c, grid) for c in counts]
-    base_seed = params.seed if base_seed is None else base_seed
     needed = {c: _require(noise_free, c) for c in (*subset, *evaluation)}
     errors = np.empty((len(counts), len(evaluation), repeats))
     for r in range(repeats):

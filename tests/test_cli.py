@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import armrc
-from armrc import cli, surrogate
+from armrc import cli, surrogate, sweeps
 from armrc.cli import main
 from armrc.config import ExperimentConfig, default_config
 from armrc.core import InputCondition, PayloadSet
@@ -187,6 +187,21 @@ class TestSidecarMismatch:
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith("error:") and "P1M1.csv" in err and field in err
+
+    @pytest.mark.parametrize("field", ["n_sensors", "sample_rate", "t0",
+                                       "n_samples"])
+    def test_a_sidecar_missing_a_field_is_an_error_line_naming_it(
+            self, grid_dir, tmp_path, capsys, field):
+        run = tmp_path / "P1M1.csv"
+        shutil.copy(grid_dir / "runs" / "P1M1.csv", run)
+        meta = json.loads((grid_dir / "runs" / "P1M1.meta.json").read_text())
+        del meta[field]
+        (tmp_path / "P1M1.meta.json").write_text(json.dumps(meta))
+        rc = main(["correlate", "--runs", str(run), "--channel", "s7",
+                   "--out", str(tmp_path / "corr.csv"), "--quiet"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == f"error: P1M1.meta.json: missing field '{field}'\n"
 
 
 class TestTrainingWindowBounds:
@@ -416,6 +431,21 @@ class TestOverrides:
         mb, _, _, _ = read_matrix_csv(b / "bending_subsets.csv")
         assert not np.array_equal(ma, mb)
 
+    def test_a_surrogate_seed_is_a_config_error(self, tmp_path, capsys,
+                                                monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulated a config with two seeds")
+
+        monkeypatch.setattr(surrogate, "simulate_batch", refuse)
+        cfg = tmp_path / "two_seeds.yaml"
+        cfg.write_text("seed: 123\nsurrogate: {seed: 9}\n")
+        rc = main(["sweep", "conditions", "--config", str(cfg),
+                   "--out", str(tmp_path / "out"), "--quiet"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: config:") and err.count("error:") == 1
+        assert "surrogate: unknown key 'seed'" in err
+
     def test_bad_config_reports_all_problems_and_fails(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
         bad.write_text("ridge: -1\nnormalizer: bogus\n")
@@ -424,3 +454,43 @@ class TestOverrides:
         err = capsys.readouterr().err
         assert rc == 1
         assert "ridge" in err and "normalizer" in err
+
+
+class TestOneSeed:
+    # every sensor-noise draw of a command uses the run seed: the config's,
+    # or --seed's when given; sweep samples draws repeat r at seed + r
+    REPEATS = 3
+
+    @pytest.mark.parametrize("extra, seed", [([], 123), (["--seed", "99"], 99)],
+                             ids=["config", "flag"])
+    @pytest.mark.parametrize("argv", [
+        ["simulate"],
+        ["train", "--task", "bending", "--subset", "P1,P7"],
+        ["sweep", "conditions"],
+        ["sweep", "samples"],
+        ["sweep", "sensors"],
+        ["sweep", "multitask"],
+    ], ids=lambda argv: "-".join(a for a in argv[:2] if a[0] != "-"))
+    def test_every_noise_draw_uses_the_run_seed(self, argv, extra, seed,
+                                                tmp_path, monkeypatch):
+        seeds = []
+        real = surrogate.add_noise
+
+        def spy(params, run, noise_seed):
+            seeds.append(noise_seed)
+            return real(params, run, noise_seed)
+
+        monkeypatch.setattr(surrogate, "add_noise", spy)
+        monkeypatch.setattr(sweeps, "add_noise", spy)
+        # the run CSVs are not under test; skip writing 35 MB of them
+        monkeypatch.setattr(cli, "export_run",
+                            lambda series, path, **kwargs: Path(path))
+        cfg = tmp_path / "seeded.yaml"
+        cfg.write_text("seed: 123\nsample_counts: [100, 1000]\n"
+                       f"sample_repeats: {self.REPEATS}\n")
+        out = tmp_path / ("out.json" if argv[0] == "train" else "out")
+        assert main(argv + extra + ["--config", str(cfg), "--out", str(out),
+                                    "--quiet"]) == 0
+        expected = ({seed + r for r in range(self.REPEATS)}
+                    if argv[-1] == "samples" else {seed})
+        assert seeds and set(seeds) == expected

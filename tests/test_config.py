@@ -1,3 +1,4 @@
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -91,16 +92,16 @@ class TestValidation:
 
 
 class TestOverrides:
-    def test_top_level_seed_flows_into_the_surrogate(self):
+    def test_top_level_seed_is_the_only_seed(self):
         cfg = build_config({"seed": 123})
         assert cfg.seed == 123
-        assert cfg.surrogate.seed == 123
+        assert "seed" not in {f.name for f in fields(cfg.surrogate)}
 
-    def test_surrogate_section_keeps_its_own_seed(self):
-        cfg = build_config({"seed": 123, "surrogate": {"seed": 9}})
-        assert cfg.surrogate.seed == 9
+    def test_a_surrogate_seed_is_refused(self):
+        with pytest.raises(ConfigError, match="surrogate: unknown key 'seed'"):
+            build_config({"seed": 123, "surrogate": {"seed": 9}})
 
     def test_partial_surrogate_section_inherits_run_seed(self):
         cfg = build_config({"seed": 123, "surrogate": {"noise_std": 0.2}})
         assert cfg.surrogate.noise_std == 0.2
-        assert cfg.surrogate.seed == 123
+        assert cfg.seed == 123

@@ -1,9 +1,14 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from armrc.core import InputCondition, TimeGrid
+from armrc.core import InputCondition, PressureStateSeries, TimeGrid
 from armrc.profiles import default_profile_family, generate_profile
 from armrc.readout import ReadoutWeights
 from armrc.runio import (
@@ -55,6 +60,43 @@ class TestRunRoundTrip:
         back = ingest_run(path)
         assert back.grid.n_samples == 4000
         assert back.grid.duration == 100.0
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def recorded_runs(draw):
+    """A run on any grid: 1-12 sensors, 1-200 samples, any sample rate and
+    t0, finite values, with or without a condition and payload grams."""
+    n_sensors = draw(st.integers(1, 12))
+    grid = TimeGrid(sample_rate=draw(st.floats(0.1, 10_000.0)),
+                    n_samples=draw(st.integers(1, 200)),
+                    t0=draw(st.floats(-1_000.0, 1_000.0)))
+    n = grid.n_samples
+    return PressureStateSeries(
+        grid=grid,
+        s_in=draw(arrays(float, n, elements=FINITE)),
+        sensors=draw(arrays(float, (n_sensors, n), elements=FINITE)),
+        theta=draw(arrays(float, n, elements=FINITE)),
+        condition=draw(st.none() | st.builds(
+            InputCondition, st.integers(1, 2**32 - 1),
+            st.integers(1, 2**16 - 1))),
+        payload_grams=draw(st.none() | st.floats(0.0, 1e6)),
+    )
+
+
+class TestRunRoundTripProperty:
+    @settings(max_examples=40, deadline=None)
+    @given(recorded_runs())
+    def test_any_grid_round_trips_bit_identically(self, run):
+        with tempfile.TemporaryDirectory() as tmp:
+            back = ingest_run(export_run(run, Path(tmp) / "run.csv"))
+        assert back.grid == run.grid
+        assert back.condition == run.condition
+        assert back.payload_grams == run.payload_grams
+        for name in ("s_in", "sensors", "theta"):
+            assert getattr(back, name).tobytes() == getattr(run, name).tobytes()
 
 
 class TestIngestValidation:
@@ -131,6 +173,16 @@ class TestIngestValidation:
     def test_bad_payload_grams_is_named(self, tmp_path, grams):
         path = self._retag(tmp_path, payload_grams=grams)
         with pytest.raises(ValueError, match=r"run\.meta\.json.*payload_grams"):
+            ingest_run(path)
+
+    @pytest.mark.parametrize("field, value", [("n_sensors", "seven"),
+                                              ("n_samples", None),
+                                              ("t0", [0.0]),
+                                              ("sample_rate", "fast")])
+    def test_an_unparsable_clock_field_is_named(self, tmp_path, field, value):
+        path = self._retag(tmp_path, **{field: value})
+        with pytest.raises(ValueError,
+                           match=rf"run\.meta\.json: field '{field}'"):
             ingest_run(path)
 
     def test_a_v2_sidecar_must_carry_payload_grams(self, tmp_path):

@@ -318,14 +318,13 @@ class TestBatchIndependence:
             fitted = _spy_on_fits(mp)
             subset_sweep(SweepSpec(task=task, subsets=subsets,
                                    evaluation=(cond(4),),
-                                   train_window=window,
-                                   sensor_mask=masks[0], ridge=ridge),
+                                   train_window=window, ridge=ridge),
                          runs, cfg.payloads)
             sensor_ablation_sweep(task, masks, subsets[0], (cond(4),),
                                   runs, cfg.payloads, train_window=window,
                                   ridge=ridge)
         lone = [train_on_subset(s, runs, cfg.payloads, task, window,
-                                masks[0], ridge) for s in subsets]
+                                None, ridge) for s in subsets]
         lone += [train_on_subset(subsets[0], runs, cfg.payloads, task,
                                  window, m, ridge) for m in masks]
         assert len(fitted) == len(lone)
@@ -500,7 +499,7 @@ class TestScoreBatchIndependence:
             fitted = _spy_on_fits(mp)
             swept = subset_sweep(
                 SweepSpec(task=task, subsets=subsets, evaluation=evaluation,
-                          sensor_mask=tuple(masks[0]), ridge=ridge),
+                          ridge=ridge),
                 bending_runs, cfg.payloads).error_grid
             ablated = sensor_ablation_sweep(
                 task, masks, subsets[0], evaluation, bending_runs,
