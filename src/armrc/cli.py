@@ -44,10 +44,6 @@ from .sweeps import (
 from .tasks import TaskKind, bending_target, mass_error_percent, payload_status
 
 
-def _subset_label(subset) -> str:
-    return "+".join(c.label for c in subset)
-
-
 def _labels(conditions) -> list:
     return [c.label for c in conditions]
 
@@ -187,7 +183,7 @@ def _sweep_conditions(cfg: ExperimentConfig, out: Path, digest: str) -> list:
             res = subset_sweep(spec, runs, cfg.payloads)
             written.append(_write_result(
                 out / f"{name}_{family}.csv", res.error_grid,
-                [_subset_label(s) for s in subsets], _labels(exp.evaluation),
+                ["+".join(_labels(s)) for s in subsets], _labels(exp.evaluation),
                 cfg, digest, task=exp.task.value))
     return written
 

@@ -7,14 +7,16 @@ just the first; unknown keys are rejected to catch typos.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import yaml
 
-from .core import (DEFAULT_SEED, PayloadSet, TimeGrid, Window, sample_count,
+from .core import (DEFAULT_SEED, PayloadSet, TimeGrid, Window, as_int,
                    window_indices)
 from .profiles import RampProfileSpec, default_profile_family
+from .readout import NORMALIZERS
 from .surrogate import SurrogateParams
 from .sweeps import training_window
 from .tasks import TaskKind
@@ -57,13 +59,29 @@ class ExperimentConfig:
             raise ConfigError(problems)
 
 
+# the fields the YAML `windows` section sets, in time order
+_WINDOWS = tuple(f.name for f in fields(ExperimentConfig)
+                if isinstance(f.default, Window))
+
+
+def _samples(grid: TimeGrid, window) -> Optional[int]:
+    """The samples ``window()`` covers on ``grid``; None if it fails or
+    leaves the run."""
+    try:
+        i0, i1 = window_indices(grid, window())
+    except (ValueError, ArithmeticError):
+        return None
+    return i1 - i0
+
+
 def validate_config(cfg: ExperimentConfig) -> list:
     """Cross-field checks; per-type invariants are enforced by the types."""
     problems = []
-    if cfg.ridge < 0:
-        problems.append(f"ridge must be >= 0, got {cfg.ridge}")
-    if cfg.normalizer not in ("range", "maxabs"):
-        problems.append(f"normalizer must be 'range' or 'maxabs', got {cfg.normalizer!r}")
+    if not 0 <= cfg.ridge < math.inf:
+        problems.append(f"ridge must be a finite number >= 0, got {cfg.ridge}")
+    if cfg.normalizer not in NORMALIZERS:
+        problems.append(f"normalizer must be {' or '.join(map(repr, NORMALIZERS))}"
+                        f", got {cfg.normalizer!r}")
     if cfg.sample_repeats < 1:
         problems.append(f"sample_repeats must be >= 1, got {cfg.sample_repeats}")
     if len(cfg.profiles) == 0:
@@ -78,150 +96,106 @@ def validate_config(cfg: ExperimentConfig) -> list:
             f"washout window must end by the training window start "
             f"({cfg.washout.end} > {cfg.train.start})"
         )
-    for name in ("washout", "train", "test"):
+    for name in _WINDOWS:
         win = getattr(cfg, name)
-        try:
-            window_indices(cfg.grid, win)
-        except ValueError:
-            problems.append(
-                f"{name} window [{win.start}, {win.end}) lies outside the run"
-            )
-        if name != "washout" and sample_count(win, cfg.grid.sample_rate) < 1:
-            problems.append(
-                f"{name} window [{win.start}, {win.end}) holds no samples")
-    train_samples = sample_count(cfg.train, cfg.grid.sample_rate)
+        n = _samples(cfg.grid, lambda: win)
+        if n is None or name != "washout" and n < 1:
+            problems.append(f"{name} window [{win.start}, {win.end}) " + (
+                "lies outside the run" if n is None else "holds no samples"))
+    train_samples = _samples(cfg.grid, lambda: cfg.train)
     for task, key in ((TaskKind.PAYLOAD_DETECT, "detection_seconds"),
                       (TaskKind.PAYLOAD_MASS, "mass_segment_seconds")):
         seconds = getattr(cfg, key)
-        if seconds <= 0:
-            problems.append(f"{key} must be > 0, got {seconds}")
-            continue
-        n = sample_count(training_window(cfg, task), cfg.grid.sample_rate)
-        if not 1 <= n <= train_samples:
+        n = _samples(cfg.grid, lambda: training_window(cfg, task))
+        if not 0 < seconds < math.inf:
+            problems.append(f"{key} must be a finite number > 0, got {seconds}")
+        elif train_samples is not None and not 1 <= (n or 0) <= train_samples:
             problems.append(
-                f"{key} {seconds} gives a {n}-sample {task.value} training "
-                f"window; it must hold 1..{train_samples} samples, inside "
-                f"the train window"
-            )
-    for c in cfg.sample_counts:
-        if not 1 <= int(c) <= train_samples:
-            problems.append(
-                f"sample count {c} outside the {train_samples}-sample training window"
-            )
-    if cfg.surrogate.n_nodes < 1:
-        problems.append("surrogate must have at least one node")
+                f"{key} {seconds} gives no {task.value} training window of "
+                f"1..{train_samples} samples inside the train window")
+    problems.extend(
+        f"sample count {c} outside the {train_samples}-sample training window"
+        for c in cfg.sample_counts
+        if train_samples is not None and not 1 <= int(c) <= train_samples)
     return problems
 
 
-def _check_keys(section: dict, allowed, where: str, problems: list) -> None:
-    for key in section:
-        if key not in allowed:
-            problems.append(f"{where}: unknown key {key!r}")
-
-
-def _build_window(raw, where: str, problems: list) -> Optional[Window]:
-    if not isinstance(raw, (list, tuple)) or len(raw) != 2:
-        problems.append(f"{where}: expected [start, end] seconds, got {raw!r}")
+def _mapping(raw, allowed, where: str, problems: list) -> Optional[dict]:
+    """``raw``'s entries with ``allowed`` keys, {} for YAML null; None, with
+    a problem, for a value that is no mapping. Each unknown key is a problem."""
+    if raw is None:
+        return {}
+    if not isinstance(raw, dict):
+        problems.append(f"{where}: expected a mapping, got {raw!r}")
         return None
+    problems.extend(f"{where}: unknown key {key!r}"
+                    for key in raw if key not in allowed)
+    return {key: value for key, value in raw.items() if key in allowed}
+
+
+def _parse(parse, value, where: str, problems: list):
+    """``parse(value)``, or None with what it raised recorded as a problem."""
     try:
-        return Window(float(raw[0]), float(raw[1]))
-    except (TypeError, ValueError) as exc:
+        return parse(value)
+    except (TypeError, ValueError, ArithmeticError) as exc:
         problems.append(f"{where}: {exc}")
         return None
 
 
-def build_config(raw: dict) -> ExperimentConfig:
+def _tuples(value):
+    """``value`` with each YAML list in it, at any depth, made a tuple."""
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
+
+
+def _build(cls, raw, where: str, problems: list):
+    """A ``cls`` from a YAML mapping of its fields; None, with the problems
+    recorded, if the mapping or the constructor refuses it."""
+    kwargs = _mapping(raw, {f.name for f in fields(cls)}, where, problems)
+    return None if kwargs is None else _parse(
+        lambda kw: cls(**{k: _tuples(v) for k, v in kw.items()}),
+        kwargs, where, problems)
+
+
+def _window(raw) -> Window:
+    if not isinstance(raw, (list, tuple)) or len(raw) != 2:
+        raise ValueError(f"expected [start, end] seconds, got {raw!r}")
+    return Window(float(raw[0]), float(raw[1]))
+
+
+# top-level key -> parser of its YAML value, for the keys that set one
+# ExperimentConfig field and are not a section of their own
+_VALUES = {
+    **dict.fromkeys(("payloads", "multitask_payloads"),
+                    lambda raw: PayloadSet(tuple(raw))),
+    **dict.fromkeys(("ridge", "detection_seconds", "mass_segment_seconds"),
+                    float),
+    **dict.fromkeys(("sample_repeats", "seed"), as_int),
+    "normalizer": str,
+    "sample_counts": lambda raw: tuple(map(as_int, raw)),
+}
+_SECTIONS = {"grid": TimeGrid, "surrogate": SurrogateParams}
+
+
+def build_config(raw) -> ExperimentConfig:
     """Construct a validated config from parsed YAML, collecting every
     problem before raising."""
-    if raw is None:
-        raw = {}
-    if not isinstance(raw, dict):
-        raise ConfigError([f"config root must be a mapping, got {type(raw).__name__}"])
     problems = []
-    top_keys = {
-        "grid", "profiles", "payloads", "multitask_payloads", "surrogate",
-        "windows", "ridge", "normalizer", "detection_seconds",
-        "mass_segment_seconds", "sample_counts", "sample_repeats", "seed",
-    }
-    _check_keys(raw, top_keys, "config", problems)
-    values = {}
-
-    if "grid" in raw:
-        section = raw["grid"] or {}
-        _check_keys(section, {"sample_rate", "n_samples", "t0"}, "grid", problems)
-        try:
-            values["grid"] = TimeGrid(**section)
-        except (TypeError, ValueError) as exc:
-            problems.append(f"grid: {exc}")
-
-    if "profiles" in raw:
-        entries = raw["profiles"] or []
-        if len(entries) == 0:
-            problems.append("profiles: need at least one pressure profile")
-        specs = []
-        allowed = {f.name for f in fields(RampProfileSpec)}
-        for k, entry in enumerate(entries, start=1):
-            _check_keys(entry or {}, allowed, f"profiles[{k}]", problems)
-            try:
-                specs.append(RampProfileSpec(**entry))
-            except (TypeError, ValueError) as exc:
-                problems.append(f"profiles[{k}]: {exc}")
-        if specs and len(specs) == len(entries):
-            values["profiles"] = tuple(specs)
-
-    for key in ("payloads", "multitask_payloads"):
-        if key in raw:
-            try:
-                values[key] = PayloadSet(tuple(raw[key]))
-            except (TypeError, ValueError) as exc:
-                problems.append(f"{key}: {exc}")
-
-    if "surrogate" in raw:
-        section = dict(raw["surrogate"] or {})
-        allowed = {f.name for f in fields(SurrogateParams)}
-        _check_keys(section, allowed, "surrogate", problems)
-        section = {k: v for k, v in section.items() if k in allowed}
-        for name in ("leak", "coupling", "input_gain", "payload_gain",
-                     "angle_weights", "leak_pressure_coeff"):
-            if name in section and isinstance(section[name], list):
-                section[name] = tuple(
-                    tuple(row) if isinstance(row, list) else row
-                    for row in section[name]
-                ) if name == "coupling" else tuple(section[name])
-        try:
-            values["surrogate"] = SurrogateParams(**section)
-        except (TypeError, ValueError) as exc:
-            problems.append(f"surrogate: {exc}")
-
-    if "windows" in raw:
-        section = raw["windows"] or {}
-        _check_keys(section, {"washout", "train", "test"}, "windows", problems)
-        for name in ("washout", "train", "test"):
-            if name in section:
-                win = _build_window(section[name], f"windows.{name}", problems)
-                if win is not None:
-                    values[name] = win
-
-    for key in ("ridge", "detection_seconds", "mass_segment_seconds"):
-        if key in raw:
-            try:
-                values[key] = float(raw[key])
-            except (TypeError, ValueError):
-                problems.append(f"{key}: expected a number, got {raw[key]!r}")
-    for key in ("sample_repeats", "seed"):
-        if key in raw:
-            try:
-                values[key] = int(raw[key])
-            except (TypeError, ValueError):
-                problems.append(f"{key}: expected an integer, got {raw[key]!r}")
-    if "normalizer" in raw:
-        values["normalizer"] = str(raw["normalizer"])
-    if "sample_counts" in raw:
-        try:
-            values["sample_counts"] = tuple(int(c) for c in raw["sample_counts"])
-        except (TypeError, ValueError):
-            problems.append(f"sample_counts: expected integers, got {raw['sample_counts']!r}")
-
+    top = _mapping(raw, {*_VALUES, *_SECTIONS, "profiles", "windows"},
+                   "config", problems) or {}
+    values = {key: _build(cls, top[key], key, problems)
+              for key, cls in _SECTIONS.items() if key in top}
+    values.update((key, _parse(parse, top[key], key, problems))
+                  for key, parse in _VALUES.items() if key in top)
+    values.update(
+        (name, _parse(_window, raw_window, f"windows.{name}", problems))
+        for name, raw_window in (_mapping(top.get("windows"), _WINDOWS,
+                                          "windows", problems) or {}).items())
+    if not isinstance(top.get("profiles", []), list):
+        problems.append(f"profiles: expected a list, got {top['profiles']!r}")
+    elif "profiles" in top:
+        values["profiles"] = tuple(
+            _build(RampProfileSpec, entry, f"profiles[{k}]", problems)
+            for k, entry in enumerate(top["profiles"], start=1))
     if problems:
         raise ConfigError(problems)
     return ExperimentConfig(**values)

@@ -6,6 +6,7 @@ All types are immutable value objects and safe to share between workers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -32,10 +33,14 @@ class TimeGrid:
     t0: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.sample_rate <= 0:
-            raise ValueError(f"sample_rate must be > 0, got {self.sample_rate}")
-        if self.n_samples < 0:
-            raise ValueError(f"n_samples must be >= 0, got {self.n_samples}")
+        if not 0 < self.sample_rate < math.inf:
+            raise ValueError(f"sample_rate must be finite and > 0, got {self.sample_rate}")
+        if not math.isfinite(self.t0):
+            raise ValueError(f"t0 must be a finite number, got {self.t0}")
+        n = self.n_samples
+        if isinstance(n, float) and not n.is_integer() or n < 0:
+            raise ValueError(f"n_samples must be an integer >= 0, got {n}")
+        object.__setattr__(self, "n_samples", int(n))
 
     @property
     def duration(self) -> float:
@@ -59,6 +64,9 @@ class Window:
     def __post_init__(self) -> None:
         if self.end < self.start:
             raise ValueError(f"window end {self.end} precedes start {self.start}")
+        if not math.isfinite(self.end - self.start):
+            raise ValueError(
+                f"window [{self.start}, {self.end}) must span a finite time")
 
     @property
     def duration(self) -> float:
@@ -102,8 +110,9 @@ class PayloadSet:
     def __post_init__(self) -> None:
         if len(self.masses) == 0:
             raise ValueError("payload set must be non-empty")
-        if any(m < 0 for m in self.masses):
-            raise ValueError("payload masses must be >= 0 grams")
+        if not all(0 <= m < math.inf for m in self.masses):
+            raise ValueError(
+                f"payload masses must be finite and >= 0 grams: {self.masses}")
         if any(b <= a for a, b in zip(self.masses, self.masses[1:])):
             raise ValueError(f"payload masses must be strictly increasing: {self.masses}")
         object.__setattr__(self, "masses", tuple(float(m) for m in self.masses))
@@ -118,6 +127,13 @@ class PayloadSet:
                 f"payload_index {payload_index} outside 1..{len(self.masses)}"
             )
         return self.masses[payload_index - 1]
+
+
+def as_int(value) -> int:
+    """``int(value)``, but a non-integral number is refused, not truncated."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
 
 
 def parse_condition_label(token: str) -> InputCondition:

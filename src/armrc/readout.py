@@ -21,16 +21,14 @@ from .core import PressureStateSeries, Window, window_indices
 # Relative singular-value cutoff for the minimum-norm pseudoinverse path.
 # A bare pseudoinverse is ill-posed on noisy, near-collinear sensor data.
 RCOND = 1e-10
-
-
-def _full_mask(n_sensors: int) -> tuple:
-    return tuple(range(n_sensors))
+# `truth_scale`'s choices of the scale percent errors divide by
+NORMALIZERS = ("range", "maxabs")
 
 
 def normalize_mask(mask: Optional[Sequence[int]], n_sensors: int) -> tuple:
     """Validate a 0-based sensor index mask; None selects all sensors."""
     if mask is None:
-        return _full_mask(n_sensors)
+        return tuple(range(n_sensors))
     mask = tuple(int(m) for m in mask)
     if len(mask) == 0:
         raise ValueError("sensor mask must select at least one sensor")
@@ -287,12 +285,12 @@ def truth_scale(truth: np.ndarray, normalizer: str = "range") -> float:
     window, "maxabs" is max |truth|. The choice is a reporting convention;
     both are exposed because percent errors depend on it.
     """
+    if normalizer not in NORMALIZERS:
+        raise ValueError(f"unknown normalizer {normalizer!r}")
     truth = np.asarray(truth, dtype=float)
     if normalizer == "range":
         return float(truth.max() - truth.min()) if truth.size else 0.0
-    if normalizer == "maxabs":
-        return float(np.abs(truth).max()) if truth.size else 0.0
-    raise ValueError(f"unknown normalizer {normalizer!r}")
+    return float(np.abs(truth).max()) if truth.size else 0.0
 
 
 def scaled_percent(error: float, scale: float) -> float:

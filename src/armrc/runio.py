@@ -20,7 +20,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .core import InputCondition, PressureStateSeries, TimeGrid
+from .core import InputCondition, PressureStateSeries, TimeGrid, as_int
 from .readout import ReadoutWeights
 
 RUN_FORMAT = "armrc-run-v2"
@@ -80,16 +80,43 @@ def export_run(series: PressureStateSeries, csv_path, *,
     return csv_path
 
 
-def _field(meta: dict, key: str, sidecar: Path, parse=None):
-    """A required sidecar field, through ``parse`` if given; a missing or
-    unparsable one is a ValueError naming the sidecar and the field."""
-    if key not in meta:
-        raise ValueError(f"{sidecar.name}: missing field {key!r}")
+def _read_object(path: Path, label: str) -> dict:
+    """The JSON object in ``path``; else a ValueError naming ``label``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{label}: not JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValueError(
+            f"{label}: expected a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def _field(doc: dict, key: str, label: str, parse):
+    """``parse(doc[key])``; a missing field, or one ``parse`` refuses, is a
+    ValueError naming ``label`` and the field, with ``parse``'s message."""
+    if key not in doc:
+        raise ValueError(f"{label}: missing field {key!r}")
     try:
-        return meta[key] if parse is None else parse(meta[key])
-    except (TypeError, ValueError):
-        raise ValueError(f"{sidecar.name}: field {key!r}: expected a number, "
-                         f"got {meta[key]!r}") from None
+        return parse(doc[key])
+    except (TypeError, ValueError, ArithmeticError) as exc:
+        raise ValueError(f"{label}: field {key!r}: {exc}") from None
+
+
+def _grams(value) -> Optional[float]:
+    if value is None or type(value) in (int, float) and 0 <= value < math.inf:
+        return None if value is None else float(value)
+    raise ValueError(f"must be null or a finite mass >= 0, got {value!r}")
+
+
+def _condition(value) -> Optional[InputCondition]:
+    keys = ("profile_index", "payload_index")
+    if value is None:
+        return None
+    if not isinstance(value, dict) or not value.keys() >= set(keys):
+        raise ValueError(f"expected null or an object with {keys}, got {value!r}")
+    return InputCondition(*(as_int(value[key]) for key in keys))
 
 
 def ingest_run(csv_path, sidecar: Optional[Path] = None) -> PressureStateSeries:
@@ -99,26 +126,29 @@ def ingest_run(csv_path, sidecar: Optional[Path] = None) -> PressureStateSeries:
     sidecar = sidecar_path(csv_path) if sidecar is None else Path(sidecar)
     if not sidecar.exists():
         raise FileNotFoundError(f"missing metadata sidecar {sidecar}")
-    with open(sidecar, "r", encoding="utf-8") as fh:
-        meta = json.load(fh)
+    label = sidecar.name
+    meta = _read_object(sidecar, label)
     if meta.get("format") not in (RUN_FORMAT, RUN_FORMAT_V1):
-        raise ValueError(f"unsupported run format {meta.get('format')!r}")
-    grams = None
-    if meta["format"] == RUN_FORMAT:
-        grams = _field(meta, "payload_grams", sidecar)
-        if grams is not None and (type(grams) not in (int, float)
-                                  or not math.isfinite(grams) or grams < 0):
-            raise ValueError(
-                f"{sidecar.name}: field 'payload_grams' must be null or a "
-                f"finite mass >= 0, got {grams!r}")
+        raise ValueError(
+            f"{label}: unsupported run format {meta.get('format')!r}")
+    grams = (_field(meta, "payload_grams", label, _grams)
+             if meta["format"] == RUN_FORMAT else None)
+    condition = _field({"condition": None, **meta}, "condition", label, _condition)
     n_sensors, n_samples, t0, sample_rate = (
-        _field(meta, key, sidecar, parse) for key, parse in (
-            ("n_sensors", int), ("n_samples", int), ("t0", float),
+        _field(meta, key, label, parse) for key, parse in (
+            ("n_sensors", as_int), ("n_samples", as_int), ("t0", float),
             ("sample_rate", float)))
-    expected = _run_header(n_sensors)
+    try:
+        grid = TimeGrid(sample_rate=sample_rate, n_samples=n_samples, t0=t0)
+    except ValueError as exc:
+        raise ValueError(f"{label}: {exc}") from None
 
     with open(csv_path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
+        if n_sensors > len(header):  # no header of that many names is built
+            raise ValueError(f"{csv_path.name}: {len(header)} columns, too few "
+                             f"for n_sensors {n_sensors} in {label}")
+        expected = _run_header(n_sensors)
         if header != expected:
             missing = [c for c in expected if c not in header]
             extra = [c for c in header if c not in expected]
@@ -128,10 +158,12 @@ def ingest_run(csv_path, sidecar: Optional[Path] = None) -> PressureStateSeries:
             if extra:
                 detail.append(f"unexpected column(s) {extra}")
             raise ValueError(
-                f"run schema mismatch in {csv_path.name}: "
-                + ("; ".join(detail) or f"expected {expected}, got {header}")
-            )
-        data = np.loadtxt(fh, delimiter=",", ndmin=2)
+                f"run schema mismatch between {csv_path.name} and {label}: "
+                + ("; ".join(detail) or f"expected {expected}, got {header}"))
+        try:
+            data = np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise ValueError(f"{csv_path.name}: {exc}") from None
     if data.shape[0] == 0:
         raise ValueError(f"{csv_path.name}: no samples")
     if data.shape[1] != len(expected):
@@ -147,13 +179,13 @@ def ingest_run(csv_path, sidecar: Optional[Path] = None) -> PressureStateSeries:
         )
     if n_samples != data.shape[0]:
         raise ValueError(
-            f"{csv_path.name}: sidecar n_samples {n_samples} does "
+            f"{csv_path.name}: n_samples {n_samples} in {label} does "
             f"not match the {data.shape[0]} data rows"
         )
     t = data[:, 0]
     if abs(t[0] - t0) > CLOCK_TOLERANCE:
         raise ValueError(
-            f"{csv_path.name}: sidecar t0 {t0} does not match the "
+            f"{csv_path.name}: t0 {t0} in {label} does not match the "
             f"first time stamp {t[0]!r} within {CLOCK_TOLERANCE} s"
         )
     if data.shape[0] > 1:
@@ -164,20 +196,16 @@ def ingest_run(csv_path, sidecar: Optional[Path] = None) -> PressureStateSeries:
         if np.abs(steps - nominal).max() > CLOCK_TOLERANCE:
             raise ValueError(
                 f"{csv_path.name}: non-uniform sampling (expected "
-                f"{nominal:.6g} s steps within {CLOCK_TOLERANCE} s)"
+                f"{nominal:.6g} s steps, from {label}, within "
+                f"{CLOCK_TOLERANCE} s)"
             )
-    grid = TimeGrid(sample_rate=sample_rate, n_samples=n_samples, t0=t0)
-    cond = meta.get("condition")
-    condition = None if cond is None else InputCondition(
-        int(cond["profile_index"]), int(cond["payload_index"])
-    )
     return PressureStateSeries(
         grid=grid,
         s_in=data[:, 1],
         sensors=data[:, 2 : 2 + n_sensors].T,
         theta=data[:, -1],
         condition=condition,
-        payload_grams=None if grams is None else float(grams),
+        payload_grams=grams,
     )
 
 
@@ -223,27 +251,13 @@ def _weights_matrix(value) -> np.ndarray:
 def load_weights(path):
     """Returns (ReadoutWeights, provenance dict). A malformed file raises a
     ValueError that names the file and the field."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ValueError(
-            f"{path}: expected a JSON object, got {type(doc).__name__}")
+    doc = _read_object(path, str(path))
     if doc.get("format") != WEIGHTS_FORMAT:
         raise ValueError(
             f"{path}: unsupported weights format {doc.get('format')!r}")
-    fields = {}
-    for key, parse in (("weights", _weights_matrix),
-                       ("sensor_mask", _weights_mask),
-                       ("task_names", _weights_names)):
-        if key not in doc:
-            raise ValueError(f"{path}: missing field {key!r}")
-        try:
-            fields[key] = parse(doc[key])
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: field {key!r}: {exc}") from None
+    fields = {key: _field(doc, key, str(path), parse) for key, parse in (
+        ("weights", _weights_matrix), ("sensor_mask", _weights_mask),
+        ("task_names", _weights_names))}
     try:
         weights = ReadoutWeights(**fields)
     except ValueError as exc:

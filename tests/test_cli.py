@@ -204,6 +204,106 @@ class TestSidecarMismatch:
         assert err == f"error: P1M1.meta.json: missing field '{field}'\n"
 
 
+def _edited_run(grid_dir, tmp_path, edit):
+    """A copy of run P1M1 whose sidecar is ``edit(sidecar dict)``."""
+    run = tmp_path / "P1M1.csv"
+    shutil.copy(grid_dir / "runs" / "P1M1.csv", run)
+    meta = json.loads((grid_dir / "runs" / "P1M1.meta.json").read_text())
+    (tmp_path / "P1M1.meta.json").write_text(json.dumps(edit(meta)))
+    return run
+
+
+SIDECAR_DEFECTS = {
+    "sample-rate-zero": (lambda meta: {**meta, "sample_rate": 0},
+                         "sample_rate"),
+    "not-an-object": (lambda meta: [1], "object"),
+    "condition-label": (lambda meta: {**meta, "condition": "P1M1"},
+                        "condition"),
+    "condition-empty": (lambda meta: {**meta, "condition": {}}, "condition"),
+    "n-sensors-fraction": (lambda meta: {**meta, "n_sensors": 7.9},
+                           "n_sensors"),
+}
+
+
+class TestMalformedSidecar:
+    @pytest.mark.parametrize("defect", SIDECAR_DEFECTS)
+    def test_is_one_error_line_naming_the_sidecar_and_field(
+            self, grid_dir, tmp_path, capsys, defect):
+        edit, field = SIDECAR_DEFECTS[defect]
+        run = _edited_run(grid_dir, tmp_path, edit)
+        rc = main(["correlate", "--runs", str(run), "--channel", "s7",
+                   "--quiet"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: P1M1.meta.json") and err.count("\n") == 1
+        assert field in err
+
+    def test_a_text_cell_is_an_error_line_naming_the_csv(self, grid_dir,
+                                                        tmp_path, capsys):
+        run = _edited_run(grid_dir, tmp_path, lambda meta: meta)
+        lines = run.read_text().splitlines()
+        cells = lines[4].split(",")
+        cells[3] = "abc"
+        lines[4] = ",".join(cells)
+        run.write_text("\n".join(lines) + "\n")
+        rc = main(["correlate", "--runs", str(run), "--channel", "s7",
+                   "--quiet"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: P1M1.csv: ") and "abc" in err
+
+
+CONFIG_DEFECTS = {"profiles": "profiles: [1]\n",
+                  "surrogate": "surrogate: [1]\n",
+                  "seed": "seed: 1.5\n",
+                  "grid": "grid: {n_samples: 4000.5}\n"}
+
+
+class TestMalformedConfig:
+    @pytest.mark.parametrize("key", CONFIG_DEFECTS)
+    def test_is_one_config_error_before_anything_runs(self, key, tmp_path,
+                                                      capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulated a malformed config")
+
+        monkeypatch.setattr(surrogate, "simulate_batch", refuse)
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(CONFIG_DEFECTS[key])
+        rc = main(["train", "--task", "bending", "--subset", "P1",
+                   "--config", str(cfg), "--out", str(tmp_path / "w.json"),
+                   "--quiet"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: config:") and err.count("error:") == 1
+        assert f"- {key}" in err
+
+
+class TestNoTraceback:
+    # the installed entry point, in a fresh process: one error line, exit 1
+    @pytest.mark.parametrize("case", ["profiles", "surrogate",
+                                      "sample-rate-zero", "condition-label"])
+    def test_a_malformed_input_is_one_error_line(self, case, grid_dir,
+                                                 tmp_path):
+        if case in CONFIG_DEFECTS:
+            cfg = tmp_path / "bad.yaml"
+            cfg.write_text(CONFIG_DEFECTS[case])
+            argv = ["train", "--task", "bending", "--subset", "P1",
+                    "--config", str(cfg), "--out", str(tmp_path / "w.json")]
+        else:
+            run = _edited_run(grid_dir, tmp_path, SIDECAR_DEFECTS[case][0])
+            argv = ["correlate", "--runs", str(run)]
+        src = str(Path(armrc.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-m", "armrc.cli"] + argv
+                              + ["--quiet"], env=env, capture_output=True,
+                              text=True)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert [line for line in proc.stderr.splitlines()
+                if line.startswith("error:")] == [proc.stderr.splitlines()[0]]
+
+
 class TestTrainingWindowBounds:
     # a task's training window starts where the train window does; it must
     # end inside it and hold at least one sample, or the config is refused

@@ -48,10 +48,20 @@ class TestTimeGrid:
         {"sample_rate": 0.0},
         {"sample_rate": -1.0},
         {"n_samples": -5},
+        {"n_samples": 4000.5},
+        {"n_samples": float("nan")},
+        {"sample_rate": float("inf")},
+        {"sample_rate": float("nan")},
+        {"t0": float("inf")},
+        {"t0": float("nan")},
     ])
     def test_rejects_bad_parameters(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
             TimeGrid(**kwargs)
+
+    def test_an_integral_float_sample_count_is_an_int(self):
+        grid = TimeGrid(n_samples=40.0)
+        assert type(grid.n_samples) is int and grid == TimeGrid(n_samples=40)
 
 
 class TestWindow:
@@ -61,6 +71,14 @@ class TestWindow:
 
     def test_duration(self):
         assert Window(50.0, 75.0).duration == 25.0
+
+    @pytest.mark.parametrize("bounds", [(0.0, float("inf")),
+                                        (float("nan"), 1.0),
+                                        (float("nan"), float("nan")),
+                                        (-1e308, 1e308)])
+    def test_rejects_a_span_that_is_not_finite(self, bounds):
+        with pytest.raises(ValueError, match="finite"):
+            Window(*bounds)
 
 
 class TestPayloadSet:
@@ -77,6 +95,11 @@ class TestPayloadSet:
             payloads.mass_of(0)
         with pytest.raises(ValueError):
             payloads.mass_of(8)
+
+    @pytest.mark.parametrize("mass", [float("nan"), float("inf")])
+    def test_rejects_a_mass_that_is_not_finite(self, mass):
+        with pytest.raises(ValueError, match="finite"):
+            PayloadSet((0.0, mass))
 
     def test_rejects_non_increasing(self):
         with pytest.raises(ValueError):

@@ -117,6 +117,14 @@ class TestIngestValidation:
         with pytest.raises(ValueError, match="theta"):
             ingest_run(path)
 
+    def test_reordered_columns_are_shown(self, tmp_path):
+        def swap(lines):
+            return [line.replace("s1,s2", "s2,s1", 1) for line in lines[:1]] \
+                + lines[1:]
+        path = self._write(tmp_path, swap)
+        with pytest.raises(ValueError, match=r"expected \['t', 's_in', 's1'"):
+            ingest_run(path)
+
     def test_nan_cell_is_located(self, tmp_path):
         def poison(lines):
             cells = lines[3].split(",")
@@ -178,11 +186,49 @@ class TestIngestValidation:
     @pytest.mark.parametrize("field, value", [("n_sensors", "seven"),
                                               ("n_samples", None),
                                               ("t0", [0.0]),
-                                              ("sample_rate", "fast")])
+                                              ("sample_rate", "fast"),
+                                              ("n_sensors", 7.9),
+                                              ("n_samples", 49.5)])
     def test_an_unparsable_clock_field_is_named(self, tmp_path, field, value):
         path = self._retag(tmp_path, **{field: value})
         with pytest.raises(ValueError,
                            match=rf"run\.meta\.json: field '{field}'"):
+            ingest_run(path)
+
+    @pytest.mark.parametrize("rate", [0, -40.0, float("inf"), float("nan")])
+    def test_a_sample_rate_the_clock_cannot_use_is_named(self, tmp_path,
+                                                         rate):
+        path = self._retag(tmp_path, sample_rate=rate)
+        with pytest.raises(ValueError, match=r"run\.meta\.json.*sample_rate"):
+            ingest_run(path)
+
+    @pytest.mark.parametrize("condition", [
+        "P1M1", {}, {"profile_index": 1}, [1, 1],
+        {"profile_index": "one", "payload_index": 1},
+        {"profile_index": 0, "payload_index": 1},
+        {"profile_index": 1.5, "payload_index": 1},
+    ])
+    def test_a_malformed_condition_is_named(self, tmp_path, condition):
+        path = self._retag(tmp_path, condition=condition)
+        with pytest.raises(ValueError,
+                           match=r"run\.meta\.json: field 'condition'"):
+            ingest_run(path)
+
+    @pytest.mark.parametrize("doc", [[1], "run", None])
+    def test_a_sidecar_that_is_not_an_object_is_named(self, tmp_path, doc):
+        path = self._write(tmp_path, lambda lines: lines)
+        sidecar_path(path).write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"run\.meta\.json"):
+            ingest_run(path)
+
+    def test_a_text_cell_names_the_csv(self, tmp_path):
+        def poison(lines):
+            cells = lines[4].split(",")
+            cells[3] = "abc"
+            lines[4] = ",".join(cells)
+            return lines
+        path = self._write(tmp_path, poison)
+        with pytest.raises(ValueError, match=r"run\.csv: .*abc"):
             ingest_run(path)
 
     def test_a_v2_sidecar_must_carry_payload_grams(self, tmp_path):
@@ -256,3 +302,73 @@ class TestDigestAndManifest:
         assert doc["outputs"] == ["a.csv"]
         assert "armrc" in doc["versions"]
         assert "created_unix" in doc
+
+
+# JSON-shaped values: what json.load can return, nested
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=8)
+
+
+@pytest.fixture(scope="module")
+def small_run_files(tmp_path_factory):
+    """One exported 50-sample run: its CSV text and its sidecar."""
+    grid = TimeGrid(n_samples=50)
+    path = export_run(
+        simulate(SurrogateParams(),
+                 generate_profile(default_profile_family()[0], grid), 100.0,
+                 grid, condition=InputCondition(1, 2)),
+        tmp_path_factory.mktemp("small") / "run.csv")
+    return path.read_text(), json.loads(sidecar_path(path).read_text())
+
+
+class TestSidecarFuzz:
+    FIELDS = ["format", "sample_rate", "t0", "n_samples", "n_sensors",
+              "condition", "payload_grams", "units", "config_hash", "seed"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(field=st.sampled_from(FIELDS + ["condition.profile_index",
+                                           "condition.payload_index"]),
+           value=JSON_VALUES | st.floats() | st.integers())
+    def test_any_field_value_reads_or_is_refused_naming_the_sidecar(
+            self, small_run_files, field, value):
+        text, meta = small_run_files
+        meta = json.loads(json.dumps(meta))
+        if "." in field:
+            outer, inner = field.split(".")
+            meta[outer][inner] = value
+        else:
+            meta[field] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "run.csv"
+            path.write_text(text)
+            sidecar_path(path).write_text(json.dumps(meta))
+            try:
+                ingest_run(path)
+            except ValueError as exc:
+                assert "run.meta.json" in str(exc), str(exc)
+
+
+class TestWeightsFuzz:
+    FIELDS = ["format", "task_names", "sensor_mask", "sensor_names",
+              "weights", "provenance"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(field=st.sampled_from(FIELDS),
+           value=JSON_VALUES | st.lists(st.lists(st.floats(), max_size=3),
+                                        max_size=9))
+    def test_any_field_value_loads_or_is_refused_naming_the_file(
+            self, field, value):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = save_weights(Path(tmp) / "w.json", ReadoutWeights(
+                np.ones((8, 1)), tuple(range(7)), ("bending",)))
+            doc = json.loads(path.read_text())
+            doc[field] = value
+            path.write_text(json.dumps(doc))
+            try:
+                load_weights(path)
+            except ValueError as exc:
+                assert "w.json" in str(exc), str(exc)
