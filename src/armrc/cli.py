@@ -18,11 +18,12 @@ from .core import Window, condition_grid, parse_condition_label, slice_series
 from .readout import correlation_matrix, nrmse_percent, predict
 from .runio import (
     config_digest,
-    export_run,
+    export_runs,
     ingest_run,
     load_weights,
     read_matrix_csv,
     save_weights,
+    sidecar_path,
     write_manifest,
     write_matrix_csv,
 )
@@ -79,12 +80,9 @@ def cmd_simulate(args) -> int:
     t0 = time.perf_counter()
     runs = simulate_grid(cfg.surrogate, cfg.profiles, cfg.payloads, cfg.grid,
                          seed=cfg.seed)
-    written = []
-    for cond, series in runs.items():
-        path = export_run(series, out / "runs" / f"{cond.label}.csv",
-                          config_hash=digest, seed=cfg.seed)
-        written.append(str(path.relative_to(out)))
-        written.append(str(path.with_suffix(".meta.json").relative_to(out)))
+    paths = export_runs(runs, out / "runs", config_hash=digest, seed=cfg.seed)
+    written = [str(p.relative_to(out))
+               for path in paths for p in (path, sidecar_path(path))]
     write_manifest(
         out / "manifest.json", config_hash=digest, seed=cfg.seed,
         outputs=written, elapsed_seconds=time.perf_counter() - t0,

@@ -28,6 +28,9 @@ class RampProfileSpec:
     n_cycles: int = DEFAULT_N_CYCLES
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if not np.isfinite(np.asarray(value, dtype=float)).all():
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.u_min < 0:
             raise ValueError(f"u_min must be >= 0 psi, got {self.u_min}")
         if self.u_max <= self.u_min:

@@ -13,7 +13,9 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import platform
+import sys
 import time
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
@@ -32,6 +34,8 @@ WEIGHTS_FORMAT = "armrc-weights-v1"
 # first time stamp against the sidecar's t0
 CLOCK_TOLERANCE = 1e-6
 _FLOAT_FMT = "%.17g"
+# run rows per write: a run's whole text is never held, only its floats
+_ROWS_PER_WRITE = 256
 
 
 def config_digest(config) -> str:
@@ -56,9 +60,12 @@ def export_run(series: PressureStateSeries, csv_path, *,
     columns = np.column_stack(
         [series.grid.times(), series.s_in, series.sensors.T, series.theta]
     )
-    header = ",".join(_run_header(series.n_sensors))
-    np.savetxt(csv_path, columns, fmt=_FLOAT_FMT, delimiter=",",
-               header=header, comments="")
+    row = ",".join([_FLOAT_FMT] * columns.shape[1]) + "\n"
+    with open(csv_path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(_run_header(series.n_sensors)) + "\n")
+        for k in range(0, len(columns), _ROWS_PER_WRITE):
+            fh.write("".join(row % tuple(r) for r in
+                             columns[k:k + _ROWS_PER_WRITE].tolist()))
     meta = {
         "format": RUN_FORMAT,
         "sample_rate": series.grid.sample_rate,
@@ -78,6 +85,43 @@ def export_run(series: PressureStateSeries, csv_path, *,
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return csv_path
+
+
+# a pool worker's (series, csv path) pairs and export_run keywords
+_EXPORTS: tuple = ((), {})
+
+
+def _share(*exports) -> None:
+    """Pool initializer: a forked worker inherits the runs, none is piped."""
+    global _EXPORTS
+    _EXPORTS = exports
+
+
+def _export_job(k: int) -> Path:
+    jobs, kwargs = _EXPORTS
+    return export_run(*jobs[k], **kwargs)
+
+
+def export_runs(runs: Mapping[InputCondition, PressureStateSeries], run_dir, *,
+                config_hash: str = "", seed: Optional[int] = None) -> list:
+    """``export_run`` each run to ``run_dir/<label>.csv`` on a fork pool of
+    one worker per usable CPU (in-process with one CPU, one run or no
+    ``fork``: the same bytes); returns the CSV paths in ``runs``' order."""
+    import multiprocessing  # here, so that importing armrc does not pay for it
+
+    kwargs = {"config_hash": config_hash, "seed": seed}
+    jobs = [(series, Path(run_dir) / f"{cond.label}.csv")
+            for cond, series in runs.items()]
+    cpus = getattr(os, "sched_getaffinity", lambda pid: {0})(0)
+    n_workers = min(len(cpus), len(jobs))
+    if n_workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+        return [export_run(*job, **kwargs) for job in jobs]
+    # a worker flushes the stdio buffers it inherited as it exits
+    sys.stdout.flush()
+    sys.stderr.flush()
+    with multiprocessing.get_context("fork").Pool(
+            n_workers, _share, (jobs, kwargs)) as pool:
+        return pool.map(_export_job, range(len(jobs)), chunksize=1)
 
 
 def _read_object(path: Path, label: str) -> dict:

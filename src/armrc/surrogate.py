@@ -97,6 +97,9 @@ class SurrogateParams:
     leak_pressure_width: float = 3.0
 
     def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if not np.isfinite(np.asarray(value, dtype=float)).all():
+                raise ValueError(f"{name} must be finite, got {value}")
         n = self.n_nodes
         if n < 1:
             raise ValueError(f"n_nodes must be >= 1, got {n}")

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -44,6 +45,94 @@ class TestSimulate:
         assert (grid_dir / "runs" / "P1M1.meta.json").exists()
         manifest = json.loads((grid_dir / "manifest.json").read_text())
         assert manifest["n_runs"] == 49
+
+
+# 49 runs of 400 rows: the default grid at a tenth of its sample rate
+SMALL_RUNS = "grid: {sample_rate: 4.0, n_samples: 400}\nsample_counts: [10]\n"
+
+
+def _fresh(argv, cpus):
+    """``armrc <argv>`` in a fresh interpreter that sees ``cpus`` CPUs, so
+    the export pool runs (or not) whatever the host has."""
+    src = str(Path(armrc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import os, sys; os.sched_getaffinity = lambda pid: "
+            f"set(range({cpus})); from armrc.cli import main; "
+            "sys.exit(main(sys.argv[1:]))")
+    return subprocess.run([sys.executable, "-c", code] + argv, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+class TestSimulatePool:
+    # the run files are exported on a fork pool of one worker per usable
+    # CPU, or in-process with one; nothing about the output may tell which
+    @pytest.fixture
+    def small(self, tmp_path):
+        cfg = tmp_path / "small.yaml"
+        cfg.write_text(SMALL_RUNS)
+        return cfg
+
+    def _simulate(self, out, small, cpus, monkeypatch):
+        contexts = []
+        real = multiprocessing.get_context
+
+        def spy(method=None):
+            contexts.append(method)
+            return real(method)
+
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)))
+        monkeypatch.setattr(multiprocessing, "get_context", spy)
+        assert main(["simulate", "--config", str(small), "--out", str(out),
+                     "--quiet"]) == 0
+        return contexts
+
+    def test_pool_and_one_process_write_the_same_tree(self, small, tmp_path,
+                                                      monkeypatch):
+        pooled, alone = tmp_path / "pooled", tmp_path / "alone"
+        assert self._simulate(pooled, small, 2, monkeypatch) == ["fork"]
+        assert self._simulate(alone, small, 1, monkeypatch) == []
+        files = sorted(p.relative_to(pooled) for p in pooled.rglob("*")
+                       if p.is_file() and p.name != "manifest.json")
+        assert len(files) == 98
+        assert files == sorted(p.relative_to(alone) for p in alone.rglob("*")
+                               if p.is_file() and p.name != "manifest.json")
+        for name in files:
+            assert (pooled / name).read_bytes() == (alone / name).read_bytes()
+        outputs = [json.loads((out / "manifest.json").read_text())["outputs"]
+                   for out in (pooled, alone)]
+        assert outputs[0] == outputs[1] == sorted(map(str, files))
+
+    def test_a_run_path_in_the_way_is_one_error_line(self, small, tmp_path,
+                                                     monkeypatch, capsys):
+        out = tmp_path / "out"
+        (out / "runs" / "P3M4.csv").mkdir(parents=True)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        rc = main(["simulate", "--config", str(small), "--out", str(out),
+                   "--quiet"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "P3M4.csv" in err
+        assert multiprocessing.active_children() == []
+
+    def test_a_run_path_in_the_way_leaves_no_traceback(self, small, tmp_path):
+        out = tmp_path / "out"
+        (out / "runs" / "P3M4.csv").mkdir(parents=True)
+        proc = _fresh(["simulate", "--config", str(small), "--out", str(out),
+                       "--quiet"], cpus=2)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error:")
+        assert proc.stderr.count("\n") == 1
+
+    def test_a_piped_stdout_says_wrote_once(self, small, tmp_path):
+        proc = _fresh(["simulate", "--config", str(small), "--out",
+                       str(tmp_path / "out")], cpus=2)
+        assert proc.returncode == 0, proc.stderr
+        assert [line for line in proc.stdout.splitlines()
+                if "wrote 49 runs" in line] == [proc.stdout.strip()]
 
 
 class TestTrainEvaluate:
@@ -302,6 +391,40 @@ class TestNoTraceback:
         assert "Traceback" not in proc.stderr
         assert [line for line in proc.stderr.splitlines()
                 if line.startswith("error:")] == [proc.stderr.splitlines()[0]]
+
+
+class TestNonFiniteArm:
+    # an arm or profile value that is not finite is one config error: a nan
+    # noise_std trained noise-free with exit 0, an infinite u_max ran one
+    # endless ramp
+    @pytest.mark.parametrize("text, field", [
+        ("surrogate: {noise_std: .nan}\n", "noise_std"),
+        ("surrogate: {payload_sat: .nan}\n", "payload_sat"),
+        ("surrogate: {leak_pressure_knee: .inf}\n", "leak_pressure_knee"),
+        ("surrogate: {angle_payload_slope: .nan}\n", "angle_payload_slope"),
+        ("surrogate: {input_gain: [0.018, 0.02, 0.02, 0.02, 0.03, 0.032, .inf]}\n",
+         "input_gain"),
+        ("profiles: [{u_min: 1.0, u_max: .inf}]\n", "u_max"),
+        ("profiles: [{u_min: .nan, u_max: 32.25}]\n", "u_min"),
+        ("profiles: [{u_min: 1.0, u_max: 32.25, r_down: .nan}]\n", "r_down"),
+    ])
+    def test_is_one_config_error_before_anything_runs(self, text, field,
+                                                      tmp_path, capsys,
+                                                      monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulated a non-finite arm")
+
+        monkeypatch.setattr(surrogate, "simulate_batch", refuse)
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(text)
+        rc = main(["train", "--task", "bending", "--subset", "P1",
+                   "--config", str(cfg), "--out", str(tmp_path / "w.json"),
+                   "--quiet"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: config:") and err.count("error:") == 1
+        assert f"{field} must be finite" in err
+        assert not (tmp_path / "w.json").exists()
 
 
 class TestTrainingWindowBounds:
@@ -583,8 +706,8 @@ class TestOneSeed:
         monkeypatch.setattr(surrogate, "add_noise", spy)
         monkeypatch.setattr(sweeps, "add_noise", spy)
         # the run CSVs are not under test; skip writing 35 MB of them
-        monkeypatch.setattr(cli, "export_run",
-                            lambda series, path, **kwargs: Path(path))
+        monkeypatch.setattr(cli, "export_runs", lambda runs, run_dir, **kw: [
+            Path(run_dir, f"{c.label}.csv") for c in runs])
         cfg = tmp_path / "seeded.yaml"
         cfg.write_text("seed: 123\nsample_counts: [100, 1000]\n"
                        f"sample_repeats: {self.REPEATS}\n")

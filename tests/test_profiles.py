@@ -47,6 +47,17 @@ class TestTiming:
         with pytest.raises(ValueError):
             RampProfileSpec(-1.0, 10.0)
 
+    # a nan passes every comparison and an infinite u_max makes one endless
+    # ramp: each is refused by name
+    @pytest.mark.parametrize("name, value", [
+        ("u_min", np.nan), ("u_max", np.nan), ("u_max", np.inf),
+        ("r_up", np.nan), ("r_up", np.inf), ("r_down", np.nan),
+        ("n_cycles", np.nan), ("n_cycles", np.inf),
+    ])
+    def test_rejects_a_value_that_is_not_finite(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            RampProfileSpec(**{"u_min": 0.0, "u_max": 10.0, name: value})
+
 
 class TestGenerate:
     def test_boundary_values(self):

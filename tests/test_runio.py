@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -15,6 +18,7 @@ from armrc.runio import (
     CLOCK_TOLERANCE,
     config_digest,
     export_run,
+    export_runs,
     ingest_run,
     load_weights,
     read_matrix_csv,
@@ -97,6 +101,88 @@ class TestRunRoundTripProperty:
         assert back.payload_grams == run.payload_grams
         for name in ("s_in", "sensors", "theta"):
             assert getattr(back, name).tobytes() == getattr(run, name).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(recorded_runs())
+    def test_any_run_is_the_text_savetxt_wrote(self, run):
+        _assert_savetxt_text(run)
+
+
+def _assert_savetxt_text(run):
+    # np.savetxt is the reference for a run CSV's text
+    with tempfile.TemporaryDirectory() as tmp:
+        path = export_run(run, Path(tmp) / "run.csv")
+        columns = np.column_stack(
+            [run.grid.times(), run.s_in, run.sensors.T, run.theta])
+        np.savetxt(Path(tmp) / "ref.csv", columns, fmt="%.17g",
+                   delimiter=",", header=",".join(
+                       ["t", "s_in"] + [f"s{k + 1}" for k in
+                                        range(run.n_sensors)] + ["theta"]),
+                   comments="")
+        assert path.read_bytes() == (Path(tmp) / "ref.csv").read_bytes()
+
+
+class TestExportRuns:
+    @pytest.fixture(scope="class")
+    def runs(self):
+        # out of label order, and values whose text is easy to get wrong
+        grid = TimeGrid(n_samples=600)
+        s_in = np.linspace(0.0, 1.0, 600)
+        s_in[:4] = (-0.0, 5e-324, 1.7976931348623157e308, 0.1)
+        return {InputCondition(p, 1): PressureStateSeries(
+                    grid=grid, s_in=s_in + p, sensors=np.vstack([s_in] * 3) / p,
+                    theta=-s_in, condition=InputCondition(p, 1))
+                for p in (3, 1, 5, 2, 4)}
+
+    def test_more_than_one_write_is_the_text_savetxt_wrote(self, runs):
+        _assert_savetxt_text(next(iter(runs.values())))
+
+    # one process, a worker per core, and more workers than cores
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
+    def test_paths_come_in_the_runs_order(self, runs, cpus, tmp_path,
+                                          monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)))
+        paths = export_runs(runs, tmp_path, config_hash="abc", seed=7)
+        assert paths == [tmp_path / f"{c.label}.csv" for c in runs]
+        for cond, path in zip(runs, paths):
+            alone = export_run(runs[cond], tmp_path / "alone.csv",
+                               config_hash="abc", seed=7)
+            assert path.read_bytes() == alone.read_bytes()
+            assert (sidecar_path(path).read_bytes()
+                    == sidecar_path(alone).read_bytes())
+
+    def test_workers_inherit_the_runs_unpickled(self, runs, tmp_path,
+                                                monkeypatch):
+        def refuse(self, protocol):
+            raise AssertionError("a run was pickled")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(PressureStateSeries, "__reduce_ex__", refuse)
+        assert len(export_runs(runs, tmp_path)) == len(runs)
+
+    def test_output_buffered_before_the_pool_is_written_once(self, tmp_path):
+        # a pool worker flushes the stdio buffers it inherited as it exits
+        code = (
+            "import os, sys\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "from armrc.core import InputCondition, PressureStateSeries, TimeGrid\n"
+            "from armrc.runio import export_runs\n"
+            "grid = TimeGrid(n_samples=2)\n"
+            "runs = {InputCondition(p, 1): PressureStateSeries(grid=grid, "
+            "s_in=[0.0, 1.0], sensors=[[0.0, 1.0]], theta=[0.0, 1.0]) "
+            "for p in (1, 2, 3, 4)}\n"
+            "print('before')\n"
+            "print('before', file=sys.stderr)\n"
+            "export_runs(runs, sys.argv[1])\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert (proc.stdout, proc.stderr) == ("before\n", "before\n")
 
 
 class TestIngestValidation:

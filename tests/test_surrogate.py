@@ -56,6 +56,30 @@ class TestValidation:
         with pytest.raises(ValueError):
             SurrogateParams(noise_std=-0.1)
 
+    # a nan passes every comparison, and an infinite knee or gain runs as
+    # given: each must be refused by name, whichever field holds it
+    @pytest.mark.parametrize("name, index, value", [
+        ("noise_std", None, np.nan), ("payload_sat", None, np.nan),
+        ("leak_pressure_width", None, np.nan),
+        ("angle_payload_slope", None, np.nan),
+        ("angle_payload_slope", None, np.inf),
+        ("leak_pressure_knee", None, np.nan),
+        ("leak_pressure_knee", None, np.inf),
+        ("input_gain", 6, np.nan), ("input_gain", 6, np.inf),
+        ("payload_gain", 3, np.nan), ("angle_weights", 0, np.nan),
+        ("angle_weights", 0, -np.inf), ("coupling", (0, 1), np.nan),
+    ])
+    def test_rejects_a_value_that_is_not_finite(self, name, index, value):
+        params = dataclasses.asdict(SurrogateParams())
+        if index is None:
+            params[name] = value
+        else:
+            array = np.array(params[name], dtype=float)
+            array[index] = value
+            params[name] = tuple(map(tuple, array) if array.ndim == 2 else array)
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            SurrogateParams(**params)
+
 
 class TestSimulate:
     def test_zero_input_zero_payload_is_identically_zero(self):
