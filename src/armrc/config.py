@@ -11,8 +11,6 @@ import math
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
-import yaml
-
 from .core import (DEFAULT_SEED, PayloadSet, TimeGrid, Window, as_int,
                    window_indices)
 from .profiles import RampProfileSpec, default_profile_family
@@ -203,6 +201,8 @@ def build_config(raw) -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     """Parse and fully validate a YAML experiment config."""
+    import yaml  # here, not at the top: no other command reads YAML
+
     with open(path, "r", encoding="utf-8") as fh:
         try:
             raw = yaml.safe_load(fh)

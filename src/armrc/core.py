@@ -165,6 +165,11 @@ def condition_grid(n_profiles: int, payloads: PayloadSet) -> list:
     ]
 
 
+def trace_columns(n_sensors: int) -> list:
+    """The run CSV's column names of a series' traces, in file order."""
+    return ["s_in"] + [f"s{k}" for k in range(1, n_sensors + 1)] + ["theta"]
+
+
 def _as_readonly(a: np.ndarray) -> np.ndarray:
     out = np.array(a, dtype=float)
     out.setflags(write=False)
@@ -180,6 +185,7 @@ class PressureStateSeries:
     as a read-only copy of the one passed in, so slicing (`slice_series`)
     also copies. ``payload_grams`` is the end mass the run carried, when
     known: a payload index means different grams in different payload sets.
+    A non-finite sample is refused, naming its `trace_columns` column.
     """
 
     grid: TimeGrid
@@ -202,6 +208,12 @@ class PressureStateSeries:
             raise ValueError(
                 f"sensors must have shape (n_sensors, {n}), got {self.sensors.shape}"
             )
+        traces = (self.s_in, self.sensors, self.theta)
+        if not all(np.isfinite(a).all() for a in traces):
+            column, sample = np.argwhere(~np.isfinite(np.vstack(traces)))[0]
+            raise ValueError(
+                f"non-finite value in column "
+                f"{trace_columns(self.n_sensors)[column]!r} at sample {sample}")
 
     @property
     def n_sensors(self) -> int:

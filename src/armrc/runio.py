@@ -22,7 +22,8 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .core import InputCondition, PressureStateSeries, TimeGrid, as_int
+from .core import (InputCondition, PressureStateSeries, TimeGrid, as_int,
+                   trace_columns)
 from .readout import ReadoutWeights
 
 RUN_FORMAT = "armrc-run-v2"
@@ -48,10 +49,6 @@ def sidecar_path(csv_path) -> Path:
     return Path(csv_path).with_suffix(".meta.json")
 
 
-def _run_header(n_sensors: int) -> list:
-    return ["t", "s_in"] + [f"s{k}" for k in range(1, n_sensors + 1)] + ["theta"]
-
-
 def export_run(series: PressureStateSeries, csv_path, *,
                config_hash: str = "", seed: Optional[int] = None) -> Path:
     """Write one run as CSV plus its metadata sidecar; returns the CSV path."""
@@ -62,7 +59,7 @@ def export_run(series: PressureStateSeries, csv_path, *,
     )
     row = ",".join([_FLOAT_FMT] * columns.shape[1]) + "\n"
     with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(_run_header(series.n_sensors)) + "\n")
+        fh.write(",".join(["t", *trace_columns(series.n_sensors)]) + "\n")
         for k in range(0, len(columns), _ROWS_PER_WRITE):
             fh.write("".join(row % tuple(r) for r in
                              columns[k:k + _ROWS_PER_WRITE].tolist()))
@@ -192,7 +189,7 @@ def ingest_run(csv_path, sidecar: Optional[Path] = None) -> PressureStateSeries:
         if n_sensors > len(header):  # no header of that many names is built
             raise ValueError(f"{csv_path.name}: {len(header)} columns, too few "
                              f"for n_sensors {n_sensors} in {label}")
-        expected = _run_header(n_sensors)
+        expected = ["t", *trace_columns(n_sensors)]
         if header != expected:
             missing = [c for c in expected if c not in header]
             extra = [c for c in header if c not in expected]

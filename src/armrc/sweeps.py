@@ -11,14 +11,15 @@ ordering targets for these sweeps, not equality targets.
 `training_window` the one rule for each task's per-condition training
 window; the CLI sweeps are loops over both.
 
-Sweeps fit and score from one `readout.WindowFactor` per (run, window),
-each factored once per sweep call; see README's "Readout solver" section.
+Each (run, window, normalizer) is factored once per process while its run
+lives (`readout.WindowFactor`); see README's "Readout solver" section.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -135,15 +136,19 @@ def window_factor(series: PressureStateSeries, window: Window,
     return factor(phi, series.theta[i0:i1], normalizer)
 
 
-def _factor(factors: dict, runs: Mapping, cond: InputCondition,
-            window: Window, normalizer: str) -> WindowFactor:
-    """``factors[(cond, window)]``, factored on first use. A sweep call
-    passes one dict to all its fits and scores, which share their
-    normalizer."""
-    key = (cond, window)
-    if key not in factors:
-        factors[key] = window_factor(_require(runs, cond), window, normalizer)
-    return factors[key]
+# Each run's factors by (window, normalizer) while the run lives; a series
+# compares by identity and its arrays are read-only, so none goes stale.
+_factors = weakref.WeakKeyDictionary()
+
+
+def _factor(runs: Mapping, cond: InputCondition, window: Window,
+            normalizer: str) -> WindowFactor:
+    """The `window_factor` of ``runs[cond]``, factored on first use."""
+    memo = _factors.setdefault(_require(runs, cond), {})
+    key = (window, normalizer)
+    if key not in memo:
+        memo[key] = window_factor(runs[cond], window, normalizer)
+    return memo[key]
 
 
 def full_width(weights: ReadoutWeights, n_sensors: int) -> np.ndarray:
@@ -211,7 +216,7 @@ def train_on_subset(
     ridge: float = 0.0,
 ):
     """Train one readout from a condition subset."""
-    return _fit(_stack(subset, {}, runs, payloads, (task,), window),
+    return _fit(_stack(subset, runs, payloads, (task,), window),
                 sensor_mask, ridge, (task,))
 
 
@@ -227,14 +232,13 @@ def _target(task: TaskKind, part: WindowFactor, cond: InputCondition,
     return (DETECT_ABSENT if mass == 0 else DETECT_PRESENT) * part.r[:, 0]
 
 
-def _stack(subset, factors: dict, runs: Mapping, payloads: PayloadSet,
-           tasks: tuple, window: Window, normalizer: str = "range") -> tuple:
+def _stack(subset, runs: Mapping, payloads: PayloadSet, tasks: tuple,
+           window: Window, normalizer: str = "range") -> tuple:
     """A subset's training rows: its conditions' all-sensor R factors over
     ``window`` (`_factor`), stacked, with one target column per task."""
     if len(subset) == 0:
         raise ValueError("need at least one condition to assemble")
-    parts = [_factor(factors, runs, cond, window, normalizer)
-             for cond in subset]
+    parts = [_factor(runs, cond, window, normalizer) for cond in subset]
     widths = sorted({part.r.shape[1] - 1 for part in parts})
     if len(widths) > 1:
         raise ValueError(f"conditions disagree on sensor count: {widths}")
@@ -262,12 +266,11 @@ def subset_sweep(spec: SweepSpec, runs: Mapping,
     grid = _require(runs, spec.evaluation[0]).grid
     window = spec.effective_train_window(grid)
     rows = []
-    factors = {}
-    tests = [_factor(factors, runs, cond, spec.test_window, spec.normalizer)
+    tests = [_factor(runs, cond, spec.test_window, spec.normalizer)
              for cond in spec.evaluation]
     for subset in spec.subsets:
-        stacked = _stack(subset, factors, runs, payloads, (spec.task,),
-                         window, spec.normalizer)
+        stacked = _stack(subset, runs, payloads, (spec.task,), window,
+                         spec.normalizer)
         weights = _fit(stacked, None, spec.ridge, (spec.task,))
         rows.append(_score_row(spec.task, weights, spec.evaluation, tests,
                                payloads))
@@ -309,8 +312,8 @@ def sample_count_sweep(
     score on the fixed full test window; repeats vary only the noise seed.
 
     ``noise_free`` holds each condition's run simulated without noise; a
-    repeat only draws its noise, which never feeds back into the states,
-    and factors its test windows once for all counts.
+    repeat only draws its noise, which never feeds back into the states;
+    its noisy runs' factors serve every count and die with those runs.
     """
     counts = tuple(int(c) for c in counts)
     windows = [first_samples(train_window, c, grid) for c in counts]
@@ -319,8 +322,7 @@ def sample_count_sweep(
     for r in range(repeats):
         runs = {c: add_noise(params, run, base_seed + r)
                 for c, run in needed.items()}
-        factors = {}
-        tests = [_factor(factors, runs, cond, test_window, normalizer)
+        tests = [_factor(runs, cond, test_window, normalizer)
                  for cond in evaluation]
         for ci, window in enumerate(windows):
             weights = train_on_subset(
@@ -367,10 +369,9 @@ def sensor_ablation_sweep(
     masks = tuple(normalize_mask(m, n_sensors) for m in masks)
     error_rows = []
     share_rows = np.full((len(masks), n_sensors), np.nan)
-    factors = {}
-    tests = [_factor(factors, runs, cond, test_window, normalizer)
+    tests = [_factor(runs, cond, test_window, normalizer)
              for cond in evaluation]
-    stacked = _stack(subset, factors, runs, payloads, (task,), train_window,
+    stacked = _stack(subset, runs, payloads, (task,), train_window,
                      normalizer)
     for mi, mask in enumerate(masks):
         weights = _fit(stacked, mask, ridge, (task,))
@@ -436,9 +437,8 @@ def multitask_grid(
     detected; zero-payload cells are scored on angle alone. Each cell is
     scored once, from its own test-window factor.
     """
-    factors = {}
-    weights = _fit(_stack(training_cells, factors, runs, payloads,
-                          MULTITASK_TASKS, train_window, normalizer),
+    weights = _fit(_stack(training_cells, runs, payloads, MULTITASK_TASKS,
+                          train_window, normalizer),
                    None, ridge, MULTITASK_TASKS)
     w_angle, w_detect, w_mass = full_width(weights,
                                            len(weights.sensor_mask))
@@ -451,7 +451,7 @@ def multitask_grid(
     for i in range(1, n_profiles + 1):
         for j in range(1, n_payloads + 1):
             cond = InputCondition(i, j)
-            block = _factor(factors, runs, cond, test_window, normalizer)
+            block = _factor(runs, cond, test_window, normalizer)
             mass = payloads.mass_of(j)
             det = block_mean(block, w_detect)
             present = payload_status(det) is PayloadStatus.PRESENT

@@ -1,4 +1,7 @@
 import copy
+import os
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -7,6 +10,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import armrc
 from armrc.config import (
     ConfigError,
     ExperimentConfig,
@@ -34,6 +38,18 @@ class TestDefaults:
 
     def test_shipped_yaml_matches_code_defaults(self):
         assert load_config(REPO_CONFIG) == default_config()
+
+    def test_yaml_is_imported_only_to_load_a_file(self):
+        # no workload reads YAML, so start-up does not pay for the parser
+        src = str(Path(armrc.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        code = ("import sys, armrc, armrc.cli; "
+                "armrc.cli.default_config(); print('yaml' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestValidation:

@@ -207,6 +207,33 @@ class TestPressureStateSeries:
         with pytest.raises(ValueError):
             PressureStateSeries(grid, good, np.zeros((7, 10)), np.zeros(11))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("column, trace, index", [
+        ("s_in", "s_in", (3,)),
+        ("s1", "sensors", (0, 5)),
+        ("s7", "sensors", (6, 0)),
+        ("theta", "theta", (9,)),
+    ])
+    def test_rejects_a_sample_that_is_not_finite(self, column, trace, index,
+                                                 bad):
+        # such a run would export as inf/nan text that ingest_run refuses
+        traces = {"s_in": np.zeros(10), "sensors": np.zeros((7, 10)),
+                  "theta": np.zeros(10)}
+        traces[trace][index] = bad
+        with pytest.raises(ValueError, match=(
+                rf"^non-finite value in column '{column}' at sample "
+                rf"{index[-1]}$")):
+            PressureStateSeries(TimeGrid(n_samples=10), **traces)
+
+    def test_names_the_first_bad_column_then_its_first_bad_sample(self):
+        sensors = np.zeros((7, 10))
+        sensors[4, 1] = np.nan
+        sensors[2, 8] = np.inf
+        sensors[2, 6] = -np.inf
+        with pytest.raises(ValueError, match="column 's3' at sample 6$"):
+            PressureStateSeries(TimeGrid(n_samples=10), np.zeros(10),
+                                sensors, np.zeros(10))
+
     def test_arrays_are_read_only(self):
         series = make_series()
         with pytest.raises(ValueError):

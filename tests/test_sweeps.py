@@ -1,3 +1,7 @@
+import dataclasses
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,15 +11,18 @@ from armrc.core import (
     InputCondition,
     PressureStateSeries,
     TEST_WINDOW,
+    TRAIN_WINDOW,
     TimeGrid,
     Window,
 )
 from armrc.profiles import generate_profile
-from armrc.readout import assemble, nrmse_percent, predict, solve_reduced, train
+from armrc.readout import (NORMALIZERS, assemble, nrmse_percent, predict,
+                           solve_reduced, train)
 from armrc.surrogate import SurrogateParams, simulate
 from armrc.sweeps import (
     SweepSpec,
     all_profile_pairs,
+    bending_conditions,
     block_mean,
     block_nrmse,
     full_width,
@@ -559,3 +566,106 @@ class TestScoreBatchIndependence:
                 if not np.isnan(cell):
                     assert cell == mass_error_percent(
                         block_mean(block, mass), payloads.mass_of(j))
+
+
+def _fresh(runs):
+    """Copies of ``runs`` that no sweep has factored yet."""
+    return {cond: dataclasses.replace(run) for cond, run in runs.items()}
+
+
+def _spy_on_factors(mp):
+    calls, real = [], sweeps.factor
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    mp.setattr(sweeps, "factor", spy)
+    return calls
+
+
+class TestFactorMemo:
+    # every sweep in a process shares one factor per (run, window,
+    # normalizer), kept while the run lives; sharing must move no result
+    def test_warm_runs_give_the_bytes_of_fresh_copies(self, cfg,
+                                                      bending_runs,
+                                                      multitask_runs):
+        spec = SweepSpec(task=TaskKind.BENDING_ANGLE,
+                         subsets=nested_bending_subsets(),
+                         evaluation=bending_conditions(), ridge=1e-3)
+        masks = tip_sensor_masks()
+
+        def sweep_all(bending, multitask):
+            return [
+                subset_sweep(spec, bending, cfg.payloads).error_grid,
+                sensor_ablation_sweep(TaskKind.BENDING_ANGLE, masks,
+                                      (P(1, 1), P(7, 1)), spec.evaluation,
+                                      bending, cfg.payloads).error_grid,
+                multitask_grid(multitask_training_subsets()["3x3"],
+                               multitask, cfg.multitask_payloads).angle_error,
+            ]
+
+        sweep_all(bending_runs, multitask_runs)
+        warm = sweep_all(bending_runs, multitask_runs)
+        fresh = sweep_all(_fresh(bending_runs), _fresh(multitask_runs))
+        assert [g.tobytes() for g in warm] == [g.tobytes() for g in fresh]
+
+    def test_a_second_sweep_on_the_same_runs_factors_nothing(self, cfg,
+                                                             bending_runs):
+        runs = _fresh(bending_runs)
+        spec = SweepSpec(task=TaskKind.BENDING_ANGLE,
+                         subsets=nested_bending_subsets(),
+                         evaluation=bending_conditions())
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _spy_on_factors(mp)
+            first = subset_sweep(spec, runs, cfg.payloads).error_grid
+            # seven training and seven test windows
+            assert len(calls) == 14
+            second = subset_sweep(spec, runs, cfg.payloads).error_grid
+            assert len(calls) == 14
+        assert second.tobytes() == first.tobytes()
+
+    def test_an_entry_dies_with_its_run(self, cfg, bending_runs):
+        run = dataclasses.replace(bending_runs[P(1, 1)])
+        train_on_subset((P(1, 1),), {P(1, 1): run}, cfg.payloads,
+                        TaskKind.BENDING_ANGLE, TRAIN_WINDOW)
+        assert run in sweeps._factors
+        gc.collect()
+        entries, alive = len(sweeps._factors), weakref.ref(run)
+        del run
+        gc.collect()
+        assert alive() is None
+        assert len(sweeps._factors) == entries - 1
+
+    def test_the_noisy_runs_of_a_sample_sweep_leave_nothing_behind(self,
+                                                                   cfg):
+        gc.collect()
+        entries = len(sweeps._factors)
+        sample_count_sweep(
+            TaskKind.BENDING_ANGLE, [100, 400], [P(1, 1), P(7, 1)],
+            [P(4, 1)], cfg.surrogate,
+            _noise_free(cfg, P(1, 1), P(7, 1), P(4, 1)), cfg.payloads,
+            cfg.grid, repeats=2,
+        )
+        gc.collect()
+        assert len(sweeps._factors) == entries
+
+    def test_windows_and_normalizers_never_share_a_factor(self, cfg,
+                                                          bending_runs):
+        cond = P(2, 1)
+        run = dataclasses.replace(bending_runs[cond])
+        windows = (TRAIN_WINDOW, TEST_WINDOW, Window(50.0, 55.0))
+        for window in windows:
+            for normalizer in NORMALIZERS:
+                subset_sweep(SweepSpec(task=TaskKind.BENDING_ANGLE,
+                                       subsets=((cond,),), evaluation=(cond,),
+                                       train_window=window,
+                                       test_window=window,
+                                       normalizer=normalizer),
+                             {cond: run}, cfg.payloads)
+        memo = sweeps._factors[run]
+        assert set(memo) == {(w, n) for w in windows for n in NORMALIZERS}
+        for (window, normalizer), block in memo.items():
+            lone = window_factor(run, window, normalizer)
+            for got, want in zip(block, lone):
+                assert np.array_equal(got, want)
