@@ -14,8 +14,9 @@ import time
 from pathlib import Path
 
 from .config import ConfigError, ExperimentConfig, default_config, load_config
-from .core import Window, condition_grid, parse_condition_label, slice_series
-from .readout import correlation_matrix, nrmse_percent, predict
+from .core import (Window, condition_grid, parse_condition_label,
+                   slice_series, trace_columns)
+from .readout import correlation_matrix
 from .runio import (
     config_digest,
     export_runs,
@@ -32,33 +33,34 @@ from .sweeps import (
     HARDWARE_NOTE,
     SweepSpec,
     experiments,
+    full_width,
     multitask_grid,
     multitask_training_subsets,
     sample_count_sweep,
+    score,
     sensor_ablation_sweep,
     simulate_conditions,
     subset_sweep,
     tip_sensor_masks,
     train_on_subset,
     training_window,
+    window_factor,
 )
-from .tasks import TaskKind, bending_target, mass_error_percent, payload_status
+from .tasks import TaskKind, payload_status
 
 
 def _labels(conditions) -> list:
     return [c.label for c in conditions]
 
 
-def _parse_mask(text):
-    if text is None:
-        return None
-    mask = []
-    for token in text.split(","):
-        token = token.strip().lower()
-        if not token.startswith("s"):
-            raise ValueError(f"sensor names look like s1..s7, got {token!r}")
-        mask.append(int(token[1:]) - 1)
-    return tuple(mask)
+def _sensor_index(token: str, n_sensors: int) -> int:
+    """0-based index of a sensor named as in a run CSV (`trace_columns`),
+    read case- and space-blind; any other token is refused."""
+    names, name = trace_columns(n_sensors)[1:-1], token.strip().lower()
+    if name not in names:
+        raise ValueError(f"unknown sensor {token!r}: sensors are "
+                         f"s1..s{n_sensors}")
+    return names.index(name)
 
 
 def _load(args) -> ExperimentConfig:
@@ -96,7 +98,8 @@ def cmd_train(args) -> int:
     cfg = _load(args)
     task = TaskKind(args.task)
     subset = tuple(parse_condition_label(t) for t in args.subset.split(","))
-    mask = _parse_mask(args.mask)
+    mask = None if args.mask is None else [
+        _sensor_index(t, cfg.surrogate.n_nodes) for t in args.mask.split(",")]
     runs = _simulate(cfg, subset)
     weights = train_on_subset(subset, runs, cfg.payloads, task,
                               training_window(cfg, task), mask, cfg.ridge)
@@ -126,28 +129,29 @@ def cmd_evaluate(args) -> int:
         print(f"warning: {args.run}: the sidecar records no payload_grams; "
               f"taking {mass:g} g for {series.condition.label} from the "
               "config's payloads", file=sys.stderr)
-    outputs = predict(weights, series, window).reshape(-1, weights.n_tasks)
-    for name, trace in zip(weights.task_names, outputs.T):
+    block = window_factor(series, window)
+    for name, w in zip(weights.task_names,
+                       full_width(weights, series.n_sensors)):
+        # the window mean: the detect output, or the mass estimate
+        mean = score(TaskKind.PAYLOAD_DETECT, block, w, mass, cfg.normalizer)
         if name == TaskKind.BENDING_ANGLE.value:
-            truth = bending_target(series, window)
-            err = nrmse_percent(trace, truth, cfg.normalizer)
-            print(f"task=bending nrmse_percent={err:.4f}")
-        elif name == TaskKind.PAYLOAD_DETECT.value:
-            verdict = payload_status(trace.mean()).value
-            line = f"task=detect mean_output={trace.mean():.4f} verdict={verdict}"
-            if mass is not None:
-                truth = "present" if mass > 0 else "absent"
-                line += f" truth={truth} correct={verdict == truth}"
-            print(line)
+            err = score(TaskKind.BENDING_ANGLE, block, w, mass, cfg.normalizer)
+            line = f"task=bending nrmse_percent={err:.4f}"
         elif name == TaskKind.PAYLOAD_MASS.value:
-            est = float(trace.mean())
-            line = f"task=mass estimate_grams={est:.4f}"
+            line = f"task=mass estimate_grams={mean:.4f}"
             if mass is not None and mass > 0:
-                line += (f" truth_grams={mass:.1f} relative_error_percent="
-                         f"{mass_error_percent(est, mass):.4f}")
-            print(line)
+                err = score(TaskKind.PAYLOAD_MASS, block, w, mass,
+                            cfg.normalizer)
+                line += f" truth_grams={mass:.1f} relative_error_percent={err:.4f}"
         else:
-            print(f"task={name} mean_output={trace.mean():.4f}")
+            line = f"task={name} mean_output={mean:.4f}"
+            if name == TaskKind.PAYLOAD_DETECT.value:
+                verdict = payload_status(mean).value
+                line += f" verdict={verdict}"
+                if mass is not None:
+                    truth = "present" if mass > 0 else "absent"
+                    line += f" truth={truth} correct={verdict == truth}"
+        print(line)
     return 0
 
 
@@ -195,10 +199,9 @@ def _sweep_samples(cfg: ExperimentConfig, out: Path, digest: str) -> list:
     for name, exp in table.items():
         res = sample_count_sweep(
             exp.task, cfg.sample_counts, exp.subset, exp.evaluation,
-            cfg.surrogate, noise_free, cfg.payloads, cfg.grid,
-            train_window=cfg.train, test_window=cfg.test,
-            repeats=cfg.sample_repeats, base_seed=cfg.seed,
-            ridge=cfg.ridge, normalizer=cfg.normalizer,
+            cfg.surrogate, noise_free, cfg.payloads, train_window=cfg.train,
+            test_window=cfg.test, repeats=cfg.sample_repeats,
+            base_seed=cfg.seed, ridge=cfg.ridge, normalizer=cfg.normalizer,
         )
         for stat, grid in (("mean", res.mean_grid), ("std", res.std_grid)):
             written.append(_write_result(
@@ -300,11 +303,7 @@ def cmd_correlate(args) -> int:
     for path in args.runs:
         series = ingest_run(path)
         if channel != "s_in":
-            idx = int(channel[1:]) - 1
-            if not 0 <= idx < series.n_sensors:
-                raise ValueError(
-                    f"channel {args.channel!r} outside s1..s{series.n_sensors}"
-                )
+            idx = _sensor_index(args.channel, series.n_sensors)
         sub = slice_series(series, Window(cfg.washout.end, series.grid.t_end))
         traces.append(sub.s_in if channel == "s_in" else sub.sensors[idx])
         labels.append(
@@ -373,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("correlate", parents=[common],
                        help="correlation matrix of one channel across runs")
     p.add_argument("--runs", nargs="+", required=True)
-    p.add_argument("--channel", default="s7")
+    p.add_argument("--channel", default="s7", help="s_in or s1..s7")
     p.add_argument("--out", default=None, help="CSV path (default: stdout)")
     p.set_defaults(func=cmd_correlate)
     return parser

@@ -11,8 +11,8 @@ import math
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
-from .core import (DEFAULT_SEED, PayloadSet, TimeGrid, Window, as_int,
-                   window_indices)
+from .core import (DEFAULT_SEED, TEST_WINDOW, TRAIN_WINDOW, WASHOUT_WINDOW,
+                   PayloadSet, TimeGrid, Window, as_int, window_indices)
 from .profiles import RampProfileSpec, default_profile_family
 from .readout import NORMALIZERS
 from .surrogate import SurrogateParams
@@ -40,9 +40,9 @@ class ExperimentConfig:
     payloads: PayloadSet = PayloadSet()
     multitask_payloads: PayloadSet = PayloadSet(MULTITASK_PAYLOADS_G)
     surrogate: SurrogateParams = SurrogateParams()
-    washout: Window = Window(0.0, 50.0)
-    train: Window = Window(50.0, 75.0)
-    test: Window = Window(75.0, 100.0)
+    washout: Window = WASHOUT_WINDOW
+    train: Window = TRAIN_WINDOW
+    test: Window = TEST_WINDOW
     ridge: float = 0.0
     normalizer: str = "range"
     detection_seconds: float = 5.0

@@ -14,7 +14,6 @@ import numpy as np
 
 DEFAULT_SAMPLE_RATE = 40.0
 DEFAULT_RUN_SECONDS = 100.0
-DEFAULT_N_SENSORS = 7
 DEFAULT_PAYLOADS_G = (0.0, 100.0, 140.0, 160.0, 200.0, 240.0, 300.0)
 # The run seed when none is given; it keys every sensor-noise stream.
 DEFAULT_SEED = 7

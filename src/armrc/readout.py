@@ -60,11 +60,6 @@ class TrainingAssembly:
                 f"{self.targets.shape[0]} target rows"
             )
 
-    @property
-    def n_tasks(self) -> int:
-        return self.targets.shape[1]
-
-
 @dataclass(frozen=True, eq=False)
 class ReadoutWeights:
     """Bias plus per-sensor weights, one column per task."""
@@ -184,12 +179,11 @@ class WindowFactor(NamedTuple):
     z: np.ndarray       # Q^T theta
     floor: float        # |theta - Q z|^2, the error no readout avoids
     n_rows: int
-    scale: float        # `truth_scale` of theta over the window
+    span: tuple         # (min, max) of theta, all `truth_scale` reads
     means: np.ndarray   # column means of Phi
 
 
-def factor(phi: np.ndarray, theta: np.ndarray,
-           normalizer: str = "range") -> WindowFactor:
+def factor(phi: np.ndarray, theta: np.ndarray) -> WindowFactor:
     """The `WindowFactor` of design rows ``phi`` and target ``theta``."""
     if phi.shape[0] == 0:
         raise ValueError("cannot factor a design with no rows")
@@ -198,7 +192,7 @@ def factor(phi: np.ndarray, theta: np.ndarray,
     resid = theta - q @ z
     return WindowFactor(r=r, z=z, floor=float(resid @ resid),
                         n_rows=phi.shape[0],
-                        scale=truth_scale(theta, normalizer),
+                        span=(float(theta.min()), float(theta.max())),
                         means=phi.mean(axis=0))
 
 
@@ -278,19 +272,20 @@ def nrmse_percent(pred: np.ndarray, truth: np.ndarray,
     return scaled_percent(rmse(pred, truth), scale)
 
 
-def truth_scale(truth: np.ndarray, normalizer: str = "range") -> float:
+def truth_scale(truth, normalizer: str = "range") -> float:
     """The scale percent errors divide by; 0.0 for a flat or empty truth.
 
     normalizer "range" is max(truth) - min(truth) over the evaluation
-    window, "maxabs" is max |truth|. The choice is a reporting convention;
-    both are exposed because percent errors depend on it.
+    window, "maxabs" is max |truth|; both read only its extremes, so a
+    (min, max) span gives its scale bit for bit. The choice is a reporting
+    convention; both are exposed because percent errors depend on it.
     """
     if normalizer not in NORMALIZERS:
         raise ValueError(f"unknown normalizer {normalizer!r}")
-    truth = np.asarray(truth, dtype=float)
-    if normalizer == "range":
-        return float(truth.max() - truth.min()) if truth.size else 0.0
-    return float(np.abs(truth).max()) if truth.size else 0.0
+    if len(truth) == 0:
+        return 0.0
+    lo, hi = float(min(truth)), float(max(truth))
+    return hi - lo if normalizer == "range" else max(abs(lo), abs(hi))
 
 
 def scaled_percent(error: float, scale: float) -> float:

@@ -55,7 +55,9 @@ from .core import (
     PayloadSet,
     PressureStateSeries,
     TimeGrid,
+    Window,
     condition_grid,
+    sample_count,
 )
 from .profiles import RampProfileSpec, generate_profile
 
@@ -341,7 +343,7 @@ def echo_check(
     x0 = [rng.uniform(0.0, 10.0, params.n_nodes) for _ in range(2)]
     run_a, run_b = simulate_batch(params, [s_in, s_in], [payload, payload],
                                   grid, x0=x0, with_noise=False)
-    k0 = int(round(washout_seconds * grid.sample_rate))
+    k0 = sample_count(Window(0.0, washout_seconds), grid.sample_rate)
     gap = np.abs(run_a.sensors[:, k0:] - run_b.sensors[:, k0:]).max()
     return bool(gap < tol)
 

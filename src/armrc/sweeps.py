@@ -11,8 +11,8 @@ ordering targets for these sweeps, not equality targets.
 `training_window` the one rule for each task's per-condition training
 window; the CLI sweeps are loops over both.
 
-Each (run, window, normalizer) is factored once per process while its run
-lives (`readout.WindowFactor`); see README's "Readout solver" section.
+Each (run, window) is factored once per process while its run lives, and
+`score` reads every reported number off it (README: "Readout solver").
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from .readout import (
     normalize_mask,
     scaled_percent,
     solve_reduced,
+    truth_scale,
 )
 # simulate_conditions is looked up here by the CLI and by perfbench's spans
 from .surrogate import SurrogateParams, add_noise, simulate_conditions
@@ -84,22 +85,17 @@ class SweepSpec:
             raise ValueError("need at least one training subset")
 
     def effective_train_window(self, grid: TimeGrid) -> Window:
-        if self.samples_per_condition is None:
-            return self.train_window
-        return first_samples(self.train_window, self.samples_per_condition,
-                             grid)
-
-
-def first_samples(window: Window, count: int, grid: TimeGrid) -> Window:
-    """The window of the first ``count`` samples of ``window`` on ``grid``'s
-    clock; a count the window does not hold (`core.sample_count`) is
-    refused."""
-    full = sample_count(window, grid.sample_rate)
-    if not 1 <= count <= full:
-        raise ValueError(
-            f"sample count {count} outside the {full}-sample training window"
-        )
-    return Window(window.start, window.start + count / grid.sample_rate)
+        """The train window's first ``samples_per_condition`` samples on
+        ``grid``'s clock; a count the window does not hold
+        (`core.sample_count`) is refused."""
+        count, window = self.samples_per_condition, self.train_window
+        if count is None:
+            return window
+        full = sample_count(window, grid.sample_rate)
+        if not 1 <= count <= full:
+            raise ValueError(f"sample count {count} outside the {full}-sample "
+                             "training window")
+        return Window(window.start, window.start + count / grid.sample_rate)
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,8 +120,7 @@ def _require(runs: Mapping, cond: InputCondition) -> PressureStateSeries:
         ) from None
 
 
-def window_factor(series: PressureStateSeries, window: Window,
-                  normalizer: str = "range") -> WindowFactor:
+def window_factor(series: PressureStateSeries, window: Window) -> WindowFactor:
     """The `readout.factor` of one run's all-sensor design and bending angle
     over a window, which every fit and score on that window reads."""
     i0, i1 = window_indices(series.grid, window)
@@ -133,22 +128,32 @@ def window_factor(series: PressureStateSeries, window: Window,
         raise ValueError(
             f"window [{window.start}, {window.end}) holds no samples")
     phi = np.hstack([np.ones((i1 - i0, 1)), series.sensors[:, i0:i1].T])
-    return factor(phi, series.theta[i0:i1], normalizer)
+    return factor(phi, series.theta[i0:i1])
 
 
-# Each run's factors by (window, normalizer) while the run lives; a series
-# compares by identity and its arrays are read-only, so none goes stale.
+# Each run's factors by window while the run lives; a series compares by
+# identity and its arrays are read-only, so none goes stale.
 _factors = weakref.WeakKeyDictionary()
 
 
-def _factor(runs: Mapping, cond: InputCondition, window: Window,
-            normalizer: str) -> WindowFactor:
+def _factor(runs: Mapping, cond: InputCondition,
+            window: Window) -> WindowFactor:
     """The `window_factor` of ``runs[cond]``, factored on first use."""
     memo = _factors.setdefault(_require(runs, cond), {})
-    key = (window, normalizer)
-    if key not in memo:
-        memo[key] = window_factor(runs[cond], window, normalizer)
-    return memo[key]
+    if window not in memo:
+        memo[window] = window_factor(runs[cond], window)
+    return memo[window]
+
+
+def _truth_mass(runs: Mapping, cond: InputCondition,
+                payloads: PayloadSet) -> float:
+    """A condition's payload-set mass, which a run's recorded grams match."""
+    mass = payloads.mass_of(cond.payload_index)
+    grams = _require(runs, cond).payload_grams
+    if grams is not None and grams != mass:
+        raise ValueError(f"run {cond.label} records {grams:g} g, but the "
+                         f"payload set gives {mass:g} g")
+    return mass
 
 
 def full_width(weights: ReadoutWeights, n_sensors: int) -> np.ndarray:
@@ -164,46 +169,51 @@ def full_width(weights: ReadoutWeights, n_sensors: int) -> np.ndarray:
     return rows
 
 
-def block_nrmse(block: WindowFactor, w: np.ndarray) -> float:
-    """`nrmse_percent` of the bending readout ``w`` (one `full_width` row)
-    on the factor's window, in O(k^2) instead of O(T k)."""
-    resid = block.r @ w - block.z
-    rms = math.sqrt((float(resid @ resid) + block.floor) / block.n_rows)
-    return scaled_percent(rms, block.scale)
-
-
-def block_mean(block: WindowFactor, w: np.ndarray) -> float:
-    """Window mean of the readout ``w`` (one `full_width` row): the mass
-    estimate of `tasks.estimate_mass`, or the detect output."""
-    return float(block.means @ w)
-
-
-def _score(task: TaskKind, w: np.ndarray, block: WindowFactor,
-           cond: InputCondition, payloads: PayloadSet) -> float:
-    if w.shape != block.means.shape:
-        raise ValueError(
-            f"weights over {w.shape[0] - 1} sensors cannot read the "
-            f"{block.means.shape[0] - 1}-sensor run {cond.label}"
-        )
+def score(task: TaskKind, block: WindowFactor, w: np.ndarray,
+          mass: Optional[float], normalizer: str) -> float:
+    """The reported number of readout ``w`` (one `full_width` row) on a
+    factor's window, in O(k^2) instead of O(T k): for bending the
+    `nrmse_percent` of the angle, for mass the `mass_error_percent` of the
+    window mean against ``mass``, for detection the window mean itself
+    (the detect output, as `tasks.estimate_mass` is the mass estimate)."""
     if task is TaskKind.BENDING_ANGLE:
-        return block_nrmse(block, w)
+        resid = block.r @ w - block.z
+        rms = math.sqrt((float(resid @ resid) + block.floor) / block.n_rows)
+        return scaled_percent(rms, truth_scale(block.span, normalizer))
+    mean = float(block.means @ w)
     if task is TaskKind.PAYLOAD_MASS:
-        mass = payloads.mass_of(cond.payload_index)
-        if mass == 0:
-            raise ValueError(
-                f"relative mass error undefined for zero-payload condition "
-                f"{cond.label}"
-            )
-        return mass_error_percent(block_mean(block, w), mass)
-    raise ValueError(f"unsupported evaluation task {task}")
+        return mass_error_percent(mean, mass)
+    return mean
 
 
-def _score_row(task: TaskKind, weights: ReadoutWeights, evaluation,
-               blocks: list, payloads: PayloadSet) -> list:
-    """One single-task readout's scores on every evaluation condition."""
-    w = full_width(weights, blocks[0].means.shape[0] - 1)[0]
-    return [_score(task, w, block, cond, payloads)
-            for cond, block in zip(evaluation, blocks)]
+def _evaluation(task: TaskKind, evaluation, runs: Mapping,
+                payloads: PayloadSet, window: Window) -> list:
+    """(``window`` factor, truth mass) of each condition a single-task
+    readout is scored on; all must have one sensor count, and a zero
+    payload has no mass error."""
+    if task is TaskKind.PAYLOAD_DETECT:
+        raise ValueError(f"unsupported evaluation task {task}")
+    cells = []
+    for cond in evaluation:
+        block = _factor(runs, cond, window)
+        mass = (None if task is TaskKind.BENDING_ANGLE
+                else _truth_mass(runs, cond, payloads))
+        if task is TaskKind.PAYLOAD_MASS and mass == 0:
+            raise ValueError(f"relative mass error undefined for "
+                             f"zero-payload condition {cond.label}")
+        if cells and len(block.means) != len(cells[0][0].means):
+            raise ValueError(f"a readout of the {len(cells[0][0].means) - 1}"
+                             f"-sensor run {evaluation[0].label} cannot read "
+                             f"the {len(block.means) - 1}-sensor run {cond.label}")
+        cells.append((block, mass))
+    return cells
+
+
+def _score_row(task: TaskKind, weights: ReadoutWeights, cells: list,
+               normalizer: str) -> list:
+    """A single-task readout's `score` on every `_evaluation` cell."""
+    w = full_width(weights, len(cells[0][0].means) - 1)[0]
+    return [score(task, block, w, mass, normalizer) for block, mass in cells]
 
 
 def train_on_subset(
@@ -220,32 +230,33 @@ def train_on_subset(
                 sensor_mask, ridge, (task,))
 
 
-def _target(task: TaskKind, part: WindowFactor, cond: InputCondition,
-            payloads: PayloadSet) -> np.ndarray:
+def _target(task: TaskKind, part: WindowFactor, runs: Mapping,
+            cond: InputCondition, payloads: PayloadSet) -> np.ndarray:
     """A task's target column over a factor's R rows: Q^T theta for the
     bending angle, c R[:, 0] for a task whose target is a constant c."""
     if task is TaskKind.BENDING_ANGLE:
         return part.z
-    mass = payloads.mass_of(cond.payload_index)
+    mass = _truth_mass(runs, cond, payloads)
     if task is TaskKind.PAYLOAD_MASS:
         return mass * part.r[:, 0]
     return (DETECT_ABSENT if mass == 0 else DETECT_PRESENT) * part.r[:, 0]
 
 
 def _stack(subset, runs: Mapping, payloads: PayloadSet, tasks: tuple,
-           window: Window, normalizer: str = "range") -> tuple:
+           window: Window) -> tuple:
     """A subset's training rows: its conditions' all-sensor R factors over
     ``window`` (`_factor`), stacked, with one target column per task."""
     if len(subset) == 0:
         raise ValueError("need at least one condition to assemble")
-    parts = [_factor(runs, cond, window, normalizer) for cond in subset]
+    parts = [_factor(runs, cond, window) for cond in subset]
     widths = sorted({part.r.shape[1] - 1 for part in parts})
     if len(widths) > 1:
         raise ValueError(f"conditions disagree on sensor count: {widths}")
-    targets = [np.column_stack([_target(task, part, cond, payloads)
-                                for task in tasks])
-               for cond, part in zip(subset, parts)]
-    return np.vstack([part.r for part in parts]), np.vstack(targets)
+    z = np.column_stack([
+        np.concatenate([_target(task, part, runs, cond, payloads)
+                        for cond, part in zip(subset, parts)])
+        for task in tasks])
+    return np.vstack([part.r for part in parts]), z
 
 
 def _fit(stacked: tuple, sensor_mask, ridge: float,
@@ -263,17 +274,15 @@ def subset_sweep(spec: SweepSpec, runs: Mapping,
                  payloads: PayloadSet) -> SweepResult:
     """Train one readout per subset and score it on every evaluation
     condition's test window."""
-    grid = _require(runs, spec.evaluation[0]).grid
-    window = spec.effective_train_window(grid)
+    window = spec.effective_train_window(
+        _require(runs, spec.evaluation[0]).grid)
+    cells = _evaluation(spec.task, spec.evaluation, runs, payloads,
+                        spec.test_window)
     rows = []
-    tests = [_factor(runs, cond, spec.test_window, spec.normalizer)
-             for cond in spec.evaluation]
     for subset in spec.subsets:
-        stacked = _stack(subset, runs, payloads, (spec.task,), window,
-                         spec.normalizer)
+        stacked = _stack(subset, runs, payloads, (spec.task,), window)
         weights = _fit(stacked, None, spec.ridge, (spec.task,))
-        rows.append(_score_row(spec.task, weights, spec.evaluation, tests,
-                               payloads))
+        rows.append(_score_row(spec.task, weights, cells, spec.normalizer))
     return SweepResult(
         error_grid=np.array(rows),
         subsets=tuple(tuple(s) for s in spec.subsets),
@@ -300,7 +309,6 @@ def sample_count_sweep(
     params: SurrogateParams,
     noise_free: Mapping[InputCondition, PressureStateSeries],
     payloads: PayloadSet,
-    grid: TimeGrid,
     train_window: Window = TRAIN_WINDOW,
     test_window: Window = TEST_WINDOW,
     repeats: int = 10,
@@ -308,28 +316,27 @@ def sample_count_sweep(
     ridge: float = 0.0,
     normalizer: str = "range",
 ) -> SampleCountResult:
-    """Truncate each condition's training rows to each count, retrain, and
-    score on the fixed full test window; repeats vary only the noise seed.
+    """`subset_sweep` of ``subset`` at each count of training samples per
+    condition, on the runs' clock; repeats vary only the noise seed.
 
     ``noise_free`` holds each condition's run simulated without noise; a
     repeat only draws its noise, which never feeds back into the states;
-    its noisy runs' factors serve every count and die with those runs.
+    its noisy runs' factors serve every count and die with those runs. A
+    count the train window does not hold is refused before any noise.
     """
     counts = tuple(int(c) for c in counts)
-    windows = [first_samples(train_window, c, grid) for c in counts]
+    specs = [SweepSpec(task, (tuple(subset),), tuple(evaluation), train_window,
+                       test_window, count, base_seed, ridge, normalizer)
+             for count in counts]
     needed = {c: _require(noise_free, c) for c in (*subset, *evaluation)}
+    for spec in specs:
+        spec.effective_train_window(needed[evaluation[0]].grid)
     errors = np.empty((len(counts), len(evaluation), repeats))
     for r in range(repeats):
         runs = {c: add_noise(params, run, base_seed + r)
                 for c, run in needed.items()}
-        tests = [_factor(runs, cond, test_window, normalizer)
-                 for cond in evaluation]
-        for ci, window in enumerate(windows):
-            weights = train_on_subset(
-                subset, runs, payloads, task, window, None, ridge
-            )
-            errors[ci, :, r] = _score_row(task, weights, evaluation, tests,
-                                          payloads)
+        for ci, spec in enumerate(specs):
+            errors[ci, :, r] = subset_sweep(spec, runs, payloads).error_grid[0]
     return SampleCountResult(
         counts=counts,
         mean_grid=errors.mean(axis=2),
@@ -369,14 +376,11 @@ def sensor_ablation_sweep(
     masks = tuple(normalize_mask(m, n_sensors) for m in masks)
     error_rows = []
     share_rows = np.full((len(masks), n_sensors), np.nan)
-    tests = [_factor(runs, cond, test_window, normalizer)
-             for cond in evaluation]
-    stacked = _stack(subset, runs, payloads, (task,), train_window,
-                     normalizer)
+    cells = _evaluation(task, evaluation, runs, payloads, test_window)
+    stacked = _stack(subset, runs, payloads, (task,), train_window)
     for mi, mask in enumerate(masks):
         weights = _fit(stacked, mask, ridge, (task,))
-        error_rows.append(_score_row(task, weights, evaluation, tests,
-                                     payloads))
+        error_rows.append(_score_row(task, weights, cells, normalizer))
         mags = np.abs(weights.sensor_weights[:, 0])
         total = mags.sum()
         for k, sensor in enumerate(mask):
@@ -438,10 +442,9 @@ def multitask_grid(
     scored once, from its own test-window factor.
     """
     weights = _fit(_stack(training_cells, runs, payloads, MULTITASK_TASKS,
-                          train_window, normalizer),
+                          train_window),
                    None, ridge, MULTITASK_TASKS)
-    w_angle, w_detect, w_mass = full_width(weights,
-                                           len(weights.sensor_mask))
+    w_angle, w_detect, w_mass = full_width(weights, len(weights.sensor_mask))
 
     n_payloads = len(payloads)
     detect_output = np.empty((n_profiles, n_payloads))
@@ -451,19 +454,20 @@ def multitask_grid(
     for i in range(1, n_profiles + 1):
         for j in range(1, n_payloads + 1):
             cond = InputCondition(i, j)
-            block = _factor(runs, cond, test_window, normalizer)
-            mass = payloads.mass_of(j)
-            det = block_mean(block, w_detect)
+            block = _factor(runs, cond, test_window)
+            mass = _truth_mass(runs, cond, payloads)
+            det = score(TaskKind.PAYLOAD_DETECT, block, w_detect, mass,
+                        normalizer)
             present = payload_status(det) is PayloadStatus.PRESENT
             detect_output[i - 1, j - 1] = det
             detect_correct[i - 1, j - 1] = present == (mass > 0)
             run_step2 = present and mass > 0
             if run_step2 or mass == 0:
-                angle_error[i - 1, j - 1] = block_nrmse(block, w_angle)
+                angle_error[i - 1, j - 1] = score(
+                    TaskKind.BENDING_ANGLE, block, w_angle, mass, normalizer)
             if run_step2:
-                mass_error[i - 1, j - 1] = mass_error_percent(
-                    block_mean(block, w_mass), mass
-                )
+                mass_error[i - 1, j - 1] = score(
+                    TaskKind.PAYLOAD_MASS, block, w_mass, mass, normalizer)
     return MultitaskGridResult(
         detect_output=detect_output,
         detect_correct=detect_correct,

@@ -717,3 +717,45 @@ class TestOneSeed:
         expected = ({seed + r for r in range(self.REPEATS)}
                     if argv[-1] == "samples" else {seed})
         assert seeds and set(seeds) == expected
+
+
+class TestSensorNames:
+    # `train --mask` and `correlate --channel` accept the sensor columns of
+    # a run CSV, s1..s7, and refuse any other token by name
+    @pytest.mark.parametrize("token", ["x7", "7", "foo", "s0", "s8", "s"])
+    def test_correlate_refuses_a_token_that_names_no_sensor(self, grid_dir,
+                                                            token, capsys):
+        run = str(grid_dir / "runs" / "P1M1.csv")
+        rc = main(["correlate", "--runs", run, "--channel", token])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and err.count("error:") == 1
+        assert repr(token) in err and "s1..s7" in err
+
+    @pytest.mark.parametrize("token", ["x7", "7", "s0", "s8", "s1s2"])
+    def test_train_refuses_a_mask_token_that_names_no_sensor(self, token,
+                                                             tmp_path, capsys,
+                                                             monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulated before the mask was checked")
+
+        monkeypatch.setattr(surrogate, "simulate_batch", refuse)
+        rc = main(["train", "--task", "bending", "--subset", "P1",
+                   "--mask", f"s5,{token}", "--out", str(tmp_path / "w.json"),
+                   "--quiet"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and err.count("error:") == 1
+        assert repr(token) in err and "s1..s7" in err
+
+    def test_names_are_read_case_and_space_blind(self, grid_dir, tmp_path):
+        weights = tmp_path / "w.json"
+        assert main(["train", "--task", "bending", "--subset", "P1",
+                     "--mask", " S5, s7", "--out", str(weights),
+                     "--quiet"]) == 0
+        assert json.loads(weights.read_text())["sensor_mask"] == [4, 6]
+        run = str(grid_dir / "runs" / "P1M1.csv")
+        for channel in ("S7", "s_in"):
+            assert main(["correlate", "--runs", run, run, "--channel",
+                         channel, "--out", str(tmp_path / "c.csv"),
+                         "--quiet"]) == 0

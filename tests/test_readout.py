@@ -5,6 +5,7 @@ from hypothesis.extra.numpy import arrays
 
 from armrc.core import InputCondition, PressureStateSeries, TimeGrid, Window
 from armrc.readout import (
+    NORMALIZERS,
     RCOND,
     ReadoutWeights,
     TrainingAssembly,
@@ -17,6 +18,7 @@ from armrc.readout import (
     rmse,
     solve_reduced,
     train,
+    truth_scale,
 )
 
 
@@ -337,6 +339,20 @@ class TestErrors:
             nrmse_percent(pred, truth, "other")
         with pytest.raises(ValueError):
             nrmse_percent(np.ones(3), np.ones(3))  # zero range
+
+    # both normalizers read only a trace's extremes, so the (min, max) span
+    # a WindowFactor keeps gives the trace's scale bit for bit
+    @settings(max_examples=100, deadline=None)
+    @given(arrays(np.float64, st.integers(1, 40),
+                  elements=st.floats(-1e6, 1e6)),
+           st.sampled_from(NORMALIZERS))
+    def test_a_trace_and_its_span_give_one_scale(self, truth, normalizer):
+        ref = (float(truth.max() - truth.min()) if normalizer == "range"
+               else float(np.abs(truth).max()))
+        assert truth_scale(truth, normalizer) == ref
+        span = factor(np.ones((truth.size, 1)), truth).span
+        assert span == (truth.min(), truth.max())
+        assert truth_scale(span, normalizer) == ref
 
 
 class TestCorrelationMatrix:

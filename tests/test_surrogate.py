@@ -1,9 +1,11 @@
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from armrc import surrogate
 from armrc.core import InputCondition, PayloadSet, TimeGrid
 from armrc.profiles import (
     RampProfileSpec,
@@ -161,6 +163,23 @@ class TestEchoCheck:
     def test_fails_before_the_two_initial_states_synchronize(self):
         assert not echo_check(SurrogateParams(), P1, 0.0, washout_seconds=0.0)
 
+    def test_the_washout_index_floors_like_every_window(self, monkeypatch):
+        # 1.75 s at 2 Hz is 3.5 samples: `core.sample_count` compares from
+        # sample 3 on, where the two runs still differ; rounding would
+        # start at sample 4 and miss it
+        params = SurrogateParams()
+        grid = TimeGrid(sample_rate=2.0, n_samples=8)
+        apart = np.zeros((params.n_nodes, 8))
+        apart[:, 3] = 1.0
+
+        def runs(*args, **kwargs):
+            return [SimpleNamespace(sensors=s)
+                    for s in (np.zeros((params.n_nodes, 8)), apart)]
+
+        monkeypatch.setattr(surrogate, "simulate_batch", runs)
+        assert not echo_check(params, np.zeros(8), 0.0, grid=grid,
+                              washout_seconds=1.75)
+
 
 class TestCorrelationStructure:
     def test_payload_decorrelates_tip_more_than_profiles_do(self, cfg,
@@ -301,3 +320,4 @@ class TestBatchIndependence:
             alone = simulate(*args, condition=cond, x0=start, seed=seed)
             assert np.array_equal(alone.sensors, batched.sensors)
             assert np.array_equal(alone.theta, batched.theta)
+

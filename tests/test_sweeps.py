@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from armrc import sweeps
 from armrc.core import (
     InputCondition,
+    PayloadSet,
     PressureStateSeries,
     TEST_WINDOW,
     TRAIN_WINDOW,
@@ -18,19 +19,18 @@ from armrc.core import (
 from armrc.profiles import generate_profile
 from armrc.readout import (NORMALIZERS, assemble, nrmse_percent, predict,
                            solve_reduced, train)
-from armrc.surrogate import SurrogateParams, simulate
+from armrc.surrogate import SurrogateParams, add_noise, simulate
 from armrc.sweeps import (
     SweepSpec,
     all_profile_pairs,
     bending_conditions,
-    block_mean,
-    block_nrmse,
     full_width,
     multitask_grid,
     multitask_training_subsets,
     nested_bending_subsets,
     nested_payload_subsets,
     sample_count_sweep,
+    score,
     sensor_ablation_sweep,
     simulate_conditions,
     subset_sweep,
@@ -136,6 +136,13 @@ class TestSubsetSweep:
         with pytest.raises(ValueError, match="zero-payload"):
             subset_sweep(spec, payload_runs, cfg.payloads)
 
+    def test_a_detect_sweep_is_refused(self, cfg, payload_runs):
+        # a sweep reports percent errors, and detection has none
+        spec = SweepSpec(task=TaskKind.PAYLOAD_DETECT,
+                         subsets=((P(1, 1), P(1, 2)),), evaluation=(P(1, 2),))
+        with pytest.raises(ValueError, match="unsupported evaluation task"):
+            subset_sweep(spec, payload_runs, cfg.payloads)
+
     def test_adding_a_condition_never_shrinks_training_residual(self, cfg):
         # noise-free: the joint fit can only fit the original subset worse
         params = SurrogateParams(noise_std=0.0)
@@ -183,7 +190,7 @@ class TestSampleCountRule:
             sample_count_sweep(
                 TaskKind.BENDING_ANGLE, [999, 1000], [P(1, 1)], [P(1, 1)],
                 cfg.surrogate, _noise_free(cfg, P(1, 1)), cfg.payloads,
-                cfg.grid, train_window=self.SHORT, repeats=1,
+                train_window=self.SHORT, repeats=1,
             )
 
 
@@ -193,7 +200,7 @@ class TestSampleCountSweep:
             sample_count_sweep(
                 TaskKind.BENDING_ANGLE, [2000], [P(1, 1)], [P(1, 1)],
                 cfg.surrogate, _noise_free(cfg, P(1, 1)), cfg.payloads,
-                cfg.grid, repeats=1,
+                repeats=1,
             )
 
     def test_a_condition_missing_from_the_runs_is_refused(self, cfg):
@@ -201,14 +208,14 @@ class TestSampleCountSweep:
             sample_count_sweep(
                 TaskKind.BENDING_ANGLE, [400], [P(1, 1)], [P(4, 1)],
                 cfg.surrogate, _noise_free(cfg, P(1, 1)), cfg.payloads,
-                cfg.grid, repeats=1,
+                repeats=1,
             )
 
     def test_full_count_matches_subset_sweep(self, cfg, bending_runs):
         res = sample_count_sweep(
             TaskKind.BENDING_ANGLE, [1000], [P(1, 1), P(7, 1)], [P(4, 1)],
             cfg.surrogate, _noise_free(cfg, P(1, 1), P(7, 1), P(4, 1)),
-            cfg.payloads, cfg.grid, repeats=1, base_seed=cfg.seed,
+            cfg.payloads, repeats=1, base_seed=cfg.seed,
         )
         spec = SweepSpec(
             task=TaskKind.BENDING_ANGLE,
@@ -223,7 +230,7 @@ class TestSampleCountSweep:
         res = sample_count_sweep(
             TaskKind.BENDING_ANGLE, [400], [P(1, 1), P(7, 1)], [P(4, 1)],
             cfg.surrogate, _noise_free(cfg, P(1, 1), P(7, 1), P(4, 1)),
-            cfg.payloads, cfg.grid, repeats=3, base_seed=cfg.seed,
+            cfg.payloads, repeats=3, base_seed=cfg.seed,
         )
         assert res.std_grid[0, 0] > 0.0
 
@@ -233,16 +240,16 @@ class TestSampleCountSweep:
         # adds its noise; that must equal simulating at base_seed + r
         seen = []
 
-        def spy(subset, runs, *args):
+        def spy(spec, runs, payloads):
             seen.append(runs)
-            return train_on_subset(subset, runs, *args)
+            return subset_sweep(spec, runs, payloads)
 
-        monkeypatch.setattr(sweeps, "train_on_subset", spy)
+        monkeypatch.setattr(sweeps, "subset_sweep", spy)
         subset, evaluation = (P(1, 1), P(7, 2)), (P(4, 3),)
         sample_count_sweep(
             TaskKind.BENDING_ANGLE, [100, 400], subset, evaluation,
             cfg.surrogate, _noise_free(cfg, *subset, *evaluation),
-            cfg.payloads, cfg.grid, repeats=3, base_seed=11,
+            cfg.payloads, repeats=3, base_seed=11,
         )
         per_repeat = list({id(runs): runs for runs in seen}.values())
         assert len(per_repeat) == 3
@@ -257,6 +264,25 @@ class TestSampleCountSweep:
                 )
                 assert np.array_equal(runs[cond].sensors, alone.sensors)
                 assert np.array_equal(runs[cond].theta, alone.theta)
+
+    def test_counts_are_read_on_the_runs_clock(self, cfg):
+        # at 20 Hz, 100 samples per condition are the first 5 s of training
+        grid = TimeGrid(sample_rate=20.0, n_samples=2000)
+        subset, evaluation = (P(1, 1), P(7, 1)), (P(4, 1),)
+        noise_free = simulate_conditions(cfg.surrogate, cfg.profiles,
+                                         cfg.payloads, grid,
+                                         subset + evaluation, with_noise=False)
+        res = sample_count_sweep(
+            TaskKind.BENDING_ANGLE, [100], subset, evaluation, cfg.surrogate,
+            noise_free, cfg.payloads, repeats=1, base_seed=cfg.seed,
+        )
+        runs = {c: add_noise(cfg.surrogate, run, cfg.seed)
+                for c, run in noise_free.items()}
+        ref = subset_sweep(SweepSpec(task=TaskKind.BENDING_ANGLE,
+                                     subsets=(subset,), evaluation=evaluation,
+                                     train_window=Window(50.0, 55.0)),
+                           runs, cfg.payloads)
+        assert res.mean_grid.tobytes() == ref.error_grid.tobytes()
 
 
 class TestAblation:
@@ -404,6 +430,8 @@ def _random_series(rng, n=160):
 
 
 class TestFactoredScore:
+    # `score` on one factor equals each task's per-trace reference, under
+    # either normalizer, though the factor was built with neither
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1),
            mask=st.lists(st.integers(0, 6), min_size=1, max_size=7,
@@ -411,29 +439,38 @@ class TestFactoredScore:
            ridge=st.sampled_from([0.0, 0.5]),
            start=st.integers(80, 120),
            rows=st.integers(1, 40),
-           normalizer=st.sampled_from(["range", "maxabs"]))
-    def test_block_scores_equal_the_per_trace_scores(self, seed, mask, ridge,
-                                                     start, rows, normalizer):
+           normalizer=st.sampled_from(NORMALIZERS))
+    def test_scores_equal_the_per_trace_scores(self, seed, mask, ridge,
+                                               start, rows, normalizer):
         rng = np.random.default_rng(seed)
         series = _random_series(rng)
         weights = train(assemble([(series, series.theta)], Window(0.0, 2.0),
                                  mask), ridge)
         window = Window(start / 40.0, (start + rows) / 40.0)
-        block = window_factor(series, window, normalizer)
+        block = window_factor(series, window)
         w = full_width(weights, 7)[0]
         truth = bending_target(series, window)
         assert truth.shape == (rows,) and block.n_rows == rows
+
+        def scored(task, mass=None):
+            return score(task, block, w, mass, normalizer)
+
         try:
             ref = nrmse_percent(predict(weights, series, window), truth,
                                 normalizer)
         except ValueError as err:
             # one flat row under "range": both refuse with one message
             with pytest.raises(ValueError, match=str(err)):
-                block_nrmse(block, w)
+                scored(TaskKind.BENDING_ANGLE)
         else:
-            assert abs(block_nrmse(block, w) - ref) <= 1e-10 * ref
-        mass = estimate_mass(weights, series, window)
-        assert abs(block_mean(block, w) - mass) <= 1e-10 * abs(mass)
+            assert abs(scored(TaskKind.BENDING_ANGLE) - ref) <= 1e-10 * ref
+        estimate = estimate_mass(weights, series, window)
+        assert (abs(scored(TaskKind.PAYLOAD_DETECT) - estimate)
+                <= 1e-10 * abs(estimate))
+        # a truth this far from the estimate keeps the error well above 0
+        mass = 2.0 * abs(estimate) + 1.0
+        ref = mass_error_percent(estimate, mass)
+        assert abs(scored(TaskKind.PAYLOAD_MASS, mass) - ref) <= 1e-10 * ref
 
     def test_flat_truth_keeps_the_zero_scale_error(self):
         rng = np.random.default_rng(3)
@@ -443,10 +480,12 @@ class TestFactoredScore:
                                    theta=np.full(160, 2.0))
         weights = train(assemble([(series, series.theta)], Window(0.0, 2.0)))
         block = window_factor(flat, Window(2.0, 4.0))
+        w = full_width(weights, 7)[0]
         with pytest.raises(ValueError, match="ground-truth scale is zero"):
-            block_nrmse(block, full_width(weights, 7)[0])
+            score(TaskKind.BENDING_ANGLE, block, w, None, "range")
         # the mass estimate does not need the angle's scale
-        assert block_mean(block, full_width(weights, 7)[0]) == pytest.approx(
+        assert score(TaskKind.PAYLOAD_DETECT, block, w, None,
+                     "range") == pytest.approx(
             estimate_mass(weights, flat, Window(2.0, 4.0)), rel=1e-10)
 
 
@@ -469,10 +508,8 @@ def _lone_score(task, weights, runs, cond, payloads, k=0):
     """A cell's score from a block factored for that condition alone."""
     block = window_factor(runs[cond], TEST_WINDOW)
     w = full_width(weights, runs[cond].n_sensors)[k]
-    if task is TaskKind.BENDING_ANGLE:
-        return block_nrmse(block, w)
-    return mass_error_percent(block_mean(block, w),
-                              payloads.mass_of(cond.payload_index))
+    return score(task, block, w, payloads.mass_of(cond.payload_index),
+                 "range")
 
 
 def _spy_on_fits(mp):
@@ -551,11 +588,16 @@ class TestScoreBatchIndependence:
             for j in range(1, len(payloads) + 1):
                 cond = P(i, j)
                 block = window_factor(multitask_runs[cond], TEST_WINDOW)
-                assert res.detect_output[i - 1, j - 1] == block_mean(block,
-                                                                     detect)
+                mass_g = payloads.mass_of(j)
+
+                def scored(task, w):
+                    return score(task, block, w, mass_g, "range")
+
+                assert res.detect_output[i - 1, j - 1] == scored(
+                    TaskKind.PAYLOAD_DETECT, detect)
                 cell = res.angle_error[i - 1, j - 1]
                 if not np.isnan(cell):
-                    assert cell == block_nrmse(block, angle)
+                    assert cell == scored(TaskKind.BENDING_ANGLE, angle)
                     # and within rounding of the per-trace API
                     ref = nrmse_percent(
                         predict(weights, multitask_runs[cond],
@@ -564,8 +606,7 @@ class TestScoreBatchIndependence:
                     assert abs(cell - ref) <= 1e-10 * ref
                 cell = res.mass_error[i - 1, j - 1]
                 if not np.isnan(cell):
-                    assert cell == mass_error_percent(
-                        block_mean(block, mass), payloads.mass_of(j))
+                    assert cell == scored(TaskKind.PAYLOAD_MASS, mass)
 
 
 def _fresh(runs):
@@ -585,8 +626,9 @@ def _spy_on_factors(mp):
 
 
 class TestFactorMemo:
-    # every sweep in a process shares one factor per (run, window,
-    # normalizer), kept while the run lives; sharing must move no result
+    # every sweep in a process shares one factor per (run, window), kept
+    # while the run lives, under either normalizer; sharing must move no
+    # result
     def test_warm_runs_give_the_bytes_of_fresh_copies(self, cfg,
                                                       bending_runs,
                                                       multitask_runs):
@@ -645,27 +687,69 @@ class TestFactorMemo:
             TaskKind.BENDING_ANGLE, [100, 400], [P(1, 1), P(7, 1)],
             [P(4, 1)], cfg.surrogate,
             _noise_free(cfg, P(1, 1), P(7, 1), P(4, 1)), cfg.payloads,
-            cfg.grid, repeats=2,
+            repeats=2,
         )
         gc.collect()
         assert len(sweeps._factors) == entries
 
-    def test_windows_and_normalizers_never_share_a_factor(self, cfg,
-                                                          bending_runs):
+    def test_windows_never_share_a_factor_and_normalizers_do(self, cfg,
+                                                           bending_runs):
         cond = P(2, 1)
         run = dataclasses.replace(bending_runs[cond])
         windows = (TRAIN_WINDOW, TEST_WINDOW, Window(50.0, 55.0))
-        for window in windows:
-            for normalizer in NORMALIZERS:
+
+        def sweep(normalizer):
+            for window in windows:
                 subset_sweep(SweepSpec(task=TaskKind.BENDING_ANGLE,
                                        subsets=((cond,),), evaluation=(cond,),
                                        train_window=window,
                                        test_window=window,
                                        normalizer=normalizer),
                              {cond: run}, cfg.payloads)
+
+        sweep("range")
         memo = sweeps._factors[run]
-        assert set(memo) == {(w, n) for w in windows for n in NORMALIZERS}
-        for (window, normalizer), block in memo.items():
-            lone = window_factor(run, window, normalizer)
+        assert set(memo) == set(windows)
+        for window, block in memo.items():
+            lone = window_factor(run, window)
             for got, want in zip(block, lone):
                 assert np.array_equal(got, want)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _spy_on_factors(mp)
+            sweep("maxabs")
+        assert calls == []
+
+
+class TestTruthMass:
+    # a run that records its grams must carry the mass its payload index
+    # has in the payload set a sweep is given
+    LIGHT = PayloadSet((0.0, 50.0, 60.0, 70.0, 80.0, 90.0, 100.0))
+
+    def spec(self):
+        return SweepSpec(task=TaskKind.PAYLOAD_MASS,
+                         subsets=((P(1, 2), P(1, 7)),),
+                         evaluation=(P(1, 3),))
+
+    def test_a_scored_run_of_other_grams_is_refused(self, payload_runs):
+        with pytest.raises(ValueError, match=r"P1M3.* 140 g.* 60 g"):
+            subset_sweep(self.spec(), payload_runs, self.LIGHT)
+
+    def test_a_training_run_of_other_grams_is_refused(self, payload_runs):
+        runs = dict(payload_runs)
+        runs[P(1, 3)] = dataclasses.replace(runs[P(1, 3)], payload_grams=None)
+        with pytest.raises(ValueError, match=r"P1M2.* 100 g.* 50 g"):
+            subset_sweep(self.spec(), runs, self.LIGHT)
+
+    def test_the_multitask_grid_refuses_them(self, multitask_runs):
+        payloads = PayloadSet((0.0, 100.0, 200.0, 300.0, 500.0))
+        with pytest.raises(ValueError, match=r"P1M5.* 400 g.* 500 g"):
+            multitask_grid(multitask_training_subsets()["2x2"],
+                           multitask_runs, payloads)
+
+    def test_runs_of_unknown_grams_take_the_payload_set_s(self, cfg,
+                                                          payload_runs):
+        runs = {c: dataclasses.replace(r, payload_grams=None)
+                for c, r in payload_runs.items()}
+        light = subset_sweep(self.spec(), runs, self.LIGHT).error_grid
+        heavy = subset_sweep(self.spec(), runs, cfg.payloads).error_grid
+        assert np.isfinite(light).all() and not np.array_equal(light, heavy)
