@@ -122,7 +122,7 @@ def cmd_evaluate(args) -> int:
     weights, provenance = load_weights(args.weights)
     series = ingest_run(args.run)
     window = {"train": cfg.train, "test": cfg.test,
-              "full": Window(cfg.grid.t0, cfg.grid.t_end)}[args.window]
+              "full": Window(series.grid.t0, series.grid.t_end)}[args.window]
     mass = series.payload_grams
     if mass is None and series.condition is not None:
         mass = cfg.payloads.mass_of(series.condition.payload_index)

@@ -2,8 +2,8 @@
 
 Training and sweep scoring share one factorization: `factor` takes the QR
 of a window's design [1 | S] and keeps a `WindowFactor`, from which
-`solve_reduced` fits readouts (an SVD of the small R rows, alone or
-stacked, for any subset of the columns) and the sweeps score them.
+`solve_reduced` fits readouts (one SVD call for a whole stack of small R
+row blocks, each for any subset of the columns) and the sweeps score them.
 Predictions are per-sample weighted sums of the masked sensor readings plus
 a bias.
 """
@@ -153,11 +153,15 @@ def train(
     task_names: Sequence[str] = (),
 ) -> ReadoutWeights:
     """Fit readout weights for every target column from the design's
-    `factor`, one column at a time."""
+    `factor`, one column at a time, as a `solve_reduced` batch of one."""
     y = assembly.targets
     parts = [factor(assembly.states, y[:, k]) for k in range(y.shape[1])]
-    return solve_reduced(parts[0].r, np.column_stack([p.z for p in parts]),
-                         assembly.sensor_mask, ridge, task_names)
+    z = np.column_stack([p.z for p in parts])
+    return ReadoutWeights(
+        weights=solve_reduced(parts[0].r[None], z[None], ridge)[0],
+        sensor_mask=assembly.sensor_mask,
+        task_names=tuple(task_names),
+    )
 
 
 class WindowFactor(NamedTuple):
@@ -196,41 +200,33 @@ def factor(phi: np.ndarray, theta: np.ndarray) -> WindowFactor:
                         means=phi.mean(axis=0))
 
 
-def solve_reduced(
-    r: np.ndarray,
-    z: np.ndarray,
-    sensor_mask: tuple,
-    ridge: float = 0.0,
-    task_names: Sequence[str] = (),
-) -> ReadoutWeights:
-    """Fit readout weights on (R, Q^T Y) rows, one factor's or several
-    stacked, with one column of ``z`` per task.
+def solve_reduced(r: np.ndarray, z: np.ndarray,
+                  ridge: float = 0.0) -> np.ndarray:
+    """Fit a stack of readouts on (R, Q^T Y) rows in one SVD call: ``r``
+    is (N, m, k), each matrix one factor's rows or several factors'
+    stacked, and ``z`` is (N or 1, m, n_tasks); returns (N, k, n_tasks).
 
     R = U diag(s) V^T and w = V diag(d) U^T Q^T y. At ridge == 0, d = 1/s
     for singular values above RCOND * s[0] and 0 below it (the minimum-norm
     pseudoinverse). At ridge > 0, d = s / (s^2 + ridge), which minimizes
     |Phi w - y|^2 + ridge |w|^2; the penalty covers every column, the bias
-    included. Columns are solved one at a time so multi-task training is
-    bit-identical to task-by-task training.
+    included. LAPACK and BLAS run once per matrix, and task columns are
+    solved one at a time, so a readout is bit-identical alone, in any
+    stack, and task by task.
     """
     if ridge < 0:
         raise ValueError(f"ridge must be >= 0, got {ridge}")
-    if r.shape[0] == 0:
-        raise ValueError("cannot train on an empty assembly")
     u, s, vt = np.linalg.svd(r, full_matrices=False)
     if ridge == 0.0:
-        keep = s > (RCOND * s[0] if s.size and s[0] > 0 else np.inf)
+        top = s[:, :1]
+        keep = s > np.where(top > 0, RCOND * top, np.inf)
         d = np.zeros_like(s)
         d[keep] = 1.0 / s[keep]
     else:
         d = s / (s * s + ridge)
-    solve = (vt.T * d) @ u.T
-    cols = [solve @ z[:, k] for k in range(z.shape[1])]
-    return ReadoutWeights(
-        weights=np.column_stack(cols),
-        sensor_mask=sensor_mask,
-        task_names=tuple(task_names),
-    )
+    solve = (vt.swapaxes(1, 2) * d[:, None, :]) @ u.swapaxes(1, 2)
+    return np.concatenate([solve @ z[:, :, k:k + 1]
+                           for k in range(z.shape[2])], axis=2)
 
 
 def predict(
@@ -272,25 +268,28 @@ def nrmse_percent(pred: np.ndarray, truth: np.ndarray,
     return scaled_percent(rmse(pred, truth), scale)
 
 
-def truth_scale(truth, normalizer: str = "range") -> float:
-    """The scale percent errors divide by; 0.0 for a flat or empty truth.
+def truth_scale(truth, normalizer: str = "range"):
+    """The scale percent errors divide by, of each trace along the last
+    axis; 0.0 for a flat or empty truth.
 
     normalizer "range" is max(truth) - min(truth) over the evaluation
     window, "maxabs" is max |truth|; both read only its extremes, so a
-    (min, max) span gives its scale bit for bit. The choice is a reporting
-    convention; both are exposed because percent errors depend on it.
+    (min, max) span gives its scale bit for bit, and a (C, 2) stack of
+    spans gives C scales. The choice is a reporting convention; both are
+    exposed because percent errors depend on it.
     """
     if normalizer not in NORMALIZERS:
         raise ValueError(f"unknown normalizer {normalizer!r}")
-    if len(truth) == 0:
+    truth = np.asarray(truth, dtype=float)
+    if truth.shape[-1] == 0:
         return 0.0
-    lo, hi = float(min(truth)), float(max(truth))
-    return hi - lo if normalizer == "range" else max(abs(lo), abs(hi))
+    lo, hi = truth.min(axis=-1), truth.max(axis=-1)
+    return hi - lo if normalizer == "range" else np.maximum(abs(lo), abs(hi))
 
 
-def scaled_percent(error: float, scale: float) -> float:
-    """``error`` as a percentage of a `truth_scale`."""
-    if scale == 0.0:
+def scaled_percent(error, scale):
+    """``error`` as a percentage of a `truth_scale` (elementwise)."""
+    if np.any(np.equal(scale, 0.0)):
         raise ValueError("ground-truth scale is zero; percent error undefined")
     return 100.0 * error / scale
 

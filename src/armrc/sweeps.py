@@ -13,12 +13,14 @@ window; the CLI sweeps are loops over both.
 
 Each (run, window) is factored once per process while its run lives, and
 `score` reads every reported number off it (README: "Readout solver").
+A sweep makes one `readout.solve_reduced` call per shape of stacked R rows
+and one `score` call per evaluation cell; every cell still equals, bit for
+bit, its lone `train_on_subset` scored alone.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 import weakref
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
@@ -32,7 +34,6 @@ from .core import (
     PressureStateSeries,
     TEST_WINDOW,
     TRAIN_WINDOW,
-    TimeGrid,
     Window,
     sample_count,
     window_indices,
@@ -84,18 +85,28 @@ class SweepSpec:
         if len(self.subsets) == 0:
             raise ValueError("need at least one training subset")
 
-    def effective_train_window(self, grid: TimeGrid) -> Window:
+    def effective_train_window(self, runs: Mapping) -> Window:
         """The train window's first ``samples_per_condition`` samples on
-        ``grid``'s clock; a count the window does not hold
-        (`core.sample_count`) is refused."""
+        the clock of the sweep's runs; a run on another sample rate, or a
+        count the window does not hold (`core.sample_count`), is refused."""
         count, window = self.samples_per_condition, self.train_window
         if count is None:
             return window
-        full = sample_count(window, grid.sample_rate)
+        first, *rest = dict.fromkeys(itertools.chain(self.evaluation,
+                                                     *self.subsets))
+        rate = _require(runs, first).grid.sample_rate
+        for cond in rest:
+            other = _require(runs, cond).grid.sample_rate
+            if other != rate:
+                raise ValueError(
+                    f"a sample count needs one clock: run {cond.label} is "
+                    f"sampled at {other:g} Hz, run {first.label} at "
+                    f"{rate:g} Hz")
+        full = sample_count(window, rate)
         if not 1 <= count <= full:
             raise ValueError(f"sample count {count} outside the {full}-sample "
                              "training window")
-        return Window(window.start, window.start + count / grid.sample_rate)
+        return Window(window.start, window.start + count / rate)
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,31 +167,41 @@ def _truth_mass(runs: Mapping, cond: InputCondition,
     return mass
 
 
+def _reads(mask: tuple, n_sensors: int) -> None:
+    """Refuse a readout on sensors ``mask`` for an ``n_sensors``-sensor run."""
+    if max(mask) >= n_sensors:
+        raise ValueError(
+            f"weights trained on sensors {mask} cannot read a "
+            f"{n_sensors}-sensor run"
+        )
+
+
 def full_width(weights: ReadoutWeights, n_sensors: int) -> np.ndarray:
     """Weights as (n_tasks, 1 + n_sensors) rows over the all-sensor design,
     zero on the sensors outside the mask."""
-    if max(weights.sensor_mask) >= n_sensors:
-        raise ValueError(
-            f"weights trained on sensors {weights.sensor_mask} cannot read a "
-            f"{n_sensors}-sensor run"
-        )
+    _reads(weights.sensor_mask, n_sensors)
     rows = np.zeros((weights.n_tasks, 1 + n_sensors))
     rows[:, [0] + [1 + m for m in weights.sensor_mask]] = weights.weights.T
     return rows
 
 
 def score(task: TaskKind, block: WindowFactor, w: np.ndarray,
-          mass: Optional[float], normalizer: str) -> float:
-    """The reported number of readout ``w`` (one `full_width` row) on a
-    factor's window, in O(k^2) instead of O(T k): for bending the
-    `nrmse_percent` of the angle, for mass the `mass_error_percent` of the
-    window mean against ``mass``, for detection the window mean itself
-    (the detect output, as `tasks.estimate_mass` is the mass estimate)."""
+          mass: Optional[float], normalizer: str) -> np.ndarray:
+    """The reported number of readout ``w`` on a factor's window, in
+    O(k^2) instead of O(T k): for bending the `nrmse_percent` of the angle,
+    for mass the `mass_error_percent` of the window mean against ``mass``,
+    for detection the window mean itself (the detect output, as
+    `tasks.estimate_mass` is the mass estimate). ``w`` is one `full_width`
+    row or an (N, 1 + n_sensors) batch of them; one row may also be scored
+    on a stack of factors (fields stacked on a first axis), one mass each.
+    Stacked matmuls give every row and factor BLAS calls of its own, so no
+    score depends on the rest of its batch (README: the gemv pitfall)."""
     if task is TaskKind.BENDING_ANGLE:
-        resid = block.r @ w - block.z
-        rms = math.sqrt((float(resid @ resid) + block.floor) / block.n_rows)
+        resid = (block.r @ w[..., None])[..., 0] - block.z
+        sq = (resid[..., None, :] @ resid[..., None])[..., 0, 0]
+        rms = np.sqrt((sq + block.floor) / block.n_rows)
         return scaled_percent(rms, truth_scale(block.span, normalizer))
-    mean = float(block.means @ w)
+    mean = (w[..., None, :] @ block.means[..., None])[..., 0, 0]
     if task is TaskKind.PAYLOAD_MASS:
         return mass_error_percent(mean, mass)
     return mean
@@ -209,27 +230,6 @@ def _evaluation(task: TaskKind, evaluation, runs: Mapping,
     return cells
 
 
-def _score_row(task: TaskKind, weights: ReadoutWeights, cells: list,
-               normalizer: str) -> list:
-    """A single-task readout's `score` on every `_evaluation` cell."""
-    w = full_width(weights, len(cells[0][0].means) - 1)[0]
-    return [score(task, block, w, mass, normalizer) for block, mass in cells]
-
-
-def train_on_subset(
-    subset: Sequence[InputCondition],
-    runs: Mapping,
-    payloads: PayloadSet,
-    task: TaskKind,
-    window: Window,
-    sensor_mask=None,
-    ridge: float = 0.0,
-):
-    """Train one readout from a condition subset."""
-    return _fit(_stack(subset, runs, payloads, (task,), window),
-                sensor_mask, ridge, (task,))
-
-
 def _target(task: TaskKind, part: WindowFactor, runs: Mapping,
             cond: InputCondition, payloads: PayloadSet) -> np.ndarray:
     """A task's target column over a factor's R rows: Q^T theta for the
@@ -242,49 +242,109 @@ def _target(task: TaskKind, part: WindowFactor, runs: Mapping,
     return (DETECT_ABSENT if mass == 0 else DETECT_PRESENT) * part.r[:, 0]
 
 
-def _stack(subset, runs: Mapping, payloads: PayloadSet, tasks: tuple,
-           window: Window) -> tuple:
-    """A subset's training rows: its conditions' all-sensor R factors over
-    ``window`` (`_factor`), stacked, with one target column per task."""
-    if len(subset) == 0:
-        raise ValueError("need at least one condition to assemble")
-    parts = [_factor(runs, cond, window) for cond in subset]
-    widths = sorted({part.r.shape[1] - 1 for part in parts})
-    if len(widths) > 1:
-        raise ValueError(f"conditions disagree on sensor count: {widths}")
-    z = np.column_stack([
-        np.concatenate([_target(task, part, runs, cond, payloads)
-                        for cond, part in zip(subset, parts)])
-        for task in tasks])
-    return np.vstack([part.r for part in parts]), z
+def _members(subsets, runs: Mapping, payloads: PayloadSet, tasks: tuple,
+             window: Window) -> list:
+    """Each subset's training rows over ``window``, one (R, Z) pair per
+    condition: its all-sensor R factor (`_factor`) and one `_target` column
+    per task, read once per distinct condition."""
+    parts = {}
+    for cond in itertools.chain(*subsets):
+        if cond not in parts:
+            part = _factor(runs, cond, window)
+            parts[cond] = (part.r, np.column_stack(
+                [_target(task, part, runs, cond, payloads) for task in tasks]))
+    return [[parts[c] for c in subset] for subset in subsets]
 
 
-def _fit(stacked: tuple, sensor_mask, ridge: float,
-         tasks: tuple) -> ReadoutWeights:
-    """Train one readout, one column per task, on `_stack` rows: a sensor
-    mask only picks columns of the stacked R rows, which go to
-    `readout.solve_reduced` with no second QR."""
-    r, z = stacked
-    mask = normalize_mask(sensor_mask, r.shape[1] - 1)
-    return solve_reduced(r[:, [0] + [1 + m for m in mask]], z, mask, ridge,
-                         task_names=tuple(t.value for t in tasks))
+def _groups(keys) -> dict:
+    """The indices of each distinct key, in order of first appearance."""
+    groups = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return groups
+
+
+def _solve(fits: Sequence, ridge: float,
+           n_sensors: Optional[int] = None) -> np.ndarray:
+    """Fit one readout per (members, mask) of ``fits``: its `_members`
+    rows stacked, read on the bias and the mask's columns (None: every
+    sensor), with no second QR. Fits of one stacked shape share one
+    `readout.solve_reduced` call.
+
+    Returns (len(fits), n_tasks, 1 + n_sensors) weight rows over the design
+    of an ``n_sensors``-sensor run (default: the training runs'), zero
+    outside each mask.
+    """
+    out = None
+    keys = ((tuple(r.shape for r, _ in members),
+             None if mask is None else len(mask)) for members, mask in fits)
+    for (shapes, every), idx in _groups(keys).items():
+        if not shapes:
+            raise ValueError("need at least one condition to assemble")
+        widths = sorted({k - 1 for _, k in shapes})
+        if len(widths) > 1:
+            raise ValueError(f"conditions disagree on sensor count: {widths}")
+        n = widths[0]
+        n_sensors = n if n_sensors is None else n_sensors
+        masks = ([tuple(range(n))] if every is None
+                 else [normalize_mask(fits[i][1], n) for i in idx])
+        for mask in masks:
+            _reads(mask, n_sensors)
+        cols = np.array([[0] + [1 + m for m in mask] for mask in masks])
+        # each member position's (R, Z) over the group, side by side in rows
+        r, z = (np.concatenate([np.stack(position) for position in
+                                zip(*([part[j] for part in fits[i][0]]
+                                      for i in idx))], axis=1)
+                for j in (0, 1))
+        if every is not None:
+            r = np.take_along_axis(r, cols[:, None, :], axis=2)
+        w = solve_reduced(r, z, ridge)
+        if out is None:
+            out = np.zeros((len(fits), w.shape[2], 1 + n_sensors))
+        out[np.array(idx)[:, None], :, cols] = w
+    return out
+
+
+def _sweep(task: TaskKind, fits: Sequence, cells: list, ridge: float,
+           normalizer: str) -> tuple:
+    """`_solve` every single-task readout of ``fits`` and `score` them all
+    on each `_evaluation` cell in one call; returns the (fit, cell) error
+    grid and the weight rows."""
+    w = _solve(fits, ridge, len(cells[0][0].means) - 1)[:, 0]
+    grid = np.column_stack([score(task, block, w, mass, normalizer)
+                            for block, mass in cells])
+    return grid, w
+
+
+def train_on_subset(
+    subset: Sequence[InputCondition],
+    runs: Mapping,
+    payloads: PayloadSet,
+    task: TaskKind,
+    window: Window,
+    sensor_mask=None,
+    ridge: float = 0.0,
+):
+    """Train one readout from a condition subset."""
+    (members,) = _members((subset,), runs, payloads, (task,), window)
+    (w,) = _solve([(members, sensor_mask)], ridge)
+    mask = normalize_mask(sensor_mask, w.shape[1] - 1)
+    return ReadoutWeights(weights=w[:, [0] + [1 + m for m in mask]].T,
+                          sensor_mask=mask, task_names=(task.value,))
 
 
 def subset_sweep(spec: SweepSpec, runs: Mapping,
                  payloads: PayloadSet) -> SweepResult:
     """Train one readout per subset and score it on every evaluation
     condition's test window."""
-    window = spec.effective_train_window(
-        _require(runs, spec.evaluation[0]).grid)
+    window = spec.effective_train_window(runs)
     cells = _evaluation(spec.task, spec.evaluation, runs, payloads,
                         spec.test_window)
-    rows = []
-    for subset in spec.subsets:
-        stacked = _stack(subset, runs, payloads, (spec.task,), window)
-        weights = _fit(stacked, None, spec.ridge, (spec.task,))
-        rows.append(_score_row(spec.task, weights, cells, spec.normalizer))
+    fits = [(members, None) for members in _members(
+        spec.subsets, runs, payloads, (spec.task,), window)]
     return SweepResult(
-        error_grid=np.array(rows),
+        error_grid=_sweep(spec.task, fits, cells, spec.ridge,
+                          spec.normalizer)[0],
         subsets=tuple(tuple(s) for s in spec.subsets),
         evaluation=tuple(spec.evaluation),
     )
@@ -322,21 +382,23 @@ def sample_count_sweep(
     ``noise_free`` holds each condition's run simulated without noise; a
     repeat only draws its noise, which never feeds back into the states;
     its noisy runs' factors serve every count and die with those runs. A
-    count the train window does not hold is refused before any noise.
+    count the train window does not hold is refused before any noise. All
+    counts of a repeat are fitted and scored as one `_sweep`.
     """
     counts = tuple(int(c) for c in counts)
-    specs = [SweepSpec(task, (tuple(subset),), tuple(evaluation), train_window,
-                       test_window, count, base_seed, ridge, normalizer)
-             for count in counts]
+    windows = [SweepSpec(task, (tuple(subset),), tuple(evaluation),
+                         train_window, test_window, count, base_seed, ridge,
+                         normalizer).effective_train_window(noise_free)
+               for count in counts]
     needed = {c: _require(noise_free, c) for c in (*subset, *evaluation)}
-    for spec in specs:
-        spec.effective_train_window(needed[evaluation[0]].grid)
     errors = np.empty((len(counts), len(evaluation), repeats))
     for r in range(repeats):
         runs = {c: add_noise(params, run, base_seed + r)
                 for c, run in needed.items()}
-        for ci, spec in enumerate(specs):
-            errors[ci, :, r] = subset_sweep(spec, runs, payloads).error_grid[0]
+        cells = _evaluation(task, evaluation, runs, payloads, test_window)
+        fits = [(members, None) for window in windows for members in
+                _members((subset,), runs, payloads, (task,), window)]
+        errors[:, :, r] = _sweep(task, fits, cells, ridge, normalizer)[0]
     return SampleCountResult(
         counts=counts,
         mean_grid=errors.mean(axis=2),
@@ -369,23 +431,22 @@ def sensor_ablation_sweep(
     normalizer: str = "range",
 ) -> AblationResult:
     """Retrain with each sensor mask; report errors plus weight shares
-    (absolute sensor weights normalized to 100% per mask, bias excluded)."""
+    (absolute sensor weights normalized to 100% per mask, bias excluded).
+    All masks are fitted and scored as one `_sweep`, one stack per mask
+    size."""
     if len(masks) == 0:
         raise ValueError("need at least one sensor mask")
     n_sensors = _require(runs, evaluation[0]).n_sensors
     masks = tuple(normalize_mask(m, n_sensors) for m in masks)
-    error_rows = []
-    share_rows = np.full((len(masks), n_sensors), np.nan)
     cells = _evaluation(task, evaluation, runs, payloads, test_window)
-    stacked = _stack(subset, runs, payloads, (task,), train_window)
+    (members,) = _members((subset,), runs, payloads, (task,), train_window)
+    error_grid, w = _sweep(task, [(members, mask) for mask in masks], cells,
+                           ridge, normalizer)
+    share_rows = np.full((len(masks), n_sensors), np.nan)
     for mi, mask in enumerate(masks):
-        weights = _fit(stacked, mask, ridge, (task,))
-        error_rows.append(_score_row(task, weights, cells, normalizer))
-        mags = np.abs(weights.sensor_weights[:, 0])
+        mags = np.abs(w[mi, [1 + m for m in mask]])
         total = mags.sum()
-        for k, sensor in enumerate(mask):
-            share_rows[mi, sensor] = 100.0 * mags[k] / total if total > 0 else 0.0
-    error_grid = np.array(error_rows)
+        share_rows[mi, list(mask)] = 100.0 * mags / total if total > 0 else 0.0
     return AblationResult(
         masks=masks,
         error_grid=error_grid,
@@ -441,38 +502,40 @@ def multitask_grid(
     detected; zero-payload cells are scored on angle alone. Each cell is
     scored once, from its own test-window factor.
     """
-    weights = _fit(_stack(training_cells, runs, payloads, MULTITASK_TASKS,
-                          train_window),
-                   None, ridge, MULTITASK_TASKS)
-    w_angle, w_detect, w_mass = full_width(weights, len(weights.sensor_mask))
+    (members,) = _members((training_cells,), runs, payloads,
+                          MULTITASK_TASKS, train_window)
+    (w,) = _solve([(members, None)], ridge)
+    w_angle, w_detect, w_mass = w
 
-    n_payloads = len(payloads)
-    detect_output = np.empty((n_profiles, n_payloads))
-    detect_correct = np.empty((n_profiles, n_payloads), dtype=bool)
-    angle_error = np.full((n_profiles, n_payloads), np.nan)
-    mass_error = np.full((n_profiles, n_payloads), np.nan)
-    for i in range(1, n_profiles + 1):
-        for j in range(1, n_payloads + 1):
-            cond = InputCondition(i, j)
-            block = _factor(runs, cond, test_window)
-            mass = _truth_mass(runs, cond, payloads)
-            det = score(TaskKind.PAYLOAD_DETECT, block, w_detect, mass,
-                        normalizer)
-            present = payload_status(det) is PayloadStatus.PRESENT
-            detect_output[i - 1, j - 1] = det
-            detect_correct[i - 1, j - 1] = present == (mass > 0)
-            run_step2 = present and mass > 0
-            if run_step2 or mass == 0:
-                angle_error[i - 1, j - 1] = score(
-                    TaskKind.BENDING_ANGLE, block, w_angle, mass, normalizer)
-            if run_step2:
-                mass_error[i - 1, j - 1] = score(
-                    TaskKind.PAYLOAD_MASS, block, w_mass, mass, normalizer)
+    cells = [InputCondition(i, j) for i in range(1, n_profiles + 1)
+             for j in range(1, len(payloads) + 1)]
+    masses = np.array([_truth_mass(runs, c, payloads) for c in cells])
+    blocks = [_factor(runs, c, test_window) for c in cells]
+    detect = np.empty(len(cells))
+    present = np.empty(len(cells), dtype=bool)
+    angle_error = np.full(len(cells), np.nan)
+    mass_error = np.full(len(cells), np.nan)
+    for idx in _groups(block.r.shape for block in blocks).values():
+        idx = np.array(idx)
+        stack = WindowFactor(*map(np.array, zip(*(blocks[i] for i in idx))))
+        detect[idx] = score(TaskKind.PAYLOAD_DETECT, stack, w_detect, None,
+                            normalizer)
+        present[idx] = [payload_status(d) is PayloadStatus.PRESENT
+                        for d in detect[idx]]
+        step2 = present[idx] & (masses[idx] > 0)
+        for task, row, out, scored in (
+                (TaskKind.BENDING_ANGLE, w_angle, angle_error,
+                 step2 | (masses[idx] == 0)),
+                (TaskKind.PAYLOAD_MASS, w_mass, mass_error, step2)):
+            part = WindowFactor(*(field[scored] for field in stack))
+            out[idx[scored]] = score(task, part, row, masses[idx[scored]],
+                                     normalizer)
+    shape = (n_profiles, len(payloads))
     return MultitaskGridResult(
-        detect_output=detect_output,
-        detect_correct=detect_correct,
-        angle_error=angle_error,
-        mass_error=mass_error,
+        detect_output=detect.reshape(shape),
+        detect_correct=(present == (masses > 0)).reshape(shape),
+        angle_error=angle_error.reshape(shape),
+        mass_error=mass_error.reshape(shape),
     )
 
 

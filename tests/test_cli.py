@@ -13,9 +13,10 @@ import armrc
 from armrc import cli, surrogate, sweeps
 from armrc.cli import main
 from armrc.config import ExperimentConfig, default_config
-from armrc.core import InputCondition, PayloadSet
-from armrc.readout import ReadoutWeights
-from armrc.runio import export_run, read_matrix_csv, save_weights
+from armrc.core import InputCondition, PayloadSet, TimeGrid
+from armrc.readout import ReadoutWeights, nrmse_percent, predict
+from armrc.runio import (export_run, ingest_run, load_weights,
+                         read_matrix_csv, save_weights)
 from armrc.sweeps import experiments, simulate_conditions
 
 
@@ -173,6 +174,37 @@ class TestTrainEvaluate:
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith("error:")
+
+
+class TestFullWindow:
+    # `--window full` is the run's own clock, not the config's 100 s
+    @pytest.fixture(scope="class")
+    def bending_weights(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("full") / "w.json"
+        assert main(["train", "--task", "bending", "--subset", "P1,P7",
+                     "--out", str(path), "--quiet"]) == 0
+        return path
+
+    @pytest.mark.parametrize("seconds", [80, 120])
+    def test_scores_the_whole_run(self, bending_weights, tmp_path, capsys,
+                                  seconds):
+        cfg = default_config()
+        cond = InputCondition(4, 1)
+        grid = TimeGrid(sample_rate=40.0, n_samples=40 * seconds)
+        run = simulate_conditions(cfg.surrogate, cfg.profiles, cfg.payloads,
+                                  grid, [cond])[cond]
+        path = export_run(run, tmp_path / "P4M1.csv")
+        rc = main(["evaluate", "--weights", str(bending_weights),
+                   "--run", str(path), "--window", "full"])
+        captured = capsys.readouterr()
+        assert rc == 0, captured.err
+        (line,) = captured.out.splitlines()
+        got = float(line.split("nrmse_percent=")[1])
+        series = ingest_run(path)
+        weights, _ = load_weights(bending_weights)
+        ref = nrmse_percent(predict(weights, series), series.theta)
+        # printed to 4 decimals
+        assert got == pytest.approx(ref, abs=6e-5)
 
 
 class TestSweeps:

@@ -162,9 +162,9 @@ def _stacked_reduced_fit(phi, y, sizes, mask, ridge):
     blocks = [[factor(phi[a:b], y[a:b, k]) for k in range(y.shape[1])]
               for a, b in zip(edges[:-1], edges[1:])]
     return solve_reduced(
-        np.vstack([b[0].r[:, cols] for b in blocks]),
-        np.vstack([np.column_stack([f.z for f in b]) for b in blocks]),
-        tuple(mask), ridge).weights
+        np.vstack([b[0].r[:, cols] for b in blocks])[None],
+        np.vstack([np.column_stack([f.z for f in b]) for b in blocks])[None],
+        ridge)[0]
 
 
 class TestFactoredFit:
@@ -204,6 +204,29 @@ class TestFactoredFit:
         assert np.allclose(w, np.linalg.pinv(phi, rcond=RCOND) @ y,
                            atol=1e-10)
         assert w[1, 0] == pytest.approx(w[7, 0], abs=1e-10)
+
+
+class TestStackedSolve:
+    # one SVD call for a stack runs LAPACK, and each stacked matmul BLAS,
+    # once per matrix: a readout does not depend on what else is stacked
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 12),
+           rows=st.integers(1, 56), cols=st.integers(1, 8),
+           n_tasks=st.integers(1, 3), ridge=st.sampled_from([0.0, 0.5]),
+           shared=st.booleans())
+    def test_each_readout_equals_its_solve_alone(self, seed, n, rows, cols,
+                                                 n_tasks, ridge, shared):
+        rng = np.random.default_rng(seed)
+        r = rng.normal(size=(n, rows, cols))
+        # every other matrix rank-deficient, so the RCOND cut is per matrix
+        r[::2, :, -1] = r[::2, :, 0]
+        z = rng.normal(size=(1 if shared else n, rows, n_tasks))
+        w = solve_reduced(r, z, ridge)
+        assert w.shape == (n, cols, n_tasks)
+        for i in range(n):
+            alone = solve_reduced(r[i:i + 1], z[:1] if shared else z[i:i + 1],
+                                  ridge)
+            assert np.array_equal(alone[0], w[i])
 
 
 class TestWindowFactor:

@@ -17,8 +17,8 @@ from armrc.core import (
     Window,
 )
 from armrc.profiles import generate_profile
-from armrc.readout import (NORMALIZERS, assemble, nrmse_percent, predict,
-                           solve_reduced, train)
+from armrc.readout import (NORMALIZERS, ReadoutWeights, assemble,
+                           nrmse_percent, predict, train)
 from armrc.surrogate import SurrogateParams, add_noise, simulate
 from armrc.sweeps import (
     SweepSpec,
@@ -194,6 +194,42 @@ class TestSampleCountRule:
             )
 
 
+class TestOneClock:
+    # a sample count is read on one clock: P1M1 and P7M1 at 20 Hz with
+    # P4M1 at 40 Hz would train 100 "samples" on 50 rows per condition
+    @pytest.fixture(scope="class")
+    def mixed(self, cfg, bending_runs):
+        slow = TimeGrid(sample_rate=20.0, n_samples=2000)
+        runs = simulate_conditions(cfg.surrogate, cfg.profiles, cfg.payloads,
+                                   slow, (P(1, 1), P(7, 1)))
+        return {**runs, P(4, 1): bending_runs[P(4, 1)]}
+
+    @pytest.mark.parametrize("subset, evaluation, message", [
+        ((P(1, 1), P(7, 1)), (P(4, 1),),
+         r"run P1M1 is sampled at 20 Hz, run P4M1 at 40 Hz"),
+        ((P(1, 1), P(4, 1)), (P(7, 1),),
+         r"run P4M1 is sampled at 40 Hz, run P7M1 at 20 Hz"),
+    ])
+    def test_a_run_on_another_clock_is_refused(self, cfg, mixed, subset,
+                                               evaluation, message):
+        spec = SweepSpec(task=TaskKind.BENDING_ANGLE, subsets=(subset,),
+                         evaluation=evaluation, samples_per_condition=100)
+        with pytest.raises(ValueError, match=message):
+            subset_sweep(spec, mixed, cfg.payloads)
+
+    def test_the_sample_count_sweep_refuses_it_too(self, cfg, mixed):
+        with pytest.raises(ValueError, match="sample count needs one clock"):
+            sample_count_sweep(
+                TaskKind.BENDING_ANGLE, [100], (P(1, 1), P(7, 1)),
+                (P(4, 1),), cfg.surrogate, mixed, cfg.payloads, repeats=1)
+
+    def test_without_a_count_the_clocks_may_differ(self, cfg, mixed):
+        spec = SweepSpec(task=TaskKind.BENDING_ANGLE,
+                         subsets=((P(1, 1), P(7, 1)),), evaluation=(P(4, 1),))
+        assert np.isfinite(subset_sweep(spec, mixed, cfg.payloads)
+                           .error_grid).all()
+
+
 class TestSampleCountSweep:
     def test_count_beyond_window_rejected(self, cfg):
         with pytest.raises(ValueError, match="sample count"):
@@ -238,13 +274,14 @@ class TestSampleCountSweep:
                                                            monkeypatch):
         # the noise-free states are simulated once and each repeat only
         # adds its noise; that must equal simulating at base_seed + r
-        seen = []
+        seen, real = [], sweeps._factor
 
-        def spy(spec, runs, payloads):
+        def spy(runs, cond, window):
+            # every training and test factor is read off a repeat's runs
             seen.append(runs)
-            return subset_sweep(spec, runs, payloads)
+            return real(runs, cond, window)
 
-        monkeypatch.setattr(sweeps, "subset_sweep", spy)
+        monkeypatch.setattr(sweeps, "_factor", spy)
         subset, evaluation = (P(1, 1), P(7, 2)), (P(4, 3),)
         sample_count_sweep(
             TaskKind.BENDING_ANGLE, [100, 400], subset, evaluation,
@@ -362,8 +399,8 @@ class TestBatchIndependence:
                                  window, m, ridge) for m in masks]
         assert len(fitted) == len(lone)
         for swept, alone in zip(fitted, lone):
-            assert swept.sensor_mask == alone.sensor_mask
-            assert np.array_equal(swept.weights, alone.weights)
+            # full width: the same weights on the same mask's columns
+            assert np.array_equal(swept, full_width(alone, 7))
 
     @pytest.mark.parametrize("geometry", ["2x2", "5x2", "3x3"])
     def test_multitask_columns_equal_lone_single_task_fits(self, cfg,
@@ -374,12 +411,11 @@ class TestBatchIndependence:
         with pytest.MonkeyPatch.context() as mp:
             fitted = _spy_on_fits(mp)
             multitask_grid(cells, multitask_runs, payloads)
-        (weights,) = fitted
+        (rows,) = fitted
         for k, task in enumerate(sweeps.MULTITASK_TASKS):
             alone = train_on_subset(cells, multitask_runs, payloads, task,
                                     cfg.train)
-            assert weights.task_names[k] == task.value
-            assert np.array_equal(weights.weights[:, k], alone.weights[:, 0])
+            assert np.array_equal(rows[k], full_width(alone, 7)[0])
 
 
 class TestMultitaskGrid:
@@ -504,22 +540,25 @@ class TestScoreSensorCount:
             subset_sweep(spec, runs, cfg.payloads)
 
 
-def _lone_score(task, weights, runs, cond, payloads, k=0):
-    """A cell's score from a block factored for that condition alone."""
+def _lone_score(task, row, runs, cond, payloads, normalizer="range"):
+    """A weight row's score, as a batch of one, from a block factored for
+    that condition alone."""
     block = window_factor(runs[cond], TEST_WINDOW)
-    w = full_width(weights, runs[cond].n_sensors)[k]
-    return score(task, block, w, payloads.mass_of(cond.payload_index),
-                 "range")
+    (cell,) = score(task, block, row[None],
+                    payloads.mass_of(cond.payload_index), normalizer)
+    return cell
 
 
 def _spy_on_fits(mp):
-    fitted = []
+    """Each fit's (n_tasks, 1 + n_sensors) weight rows, in fit order."""
+    fitted, real = [], sweeps._solve
 
     def spy(*args, **kwargs):
-        fitted.append(solve_reduced(*args, **kwargs))
-        return fitted[-1]
+        rows = real(*args, **kwargs)
+        fitted.extend(rows)
+        return rows
 
-    mp.setattr(sweeps, "solve_reduced", spy)
+    mp.setattr(sweeps, "_solve", spy)
     return fitted
 
 
@@ -550,9 +589,9 @@ class TestScoreBatchIndependence:
                 cfg.payloads, ridge=ridge).error_grid
         grid = np.vstack([swept, ablated])
         assert len(fitted) == grid.shape[0]
-        for weights, row in zip(fitted, grid):
-            for cond, cell in zip(evaluation, row):
-                assert cell == _lone_score(task, weights, bending_runs, cond,
+        for rows, cells in zip(fitted, grid):
+            for cond, cell in zip(evaluation, cells):
+                assert cell == _lone_score(task, rows[0], bending_runs, cond,
                                            cfg.payloads)
 
     def test_mass_cells_equal_a_lone_factored_score(self, cfg, payload_runs):
@@ -570,9 +609,9 @@ class TestScoreBatchIndependence:
                 payload_runs, cfg.payloads, train_window=window).error_grid
         grid = np.vstack([swept, ablated])
         assert len(fitted) == grid.shape[0]
-        for weights, row in zip(fitted, grid):
-            for cond, cell in zip(evaluation, row):
-                assert cell == _lone_score(task, weights, payload_runs, cond,
+        for rows, cells in zip(fitted, grid):
+            for cond, cell in zip(evaluation, cells):
+                assert cell == _lone_score(task, rows[0], payload_runs, cond,
                                            cfg.payloads)
 
     def test_multitask_cells_equal_a_lone_factored_score(self, cfg,
@@ -582,8 +621,9 @@ class TestScoreBatchIndependence:
             fitted = _spy_on_fits(mp)
             res = multitask_grid(multitask_training_subsets()["2x2"],
                                  multitask_runs, payloads)
-        (weights,) = fitted
-        angle, detect, mass = full_width(weights, 7)
+        (rows,) = fitted
+        angle, detect, mass = rows
+        weights = ReadoutWeights(rows.T, tuple(range(7)))
         for i in range(1, 8):
             for j in range(1, len(payloads) + 1):
                 cond = P(i, j)
@@ -607,6 +647,98 @@ class TestScoreBatchIndependence:
                 cell = res.mass_error[i - 1, j - 1]
                 if not np.isnan(cell):
                     assert cell == scored(TaskKind.PAYLOAD_MASS, mass)
+
+
+class TestBatchEquality:
+    # the sweeps fit in stacks, one SVD call per stacked shape, and score
+    # every fit on a cell in one call; each cell must equal, bit for bit, a
+    # lone `train_on_subset` scored as a batch of one
+    @pytest.fixture(scope="class")
+    def noise_free(self, cfg):
+        return _noise_free(cfg, *bending_conditions(),
+                           *(P(1, j) for j in range(2, 8)))
+
+    @settings(max_examples=20, deadline=None)
+    @given(task=st.sampled_from([TaskKind.BENDING_ANGLE,
+                                 TaskKind.PAYLOAD_MASS]),
+           subsets=st.lists(st.lists(st.integers(1, 7), min_size=1,
+                                     max_size=4), min_size=1, max_size=5),
+           masks=st.lists(st.lists(st.integers(0, 6), min_size=1,
+                                   max_size=7, unique=True),
+                          min_size=1, max_size=4),
+           counts=st.lists(st.integers(1, 200), min_size=1, max_size=3),
+           ridge=st.sampled_from([0.0, 0.5]),
+           normalizer=st.sampled_from(NORMALIZERS))
+    def test_single_task_cells_equal_lone_fits(self, cfg, bending_runs,
+                                               payload_runs, noise_free,
+                                               task, subsets, masks, counts,
+                                               ridge, normalizer):
+        if task is TaskKind.BENDING_ANGLE:
+            runs, cond = bending_runs, lambda k: P(k, 1)
+        else:
+            runs, cond = payload_runs, lambda k: P(1, k)
+        subsets = tuple(tuple(cond(k) for k in s) for s in subsets)
+        evaluation = (cond(2), cond(4), cond(7))
+        window = training_window(cfg, task)
+        common = dict(ridge=ridge, normalizer=normalizer)
+
+        def check(grid, fits, runs):
+            assert grid.shape == (len(fits), len(evaluation))
+            for (subset, mask, fit_window), cells in zip(fits, grid):
+                weights = train_on_subset(subset, runs, cfg.payloads, task,
+                                          fit_window, mask, ridge)
+                row = full_width(weights, 7)[0]
+                for c, cell in zip(evaluation, cells):
+                    assert cell == _lone_score(task, row, runs, c,
+                                               cfg.payloads, normalizer)
+
+        swept = subset_sweep(SweepSpec(task=task, subsets=subsets,
+                                       evaluation=evaluation,
+                                       train_window=window, **common),
+                             runs, cfg.payloads)
+        check(swept.error_grid, [(s, None, window) for s in subsets], runs)
+        ablated = sensor_ablation_sweep(task, masks, subsets[0], evaluation,
+                                        runs, cfg.payloads,
+                                        train_window=window, **common)
+        check(ablated.error_grid,
+              [(subsets[0], m, window) for m in masks], runs)
+        # one repeat: its mean is the repeat's own cell
+        counted = sample_count_sweep(task, counts, subsets[0], evaluation,
+                                     cfg.surrogate, noise_free, cfg.payloads,
+                                     train_window=window, repeats=1,
+                                     base_seed=cfg.seed, **common)
+        noisy = {c: add_noise(cfg.surrogate, noise_free[c], cfg.seed)
+                 for c in {*subsets[0], *evaluation}}
+        check(counted.mean_grid,
+              [(subsets[0], None,
+                Window(window.start, window.start + n / 40.0))
+               for n in counts], noisy)
+
+    @pytest.mark.parametrize("normalizer", NORMALIZERS)
+    @pytest.mark.parametrize("ridge", [0.0, 0.5])
+    @pytest.mark.parametrize("geometry", ["2x2", "3x3"])
+    def test_multitask_cells_equal_lone_fits(self, cfg, multitask_runs,
+                                             geometry, ridge, normalizer):
+        payloads = cfg.multitask_payloads
+        cells = multitask_training_subsets()[geometry]
+        res = multitask_grid(cells, multitask_runs, payloads, ridge=ridge,
+                             normalizer=normalizer)
+        rows = {task: full_width(train_on_subset(cells, multitask_runs,
+                                                 payloads, task, cfg.train,
+                                                 None, ridge), 7)[0]
+                for task in sweeps.MULTITASK_TASKS}
+        grids = ((TaskKind.PAYLOAD_DETECT, res.detect_output),
+                 (TaskKind.BENDING_ANGLE, res.angle_error),
+                 (TaskKind.PAYLOAD_MASS, res.mass_error))
+        scored = 0
+        for task, grid in grids:
+            for (i, j), cell in np.ndenumerate(grid):
+                if not np.isnan(cell):
+                    scored += 1
+                    assert cell == _lone_score(task, rows[task],
+                                               multitask_runs, P(i + 1, j + 1),
+                                               payloads, normalizer)
+        assert scored > 35
 
 
 def _fresh(runs):
