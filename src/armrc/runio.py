@@ -160,11 +160,11 @@ def _condition(value) -> Optional[InputCondition]:
     return InputCondition(*(as_int(value[key]) for key in keys))
 
 
-def ingest_run(csv_path, sidecar: Optional[Path] = None) -> PressureStateSeries:
-    """Parse and validate a recorded run; returns the series bit-identical
-    to the one exported."""
+def ingest_run(csv_path) -> PressureStateSeries:
+    """Parse and validate a recorded run and its `sidecar_path`; returns the
+    series bit-identical to the one exported."""
     csv_path = Path(csv_path)
-    sidecar = sidecar_path(csv_path) if sidecar is None else Path(sidecar)
+    sidecar = sidecar_path(csv_path)
     if not sidecar.exists():
         raise FileNotFoundError(f"missing metadata sidecar {sidecar}")
     label = sidecar.name

@@ -11,6 +11,12 @@ ordering targets for these sweeps, not equality targets.
 `training_window` the one rule for each task's per-condition training
 window; the CLI sweeps are loops over both.
 
+Before any fit, every entry point (`subset_sweep`, `sample_count_sweep`,
+`sensor_ablation_sweep`, `train_on_subset`, `multitask_grid`) checks the
+runs it reads, training and scored alike, in one place (`_agree`): each
+has the first run's sensor count, since a readout of one arm reads no
+other, and, when a sample count is set, the first run's sample rate.
+
 Each (run, window) is factored once per process while its run lives, and
 `score` reads every reported number off it (README: "Readout solver").
 A sweep makes one `readout.solve_reduced` call per shape of stacked R rows
@@ -87,21 +93,14 @@ class SweepSpec:
 
     def effective_train_window(self, runs: Mapping) -> Window:
         """The train window's first ``samples_per_condition`` samples on
-        the clock of the sweep's runs; a run on another sample rate, or a
-        count the window does not hold (`core.sample_count`), is refused."""
+        the clock of the sweep's runs, which it first checks (`_agree`); a
+        count the window does not hold (`core.sample_count`) is refused."""
         count, window = self.samples_per_condition, self.train_window
+        _agree(runs, itertools.chain(self.evaluation, *self.subsets),
+               count is not None)
         if count is None:
             return window
-        first, *rest = dict.fromkeys(itertools.chain(self.evaluation,
-                                                     *self.subsets))
-        rate = _require(runs, first).grid.sample_rate
-        for cond in rest:
-            other = _require(runs, cond).grid.sample_rate
-            if other != rate:
-                raise ValueError(
-                    f"a sample count needs one clock: run {cond.label} is "
-                    f"sampled at {other:g} Hz, run {first.label} at "
-                    f"{rate:g} Hz")
+        rate = runs[self.evaluation[0]].grid.sample_rate
         full = sample_count(window, rate)
         if not 1 <= count <= full:
             raise ValueError(f"sample count {count} outside the {full}-sample "
@@ -114,8 +113,6 @@ class SweepResult:
     """Grid of percent errors, one row per training subset."""
 
     error_grid: np.ndarray
-    subsets: tuple
-    evaluation: tuple
 
     @property
     def row_means(self) -> np.ndarray:
@@ -129,6 +126,26 @@ def _require(runs: Mapping, cond: InputCondition) -> PressureStateSeries:
         raise KeyError(
             f"condition {cond.label} is not present in the simulated/loaded runs"
         ) from None
+
+
+def _agree(runs: Mapping, conds, one_clock: bool) -> None:
+    """The one check of the runs a sweep reads, made before any fit: each
+    has the first run's sensor count and, for a sample count (``one_clock``),
+    its sample rate."""
+    first = None
+    for cond in dict.fromkeys(conds):
+        run = _require(runs, cond)
+        if first is None:
+            first, head = cond, run
+        elif run.n_sensors != head.n_sensors:
+            raise ValueError(f"a readout of the {head.n_sensors}-sensor run "
+                             f"{first.label} cannot read the "
+                             f"{run.n_sensors}-sensor run {cond.label}")
+        elif one_clock and run.grid.sample_rate != head.grid.sample_rate:
+            raise ValueError(
+                f"a sample count needs one clock: run {cond.label} is sampled "
+                f"at {run.grid.sample_rate:g} Hz, run {first.label} at "
+                f"{head.grid.sample_rate:g} Hz")
 
 
 def window_factor(series: PressureStateSeries, window: Window) -> WindowFactor:
@@ -167,19 +184,12 @@ def _truth_mass(runs: Mapping, cond: InputCondition,
     return mass
 
 
-def _reads(mask: tuple, n_sensors: int) -> None:
-    """Refuse a readout on sensors ``mask`` for an ``n_sensors``-sensor run."""
-    if max(mask) >= n_sensors:
-        raise ValueError(
-            f"weights trained on sensors {mask} cannot read a "
-            f"{n_sensors}-sensor run"
-        )
-
-
 def full_width(weights: ReadoutWeights, n_sensors: int) -> np.ndarray:
     """Weights as (n_tasks, 1 + n_sensors) rows over the all-sensor design,
-    zero on the sensors outside the mask."""
-    _reads(weights.sensor_mask, n_sensors)
+    zero on the sensors outside the mask; a mask the run lacks is refused."""
+    if max(weights.sensor_mask) >= n_sensors:
+        raise ValueError(f"weights trained on sensors {weights.sensor_mask} "
+                         f"cannot read a {n_sensors}-sensor run")
     rows = np.zeros((weights.n_tasks, 1 + n_sensors))
     rows[:, [0] + [1 + m for m in weights.sensor_mask]] = weights.weights.T
     return rows
@@ -210,8 +220,7 @@ def score(task: TaskKind, block: WindowFactor, w: np.ndarray,
 def _evaluation(task: TaskKind, evaluation, runs: Mapping,
                 payloads: PayloadSet, window: Window) -> list:
     """(``window`` factor, truth mass) of each condition a single-task
-    readout is scored on; all must have one sensor count, and a zero
-    payload has no mass error."""
+    readout is scored on; a zero payload has no mass error."""
     if task is TaskKind.PAYLOAD_DETECT:
         raise ValueError(f"unsupported evaluation task {task}")
     cells = []
@@ -222,10 +231,6 @@ def _evaluation(task: TaskKind, evaluation, runs: Mapping,
         if task is TaskKind.PAYLOAD_MASS and mass == 0:
             raise ValueError(f"relative mass error undefined for "
                              f"zero-payload condition {cond.label}")
-        if cells and len(block.means) != len(cells[0][0].means):
-            raise ValueError(f"a readout of the {len(cells[0][0].means) - 1}"
-                             f"-sensor run {evaluation[0].label} cannot read "
-                             f"the {len(block.means) - 1}-sensor run {cond.label}")
         cells.append((block, mass))
     return cells
 
@@ -264,16 +269,15 @@ def _groups(keys) -> dict:
     return groups
 
 
-def _solve(fits: Sequence, ridge: float,
-           n_sensors: Optional[int] = None) -> np.ndarray:
+def _solve(fits: Sequence, ridge: float) -> np.ndarray:
     """Fit one readout per (members, mask) of ``fits``: its `_members`
     rows stacked, read on the bias and the mask's columns (None: every
     sensor), with no second QR. Fits of one stacked shape share one
     `readout.solve_reduced` call.
 
-    Returns (len(fits), n_tasks, 1 + n_sensors) weight rows over the design
-    of an ``n_sensors``-sensor run (default: the training runs'), zero
-    outside each mask.
+    It checks no run: its caller's `_agree` has given every training and
+    scored run one sensor count n, which it reads off the R rows. Returns
+    (len(fits), n_tasks, 1 + n) weight rows, zero outside each mask.
     """
     out = None
     keys = ((tuple(r.shape for r, _ in members),
@@ -281,15 +285,9 @@ def _solve(fits: Sequence, ridge: float,
     for (shapes, every), idx in _groups(keys).items():
         if not shapes:
             raise ValueError("need at least one condition to assemble")
-        widths = sorted({k - 1 for _, k in shapes})
-        if len(widths) > 1:
-            raise ValueError(f"conditions disagree on sensor count: {widths}")
-        n = widths[0]
-        n_sensors = n if n_sensors is None else n_sensors
+        n = shapes[0][1] - 1
         masks = ([tuple(range(n))] if every is None
                  else [normalize_mask(fits[i][1], n) for i in idx])
-        for mask in masks:
-            _reads(mask, n_sensors)
         cols = np.array([[0] + [1 + m for m in mask] for mask in masks])
         # each member position's (R, Z) over the group, side by side in rows
         r, z = (np.concatenate([np.stack(position) for position in
@@ -300,7 +298,7 @@ def _solve(fits: Sequence, ridge: float,
             r = np.take_along_axis(r, cols[:, None, :], axis=2)
         w = solve_reduced(r, z, ridge)
         if out is None:
-            out = np.zeros((len(fits), w.shape[2], 1 + n_sensors))
+            out = np.zeros((len(fits), w.shape[2], 1 + n))
         out[np.array(idx)[:, None], :, cols] = w
     return out
 
@@ -310,7 +308,7 @@ def _sweep(task: TaskKind, fits: Sequence, cells: list, ridge: float,
     """`_solve` every single-task readout of ``fits`` and `score` them all
     on each `_evaluation` cell in one call; returns the (fit, cell) error
     grid and the weight rows."""
-    w = _solve(fits, ridge, len(cells[0][0].means) - 1)[:, 0]
+    w = _solve(fits, ridge)[:, 0]
     grid = np.column_stack([score(task, block, w, mass, normalizer)
                             for block, mass in cells])
     return grid, w
@@ -326,6 +324,7 @@ def train_on_subset(
     ridge: float = 0.0,
 ):
     """Train one readout from a condition subset."""
+    _agree(runs, subset, False)
     (members,) = _members((subset,), runs, payloads, (task,), window)
     (w,) = _solve([(members, sensor_mask)], ridge)
     mask = normalize_mask(sensor_mask, w.shape[1] - 1)
@@ -342,12 +341,8 @@ def subset_sweep(spec: SweepSpec, runs: Mapping,
                         spec.test_window)
     fits = [(members, None) for members in _members(
         spec.subsets, runs, payloads, (spec.task,), window)]
-    return SweepResult(
-        error_grid=_sweep(spec.task, fits, cells, spec.ridge,
-                          spec.normalizer)[0],
-        subsets=tuple(tuple(s) for s in spec.subsets),
-        evaluation=tuple(spec.evaluation),
-    )
+    return SweepResult(_sweep(spec.task, fits, cells, spec.ridge,
+                              spec.normalizer)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -355,10 +350,8 @@ class SampleCountResult:
     """Error statistics versus training-sample count (mean and std over
     noise-seed repeats)."""
 
-    counts: tuple
     mean_grid: np.ndarray
     std_grid: np.ndarray
-    evaluation: tuple
 
 
 def sample_count_sweep(
@@ -399,12 +392,8 @@ def sample_count_sweep(
         fits = [(members, None) for window in windows for members in
                 _members((subset,), runs, payloads, (task,), window)]
         errors[:, :, r] = _sweep(task, fits, cells, ridge, normalizer)[0]
-    return SampleCountResult(
-        counts=counts,
-        mean_grid=errors.mean(axis=2),
-        std_grid=errors.std(axis=2),
-        evaluation=tuple(evaluation),
-    )
+    return SampleCountResult(mean_grid=errors.mean(axis=2),
+                             std_grid=errors.std(axis=2))
 
 
 @dataclass(frozen=True, eq=False)
@@ -415,7 +404,6 @@ class AblationResult:
     error_grid: np.ndarray
     mean_errors: np.ndarray
     weight_shares: np.ndarray
-    evaluation: tuple
 
 
 def sensor_ablation_sweep(
@@ -436,7 +424,8 @@ def sensor_ablation_sweep(
     size."""
     if len(masks) == 0:
         raise ValueError("need at least one sensor mask")
-    n_sensors = _require(runs, evaluation[0]).n_sensors
+    _agree(runs, (*evaluation, *subset), False)
+    n_sensors = runs[evaluation[0]].n_sensors
     masks = tuple(normalize_mask(m, n_sensors) for m in masks)
     cells = _evaluation(task, evaluation, runs, payloads, test_window)
     (members,) = _members((subset,), runs, payloads, (task,), train_window)
@@ -452,7 +441,6 @@ def sensor_ablation_sweep(
         error_grid=error_grid,
         mean_errors=error_grid.mean(axis=1),
         weight_shares=share_rows,
-        evaluation=tuple(evaluation),
     )
 
 
@@ -502,13 +490,14 @@ def multitask_grid(
     detected; zero-payload cells are scored on angle alone. Each cell is
     scored once, from its own test-window factor.
     """
+    cells = [InputCondition(i, j) for i in range(1, n_profiles + 1)
+             for j in range(1, len(payloads) + 1)]
+    _agree(runs, (*cells, *training_cells), False)
     (members,) = _members((training_cells,), runs, payloads,
                           MULTITASK_TASKS, train_window)
     (w,) = _solve([(members, None)], ridge)
     w_angle, w_detect, w_mass = w
 
-    cells = [InputCondition(i, j) for i in range(1, n_profiles + 1)
-             for j in range(1, len(payloads) + 1)]
     masses = np.array([_truth_mass(runs, c, payloads) for c in cells])
     blocks = [_factor(runs, c, test_window) for c in cells]
     detect = np.empty(len(cells))
@@ -575,9 +564,10 @@ def nested_payload_subsets() -> tuple:
     )
 
 
-def tip_sensor_masks(n_sensors: int = 7, sizes=(6, 5, 4, 3, 2)) -> tuple:
-    """Nested masks keeping the k tip-most sensors."""
-    return tuple(tuple(range(n_sensors - k, n_sensors)) for k in sizes)
+def tip_sensor_masks(n_sensors: int = 7) -> tuple:
+    """Nested masks keeping the 6, 5, 4, 3 and 2 tip-most sensors."""
+    return tuple(tuple(range(n_sensors - k, n_sensors))
+                 for k in (6, 5, 4, 3, 2))
 
 
 def multitask_training_subsets(n_profiles: int = 7,

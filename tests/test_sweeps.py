@@ -17,8 +17,8 @@ from armrc.core import (
     Window,
 )
 from armrc.profiles import generate_profile
-from armrc.readout import (NORMALIZERS, ReadoutWeights, assemble,
-                           nrmse_percent, predict, train)
+from armrc.readout import (NORMALIZERS, assemble, nrmse_percent, predict,
+                           train)
 from armrc.surrogate import SurrogateParams, add_noise, simulate
 from armrc.sweeps import (
     SweepSpec,
@@ -359,65 +359,6 @@ class TestAblation:
             )
 
 
-class TestBatchIndependence:
-    # a sweep factors each (run, window) once and shares those factors
-    # between its fits and scores; a subset's weights must not depend on
-    # what else it fits or scores, for any task
-    @settings(max_examples=20, deadline=None)
-    @given(task=st.sampled_from([TaskKind.BENDING_ANGLE,
-                                 TaskKind.PAYLOAD_MASS]),
-           subsets=st.lists(st.lists(st.integers(1, 7), min_size=1,
-                                     max_size=4), min_size=1, max_size=5),
-           masks=st.lists(st.lists(st.integers(0, 6), min_size=1,
-                                   max_size=7, unique=True),
-                          min_size=1, max_size=4),
-           ridge=st.sampled_from([0.0, 1e-3]))
-    def test_sweep_weights_equal_a_lone_train_on_subset(self, cfg,
-                                                        bending_runs,
-                                                        payload_runs, task,
-                                                        subsets, masks,
-                                                        ridge):
-        if task is TaskKind.BENDING_ANGLE:
-            runs, cond = bending_runs, lambda k: P(k, 1)
-        else:
-            runs, cond = payload_runs, lambda k: P(1, k)
-        subsets = tuple(tuple(cond(k) for k in s) for s in subsets)
-        masks = tuple(tuple(m) for m in masks)
-        window = training_window(cfg, task)
-        with pytest.MonkeyPatch.context() as mp:
-            fitted = _spy_on_fits(mp)
-            subset_sweep(SweepSpec(task=task, subsets=subsets,
-                                   evaluation=(cond(4),),
-                                   train_window=window, ridge=ridge),
-                         runs, cfg.payloads)
-            sensor_ablation_sweep(task, masks, subsets[0], (cond(4),),
-                                  runs, cfg.payloads, train_window=window,
-                                  ridge=ridge)
-        lone = [train_on_subset(s, runs, cfg.payloads, task, window,
-                                None, ridge) for s in subsets]
-        lone += [train_on_subset(subsets[0], runs, cfg.payloads, task,
-                                 window, m, ridge) for m in masks]
-        assert len(fitted) == len(lone)
-        for swept, alone in zip(fitted, lone):
-            # full width: the same weights on the same mask's columns
-            assert np.array_equal(swept, full_width(alone, 7))
-
-    @pytest.mark.parametrize("geometry", ["2x2", "5x2", "3x3"])
-    def test_multitask_columns_equal_lone_single_task_fits(self, cfg,
-                                                           multitask_runs,
-                                                           geometry):
-        payloads = cfg.multitask_payloads
-        cells = multitask_training_subsets()[geometry]
-        with pytest.MonkeyPatch.context() as mp:
-            fitted = _spy_on_fits(mp)
-            multitask_grid(cells, multitask_runs, payloads)
-        (rows,) = fitted
-        for k, task in enumerate(sweeps.MULTITASK_TASKS):
-            alone = train_on_subset(cells, multitask_runs, payloads, task,
-                                    cfg.train)
-            assert np.array_equal(rows[k], full_width(alone, 7)[0])
-
-
 class TestMultitaskGrid:
     def test_grid_shapes_and_pipeline_rule(self, cfg, multitask_runs):
         cells = multitask_training_subsets()["3x3"]
@@ -540,6 +481,72 @@ class TestScoreSensorCount:
             subset_sweep(spec, runs, cfg.payloads)
 
 
+def _another_arm(runs, cond, n):
+    """``runs`` with the run of ``cond`` read by an ``n``-sensor arm: its
+    first n sensors, or its tip sensor repeated up to n."""
+    run = runs[cond]
+    sensors = np.vstack([run.sensors]
+                        + [run.sensors[-1:]] * max(0, n - run.n_sensors))
+    return {**runs, cond: dataclasses.replace(run, sensors=sensors[:n])}
+
+
+class TestOneSensorCount:
+    # every run a sweep reads has its first run's sensor count; a readout
+    # of one arm must be neither trained on nor scored on another arm's run
+    @staticmethod
+    def refused(call, *labels):
+        with pytest.raises(ValueError, match="cannot read") as err:
+            call()
+        for label in labels:
+            assert label in str(err.value)
+
+    @pytest.mark.parametrize("n", [5, 8])
+    @pytest.mark.parametrize("cond", [P(4, 3), P(7, 5)],
+                             ids=["scored", "trained"])
+    def test_the_multitask_grid_refuses_a_cell_of_another_arm(
+            self, cfg, multitask_runs, cond, n):
+        runs = _another_arm(multitask_runs, cond, n)
+        cells = multitask_training_subsets()["2x2"]
+        self.refused(lambda: multitask_grid(cells, runs,
+                                            cfg.multitask_payloads),
+                     "7-sensor run P1M1", f"{n}-sensor run {cond.label}")
+
+    def test_a_subset_sweep_refuses_a_run_with_more_sensors(self, cfg,
+                                                            bending_runs):
+        runs = _another_arm(bending_runs, P(4, 1), 8)
+        spec = SweepSpec(task=TaskKind.BENDING_ANGLE,
+                         subsets=((P(1, 1), P(7, 1)),), evaluation=(P(4, 1),))
+        self.refused(lambda: subset_sweep(spec, runs, cfg.payloads),
+                     "8-sensor run P4M1", "7-sensor run P1M1")
+
+    def test_a_sensor_sweep_refuses_a_run_with_more_sensors(self, cfg,
+                                                            bending_runs):
+        runs = _another_arm(bending_runs, P(4, 1), 8)
+        self.refused(lambda: sensor_ablation_sweep(
+            TaskKind.BENDING_ANGLE, tip_sensor_masks(), (P(1, 1), P(7, 1)),
+            (P(4, 1),), runs, cfg.payloads), "P4M1", "P1M1")
+
+    def test_a_sample_count_sweep_refuses_a_run_with_more_sensors(self, cfg):
+        noise_free = _another_arm(_noise_free(cfg, P(1, 1), P(7, 1), P(4, 1)),
+                                  P(4, 1), 8)
+        self.refused(lambda: sample_count_sweep(
+            TaskKind.BENDING_ANGLE, [100, 400], (P(1, 1), P(7, 1)),
+            (P(4, 1),), cfg.surrogate, noise_free, cfg.payloads, repeats=1),
+            "P4M1", "P1M1")
+
+    def test_a_lone_fit_refuses_a_run_with_more_sensors(self, cfg,
+                                                        bending_runs):
+        runs = _another_arm(bending_runs, P(7, 1), 8)
+        self.refused(lambda: train_on_subset(
+            (P(1, 1), P(7, 1)), runs, cfg.payloads, TaskKind.BENDING_ANGLE,
+            TRAIN_WINDOW), "7-sensor run P1M1", "8-sensor run P7M1")
+
+    def test_an_empty_subset_keeps_its_own_refusal(self, cfg, bending_runs):
+        with pytest.raises(ValueError, match="at least one condition"):
+            train_on_subset((), bending_runs, cfg.payloads,
+                            TaskKind.BENDING_ANGLE, TRAIN_WINDOW)
+
+
 def _lone_score(task, row, runs, cond, payloads, normalizer="range"):
     """A weight row's score, as a batch of one, from a block factored for
     that condition alone."""
@@ -549,110 +556,11 @@ def _lone_score(task, row, runs, cond, payloads, normalizer="range"):
     return cell
 
 
-def _spy_on_fits(mp):
-    """Each fit's (n_tasks, 1 + n_sensors) weight rows, in fit order."""
-    fitted, real = [], sweeps._solve
-
-    def spy(*args, **kwargs):
-        rows = real(*args, **kwargs)
-        fitted.extend(rows)
-        return rows
-
-    mp.setattr(sweeps, "_solve", spy)
-    return fitted
-
-
-class TestScoreBatchIndependence:
-    # a sweep factors each test window once and scores every fit from it;
-    # a cell must not depend on what else the sweep scores
-    @settings(max_examples=15, deadline=None)
-    @given(subsets=st.lists(st.lists(st.integers(1, 7), min_size=1,
-                                     max_size=4), min_size=1, max_size=4),
-           masks=st.lists(st.lists(st.integers(0, 6), min_size=1,
-                                   max_size=7, unique=True),
-                          min_size=1, max_size=3),
-           ridge=st.sampled_from([0.0, 1e-3]))
-    def test_bending_cells_equal_a_lone_factored_score(self, cfg,
-                                                       bending_runs, subsets,
-                                                       masks, ridge):
-        task = TaskKind.BENDING_ANGLE
-        subsets = tuple(tuple(P(i, 1) for i in s) for s in subsets)
-        evaluation = tuple(P(i, 1) for i in range(1, 8))
-        with pytest.MonkeyPatch.context() as mp:
-            fitted = _spy_on_fits(mp)
-            swept = subset_sweep(
-                SweepSpec(task=task, subsets=subsets, evaluation=evaluation,
-                          ridge=ridge),
-                bending_runs, cfg.payloads).error_grid
-            ablated = sensor_ablation_sweep(
-                task, masks, subsets[0], evaluation, bending_runs,
-                cfg.payloads, ridge=ridge).error_grid
-        grid = np.vstack([swept, ablated])
-        assert len(fitted) == grid.shape[0]
-        for rows, cells in zip(fitted, grid):
-            for cond, cell in zip(evaluation, cells):
-                assert cell == _lone_score(task, rows[0], bending_runs, cond,
-                                           cfg.payloads)
-
-    def test_mass_cells_equal_a_lone_factored_score(self, cfg, payload_runs):
-        task = TaskKind.PAYLOAD_MASS
-        evaluation = tuple(P(1, j) for j in range(2, 8))
-        window = Window(cfg.train.start, cfg.train.start + 5.0)
-        with pytest.MonkeyPatch.context() as mp:
-            fitted = _spy_on_fits(mp)
-            swept = subset_sweep(
-                SweepSpec(task=task, subsets=nested_payload_subsets(),
-                          evaluation=evaluation, train_window=window),
-                payload_runs, cfg.payloads).error_grid
-            ablated = sensor_ablation_sweep(
-                task, tip_sensor_masks(), evaluation, evaluation,
-                payload_runs, cfg.payloads, train_window=window).error_grid
-        grid = np.vstack([swept, ablated])
-        assert len(fitted) == grid.shape[0]
-        for rows, cells in zip(fitted, grid):
-            for cond, cell in zip(evaluation, cells):
-                assert cell == _lone_score(task, rows[0], payload_runs, cond,
-                                           cfg.payloads)
-
-    def test_multitask_cells_equal_a_lone_factored_score(self, cfg,
-                                                         multitask_runs):
-        payloads = cfg.multitask_payloads
-        with pytest.MonkeyPatch.context() as mp:
-            fitted = _spy_on_fits(mp)
-            res = multitask_grid(multitask_training_subsets()["2x2"],
-                                 multitask_runs, payloads)
-        (rows,) = fitted
-        angle, detect, mass = rows
-        weights = ReadoutWeights(rows.T, tuple(range(7)))
-        for i in range(1, 8):
-            for j in range(1, len(payloads) + 1):
-                cond = P(i, j)
-                block = window_factor(multitask_runs[cond], TEST_WINDOW)
-                mass_g = payloads.mass_of(j)
-
-                def scored(task, w):
-                    return score(task, block, w, mass_g, "range")
-
-                assert res.detect_output[i - 1, j - 1] == scored(
-                    TaskKind.PAYLOAD_DETECT, detect)
-                cell = res.angle_error[i - 1, j - 1]
-                if not np.isnan(cell):
-                    assert cell == scored(TaskKind.BENDING_ANGLE, angle)
-                    # and within rounding of the per-trace API
-                    ref = nrmse_percent(
-                        predict(weights, multitask_runs[cond],
-                                TEST_WINDOW)[:, 0],
-                        bending_target(multitask_runs[cond], TEST_WINDOW))
-                    assert abs(cell - ref) <= 1e-10 * ref
-                cell = res.mass_error[i - 1, j - 1]
-                if not np.isnan(cell):
-                    assert cell == scored(TaskKind.PAYLOAD_MASS, mass)
-
-
 class TestBatchEquality:
     # the sweeps fit in stacks, one SVD call per stacked shape, and score
     # every fit on a cell in one call; each cell must equal, bit for bit, a
-    # lone `train_on_subset` scored as a batch of one
+    # lone `train_on_subset` scored as a batch of one, whatever else the
+    # sweep fits or scores, and so must the weights a sweep reports
     @pytest.fixture(scope="class")
     def noise_free(self, cfg):
         return _noise_free(cfg, *bending_conditions(),
@@ -684,13 +592,15 @@ class TestBatchEquality:
 
         def check(grid, fits, runs):
             assert grid.shape == (len(fits), len(evaluation))
+            rows = []
             for (subset, mask, fit_window), cells in zip(fits, grid):
                 weights = train_on_subset(subset, runs, cfg.payloads, task,
                                           fit_window, mask, ridge)
-                row = full_width(weights, 7)[0]
+                rows.append(full_width(weights, 7)[0])
                 for c, cell in zip(evaluation, cells):
-                    assert cell == _lone_score(task, row, runs, c,
+                    assert cell == _lone_score(task, rows[-1], runs, c,
                                                cfg.payloads, normalizer)
+            return rows
 
         swept = subset_sweep(SweepSpec(task=task, subsets=subsets,
                                        evaluation=evaluation,
@@ -700,8 +610,15 @@ class TestBatchEquality:
         ablated = sensor_ablation_sweep(task, masks, subsets[0], evaluation,
                                         runs, cfg.payloads,
                                         train_window=window, **common)
-        check(ablated.error_grid,
-              [(subsets[0], m, window) for m in masks], runs)
+        rows = check(ablated.error_grid,
+                     [(subsets[0], m, window) for m in masks], runs)
+        # the weight shares are the lone fits' weights, bit for bit
+        shares = np.full((len(masks), 7), np.nan)
+        for k, (mask, row) in enumerate(zip(ablated.masks, rows)):
+            mags = np.abs(row[[1 + m for m in mask]])
+            total = mags.sum()
+            shares[k, list(mask)] = 100.0 * mags / total if total > 0 else 0
+        assert np.array_equal(ablated.weight_shares, shares, equal_nan=True)
         # one repeat: its mean is the repeat's own cell
         counted = sample_count_sweep(task, counts, subsets[0], evaluation,
                                      cfg.surrogate, noise_free, cfg.payloads,
@@ -716,7 +633,7 @@ class TestBatchEquality:
 
     @pytest.mark.parametrize("normalizer", NORMALIZERS)
     @pytest.mark.parametrize("ridge", [0.0, 0.5])
-    @pytest.mark.parametrize("geometry", ["2x2", "3x3"])
+    @pytest.mark.parametrize("geometry", ["2x2", "5x2", "3x3"])
     def test_multitask_cells_equal_lone_fits(self, cfg, multitask_runs,
                                              geometry, ridge, normalizer):
         payloads = cfg.multitask_payloads
