@@ -214,7 +214,8 @@ def _sweep_samples(cfg: ExperimentConfig, out: Path, digest: str) -> list:
 def _sweep_sensors(cfg: ExperimentConfig, out: Path, digest: str) -> list:
     n = cfg.surrogate.n_nodes
     masks = (tuple(range(n)),) + tip_sensor_masks(n)
-    rows = ["+".join(f"s{m + 1}" for m in mask) for mask in masks]
+    names = trace_columns(n)[1:-1]
+    rows = ["+".join(names[m] for m in mask) for mask in masks]
     table = experiments(cfg)
     runs = _simulate(cfg, [c for exp in table.values() for c in exp.conditions])
     written = []
@@ -229,7 +230,7 @@ def _sweep_sensors(cfg: ExperimentConfig, out: Path, digest: str) -> list:
             _labels(exp.evaluation), cfg, digest, task=name))
         written.append(_write_result(
             out / f"{name}_weight_shares.csv", res.weight_shares, rows,
-            [f"s{k + 1}" for k in range(n)], cfg, digest, task=name))
+            names, cfg, digest, task=name))
     return written
 
 
@@ -300,6 +301,7 @@ def cmd_correlate(args) -> int:
     channel = args.channel.strip().lower()
     traces = []
     labels = []
+    clocks = []  # each run's (samples, rate) after the washout
     for path in args.runs:
         series = ingest_run(path)
         if channel != "s_in":
@@ -309,6 +311,12 @@ def cmd_correlate(args) -> int:
         labels.append(
             series.condition.label if series.condition else Path(path).stem
         )
+        clocks.append((sub.grid.n_samples, sub.grid.sample_rate))
+        if clocks[-1] != clocks[0]:
+            raise ValueError(
+                "runs {} and {} cannot be correlated sample by sample: {} "
+                "samples at {:g} Hz after the washout, and {} at {:g} Hz"
+                .format(labels[0], labels[-1], *clocks[0], *clocks[-1]))
     corr = correlation_matrix(traces)
     if args.out is None:
         print("," + ",".join(labels))

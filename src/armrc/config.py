@@ -12,7 +12,8 @@ from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from .core import (DEFAULT_SEED, TEST_WINDOW, TRAIN_WINDOW, WASHOUT_WINDOW,
-                   PayloadSet, TimeGrid, Window, as_int, window_indices)
+                   PayloadSet, TimeGrid, Window, as_int, count_window,
+                   window_indices)
 from .profiles import RampProfileSpec, default_profile_family
 from .readout import NORMALIZERS
 from .surrogate import SurrogateParams
@@ -111,10 +112,13 @@ def validate_config(cfg: ExperimentConfig) -> list:
             problems.append(
                 f"{key} {seconds} gives no {task.value} training window of "
                 f"1..{train_samples} samples inside the train window")
-    problems.extend(
-        f"sample count {c} outside the {train_samples}-sample training window"
-        for c in cfg.sample_counts
-        if train_samples is not None and not 1 <= int(c) <= train_samples)
+    if len(cfg.sample_counts) == 0:
+        problems.append("sample_counts must be non-empty")
+    for count in cfg.sample_counts if train_samples is not None else ():
+        try:
+            count_window(cfg.train, int(count), cfg.grid.sample_rate)
+        except ValueError as exc:
+            problems.append(str(exc))
     return problems
 
 

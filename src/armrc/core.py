@@ -240,6 +240,16 @@ def sample_count(window: Window, sample_rate: float) -> int:
     return int(np.floor(window.duration * sample_rate + _INDEX_EPS))
 
 
+def count_window(window: Window, count: int, sample_rate: float) -> Window:
+    """The first ``count`` samples of a training window on a clock; a count
+    the window does not hold (`sample_count`) is refused."""
+    full = sample_count(window, sample_rate)
+    if not 1 <= count <= full:
+        raise ValueError(
+            f"sample count {count} outside the {full}-sample training window")
+    return Window(window.start, window.start + count / sample_rate)
+
+
 def slice_series(series: PressureStateSeries, window: Window) -> PressureStateSeries:
     """Sub-series with samples whose time lies in the half-open window."""
     i0, i1 = window_indices(series.grid, window)

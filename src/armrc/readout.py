@@ -274,9 +274,8 @@ def truth_scale(truth, normalizer: str = "range"):
 
     normalizer "range" is max(truth) - min(truth) over the evaluation
     window, "maxabs" is max |truth|; both read only its extremes, so a
-    (min, max) span gives its scale bit for bit, and a (C, 2) stack of
-    spans gives C scales. The choice is a reporting convention; both are
-    exposed because percent errors depend on it.
+    (min, max) span gives its scale bit for bit. The choice is a reporting
+    convention; both are exposed because percent errors depend on it.
     """
     if normalizer not in NORMALIZERS:
         raise ValueError(f"unknown normalizer {normalizer!r}")

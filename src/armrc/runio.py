@@ -255,11 +255,12 @@ def save_weights(path, weights: ReadoutWeights, *,
     """Serialize readout weights with task names, mask, and provenance."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    names = trace_columns(1 + max(weights.sensor_mask))[1:-1]
     doc = {
         "format": WEIGHTS_FORMAT,
         "task_names": list(weights.task_names),
         "sensor_mask": list(weights.sensor_mask),
-        "sensor_names": [f"s{m + 1}" for m in weights.sensor_mask],
+        "sensor_names": [names[m] for m in weights.sensor_mask],
         "weights": [list(row) for row in weights.weights.tolist()],
         "provenance": dict(provenance or {}),
     }

@@ -11,17 +11,18 @@ ordering targets for these sweeps, not equality targets.
 `training_window` the one rule for each task's per-condition training
 window; the CLI sweeps are loops over both.
 
-Before any fit, every entry point (`subset_sweep`, `sample_count_sweep`,
-`sensor_ablation_sweep`, `train_on_subset`, `multitask_grid`) checks the
-runs it reads, training and scored alike, in one place (`_agree`): each
-has the first run's sensor count, since a readout of one arm reads no
-other, and, when a sample count is set, the first run's sample rate.
+Every entry point (`subset_sweep`, `sample_count_sweep`,
+`sensor_ablation_sweep`, `train_on_subset`, `multitask_grid`) describes
+its fits as (subset, window, mask) triples, made in one planning step
+(`_plan`) before any fit, which checks the runs the entry point reads and
+gives each sample count its training window.
 
 Each (run, window) is factored once per process while its run lives, and
 `score` reads every reported number off it (README: "Readout solver").
 A sweep makes one `readout.solve_reduced` call per shape of stacked R rows
-and one `score` call per evaluation cell; every cell still equals, bit for
-bit, its lone `train_on_subset` scored alone.
+and one `score` call per evaluation cell; the multitask grid scores each
+cell from its own factor. Every cell equals, bit for bit, its lone
+`train_on_subset` scored alone.
 """
 
 from __future__ import annotations
@@ -41,7 +42,8 @@ from .core import (
     TEST_WINDOW,
     TRAIN_WINDOW,
     Window,
-    sample_count,
+    condition_grid,
+    count_window,
     window_indices,
 )
 from .readout import (
@@ -85,28 +87,6 @@ class SweepSpec:
     ridge: float = 0.0
     normalizer: str = "range"
 
-    def __post_init__(self) -> None:
-        if len(self.evaluation) == 0:
-            raise ValueError("evaluation set must be non-empty")
-        if len(self.subsets) == 0:
-            raise ValueError("need at least one training subset")
-
-    def effective_train_window(self, runs: Mapping) -> Window:
-        """The train window's first ``samples_per_condition`` samples on
-        the clock of the sweep's runs, which it first checks (`_agree`); a
-        count the window does not hold (`core.sample_count`) is refused."""
-        count, window = self.samples_per_condition, self.train_window
-        _agree(runs, itertools.chain(self.evaluation, *self.subsets),
-               count is not None)
-        if count is None:
-            return window
-        rate = runs[self.evaluation[0]].grid.sample_rate
-        full = sample_count(window, rate)
-        if not 1 <= count <= full:
-            raise ValueError(f"sample count {count} outside the {full}-sample "
-                             "training window")
-        return Window(window.start, window.start + count / rate)
-
 
 @dataclass(frozen=True, eq=False)
 class SweepResult:
@@ -128,12 +108,27 @@ def _require(runs: Mapping, cond: InputCondition) -> PressureStateSeries:
         ) from None
 
 
-def _agree(runs: Mapping, conds, one_clock: bool) -> None:
-    """The one check of the runs a sweep reads, made before any fit: each
-    has the first run's sensor count and, for a sample count (``one_clock``),
-    its sample rate."""
+def _plan(runs: Mapping, scored, subsets, window: Window, counts=(None,),
+          masks=(None,)) -> list:
+    """Every readout fit of a sweep as a (subset, window, mask) triple, one
+    per subset, sample count and sensor mask. It refuses a sweep of no fit
+    or no ``scored`` condition (None: a lone fit), then checks each run the
+    sweep reads, the scored ones first: each has the first run's sensor
+    count n, since a readout of one arm reads no other, and, when a count
+    is set, its sample rate. A count trains on the first that many samples
+    of ``window`` on that clock (`count_window`), None on all of it; a mask
+    is normalized on n sensors (None: all)."""
+    if scored is not None and len(scored) == 0:
+        raise ValueError("evaluation set must be non-empty")
+    for name, values in (("training subset", subsets),
+                         ("sample count", counts), ("sensor mask", masks)):
+        if len(values) == 0:
+            raise ValueError(f"need at least one {name}")
+    if not all(subsets):
+        raise ValueError("need at least one condition to assemble")
+    one_clock = any(count is not None for count in counts)
     first = None
-    for cond in dict.fromkeys(conds):
+    for cond in dict.fromkeys(itertools.chain(scored or (), *subsets)):
         run = _require(runs, cond)
         if first is None:
             first, head = cond, run
@@ -146,6 +141,12 @@ def _agree(runs: Mapping, conds, one_clock: bool) -> None:
                 f"a sample count needs one clock: run {cond.label} is sampled "
                 f"at {run.grid.sample_rate:g} Hz, run {first.label} at "
                 f"{head.grid.sample_rate:g} Hz")
+    windows = [window if count is None
+               else count_window(window, count, head.grid.sample_rate)
+               for count in counts]
+    masks = [normalize_mask(mask, head.n_sensors) for mask in masks]
+    return [(subset, fit_window, mask) for subset in subsets
+            for fit_window in windows for mask in masks]
 
 
 def window_factor(series: PressureStateSeries, window: Window) -> WindowFactor:
@@ -184,6 +185,12 @@ def _truth_mass(runs: Mapping, cond: InputCondition,
     return mass
 
 
+def _columns(mask: Sequence[int]) -> list:
+    """A mask's columns of the all-sensor design [1 | S]: the bias at 0,
+    sensor m at 1 + m."""
+    return [0] + [1 + m for m in mask]
+
+
 def full_width(weights: ReadoutWeights, n_sensors: int) -> np.ndarray:
     """Weights as (n_tasks, 1 + n_sensors) rows over the all-sensor design,
     zero on the sensors outside the mask; a mask the run lacks is refused."""
@@ -191,7 +198,7 @@ def full_width(weights: ReadoutWeights, n_sensors: int) -> np.ndarray:
         raise ValueError(f"weights trained on sensors {weights.sensor_mask} "
                          f"cannot read a {n_sensors}-sensor run")
     rows = np.zeros((weights.n_tasks, 1 + n_sensors))
-    rows[:, [0] + [1 + m for m in weights.sensor_mask]] = weights.weights.T
+    rows[:, _columns(weights.sensor_mask)] = weights.weights.T
     return rows
 
 
@@ -202,10 +209,9 @@ def score(task: TaskKind, block: WindowFactor, w: np.ndarray,
     for mass the `mass_error_percent` of the window mean against ``mass``,
     for detection the window mean itself (the detect output, as
     `tasks.estimate_mass` is the mass estimate). ``w`` is one `full_width`
-    row or an (N, 1 + n_sensors) batch of them; one row may also be scored
-    on a stack of factors (fields stacked on a first axis), one mass each.
-    Stacked matmuls give every row and factor BLAS calls of its own, so no
-    score depends on the rest of its batch (README: the gemv pitfall)."""
+    row or an (N, 1 + n_sensors) batch of them. Stacked matmuls give every
+    row BLAS calls of its own, so no score depends on the rest of its batch
+    (README: the gemv pitfall)."""
     if task is TaskKind.BENDING_ANGLE:
         resid = (block.r @ w[..., None])[..., 0] - block.z
         sq = (resid[..., None, :] @ resid[..., None])[..., 0, 0]
@@ -247,54 +253,41 @@ def _target(task: TaskKind, part: WindowFactor, runs: Mapping,
     return (DETECT_ABSENT if mass == 0 else DETECT_PRESENT) * part.r[:, 0]
 
 
-def _members(subsets, runs: Mapping, payloads: PayloadSet, tasks: tuple,
-             window: Window) -> list:
-    """Each subset's training rows over ``window``, one (R, Z) pair per
-    condition: its all-sensor R factor (`_factor`) and one `_target` column
-    per task, read once per distinct condition."""
-    parts = {}
-    for cond in itertools.chain(*subsets):
-        if cond not in parts:
-            part = _factor(runs, cond, window)
-            parts[cond] = (part.r, np.column_stack(
-                [_target(task, part, runs, cond, payloads) for task in tasks]))
-    return [[parts[c] for c in subset] for subset in subsets]
-
-
-def _groups(keys) -> dict:
-    """The indices of each distinct key, in order of first appearance."""
-    groups = {}
-    for i, key in enumerate(keys):
+def _solve(fits: Sequence, runs: Mapping, payloads: PayloadSet, tasks: tuple,
+           ridge: float) -> np.ndarray:
+    """Fit one readout per (subset, window, mask) of ``fits``: each
+    member's all-sensor R factor over the window (`_factor`) with one
+    `_target` column per task, stacked over the subset and read on the
+    mask's `_columns`, with no second QR. Each distinct (condition, window)
+    is read once, before grouping; fits of one stacked shape share one
+    `readout.solve_reduced` call. It checks no run: `_plan` has given every
+    run one sensor count n, which it reads off the R rows. Returns
+    (len(fits), n_tasks, 1 + n) weight rows, zero outside each mask."""
+    parts, members = {}, []
+    for subset, window, _ in fits:
+        part = parts.setdefault(window, {})
+        for cond in subset:
+            if cond not in part:
+                block = _factor(runs, cond, window)
+                part[cond] = (block.r, np.column_stack(
+                    [_target(task, block, runs, cond, payloads)
+                     for task in tasks]))
+        members.append([part[cond] for cond in subset])
+    out, groups = None, {}
+    for i, (rows, fit) in enumerate(zip(members, fits)):
+        key = (tuple(r.shape for r, _ in rows), len(fit[2]))
         groups.setdefault(key, []).append(i)
-    return groups
-
-
-def _solve(fits: Sequence, ridge: float) -> np.ndarray:
-    """Fit one readout per (members, mask) of ``fits``: its `_members`
-    rows stacked, read on the bias and the mask's columns (None: every
-    sensor), with no second QR. Fits of one stacked shape share one
-    `readout.solve_reduced` call.
-
-    It checks no run: its caller's `_agree` has given every training and
-    scored run one sensor count n, which it reads off the R rows. Returns
-    (len(fits), n_tasks, 1 + n) weight rows, zero outside each mask.
-    """
-    out = None
-    keys = ((tuple(r.shape for r, _ in members),
-             None if mask is None else len(mask)) for members, mask in fits)
-    for (shapes, every), idx in _groups(keys).items():
-        if not shapes:
-            raise ValueError("need at least one condition to assemble")
+    for (shapes, _), idx in groups.items():
         n = shapes[0][1] - 1
-        masks = ([tuple(range(n))] if every is None
-                 else [normalize_mask(fits[i][1], n) for i in idx])
-        cols = np.array([[0] + [1 + m for m in mask] for mask in masks])
         # each member position's (R, Z) over the group, side by side in rows
         r, z = (np.concatenate([np.stack(position) for position in
-                                zip(*([part[j] for part in fits[i][0]]
+                                zip(*([part[j] for part in members[i]]
                                       for i in idx))], axis=1)
                 for j in (0, 1))
-        if every is not None:
+        if all(fits[i][2] == tuple(range(n)) for i in idx):
+            cols = np.arange(1 + n)[None]  # every sensor: R as it stands
+        else:
+            cols = np.array([_columns(fits[i][2]) for i in idx])
             r = np.take_along_axis(r, cols[:, None, :], axis=2)
         w = solve_reduced(r, z, ridge)
         if out is None:
@@ -303,12 +296,14 @@ def _solve(fits: Sequence, ridge: float) -> np.ndarray:
     return out
 
 
-def _sweep(task: TaskKind, fits: Sequence, cells: list, ridge: float,
+def _sweep(task: TaskKind, fits: Sequence, evaluation, runs: Mapping,
+           payloads: PayloadSet, test_window: Window, ridge: float,
            normalizer: str) -> tuple:
     """`_solve` every single-task readout of ``fits`` and `score` them all
-    on each `_evaluation` cell in one call; returns the (fit, cell) error
-    grid and the weight rows."""
-    w = _solve(fits, ridge)[:, 0]
+    on each `_evaluation` cell of ``evaluation`` in one call; returns the
+    (fit, cell) error grid and the weight rows."""
+    cells = _evaluation(task, evaluation, runs, payloads, test_window)
+    w = _solve(fits, runs, payloads, (task,), ridge)[:, 0]
     grid = np.column_stack([score(task, block, w, mass, normalizer)
                             for block, mass in cells])
     return grid, w
@@ -324,24 +319,20 @@ def train_on_subset(
     ridge: float = 0.0,
 ):
     """Train one readout from a condition subset."""
-    _agree(runs, subset, False)
-    (members,) = _members((subset,), runs, payloads, (task,), window)
-    (w,) = _solve([(members, sensor_mask)], ridge)
-    mask = normalize_mask(sensor_mask, w.shape[1] - 1)
-    return ReadoutWeights(weights=w[:, [0] + [1 + m for m in mask]].T,
-                          sensor_mask=mask, task_names=(task.value,))
+    (fit,) = _plan(runs, None, (subset,), window, masks=(sensor_mask,))
+    (w,) = _solve([fit], runs, payloads, (task,), ridge)
+    return ReadoutWeights(weights=w[:, _columns(fit[2])].T,
+                          sensor_mask=fit[2], task_names=(task.value,))
 
 
 def subset_sweep(spec: SweepSpec, runs: Mapping,
                  payloads: PayloadSet) -> SweepResult:
     """Train one readout per subset and score it on every evaluation
     condition's test window."""
-    window = spec.effective_train_window(runs)
-    cells = _evaluation(spec.task, spec.evaluation, runs, payloads,
-                        spec.test_window)
-    fits = [(members, None) for members in _members(
-        spec.subsets, runs, payloads, (spec.task,), window)]
-    return SweepResult(_sweep(spec.task, fits, cells, spec.ridge,
+    fits = _plan(runs, spec.evaluation, spec.subsets, spec.train_window,
+                 (spec.samples_per_condition,))
+    return SweepResult(_sweep(spec.task, fits, spec.evaluation, runs,
+                              payloads, spec.test_window, spec.ridge,
                               spec.normalizer)[0])
 
 
@@ -374,24 +365,18 @@ def sample_count_sweep(
 
     ``noise_free`` holds each condition's run simulated without noise; a
     repeat only draws its noise, which never feeds back into the states;
-    its noisy runs' factors serve every count and die with those runs. A
-    count the train window does not hold is refused before any noise. All
-    counts of a repeat are fitted and scored as one `_sweep`.
+    its noisy runs' factors serve every count and die with those runs. No
+    count, or one the train window does not hold, is refused before any
+    noise. All counts of a repeat are fitted and scored as one `_sweep`.
     """
-    counts = tuple(int(c) for c in counts)
-    windows = [SweepSpec(task, (tuple(subset),), tuple(evaluation),
-                         train_window, test_window, count, base_seed, ridge,
-                         normalizer).effective_train_window(noise_free)
-               for count in counts]
-    needed = {c: _require(noise_free, c) for c in (*subset, *evaluation)}
-    errors = np.empty((len(counts), len(evaluation), repeats))
+    fits = _plan(noise_free, evaluation, (subset,), train_window,
+                 [int(count) for count in counts])
+    errors = np.empty((len(fits), len(evaluation), repeats))
     for r in range(repeats):
-        runs = {c: add_noise(params, run, base_seed + r)
-                for c, run in needed.items()}
-        cells = _evaluation(task, evaluation, runs, payloads, test_window)
-        fits = [(members, None) for window in windows for members in
-                _members((subset,), runs, payloads, (task,), window)]
-        errors[:, :, r] = _sweep(task, fits, cells, ridge, normalizer)[0]
+        runs = {c: add_noise(params, noise_free[c], base_seed + r)
+                for c in dict.fromkeys((*subset, *evaluation))}
+        errors[:, :, r] = _sweep(task, fits, evaluation, runs, payloads,
+                                 test_window, ridge, normalizer)[0]
     return SampleCountResult(mean_grid=errors.mean(axis=2),
                              std_grid=errors.std(axis=2))
 
@@ -422,18 +407,13 @@ def sensor_ablation_sweep(
     (absolute sensor weights normalized to 100% per mask, bias excluded).
     All masks are fitted and scored as one `_sweep`, one stack per mask
     size."""
-    if len(masks) == 0:
-        raise ValueError("need at least one sensor mask")
-    _agree(runs, (*evaluation, *subset), False)
-    n_sensors = runs[evaluation[0]].n_sensors
-    masks = tuple(normalize_mask(m, n_sensors) for m in masks)
-    cells = _evaluation(task, evaluation, runs, payloads, test_window)
-    (members,) = _members((subset,), runs, payloads, (task,), train_window)
-    error_grid, w = _sweep(task, [(members, mask) for mask in masks], cells,
-                           ridge, normalizer)
-    share_rows = np.full((len(masks), n_sensors), np.nan)
+    fits = _plan(runs, evaluation, (subset,), train_window, masks=masks)
+    error_grid, w = _sweep(task, fits, evaluation, runs, payloads,
+                           test_window, ridge, normalizer)
+    masks = tuple(mask for _, _, mask in fits)
+    share_rows = np.full((len(masks), w.shape[1] - 1), np.nan)
     for mi, mask in enumerate(masks):
-        mags = np.abs(w[mi, [1 + m for m in mask]])
+        mags = np.abs(w[mi, _columns(mask)[1:]])
         total = mags.sum()
         share_rows[mi, list(mask)] = 100.0 * mags / total if total > 0 else 0.0
     return AblationResult(
@@ -488,37 +468,27 @@ def multitask_grid(
     Step 1 classifies payload presence from the detect column's window
     mean. Step 2 (angle plus mass prediction) runs only where a payload is
     detected; zero-payload cells are scored on angle alone. Each cell is
-    scored once, from its own test-window factor.
+    scored from its own test-window factor, as `armrc evaluate` scores a
+    run: detect first, then angle and mass where the rule keeps the cell.
     """
-    cells = [InputCondition(i, j) for i in range(1, n_profiles + 1)
-             for j in range(1, len(payloads) + 1)]
-    _agree(runs, (*cells, *training_cells), False)
-    (members,) = _members((training_cells,), runs, payloads,
-                          MULTITASK_TASKS, train_window)
-    (w,) = _solve([(members, None)], ridge)
-    w_angle, w_detect, w_mass = w
-
+    cells = condition_grid(n_profiles, payloads)
+    fits = _plan(runs, cells, (training_cells,), train_window)
+    w_angle, w_detect, w_mass = _solve(fits, runs, payloads, MULTITASK_TASKS,
+                                       ridge)[0]
     masses = np.array([_truth_mass(runs, c, payloads) for c in cells])
-    blocks = [_factor(runs, c, test_window) for c in cells]
-    detect = np.empty(len(cells))
+    detect, angle_error, mass_error = np.full((3, len(cells)), np.nan)
     present = np.empty(len(cells), dtype=bool)
-    angle_error = np.full(len(cells), np.nan)
-    mass_error = np.full(len(cells), np.nan)
-    for idx in _groups(block.r.shape for block in blocks).values():
-        idx = np.array(idx)
-        stack = WindowFactor(*map(np.array, zip(*(blocks[i] for i in idx))))
-        detect[idx] = score(TaskKind.PAYLOAD_DETECT, stack, w_detect, None,
-                            normalizer)
-        present[idx] = [payload_status(d) is PayloadStatus.PRESENT
-                        for d in detect[idx]]
-        step2 = present[idx] & (masses[idx] > 0)
-        for task, row, out, scored in (
-                (TaskKind.BENDING_ANGLE, w_angle, angle_error,
-                 step2 | (masses[idx] == 0)),
-                (TaskKind.PAYLOAD_MASS, w_mass, mass_error, step2)):
-            part = WindowFactor(*(field[scored] for field in stack))
-            out[idx[scored]] = score(task, part, row, masses[idx[scored]],
-                                     normalizer)
+    for k, cond in enumerate(cells):
+        block = _factor(runs, cond, test_window)
+        detect[k] = score(TaskKind.PAYLOAD_DETECT, block, w_detect, None,
+                          normalizer)
+        present[k] = payload_status(detect[k]) is PayloadStatus.PRESENT
+        if present[k] or masses[k] == 0:
+            angle_error[k] = score(TaskKind.BENDING_ANGLE, block, w_angle,
+                                   None, normalizer)
+        if present[k] and masses[k] > 0:
+            mass_error[k] = score(TaskKind.PAYLOAD_MASS, block, w_mass,
+                                  masses[k], normalizer)
     shape = (n_profiles, len(payloads))
     return MultitaskGridResult(
         detect_output=detect.reshape(shape),

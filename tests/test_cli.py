@@ -791,3 +791,52 @@ class TestSensorNames:
             assert main(["correlate", "--runs", run, run, "--channel",
                          channel, "--out", str(tmp_path / "c.csv"),
                          "--quiet"]) == 0
+
+
+class TestEmptySampleCounts:
+    # `sample_counts: []` asks for a sweep of no fit: one config error, not
+    # a traceback from the sweep
+    def test_is_one_config_error_before_anything_runs(self, tmp_path, capsys,
+                                                      monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulated a sweep of no sample count")
+
+        monkeypatch.setattr(surrogate, "simulate_batch", refuse)
+        cfg = tmp_path / "empty.yaml"
+        cfg.write_text("sample_counts: []\n")
+        rc = main(["sweep", "samples", "--config", str(cfg), "--out",
+                   str(tmp_path / "out"), "--quiet"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: config:") and err.count("error:") == 1
+        assert "- sample_counts must be non-empty" in err
+
+
+class TestCorrelateOneClock:
+    # a correlation pairs the runs sample by sample, so they must share one
+    # clock and one post-washout length
+    @staticmethod
+    def run_on(tmp_path, cfg, grid, name):
+        (series,) = simulate_conditions(cfg.surrogate, cfg.profiles,
+                                        cfg.payloads, grid,
+                                        [InputCondition(4, 1)]).values()
+        return str(export_run(series, tmp_path / name / "P4M1.csv"))
+
+    @pytest.mark.parametrize("grid, detail", [
+        # 100 s after the washout at 20 Hz: 2000 samples, as at 40 Hz
+        (TimeGrid(sample_rate=20.0, n_samples=3000),
+         "2000 samples at 40 Hz after the washout, and 2000 at 20 Hz"),
+        (TimeGrid(sample_rate=40.0, n_samples=4800),
+         "2000 samples at 40 Hz after the washout, and 2800 at 40 Hz"),
+    ], ids=["rate", "length"])
+    def test_is_one_error_line_naming_both_runs(self, grid_dir, tmp_path,
+                                                capsys, grid, detail):
+        other = self.run_on(tmp_path, default_config(), grid, "other")
+        rc = main(["correlate", "--runs", str(grid_dir / "runs" / "P1M1.csv"),
+                   other, "--channel", "s7"])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err.startswith("error:")
+        assert captured.err.count("error:") == 1
+        assert "P1M1" in captured.err and "P4M1" in captured.err
+        assert detail in captured.err

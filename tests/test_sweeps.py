@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from armrc import sweeps
+from armrc.config import ConfigError, ExperimentConfig
 from armrc.core import (
     InputCondition,
     PayloadSet,
@@ -15,6 +16,7 @@ from armrc.core import (
     TRAIN_WINDOW,
     TimeGrid,
     Window,
+    sample_count,
 )
 from armrc.profiles import generate_profile
 from armrc.readout import (NORMALIZERS, assemble, nrmse_percent, predict,
@@ -194,6 +196,45 @@ class TestSampleCountRule:
             )
 
 
+class TestOneCountRule:
+    # a config and a sweep read a sample count by one rule: on any clock and
+    # train window, a count one accepts the other accepts, and a count one
+    # refuses the other refuses with the same message
+    @settings(max_examples=40, deadline=None)
+    @given(rate=st.floats(5.0, 50.0), start=st.floats(1.0, 5.0),
+           seconds=st.floats(5.0, 10.0), near_full=st.booleans(),
+           offset=st.integers(-3, 3), seed=st.integers(0, 2**32 - 1))
+    def test_config_and_sweep_agree(self, rate, start, seconds, near_full,
+                                    offset, seed):
+        train = Window(start, start + seconds)
+        test = Window(train.end, train.end + 2.0)
+        grid = TimeGrid(sample_rate=rate,
+                        n_samples=int(np.ceil(test.end * rate)) + 2)
+        count = offset + (sample_count(train, rate) if near_full else 0)
+        try:
+            ExperimentConfig(grid=grid, washout=Window(0.0, start),
+                             train=train, test=test, sample_counts=(count,))
+        except ConfigError as err:
+            refused_by_config = err.problems
+        else:
+            refused_by_config = []
+        rng = np.random.default_rng(seed)
+        run = PressureStateSeries(
+            grid=grid, s_in=np.zeros(grid.n_samples),
+            sensors=rng.normal(size=(7, grid.n_samples)),
+            theta=rng.normal(size=grid.n_samples), condition=P(1, 1))
+        spec = SweepSpec(task=TaskKind.BENDING_ANGLE, subsets=((P(1, 1),),),
+                         evaluation=(P(1, 1),), train_window=train,
+                         test_window=test, samples_per_condition=count)
+        try:
+            subset_sweep(spec, {P(1, 1): run}, PayloadSet())
+        except ValueError as err:
+            refused_by_sweep = [str(err)]
+        else:
+            refused_by_sweep = []
+        assert refused_by_config == refused_by_sweep
+
+
 class TestOneClock:
     # a sample count is read on one clock: P1M1 and P7M1 at 20 Hz with
     # P4M1 at 40 Hz would train 100 "samples" on 50 rows per condition
@@ -301,6 +342,35 @@ class TestSampleCountSweep:
                 )
                 assert np.array_equal(runs[cond].sensors, alone.sensors)
                 assert np.array_equal(runs[cond].theta, alone.theta)
+
+    @pytest.mark.parametrize("counts, evaluation, message", [
+        ([], [P(1, 1)], "need at least one sample count"),
+        ([100], [], "evaluation set must be non-empty"),
+    ], ids=["no-count", "no-evaluation"])
+    def test_a_sweep_of_nothing_is_refused_before_any_noise(
+            self, cfg, monkeypatch, counts, evaluation, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("drew noise for a sweep of nothing")
+
+        monkeypatch.setattr(sweeps, "add_noise", refuse)
+        with pytest.raises(ValueError, match=message):
+            sample_count_sweep(
+                TaskKind.BENDING_ANGLE, counts, [P(1, 1)], evaluation,
+                cfg.surrogate, _noise_free(cfg, P(1, 1)), cfg.payloads,
+                repeats=1,
+            )
+
+    def test_duplicate_counts_give_bit_identical_rows(self, cfg):
+        res = sample_count_sweep(
+            TaskKind.BENDING_ANGLE, [100, 400, 100], [P(1, 1), P(7, 1)],
+            [P(4, 1), P(2, 1)], cfg.surrogate,
+            _noise_free(cfg, P(1, 1), P(7, 1), P(4, 1), P(2, 1)),
+            cfg.payloads, repeats=2,
+        )
+        assert res.mean_grid.shape == (3, 2)
+        for grid in (res.mean_grid, res.std_grid):
+            assert grid[0].tobytes() == grid[2].tobytes()
+            assert grid[0].tobytes() != grid[1].tobytes()
 
     def test_counts_are_read_on_the_runs_clock(self, cfg):
         # at 20 Hz, 100 samples per condition are the first 5 s of training
