@@ -170,7 +170,7 @@ def trace_columns(n_sensors: int) -> list:
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=float)
+    out = np.array(a, dtype=float, order="C")
     out.setflags(write=False)
     return out
 

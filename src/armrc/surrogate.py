@@ -58,6 +58,7 @@ from .core import (
     Window,
     condition_grid,
     sample_count,
+    trace_columns,
 )
 from .profiles import RampProfileSpec, generate_profile
 
@@ -72,12 +73,9 @@ _UINT64_MASK = (1 << 64) - 1
 _CHUNK = 64
 
 
-def default_coupling(n_nodes: int = 7, strength: float = 0.02) -> tuple:
+def default_coupling(n_nodes: int, strength: float) -> tuple:
     """Symmetric nearest-neighbor diffusion between adjacent pouches."""
-    c = np.zeros((n_nodes, n_nodes))
-    for m in range(n_nodes - 1):
-        c[m, m + 1] = strength
-        c[m + 1, m] = strength
+    c = strength * (np.eye(n_nodes, k=1) + np.eye(n_nodes, k=-1))
     return tuple(tuple(row) for row in c)
 
 
@@ -87,7 +85,7 @@ class SurrogateParams:
 
     n_nodes: int = 7
     leak: tuple = (0.14, 0.13, 0.40, 0.075, 0.055, 0.035, 0.0175)
-    coupling: tuple = default_coupling(7, strength=0.004)
+    coupling: Optional[tuple] = None  # None: nearest-neighbour at 0.004
     input_gain: tuple = (0.018, 0.02, 0.02, 0.02, 0.030, 0.032, 0.032)
     payload_gain: tuple = (-0.16, -0.21, 0.32, 0.0, -0.15, -0.13, -0.90)
     payload_sat: float = 300.0
@@ -100,7 +98,8 @@ class SurrogateParams:
 
     def __post_init__(self) -> None:
         for name, value in vars(self).items():
-            if not np.isfinite(np.asarray(value, dtype=float)).all():
+            if value is not None and not np.isfinite(
+                    np.asarray(value, dtype=float)).all():
                 raise ValueError(f"{name} must be finite, got {value}")
         n = self.n_nodes
         if n < 1:
@@ -110,6 +109,8 @@ class SurrogateParams:
             vec = getattr(self, name)
             if len(vec) != n:
                 raise ValueError(f"{name} must have {n} entries, got {len(vec)}")
+        if self.coupling is None:
+            object.__setattr__(self, "coupling", default_coupling(n, 0.004))
         if any(not 0 < l <= 1 for l in self.leak):
             raise ValueError(f"leak rates must lie in (0, 1]: {self.leak}")
         cmat = np.asarray(self.coupling, dtype=float)
@@ -176,8 +177,8 @@ def _noise_key(condition: Optional[InputCondition], sensor: int) -> int:
     if ci >> 32 or cj >> 16 or (sensor + 1) >> 16:
         raise ValueError(
             f"condition {condition.label if condition else '-'} sensor "
-            f"s{sensor + 1} overflows the noise key (profile < 2**32, "
-            "payload and sensor < 2**16)"
+            f"{trace_columns(sensor + 1)[-2]} overflows the noise key "
+            "(profile < 2**32, payload and sensor < 2**16)"
         )
     return (ci << 32) | (cj << 16) | (sensor + 1)
 

@@ -498,8 +498,16 @@ def multitask_grid(
     )
 
 
-# Shipped experiment families. Subset geometries marked "best effort" are
-# reconstructions of grids that the source figures only mark graphically.
+# Experiment families from the grid's shape, by two index rules: `spread`
+# and the bisection of `nested_payload_subsets`. "Best effort" marks grids
+# that the source figures show only graphically.
+
+def spread(lo: int, hi: int, k: int) -> tuple:
+    """k indices spread over lo..hi, both ends kept (all of lo..hi if it
+    holds no more): round(linspace(lo, hi, k)), ties to even."""
+    k = max(0, min(k, hi - lo + 1))
+    return tuple(int(i) for i in np.round(np.linspace(lo, hi, k)))
+
 
 def bending_conditions(n_profiles: int = 7) -> tuple:
     return tuple(InputCondition(i, 1) for i in range(1, n_profiles + 1))
@@ -509,50 +517,41 @@ def payload_conditions(n_payloads: int = 7) -> tuple:
     return tuple(InputCondition(1, j) for j in range(1, n_payloads + 1))
 
 
-def nested_bending_subsets() -> tuple:
-    """Training families of size 1..7 over profiles (best effort)."""
-    families = ((1,), (1, 7), (1, 4, 7), (1, 3, 5, 7), (1, 2, 4, 6, 7),
-                (1, 2, 3, 5, 6, 7), (1, 2, 3, 4, 5, 6, 7))
-    return tuple(
-        tuple(InputCondition(i, 1) for i in fam) for fam in families
-    )
+def nested_bending_subsets(n_profiles: int = 7) -> tuple:
+    """Training families of 1..n profiles, each `spread` over P1..Pn."""
+    return tuple(tuple(InputCondition(i, 1) for i in spread(1, n_profiles, k))
+                 for k in range(1, n_profiles + 1))
 
 
 def all_profile_pairs(n_profiles: int = 7) -> tuple:
-    return tuple(
-        (InputCondition(a, 1), InputCondition(b, 1))
-        for a, b in itertools.combinations(range(1, n_profiles + 1), 2)
-    )
+    return tuple(itertools.combinations(bending_conditions(n_profiles), 2))
 
 
-def nested_payload_subsets() -> tuple:
-    """Nested payload-index families of size 2..6 (non-zero payloads)."""
-    families = ((2, 7), (2, 4, 7), (2, 4, 6, 7), (2, 3, 4, 6, 7),
-                (2, 3, 4, 5, 6, 7))
-    return tuple(
-        tuple(InputCondition(1, j) for j in fam) for fam in families
-    )
+def nested_payload_subsets(n_payloads: int = 7) -> tuple:
+    """Nested families over the non-zero payloads M2..Mn: the two ends, then
+    each next family adds the rounded midpoint of its first widest gap."""
+    families = [spread(2, n_payloads, 2)]
+    while 0 < len(families[-1]) < n_payloads - 1:
+        family = families[-1]
+        a, b = max(zip(family, family[1:]), key=lambda gap: gap[1] - gap[0])
+        families.append(tuple(sorted((*family, round((a + b) / 2)))))
+    return tuple(tuple(InputCondition(1, j) for j in fam)
+                 for fam in families if fam)
 
 
 def tip_sensor_masks(n_sensors: int = 7) -> tuple:
-    """Nested masks keeping the 6, 5, 4, 3 and 2 tip-most sensors."""
-    return tuple(tuple(range(n_sensors - k, n_sensors))
-                 for k in (6, 5, 4, 3, 2))
+    """Nested masks keeping the n - 1 down to 2 tip-most sensors."""
+    return tuple(tuple(range(k, n_sensors)) for k in range(1, n_sensors - 1))
 
 
 def multitask_training_subsets(n_profiles: int = 7,
                                n_payloads: int = 5) -> dict:
-    """The three shipped multi-task training geometries (best effort)."""
-    lo, mid, hi = 1, (n_profiles + 1) // 2, n_profiles
-    jlo, jmid, jhi = 1, (n_payloads + 1) // 2, n_payloads
-    return {
-        "2x2": tuple(InputCondition(i, j)
-                     for i in (lo, hi) for j in (jlo, jhi)),
-        "5x2": tuple(InputCondition(i, j)
-                     for i in (1, 2, 4, 6, 7) for j in (jlo, jhi)),
-        "3x3": tuple(InputCondition(i, j)
-                     for i in (lo, mid, hi) for j in (jlo, jmid, jhi)),
-    }
+    """The three multi-task training geometries (best effort): AxB cells,
+    A profiles and B payloads, each `spread` over the grid."""
+    return {f"{a}x{b}": tuple(InputCondition(i, j)
+                              for i in spread(1, n_profiles, a)
+                              for j in spread(1, n_payloads, b))
+            for a, b in ((2, 2), (5, 2), (3, 3))}
 
 
 @dataclass(frozen=True)
@@ -571,28 +570,28 @@ class Experiment:
 
     @property
     def conditions(self) -> tuple:
-        """The runs each sweep of the experiment simulates. A family member
-        outside them is reported missing by name when it is trained on."""
+        """The runs its sweeps simulate; every family member is among them."""
         return self.subset + self.evaluation
 
 
 def experiments(cfg) -> dict:
     """The bending and payload experiments of an `ExperimentConfig`, keyed
     by the name their result files carry."""
-    payload_eval = payload_conditions(len(cfg.payloads))[1:]
+    n_profiles, n_payloads = len(cfg.profiles), len(cfg.payloads)
+    payload_eval = payload_conditions(n_payloads)[1:]
     return {
         "bending": Experiment(
             task=TaskKind.BENDING_ANGLE,
-            subset=(InputCondition(1, 1), InputCondition(7, 1)),
-            evaluation=bending_conditions(len(cfg.profiles)),
-            families={"subsets": nested_bending_subsets(),
-                      "pairs": all_profile_pairs(len(cfg.profiles))},
+            subset=tuple(InputCondition(i, 1) for i in spread(1, n_profiles, 2)),
+            evaluation=bending_conditions(n_profiles),
+            families={"subsets": nested_bending_subsets(n_profiles),
+                      "pairs": all_profile_pairs(n_profiles)},
         ),
         "payload": Experiment(
             task=TaskKind.PAYLOAD_MASS,
             subset=payload_eval,
             evaluation=payload_eval,
-            families={"subsets": nested_payload_subsets()},
+            families={"subsets": nested_payload_subsets(n_payloads)},
         ),
     }
 

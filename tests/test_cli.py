@@ -12,7 +12,7 @@ import pytest
 import armrc
 from armrc import cli, surrogate, sweeps
 from armrc.cli import main
-from armrc.config import ExperimentConfig, default_config
+from armrc.config import ExperimentConfig, build_config, default_config
 from armrc.core import InputCondition, PayloadSet, TimeGrid
 from armrc.readout import ReadoutWeights, nrmse_percent, predict
 from armrc.runio import (export_run, ingest_run, load_weights,
@@ -644,10 +644,11 @@ FIVE_PROFILES = """profiles:
 
 
 class TestOutOfGridConditions:
+    # a sweep's families follow the grid (TestAnyShape); a named condition
+    # beyond it is refused
     @pytest.mark.parametrize("argv", [
         ["train", "--task", "bending", "--subset", "P1,P7"],
-        ["sweep", "samples"],
-    ], ids=["train", "sweep-samples"])
+    ], ids=["train"])
     def test_profile_beyond_the_grid_is_an_error_line(self, argv, tmp_path,
                                                       capsys):
         cfg = tmp_path / "five.yaml"
@@ -658,6 +659,112 @@ class TestOutOfGridConditions:
         assert rc == 1
         assert err.startswith("error:")
         assert "P7M1" in err and "5x7" in err
+
+
+def _arm(n):
+    """A stable n-node `surrogate` section of per-node vectors, with no
+    `coupling`: the nearest-neighbour default follows n_nodes."""
+    def per_node(first, last):
+        return [round(float(v), 4) for v in np.linspace(first, last, n)]
+    return {"n_nodes": n, "leak": per_node(0.14, 0.02),
+            "input_gain": per_node(0.018, 0.032),
+            "payload_gain": per_node(-0.16, -0.5),
+            "angle_weights": per_node(0.33, 0.75),
+            "leak_pressure_coeff": per_node(0.9, 0.1)}
+
+
+def _grid(n_profiles, n_payloads):
+    """``n_profiles`` ramp profiles 2.5 psi apart, and ``n_payloads``
+    masses 100 g apart, for both payload sets."""
+    masses = [100.0 * j for j in range(n_payloads)]
+    return {"profiles": [{"u_min": 1.0 + 2.5 * k, "u_max": 32.25 + 2.5 * k}
+                         for k in range(n_profiles)],
+            "payloads": masses, "multitask_payloads": masses}
+
+
+class TestAnyShape:
+    """Every sweep kind follows the config's shape: p profiles, m payloads,
+    n sensors and k multitask payloads give CSVs of the sizes the two index
+    rules predict. The runs are short (4 Hz, 100 s) to keep this fast."""
+
+    SHORT = {"grid": {"sample_rate": 4.0, "n_samples": 400},
+             "sample_counts": [10, 20], "sample_repeats": 2}
+
+    @staticmethod
+    def _sizes(p, m, n, k):
+        """Each CSV's (rows, columns): bending families of 1..p profiles and
+        all pairs, payload families of 2..m-1 payloads, the all-sensor mask
+        and tip masks of n-1..2 sensors, and p x k multitask grids."""
+        sizes = {"bending_subsets": (p, p),
+                 "bending_pairs": (p * (p - 1) // 2, p),
+                 "payload_subsets": (m - 2, m - 1),
+                 "multitask_summary": (3, 2)}
+        for name, cols in (("bending", p), ("payload", m - 1)):
+            sizes[f"{name}_ablation"] = (n - 1, cols)
+            sizes[f"{name}_weight_shares"] = (n - 1, n)
+            for stat in ("mean", "std"):
+                sizes[f"{name}_sample_counts_{stat}"] = (2, cols)
+        for geometry in ("2x2", "5x2", "3x3"):
+            for part in ("detect", "angle", "mass"):
+                sizes[f"multitask_{geometry}_{part}"] = (p, k)
+        return sizes
+
+    @pytest.mark.parametrize("doc, shape", [
+        ({"surrogate": _arm(3)}, (7, 7, 3, 5)),
+        ({"surrogate": _arm(5)}, (7, 7, 5, 5)),
+        ({"surrogate": _arm(9)}, (7, 7, 9, 5)),
+        (_grid(3, 3), (3, 3, 7, 3)),
+        (_grid(5, 5), (5, 5, 7, 5)),
+        (_grid(9, 4), (9, 4, 7, 4)),
+    ], ids=["arm3", "arm5", "arm9", "grid3x3", "grid5x5", "grid9x4"])
+    def test_every_sweep_runs_with_csvs_of_the_predicted_size(self, doc,
+                                                             shape, tmp_path):
+        cfg = tmp_path / "shape.yaml"
+        cfg.write_text(json.dumps({**self.SHORT, **doc}))
+        sizes = {}
+        for kind in ("conditions", "samples", "sensors", "multitask"):
+            out = tmp_path / kind
+            assert main(["sweep", kind, "--config", str(cfg), "--out",
+                         str(out), "--quiet"]) == 0
+            sizes.update((path.stem, read_matrix_csv(path)[0].shape)
+                         for path in out.glob("*.csv"))
+        assert sizes == self._sizes(*shape)
+
+    def test_nine_profiles_train_bending_on_both_ends(self):
+        cfg = build_config({"profiles": _grid(9, 7)["profiles"]})
+        bending = experiments(cfg)["bending"]
+        assert bending.subset == (InputCondition(1, 1), InputCondition(9, 1))
+        assert bending.families["subsets"][1] == bending.subset
+
+
+class TestIngestedRuns:
+    # a run read back from its CSV holds the simulated bits in another
+    # memory layout (sensors transposed); no sweep cell may tell them apart
+    def test_sweeps_score_them_as_the_simulated_runs(self, grid_dir):
+        cfg = default_config()
+        table = experiments(cfg)
+        conds = list(dict.fromkeys(c for exp in table.values()
+                                   for c in exp.conditions))
+        simulated = cli._simulate(cfg, conds)
+        ingested = {c: ingest_run(grid_dir / "runs" / f"{c.label}.csv")
+                    for c in conds}
+        for exp in table.values():
+            window = sweeps.training_window(cfg, exp.task)
+            cells = []
+            for runs in (simulated, ingested):
+                spec = sweeps.SweepSpec(
+                    task=exp.task, subsets=exp.families["subsets"],
+                    evaluation=exp.evaluation, train_window=window,
+                    test_window=cfg.test)
+                ablation = sweeps.sensor_ablation_sweep(
+                    exp.task, (None,) + sweeps.tip_sensor_masks(), exp.subset,
+                    exp.evaluation, runs, cfg.payloads, train_window=window,
+                    test_window=cfg.test)
+                cells.append((sweeps.subset_sweep(spec, runs,
+                                                  cfg.payloads).error_grid,
+                              ablation.error_grid, ablation.weight_shares))
+            for a, b in zip(*cells):
+                assert np.array_equal(a, b, equal_nan=True)
 
 
 class TestNoiseKeyRange:

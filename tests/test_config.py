@@ -5,6 +5,7 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
@@ -125,6 +126,26 @@ class TestOverrides:
         cfg = build_config({"seed": 123, "surrogate": {"noise_std": 0.2}})
         assert cfg.surrogate.noise_std == 0.2
         assert cfg.seed == 123
+
+
+class TestDefaultCoupling:
+    # an n-node arm may leave out `coupling`: it defaults to nearest-neighbour
+    # diffusion at the shipped 0.004 between adjacent pouches, n x n
+    def test_a_five_node_config_without_coupling_loads(self, tmp_path):
+        surrogate = {"n_nodes": 5, "leak": [0.14, 0.11, 0.08, 0.05, 0.02],
+                     "input_gain": [0.018, 0.02, 0.025, 0.03, 0.032],
+                     "payload_gain": [-0.1, -0.2, 0.0, -0.3, -0.5],
+                     "angle_weights": [0.3, 0.3, 0.4, 0.5, 0.75],
+                     "leak_pressure_coeff": [0.9, 0.7, 0.5, 0.3, 0.1]}
+        cfg = load_config(write_config(tmp_path, {"surrogate": surrogate}))
+        expected = 0.004 * (np.eye(5, k=1) + np.eye(5, k=-1))
+        assert np.array_equal(cfg.surrogate.coupling, expected)
+
+    def test_the_default_is_the_shipped_coupling(self):
+        assert build_config({"surrogate": {"n_nodes": 7}}) == default_config()
+        assert default_config().surrogate.coupling[3] == (
+            0.0, 0.0, 0.004, 0.0, 0.004, 0.0, 0.0)
+
 
 # every key and sub-key set, none at its default
 EVERY_KEY = {

@@ -228,7 +228,7 @@ class TestNoiseKey:
             simulate(SurrogateParams(), P1[:40], 0.0, SHORT, condition=cond)
 
     def test_sensor_index_beyond_16_bits_is_refused(self):
-        with pytest.raises(ValueError, match="P1M1"):
+        with pytest.raises(ValueError, match="P1M1 sensor s65536 "):
             _noise_stream(7, InputCondition(1, 1), (1 << 16) - 1, 4, 1.0)
 
     def test_largest_in_range_indices_are_accepted(self):

@@ -31,10 +31,12 @@ from armrc.sweeps import (
     multitask_training_subsets,
     nested_bending_subsets,
     nested_payload_subsets,
+    payload_conditions,
     sample_count_sweep,
     score,
     sensor_ablation_sweep,
     simulate_conditions,
+    spread,
     subset_sweep,
     tip_sensor_masks,
     train_on_subset,
@@ -80,6 +82,109 @@ class TestFamilies:
         assert len(subs["5x2"]) == 10
         assert len(subs["3x3"]) == 9
         assert P(1, 1) in subs["2x2"] and P(7, 5) in subs["2x2"]
+
+
+# The shipped families, written out: the oracle of the zero-argument calls.
+SHIPPED_BENDING = ((1,), (1, 7), (1, 4, 7), (1, 3, 5, 7), (1, 2, 4, 6, 7),
+                   (1, 2, 3, 5, 6, 7), (1, 2, 3, 4, 5, 6, 7))
+SHIPPED_PAYLOAD = ((2, 7), (2, 4, 7), (2, 4, 6, 7), (2, 3, 4, 6, 7),
+                   (2, 3, 4, 5, 6, 7))
+SHIPPED_MASKS = ((1, 2, 3, 4, 5, 6), (2, 3, 4, 5, 6), (3, 4, 5, 6), (4, 5, 6),
+                 (5, 6))
+# (profiles, payloads) of each multitask geometry on the 7x5 and 7x7 grids
+SHIPPED_MULTITASK = {
+    (7, 5): {"2x2": ((1, 7), (1, 5)), "5x2": ((1, 2, 4, 6, 7), (1, 5)),
+             "3x3": ((1, 4, 7), (1, 3, 5))},
+    (7, 7): {"2x2": ((1, 7), (1, 7)), "5x2": ((1, 2, 4, 6, 7), (1, 7)),
+             "3x3": ((1, 4, 7), (1, 4, 7))},
+}
+
+SIZES = st.integers(1, 15)
+
+
+def _indices(family, axis):
+    """A family's profile (axis 0) or payload (axis 1) indices, in order."""
+    return [(c.profile_index, c.payload_index)[axis] for c in family]
+
+
+def _well_formed(indices, lo, hi):
+    """Sorted, distinct and inside lo..hi."""
+    return indices == sorted(set(indices)) and all(lo <= i <= hi
+                                                   for i in indices)
+
+
+class TestIndexRules:
+    def test_zero_argument_calls_give_the_shipped_families(self):
+        assert nested_bending_subsets() == tuple(
+            tuple(P(i, 1) for i in fam) for fam in SHIPPED_BENDING)
+        assert nested_payload_subsets() == tuple(
+            tuple(P(1, j) for j in fam) for fam in SHIPPED_PAYLOAD)
+        assert tip_sensor_masks() == SHIPPED_MASKS
+        # perfbench's recorded search reads the 7x7 geometries
+        for got, shape in ((multitask_training_subsets(), (7, 5)),
+                           (multitask_training_subsets(7, 7), (7, 7))):
+            assert got == {name: tuple(P(i, j) for i in rows for j in cols)
+                           for name, (rows, cols)
+                           in SHIPPED_MULTITASK[shape].items()}
+            assert list(got) == ["2x2", "5x2", "3x3"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(-5, 20), st.integers(0, 20), st.integers(0, 25))
+    def test_spread_keeps_both_ends_and_k_distinct_indices(self, lo, span, k):
+        hi = lo + span
+        got = list(spread(lo, hi, k))
+        assert _well_formed(got, lo, hi)
+        assert len(got) == min(k, span + 1)
+        if k >= 2:
+            assert (got[0], got[-1]) == (lo, hi)
+
+    @settings(max_examples=30, deadline=None)
+    @given(SIZES)
+    def test_bending_families_grow_one_profile_at_a_time(self, n):
+        fams = nested_bending_subsets(n)
+        assert [len(fam) for fam in fams] == list(range(1, n + 1))
+        for fam in fams:
+            assert _well_formed(_indices(fam, 0), 1, n)
+            assert set(_indices(fam, 1)) == {1}
+            assert fam[0] == P(1, 1) and (len(fam) == 1 or fam[-1] == P(n, 1))
+        assert fams[-1] == bending_conditions(n)
+
+    @settings(max_examples=30, deadline=None)
+    @given(SIZES)
+    def test_payload_families_are_nested_over_the_nonzero_payloads(self, n):
+        fams = nested_payload_subsets(n)
+        sizes = list(range(min(2, n - 1), n)) if n > 1 else []
+        assert [len(fam) for fam in fams] == sizes
+        for small, big in zip(fams, fams[1:]):
+            assert set(small) < set(big) and len(big) == len(small) + 1
+        for fam in fams:
+            assert _well_formed(_indices(fam, 1), 2, n)
+            assert set(_indices(fam, 0)) == {1}
+            assert (fam[0], fam[-1]) == (P(1, 2), P(1, n))
+        if n > 1:
+            assert fams[-1] == payload_conditions(n)[1:]
+
+    @settings(max_examples=30, deadline=None)
+    @given(SIZES)
+    def test_tip_masks_keep_n_minus_one_down_to_two_sensors(self, n):
+        masks = tip_sensor_masks(n)
+        assert [len(mask) for mask in masks] == list(range(n - 1, 1, -1))
+        for mask in masks:
+            assert mask == tuple(range(n - len(mask), n))
+
+    @settings(max_examples=60, deadline=None)
+    @given(SIZES, SIZES)
+    def test_multitask_geometries_are_spread_products(self, n_profiles,
+                                                      n_payloads):
+        for name, cells in multitask_training_subsets(n_profiles,
+                                                      n_payloads).items():
+            a, b = map(int, name.split("x"))
+            rows = list(dict.fromkeys(_indices(cells, 0)))
+            cols = list(dict.fromkeys(_indices(cells, 1)))
+            assert cells == tuple(P(i, j) for i in rows for j in cols)
+            for got, k, n in ((rows, a, n_profiles), (cols, b, n_payloads)):
+                assert _well_formed(got, 1, n) and len(got) == min(k, n)
+                assert got[-1] == n and got[0] == 1
 
 
 class TestSubsetSweep:
