@@ -22,7 +22,6 @@ from .runio import (
     export_runs,
     ingest_run,
     load_weights,
-    read_matrix_csv,
     save_weights,
     sidecar_path,
     write_manifest,
@@ -163,18 +162,21 @@ def _simulate(cfg: ExperimentConfig, conditions, with_noise=True,
         conditions, seed=cfg.seed, with_noise=with_noise)
 
 
-def _write_result(path: Path, matrix, rows, cols, cfg: ExperimentConfig,
-                  digest: str, **labels) -> Path:
-    """Write one result matrix; its provenance line carries the config hash,
-    the seed and ``labels``."""
-    return write_matrix_csv(path, matrix, rows, cols, provenance={
-        "config": digest, "seed": cfg.seed, **labels})
+def _write_tables(out: Path, tables: list, cfg: ExperimentConfig,
+                  digest: str) -> list:
+    """Write a sweep's (name, matrix, rows, cols, labels) tables, all
+    computed, to ``out``; each provenance line carries the config hash, the
+    seed and the table's ``labels``. Returns ``tables``."""
+    for name, matrix, rows, cols, labels in tables:
+        write_matrix_csv(out / name, matrix, rows, cols, provenance={
+            "config": digest, "seed": cfg.seed, **labels})
+    return tables
 
 
 def _sweep_conditions(cfg: ExperimentConfig, out: Path, digest: str) -> list:
     table = experiments(cfg)
     runs = _simulate(cfg, [c for exp in table.values() for c in exp.conditions])
-    written = []
+    tables = []
     for name, exp in table.items():
         for family, subsets in exp.families.items():
             spec = SweepSpec(task=exp.task, subsets=subsets,
@@ -183,18 +185,17 @@ def _sweep_conditions(cfg: ExperimentConfig, out: Path, digest: str) -> list:
                              test_window=cfg.test, ridge=cfg.ridge,
                              normalizer=cfg.normalizer)
             res = subset_sweep(spec, runs, cfg.payloads)
-            written.append(_write_result(
-                out / f"{name}_{family}.csv", res.error_grid,
-                ["+".join(_labels(s)) for s in subsets], _labels(exp.evaluation),
-                cfg, digest, task=exp.task.value))
-    return written
+            tables.append((f"{name}_{family}.csv", res.error_grid,
+                           ["+".join(_labels(s)) for s in subsets],
+                           _labels(exp.evaluation), {"task": exp.task.value}))
+    return _write_tables(out, tables, cfg, digest)
 
 
 def _sweep_samples(cfg: ExperimentConfig, out: Path, digest: str) -> list:
     table = experiments(cfg)
     noise_free = _simulate(cfg, [c for exp in table.values()
                                  for c in exp.conditions], with_noise=False)
-    written = []
+    tables = []
     rows = [str(c) for c in cfg.sample_counts]
     for name, exp in table.items():
         res = sample_count_sweep(
@@ -204,11 +205,10 @@ def _sweep_samples(cfg: ExperimentConfig, out: Path, digest: str) -> list:
             base_seed=cfg.seed, ridge=cfg.ridge, normalizer=cfg.normalizer,
         )
         for stat, grid in (("mean", res.mean_grid), ("std", res.std_grid)):
-            written.append(_write_result(
-                out / f"{name}_sample_counts_{stat}.csv", grid, rows,
-                _labels(exp.evaluation), cfg, digest, task=name,
-                repeats=cfg.sample_repeats))
-    return written
+            tables.append((f"{name}_sample_counts_{stat}.csv", grid, rows,
+                           _labels(exp.evaluation),
+                           {"task": name, "repeats": cfg.sample_repeats}))
+    return _write_tables(out, tables, cfg, digest)
 
 
 def _sweep_sensors(cfg: ExperimentConfig, out: Path, digest: str) -> list:
@@ -218,20 +218,18 @@ def _sweep_sensors(cfg: ExperimentConfig, out: Path, digest: str) -> list:
     rows = ["+".join(names[m] for m in mask) for mask in masks]
     table = experiments(cfg)
     runs = _simulate(cfg, [c for exp in table.values() for c in exp.conditions])
-    written = []
+    tables = []
     for name, exp in table.items():
         res = sensor_ablation_sweep(
             exp.task, masks, exp.subset, exp.evaluation, runs, cfg.payloads,
             train_window=training_window(cfg, exp.task), test_window=cfg.test,
             ridge=cfg.ridge, normalizer=cfg.normalizer,
         )
-        written.append(_write_result(
-            out / f"{name}_ablation.csv", res.error_grid, rows,
-            _labels(exp.evaluation), cfg, digest, task=name))
-        written.append(_write_result(
-            out / f"{name}_weight_shares.csv", res.weight_shares, rows,
-            names, cfg, digest, task=name))
-    return written
+        tables += [(f"{name}_ablation.csv", res.error_grid, rows,
+                    _labels(exp.evaluation), {"task": name}),
+                   (f"{name}_weight_shares.csv", res.weight_shares, rows,
+                    names, {"task": name})]
+    return _write_tables(out, tables, cfg, digest)
 
 
 def _sweep_multitask(cfg: ExperimentConfig, out: Path, digest: str) -> list:
@@ -241,7 +239,7 @@ def _sweep_multitask(cfg: ExperimentConfig, out: Path, digest: str) -> list:
                      payloads=payloads)
     rows = [f"P{i}" for i in range(1, n_profiles + 1)]
     cols = [f"{m:g}g" for m in payloads.masses]
-    written = []
+    tables = []
     summary = {}
     for name, cells in multitask_training_subsets(n_profiles, len(payloads)).items():
         res = multitask_grid(
@@ -252,19 +250,17 @@ def _sweep_multitask(cfg: ExperimentConfig, out: Path, digest: str) -> list:
         for part, grid in (("detect", res.detect_output),
                            ("angle", res.angle_error),
                            ("mass", res.mass_error)):
-            written.append(_write_result(
-                out / f"multitask_{name}_{part}.csv", grid, rows, cols,
-                cfg, digest, training=name))
+            tables.append((f"multitask_{name}_{part}.csv", grid, rows,
+                           cols, {"training": name}))
         summary[name] = (float(res.detection_perfect), res.step2_mean)
     names = sorted(summary)
-    written.append(_write_result(
-        out / "multitask_summary.csv", [summary[k] for k in names], names,
-        ["detection_perfect", "step2_mean_percent"], cfg, digest))
-    return written
+    tables.append(("multitask_summary.csv", [summary[k] for k in names],
+                   names, ["detection_perfect", "step2_mean_percent"], {}))
+    return _write_tables(out, tables, cfg, digest)
 
 
-def _multitask_table(path: Path) -> str:
-    matrix, rows, _, _ = read_matrix_csv(path)
+def _multitask_table(summary: tuple) -> str:
+    _, matrix, rows, _, _ = summary
     lines = [f"{'training':>10} {'detection':>10} {'step-2 mean %':>14}"]
     for label, (perfect, step2) in zip(rows, matrix):
         verdict = "perfect" if perfect == 1 else "errors"
@@ -283,16 +279,16 @@ def cmd_sweep(args) -> int:
         "sensors": _sweep_sensors,
         "multitask": _sweep_multitask,
     }[args.kind]
-    written = runner(cfg, out, digest)
+    tables = runner(cfg, out, digest)
     write_manifest(
         out / "manifest.json", config_hash=digest, seed=cfg.seed,
-        outputs=[str(Path(p).relative_to(out)) for p in written],
+        outputs=[name for name, *_ in tables],
         elapsed_seconds=time.perf_counter() - t0,
         extra={"command": f"sweep {args.kind}", "note": HARDWARE_NOTE},
     )
     if args.kind == "multitask":
-        _say(args, _multitask_table(out / "multitask_summary.csv"))
-    _say(args, f"wrote {len(written)} result files to {out}")
+        _say(args, _multitask_table(tables[-1]))  # multitask_summary.csv
+    _say(args, f"wrote {len(tables)} result files to {out}")
     return 0
 
 
@@ -323,8 +319,9 @@ def cmd_correlate(args) -> int:
         for label, row in zip(labels, corr):
             print(label + "," + ",".join(f"{v:.6f}" for v in row))
     else:
-        _write_result(Path(args.out), corr, labels, labels, cfg,
-                      config_digest(cfg), channel=channel)
+        write_matrix_csv(args.out, corr, labels, labels, provenance={
+            "config": config_digest(cfg), "seed": cfg.seed,
+            "channel": channel})
         _say(args, f"wrote correlation matrix to {args.out}")
     return 0
 

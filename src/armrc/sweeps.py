@@ -15,7 +15,8 @@ Every entry point (`subset_sweep`, `sample_count_sweep`,
 `sensor_ablation_sweep`, `train_on_subset`, `multitask_grid`) describes
 its fits as (subset, window, mask) triples, made in one planning step
 (`_plan`) before any fit, which checks the runs the entry point reads and
-gives each sample count its training window.
+gives each sample count its training window. A condition's constant
+target (its mass, its detect label, or None for bending) is its `_truth`.
 
 Each (run, window) is factored once per process while its run lives, and
 `score` reads every reported number off it (README: "Readout solver").
@@ -99,15 +100,6 @@ class SweepResult:
         return self.error_grid.mean(axis=1)
 
 
-def _require(runs: Mapping, cond: InputCondition) -> PressureStateSeries:
-    try:
-        return runs[cond]
-    except KeyError:
-        raise KeyError(
-            f"condition {cond.label} is not present in the simulated/loaded runs"
-        ) from None
-
-
 def _plan(runs: Mapping, scored, subsets, window: Window, counts=(None,),
           masks=(None,)) -> list:
     """Every readout fit of a sweep as a (subset, window, mask) triple, one
@@ -117,7 +109,8 @@ def _plan(runs: Mapping, scored, subsets, window: Window, counts=(None,),
     count n, since a readout of one arm reads no other, and, when a count
     is set, its sample rate. A count trains on the first that many samples
     of ``window`` on that clock (`count_window`), None on all of it; a mask
-    is normalized on n sensors (None: all)."""
+    is normalized on n sensors (None: all). It is the only place a sweep
+    looks a run up; the fit and score code reads ``runs[cond]``."""
     if scored is not None and len(scored) == 0:
         raise ValueError("evaluation set must be non-empty")
     for name, values in (("training subset", subsets),
@@ -129,7 +122,10 @@ def _plan(runs: Mapping, scored, subsets, window: Window, counts=(None,),
     one_clock = any(count is not None for count in counts)
     first = None
     for cond in dict.fromkeys(itertools.chain(scored or (), *subsets)):
-        run = _require(runs, cond)
+        if cond not in runs:
+            raise KeyError(f"condition {cond.label} is not present in the "
+                           "simulated/loaded runs")
+        run = runs[cond]
         if first is None:
             first, head = cond, run
         elif run.n_sensors != head.n_sensors:
@@ -168,21 +164,27 @@ _factors = weakref.WeakKeyDictionary()
 def _factor(runs: Mapping, cond: InputCondition,
             window: Window) -> WindowFactor:
     """The `window_factor` of ``runs[cond]``, factored on first use."""
-    memo = _factors.setdefault(_require(runs, cond), {})
+    memo = _factors.setdefault(runs[cond], {})
     if window not in memo:
         memo[window] = window_factor(runs[cond], window)
     return memo[window]
 
 
-def _truth_mass(runs: Mapping, cond: InputCondition,
-                payloads: PayloadSet) -> float:
-    """A condition's payload-set mass, which a run's recorded grams match."""
+def _truth(task: TaskKind, runs: Mapping, cond: InputCondition,
+           payloads: PayloadSet) -> Optional[float]:
+    """A condition's constant target for a task: for mass its payload-set
+    mass, which a run's recorded grams must match, for detection its
+    detect label, and for bending None (the angle trace is the target)."""
+    if task is TaskKind.BENDING_ANGLE:
+        return None
     mass = payloads.mass_of(cond.payload_index)
-    grams = _require(runs, cond).payload_grams
+    grams = runs[cond].payload_grams
     if grams is not None and grams != mass:
         raise ValueError(f"run {cond.label} records {grams:g} g, but the "
                          f"payload set gives {mass:g} g")
-    return mass
+    if task is TaskKind.PAYLOAD_MASS:
+        return mass
+    return DETECT_ABSENT if mass == 0 else DETECT_PRESENT
 
 
 def _columns(mask: Sequence[int]) -> list:
@@ -223,55 +225,26 @@ def score(task: TaskKind, block: WindowFactor, w: np.ndarray,
     return mean
 
 
-def _evaluation(task: TaskKind, evaluation, runs: Mapping,
-                payloads: PayloadSet, window: Window) -> list:
-    """(``window`` factor, truth mass) of each condition a single-task
-    readout is scored on; a zero payload has no mass error."""
-    if task is TaskKind.PAYLOAD_DETECT:
-        raise ValueError(f"unsupported evaluation task {task}")
-    cells = []
-    for cond in evaluation:
-        block = _factor(runs, cond, window)
-        mass = (None if task is TaskKind.BENDING_ANGLE
-                else _truth_mass(runs, cond, payloads))
-        if task is TaskKind.PAYLOAD_MASS and mass == 0:
-            raise ValueError(f"relative mass error undefined for "
-                             f"zero-payload condition {cond.label}")
-        cells.append((block, mass))
-    return cells
-
-
-def _target(task: TaskKind, part: WindowFactor, runs: Mapping,
-            cond: InputCondition, payloads: PayloadSet) -> np.ndarray:
-    """A task's target column over a factor's R rows: Q^T theta for the
-    bending angle, c R[:, 0] for a task whose target is a constant c."""
-    if task is TaskKind.BENDING_ANGLE:
-        return part.z
-    mass = _truth_mass(runs, cond, payloads)
-    if task is TaskKind.PAYLOAD_MASS:
-        return mass * part.r[:, 0]
-    return (DETECT_ABSENT if mass == 0 else DETECT_PRESENT) * part.r[:, 0]
-
-
 def _solve(fits: Sequence, runs: Mapping, payloads: PayloadSet, tasks: tuple,
            ridge: float) -> np.ndarray:
     """Fit one readout per (subset, window, mask) of ``fits``: each
     member's all-sensor R factor over the window (`_factor`) with one
-    `_target` column per task, stacked over the subset and read on the
-    mask's `_columns`, with no second QR. Each distinct (condition, window)
-    is read once, before grouping; fits of one stacked shape share one
-    `readout.solve_reduced` call. It checks no run: `_plan` has given every
-    run one sensor count n, which it reads off the R rows. Returns
-    (len(fits), n_tasks, 1 + n) weight rows, zero outside each mask."""
+    target column per task (Q^T theta for bending, c R[:, 0] for a constant
+    `_truth` c), stacked over the subset and read on the mask's `_columns`,
+    with no second QR. Each distinct (condition, window) is read once,
+    before grouping; fits of one stacked shape share one `solve_reduced`
+    call. It checks no run: `_plan` has given every run one sensor count
+    n, which it reads off the R rows. Returns (len(fits), n_tasks, 1 + n)
+    weight rows, zero outside each mask."""
     parts, members = {}, []
     for subset, window, _ in fits:
         part = parts.setdefault(window, {})
         for cond in subset:
             if cond not in part:
                 block = _factor(runs, cond, window)
-                part[cond] = (block.r, np.column_stack(
-                    [_target(task, block, runs, cond, payloads)
-                     for task in tasks]))
+                part[cond] = (block.r, np.column_stack([
+                    block.z if c is None else c * block.r[:, 0]
+                    for c in (_truth(t, runs, cond, payloads) for t in tasks)]))
         members.append([part[cond] for cond in subset])
     out, groups = None, {}
     for i, (rows, fit) in enumerate(zip(members, fits)):
@@ -284,8 +257,10 @@ def _solve(fits: Sequence, runs: Mapping, payloads: PayloadSet, tasks: tuple,
                                 zip(*([part[j] for part in members[i]]
                                       for i in idx))], axis=1)
                 for j in (0, 1))
+        # every sensor: R as it stands; taking its columns too gives the
+        # same bits but made an in-process recorded search 10-20% slower
         if all(fits[i][2] == tuple(range(n)) for i in idx):
-            cols = np.arange(1 + n)[None]  # every sensor: R as it stands
+            cols = np.arange(1 + n)[None]
         else:
             cols = np.array([_columns(fits[i][2]) for i in idx])
             r = np.take_along_axis(r, cols[:, None, :], axis=2)
@@ -300,12 +275,19 @@ def _sweep(task: TaskKind, fits: Sequence, evaluation, runs: Mapping,
            payloads: PayloadSet, test_window: Window, ridge: float,
            normalizer: str) -> tuple:
     """`_solve` every single-task readout of ``fits`` and `score` them all
-    on each `_evaluation` cell of ``evaluation`` in one call; returns the
-    (fit, cell) error grid and the weight rows."""
-    cells = _evaluation(task, evaluation, runs, payloads, test_window)
+    on each ``evaluation`` condition against its `_truth` in one call (a
+    zero payload has no mass error); returns the error grid and weights."""
+    if task is TaskKind.PAYLOAD_DETECT:
+        raise ValueError(f"unsupported evaluation task {task}")
+    truths = [_truth(task, runs, cond, payloads) for cond in evaluation]
+    for cond, mass in zip(evaluation, truths):
+        if mass == 0:
+            raise ValueError(f"relative mass error undefined for "
+                             f"zero-payload condition {cond.label}")
     w = _solve(fits, runs, payloads, (task,), ridge)[:, 0]
-    grid = np.column_stack([score(task, block, w, mass, normalizer)
-                            for block, mass in cells])
+    grid = np.column_stack([
+        score(task, _factor(runs, cond, test_window), w, truth, normalizer)
+        for cond, truth in zip(evaluation, truths)])
     return grid, w
 
 
@@ -475,7 +457,8 @@ def multitask_grid(
     fits = _plan(runs, cells, (training_cells,), train_window)
     w_angle, w_detect, w_mass = _solve(fits, runs, payloads, MULTITASK_TASKS,
                                        ridge)[0]
-    masses = np.array([_truth_mass(runs, c, payloads) for c in cells])
+    masses = np.array([_truth(TaskKind.PAYLOAD_MASS, runs, c, payloads)
+                       for c in cells])
     detect, angle_error, mass_error = np.full((3, len(cells)), np.nan)
     present = np.empty(len(cells), dtype=bool)
     for k, cond in enumerate(cells):
@@ -578,6 +561,9 @@ def experiments(cfg) -> dict:
     """The bending and payload experiments of an `ExperimentConfig`, keyed
     by the name their result files carry."""
     n_profiles, n_payloads = len(cfg.profiles), len(cfg.payloads)
+    if n_payloads < 2:
+        raise ValueError("the payload experiment trains on M2..Mm and needs "
+                         f"at least 2 payloads; the config has {n_payloads}")
     payload_eval = payload_conditions(n_payloads)[1:]
     return {
         "bending": Experiment(

@@ -737,6 +737,63 @@ class TestAnyShape:
         assert bending.families["subsets"][1] == bending.subset
 
 
+def _csvs(out):
+    return sorted(str(p.relative_to(out)) for p in out.rglob("*.csv"))
+
+
+class TestSweepOutputs:
+    """A sweep computes every table before it writes any: one that fails
+    writes nothing, and one that succeeds lists each file it wrote in its
+    manifest. Short runs, as in `TestAnyShape`."""
+
+    ONE_PROFILE = {"profiles": [{"u_min": 1.0, "u_max": 32.25}]}
+    ONE_PAYLOAD = {"payloads": [0.0]}
+
+    def _sweep(self, kind, doc, tmp_path):
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(json.dumps({**TestAnyShape.SHORT, **doc}))
+        out = tmp_path / kind
+        return main(["sweep", kind, "--config", str(cfg), "--out", str(out),
+                     "--quiet"]), out
+
+    @pytest.mark.parametrize("kind, doc, message", [
+        ("conditions", ONE_PROFILE, "need at least one training subset"),
+        ("conditions", ONE_PAYLOAD, "the payload experiment trains on M2..Mm "
+         "and needs at least 2 payloads; the config has 1"),
+        ("samples", ONE_PAYLOAD, "needs at least 2 payloads; the config has 1"),
+        ("sensors", ONE_PAYLOAD, "needs at least 2 payloads; the config has 1"),
+    ], ids=["conditions-1-profile", "conditions-1-payload",
+            "samples-1-payload", "sensors-1-payload"])
+    def test_a_failing_sweep_is_one_error_line_and_writes_nothing(
+            self, kind, doc, message, tmp_path, capsys):
+        rc, out = self._sweep(kind, doc, tmp_path)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert message in err
+        assert [p for p in out.rglob("*") if p.is_file()] == []
+
+    def test_one_payload_still_runs_multitask_and_simulate(self, tmp_path):
+        # multitask reads its own payload set, and simulate no experiment
+        rc, out = self._sweep("multitask", self.ONE_PAYLOAD, tmp_path)
+        assert rc == 0 and len(_csvs(out)) == 10
+        cfg = tmp_path / "cfg.yaml"  # the config `_sweep` wrote
+        assert main(["simulate", "--config", str(cfg), "--out",
+                     str(tmp_path / "grid"), "--quiet"]) == 0
+        assert len(list((tmp_path / "grid" / "runs").glob("*.csv"))) == 7
+
+    @pytest.mark.parametrize("kind", ["conditions", "samples", "sensors",
+                                      "multitask"])
+    def test_the_manifest_lists_exactly_the_files_written(self, kind,
+                                                          tmp_path):
+        rc, out = self._sweep(kind, {}, tmp_path)
+        assert rc == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["outputs"] == _csvs(out)
+        assert sorted(p.name for p in out.iterdir()) == sorted(
+            _csvs(out) + ["manifest.json"])
+
+
 class TestIngestedRuns:
     # a run read back from its CSV holds the simulated bits in another
     # memory layout (sensors transposed); no sweep cell may tell them apart
