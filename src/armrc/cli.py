@@ -20,6 +20,7 @@ from .readout import correlation_matrix
 from .runio import (
     config_digest,
     export_runs,
+    fork_map,
     ingest_run,
     load_weights,
     save_weights,
@@ -192,18 +193,25 @@ def _sweep_conditions(cfg: ExperimentConfig, out: Path, digest: str) -> list:
 
 
 def _sweep_samples(cfg: ExperimentConfig, out: Path, digest: str) -> list:
+    """Both experiments' sample-count sweeps, one per `fork_map` worker:
+    each takes several times the pool's start-up. The noise-free runs are
+    simulated once, here, and inherited."""
     table = experiments(cfg)
     noise_free = _simulate(cfg, [c for exp in table.values()
                                  for c in exp.conditions], with_noise=False)
-    tables = []
-    rows = [str(c) for c in cfg.sample_counts]
-    for name, exp in table.items():
-        res = sample_count_sweep(
+
+    def sweep(exp):
+        return sample_count_sweep(
             exp.task, cfg.sample_counts, exp.subset, exp.evaluation,
             cfg.surrogate, noise_free, cfg.payloads, train_window=cfg.train,
             test_window=cfg.test, repeats=cfg.sample_repeats,
             base_seed=cfg.seed, ridge=cfg.ridge, normalizer=cfg.normalizer,
         )
+
+    tables = []
+    rows = [str(c) for c in cfg.sample_counts]
+    for (name, exp), res in zip(table.items(),
+                                fork_map(sweep, table.values())):
         for stat, grid in (("mean", res.mean_grid), ("std", res.std_grid)):
             tables.append((f"{name}_sample_counts_{stat}.csv", grid, rows,
                            _labels(exp.evaluation),

@@ -84,41 +84,52 @@ def export_run(series: PressureStateSeries, csv_path, *,
     return csv_path
 
 
-# a pool worker's (series, csv path) pairs and export_run keywords
-_EXPORTS: tuple = ((), {})
+# a pool worker's function and items, inherited through fork
+_JOB: tuple = (None, ())
 
 
-def _share(*exports) -> None:
-    """Pool initializer: a forked worker inherits the runs, none is piped."""
-    global _EXPORTS
-    _EXPORTS = exports
+def _share(*job) -> None:
+    """Pool initializer: a forked worker inherits the function and items,
+    none is pickled."""
+    global _JOB
+    _JOB = job
 
 
-def _export_job(k: int) -> Path:
-    jobs, kwargs = _EXPORTS
-    return export_run(*jobs[k], **kwargs)
+def _call(k: int):
+    fn, items = _JOB
+    return fn(items[k])
 
 
-def export_runs(runs: Mapping[InputCondition, PressureStateSeries], run_dir, *,
-                config_hash: str = "", seed: Optional[int] = None) -> list:
-    """``export_run`` each run to ``run_dir/<label>.csv`` on a fork pool of
-    one worker per usable CPU (in-process with one CPU, one run or no
-    ``fork``: the same bytes); returns the CSV paths in ``runs``' order."""
+def fork_map(fn, items) -> list:
+    """``[fn(item) for item in items]`` on a fork pool of one worker per
+    usable CPU, or in-process with one CPU, one item or no ``fork``: the
+    same results. Workers inherit ``fn`` (a closure will do) and ``items``
+    unpickled; each result, or the exception raised, is pickled back. Worth
+    it only for items that take much longer than the pool's ~35 ms start."""
     import multiprocessing  # here, so that importing armrc does not pay for it
 
-    kwargs = {"config_hash": config_hash, "seed": seed}
-    jobs = [(series, Path(run_dir) / f"{cond.label}.csv")
-            for cond, series in runs.items()]
+    items = list(items)
     cpus = getattr(os, "sched_getaffinity", lambda pid: {0})(0)
-    n_workers = min(len(cpus), len(jobs))
+    n_workers = min(len(cpus), len(items))
     if n_workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
-        return [export_run(*job, **kwargs) for job in jobs]
+        return [fn(item) for item in items]
     # a worker flushes the stdio buffers it inherited as it exits
     sys.stdout.flush()
     sys.stderr.flush()
     with multiprocessing.get_context("fork").Pool(
-            n_workers, _share, (jobs, kwargs)) as pool:
-        return pool.map(_export_job, range(len(jobs)), chunksize=1)
+            n_workers, _share, (fn, items)) as pool:
+        return pool.map(_call, range(len(items)), chunksize=1)
+
+
+def export_runs(runs: Mapping[InputCondition, PressureStateSeries], run_dir, *,
+                config_hash: str = "", seed: Optional[int] = None) -> list:
+    """``export_run`` each run to ``run_dir/<label>.csv`` through `fork_map`
+    (the same bytes on a pool or in-process); returns the CSV paths in
+    ``runs``' order."""
+    return fork_map(
+        lambda job: export_run(*job, config_hash=config_hash, seed=seed),
+        [(series, Path(run_dir) / f"{cond.label}.csv")
+         for cond, series in runs.items()])
 
 
 def _read_object(path: Path, label: str) -> dict:

@@ -183,11 +183,18 @@ def _noise_key(condition: Optional[InputCondition], sensor: int) -> int:
     return (ci << 32) | (cj << 16) | (sensor + 1)
 
 
-def _noise_stream(seed: int, condition: Optional[InputCondition], sensor: int,
+def _noise_stream(gen: np.random.Generator, seed: int,
+                  condition: Optional[InputCondition], sensor: int,
                   n_samples: int, noise_std: float) -> np.ndarray:
-    key = np.array([seed & _UINT64_MASK, _noise_key(condition, sensor)],
-                   dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
+    """``sensor``'s noise under ``condition`` at ``seed``, from ``gen``
+    re-keyed at counter 0 with an empty buffer: the draws of a fresh
+    ``Generator(Philox(key=...))``, whatever ``gen`` drew before."""
+    key = [seed & _UINT64_MASK, _noise_key(condition, sensor)]
+    gen.bit_generator.state = {
+        "bit_generator": "Philox", "buffer_pos": 4, "has_uint32": 0,
+        "uinteger": 0, "buffer": np.zeros(4, dtype=np.uint64),
+        "state": {"counter": np.zeros(4, dtype=np.uint64),
+                  "key": np.array(key, dtype=np.uint64)}}
     return gen.normal(0.0, noise_std, n_samples)
 
 
@@ -195,12 +202,14 @@ def add_noise(params: SurrogateParams, run: PressureStateSeries,
               seed: int) -> PressureStateSeries:
     """A noise-free run plus its sensor noise at ``seed``: the run
     ``simulate(..., seed=seed)`` gives, as noise never feeds back into the
-    states."""
+    states. One generator, built here and re-keyed per sensor, serves the
+    run: building a Philox costs a fifth of a 4000-sample stream."""
     if params.noise_std == 0:
         return run
+    gen = np.random.Generator(np.random.Philox(0))
     sensors = run.sensors.copy()
     for m in range(sensors.shape[0]):
-        sensors[m] += _noise_stream(seed, run.condition, m,
+        sensors[m] += _noise_stream(gen, seed, run.condition, m,
                                     sensors.shape[1], params.noise_std)
     return replace(run, sensors=sensors)
 
@@ -209,19 +218,20 @@ def _advance(params: SurrogateParams, traces: list, masses: Sequence[float],
              x0: Optional[np.ndarray]) -> list:
     """Noise-free (n, T) states of B runs, stepped together as one block.
 
-    The block is held as (n, B), a column per run. A run meets only
-    elementwise operations, drive terms taken with ``np.tanh`` per distinct
-    (T,) trace and per scalar mass, and the coupling: one multiply into a
-    (j, i, B) block of ``C[i, j] * x[j]`` and one reduce over its outermost
-    axis j, which adds the slabs in j order for every B (never BLAS). Axis 1
-    of an (i, j, B) block would not do: at B = 1 and n >= 8 numpy sums that
-    contiguous axis pairwise. So a run's bits do not depend on the batch.
+    The block is held as (n, B), a column per run. A step is one multiply
+    and one ``np.add.reduce`` over the outermost axis of n + 2 (n, B)
+    slabs: ``C[i, j] * x[j]`` for j = 0..n-1, ``gain * x``, and the drive.
+    That reduce adds the slabs in order for every B (never BLAS), so a step
+    is ``(C x + gain * x) + drive``, the bits of ``(gain * x + C x) +
+    drive`` as IEEE addition commutes. Reducing a contiguous inner axis
+    would not do: at B = 1 and n >= 8 numpy sums it pairwise. So a run's
+    bits do not depend on the batch. The drive terms are taken with
+    ``np.tanh`` per distinct (T,) trace and per scalar mass.
     """
     n, n_samples, n_runs = params.n_nodes, len(traces[0]), len(traces)
     leak, kp, ig, pg = (np.asarray(v)[:, None] for v in (
         params.leak, params.leak_pressure_coeff, params.input_gain,
         params.payload_gain))
-    ct = np.asarray(params.coupling).T[:, :, None]
     distinct = {id(t): t for t in traces}
     row = {key: u for u, key in enumerate(distinct)}
     idx = [row[id(t)] for t in traces]
@@ -235,19 +245,25 @@ def _advance(params: SurrogateParams, traces: list, masses: Sequence[float],
     x = np.zeros((n, n_runs)) if x0 is None else np.array(x0, dtype=float).T
     states = [np.empty((n, n_samples)) for _ in traces]
     buf = np.empty((_CHUNK, n, n_runs))
-    t3, cx = np.empty((n, n, n_runs)), np.empty((n, n_runs))
+    # step k: terms[k][:n + 1] = coef[k] * operand, whose slab j < n holds
+    # x[j] in every row and slab n holds x; terms[k][n + 1] is the drive.
+    # The coupling slabs are filled once, the gain and drive once a chunk.
+    coef = np.empty((_CHUNK, n + 1, n, n_runs))
+    coef[:, :n] = np.asarray(params.coupling).T[:, :, None]
+    terms, operand = (np.empty((_CHUNK, n + 2, n, n_runs)),
+                      np.empty((n + 1, n, n_runs)))
+    spread, last, products = operand[:n], operand[n], terms[:, :n + 1]
     for k0 in range(0, n_samples, _CHUNK):
         k1 = min(k0 + _CHUNK, n_samples)
         phi = phi_u[idx, k0:k1].T[:, None, :]
-        gain = ((1.0 - leak * (1.0 - kp * phi))
-                + pg * (rho * v_u[idx, k0:k1].T)[:, None, :])
-        drive = ig * s_u[idx, k0:k1].T[:, None, :]
+        coef[:k1 - k0, n] = ((1.0 - leak * (1.0 - kp * phi))
+                             + pg * (rho * v_u[idx, k0:k1].T)[:, None, :])
+        terms[:k1 - k0, n + 1] = ig * s_u[idx, k0:k1].T[:, None, :]
         for k in range(k1 - k0):
-            np.multiply(ct, x[:, None, :], out=t3)
-            np.add.reduce(t3, axis=0, out=cx)
-            x = np.multiply(gain[k], x, out=buf[k])
-            x += cx
-            x += drive[k]
+            spread[...] = x[:, None, :]
+            last[...] = x
+            np.multiply(coef[k], operand, out=products[k])
+            x = np.add.reduce(terms[k], axis=0, out=buf[k])
         for b, st in enumerate(states):
             st[:, k0:k1] = buf[:k1 - k0, :, b].T
     return states

@@ -65,6 +65,30 @@ def _fresh(argv, cpus):
                           capture_output=True, text=True, timeout=120)
 
 
+def _main_on_cpus(argv, cpus, monkeypatch):
+    """``main(argv)``, which must exit 0, seeing ``cpus`` usable CPUs;
+    returns the start methods asked of ``multiprocessing.get_context``."""
+    contexts = []
+    real = multiprocessing.get_context
+
+    def spy(method=None):
+        contexts.append(method)
+        return real(method)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+    monkeypatch.setattr(multiprocessing, "get_context", spy)
+    assert main(argv) == 0
+    return contexts
+
+
+def _tree(out):
+    """{relative path: bytes} of every file under ``out`` but the manifest,
+    and the manifest's ``outputs``."""
+    files = {p.relative_to(out): p.read_bytes() for p in out.rglob("*")
+             if p.is_file() and p.name != "manifest.json"}
+    return files, json.loads((out / "manifest.json").read_text())["outputs"]
+
+
 class TestSimulatePool:
     # the run files are exported on a fork pool of one worker per usable
     # CPU, or in-process with one; nothing about the output may tell which
@@ -75,19 +99,8 @@ class TestSimulatePool:
         return cfg
 
     def _simulate(self, out, small, cpus, monkeypatch):
-        contexts = []
-        real = multiprocessing.get_context
-
-        def spy(method=None):
-            contexts.append(method)
-            return real(method)
-
-        monkeypatch.setattr(os, "sched_getaffinity",
-                            lambda pid: set(range(cpus)))
-        monkeypatch.setattr(multiprocessing, "get_context", spy)
-        assert main(["simulate", "--config", str(small), "--out", str(out),
-                     "--quiet"]) == 0
-        return contexts
+        return _main_on_cpus(["simulate", "--config", str(small), "--out",
+                              str(out), "--quiet"], cpus, monkeypatch)
 
     def test_pool_and_one_process_write_the_same_tree(self, small, tmp_path,
                                                       monkeypatch):
@@ -134,6 +147,26 @@ class TestSimulatePool:
         assert proc.returncode == 0, proc.stderr
         assert [line for line in proc.stdout.splitlines()
                 if "wrote 49 runs" in line] == [proc.stdout.strip()]
+
+
+class TestSamplesPool:
+    # sweep samples runs its two experiments on a fork pool of one worker
+    # per usable CPU, or in-process with one; nothing about the output may
+    # tell which
+    def test_pool_and_one_process_write_the_same_tree(self, tmp_path,
+                                                      monkeypatch):
+        cfg = tmp_path / "small.yaml"
+        cfg.write_text(SMALL_RUNS + "sample_repeats: 2\n")
+        trees = {}
+        for cpus, contexts in ((2, ["fork"]), (1, [])):
+            out = tmp_path / f"cpus{cpus}"
+            assert _main_on_cpus(["sweep", "samples", "--config", str(cfg),
+                                  "--out", str(out), "--quiet"],
+                                 cpus, monkeypatch) == contexts
+            trees[cpus] = _tree(out)
+        files, outputs = trees[2]
+        assert trees[1] == trees[2]
+        assert sorted(map(str, files)) == outputs and len(outputs) == 4
 
 
 class TestTrainEvaluate:
@@ -892,11 +925,13 @@ class TestOneSeed:
     ], ids=lambda argv: "-".join(a for a in argv[:2] if a[0] != "-"))
     def test_every_noise_draw_uses_the_run_seed(self, argv, extra, seed,
                                                 tmp_path, monkeypatch):
-        seeds = []
+        # a line per draw, so that draws in fork-pool workers count too
+        log = tmp_path / "seeds.txt"
         real = surrogate.add_noise
 
         def spy(params, run, noise_seed):
-            seeds.append(noise_seed)
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{noise_seed}\n")
             return real(params, run, noise_seed)
 
         monkeypatch.setattr(surrogate, "add_noise", spy)
@@ -912,6 +947,7 @@ class TestOneSeed:
                                     "--quiet"]) == 0
         expected = ({seed + r for r in range(self.REPEATS)}
                     if argv[-1] == "samples" else {seed})
+        seeds = [int(s) for s in log.read_text().split()] if log.exists() else []
         assert seeds and set(seeds) == expected
 
 

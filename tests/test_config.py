@@ -52,6 +52,20 @@ class TestDefaults:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
+    def test_start_up_imports_neither_numpy_random_nor_multiprocessing(self):
+        # the noise generator and the fork pool are built when first used,
+        # so start-up does not pay for their modules
+        src = str(Path(armrc.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        code = ("import sys, armrc.cli; armrc.cli.default_config(); "
+                "print(sorted({'numpy.random', 'multiprocessing'} "
+                "& set(sys.modules)))")
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
 
 class TestValidation:
     def test_unknown_top_level_key_rejected(self, tmp_path):

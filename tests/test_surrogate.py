@@ -15,6 +15,7 @@ from armrc.profiles import (
 from armrc.readout import correlation_matrix
 from armrc.surrogate import (
     SurrogateParams,
+    _noise_key,
     _noise_stream,
     echo_check,
     simulate,
@@ -26,6 +27,11 @@ from armrc.surrogate import (
 
 GRID = TimeGrid()
 P1 = generate_profile(default_profile_family()[0], GRID)
+
+
+def _generator():
+    """A generator for `_noise_stream`, which re-keys it before each draw."""
+    return np.random.Generator(np.random.Philox(0))
 
 
 class TestValidation:
@@ -229,23 +235,132 @@ class TestNoiseKey:
 
     def test_sensor_index_beyond_16_bits_is_refused(self):
         with pytest.raises(ValueError, match="P1M1 sensor s65536 "):
-            _noise_stream(7, InputCondition(1, 1), (1 << 16) - 1, 4, 1.0)
+            _noise_stream(_generator(), 7, InputCondition(1, 1),
+                          (1 << 16) - 1, 4, 1.0)
 
     def test_largest_in_range_indices_are_accepted(self):
         cond = InputCondition((1 << 32) - 1, (1 << 16) - 1)
-        assert _noise_stream(7, cond, (1 << 16) - 2, 4, 1.0).shape == (4,)
+        assert _noise_stream(_generator(), 7, cond, (1 << 16) - 2, 4,
+                             1.0).shape == (4,)
 
     def test_in_range_keys_are_unchanged(self):
         key = np.array([7, (3 << 32) | (4 << 16) | 3], dtype=np.uint64)
         expected = np.random.Generator(np.random.Philox(key=key)).normal(
             0.0, 0.5, 16)
-        got = _noise_stream(7, InputCondition(3, 4), 2, 16, 0.5)
+        got = _noise_stream(_generator(), 7, InputCondition(3, 4), 2, 16, 0.5)
         assert np.array_equal(got, expected)
 
     def test_noise_free_runs_need_no_key(self):
         run = simulate(SurrogateParams(), P1[:40], 0.0, SHORT,
                        condition=InputCondition(1, 1 << 16), with_noise=False)
         assert run.sensors.shape == (7, 40)
+
+
+def _fresh_draws(seed, cond, sensor, n, std):
+    key = np.array([seed, _noise_key(cond, sensor)], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key)).normal(0.0, std, n)
+
+
+class TestRekeyedNoise:
+    """One generator re-keyed per stream draws what a fresh
+    ``Generator(Philox(key=[seed, key]))`` draws, whatever it drew before."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(
+        st.integers(0, 2**64 - 1),
+        st.one_of(st.none(), st.builds(InputCondition,
+                                       st.integers(1, 2**32 - 1),
+                                       st.integers(1, 2**16 - 1))),
+        st.integers(0, 2**16 - 2), st.integers(0, 70),
+        st.floats(0.0, 3.0), st.integers(0, 3)), min_size=1, max_size=8))
+    def test_a_sequence_of_draws_equals_fresh_generators(self, draws):
+        gen = _generator()
+        for seed, cond, sensor, n, std, stray in draws:
+            # 32-bit draws in between: an odd count leaves half a word cached
+            gen.integers(0, 2**32, size=stray, dtype=np.uint32)
+            got = _noise_stream(gen, seed, cond, sensor, n, std)
+            assert got.tobytes() == _fresh_draws(seed, cond, sensor, n,
+                                                 std).tobytes()
+
+    @pytest.mark.parametrize("before", ["odd-length", "uint32"])
+    def test_a_draw_after_a_partial_word_starts_afresh(self, before):
+        gen = _generator()
+        cond = InputCondition(2, 3)
+        if before == "odd-length":
+            _noise_stream(gen, 5, cond, 0, 3, 1.0)
+            assert gen.bit_generator.state["buffer_pos"] != 4
+        else:
+            gen.integers(0, 2**32, size=1, dtype=np.uint32)
+            assert gen.bit_generator.state["has_uint32"] == 1
+        got = _noise_stream(gen, 5, cond, 1, 9, 0.3)
+        assert got.tobytes() == _fresh_draws(5, cond, 1, 9, 0.3).tobytes()
+
+    def test_add_noise_draws_each_sensor_from_its_own_fresh_stream(self):
+        params = SurrogateParams()
+        cond = InputCondition(4, 2)
+        clean = simulate(params, P1[:33], 0.0, TimeGrid(n_samples=33),
+                         condition=cond, with_noise=False)
+        noisy = surrogate.add_noise(params, clean, 11)
+        for m in range(params.n_nodes):
+            expected = clean.sensors[m] + _fresh_draws(11, cond, m, 33,
+                                                       params.noise_std)
+            assert noisy.sensors[m].tobytes() == expected.tobytes()
+
+
+def _oracle(params, trace, mass, x0):
+    """(n, T) noise-free states, stepped in plain Python floats in the
+    kernel's rounding order: ``(g * x + sum_j C[i, j] * x[j]) + drive``,
+    with the sum taken from 0.0 in j order. The drive terms use the
+    kernel's vectorized ``np.tanh`` over the whole trace."""
+    phi = 0.5 * (1.0 + np.tanh((trace - params.leak_pressure_knee)
+                               / params.leak_pressure_width))
+    v = np.tanh(trace / surrogate.U_PAYLOAD_REF)
+    rho = np.tanh(mass / params.payload_sat)
+    n, c = params.n_nodes, params.coupling
+    x, states = [float(a) for a in x0], []
+    for k in range(len(trace)):
+        new = []
+        for i in range(n):
+            g = ((1.0 - params.leak[i]
+                  * (1.0 - params.leak_pressure_coeff[i] * phi[k]))
+                 + params.payload_gain[i] * (rho * v[k]))
+            s = 0.0
+            for j in range(n):
+                s += c[i][j] * x[j]
+            new.append((g * x[i] + s) + params.input_gain[i] * trace[k])
+        x = new
+        states.append(x)
+    return np.array(states, dtype=float).T
+
+
+class TestKernelOracle:
+    """The kernel rounds as the plain-Python step does, to the bit (signed
+    zeros included, which ``np.array_equal`` cannot see)."""
+
+    @pytest.mark.parametrize("n_runs", [1, 3])
+    @pytest.mark.parametrize("n", [1, 2, 7, 9])
+    def test_states_match_the_scalar_step(self, n, n_runs):
+        rng = np.random.default_rng(100 * n + n_runs)
+        coupling = rng.uniform(0.0, 0.04 / n, (n, n))
+        coupling[rng.random((n, n)) < 0.3] = 0.0  # a dense coupling with zeros
+        params = SurrogateParams(
+            n_nodes=n, leak=tuple(rng.uniform(0.1, 0.5, n)),
+            coupling=tuple(map(tuple, coupling)),
+            input_gain=tuple(np.sort(rng.uniform(0.01, 0.05, n))),
+            payload_gain=tuple(rng.uniform(-0.4, 0.0, n)),
+            angle_weights=tuple(rng.uniform(0.0, 1.0, n)),
+            leak_pressure_coeff=tuple(rng.uniform(0.0, 0.5, n)))
+        grid = TimeGrid(n_samples=70)  # past one 64-step chunk
+        traces = [rng.uniform(0.0, 50.0, grid.n_samples) for _ in range(n_runs)]
+        traces[0][:5] = 0.0  # zero drive while the states are negative
+        masses = [0.0, 120.0, 400.0][:n_runs]
+        x0 = -rng.uniform(0.5, 10.0, (n_runs, n))
+        x0[0, 0] = -0.0
+        runs = simulate_batch(params, traces, masses, grid, x0=x0,
+                              with_noise=False)
+        for run, trace, mass, start in zip(runs, traces, masses, x0):
+            assert run.sensors.tobytes() == _oracle(params, trace, mass,
+                                                    start).tobytes()
 
 
 @st.composite
