@@ -35,6 +35,7 @@ from .surrogate import (
     SurrogateParams,
     echo_check,
     simulate,
+    simulate_conditions,
     simulate_grid,
     stability_margin,
 )
@@ -56,7 +57,6 @@ from .sweeps import (
     multitask_grid,
     sample_count_sweep,
     sensor_ablation_sweep,
-    simulate_conditions,
     subset_sweep,
 )
 

@@ -13,10 +13,11 @@ import sys
 import time
 from pathlib import Path
 
-from .config import ConfigError, ExperimentConfig, default_config, load_config
+from .config import (ConfigError, ExperimentConfig, default_config,
+                     load_config, training_window)
 from .core import (Window, condition_grid, parse_condition_label,
                    slice_series, trace_columns)
-from .readout import correlation_matrix
+from .readout import correlation_matrix, full_width, window_factor
 from .runio import (
     config_digest,
     export_runs,
@@ -28,25 +29,22 @@ from .runio import (
     write_manifest,
     write_matrix_csv,
 )
-from .surrogate import simulate_grid
+from .surrogate import simulate_conditions, simulate_grid
 from .sweeps import (
-    HARDWARE_NOTE,
     SweepSpec,
     experiments,
-    full_width,
     multitask_grid,
     multitask_training_subsets,
     sample_count_sweep,
-    score,
     sensor_ablation_sweep,
-    simulate_conditions,
     subset_sweep,
     tip_sensor_masks,
     train_on_subset,
-    training_window,
-    window_factor,
 )
-from .tasks import TaskKind, payload_status
+from .tasks import TaskKind, payload_status, score
+
+HARDWARE_NOTE = ("percent errors are surrogate results; hardware-measured "
+                 "percentages are qualitative ordering targets only")
 
 
 def _labels(conditions) -> list:
@@ -175,20 +173,21 @@ def _write_tables(out: Path, tables: list, cfg: ExperimentConfig,
 
 
 def _sweep_conditions(cfg: ExperimentConfig, out: Path, digest: str) -> list:
+    """Every experiment's families, each one `subset_sweep`; every spec is
+    made, and so checked, before any run is simulated."""
     table = experiments(cfg)
+    specs = {f"{name}_{family}.csv": SweepSpec(
+                 task=exp.task, subsets=subsets, evaluation=exp.evaluation,
+                 train_window=training_window(cfg, exp.task),
+                 test_window=cfg.test, ridge=cfg.ridge,
+                 normalizer=cfg.normalizer)
+             for name, exp in table.items()
+             for family, subsets in exp.families.items()}
     runs = _simulate(cfg, [c for exp in table.values() for c in exp.conditions])
-    tables = []
-    for name, exp in table.items():
-        for family, subsets in exp.families.items():
-            spec = SweepSpec(task=exp.task, subsets=subsets,
-                             evaluation=exp.evaluation,
-                             train_window=training_window(cfg, exp.task),
-                             test_window=cfg.test, ridge=cfg.ridge,
-                             normalizer=cfg.normalizer)
-            res = subset_sweep(spec, runs, cfg.payloads)
-            tables.append((f"{name}_{family}.csv", res.error_grid,
-                           ["+".join(_labels(s)) for s in subsets],
-                           _labels(exp.evaluation), {"task": exp.task.value}))
+    tables = [(file, subset_sweep(spec, runs, cfg.payloads).error_grid,
+               ["+".join(_labels(s)) for s in spec.subsets],
+               _labels(spec.evaluation), {"task": spec.task.value})
+              for file, spec in specs.items()]
     return _write_tables(out, tables, cfg, digest)
 
 
@@ -399,7 +398,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 1
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,5 +1,6 @@
 """Experiment configuration: a single YAML file describing the grid,
-profiles, payload sets, surrogate parameters, windows, and sweep knobs.
+profiles, payload sets, surrogate parameters, windows, and sweep knobs,
+with `training_window`, each task's per-condition training window.
 
 Loading validates everything up front and reports every problem found, not
 just the first; unknown keys are rejected to catch typos.
@@ -17,7 +18,6 @@ from .core import (DEFAULT_SEED, TEST_WINDOW, TRAIN_WINDOW, WASHOUT_WINDOW,
 from .profiles import RampProfileSpec, default_profile_family
 from .readout import NORMALIZERS
 from .surrogate import SurrogateParams
-from .sweeps import training_window
 from .tasks import TaskKind
 
 MULTITASK_PAYLOADS_G = (0.0, 100.0, 200.0, 300.0, 400.0)
@@ -56,6 +56,17 @@ class ExperimentConfig:
         problems = validate_config(self)
         if problems:
             raise ConfigError(problems)
+
+
+def training_window(cfg: ExperimentConfig, task: TaskKind) -> Window:
+    """A task's per-condition training window: the whole train window for
+    bending, its first ``detection_seconds`` / ``mass_segment_seconds`` for
+    detection / mass."""
+    if task is TaskKind.BENDING_ANGLE:
+        return cfg.train
+    seconds = (cfg.detection_seconds if task is TaskKind.PAYLOAD_DETECT
+               else cfg.mass_segment_seconds)
+    return Window(cfg.train.start, cfg.train.start + seconds)
 
 
 # the fields the YAML `windows` section sets, in time order

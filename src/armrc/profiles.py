@@ -76,7 +76,7 @@ def generate_profile(spec: RampProfileSpec, grid: TimeGrid) -> np.ndarray:
     return np.clip(u, spec.u_min, spec.u_max)
 
 
-def default_profile_family(n_profiles: int = 7) -> tuple:
+def default_profile_family() -> tuple:
     """The seven stock profiles P1..P7.
 
     All share a 31.25 psi swing so that, at 5 psi/s both ways, one cycle
@@ -85,5 +85,5 @@ def default_profile_family(n_profiles: int = 7) -> tuple:
     """
     return tuple(
         RampProfileSpec(u_min=1.0 + 2.5 * i, u_max=32.25 + 2.5 * i)
-        for i in range(n_profiles)
+        for i in range(7)
     )

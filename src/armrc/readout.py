@@ -1,11 +1,12 @@
 """Linear readout training and scoring.
 
-Training and sweep scoring share one factorization: `factor` takes the QR
-of a window's design [1 | S] and keeps a `WindowFactor`, from which
-`solve_reduced` fits readouts (one SVD call for a whole stack of small R
-row blocks, each for any subset of the columns) and the sweeps score them.
-Predictions are per-sample weighted sums of the masked sensor readings plus
-a bias.
+The design is [1 | S], a bias column then one column per sensor, built
+only by `_design`; `columns` maps a mask onto it. Training and scoring
+share one factorization: `factor` takes the QR of a window's design
+(`window_factor`) and keeps a `WindowFactor`, from which `solve_reduced`
+fits readouts (one SVD call for a whole stack of small R row blocks, each
+for any subset of the columns) and `tasks.score` scores them. Predictions
+are per-sample weighted sums of the masked sensor readings plus a bias.
 """
 
 from __future__ import annotations
@@ -37,6 +38,17 @@ def normalize_mask(mask: Optional[Sequence[int]], n_sensors: int) -> tuple:
     if any(not 0 <= m < n_sensors for m in mask):
         raise ValueError(f"sensor mask {mask} outside 0..{n_sensors - 1}")
     return mask
+
+
+def columns(mask: Sequence[int]) -> list:
+    """A mask's columns of the all-sensor design [1 | S]: the bias at 0,
+    sensor m at 1 + m."""
+    return [0] + [1 + m for m in mask]
+
+
+def _design(sensors: np.ndarray) -> np.ndarray:
+    """The design rows [1 | S] of (n_sensors, T) sensor traces."""
+    return np.hstack([np.ones((sensors.shape[1], 1)), sensors.T])
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,8 +149,7 @@ def assemble(
         elif target.shape[1] != n_tasks:
             raise ValueError("conditions disagree on target column count")
         i0, i1 = window_indices(series.grid, window)
-        rows = series.sensors[list(mask), i0:i1].T
-        blocks.append(np.hstack([np.ones((rows.shape[0], 1)), rows]))
+        blocks.append(_design(series.sensors[list(mask), i0:i1]))
         target_blocks.append(target[i0:i1])
     return TrainingAssembly(
         states=np.vstack(blocks),
@@ -200,6 +211,16 @@ def factor(phi: np.ndarray, theta: np.ndarray) -> WindowFactor:
                         means=phi.mean(axis=0))
 
 
+def window_factor(series: PressureStateSeries, window: Window) -> WindowFactor:
+    """The `factor` of one run's all-sensor design and bending angle over a
+    window, which every fit and score on that window reads."""
+    i0, i1 = window_indices(series.grid, window)
+    if i1 == i0:
+        raise ValueError(
+            f"window [{window.start}, {window.end}) holds no samples")
+    return factor(_design(series.sensors[:, i0:i1]), series.theta[i0:i1])
+
+
 def solve_reduced(r: np.ndarray, z: np.ndarray,
                   ridge: float = 0.0) -> np.ndarray:
     """Fit a stack of readouts on (R, Q^T Y) rows in one SVD call: ``r``
@@ -229,6 +250,22 @@ def solve_reduced(r: np.ndarray, z: np.ndarray,
                            for k in range(z.shape[2])], axis=2)
 
 
+def _check_mask(weights: ReadoutWeights, n_sensors: int) -> None:
+    """Refuse weights whose mask names a sensor an n-sensor run lacks."""
+    if max(weights.sensor_mask) >= n_sensors:
+        raise ValueError(f"weights trained on sensors {weights.sensor_mask} "
+                         f"cannot read a {n_sensors}-sensor run")
+
+
+def full_width(weights: ReadoutWeights, n_sensors: int) -> np.ndarray:
+    """Weights as (n_tasks, 1 + n_sensors) rows over the all-sensor design,
+    zero on the sensors outside the mask."""
+    _check_mask(weights, n_sensors)
+    rows = np.zeros((weights.n_tasks, 1 + n_sensors))
+    rows[:, columns(weights.sensor_mask)] = weights.weights.T
+    return rows
+
+
 def predict(
     weights: ReadoutWeights,
     series: PressureStateSeries,
@@ -238,11 +275,7 @@ def predict(
 
     Returns shape (n_samples,) for a single task, else (n_samples, n_tasks).
     """
-    if max(weights.sensor_mask) >= series.n_sensors:
-        raise ValueError(
-            f"weights trained on sensors {weights.sensor_mask} cannot read a "
-            f"{series.n_sensors}-sensor series"
-        )
+    _check_mask(weights, series.n_sensors)
     i0, i1 = ((0, series.grid.n_samples) if window is None
               else window_indices(series.grid, window))
     rows = series.sensors[list(weights.sensor_mask), i0:i1].T

@@ -49,6 +49,16 @@ def sidecar_path(csv_path) -> Path:
     return Path(csv_path).with_suffix(".meta.json")
 
 
+def _write_json(path, doc: Mapping) -> Path:
+    """Write ``doc`` as sorted, 2-space-indented JSON plus a newline, parent
+    directories made: every sidecar, weights file and manifest."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n",
+                    encoding="utf-8")
+    return path
+
+
 def export_run(series: PressureStateSeries, csv_path, *,
                config_hash: str = "", seed: Optional[int] = None) -> Path:
     """Write one run as CSV plus its metadata sidecar; returns the CSV path."""
@@ -63,7 +73,7 @@ def export_run(series: PressureStateSeries, csv_path, *,
         for k in range(0, len(columns), _ROWS_PER_WRITE):
             fh.write("".join(row % tuple(r) for r in
                              columns[k:k + _ROWS_PER_WRITE].tolist()))
-    meta = {
+    _write_json(sidecar_path(csv_path), {
         "format": RUN_FORMAT,
         "sample_rate": series.grid.sample_rate,
         "t0": series.grid.t0,
@@ -77,10 +87,7 @@ def export_run(series: PressureStateSeries, csv_path, *,
         "units": {"pressure": "psi", "angle": "deg", "time": "s"},
         "config_hash": config_hash,
         "seed": seed,
-    }
-    with open(sidecar_path(csv_path), "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    })
     return csv_path
 
 
@@ -264,21 +271,15 @@ def ingest_run(csv_path) -> PressureStateSeries:
 def save_weights(path, weights: ReadoutWeights, *,
                  provenance: Optional[Mapping] = None) -> Path:
     """Serialize readout weights with task names, mask, and provenance."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     names = trace_columns(1 + max(weights.sensor_mask))[1:-1]
-    doc = {
+    return _write_json(path, {
         "format": WEIGHTS_FORMAT,
         "task_names": list(weights.task_names),
         "sensor_mask": list(weights.sensor_mask),
         "sensor_names": [names[m] for m in weights.sensor_mask],
         "weights": [list(row) for row in weights.weights.tolist()],
         "provenance": dict(provenance or {}),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    })
 
 
 def _weights_mask(value) -> tuple:
@@ -365,8 +366,6 @@ def write_manifest(path, *, config_hash: str, seed: int,
     here)."""
     import armrc
 
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     doc = {
         "config_hash": config_hash,
         "seed": seed,
@@ -381,7 +380,4 @@ def write_manifest(path, *, config_hash: str, seed: int,
     if elapsed_seconds is not None:
         doc["elapsed_seconds"] = elapsed_seconds
     doc.update(extra or {})
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    return _write_json(path, doc)

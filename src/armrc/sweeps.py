@@ -7,9 +7,9 @@ the sensor-noise stream. Reported percentages follow the normalizer
 convention in `readout.nrmse_percent`; the paper's hardware percentages are
 ordering targets for these sweeps, not equality targets.
 
-`experiments` is the table of the two shipped single-task experiments and
-`training_window` the one rule for each task's per-condition training
-window; the CLI sweeps are loops over both.
+`experiments` is the table of the two shipped single-task experiments,
+and the CLI sweeps are loops over it; each task's training window is
+`config.training_window`.
 
 Every entry point (`subset_sweep`, `sample_count_sweep`,
 `sensor_ablation_sweep`, `train_on_subset`, `multitask_grid`) describes
@@ -18,8 +18,9 @@ its fits as (subset, window, mask) triples, made in one planning step
 gives each sample count its training window. A condition's constant
 target (its mass, its detect label, or None for bending) is its `_truth`.
 
-Each (run, window) is factored once per process while its run lives, and
-`score` reads every reported number off it (README: "Readout solver").
+Each (run, window) is factored once per process while its run lives
+(`readout.window_factor`), and `tasks.score` reads every reported number
+off it (README: "Readout solver").
 A sweep makes one `readout.solve_reduced` call per shape of stacked R rows
 and one `score` call per evaluation cell; the multitask grid scores each
 cell from its own factor. Every cell equals, bit for bit, its lone
@@ -45,31 +46,24 @@ from .core import (
     Window,
     condition_grid,
     count_window,
-    window_indices,
 )
 from .readout import (
     ReadoutWeights,
     WindowFactor,
-    factor,
+    columns,
     normalize_mask,
-    scaled_percent,
     solve_reduced,
-    truth_scale,
+    window_factor,
 )
-# simulate_conditions is looked up here by the CLI and by perfbench's spans
+# no sweep calls simulate_conditions: perfbench's spans name it here
 from .surrogate import SurrogateParams, add_noise, simulate_conditions
 from .tasks import (
     DETECT_ABSENT,
     DETECT_PRESENT,
     PayloadStatus,
     TaskKind,
-    mass_error_percent,
     payload_status,
-)
-
-HARDWARE_NOTE = (
-    "percent errors are surrogate results; hardware-measured percentages "
-    "are qualitative ordering targets only"
+    score,
 )
 
 
@@ -88,6 +82,10 @@ class SweepSpec:
     ridge: float = 0.0
     normalizer: str = "range"
 
+    def __post_init__(self) -> None:
+        if len(self.subsets) == 0:
+            raise ValueError("need at least one training subset")
+
 
 @dataclass(frozen=True, eq=False)
 class SweepResult:
@@ -104,17 +102,17 @@ def _plan(runs: Mapping, scored, subsets, window: Window, counts=(None,),
           masks=(None,)) -> list:
     """Every readout fit of a sweep as a (subset, window, mask) triple, one
     per subset, sample count and sensor mask. It refuses a sweep of no fit
-    or no ``scored`` condition (None: a lone fit), then checks each run the
-    sweep reads, the scored ones first: each has the first run's sensor
-    count n, since a readout of one arm reads no other, and, when a count
-    is set, its sample rate. A count trains on the first that many samples
+    (a `SweepSpec` of no subset is refused as it is made) or no ``scored``
+    condition (None: a lone fit), then checks each run the sweep reads, the
+    scored ones first: each has the first run's sensor count n, since a
+    readout of one arm reads no other, and, when a count is set, its
+    sample rate. A count trains on the first that many samples
     of ``window`` on that clock (`count_window`), None on all of it; a mask
     is normalized on n sensors (None: all). It is the only place a sweep
     looks a run up; the fit and score code reads ``runs[cond]``."""
     if scored is not None and len(scored) == 0:
         raise ValueError("evaluation set must be non-empty")
-    for name, values in (("training subset", subsets),
-                         ("sample count", counts), ("sensor mask", masks)):
+    for name, values in (("sample count", counts), ("sensor mask", masks)):
         if len(values) == 0:
             raise ValueError(f"need at least one {name}")
     if not all(subsets):
@@ -123,8 +121,8 @@ def _plan(runs: Mapping, scored, subsets, window: Window, counts=(None,),
     first = None
     for cond in dict.fromkeys(itertools.chain(scored or (), *subsets)):
         if cond not in runs:
-            raise KeyError(f"condition {cond.label} is not present in the "
-                           "simulated/loaded runs")
+            raise ValueError(f"condition {cond.label} is not present in "
+                             "the simulated/loaded runs")
         run = runs[cond]
         if first is None:
             first, head = cond, run
@@ -143,17 +141,6 @@ def _plan(runs: Mapping, scored, subsets, window: Window, counts=(None,),
     masks = [normalize_mask(mask, head.n_sensors) for mask in masks]
     return [(subset, fit_window, mask) for subset in subsets
             for fit_window in windows for mask in masks]
-
-
-def window_factor(series: PressureStateSeries, window: Window) -> WindowFactor:
-    """The `readout.factor` of one run's all-sensor design and bending angle
-    over a window, which every fit and score on that window reads."""
-    i0, i1 = window_indices(series.grid, window)
-    if i1 == i0:
-        raise ValueError(
-            f"window [{window.start}, {window.end}) holds no samples")
-    phi = np.hstack([np.ones((i1 - i0, 1)), series.sensors[:, i0:i1].T])
-    return factor(phi, series.theta[i0:i1])
 
 
 # Each run's factors by window while the run lives; a series compares by
@@ -187,50 +174,12 @@ def _truth(task: TaskKind, runs: Mapping, cond: InputCondition,
     return DETECT_ABSENT if mass == 0 else DETECT_PRESENT
 
 
-def _columns(mask: Sequence[int]) -> list:
-    """A mask's columns of the all-sensor design [1 | S]: the bias at 0,
-    sensor m at 1 + m."""
-    return [0] + [1 + m for m in mask]
-
-
-def full_width(weights: ReadoutWeights, n_sensors: int) -> np.ndarray:
-    """Weights as (n_tasks, 1 + n_sensors) rows over the all-sensor design,
-    zero on the sensors outside the mask; a mask the run lacks is refused."""
-    if max(weights.sensor_mask) >= n_sensors:
-        raise ValueError(f"weights trained on sensors {weights.sensor_mask} "
-                         f"cannot read a {n_sensors}-sensor run")
-    rows = np.zeros((weights.n_tasks, 1 + n_sensors))
-    rows[:, _columns(weights.sensor_mask)] = weights.weights.T
-    return rows
-
-
-def score(task: TaskKind, block: WindowFactor, w: np.ndarray,
-          mass: Optional[float], normalizer: str) -> np.ndarray:
-    """The reported number of readout ``w`` on a factor's window, in
-    O(k^2) instead of O(T k): for bending the `nrmse_percent` of the angle,
-    for mass the `mass_error_percent` of the window mean against ``mass``,
-    for detection the window mean itself (the detect output, as
-    `tasks.estimate_mass` is the mass estimate). ``w`` is one `full_width`
-    row or an (N, 1 + n_sensors) batch of them. Stacked matmuls give every
-    row BLAS calls of its own, so no score depends on the rest of its batch
-    (README: the gemv pitfall)."""
-    if task is TaskKind.BENDING_ANGLE:
-        resid = (block.r @ w[..., None])[..., 0] - block.z
-        sq = (resid[..., None, :] @ resid[..., None])[..., 0, 0]
-        rms = np.sqrt((sq + block.floor) / block.n_rows)
-        return scaled_percent(rms, truth_scale(block.span, normalizer))
-    mean = (w[..., None, :] @ block.means[..., None])[..., 0, 0]
-    if task is TaskKind.PAYLOAD_MASS:
-        return mass_error_percent(mean, mass)
-    return mean
-
-
 def _solve(fits: Sequence, runs: Mapping, payloads: PayloadSet, tasks: tuple,
            ridge: float) -> np.ndarray:
     """Fit one readout per (subset, window, mask) of ``fits``: each
     member's all-sensor R factor over the window (`_factor`) with one
     target column per task (Q^T theta for bending, c R[:, 0] for a constant
-    `_truth` c), stacked over the subset and read on the mask's `_columns`,
+    `_truth` c), stacked over the subset and read on the mask's `columns`,
     with no second QR. Each distinct (condition, window) is read once,
     before grouping; fits of one stacked shape share one `solve_reduced`
     call. It checks no run: `_plan` has given every run one sensor count
@@ -262,7 +211,7 @@ def _solve(fits: Sequence, runs: Mapping, payloads: PayloadSet, tasks: tuple,
         if all(fits[i][2] == tuple(range(n)) for i in idx):
             cols = np.arange(1 + n)[None]
         else:
-            cols = np.array([_columns(fits[i][2]) for i in idx])
+            cols = np.array([columns(fits[i][2]) for i in idx])
             r = np.take_along_axis(r, cols[:, None, :], axis=2)
         w = solve_reduced(r, z, ridge)
         if out is None:
@@ -303,7 +252,7 @@ def train_on_subset(
     """Train one readout from a condition subset."""
     (fit,) = _plan(runs, None, (subset,), window, masks=(sensor_mask,))
     (w,) = _solve([fit], runs, payloads, (task,), ridge)
-    return ReadoutWeights(weights=w[:, _columns(fit[2])].T,
+    return ReadoutWeights(weights=w[:, columns(fit[2])].T,
                           sensor_mask=fit[2], task_names=(task.value,))
 
 
@@ -395,7 +344,7 @@ def sensor_ablation_sweep(
     masks = tuple(mask for _, _, mask in fits)
     share_rows = np.full((len(masks), w.shape[1] - 1), np.nan)
     for mi, mask in enumerate(masks):
-        mags = np.abs(w[mi, _columns(mask)[1:]])
+        mags = np.abs(w[mi, columns(mask)[1:]])
         total = mags.sum()
         share_rows[mi, list(mask)] = 100.0 * mags / total if total > 0 else 0.0
     return AblationResult(
@@ -580,16 +529,3 @@ def experiments(cfg) -> dict:
             families={"subsets": nested_payload_subsets(n_payloads)},
         ),
     }
-
-
-def training_window(cfg, task: TaskKind) -> Window:
-    """Per-condition training window of a task under an `ExperimentConfig`.
-
-    Bending trains on the whole train window; detection and mass train on
-    its first ``detection_seconds`` / ``mass_segment_seconds``.
-    """
-    if task is TaskKind.BENDING_ANGLE:
-        return cfg.train
-    seconds = (cfg.detection_seconds if task is TaskKind.PAYLOAD_DETECT
-               else cfg.mass_segment_seconds)
-    return Window(cfg.train.start, cfg.train.start + seconds)

@@ -1,15 +1,18 @@
-"""Target signals and decision rules for the three perception tasks:
-bending-angle prediction, payload detection, and payload-mass estimation.
+"""Target signals, decision rules and reported numbers (`score`, read off
+a `readout.WindowFactor`) for the three perception tasks: bending-angle
+prediction, payload detection, and payload-mass estimation.
 """
 
 from __future__ import annotations
 
 import enum
+from typing import Optional
 
 import numpy as np
 
 from .core import PressureStateSeries, Window, window_indices
-from .readout import ReadoutWeights, predict
+from .readout import (ReadoutWeights, WindowFactor, predict, scaled_percent,
+                      truth_scale)
 
 DETECT_ABSENT = 1.0
 DETECT_PRESENT = -1.0
@@ -63,3 +66,24 @@ def estimate_mass(
 def mass_error_percent(estimate: float, mass: float) -> float:
     """Relative mass error |estimate - mass| / mass in percent."""
     return abs(estimate - mass) / mass * 100.0
+
+
+def score(task: TaskKind, block: WindowFactor, w: np.ndarray,
+          mass: Optional[float], normalizer: str) -> np.ndarray:
+    """The reported number of readout ``w`` on a factor's window, in
+    O(k^2) instead of O(T k): for bending the `readout.nrmse_percent` of
+    the angle, for mass the `mass_error_percent` of the window mean against
+    ``mass``, for detection the window mean itself (the detect output, as
+    `estimate_mass` is the mass estimate). ``w`` is one `readout.full_width`
+    row or an (N, 1 + n_sensors) batch of them. Stacked matmuls give every
+    row BLAS calls of its own, so no score depends on the rest of its batch
+    (README: the gemv pitfall)."""
+    if task is TaskKind.BENDING_ANGLE:
+        resid = (block.r @ w[..., None])[..., 0] - block.z
+        sq = (resid[..., None, :] @ resid[..., None])[..., 0, 0]
+        rms = np.sqrt((sq + block.floor) / block.n_rows)
+        return scaled_percent(rms, truth_scale(block.span, normalizer))
+    mean = (w[..., None, :] @ block.means[..., None])[..., 0, 0]
+    if task is TaskKind.PAYLOAD_MASS:
+        return mass_error_percent(mean, mass)
+    return mean

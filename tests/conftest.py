@@ -2,7 +2,7 @@ import pytest
 
 from armrc.config import default_config
 from armrc.core import InputCondition, condition_grid
-from armrc.sweeps import simulate_conditions
+from armrc.surrogate import simulate_conditions
 
 
 def pytest_configure(config):

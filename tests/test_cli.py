@@ -12,12 +12,14 @@ import pytest
 import armrc
 from armrc import cli, surrogate, sweeps
 from armrc.cli import main
-from armrc.config import ExperimentConfig, build_config, default_config
+from armrc.config import (ExperimentConfig, build_config, default_config,
+                          training_window)
 from armrc.core import InputCondition, PayloadSet, TimeGrid
 from armrc.readout import ReadoutWeights, nrmse_percent, predict
 from armrc.runio import (export_run, ingest_run, load_weights,
                          read_matrix_csv, save_weights)
-from armrc.sweeps import experiments, simulate_conditions
+from armrc.surrogate import simulate_conditions
+from armrc.sweeps import experiments
 
 
 @pytest.fixture(scope="module")
@@ -693,6 +695,19 @@ class TestOutOfGridConditions:
         assert err.startswith("error:")
         assert "P7M1" in err and "5x7" in err
 
+    def test_a_missing_run_is_one_plain_error_line(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # a sweep that lacks a run refuses it as a ValueError: one line,
+        # not a KeyError's quoted repr
+        monkeypatch.setattr(cli, "_simulate", lambda *args, **kwargs: {})
+        rc = main(["train", "--task", "bending", "--subset", "P1",
+                   "--out", str(tmp_path / "w.json"), "--quiet"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: condition P1M1 is not present in the simulated/loaded "
+            "runs\n")
+        assert not (tmp_path / "w.json").exists()
+
 
 def _arm(n):
     """A stable n-node `surrogate` section of per-node vectors, with no
@@ -806,6 +821,20 @@ class TestSweepOutputs:
         assert message in err
         assert [p for p in out.rglob("*") if p.is_file()] == []
 
+    def test_one_profile_is_refused_before_any_simulation(
+            self, tmp_path, capsys, monkeypatch):
+        # the pairs family of one profile is empty: refused as the specs
+        # are made, before a run is simulated
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulated a sweep of no training subset")
+
+        monkeypatch.setattr(surrogate, "simulate_batch", refuse)
+        rc, out = self._sweep("conditions", self.ONE_PROFILE, tmp_path)
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: need at least one training subset\n")
+        assert not out.exists()
+
     def test_one_payload_still_runs_multitask_and_simulate(self, tmp_path):
         # multitask reads its own payload set, and simulate no experiment
         rc, out = self._sweep("multitask", self.ONE_PAYLOAD, tmp_path)
@@ -839,7 +868,7 @@ class TestIngestedRuns:
         ingested = {c: ingest_run(grid_dir / "runs" / f"{c.label}.csv")
                     for c in conds}
         for exp in table.values():
-            window = sweeps.training_window(cfg, exp.task)
+            window = training_window(cfg, exp.task)
             cells = []
             for runs in (simulated, ingested):
                 spec = sweeps.SweepSpec(

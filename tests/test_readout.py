@@ -10,7 +10,9 @@ from armrc.readout import (
     ReadoutWeights,
     TrainingAssembly,
     assemble,
+    columns,
     correlation_matrix,
+    full_width,
     normalize_mask,
     nrmse_percent,
     factor,
@@ -19,6 +21,7 @@ from armrc.readout import (
     solve_reduced,
     train,
     truth_scale,
+    window_factor,
 )
 
 
@@ -249,6 +252,58 @@ class TestWindowFactor:
         assert np.linalg.norm(c * f.r[:, 0] - ref) <= 1e-12 * np.linalg.norm(ref)
         assert np.array_equal(f.z, ref)
         assert f.floor <= 1e-24 * (target @ target)
+
+
+class TestDesign:
+    # the all-sensor design [1 | S] of any arm: `full_width` puts masked
+    # weights on their `columns`, `window_factor` factors the window's
+    # design rows, and `predict` is those rows times `full_width`
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12),
+           start=st.integers(0, 5), rows=st.integers(1, 40),
+           n_tasks=st.integers(1, 3), data=st.data())
+    def test_full_width_window_factor_and_predict_share_the_design(
+            self, seed, n, start, rows, n_tasks, data):
+        mask = tuple(data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                        max_size=n, unique=True)))
+        rng = np.random.default_rng(seed)
+        # 8 Hz: every window edge is exact in binary
+        series = PressureStateSeries(
+            grid=TimeGrid(sample_rate=8.0, n_samples=start + rows + 3),
+            s_in=np.zeros(start + rows + 3),
+            sensors=rng.normal(size=(n, start + rows + 3)),
+            theta=rng.normal(size=start + rows + 3))
+        window = Window(start / 8.0, (start + rows) / 8.0)
+        weights = ReadoutWeights(rng.normal(size=(1 + len(mask), n_tasks)),
+                                 mask)
+
+        wide = full_width(weights, n)
+        outside = sorted(set(range(1 + n)) - set(columns(mask)))
+        assert wide.shape == (n_tasks, 1 + n)
+        assert np.all(wide[:, outside] == 0.0)
+        assert np.array_equal(wide[:, columns(mask)], weights.weights.T)
+
+        design = np.hstack([np.ones((rows, 1)),
+                            series.sensors[:, start:start + rows].T])
+        got = window_factor(series, window)
+        ref = factor(design, series.theta[start:start + rows])
+        for a, b in zip(got, ref):
+            assert np.array_equal(a, b)
+
+        pred = predict(weights, series, window).reshape(rows, n_tasks)
+        # rounding bound: relative to the sum of the terms' magnitudes
+        scale = np.abs(design) @ np.abs(wide.T)
+        assert np.all(np.abs(pred - design @ wide.T) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("n", [1, 5, 7])
+    def test_a_mask_the_run_lacks_is_refused_alike(self, n):
+        weights = ReadoutWeights(np.ones((2, 1)), (n,))
+        series = series_from_sensors(np.zeros((n, 40)))
+        message = f"cannot read a {n}-sensor run"
+        with pytest.raises(ValueError, match=message):
+            full_width(weights, n)
+        with pytest.raises(ValueError, match=message):
+            predict(weights, series)
 
 
 class TestAssemble:

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from armrc import sweeps
-from armrc.config import ConfigError, ExperimentConfig
+from armrc import readout
+from armrc.config import ConfigError, ExperimentConfig, training_window
 from armrc.core import (
     InputCondition,
     PayloadSet,
@@ -19,31 +20,28 @@ from armrc.core import (
     sample_count,
 )
 from armrc.profiles import generate_profile
-from armrc.readout import (NORMALIZERS, assemble, nrmse_percent, predict,
-                           train)
-from armrc.surrogate import SurrogateParams, add_noise, simulate
+from armrc.readout import (NORMALIZERS, assemble, full_width, nrmse_percent,
+                           predict, train, window_factor)
+from armrc.surrogate import (SurrogateParams, add_noise, simulate,
+                             simulate_conditions)
 from armrc.sweeps import (
     SweepSpec,
     all_profile_pairs,
     bending_conditions,
-    full_width,
     multitask_grid,
     multitask_training_subsets,
     nested_bending_subsets,
     nested_payload_subsets,
     payload_conditions,
     sample_count_sweep,
-    score,
     sensor_ablation_sweep,
-    simulate_conditions,
     spread,
     subset_sweep,
     tip_sensor_masks,
     train_on_subset,
-    training_window,
-    window_factor,
 )
-from armrc.tasks import TaskKind, bending_target, estimate_mass, mass_error_percent
+from armrc.tasks import (TaskKind, bending_target, estimate_mass,
+                         mass_error_percent, score)
 
 P = InputCondition
 
@@ -205,7 +203,7 @@ class TestSubsetSweep:
             subsets=((P(1, 2),),),
             evaluation=(P(1, 1),),
         )
-        with pytest.raises(KeyError, match="P1M2"):
+        with pytest.raises(ValueError, match="P1M2"):
             subset_sweep(spec, bending_runs, cfg.payloads)
 
     def test_deterministic_given_fixed_runs(self, cfg, bending_runs):
@@ -386,7 +384,7 @@ class TestSampleCountSweep:
             )
 
     def test_a_condition_missing_from_the_runs_is_refused(self, cfg):
-        with pytest.raises(KeyError, match="P4M1 is not present"):
+        with pytest.raises(ValueError, match="P4M1 is not present"):
             sample_count_sweep(
                 TaskKind.BENDING_ANGLE, [400], [P(1, 1)], [P(4, 1)],
                 cfg.surrogate, _noise_free(cfg, P(1, 1)), cfg.payloads,
@@ -839,13 +837,13 @@ def _fresh(runs):
 
 
 def _spy_on_factors(mp):
-    calls, real = [], sweeps.factor
+    calls, real = [], readout.factor
 
     def spy(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    mp.setattr(sweeps, "factor", spy)
+    mp.setattr(readout, "factor", spy)
     return calls
 
 
