@@ -11,6 +11,7 @@ from .core import (
     TimeGrid,
     WASHOUT_WINDOW,
     Window,
+    __version__,
     condition_grid,
     slice_series,
 )
@@ -59,5 +60,3 @@ from .sweeps import (
     sensor_ablation_sweep,
     subset_sweep,
 )
-
-__version__ = "0.1.0"

@@ -12,6 +12,8 @@ from typing import Optional
 
 import numpy as np
 
+__version__ = "0.1.0"
+
 DEFAULT_SAMPLE_RATE = 40.0
 DEFAULT_RUN_SECONDS = 100.0
 DEFAULT_PAYLOADS_G = (0.0, 100.0, 140.0, 160.0, 200.0, 240.0, 300.0)

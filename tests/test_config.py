@@ -53,13 +53,13 @@ class TestDefaults:
         assert proc.stdout.strip() == "False"
 
     def test_start_up_imports_neither_numpy_random_nor_multiprocessing(self):
-        # the noise generator and the fork pool are built when first used,
-        # so start-up does not pay for their modules
+        # the noise generator, the fork pool and the run-row parser are
+        # loaded when first used, so start-up does not pay for their modules
         src = str(Path(armrc.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
         code = ("import sys, armrc.cli; armrc.cli.default_config(); "
-                "print(sorted({'numpy.random', 'multiprocessing'} "
+                "print(sorted({'numpy.random', 'multiprocessing', 'orjson'} "
                 "& set(sys.modules)))")
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True, timeout=60)

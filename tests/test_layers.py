@@ -1,7 +1,7 @@
 """The package's modules form strict layers: each imports only modules to
 its left in `ORDER`, so every rule lives in the lowest module whose data it
-reads. The package facade (`armrc/__init__.py`, or `import armrc`) is the
-one exception."""
+reads. No module imports the package facade (`armrc/__init__.py`), which
+sits above them all."""
 
 import ast
 from pathlib import Path
@@ -14,7 +14,8 @@ ORDER = ("core", "profiles", "readout", "tasks", "surrogate", "config",
 
 
 def _imports(module: str) -> set:
-    """The armrc modules ``module`` imports, anywhere in its file."""
+    """The armrc modules ``module`` imports, anywhere in its file; a bare
+    ``import armrc`` is the facade, ``__init__``."""
     tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
     found = set()
     for node in ast.walk(tree):
@@ -26,9 +27,9 @@ def _imports(module: str) -> set:
             if parts[0] == "armrc":
                 found.update(parts[1:2] or (alias.name for alias in node.names))
         elif isinstance(node, ast.Import):
-            found.update(parts[1] for parts in
+            found.update((parts[1:2] or ["__init__"])[0] for parts in
                          (alias.name.split(".") for alias in node.names)
-                         if parts[0] == "armrc" and len(parts) > 1)
+                         if parts[0] == "armrc")
     return found
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -330,6 +331,163 @@ class TestIngestValidation:
         sidecar_path(path).unlink()
         with pytest.raises(FileNotFoundError):
             ingest_run(path)
+
+
+# cells the run-row parser must read as np.loadtxt does: both zeros,
+# subnormals, integral values and magnitudes up to 1e300
+CELLS = st.floats(-1e300, 1e300) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -2.225073858507201e-308, 9007199254740993.0])
+CELL_TEXT = {
+    "%.17g": "%.17g".__mod__,
+    "repr": repr,
+    "%.6g": "%.6g".__mod__,
+    "%.3E": "%.3E".__mod__,
+    "integer": lambda v: str(int(v)),
+}
+
+
+@st.composite
+def run_texts(draw):
+    """(format name, cells): 1-300 samples of s_in, 1-12 sensors and theta,
+    integral cells for the integer format."""
+    fmt = draw(st.sampled_from(sorted(CELL_TEXT)))
+    shape = (draw(st.integers(1, 300)), draw(st.integers(1, 12)) + 2)
+    cells = CELLS.map(lambda v: float(int(v))) if fmt == "integer" else CELLS
+    return fmt, draw(arrays(float, shape, elements=cells))
+
+
+def _write_run_text(tmp, cells, cell_text):
+    """A run CSV of ``cells`` (s_in, sensors, theta) on a 1 Hz clock from 0,
+    every cell printed by ``cell_text``, beside its sidecar."""
+    n = len(cells)
+    path = export_run(PressureStateSeries(
+        grid=TimeGrid(sample_rate=1.0, n_samples=n), s_in=cells[:, 0],
+        sensors=cells[:, 1:-1].T, theta=cells[:, -1]), Path(tmp) / "run.csv")
+    header = path.read_text().split("\n", 1)[0]
+    path.write_text(header + "\n" + "".join(
+        ",".join(map(cell_text, [float(k), *row])) + "\n"
+        for k, row in enumerate(cells.tolist())))
+    return path
+
+
+class _LoadtxtCalled(Exception):
+    pass
+
+
+class TestReadPaths:
+    """Plain JSON numbers parse with orjson, any other text with np.loadtxt;
+    both give loadtxt's floats bit for bit, or loadtxt's error."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(run_texts())
+    def test_any_number_text_reads_as_loadtxt_reads_it(self, drawn):
+        fmt, cells = drawn
+        with tempfile.TemporaryDirectory() as tmp:
+            path = _write_run_text(tmp, cells, CELL_TEXT[fmt])
+            back = ingest_run(path)
+            ref = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=1)
+        got = np.column_stack([back.s_in, back.sensors.T, back.theta])
+        assert got.tobytes() == ref[:, 1:].tobytes()
+
+    def _spy(self, monkeypatch, refuse=False):
+        calls = []
+        loadtxt = np.loadtxt
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            if refuse:
+                raise _LoadtxtCalled
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr("armrc.runio.np.loadtxt", spy)
+        return calls
+
+    def _mutated(self, tmp_path, mutate):
+        run = simulate(SurrogateParams(),
+                       generate_profile(default_profile_family()[0],
+                                        TimeGrid(n_samples=50)),
+                       0.0, TimeGrid(n_samples=50),
+                       condition=InputCondition(1, 1))
+        path = export_run(run, tmp_path / "run.csv")
+        path.write_bytes(mutate(path.read_bytes()))
+        return run, path
+
+    @staticmethod
+    def _cell(text):
+        def put(body):
+            # data row 2, column s3
+            lines = body.split(b"\n")
+            cells = lines[3].split(b",")
+            cells[4] = text
+            lines[3] = b",".join(cells)
+            return b"\n".join(lines)
+        return put
+
+    @pytest.mark.parametrize("mutate, expected", [
+        (_cell(b"-0"), -0.0),
+        (_cell(b".5"), 0.5),
+        (_cell(b"1."), 1.0),
+        (_cell(b"+1"), 1.0),
+        (_cell(b"nan"), "run.csv: non-finite value in column 's3' at data row 2"),
+        (_cell(b"inf"), "run.csv: non-finite value in column 's3' at data row 2"),
+        (_cell(b"1e400"),
+         "run.csv: non-finite value in column 's3' at data row 2"),
+        (lambda body: body.replace(b"\n", b"\r\n"), None),
+        (lambda body: body.replace(b"\n", b"\r"), None),
+        (lambda body: body + b"\n", None),
+        (lambda body: body.replace(b"\n", b"\n# a comment\n", 5), None),
+        (lambda body: body[:-1], None),
+        pytest.param(lambda body: body.split(b"\n", 1)[0] + b"\n\n\n",
+                     "run.csv: no samples",
+                     marks=pytest.mark.filterwarnings("ignore:loadtxt")),
+        pytest.param(lambda body: body.split(b"\n", 1)[0] + b"\n",
+                     "run.csv: no samples",
+                     marks=pytest.mark.filterwarnings("ignore:loadtxt")),
+    ], ids=["-0", ".5", "1.", "+1", "nan", "inf", "1e400", "CRLF", "lone CR",
+            "blank last line", "comment", "no last newline",
+            "only blank lines", "header only"])
+    def test_other_text_reads_through_loadtxt(self, tmp_path, monkeypatch,
+                                               mutate, expected):
+        run, path = self._mutated(tmp_path, mutate)
+        calls = self._spy(monkeypatch)
+        if isinstance(expected, str):
+            with pytest.raises(ValueError) as info:
+                ingest_run(path)
+            assert str(info.value) == expected
+        else:
+            back = ingest_run(path)
+            sensors = np.array(run.sensors)
+            if expected is not None:
+                sensors[2, 2] = expected
+            assert back.sensors.tobytes() == sensors.tobytes()
+            assert back.s_in.tobytes() == run.s_in.tobytes()
+            assert back.theta.tobytes() == run.theta.tobytes()
+        assert calls
+
+    def test_a_ragged_row_is_loadtxts_error(self, tmp_path):
+        _, path = self._mutated(tmp_path, self._cell(b"1,2"))
+        with open(path, encoding="utf-8") as fh:
+            fh.readline()
+            with pytest.raises(ValueError) as ref:
+                np.loadtxt(fh, delimiter=",", ndmin=2)
+        with pytest.raises(ValueError) as info:
+            ingest_run(path)
+        assert str(info.value) == f"run.csv: {ref.value}"
+
+    def test_an_export_reads_without_loadtxt_and_a_minus_zero_with_it(
+            self, sample_run, tmp_path, monkeypatch):
+        path = export_run(sample_run, tmp_path / "run.csv")
+        sensors = np.array(sample_run.sensors)
+        sensors[2, 3000] = -0.0  # in a late block of a 4000-sample run
+        signed = export_run(dataclasses.replace(sample_run, sensors=sensors),
+                            tmp_path / "signed.csv")
+        self._spy(monkeypatch, refuse=True)
+        back = ingest_run(path)
+        for name in ("s_in", "sensors", "theta"):
+            assert (getattr(back, name).tobytes()
+                    == getattr(sample_run, name).tobytes())
+        with pytest.raises(_LoadtxtCalled):
+            ingest_run(signed)
 
 
 class TestWeightsRoundTrip:
