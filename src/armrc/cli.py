@@ -2,13 +2,14 @@
 
 Subcommands: simulate, train, evaluate, sweep, correlate. Exit status 0 on
 success, 1 with a machine-parsable ``error: ...`` line on failure, 2 on
-usage errors.
+usage errors. Each ``sweep`` kind is one `SWEEPS` entry, run by `_sweep`.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import sys
 import time
 from pathlib import Path
@@ -45,10 +46,6 @@ from .tasks import TaskKind, payload_status, score
 
 HARDWARE_NOTE = ("percent errors are surrogate results; hardware-measured "
                  "percentages are qualitative ordering targets only")
-
-
-def _labels(conditions) -> list:
-    return [c.label for c in conditions]
 
 
 def _sensor_index(token: str, n_sensors: int) -> int:
@@ -161,43 +158,36 @@ def _simulate(cfg: ExperimentConfig, conditions, with_noise=True,
         conditions, seed=cfg.seed, with_noise=with_noise)
 
 
-def _write_tables(out: Path, tables: list, cfg: ExperimentConfig,
-                  digest: str) -> list:
-    """Write a sweep's (name, matrix, rows, cols, labels) tables, all
-    computed, to ``out``; each provenance line carries the config hash, the
-    seed and the table's ``labels``. Returns ``tables``."""
-    for name, matrix, rows, cols, labels in tables:
-        write_matrix_csv(out / name, matrix, rows, cols, provenance={
-            "config": digest, "seed": cfg.seed, **labels})
-    return tables
+def _experiment_runs(cfg: ExperimentConfig, with_noise=True) -> tuple:
+    """Both experiments' conditions, as `_simulate` arguments."""
+    return ([c for exp in experiments(cfg).values() for c in exp.conditions],
+            with_noise, cfg.payloads)
 
 
-def _sweep_conditions(cfg: ExperimentConfig, out: Path, digest: str) -> list:
-    """Every experiment's families, each one `subset_sweep`; every spec is
-    made, and so checked, before any run is simulated."""
-    table = experiments(cfg)
-    specs = {f"{name}_{family}.csv": SweepSpec(
-                 task=exp.task, subsets=subsets, evaluation=exp.evaluation,
-                 train_window=training_window(cfg, exp.task),
-                 test_window=cfg.test, ridge=cfg.ridge,
-                 normalizer=cfg.normalizer)
-             for name, exp in table.items()
-             for family, subsets in exp.families.items()}
-    runs = _simulate(cfg, [c for exp in table.values() for c in exp.conditions])
-    tables = [(file, subset_sweep(spec, runs, cfg.payloads).error_grid,
-               ["+".join(_labels(s)) for s in spec.subsets],
-               _labels(spec.evaluation), {"task": spec.task.value})
-              for file, spec in specs.items()]
-    return _write_tables(out, tables, cfg, digest)
+def _multitask_runs(cfg: ExperimentConfig) -> tuple:
+    payloads = cfg.multitask_payloads
+    return condition_grid(len(cfg.profiles), payloads), True, payloads
 
 
-def _sweep_samples(cfg: ExperimentConfig, out: Path, digest: str) -> list:
+def _condition_tables(cfg: ExperimentConfig, runs: dict):
+    """Every experiment's families, each one `subset_sweep`."""
+    for name, exp in experiments(cfg).items():
+        for family, subsets in exp.families.items():
+            spec = SweepSpec(
+                task=exp.task, subsets=subsets, evaluation=exp.evaluation,
+                train_window=training_window(cfg, exp.task),
+                test_window=cfg.test, ridge=cfg.ridge,
+                normalizer=cfg.normalizer)
+            yield (f"{name}_{family}.csv",
+                   subset_sweep(spec, runs, cfg.payloads).error_grid,
+                   ["+".join(c.label for c in s) for s in subsets],
+                   [c.label for c in exp.evaluation], {"task": exp.task.value})
+
+
+def _sample_tables(cfg: ExperimentConfig, noise_free: dict):
     """Both experiments' sample-count sweeps, one per `fork_map` worker:
-    each takes several times the pool's start-up. The noise-free runs are
-    simulated once, here, and inherited."""
+    each takes several times the pool's start-up. Workers inherit the runs."""
     table = experiments(cfg)
-    noise_free = _simulate(cfg, [c for exp in table.values()
-                                 for c in exp.conditions], with_noise=False)
 
     def sweep(exp):
         return sample_count_sweep(
@@ -207,46 +197,37 @@ def _sweep_samples(cfg: ExperimentConfig, out: Path, digest: str) -> list:
             base_seed=cfg.seed, ridge=cfg.ridge, normalizer=cfg.normalizer,
         )
 
-    tables = []
     rows = [str(c) for c in cfg.sample_counts]
     for (name, exp), res in zip(table.items(),
                                 fork_map(sweep, table.values())):
         for stat, grid in (("mean", res.mean_grid), ("std", res.std_grid)):
-            tables.append((f"{name}_sample_counts_{stat}.csv", grid, rows,
-                           _labels(exp.evaluation),
-                           {"task": name, "repeats": cfg.sample_repeats}))
-    return _write_tables(out, tables, cfg, digest)
+            yield (f"{name}_sample_counts_{stat}.csv", grid, rows,
+                   [c.label for c in exp.evaluation],
+                   {"task": name, "repeats": cfg.sample_repeats})
 
 
-def _sweep_sensors(cfg: ExperimentConfig, out: Path, digest: str) -> list:
+def _sensor_tables(cfg: ExperimentConfig, runs: dict):
     n = cfg.surrogate.n_nodes
     masks = (tuple(range(n)),) + tip_sensor_masks(n)
     names = trace_columns(n)[1:-1]
     rows = ["+".join(names[m] for m in mask) for mask in masks]
-    table = experiments(cfg)
-    runs = _simulate(cfg, [c for exp in table.values() for c in exp.conditions])
-    tables = []
-    for name, exp in table.items():
+    for name, exp in experiments(cfg).items():
         res = sensor_ablation_sweep(
             exp.task, masks, exp.subset, exp.evaluation, runs, cfg.payloads,
             train_window=training_window(cfg, exp.task), test_window=cfg.test,
             ridge=cfg.ridge, normalizer=cfg.normalizer,
         )
-        tables += [(f"{name}_ablation.csv", res.error_grid, rows,
-                    _labels(exp.evaluation), {"task": name}),
-                   (f"{name}_weight_shares.csv", res.weight_shares, rows,
-                    names, {"task": name})]
-    return _write_tables(out, tables, cfg, digest)
+        yield (f"{name}_ablation.csv", res.error_grid, rows,
+               [c.label for c in exp.evaluation], {"task": name})
+        yield (f"{name}_weight_shares.csv", res.weight_shares, rows, names,
+               {"task": name})
 
 
-def _sweep_multitask(cfg: ExperimentConfig, out: Path, digest: str) -> list:
+def _multitask_tables(cfg: ExperimentConfig, runs: dict):
     n_profiles = len(cfg.profiles)
     payloads = cfg.multitask_payloads
-    runs = _simulate(cfg, condition_grid(n_profiles, payloads),
-                     payloads=payloads)
     rows = [f"P{i}" for i in range(1, n_profiles + 1)]
     cols = [f"{m:g}g" for m in payloads.masses]
-    tables = []
     summary = {}
     for name, cells in multitask_training_subsets(n_profiles, len(payloads)).items():
         res = multitask_grid(
@@ -257,44 +238,59 @@ def _sweep_multitask(cfg: ExperimentConfig, out: Path, digest: str) -> list:
         for part, grid in (("detect", res.detect_output),
                            ("angle", res.angle_error),
                            ("mass", res.mass_error)):
-            tables.append((f"multitask_{name}_{part}.csv", grid, rows,
-                           cols, {"training": name}))
+            yield (f"multitask_{name}_{part}.csv", grid, rows, cols,
+                   {"training": name})
         summary[name] = (float(res.detection_perfect), res.step2_mean)
     names = sorted(summary)
-    tables.append(("multitask_summary.csv", [summary[k] for k in names],
-                   names, ["detection_perfect", "step2_mean_percent"], {}))
-    return _write_tables(out, tables, cfg, digest)
+    yield ("multitask_summary.csv", [summary[k] for k in names], names,
+           ["detection_perfect", "step2_mean_percent"], {})
 
 
-def _multitask_table(summary: tuple) -> str:
-    _, matrix, rows, _, _ = summary
-    lines = [f"{'training':>10} {'detection':>10} {'step-2 mean %':>14}"]
-    for label, (perfect, step2) in zip(rows, matrix):
-        verdict = "perfect" if perfect == 1 else "errors"
-        lines.append(f"{label:>10} {verdict:>10} {step2:>14.2f}")
-    return "\n".join(lines)
+# kind -> (the runs it reads, as `_simulate` arguments; the tables of them)
+SWEEPS = {
+    "conditions": (_experiment_runs, _condition_tables),
+    "samples": (lambda cfg: _experiment_runs(cfg, with_noise=False),
+                _sample_tables),
+    "sensors": (_experiment_runs, _sensor_tables),
+    "multitask": (_multitask_runs, _multitask_tables),
+}
 
 
-def cmd_sweep(args) -> int:
-    cfg = _load(args)
-    digest = config_digest(cfg)
-    out = Path(args.out)
+def _sweep(kind: str, cfg: ExperimentConfig, out: Path, digest: str) -> list:
+    """Simulate the runs a `SWEEPS` kind reads and compute all its tables;
+    then write each, tagged with the config hash and seed, and a manifest."""
     t0 = time.perf_counter()
-    runner = {
-        "conditions": _sweep_conditions,
-        "samples": _sweep_samples,
-        "sensors": _sweep_sensors,
-        "multitask": _sweep_multitask,
-    }[args.kind]
-    tables = runner(cfg, out, digest)
+    reads, compute = SWEEPS[kind]
+    tables = list(compute(cfg, _simulate(cfg, *reads(cfg))))
+    for name, matrix, rows, cols, labels in tables:
+        write_matrix_csv(out / name, matrix, rows, cols, provenance={
+            "config": digest, "seed": cfg.seed, **labels})
     write_manifest(
         out / "manifest.json", config_hash=digest, seed=cfg.seed,
         outputs=[name for name, *_ in tables],
         elapsed_seconds=time.perf_counter() - t0,
-        extra={"command": f"sweep {args.kind}", "note": HARDWARE_NOTE},
+        extra={"command": f"sweep {kind}", "note": HARDWARE_NOTE},
     )
-    if args.kind == "multitask":
-        _say(args, _multitask_table(tables[-1]))  # multitask_summary.csv
+    return tables
+
+
+# each kind alone, as criterion 15 and the tests call it
+_sweep_conditions = functools.partial(_sweep, "conditions")
+_sweep_samples = functools.partial(_sweep, "samples")
+_sweep_sensors = functools.partial(_sweep, "sensors")
+_sweep_multitask = functools.partial(_sweep, "multitask")
+
+
+def cmd_sweep(args) -> int:
+    cfg = _load(args)
+    out = Path(args.out)
+    tables = _sweep(args.kind, cfg, out, config_digest(cfg))
+    if args.kind == "multitask" and not args.quiet:
+        _, matrix, rows, _, _ = tables[-1]  # multitask_summary.csv
+        print(f"{'training':>10} {'detection':>10} {'step-2 mean %':>14}")
+        for label, (perfect, step2) in zip(rows, matrix):
+            verdict = "perfect" if perfect == 1 else "errors"
+            print(f"{label:>10} {verdict:>10} {step2:>14.2f}")
     _say(args, f"wrote {len(tables)} result files to {out}")
     return 0
 
@@ -376,8 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", parents=[common],
                        help="run a shipped experiment sweep")
-    p.add_argument("kind",
-                   choices=["conditions", "samples", "sensors", "multitask"])
+    p.add_argument("kind", choices=list(SWEEPS))
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_sweep)
 

@@ -20,6 +20,7 @@ import os
 import platform
 import sys
 import time
+import warnings
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
@@ -185,7 +186,8 @@ def _condition(value) -> Optional[InputCondition]:
 
 def _read_rows(fh) -> np.ndarray:
     """``np.loadtxt(delimiter=",", ndmin=2)`` of the UTF-8 text left in the
-    binary file ``fh``: the same floats bit for bit, or its ValueError.
+    binary file ``fh``: the same floats bit for bit, or its ValueError, and
+    no rows without its warning (the caller refuses them in one line).
 
     Blocks of about 64 KiB of lines that hold only plain JSON numbers parse
     with ``orjson``, correctly rounded and faster than loadtxt's ``strtod``;
@@ -211,7 +213,9 @@ def _read_rows(fh) -> np.ndarray:
     except ValueError:  # a numeral outside JSON, a ragged row, a check above
         pass
     fh.seek(start)
-    with io.TextIOWrapper(fh, encoding="utf-8") as text:
+    with io.TextIOWrapper(fh, encoding="utf-8") as text, \
+            warnings.catch_warnings():
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
         return np.loadtxt(text, delimiter=",", ndmin=2)
 
 

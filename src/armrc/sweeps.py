@@ -7,9 +7,9 @@ the sensor-noise stream. Reported percentages follow the normalizer
 convention in `readout.nrmse_percent`; the paper's hardware percentages are
 ordering targets for these sweeps, not equality targets.
 
-`experiments` is the table of the two shipped single-task experiments,
-and the CLI sweeps are loops over it; each task's training window is
-`config.training_window`.
+`experiments` is the table of the two shipped single-task experiments that
+three CLI sweeps read, and refuses a grid too small for them; each task's
+training window is `config.training_window`.
 
 Every entry point (`subset_sweep`, `sample_count_sweep`,
 `sensor_ablation_sweep`, `train_on_subset`, `multitask_grid`) describes
@@ -508,8 +508,12 @@ class Experiment:
 
 def experiments(cfg) -> dict:
     """The bending and payload experiments of an `ExperimentConfig`, keyed
-    by the name their result files carry."""
+    by the name their result files carry; the one rule of the grid's shape
+    refuses fewer than 2 profiles or 2 payloads, before a sweep simulates."""
     n_profiles, n_payloads = len(cfg.profiles), len(cfg.payloads)
+    if n_profiles < 2:
+        raise ValueError("the bending experiment trains on P1+Pn and needs "
+                         f"at least 2 profiles; the config has {n_profiles}")
     if n_payloads < 2:
         raise ValueError("the payload experiment trains on M2..Mm and needs "
                          f"at least 2 payloads; the config has {n_payloads}")

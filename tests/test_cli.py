@@ -269,22 +269,31 @@ class TestSweeps:
         assert std.shape == (2, 6)
         assert np.all(std >= 0.0)
 
-    def test_samples_sweep_simulates_both_experiments_in_one_batch(
-            self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("kind", ["conditions", "samples", "sensors",
+                                      "multitask"])
+    def test_each_kind_simulates_exactly_the_runs_it_declares_in_one_batch(
+            self, kind, tmp_path, monkeypatch):
         calls = []
         real = surrogate.simulate_batch
 
         def spy(*args, **kwargs):
-            calls.append(kwargs["conditions"])
+            calls.append((kwargs["conditions"], kwargs["with_noise"]))
             return real(*args, **kwargs)
 
         monkeypatch.setattr(surrogate, "simulate_batch", spy)
         cfg = ExperimentConfig(sample_counts=(100,), sample_repeats=1)
-        cli._sweep_samples(cfg, tmp_path, "digest")
-        union = {c for exp in experiments(cfg).values()
-                 for c in exp.conditions}
-        assert len(union) == 13
-        assert len(calls) == 1 and set(calls[0]) == union
+        getattr(cli, f"_sweep_{kind}")(cfg, tmp_path, "digest")
+        if kind == "multitask":  # the 7 x 5 profile x multitask-payload grid
+            runs = {InputCondition(i, j) for i in range(1, 8)
+                    for j in range(1, 6)}
+        else:  # P1..P7 under M1, and M2..M7 under P1
+            runs = {c for exp in experiments(cfg).values()
+                    for c in exp.conditions}
+        assert len(runs) == {"multitask": 35}.get(kind, 13)
+        assert len(calls) == 1
+        conditions, with_noise = calls[0]
+        assert len(conditions) == len(runs) and set(conditions) == runs
+        assert with_noise is (kind != "samples")
 
     def test_sensors_sweep_layout(self, tmp_path):
         out = tmp_path / "sweep"
@@ -458,6 +467,26 @@ class TestNoTraceback:
         assert "Traceback" not in proc.stderr
         assert [line for line in proc.stderr.splitlines()
                 if line.startswith("error:")] == [proc.stderr.splitlines()[0]]
+
+
+class TestNoRows:
+    # a run CSV of a header and no rows, or only blank lines, read in a
+    # fresh process: the one error line is all of stderr, no warning first
+    @pytest.mark.parametrize("body", ["", "\n\n"],
+                             ids=["header-only", "blank-lines"])
+    @pytest.mark.parametrize("command", ["correlate", "evaluate"])
+    def test_is_exactly_one_error_line(self, command, body, grid_dir,
+                                       tmp_path):
+        run = _edited_run(grid_dir, tmp_path, lambda meta: meta)
+        run.write_text(run.read_text().split("\n", 1)[0] + "\n" + body)
+        argv = ["correlate", "--runs", str(run)]
+        if command == "evaluate":
+            weights = save_weights(tmp_path / "w.json", ReadoutWeights(
+                np.zeros((8, 1)), tuple(range(7)), ("bending",)))
+            argv = ["evaluate", "--weights", str(weights), "--run", str(run)]
+        proc = _fresh(argv, cpus=1)
+        assert proc.returncode == 1
+        assert proc.stderr == "error: P1M1.csv: no samples\n"
 
 
 class TestNonFiniteArm:
@@ -796,6 +825,8 @@ class TestSweepOutputs:
 
     ONE_PROFILE = {"profiles": [{"u_min": 1.0, "u_max": 32.25}]}
     ONE_PAYLOAD = {"payloads": [0.0]}
+    TWO_PROFILES = ("the bending experiment trains on P1+Pn and needs at "
+                    "least 2 profiles; the config has 1")
 
     def _sweep(self, kind, doc, tmp_path):
         cfg = tmp_path / "cfg.yaml"
@@ -805,13 +836,15 @@ class TestSweepOutputs:
                      "--quiet"]), out
 
     @pytest.mark.parametrize("kind, doc, message", [
-        ("conditions", ONE_PROFILE, "need at least one training subset"),
+        ("conditions", ONE_PROFILE, TWO_PROFILES),
+        ("samples", ONE_PROFILE, TWO_PROFILES),
+        ("sensors", ONE_PROFILE, TWO_PROFILES),
         ("conditions", ONE_PAYLOAD, "the payload experiment trains on M2..Mm "
          "and needs at least 2 payloads; the config has 1"),
         ("samples", ONE_PAYLOAD, "needs at least 2 payloads; the config has 1"),
         ("sensors", ONE_PAYLOAD, "needs at least 2 payloads; the config has 1"),
-    ], ids=["conditions-1-profile", "conditions-1-payload",
-            "samples-1-payload", "sensors-1-payload"])
+    ], ids=["conditions-1-profile", "samples-1-profile", "sensors-1-profile",
+            "conditions-1-payload", "samples-1-payload", "sensors-1-payload"])
     def test_a_failing_sweep_is_one_error_line_and_writes_nothing(
             self, kind, doc, message, tmp_path, capsys):
         rc, out = self._sweep(kind, doc, tmp_path)
@@ -821,28 +854,35 @@ class TestSweepOutputs:
         assert message in err
         assert [p for p in out.rglob("*") if p.is_file()] == []
 
+    @pytest.mark.parametrize("kind", ["conditions", "samples", "sensors"])
     def test_one_profile_is_refused_before_any_simulation(
-            self, tmp_path, capsys, monkeypatch):
-        # the pairs family of one profile is empty: refused as the specs
-        # are made, before a run is simulated
+            self, kind, tmp_path, capsys, monkeypatch):
+        # the experiments refuse the grid as the runs they read are named,
+        # before a run is simulated
         def refuse(*args, **kwargs):
-            raise AssertionError("simulated a sweep of no training subset")
+            raise AssertionError("simulated a sweep of a 1-profile grid")
 
         monkeypatch.setattr(surrogate, "simulate_batch", refuse)
-        rc, out = self._sweep("conditions", self.ONE_PROFILE, tmp_path)
+        rc, out = self._sweep(kind, self.ONE_PROFILE, tmp_path)
         assert rc == 1
-        assert capsys.readouterr().err == (
-            "error: need at least one training subset\n")
+        assert capsys.readouterr().err == f"error: {self.TWO_PROFILES}\n"
         assert not out.exists()
 
-    def test_one_payload_still_runs_multitask_and_simulate(self, tmp_path):
-        # multitask reads its own payload set, and simulate no experiment
-        rc, out = self._sweep("multitask", self.ONE_PAYLOAD, tmp_path)
+    def _runs_multitask_and_simulate(self, doc, tmp_path):
+        # multitask reads no experiment and its own payload set, and
+        # simulate no experiment: 3 x 3 + 1 tables, and 7 runs either way
+        rc, out = self._sweep("multitask", doc, tmp_path)
         assert rc == 0 and len(_csvs(out)) == 10
         cfg = tmp_path / "cfg.yaml"  # the config `_sweep` wrote
         assert main(["simulate", "--config", str(cfg), "--out",
                      str(tmp_path / "grid"), "--quiet"]) == 0
         assert len(list((tmp_path / "grid" / "runs").glob("*.csv"))) == 7
+
+    def test_one_payload_still_runs_multitask_and_simulate(self, tmp_path):
+        self._runs_multitask_and_simulate(self.ONE_PAYLOAD, tmp_path)
+
+    def test_one_profile_still_runs_multitask_and_simulate(self, tmp_path):
+        self._runs_multitask_and_simulate(self.ONE_PROFILE, tmp_path)
 
     @pytest.mark.parametrize("kind", ["conditions", "samples", "sensors",
                                       "multitask"])

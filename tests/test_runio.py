@@ -439,10 +439,10 @@ class TestReadPaths:
         (lambda body: body[:-1], None),
         pytest.param(lambda body: body.split(b"\n", 1)[0] + b"\n\n\n",
                      "run.csv: no samples",
-                     marks=pytest.mark.filterwarnings("ignore:loadtxt")),
+                     marks=pytest.mark.filterwarnings("error::UserWarning")),
         pytest.param(lambda body: body.split(b"\n", 1)[0] + b"\n",
                      "run.csv: no samples",
-                     marks=pytest.mark.filterwarnings("ignore:loadtxt")),
+                     marks=pytest.mark.filterwarnings("error::UserWarning")),
     ], ids=["-0", ".5", "1.", "+1", "nan", "inf", "1e400", "CRLF", "lone CR",
             "blank last line", "comment", "no last newline",
             "only blank lines", "header only"])
