@@ -165,8 +165,13 @@ def _experiment_runs(cfg: ExperimentConfig, with_noise=True) -> tuple:
 
 
 def _multitask_runs(cfg: ExperimentConfig) -> tuple:
-    payloads = cfg.multitask_payloads
-    return condition_grid(len(cfg.profiles), payloads), True, payloads
+    """The multitask grid's runs; fewer than 2 profiles is refused here,
+    before any run is simulated."""
+    n_profiles, payloads = len(cfg.profiles), cfg.multitask_payloads
+    if n_profiles < 2:
+        raise ValueError("the multitask 2x2 geometry trains on P1+Pn and needs "
+                         f"at least 2 profiles; the config has {n_profiles}")
+    return condition_grid(n_profiles, payloads), True, payloads
 
 
 def _condition_tables(cfg: ExperimentConfig, runs: dict):

@@ -827,6 +827,8 @@ class TestSweepOutputs:
     ONE_PAYLOAD = {"payloads": [0.0]}
     TWO_PROFILES = ("the bending experiment trains on P1+Pn and needs at "
                     "least 2 profiles; the config has 1")
+    MULTITASK_TWO_PROFILES = ("the multitask 2x2 geometry trains on P1+Pn and "
+                              "needs at least 2 profiles; the config has 1")
 
     def _sweep(self, kind, doc, tmp_path):
         cfg = tmp_path / "cfg.yaml"
@@ -839,12 +841,14 @@ class TestSweepOutputs:
         ("conditions", ONE_PROFILE, TWO_PROFILES),
         ("samples", ONE_PROFILE, TWO_PROFILES),
         ("sensors", ONE_PROFILE, TWO_PROFILES),
+        ("multitask", ONE_PROFILE, MULTITASK_TWO_PROFILES),
         ("conditions", ONE_PAYLOAD, "the payload experiment trains on M2..Mm "
          "and needs at least 2 payloads; the config has 1"),
         ("samples", ONE_PAYLOAD, "needs at least 2 payloads; the config has 1"),
         ("sensors", ONE_PAYLOAD, "needs at least 2 payloads; the config has 1"),
     ], ids=["conditions-1-profile", "samples-1-profile", "sensors-1-profile",
-            "conditions-1-payload", "samples-1-payload", "sensors-1-payload"])
+            "multitask-1-profile", "conditions-1-payload", "samples-1-payload",
+            "sensors-1-payload"])
     def test_a_failing_sweep_is_one_error_line_and_writes_nothing(
             self, kind, doc, message, tmp_path, capsys):
         rc, out = self._sweep(kind, doc, tmp_path)
@@ -854,35 +858,43 @@ class TestSweepOutputs:
         assert message in err
         assert [p for p in out.rglob("*") if p.is_file()] == []
 
-    @pytest.mark.parametrize("kind", ["conditions", "samples", "sensors"])
+    @pytest.mark.parametrize("kind, message", [
+        ("conditions", TWO_PROFILES), ("samples", TWO_PROFILES),
+        ("sensors", TWO_PROFILES), ("multitask", MULTITASK_TWO_PROFILES),
+    ], ids=["conditions", "samples", "sensors", "multitask"])
     def test_one_profile_is_refused_before_any_simulation(
-            self, kind, tmp_path, capsys, monkeypatch):
-        # the experiments refuse the grid as the runs they read are named,
-        # before a run is simulated
+            self, kind, message, tmp_path, capsys, monkeypatch):
+        # each kind refuses the grid as the runs it reads are named, before
+        # a run is simulated
         def refuse(*args, **kwargs):
             raise AssertionError("simulated a sweep of a 1-profile grid")
 
         monkeypatch.setattr(surrogate, "simulate_batch", refuse)
         rc, out = self._sweep(kind, self.ONE_PROFILE, tmp_path)
         assert rc == 1
-        assert capsys.readouterr().err == f"error: {self.TWO_PROFILES}\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
-    def _runs_multitask_and_simulate(self, doc, tmp_path):
-        # multitask reads no experiment and its own payload set, and
-        # simulate no experiment: 3 x 3 + 1 tables, and 7 runs either way
-        rc, out = self._sweep("multitask", doc, tmp_path)
-        assert rc == 0 and len(_csvs(out)) == 10
+    def _simulate_writes_7_runs(self, tmp_path):
+        # simulate reads no experiment: 7 runs either way
         cfg = tmp_path / "cfg.yaml"  # the config `_sweep` wrote
         assert main(["simulate", "--config", str(cfg), "--out",
                      str(tmp_path / "grid"), "--quiet"]) == 0
         assert len(list((tmp_path / "grid" / "runs").glob("*.csv"))) == 7
 
     def test_one_payload_still_runs_multitask_and_simulate(self, tmp_path):
-        self._runs_multitask_and_simulate(self.ONE_PAYLOAD, tmp_path)
+        # multitask reads its own payload set: 3 x 3 + 1 tables
+        rc, out = self._sweep("multitask", self.ONE_PAYLOAD, tmp_path)
+        assert rc == 0 and len(_csvs(out)) == 10
+        self._simulate_writes_7_runs(tmp_path)
 
-    def test_one_profile_still_runs_multitask_and_simulate(self, tmp_path):
-        self._runs_multitask_and_simulate(self.ONE_PROFILE, tmp_path)
+    def test_one_profile_refuses_multitask_and_still_simulates(
+            self, tmp_path, capsys):
+        rc, out = self._sweep("multitask", self.ONE_PROFILE, tmp_path)
+        assert rc == 1 and not out.exists()
+        assert capsys.readouterr().err == (
+            f"error: {self.MULTITASK_TWO_PROFILES}\n")
+        self._simulate_writes_7_runs(tmp_path)
 
     @pytest.mark.parametrize("kind", ["conditions", "samples", "sensors",
                                       "multitask"])
