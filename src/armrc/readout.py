@@ -5,8 +5,9 @@ only by `_design`; `columns` maps a mask onto it. Training and scoring
 share one factorization: `factor` takes the QR of a window's design
 (`window_factor`) and keeps a `WindowFactor`, from which `solve_reduced`
 fits readouts (one SVD call for a whole stack of small R row blocks, each
-for any subset of the columns) and `tasks.score` scores them. Predictions
-are per-sample weighted sums of the masked sensor readings plus a bias.
+for any subset of the columns) and `tasks.score` scores them. `full_width`
+lays any readout's weights over all of [1 | S], and `predict` is the
+design rows times those weights.
 """
 
 from __future__ import annotations
@@ -96,14 +97,6 @@ class ReadoutWeights:
             )
         elif len(self.task_names) != self.weights.shape[1]:
             raise ValueError("one task name required per weight column")
-
-    @property
-    def bias(self) -> np.ndarray:
-        return self.weights[0]
-
-    @property
-    def sensor_weights(self) -> np.ndarray:
-        return self.weights[1:]
 
     @property
     def n_tasks(self) -> int:
@@ -250,17 +243,13 @@ def solve_reduced(r: np.ndarray, z: np.ndarray,
                            for k in range(z.shape[2])], axis=2)
 
 
-def _check_mask(weights: ReadoutWeights, n_sensors: int) -> None:
-    """Refuse weights whose mask names a sensor an n-sensor run lacks."""
+def full_width(weights: ReadoutWeights, n_sensors: int) -> np.ndarray:
+    """Weights as (n_tasks, 1 + n_sensors) rows over the all-sensor design,
+    zero on the sensors outside the mask; weights whose mask names a sensor
+    an n-sensor run lacks are refused."""
     if max(weights.sensor_mask) >= n_sensors:
         raise ValueError(f"weights trained on sensors {weights.sensor_mask} "
                          f"cannot read a {n_sensors}-sensor run")
-
-
-def full_width(weights: ReadoutWeights, n_sensors: int) -> np.ndarray:
-    """Weights as (n_tasks, 1 + n_sensors) rows over the all-sensor design,
-    zero on the sensors outside the mask."""
-    _check_mask(weights, n_sensors)
     rows = np.zeros((weights.n_tasks, 1 + n_sensors))
     rows[:, columns(weights.sensor_mask)] = weights.weights.T
     return rows
@@ -271,15 +260,15 @@ def predict(
     series: PressureStateSeries,
     window: Optional[Window] = None,
 ) -> np.ndarray:
-    """Per-sample readout output over a window, one trace per task.
+    """Per-sample readout output over a window, one trace per task: the
+    window's `_design` rows times the `full_width` weights.
 
     Returns shape (n_samples,) for a single task, else (n_samples, n_tasks).
     """
-    _check_mask(weights, series.n_sensors)
+    wide = full_width(weights, series.n_sensors)
     i0, i1 = ((0, series.grid.n_samples) if window is None
               else window_indices(series.grid, window))
-    rows = series.sensors[list(weights.sensor_mask), i0:i1].T
-    out = weights.bias + rows @ weights.sensor_weights
+    out = _design(series.sensors[:, i0:i1]) @ wide.T
     return out[:, 0] if weights.n_tasks == 1 else out
 
 

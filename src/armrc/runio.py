@@ -251,11 +251,12 @@ def ingest_run(csv_path) -> PressureStateSeries:
         raise ValueError(f"{label}: {exc}") from None
 
     with open(csv_path, "rb") as fh:
-        # the header ends at the first \n, \r or \r\n, as in a text-mode read
+        # the header ends at the first \n, \r or \r\n, as in a text-mode read;
+        # a UTF-8 byte-order mark (spreadsheet exports write one) is dropped
         first = fh.readline()
         head = first.splitlines()[0] if first else b""
         fh.seek(len(head) + 1 + first.startswith(b"\r\n", len(head)))
-        header = head.decode("utf-8").strip().split(",")
+        header = head.decode("utf-8-sig").strip().split(",")
         if n_sensors > len(header):  # no header of that many names is built
             raise ValueError(f"{csv_path.name}: {len(header)} columns, too few "
                              f"for n_sensors {n_sensors} in {label}")
@@ -396,24 +397,9 @@ def write_matrix_csv(path, matrix, row_labels: Sequence[str],
     return path
 
 
-def read_matrix_csv(path):
-    """Inverse of write_matrix_csv; returns (matrix, row_labels, col_labels,
-    provenance_line)."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    comment = lines[0].lstrip("# ").strip()
-    col_labels = lines[1].split(",")[1:]
-    row_labels = []
-    rows = []
-    for line in lines[2:]:
-        cells = line.split(",")
-        row_labels.append(cells[0])
-        rows.append([np.nan if c == "" else float(c) for c in cells[1:]])
-    return np.array(rows), row_labels, col_labels, comment
-
-
 def write_manifest(path, *, config_hash: str, seed: int,
-                   outputs: Sequence[str], extra: Optional[Mapping] = None,
-                   elapsed_seconds: Optional[float] = None) -> Path:
+                   outputs: Sequence[str], elapsed_seconds: float,
+                   extra: Optional[Mapping] = None) -> Path:
     """Run manifest: provenance, versions, and timing (timestamps live only
     here)."""
     doc = {
@@ -426,8 +412,7 @@ def write_manifest(path, *, config_hash: str, seed: int,
             "python": platform.python_version(),
         },
         "created_unix": time.time(),
+        "elapsed_seconds": elapsed_seconds,
     }
-    if elapsed_seconds is not None:
-        doc["elapsed_seconds"] = elapsed_seconds
     doc.update(extra or {})
     return _write_json(path, doc)

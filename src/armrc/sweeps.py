@@ -431,8 +431,7 @@ def multitask_grid(
 
 
 # Experiment families from the grid's shape, by two index rules: `spread`
-# and the bisection of `nested_payload_subsets`. "Best effort" marks grids
-# that the source figures show only graphically.
+# and the bisection of `nested_payload_subsets`.
 
 def spread(lo: int, hi: int, k: int) -> tuple:
     """k indices spread over lo..hi, both ends kept (all of lo..hi if it
@@ -478,12 +477,15 @@ def tip_sensor_masks(n_sensors: int = 7) -> tuple:
 
 def multitask_training_subsets(n_profiles: int = 7,
                                n_payloads: int = 5) -> dict:
-    """The three multi-task training geometries (best effort): AxB cells,
-    A profiles and B payloads, each `spread` over the grid."""
-    return {f"{a}x{b}": tuple(InputCondition(i, j)
-                              for i in spread(1, n_profiles, a)
-                              for j in spread(1, n_payloads, b))
-            for a, b in ((2, 2), (5, 2), (3, 3))}
+    """The multi-task training geometries, 2x2, 5x2 and 3x3 profiles by
+    payloads, each `spread` over the grid and named by the rows and columns
+    it trains: on a small grid a repeat is kept once."""
+    geometries = {}
+    for a, b in ((2, 2), (5, 2), (3, 3)):
+        rows, cols = spread(1, n_profiles, a), spread(1, n_payloads, b)
+        geometries[f"{len(rows)}x{len(cols)}"] = tuple(
+            InputCondition(i, j) for i in rows for j in cols)
+    return geometries
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,26 @@
+from pathlib import Path
+
+import numpy as np
 import pytest
 
 from armrc.config import default_config
 from armrc.core import InputCondition, condition_grid
 from armrc.surrogate import simulate_conditions
+
+
+def read_matrix_csv(path):
+    """Read a `runio.write_matrix_csv` file back: (matrix, row_labels,
+    col_labels, provenance_line), an empty cell as NaN."""
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    comment = lines[0].lstrip("# ").strip()
+    col_labels = lines[1].split(",")[1:]
+    row_labels = []
+    rows = []
+    for line in lines[2:]:
+        cells = line.split(",")
+        row_labels.append(cells[0])
+        rows.append([np.nan if c == "" else float(c) for c in cells[1:]])
+    return np.array(rows), row_labels, col_labels, comment
 
 
 def pytest_configure(config):

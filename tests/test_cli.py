@@ -16,10 +16,10 @@ from armrc.config import (ExperimentConfig, build_config, default_config,
                           training_window)
 from armrc.core import InputCondition, PayloadSet, TimeGrid
 from armrc.readout import ReadoutWeights, nrmse_percent, predict
-from armrc.runio import (export_run, ingest_run, load_weights,
-                         read_matrix_csv, save_weights)
+from armrc.runio import export_run, ingest_run, load_weights, save_weights
 from armrc.surrogate import simulate_conditions
 from armrc.sweeps import experiments
+from conftest import read_matrix_csv
 
 
 @pytest.fixture(scope="module")
@@ -774,14 +774,17 @@ class TestAnyShape:
         and tip masks of n-1..2 sensors, and p x k multitask grids."""
         sizes = {"bending_subsets": (p, p),
                  "bending_pairs": (p * (p - 1) // 2, p),
-                 "payload_subsets": (m - 2, m - 1),
-                 "multitask_summary": (3, 2)}
+                 "payload_subsets": (m - 2, m - 1)}
         for name, cols in (("bending", p), ("payload", m - 1)):
             sizes[f"{name}_ablation"] = (n - 1, cols)
             sizes[f"{name}_weight_shares"] = (n - 1, n)
             for stat in ("mean", "std"):
                 sizes[f"{name}_sample_counts_{stat}"] = (2, cols)
-        for geometry in ("2x2", "5x2", "3x3"):
+        # each geometry is named by the cells it trains; a repeat is one
+        geometries = {f"{min(a, p)}x{min(b, k)}"
+                      for a, b in ((2, 2), (5, 2), (3, 3))}
+        sizes["multitask_summary"] = (len(geometries), 2)
+        for geometry in geometries:
             for part in ("detect", "angle", "mass"):
                 sizes[f"multitask_{geometry}_{part}"] = (p, k)
         return sizes

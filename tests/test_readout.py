@@ -291,9 +291,7 @@ class TestDesign:
             assert np.array_equal(a, b)
 
         pred = predict(weights, series, window).reshape(rows, n_tasks)
-        # rounding bound: relative to the sum of the terms' magnitudes
-        scale = np.abs(design) @ np.abs(wide.T)
-        assert np.all(np.abs(pred - design @ wide.T) <= 1e-12 * scale)
+        assert np.array_equal(pred, design @ wide.T)
 
     @pytest.mark.parametrize("n", [1, 5, 7])
     def test_a_mask_the_run_lacks_is_refused_alike(self, n):

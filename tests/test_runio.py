@@ -24,13 +24,13 @@ from armrc.runio import (
     export_runs,
     ingest_run,
     load_weights,
-    read_matrix_csv,
     save_weights,
     sidecar_path,
     write_manifest,
     write_matrix_csv,
 )
 from armrc.surrogate import SurrogateParams, simulate
+from conftest import read_matrix_csv
 
 
 @pytest.fixture(scope="module")
@@ -495,6 +495,24 @@ class TestReadPaths:
             assert getattr(back, name).tobytes() == getattr(run, name).tobytes()
         assert math.copysign(1.0, back.sensors[2, 3000]) == -1.0
 
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n"], ids=["LF", "CRLF"])
+    def test_a_byte_order_mark_copy_reads_as_the_plain_run(
+            self, sample_run, tmp_path, monkeypatch, newline):
+        # spreadsheet exports often start a CSV with a UTF-8 byte-order mark
+        path = export_run(sample_run, tmp_path / "run.csv")
+        copy = tmp_path / "bom" / "run.csv"
+        copy.parent.mkdir()
+        copy.write_bytes(b"\xef\xbb\xbf"
+                         + path.read_bytes().replace(b"\n", newline))
+        sidecar_path(copy).write_bytes(sidecar_path(path).read_bytes())
+        plain = ingest_run(path)
+        self._spy(monkeypatch, refuse=newline == b"\n")
+        back = ingest_run(copy)
+        assert (back.grid, back.condition, back.payload_grams) == (
+            plain.grid, plain.condition, plain.payload_grams)
+        for name in ("s_in", "sensors", "theta"):
+            assert getattr(back, name).tobytes() == getattr(plain, name).tobytes()
+
 
 class TestWeightsRoundTrip:
     def test_round_trip_preserves_everything(self, tmp_path):
@@ -552,6 +570,13 @@ class TestDigestAndManifest:
         assert doc["outputs"] == ["a.csv"]
         assert "armrc" in doc["versions"]
         assert "created_unix" in doc
+        assert doc["elapsed_seconds"] == 1.5
+
+    def test_manifest_requires_its_elapsed_seconds(self, tmp_path):
+        with pytest.raises(TypeError, match="elapsed_seconds"):
+            write_manifest(tmp_path / "manifest.json", config_hash="abc",
+                           seed=7, outputs=["a.csv"])
+        assert not (tmp_path / "manifest.json").exists()
 
 
 # JSON-shaped values: what json.load can return, nested

@@ -174,14 +174,18 @@ class TestIndexRules:
     @given(SIZES, SIZES)
     def test_multitask_geometries_are_spread_products(self, n_profiles,
                                                       n_payloads):
-        for name, cells in multitask_training_subsets(n_profiles,
-                                                      n_payloads).items():
+        geometries = multitask_training_subsets(n_profiles, n_payloads)
+        # a name per distinct geometry: a repeat on a small grid is kept once
+        assert set(geometries) == {
+            f"{min(a, n_profiles)}x{min(b, n_payloads)}"
+            for a, b in ((2, 2), (5, 2), (3, 3))}
+        for name, cells in geometries.items():
             a, b = map(int, name.split("x"))
             rows = list(dict.fromkeys(_indices(cells, 0)))
             cols = list(dict.fromkeys(_indices(cells, 1)))
             assert cells == tuple(P(i, j) for i in rows for j in cols)
             for got, k, n in ((rows, a, n_profiles), (cols, b, n_payloads)):
-                assert _well_formed(got, 1, n) and len(got) == min(k, n)
+                assert _well_formed(got, 1, n) and len(got) == k
                 assert got[-1] == n and got[0] == 1
 
 
