@@ -21,16 +21,18 @@ from .core import (Window, condition_grid, parse_condition_label,
 from .readout import correlation_matrix, full_width, window_factor
 from .runio import (
     config_digest,
-    export_runs,
+    contiguous_chunks,
+    export_run,
     fork_map,
     ingest_run,
     load_weights,
     save_weights,
     sidecar_path,
+    usable_cpus,
     write_manifest,
     write_matrix_csv,
 )
-from .surrogate import simulate_conditions, simulate_grid
+from .surrogate import simulate_conditions
 from .sweeps import (
     SweepSpec,
     experiments,
@@ -75,17 +77,23 @@ def cmd_simulate(args) -> int:
     digest = config_digest(cfg)
     out = Path(args.out)
     t0 = time.perf_counter()
-    runs = simulate_grid(cfg.surrogate, cfg.profiles, cfg.payloads, cfg.grid,
-                         seed=cfg.seed)
-    paths = export_runs(runs, out / "runs", config_hash=digest, seed=cfg.seed)
+
+    def write(share):  # in a `fork_map` worker: only the paths go back
+        return [export_run(series, out / "runs" / f"{cond.label}.csv",
+                           config_hash=digest, seed=cfg.seed)
+                for cond, series in _simulate(cfg, share).items()]
+
+    grid = condition_grid(len(cfg.profiles), cfg.payloads)
+    chunks = fork_map(write, contiguous_chunks(grid, usable_cpus()))
+    paths = [path for chunk in chunks for path in chunk]
     written = [str(p.relative_to(out))
                for path in paths for p in (path, sidecar_path(path))]
     write_manifest(
         out / "manifest.json", config_hash=digest, seed=cfg.seed,
         outputs=written, elapsed_seconds=time.perf_counter() - t0,
-        extra={"command": "simulate", "n_runs": len(runs)},
+        extra={"command": "simulate", "n_runs": len(paths)},
     )
-    _say(args, f"wrote {len(runs)} runs to {out / 'runs'}")
+    _say(args, f"wrote {len(paths)} runs to {out / 'runs'}")
     return 0
 
 

@@ -82,7 +82,7 @@ def export_run(series: PressureStateSeries, csv_path, *,
                                 option=orjson.OPT_SERIALIZE_NUMPY)
             # [[a,b],[c,d]] -> a,b\nc,d\n; no NaN, which orjson writes as
             # null, reaches here: a series holds finite floats
-            fh.write(text[2:-2].replace(b"],[", b"\n") + b"\n")
+            fh.write(b"\n".join(text[2:-2].split(b"],[")) + b"\n")
     _write_json(sidecar_path(csv_path), {
         "format": RUN_FORMAT,
         "sample_rate": series.grid.sample_rate,
@@ -117,20 +117,32 @@ def _call(k: int):
     return fn(items[k])
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on (1 where the OS cannot say)."""
+    return len(getattr(os, "sched_getaffinity", lambda pid: {0})(0))
+
+
+def contiguous_chunks(items: Sequence, n: int) -> list:
+    """``items`` cut into ``min(n, len(items))`` runs of consecutive items,
+    in order, whose sizes differ by at most one."""
+    n = min(n, len(items))
+    return [items[k * len(items) // n:(k + 1) * len(items) // n]
+            for k in range(n)]
+
+
 def fork_map(fn, items) -> list:
     """``[fn(item) for item in items]`` on a fork pool of one worker per
     usable CPU, or in-process with one CPU, one item or no ``fork``: the
     same results. Workers inherit ``fn`` (a closure will do) and ``items``
     unpickled; each result, or the exception raised, is pickled back. Worth
     it when all the items together take much longer than the pool's ~35 ms
-    start, however short each one is: the 49 default runs (about 5 ms of
-    export each) write in 0.18-0.22 s on two workers of a 2-core Xeon, and
-    in 0.26-0.33 s in-process."""
+    start: `armrc simulate` of the 49 default runs (about 10 ms each to
+    simulate, noise and write) takes 0.34-0.40 s as two chunks on two
+    workers of a 2-core Xeon, and 0.46-0.61 s as one chunk in-process."""
     import multiprocessing  # here, so that importing armrc does not pay for it
 
     items = list(items)
-    cpus = getattr(os, "sched_getaffinity", lambda pid: {0})(0)
-    n_workers = min(len(cpus), len(items))
+    n_workers = min(usable_cpus(), len(items))
     if n_workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
         return [fn(item) for item in items]
     # a worker flushes the stdio buffers it inherited as it exits
@@ -139,17 +151,6 @@ def fork_map(fn, items) -> list:
     with multiprocessing.get_context("fork").Pool(
             n_workers, _share, (fn, items)) as pool:
         return pool.map(_call, range(len(items)), chunksize=1)
-
-
-def export_runs(runs: Mapping[InputCondition, PressureStateSeries], run_dir, *,
-                config_hash: str = "", seed: Optional[int] = None) -> list:
-    """``export_run`` each run to ``run_dir/<label>.csv`` through `fork_map`
-    (the same bytes on a pool or in-process); returns the CSV paths in
-    ``runs``' order."""
-    return fork_map(
-        lambda job: export_run(*job, config_hash=config_hash, seed=seed),
-        [(series, Path(run_dir) / f"{cond.label}.csv")
-         for cond, series in runs.items()])
 
 
 def _read_object(path: Path, label: str) -> dict:

@@ -14,7 +14,8 @@ from armrc import cli, surrogate, sweeps
 from armrc.cli import main
 from armrc.config import (ExperimentConfig, build_config, default_config,
                           training_window)
-from armrc.core import InputCondition, PayloadSet, TimeGrid
+from armrc.core import (InputCondition, PayloadSet, PressureStateSeries,
+                        TimeGrid)
 from armrc.readout import ReadoutWeights, nrmse_percent, predict
 from armrc.runio import export_run, ingest_run, load_weights, save_weights
 from armrc.surrogate import simulate_conditions
@@ -67,9 +68,9 @@ def _fresh(argv, cpus):
                           capture_output=True, text=True, timeout=120)
 
 
-def _main_on_cpus(argv, cpus, monkeypatch):
-    """``main(argv)``, which must exit 0, seeing ``cpus`` usable CPUs;
-    returns the start methods asked of ``multiprocessing.get_context``."""
+def _main_on_cpus(argv, cpus, monkeypatch, status=0):
+    """``main(argv)``, which must exit ``status``, seeing ``cpus`` usable
+    CPUs; returns the start methods asked of ``multiprocessing.get_context``."""
     contexts = []
     real = multiprocessing.get_context
 
@@ -79,7 +80,7 @@ def _main_on_cpus(argv, cpus, monkeypatch):
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
     monkeypatch.setattr(multiprocessing, "get_context", spy)
-    assert main(argv) == 0
+    assert main(argv) == status
     return contexts
 
 
@@ -92,17 +93,18 @@ def _tree(out):
 
 
 class TestSimulatePool:
-    # the run files are exported on a fork pool of one worker per usable
-    # CPU, or in-process with one; nothing about the output may tell which
+    # the grid is simulated and its run files written on a fork pool of one
+    # worker per usable CPU, each a contiguous share of the grid, or
+    # in-process with one; nothing about the output may tell which
     @pytest.fixture
     def small(self, tmp_path):
         cfg = tmp_path / "small.yaml"
         cfg.write_text(SMALL_RUNS)
         return cfg
 
-    def _simulate(self, out, small, cpus, monkeypatch):
+    def _simulate(self, out, small, cpus, monkeypatch, status=0):
         return _main_on_cpus(["simulate", "--config", str(small), "--out",
-                              str(out), "--quiet"], cpus, monkeypatch)
+                              str(out), "--quiet"], cpus, monkeypatch, status)
 
     def test_pool_and_one_process_write_the_same_tree(self, small, tmp_path,
                                                       monkeypatch):
@@ -119,6 +121,31 @@ class TestSimulatePool:
         outputs = [json.loads((out / "manifest.json").read_text())["outputs"]
                    for out in (pooled, alone)]
         assert outputs[0] == outputs[1] == sorted(map(str, files))
+
+    def test_no_run_crosses_the_pipe(self, small, tmp_path, monkeypatch):
+        def refuse(self, protocol):
+            raise AssertionError("a run was pickled")
+
+        monkeypatch.setattr(PressureStateSeries, "__reduce_ex__", refuse)
+        out = tmp_path / "out"
+        assert self._simulate(out, small, 2, monkeypatch) == ["fork"]
+        assert len(list((out / "runs").glob("*.csv"))) == 49
+
+    def test_a_worker_error_is_one_error_line_and_no_manifest(
+            self, small, tmp_path, monkeypatch, capsys):
+        real = surrogate.simulate_batch
+
+        def fail_on_p7m7(*args, conditions, **kwargs):
+            if InputCondition(7, 7) in conditions:
+                raise ValueError("cannot simulate P7M7")
+            return real(*args, conditions=conditions, **kwargs)
+
+        monkeypatch.setattr(surrogate, "simulate_batch", fail_on_p7m7)
+        out = tmp_path / "out"
+        assert self._simulate(out, small, 2, monkeypatch, status=1) == ["fork"]
+        assert capsys.readouterr().err == "error: cannot simulate P7M7\n"
+        assert not (out / "manifest.json").exists()
+        assert multiprocessing.active_children() == []
 
     def test_a_run_path_in_the_way_is_one_error_line(self, small, tmp_path,
                                                      monkeypatch, capsys):
@@ -1021,8 +1048,8 @@ class TestOneSeed:
         monkeypatch.setattr(surrogate, "add_noise", spy)
         monkeypatch.setattr(sweeps, "add_noise", spy)
         # the run CSVs are not under test; skip writing 35 MB of them
-        monkeypatch.setattr(cli, "export_runs", lambda runs, run_dir, **kw: [
-            Path(run_dir, f"{c.label}.csv") for c in runs])
+        monkeypatch.setattr(cli, "export_run",
+                            lambda series, path, **kw: Path(path))
         cfg = tmp_path / "seeded.yaml"
         cfg.write_text("seed: 123\nsample_counts: [100, 1000]\n"
                        f"sample_repeats: {self.REPEATS}\n")

@@ -20,8 +20,8 @@ from armrc.readout import ReadoutWeights
 from armrc.runio import (
     CLOCK_TOLERANCE,
     config_digest,
+    contiguous_chunks,
     export_run,
-    export_runs,
     ingest_run,
     load_weights,
     save_weights,
@@ -132,65 +132,43 @@ def _assert_shortest_text(run):
             assert Decimal(cell).is_signed() == (math.copysign(1.0, x) < 0)
 
 
-class TestExportRuns:
-    @pytest.fixture(scope="class")
-    def runs(self):
-        # out of label order, and values whose text is easy to get wrong
+class TestExportBlocks:
+    def test_more_than_one_write_is_the_shortest_round_trip_text(self):
+        # values whose text is easy to get wrong, over three row blocks
         grid = TimeGrid(n_samples=600)
         s_in = np.linspace(0.0, 1.0, 600)
         s_in[:4] = (-0.0, 5e-324, 1.7976931348623157e308, 0.1)
-        return {InputCondition(p, 1): PressureStateSeries(
-                    grid=grid, s_in=s_in + p, sensors=np.vstack([s_in] * 3) / p,
-                    theta=-s_in, condition=InputCondition(p, 1))
-                for p in (3, 1, 5, 2, 4)}
+        _assert_shortest_text(PressureStateSeries(
+            grid=grid, s_in=s_in + 3, sensors=np.vstack([s_in] * 3) / 3,
+            theta=-s_in, condition=InputCondition(3, 1)))
 
-    def test_more_than_one_write_is_the_shortest_round_trip_text(self, runs):
-        _assert_shortest_text(next(iter(runs.values())))
 
-    # one process, a worker per core, and more workers than cores
-    @pytest.mark.parametrize("cpus", [1, 2, 8])
-    def test_paths_come_in_the_runs_order(self, runs, cpus, tmp_path,
-                                          monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity",
-                            lambda pid: set(range(cpus)))
-        paths = export_runs(runs, tmp_path, config_hash="abc", seed=7)
-        assert paths == [tmp_path / f"{c.label}.csv" for c in runs]
-        for cond, path in zip(runs, paths):
-            alone = export_run(runs[cond], tmp_path / "alone.csv",
-                               config_hash="abc", seed=7)
-            assert path.read_bytes() == alone.read_bytes()
-            assert (sidecar_path(path).read_bytes()
-                    == sidecar_path(alone).read_bytes())
+class TestForkMap:
+    # `armrc simulate` gives each `fork_map` worker one contiguous chunk
+    @pytest.mark.parametrize("cpus", range(1, 9))
+    def test_chunks_are_contiguous_in_order_and_even(self, cpus):
+        for n_items in range(1, 61):
+            items = list(range(n_items))
+            chunks = contiguous_chunks(items, cpus)
+            assert len(chunks) == min(cpus, n_items)
+            assert [x for chunk in chunks for x in chunk] == items
+            sizes = [len(chunk) for chunk in chunks]
+            assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
 
-    def test_workers_inherit_the_runs_unpickled(self, runs, tmp_path,
-                                                monkeypatch):
-        def refuse(self, protocol):
-            raise AssertionError("a run was pickled")
-
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        monkeypatch.setattr(PressureStateSeries, "__reduce_ex__", refuse)
-        assert len(export_runs(runs, tmp_path)) == len(runs)
-
-    def test_output_buffered_before_the_pool_is_written_once(self, tmp_path):
+    def test_output_buffered_before_the_pool_is_written_once(self):
         # a pool worker flushes the stdio buffers it inherited as it exits
         code = (
             "import os, sys\n"
             "os.sched_getaffinity = lambda pid: {0, 1}\n"
-            "from armrc.core import InputCondition, PressureStateSeries, TimeGrid\n"
-            "from armrc.runio import export_runs\n"
-            "grid = TimeGrid(n_samples=2)\n"
-            "runs = {InputCondition(p, 1): PressureStateSeries(grid=grid, "
-            "s_in=[0.0, 1.0], sensors=[[0.0, 1.0]], theta=[0.0, 1.0]) "
-            "for p in (1, 2, 3, 4)}\n"
+            "from armrc.runio import fork_map\n"
             "print('before')\n"
             "print('before', file=sys.stderr)\n"
-            "export_runs(runs, sys.argv[1])\n")
+            "assert fork_map(abs, [-1, -2, -3, -4]) == [1, 2, 3, 4]\n")
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
-                              env=env, capture_output=True, text=True,
-                              timeout=120)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert (proc.stdout, proc.stderr) == ("before\n", "before\n")
 
