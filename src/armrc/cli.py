@@ -9,8 +9,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import functools
+import shutil
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -72,28 +75,60 @@ def _say(args, text) -> None:
         print(text)
 
 
+def _publish(staging: Path, out: Path, names: list) -> None:
+    """Move the ``names`` written under ``staging`` into ``out/runs``: all
+    of them, or, when one cannot move, none (those moved are removed). A
+    non-file in the way is refused before anything moves, so an earlier
+    run's files stay; the earlier manifest goes before the first move, as
+    from then on it no longer describes ``runs/``."""
+    runs = out / "runs"
+    runs.mkdir(exist_ok=True)
+    for name in names:
+        if (runs / name).exists() and not (runs / name).is_file():
+            raise FileExistsError(errno.EEXIST, "not a file, in the way",
+                                  str(runs / name))
+    (out / "manifest.json").unlink(missing_ok=True)
+    moved = []
+    try:
+        for name in names:
+            (staging / name).replace(runs / name)
+            moved.append(runs / name)
+    except OSError:
+        for path in moved:
+            path.unlink()
+        raise
+
+
 def cmd_simulate(args) -> int:
     cfg = _load(args)
     digest = config_digest(cfg)
     out = Path(args.out)
     t0 = time.perf_counter()
+    out.mkdir(parents=True, exist_ok=True)
+    # the workers write here; runs/ receives every file or, on an error, none
+    staging = Path(tempfile.mkdtemp(prefix=".runs-", dir=out))
 
-    def write(share):  # in a `fork_map` worker: only the paths go back
-        return [export_run(series, out / "runs" / f"{cond.label}.csv",
-                           config_hash=digest, seed=cfg.seed)
+    def write(share):  # in a `fork_map` worker: only the names go back
+        return [export_run(series, staging / f"{cond.label}.csv",
+                           config_hash=digest, seed=cfg.seed).name
                 for cond, series in _simulate(cfg, share).items()]
 
-    grid = condition_grid(len(cfg.profiles), cfg.payloads)
-    chunks = fork_map(write, contiguous_chunks(grid, usable_cpus()))
-    paths = [path for chunk in chunks for path in chunk]
-    written = [str(p.relative_to(out))
-               for path in paths for p in (path, sidecar_path(path))]
+    try:
+        grid = condition_grid(len(cfg.profiles), cfg.payloads)
+        chunks = fork_map(write, contiguous_chunks(grid, usable_cpus()))
+        csvs = [csv for chunk in chunks for csv in chunk]
+        names = [name for csv in csvs
+                 for name in (csv, sidecar_path(csv).name)]
+        _publish(staging, out, names)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
     write_manifest(
         out / "manifest.json", config_hash=digest, seed=cfg.seed,
-        outputs=written, elapsed_seconds=time.perf_counter() - t0,
-        extra={"command": "simulate", "n_runs": len(paths)},
+        outputs=[f"runs/{name}" for name in names],
+        elapsed_seconds=time.perf_counter() - t0,
+        extra={"command": "simulate", "n_runs": len(csvs)},
     )
-    _say(args, f"wrote {len(paths)} runs to {out / 'runs'}")
+    _say(args, f"wrote {len(csvs)} runs to {out / 'runs'}")
     return 0
 
 

@@ -172,6 +172,12 @@ def trace_columns(n_sensors: int) -> list:
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
+    """``a`` itself if it is a read-only, C-ordered float64 array that owns
+    its data (no view of another array), else a read-only copy."""
+    if (type(a) is np.ndarray and not a.flags.writeable
+            and a.flags.c_contiguous and a.dtype == np.float64
+            and a.base is None):
+        return a
     out = np.array(a, dtype=float, order="C")
     out.setflags(write=False)
     return out
@@ -184,8 +190,10 @@ class PressureStateSeries:
     ``sensors`` is (n_sensors, n_samples) with row k the k-th sensor ordered
     base to tip. All traces share the grid's clock. Each array is stored
     as a read-only copy of the one passed in, so slicing (`slice_series`)
-    also copies. ``payload_grams`` is the end mass the run carried, when
-    known: a payload index means different grams in different payload sets.
+    also copies; an array that is already read-only, C-ordered float64 and
+    owns its data, as the kernel hands over its runs, is kept as it is.
+    ``payload_grams`` is the end mass the run carried, when known: a
+    payload index means different grams in different payload sets.
     A non-finite sample is refused, naming its `trace_columns` column.
     """
 

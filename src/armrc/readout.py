@@ -204,14 +204,28 @@ def factor(phi: np.ndarray, theta: np.ndarray) -> WindowFactor:
                         means=phi.mean(axis=0))
 
 
-def window_factor(series: PressureStateSeries, window: Window) -> WindowFactor:
-    """The `factor` of one run's all-sensor design and bending angle over a
-    window, which every fit and score on that window reads."""
+def _window_rows(series: PressureStateSeries, window: Window) -> slice:
+    """A window's samples of a run; a window of none is refused."""
     i0, i1 = window_indices(series.grid, window)
     if i1 == i0:
         raise ValueError(
             f"window [{window.start}, {window.end}) holds no samples")
-    return factor(_design(series.sensors[:, i0:i1]), series.theta[i0:i1])
+    return slice(i0, i1)
+
+
+def window_factor(series: PressureStateSeries, window: Window) -> WindowFactor:
+    """The `factor` of one run's all-sensor design and bending angle over a
+    window, which every fit and score on that window reads."""
+    rows = _window_rows(series, window)
+    return factor(_design(series.sensors[:, rows]), series.theta[rows])
+
+
+def window_r(series: PressureStateSeries, window: Window) -> np.ndarray:
+    """The R of `window_factor` alone, all a fit to a constant target reads:
+    the same LAPACK factorization, so the same bits, with no Q formed."""
+    return np.linalg.qr(_design(series.sensors[:, _window_rows(series,
+                                                              window)]),
+                        mode="r")
 
 
 def solve_reduced(r: np.ndarray, z: np.ndarray,

@@ -39,7 +39,10 @@ computed, so one noise-free run serves every seed (`add_noise`).
 
 One kernel, `simulate_batch`, steps all runs of a call together; every
 other entry point is a thin call into it. A run's bits do not depend on
-the batch it runs in.
+the batch it runs in. A step reads only the coupling's band (`bandwidth`
+w, 1 for the shipped nearest-neighbour coupling): 2w + 1 terms per node
+rather than n. Each run's states, angle and trace are made once and kept
+by its series uncopied; `add_noise` makes one new sensors array.
 """
 
 from __future__ import annotations
@@ -207,26 +210,47 @@ def add_noise(params: SurrogateParams, run: PressureStateSeries,
     if params.noise_std == 0:
         return run
     gen = np.random.Generator(np.random.Philox(0))
-    sensors = run.sensors.copy()
-    for m in range(sensors.shape[0]):
-        sensors[m] += _noise_stream(gen, seed, run.condition, m,
-                                    sensors.shape[1], params.noise_std)
-    return replace(run, sensors=sensors)
+    sensors = np.empty_like(run.sensors)
+    for m, clean in enumerate(run.sensors):
+        np.add(clean, _noise_stream(gen, seed, run.condition, m,
+                                    sensors.shape[1], params.noise_std),
+               out=sensors[m])
+    return replace(run, sensors=_frozen(sensors))
+
+
+def bandwidth(coupling) -> int:
+    """The largest |i - j| with ``coupling[i][j]`` nonzero (0 if none)."""
+    i, j = np.nonzero(np.asarray(coupling))
+    return int(np.abs(i - j).max(initial=0))
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only: a `PressureStateSeries` keeps it uncopied."""
+    a.setflags(write=False)
+    return a
 
 
 def _advance(params: SurrogateParams, traces: list, masses: Sequence[float],
              x0: Optional[np.ndarray]) -> list:
     """Noise-free (n, T) states of B runs, stepped together as one block.
 
-    The block is held as (n, B), a column per run. A step is one multiply
-    and one ``np.add.reduce`` over the outermost axis of n + 2 (n, B)
-    slabs: ``C[i, j] * x[j]`` for j = 0..n-1, ``gain * x``, and the drive.
-    That reduce adds the slabs in order for every B (never BLAS), so a step
-    is ``(C x + gain * x) + drive``, the bits of ``(gain * x + C x) +
-    drive`` as IEEE addition commutes. Reducing a contiguous inner axis
-    would not do: at B = 1 and n >= 8 numpy sums it pairwise. So a run's
-    bits do not depend on the batch. The drive terms are taken with
-    ``np.tanh`` per distinct (T,) trace and per scalar mass.
+    The block is held as (n, B), a column per run, inside a history buffer
+    whose rows are padded with w zero rows on each side, w the coupling's
+    `bandwidth`. A step is two multiplies and one ``np.add.reduce`` over
+    the outermost axis of 2w + 3 (n, B) slabs: ``C[i, i + s - w] *
+    x[i + s - w]`` for s = 0..2w (a sliding view of the padded row, so j
+    ascends), ``gain * x``, and the drive; the reduce writes the next
+    history row, so no step copies x. It adds the slabs in order for every
+    B (never BLAS), so a step is ``(C x + gain * x) + drive`` with ``C x``
+    summed in j order, the bits of ``(gain * x + C x) + drive`` as IEEE
+    addition commutes. The terms outside the band are 0 * x, exact zeros,
+    so leaving them out can flip only the sign of a zero partial sum. (A
+    dense coupling is a full band of 2n - 1 slots: exact, but slower than
+    the n terms a step would need.)
+    Reducing a contiguous inner axis would not do: at B = 1 and n >= 8
+    numpy sums it pairwise. So a run's bits do not depend on the batch.
+    The drive terms are taken with ``np.tanh`` per distinct (T,) trace and
+    per scalar mass.
     """
     n, n_samples, n_runs = params.n_nodes, len(traces[0]), len(traces)
     leak, kp, ig, pg = (np.asarray(v)[:, None] for v in (
@@ -242,30 +266,43 @@ def _advance(params: SurrogateParams, traces: list, masses: Sequence[float],
     v_u = np.array([np.tanh(t / U_PAYLOAD_REF) for t in s_u])
     rho = np.array([np.tanh(m / params.payload_sat) for m in masses])
 
-    x = np.zeros((n, n_runs)) if x0 is None else np.array(x0, dtype=float).T
+    w = bandwidth(params.coupling)
+    slots = 2 * w + 1
+    # band[s, i] = C[i, i + s - w], zero where i + s - w falls off the arm
+    cpad = np.zeros((n, n + 2 * w))
+    cpad[:, w:w + n] = params.coupling
+    band = np.empty((slots, n, n_runs))
+    band[...] = np.array([cpad[i, i:i + slots] for i in range(n)]).T[
+        :, :, None]
+    # history row k holds the states after step k of the chunk (row 0: the
+    # chunk's start) between w zero rows on each side
+    hist = np.zeros((_CHUNK + 1, n + 2 * w, n_runs))
+    if x0 is not None:
+        hist[0, w:w + n] = np.asarray(x0, dtype=float).T
+    # windows[k][s, i] = hist[k, i + s]: x[i + s - w] on the padded row
+    windows = np.moveaxis(np.lib.stride_tricks.sliding_window_view(
+        hist[:-1], slots, axis=1), 3, 1)
+    x = hist[:, w:w + n]
+    # step k: terms[k][:slots] = band * window, terms[k][slots] = gain * x,
+    # terms[k][slots + 1] is the drive; gain and drive filled once a chunk
+    terms = np.empty((_CHUNK, slots + 2, n, n_runs))
+    gain = np.empty((_CHUNK, n, n_runs))
+    steps = [(windows[k], terms[k, :slots], gain[k], x[k], terms[k, slots],
+              terms[k], x[k + 1]) for k in range(_CHUNK)]
     states = [np.empty((n, n_samples)) for _ in traces]
-    buf = np.empty((_CHUNK, n, n_runs))
-    # step k: terms[k][:n + 1] = coef[k] * operand, whose slab j < n holds
-    # x[j] in every row and slab n holds x; terms[k][n + 1] is the drive.
-    # The coupling slabs are filled once, the gain and drive once a chunk.
-    coef = np.empty((_CHUNK, n + 1, n, n_runs))
-    coef[:, :n] = np.asarray(params.coupling).T[:, :, None]
-    terms, operand = (np.empty((_CHUNK, n + 2, n, n_runs)),
-                      np.empty((n + 1, n, n_runs)))
-    spread, last, products = operand[:n], operand[n], terms[:, :n + 1]
     for k0 in range(0, n_samples, _CHUNK):
         k1 = min(k0 + _CHUNK, n_samples)
         phi = phi_u[idx, k0:k1].T[:, None, :]
-        coef[:k1 - k0, n] = ((1.0 - leak * (1.0 - kp * phi))
-                             + pg * (rho * v_u[idx, k0:k1].T)[:, None, :])
-        terms[:k1 - k0, n + 1] = ig * s_u[idx, k0:k1].T[:, None, :]
-        for k in range(k1 - k0):
-            spread[...] = x[:, None, :]
-            last[...] = x
-            np.multiply(coef[k], operand, out=products[k])
-            x = np.add.reduce(terms[k], axis=0, out=buf[k])
+        gain[:k1 - k0] = ((1.0 - leak * (1.0 - kp * phi))
+                          + pg * (rho * v_u[idx, k0:k1].T)[:, None, :])
+        terms[:k1 - k0, slots + 1] = ig * s_u[idx, k0:k1].T[:, None, :]
+        for window, coupled, g, xk, gained, summands, nxt in steps[:k1 - k0]:
+            np.multiply(band, window, out=coupled)
+            np.multiply(g, xk, out=gained)
+            np.add.reduce(summands, axis=0, out=nxt)
         for b, st in enumerate(states):
-            st[:, k0:k1] = buf[:k1 - k0, :, b].T
+            st[:, k0:k1] = x[1:k1 - k0 + 1, :, b].T
+        hist[0] = hist[k1 - k0]
     return states
 
 
@@ -304,13 +341,15 @@ def simulate_batch(
     for cond in conditions if noisy else ():
         _noise_key(cond, params.n_nodes - 1)
     states = _advance(params, traces, masses, x0) if traces else []
+    # one read-only copy of each distinct trace, shared by its runs
+    s_in = {id(t): _frozen(t.copy()) for t in traces}
     runs = []
     for b, (trace, mass, cond) in enumerate(zip(traces, masses, conditions)):
-        st, states[b] = states[b], None
+        st, states[b] = _frozen(states[b]), None
         theta = (sum(w * s for w, s in zip(params.angle_weights, st))
                  + params.angle_payload_slope * mass)
-        run = PressureStateSeries(grid=grid, s_in=trace, sensors=st,
-                                  theta=theta, condition=cond,
+        run = PressureStateSeries(grid=grid, s_in=s_in[id(trace)], sensors=st,
+                                  theta=_frozen(theta), condition=cond,
                                   payload_grams=float(mass))
         runs.append(add_noise(params, run, seed) if noisy else run)
     return runs

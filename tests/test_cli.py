@@ -145,6 +145,9 @@ class TestSimulatePool:
         assert self._simulate(out, small, 2, monkeypatch, status=1) == ["fork"]
         assert capsys.readouterr().err == "error: cannot simulate P7M7\n"
         assert not (out / "manifest.json").exists()
+        # the other worker's share succeeded, yet none of its files stays
+        assert list(out.rglob("*.csv")) == []
+        assert list(out.rglob("*.meta.json")) == []
         assert multiprocessing.active_children() == []
 
     def test_a_run_path_in_the_way_is_one_error_line(self, small, tmp_path,
@@ -158,7 +161,42 @@ class TestSimulatePool:
         assert rc == 1
         assert err.startswith("error:") and err.count("\n") == 1
         assert "P3M4.csv" in err
+        # the runs before P3M4 were in place; they are taken out again
+        assert [p for p in out.rglob("*") if p.is_file()] == []
         assert multiprocessing.active_children() == []
+
+    def test_a_run_path_in_the_way_spares_an_earlier_runs_files(
+            self, small, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "out"
+        assert self._simulate(out, small, 2, monkeypatch) == ["fork"]
+        (out / "runs" / "P3M4.csv").unlink()
+        (out / "runs" / "P3M4.csv").mkdir()
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        self._simulate(out, small, 2, monkeypatch, status=1)
+        assert "P3M4.csv" in capsys.readouterr().err
+        # refused before anything moved: every earlier file is as it was
+        assert {p: p.read_bytes()
+                for p in out.rglob("*") if p.is_file()} == before
+
+    def test_a_move_that_fails_leaves_no_stale_manifest(
+            self, small, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "out"
+        assert self._simulate(out, small, 2, monkeypatch) == ["fork"]
+        real = Path.replace
+
+        def refuse_p3m4(self, target):
+            if Path(target).name == "P3M4.csv":
+                raise PermissionError(13, "Permission denied", str(target))
+            return real(self, target)
+
+        monkeypatch.setattr(Path, "replace", refuse_p3m4)
+        self._simulate(out, small, 2, monkeypatch, status=1)
+        assert "P3M4.csv" in capsys.readouterr().err
+        # the runs moved before P3M4 are taken out again, so the earlier
+        # manifest, which listed them, is gone too
+        assert not (out / "manifest.json").exists()
+        assert not (out / "runs" / "P1M1.csv").exists()
+        assert (out / "runs" / "P7M7.csv").exists()
 
     def test_a_run_path_in_the_way_leaves_no_traceback(self, small, tmp_path):
         out = tmp_path / "out"
@@ -1047,9 +1085,11 @@ class TestOneSeed:
 
         monkeypatch.setattr(surrogate, "add_noise", spy)
         monkeypatch.setattr(sweeps, "add_noise", spy)
-        # the run CSVs are not under test; skip writing 35 MB of them
+        # the run CSVs are not under test; skip writing 35 MB of them, and
+        # moving them into runs/
         monkeypatch.setattr(cli, "export_run",
                             lambda series, path, **kw: Path(path))
+        monkeypatch.setattr(cli, "_publish", lambda *args: None)
         cfg = tmp_path / "seeded.yaml"
         cfg.write_text("seed: 123\nsample_counts: [100, 1000]\n"
                        f"sample_repeats: {self.REPEATS}\n")

@@ -241,6 +241,20 @@ class TestPressureStateSeries:
         with pytest.raises(ValueError):
             series.theta[0] = 1.0
 
+    def test_a_writable_array_is_copied_and_a_frozen_owner_kept(self):
+        grid = TimeGrid(n_samples=10)
+        s_in, sensors = np.arange(10.0), np.ones((2, 10))
+        theta = np.zeros(10)
+        theta.setflags(write=False)
+        series = PressureStateSeries(grid, s_in, sensors, theta)
+        s_in[0] = sensors[0, 0] = 5.0
+        assert series.s_in[0] == 0.0 and series.sensors[0, 0] == 1.0
+        assert series.theta is theta
+        # a read-only view of another array is not its own: copied
+        view = np.ones((3, 10))[1:]
+        view.setflags(write=False)
+        assert PressureStateSeries(grid, s_in, view, theta).sensors is not view
+
     def test_window_indices_match_floor_convention(self):
         grid = TimeGrid()
         assert window_indices(grid, Window(50.0, 75.0)) == (2000, 3000)

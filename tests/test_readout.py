@@ -22,6 +22,7 @@ from armrc.readout import (
     train,
     truth_scale,
     window_factor,
+    window_r,
 )
 
 
@@ -252,6 +253,32 @@ class TestWindowFactor:
         assert np.linalg.norm(c * f.r[:, 0] - ref) <= 1e-12 * np.linalg.norm(ref)
         assert np.array_equal(f.z, ref)
         assert f.floor <= 1e-24 * (target @ target)
+
+
+class TestWindowR:
+    # a fit to constant targets reads R alone: `window_r` gives it from
+    # the same LAPACK factorization as `window_factor`, so the same bits
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), sensors=st.integers(1, 9),
+           samples=st.integers(1, 60), start=st.integers(0, 59),
+           count=st.integers(1, 60))
+    def test_r_alone_is_the_bits_of_the_full_factors_r(
+            self, seed, sensors, samples, start, count):
+        assume(start + count <= samples)
+        rng = np.random.default_rng(seed)
+        series = series_from_sensors(rng.normal(size=(sensors, samples)),
+                                     rate=1.0)
+        series = PressureStateSeries(series.grid, series.s_in, series.sensors,
+                                     rng.normal(size=samples))
+        window = Window(float(start), float(start + count))
+        r = window_r(series, window)
+        assert r.tobytes() == window_factor(series, window).r.tobytes()
+        assert r.shape == window_factor(series, window).r.shape
+
+    def test_an_empty_window_is_refused(self):
+        series = series_from_sensors(np.ones((2, 10)), rate=1.0)
+        with pytest.raises(ValueError, match="holds no samples"):
+            window_r(series, Window(3.0, 3.0))
 
 
 class TestDesign:

@@ -364,6 +364,86 @@ class TestKernelOracle:
 
 
 @st.composite
+def banded_arms(draw):
+    """Parameters for 1-9 nodes whose coupling has bandwidth w, drawn from
+    0..n-1: every entry with 0 < |i - j| <= w is nonzero and the diagonal
+    is all zero or all nonzero, so a row holds as many nonzero terms as its
+    band allows (at least 3 once w >= 2), which pins their summation order.
+    Row sums stay <= 0.04 < leak * (1 - leak_pressure_coeff)."""
+    n = draw(st.integers(1, 9))
+    w = draw(st.integers(0, n - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    offset = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
+    band = (offset <= w) & ((offset > 0) | draw(st.booleans()))
+    coupling = np.where(band, rng.uniform(0.001, 0.04 / (2 * w + 1), (n, n)),
+                        0.0)
+    params = SurrogateParams(
+        n_nodes=n, leak=tuple(rng.uniform(0.1, 0.5, n)),
+        coupling=tuple(map(tuple, coupling)),
+        input_gain=tuple(np.sort(rng.uniform(0.01, 0.05, n))),
+        payload_gain=tuple(rng.uniform(-0.4, 0.0, n)),
+        angle_weights=tuple(rng.uniform(0.0, 1.0, n)),
+        leak_pressure_coeff=tuple(rng.uniform(0.0, 0.5, n)))
+    return params, w, rng
+
+
+class TestBandedKernel:
+    # the kernel steps along the coupling's band: whatever the bandwidth,
+    # its bits are the scalar step's over every j
+    def test_bandwidth_is_the_widest_nonzero_offset(self):
+        assert surrogate.bandwidth(SurrogateParams().coupling) == 1
+        assert surrogate.bandwidth(np.zeros((3, 3))) == 0
+        assert surrogate.bandwidth(np.eye(4)) == 0
+        assert surrogate.bandwidth(np.eye(5, k=-3)) == 3
+
+    @settings(max_examples=40, deadline=None)
+    @given(banded_arms(), st.integers(1, 3), st.integers(1, 80))
+    def test_states_match_the_scalar_step_at_every_bandwidth(
+            self, arm, n_runs, n_samples):
+        params, w, rng = arm
+        assert surrogate.bandwidth(params.coupling) == w
+        grid = TimeGrid(n_samples=n_samples)
+        traces = [rng.uniform(0.0, 50.0, n_samples) for _ in range(n_runs)]
+        traces[0][:5] = 0.0  # zero drive while the states are negative
+        masses = [0.0, 120.0, 400.0][:n_runs]
+        x0 = -rng.uniform(0.5, 10.0, (n_runs, params.n_nodes))
+        x0[0, 0] = -0.0
+        runs = simulate_batch(params, traces, masses, grid, x0=x0,
+                              with_noise=False)
+        for run, trace, mass, start in zip(runs, traces, masses, x0):
+            assert run.sensors.tobytes() == _oracle(params, trace, mass,
+                                                    start).tobytes()
+
+
+class TestOneArrayPerRun:
+    # a simulated run keeps the arrays the kernel made, uncopied, and its
+    # noise makes one new sensors array and nothing else
+    def test_a_run_keeps_the_kernels_arrays(self):
+        params = SurrogateParams()
+        grid = TimeGrid(n_samples=50)
+        runs = simulate_batch(params, [P1[:50], P1[:50]], [0.0, 100.0], grid,
+                              with_noise=False)
+        for run in runs:
+            for a in (run.s_in, run.sensors, run.theta):
+                assert a.base is None and not a.flags.writeable
+        # one read-only copy of a trace serves each of its runs
+        trace = P1[:50].copy()
+        a, b = simulate_batch(params, [trace, trace], [0.0, 100.0], grid,
+                              with_noise=False)
+        assert a.s_in is b.s_in
+        assert not np.shares_memory(a.s_in, trace)
+
+    def test_noise_makes_only_the_sensors_anew(self):
+        params = SurrogateParams()
+        clean = simulate(params, P1[:50], 100.0, TimeGrid(n_samples=50),
+                         condition=InputCondition(1, 2), with_noise=False)
+        noisy = surrogate.add_noise(params, clean, 3)
+        assert noisy.s_in is clean.s_in and noisy.theta is clean.theta
+        assert noisy.sensors.base is None and not noisy.sensors.flags.writeable
+        assert not np.shares_memory(noisy.sensors, clean.sensors)
+
+
+@st.composite
 def node_params(draw):
     """Valid surrogate parameters for 1-12 nodes with a dense coupling:
     leak * (1 - leak_pressure_coeff) >= 0.05 outweighs the coupling's row

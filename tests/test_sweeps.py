@@ -946,6 +946,26 @@ class TestFactorMemo:
         assert calls == []
 
 
+class TestConstantTargetsReadROnly:
+    # a (condition, window) all of whose targets are constants is fitted
+    # from its R alone (`readout.window_r`), with no Q formed; the weights
+    # are the bits a full factor gives
+    @pytest.mark.parametrize("ridge", [0.0, 1e-3])
+    def test_mass_and_detect_weights_equal_the_full_factors(
+            self, cfg, payload_runs, ridge):
+        fits = sweeps._plan(payload_runs, None, nested_payload_subsets(),
+                            TRAIN_WINDOW, (10, 100, None), (None, (4, 5, 6)))
+        constant = (TaskKind.PAYLOAD_MASS, TaskKind.PAYLOAD_DETECT)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _spy_on_factors(mp)
+            alone = sweeps._solve(fits, _fresh(payload_runs), cfg.payloads,
+                                  constant, ridge)
+            assert calls == []
+        full = sweeps._solve(fits, _fresh(payload_runs), cfg.payloads,
+                             (TaskKind.BENDING_ANGLE, *constant), ridge)
+        assert alone.tobytes() == full[:, 1:].tobytes()
+
+
 class TestTruthMass:
     # a run that records its grams must carry the mass its payload index
     # has in the payload set a sweep is given
