@@ -228,6 +228,13 @@ def window_r(series: PressureStateSeries, window: Window) -> np.ndarray:
                         mode="r")
 
 
+def window_means(series: PressureStateSeries, window: Window) -> np.ndarray:
+    """The ``means`` of `window_factor` alone, all a constant target's score
+    reads: the same design rows, so the same bits, with no QR."""
+    return _design(series.sensors[:, _window_rows(series, window)]).mean(
+        axis=0)
+
+
 def solve_reduced(r: np.ndarray, z: np.ndarray,
                   ridge: float = 0.0) -> np.ndarray:
     """Fit a stack of readouts on (R, Q^T Y) rows in one SVD call: ``r``

@@ -3,11 +3,11 @@ result-matrix CSVs, and run manifests.
 
 Run CSVs hold each float as its shortest round-trip decimal (``orjson``'s
 Ryu writer), so export followed by ingest reproduces every float
-bit-for-bit. Ingest parses a body of plain JSON numbers with ``orjson`` and
-any other text with ``np.loadtxt``: the same floats and the same errors
-either way (`_read_rows`). Each artifact embeds the config hash and seed
-for provenance; wall-clock timestamps appear only in manifests so output
-trees stay byte-reproducible.
+bit-for-bit. Ingest parses rows of plain JSON numbers with ``orjson``, one
+flat list per 64 KiB block, and any other text with ``np.loadtxt``: the
+same floats and the same errors either way (`_read_rows`). Each artifact
+embeds the config hash and seed for provenance; wall-clock timestamps
+appear only in manifests so output trees stay byte-reproducible.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ WEIGHTS_FORMAT = "armrc-weights-v1"
 CLOCK_TOLERANCE = 1e-6
 # run rows per orjson call: a run's whole text is never held, only its floats
 _ROWS_PER_WRITE = 256
-# every byte a run body of plain JSON numbers holds
-_NUMBER_BYTES = b"0123456789.eE+-,\n"
+# every byte of a plain JSON number; a body's other bytes are its row shape
+_VALUE_BYTES = b"0123456789.eE+-"
 
 
 def config_digest(config) -> str:
@@ -197,28 +197,37 @@ def _read_rows(fh) -> np.ndarray:
     binary file ``fh``: the same floats bit for bit, or its ValueError, and
     no rows without its warning (the caller refuses them in one line).
 
-    Blocks of about 64 KiB of lines that hold only plain JSON numbers parse
-    with ``orjson``, correctly rounded and faster than loadtxt's ``strtod``;
-    any other body (``nan``, ``.5``, CRLF, comments, a ragged row, an
-    integer ``-0`` that orjson reads as +0, ...) goes to `np.loadtxt`."""
+    Per 64 KiB chunk, cut after its last newline, deleting the value bytes
+    ``0-9 . e E + -`` must leave the first line's commas and newline once
+    per row (no other byte, no ragged row); then one flat ``orjson`` list,
+    correctly rounded and faster than loadtxt's ``strtod``, takes the
+    (rows, w) shape. Any other body (``nan``, ``.5``, CRLF, comments, blank
+    lines, an empty cell, an integer ``-0`` that orjson reads as +0, no
+    final newline, ...) goes to `np.loadtxt`."""
     import orjson  # here, so that importing armrc does not pay for it
 
     start = fh.tell()
-    blocks = []
+    blocks, rest, row_shape = [], b"", None
     try:
-        while lines := fh.readlines(1 << 16):
-            text = b"".join(lines)
-            if text.translate(None, _NUMBER_BYTES) or text[-1:] != b"\n":
-                raise ValueError("not plain JSON numbers")
-            block = np.array(orjson.loads(
-                b"[[" + text[:-1].replace(b"\n", b"],[") + b"]]"), dtype=float)
+        # a line longer than a chunk is carried whole, and the next read is
+        # at least as long, so carrying a line of L bytes copies O(L) bytes
+        while chunk := fh.read(max(1 << 16, len(rest))):
+            text, newline, rest = (rest + chunk).rpartition(b"\n")
+            if not newline:
+                continue
+            shape = text.translate(None, _VALUE_BYTES) + b"\n"
+            row_shape = row_shape or shape[:shape.index(b"\n") + 1]
+            if shape != row_shape * (rows := shape.count(b"\n")):
+                raise ValueError("not rows of plain JSON numbers")
+            flat = b"[" + text.replace(b"\n", b",") + b"]"
+            block = np.array(orjson.loads(flat), dtype=float)
             # only a block holding a zero can hold a -0 that orjson made +0
-            if not block.all() and (b"-0," in text or b"-0\n" in text):
+            if not block.all() and (b"-0," in flat or b"-0]" in flat):
                 raise ValueError("an integer -0")
-            blocks.append(block)
-        if blocks and (data := np.concatenate(blocks)).size:
-            return data
-    except ValueError:  # a numeral outside JSON, a ragged row, a check above
+            blocks.append(block.reshape(rows, len(row_shape)))
+        if blocks and not rest:
+            return np.concatenate(blocks)
+    except ValueError:  # a numeral outside JSON, an empty cell, a check above
         pass
     fh.seek(start)
     with io.TextIOWrapper(fh, encoding="utf-8") as text, \

@@ -22,9 +22,10 @@ Each (run, window) is factored once per process while its run lives
 (`readout.window_factor`), and `tasks.score` reads every reported number
 off it (README: "Readout solver"). A training window whose every target
 is a constant (mass, detect) needs only R, so it is factored for R alone
-(`readout.window_r`, the same bits) each time a sweep reads it.
+(`readout.window_r`, the same bits) each time a sweep reads it; a mass
+cell's score reads its test window's `readout.window_means` alone.
 A sweep makes one `readout.solve_reduced` call per shape of stacked R rows
-and one `score` call per evaluation cell; the multitask grid scores each
+and one score call per evaluation cell; the multitask grid scores each
 cell from its own factor. Every cell equals, bit for bit, its lone
 `train_on_subset` scored alone.
 """
@@ -56,6 +57,7 @@ from .readout import (
     normalize_mask,
     solve_reduced,
     window_factor,
+    window_means,
     window_r,
 )
 # no sweep calls simulate_conditions: perfbench's spans name it here
@@ -65,6 +67,7 @@ from .tasks import (
     DETECT_PRESENT,
     PayloadStatus,
     TaskKind,
+    constant_score,
     payload_status,
     score,
 )
@@ -243,6 +246,8 @@ def _sweep(task: TaskKind, fits: Sequence, evaluation, runs: Mapping,
     w = _solve(fits, runs, payloads, (task,), ridge)[:, 0]
     grid = np.column_stack([
         score(task, _factor(runs, cond, test_window), w, truth, normalizer)
+        if truth is None else  # a mass reads the test window's means alone
+        constant_score(task, window_means(runs[cond], test_window), w, truth)
         for cond, truth in zip(evaluation, truths)])
     return grid, w
 

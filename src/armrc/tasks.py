@@ -83,7 +83,14 @@ def score(task: TaskKind, block: WindowFactor, w: np.ndarray,
         sq = (resid[..., None, :] @ resid[..., None])[..., 0, 0]
         rms = np.sqrt((sq + block.floor) / block.n_rows)
         return scaled_percent(rms, truth_scale(block.span, normalizer))
-    mean = (w[..., None, :] @ block.means[..., None])[..., 0, 0]
+    return constant_score(task, block.means, w, mass)
+
+
+def constant_score(task: TaskKind, means: np.ndarray, w: np.ndarray,
+                   mass: Optional[float]) -> np.ndarray:
+    """`score` of a constant-target task (mass or detect), which reads only
+    the window design's column ``means`` (`readout.window_means`)."""
+    mean = (w[..., None, :] @ means[..., None])[..., 0, 0]
     if task is TaskKind.PAYLOAD_MASS:
         return mass_error_percent(mean, mass)
     return mean

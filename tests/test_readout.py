@@ -22,6 +22,7 @@ from armrc.readout import (
     train,
     truth_scale,
     window_factor,
+    window_means,
     window_r,
 )
 
@@ -260,11 +261,12 @@ class TestWindowR:
     # the same LAPACK factorization as `window_factor`, so the same bits
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), sensors=st.integers(1, 9),
-           samples=st.integers(1, 60), start=st.integers(0, 59),
-           count=st.integers(1, 60))
+           samples=st.integers(1, 60), data=st.data())
     def test_r_alone_is_the_bits_of_the_full_factors_r(
-            self, seed, sensors, samples, start, count):
-        assume(start + count <= samples)
+            self, seed, sensors, samples, data):
+        # the window is drawn inside the run, so no draw is thrown away
+        start = data.draw(st.integers(0, samples - 1), label="start")
+        count = data.draw(st.integers(1, samples - start), label="count")
         rng = np.random.default_rng(seed)
         series = series_from_sensors(rng.normal(size=(sensors, samples)),
                                      rate=1.0)
@@ -274,11 +276,15 @@ class TestWindowR:
         r = window_r(series, window)
         assert r.tobytes() == window_factor(series, window).r.tobytes()
         assert r.shape == window_factor(series, window).r.shape
+        # a constant target's score reads the column means alone
+        means = window_means(series, window)
+        assert means.tobytes() == window_factor(series, window).means.tobytes()
 
-    def test_an_empty_window_is_refused(self):
+    @pytest.mark.parametrize("alone", [window_r, window_means])
+    def test_an_empty_window_is_refused(self, alone):
         series = series_from_sensors(np.ones((2, 10)), rate=1.0)
         with pytest.raises(ValueError, match="holds no samples"):
-            window_r(series, Window(3.0, 3.0))
+            alone(series, Window(3.0, 3.0))
 
 
 class TestDesign:

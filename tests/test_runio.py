@@ -1,4 +1,7 @@
+import bisect
 import dataclasses
+import io
+import itertools
 import json
 import math
 import os
@@ -16,6 +19,7 @@ from hypothesis.extra.numpy import arrays
 
 from armrc.core import InputCondition, PressureStateSeries, TimeGrid
 from armrc.profiles import default_profile_family, generate_profile
+from armrc import runio
 from armrc.readout import ReadoutWeights
 from armrc.runio import (
     CLOCK_TOLERANCE,
@@ -490,6 +494,140 @@ class TestReadPaths:
             plain.grid, plain.condition, plain.payload_grams)
         for name in ("s_in", "sensors", "theta"):
             assert getattr(back, name).tobytes() == getattr(plain, name).tobytes()
+
+    # bodies cut at the 64 KiB read size, counted from the first byte after
+    # the header: each reads as np.loadtxt reads it, or fails with its error
+    BLOCK = 1 << 16
+
+    def _body(self, sample_run, tmp_path, edit):
+        """A 4,000-sample export whose body ``edit`` rewrites from its row
+        texts (each without its newline) to bytes."""
+        path = export_run(sample_run, tmp_path / "run.csv")
+        header, body = path.read_bytes().split(b"\n", 1)
+        path.write_bytes(header + b"\n" + edit(body.split(b"\n")[:-1]))
+        return path
+
+    @staticmethod
+    def _ending_at(rows, offset, k=None):
+        """Pads row ``k`` (by default the last row to end by body byte
+        ``offset``) with trailing zeros on its time cell, a decimal with a
+        point and no exponent, so that its newline is the byte before
+        ``offset``; returns k."""
+        ends = list(itertools.accumulate(len(row) + 1 for row in rows))
+        if k is None:
+            k = bisect.bisect_right(ends, offset) - 1
+        t, rest = rows[k].split(b",", 1)
+        rows[k] = t + b"0" * (offset - ends[k]) + b"," + rest
+        return k
+
+    def _reads_as_loadtxt(self, path, monkeypatch, fallback=True):
+        """`ingest_run` of ``path`` gives np.loadtxt's floats bit for bit,
+        or its error after the file name: through np.loadtxt when
+        ``fallback``, else with no np.loadtxt call."""
+        with open(path, encoding="utf-8") as fh:
+            fh.readline()
+            try:
+                ref, error = np.loadtxt(fh, delimiter=",", ndmin=2), None
+            except ValueError as exc:
+                ref, error = None, f"{path.name}: {exc}"
+        calls = self._spy(monkeypatch, refuse=not fallback)
+        if error:
+            with pytest.raises(ValueError) as info:
+                ingest_run(path)
+            assert str(info.value) == error
+        else:
+            back = ingest_run(path)
+            got = np.column_stack([back.s_in, back.sensors.T, back.theta])
+            assert got.tobytes() == ref[:, 1:].tobytes()
+        assert bool(calls) == fallback
+
+    @pytest.mark.parametrize("split", [False, True],
+                             ids=["one block", "two blocks"])
+    def test_rows_whose_cell_counts_balance_are_loadtxts_error(
+            self, sample_run, tmp_path, monkeypatch, split):
+        def edit(rows):
+            # a cell moves from row k + 1 to row k: w + 1 cells, then w - 1;
+            # split, row k ends the first block
+            k = self._ending_at(rows, self.BLOCK - 100) if split else 100
+            head, cell = rows[k + 1].split(b",", 1)
+            rows[k] += b"," + head
+            rows[k + 1] = cell
+            if split:
+                self._ending_at(rows, self.BLOCK, k)
+            return b"".join(row + b"\n" for row in rows)
+
+        path = self._body(sample_run, tmp_path, edit)
+        if split:  # row k, of w + 1 cells, is the first block's last line
+            first = path.read_bytes().split(b"\n", 1)[1][:self.BLOCK]
+            assert first.endswith(b"\n")
+            w = 3 + sample_run.n_sensors
+            assert first.rsplit(b"\n", 2)[-2].count(b",") == w
+        self._reads_as_loadtxt(path, monkeypatch)
+
+    def test_a_line_longer_than_a_block_reads_without_loadtxt(
+            self, sample_run, tmp_path, monkeypatch):
+        def edit(rows):
+            t, rest = rows[7].split(b",", 1)
+            rows[7] = t + b"0" * (2 * self.BLOCK) + b"," + rest
+            return b"".join(row + b"\n" for row in rows)
+
+        self._reads_as_loadtxt(self._body(sample_run, tmp_path, edit),
+                               monkeypatch, fallback=False)
+
+    def test_a_long_line_is_read_in_growing_chunks(self):
+        # a read after a carried line is at least that long, so carrying a
+        # line of L bytes copies O(L) bytes, not O(L^2 / 64 KiB)
+        sizes = []
+
+        class Reads(io.BytesIO):
+            def read(self, size=-1):
+                sizes.append(size)
+                return super().read(size)
+
+        body = b"1.5" + b"0" * (1 << 20) + b",2.0\n3.0,4.0\n"
+        assert runio._read_rows(Reads(body)).tolist() == [[1.5, 2.0],
+                                                          [3.0, 4.0]]
+        assert len(sizes) <= 8  # 17 chunks of 64 KiB hold the line
+
+    def test_a_last_line_without_newline_ending_a_block(
+            self, sample_run, tmp_path, monkeypatch):
+        def edit(rows):
+            rows = rows[:self._ending_at(rows, 2 * self.BLOCK + 1) + 1]
+            return b"".join(row + b"\n" for row in rows)[:-1]
+
+        path = self._body(sample_run, tmp_path, edit)
+        body = path.read_bytes().split(b"\n", 1)[1]
+        assert len(body) == 2 * self.BLOCK and body[-1:] != b"\n"
+        meta = json.loads(sidecar_path(path).read_text())
+        meta["n_samples"] = body.count(b"\n") + 1  # the rows kept
+        sidecar_path(path).write_text(json.dumps(meta))
+        self._reads_as_loadtxt(path, monkeypatch)
+
+    def test_an_integer_minus_zero_ending_a_block_keeps_its_sign(
+            self, sample_run, tmp_path, monkeypatch):
+        def edit(rows):
+            k = self._ending_at(rows, self.BLOCK - 100)
+            rows[k] = rows[k].rsplit(b",", 1)[0] + b",-0"
+            self._ending_at(rows, self.BLOCK, k)
+            return b"".join(row + b"\n" for row in rows)
+
+        path = self._body(sample_run, tmp_path, edit)
+        first = path.read_bytes().split(b"\n", 1)[1][:self.BLOCK]
+        assert first.endswith(b",-0\n")
+        self._reads_as_loadtxt(path, monkeypatch)
+
+    @pytest.mark.parametrize("block", [0, 1], ids=["first", "second"])
+    def test_a_blank_line_starting_a_block(self, sample_run, tmp_path,
+                                           monkeypatch, block):
+        def edit(rows):
+            k = self._ending_at(rows, self.BLOCK) + 1 if block else 0
+            rows.insert(k, b"")
+            return b"".join(row + b"\n" for row in rows)
+
+        path = self._body(sample_run, tmp_path, edit)
+        body = path.read_bytes().split(b"\n", 1)[1]
+        assert body[block * self.BLOCK:block * self.BLOCK + 1] == b"\n"
+        self._reads_as_loadtxt(path, monkeypatch)
 
 
 class TestWeightsRoundTrip:

@@ -965,6 +965,26 @@ class TestConstantTargetsReadROnly:
                              (TaskKind.BENDING_ANGLE, *constant), ridge)
         assert alone.tobytes() == full[:, 1:].tobytes()
 
+    @pytest.mark.parametrize("count", [100, None])
+    def test_a_mass_sweep_factors_no_window(self, cfg, payload_runs, count):
+        # a mass cell's score reads only its test window's column means
+        # (`readout.window_means`): the bits of the full factor's `means`
+        runs, evaluation = _fresh(payload_runs), payload_conditions()[1:]
+        fits = sweeps._plan(runs, evaluation, nested_payload_subsets(),
+                            TRAIN_WINDOW, (count,))
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _spy_on_factors(mp)
+            grid, w = sweeps._sweep(TaskKind.PAYLOAD_MASS, fits, evaluation,
+                                    runs, cfg.payloads, TEST_WINDOW, 0.0,
+                                    "range")
+            assert calls == []
+        full = np.column_stack([
+            score(TaskKind.PAYLOAD_MASS,
+                  window_factor(runs[cond], TEST_WINDOW), w,
+                  cfg.payloads.mass_of(cond.payload_index), "range")
+            for cond in evaluation])
+        assert grid.tobytes() == full.tobytes()
+
 
 class TestTruthMass:
     # a run that records its grams must carry the mass its payload index
