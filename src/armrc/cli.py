@@ -21,7 +21,8 @@ from .config import (ConfigError, ExperimentConfig, default_config,
                      load_config, training_window)
 from .core import (Window, condition_grid, parse_condition_label,
                    slice_series, trace_columns)
-from .readout import correlation_matrix, full_width, window_factor
+from .readout import (correlation_matrix, full_width, window_factor,
+                      window_means)
 from .runio import (
     config_digest,
     contiguous_chunks,
@@ -47,7 +48,7 @@ from .sweeps import (
     tip_sensor_masks,
     train_on_subset,
 )
-from .tasks import TaskKind, payload_status, score
+from .tasks import TaskKind, constant_score, payload_status, score
 
 HARDWARE_NOTE = ("percent errors are surrogate results; hardware-measured "
                  "percentages are qualitative ordering targets only")
@@ -167,19 +168,19 @@ def cmd_evaluate(args) -> int:
         print(f"warning: {args.run}: the sidecar records no payload_grams; "
               f"taking {mass:g} g for {series.condition.label} from the "
               "config's payloads", file=sys.stderr)
-    block = window_factor(series, window)
+    means = window_means(series, window)
     for name, w in zip(weights.task_names,
                        full_width(weights, series.n_sensors)):
         # the window mean: the detect output, or the mass estimate
-        mean = score(TaskKind.PAYLOAD_DETECT, block, w, mass, cfg.normalizer)
+        mean = constant_score(TaskKind.PAYLOAD_DETECT, means, w, mass)
         if name == TaskKind.BENDING_ANGLE.value:
-            err = score(TaskKind.BENDING_ANGLE, block, w, mass, cfg.normalizer)
+            err = score(TaskKind.BENDING_ANGLE, window_factor(series, window),
+                        w, mass, cfg.normalizer)
             line = f"task=bending nrmse_percent={err:.4f}"
         elif name == TaskKind.PAYLOAD_MASS.value:
             line = f"task=mass estimate_grams={mean:.4f}"
             if mass is not None and mass > 0:
-                err = score(TaskKind.PAYLOAD_MASS, block, w, mass,
-                            cfg.normalizer)
+                err = constant_score(TaskKind.PAYLOAD_MASS, means, w, mass)
                 line += f" truth_grams={mass:.1f} relative_error_percent={err:.4f}"
         else:
             line = f"task={name} mean_output={mean:.4f}"

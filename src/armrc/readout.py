@@ -2,12 +2,12 @@
 
 The design is [1 | S], a bias column then one column per sensor, built
 only by `_design`; `columns` maps a mask onto it. Training and scoring
-share one factorization: `factor` takes the QR of a window's design
-(`window_factor`) and keeps a `WindowFactor`, from which `solve_reduced`
-fits readouts (one SVD call for a whole stack of small R row blocks, each
-for any subset of the columns) and `tasks.score` scores them. `full_width`
-lays any readout's weights over all of [1 | S], and `predict` is the
-design rows times those weights.
+share one factorization: `factor` takes one R-only QR of a window's design
+beside its target (`window_factor`) and keeps a `WindowFactor`, from which
+`solve_reduced` fits readouts (one SVD call for a whole stack of small R
+row blocks, each for any subset of the columns) and `tasks.score` scores
+them. `full_width` lays any readout's weights over all of [1 | S], and
+`predict` is the design rows times those weights.
 """
 
 from __future__ import annotations
@@ -156,13 +156,15 @@ def train(
     ridge: float = 0.0,
     task_names: Sequence[str] = (),
 ) -> ReadoutWeights:
-    """Fit readout weights for every target column from the design's
-    `factor`, one column at a time, as a `solve_reduced` batch of one."""
+    """Fit readout weights for every target column, each from its own
+    `factor` of the design, as one `solve_reduced` stack: every column
+    gets the bits it gets alone."""
     y = assembly.targets
     parts = [factor(assembly.states, y[:, k]) for k in range(y.shape[1])]
-    z = np.column_stack([p.z for p in parts])
+    w = solve_reduced(np.stack([p.r for p in parts]),
+                      np.stack([p.z for p in parts])[:, :, None], ridge)
     return ReadoutWeights(
-        weights=solve_reduced(parts[0].r[None], z[None], ridge)[0],
+        weights=w[:, :, 0].T,
         sensor_mask=assembly.sensor_mask,
         task_names=tuple(task_names),
     )
@@ -170,7 +172,7 @@ def train(
 
 class WindowFactor(NamedTuple):
     """One QR of a window's design Phi = [1 | S] = Q R and what fitting and
-    scoring need from it, for a target theta; Q itself is not kept.
+    scoring need from it, for a target theta; Q is never formed.
 
     Phi[:, cols] = Q R[:, cols] with Q's columns orthonormal, so the R rows
     with z pose the same least-squares problem as the window's rows, for
@@ -192,13 +194,18 @@ class WindowFactor(NamedTuple):
 
 
 def factor(phi: np.ndarray, theta: np.ndarray) -> WindowFactor:
-    """The `WindowFactor` of design rows ``phi`` and target ``theta``."""
+    """The `WindowFactor` of design rows ``phi`` and target ``theta``, from
+    one R-only QR of [Phi | theta]: R is its first k columns' top k rows,
+    z = Q^T theta the rest of column k + 1, and |theta - Q z| its corner,
+    which a window of no more than k rows lacks (floor 0). R's bits do not
+    depend on theta's values, unless theta is zero on every row (LAPACK
+    then leaves its column out of the updates)."""
     if phi.shape[0] == 0:
         raise ValueError("cannot factor a design with no rows")
-    q, r = np.linalg.qr(phi)
-    z = q.T @ theta
-    resid = theta - q @ z
-    return WindowFactor(r=r, z=z, floor=float(resid @ resid),
+    k = phi.shape[1]
+    r = np.linalg.qr(np.column_stack([phi, theta]), mode="r")
+    floor = r[k, k] ** 2 if r.shape[0] > k else 0.0
+    return WindowFactor(r=r[:k, :k], z=r[:k, k], floor=float(floor),
                         n_rows=phi.shape[0],
                         span=(float(theta.min()), float(theta.max())),
                         means=phi.mean(axis=0))
@@ -218,14 +225,6 @@ def window_factor(series: PressureStateSeries, window: Window) -> WindowFactor:
     window, which every fit and score on that window reads."""
     rows = _window_rows(series, window)
     return factor(_design(series.sensors[:, rows]), series.theta[rows])
-
-
-def window_r(series: PressureStateSeries, window: Window) -> np.ndarray:
-    """The R of `window_factor` alone, all a fit to a constant target reads:
-    the same LAPACK factorization, so the same bits, with no Q formed."""
-    return np.linalg.qr(_design(series.sensors[:, _window_rows(series,
-                                                              window)]),
-                        mode="r")
 
 
 def window_means(series: PressureStateSeries, window: Window) -> np.ndarray:

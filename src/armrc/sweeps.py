@@ -19,11 +19,10 @@ gives each sample count its training window. A condition's constant
 target (its mass, its detect label, or None for bending) is its `_truth`.
 
 Each (run, window) is factored once per process while its run lives
-(`readout.window_factor`), and `tasks.score` reads every reported number
-off it (README: "Readout solver"). A training window whose every target
-is a constant (mass, detect) needs only R, so it is factored for R alone
-(`readout.window_r`, the same bits) each time a sweep reads it; a mass
-cell's score reads its test window's `readout.window_means` alone.
+(`readout.window_factor`, one R-only QR), and every fit and `tasks.score`
+reads it (README: "Readout solver"); a constant target (mass, detect) is
+fitted from that R alone, and a mass cell's score reads its test window's
+`readout.window_means` alone, with no QR.
 A sweep makes one `readout.solve_reduced` call per shape of stacked R rows
 and one score call per evaluation cell; the multitask grid scores each
 cell from its own factor. Every cell equals, bit for bit, its lone
@@ -58,7 +57,6 @@ from .readout import (
     solve_reduced,
     window_factor,
     window_means,
-    window_r,
 )
 # no sweep calls simulate_conditions: perfbench's spans name it here
 from .surrogate import SurrogateParams, add_noise, simulate_conditions
@@ -183,11 +181,10 @@ def _truth(task: TaskKind, runs: Mapping, cond: InputCondition,
 def _solve(fits: Sequence, runs: Mapping, payloads: PayloadSet, tasks: tuple,
            ridge: float) -> np.ndarray:
     """Fit one readout per (subset, window, mask) of ``fits``: each
-    member's all-sensor R factor over the window with one target column
-    per task (Q^T theta for bending, from `_factor`; c R[:, 0] for a
-    constant `_truth` c, from `window_r` when every task's target is one),
-    stacked over the subset and read on the mask's `columns`, with no
-    second QR. Each distinct (condition, window) is read once,
+    member's all-sensor R factor over the window (`_factor`) with one
+    target column per task (its z for bending, c R[:, 0] for a constant
+    `_truth` c), stacked over the subset and read on the mask's `columns`,
+    with no second QR. Each distinct (condition, window) is read once,
     before grouping; fits of one stacked shape share one `solve_reduced`
     call. It checks no run: `_plan` has given every run one sensor count
     n, which it reads off the R rows. Returns (len(fits), n_tasks, 1 + n)
@@ -198,10 +195,7 @@ def _solve(fits: Sequence, runs: Mapping, payloads: PayloadSet, tasks: tuple,
         for cond in subset:
             if cond not in part:
                 truths = [_truth(t, runs, cond, payloads) for t in tasks]
-                if None in truths:
-                    r, z = _factor(runs, cond, window)[:2]
-                else:
-                    r = window_r(runs[cond], window)
+                r, z = _factor(runs, cond, window)[:2]
                 part[cond] = (r, np.column_stack([
                     z if c is None else c * r[:, 0] for c in truths]))
         members.append([part[cond] for cond in subset])

@@ -10,16 +10,18 @@ import numpy as np
 import pytest
 
 import armrc
-from armrc import cli, surrogate, sweeps
+from armrc import cli, readout, surrogate, sweeps
 from armrc.cli import main
 from armrc.config import (ExperimentConfig, build_config, default_config,
                           training_window)
 from armrc.core import (InputCondition, PayloadSet, PressureStateSeries,
                         TimeGrid)
-from armrc.readout import ReadoutWeights, nrmse_percent, predict
+from armrc.readout import (ReadoutWeights, full_width, nrmse_percent,
+                           predict, window_factor)
 from armrc.runio import export_run, ingest_run, load_weights, save_weights
 from armrc.surrogate import simulate_conditions
 from armrc.sweeps import experiments
+from armrc.tasks import TaskKind, score
 from conftest import read_matrix_csv
 
 
@@ -259,6 +261,36 @@ class TestTrainEvaluate:
         assert rc == 0
         assert "verdict=present" in out
         assert "correct=True" in out
+
+    @pytest.mark.parametrize("task, subset, factors", [
+        ("mass", "M2,M3,M4,M5,M6,M7", 0), ("detect", "M1,M2", 0),
+        ("bending", "P1,P7", 1)])
+    def test_only_bending_weights_factor_the_window(
+            self, grid_dir, tmp_path, capsys, monkeypatch, task, subset,
+            factors):
+        # mass and detect lines read the window's column means alone
+        weights = tmp_path / f"{task}.json"
+        assert main(["train", "--task", task, "--subset", subset,
+                     "--out", str(weights), "--quiet"]) == 0
+        run = grid_dir / "runs" / "P1M5.csv"
+        series, (w,) = ingest_run(run), full_width(
+            load_weights(weights)[0], 7)
+        mean = score(TaskKind.PAYLOAD_DETECT,
+                     window_factor(series, default_config().test), w, None,
+                     "range")
+        calls, real = [], readout.factor
+
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(readout, "factor", spy)
+        assert main(["evaluate", "--weights", str(weights),
+                     "--run", str(run)]) == 0
+        assert len(calls) == factors
+        if not factors:
+            # the window mean a full factor's `means` gives
+            assert f"={mean:.4f} " in capsys.readouterr().out
 
     def test_mask_mismatch_is_a_machine_parsable_failure(self, grid_dir,
                                                          tmp_path, capsys):

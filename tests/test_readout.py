@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -23,7 +25,6 @@ from armrc.readout import (
     truth_scale,
     window_factor,
     window_means,
-    window_r,
 )
 
 
@@ -99,9 +100,14 @@ class TestTrain:
 
     def test_multitask_equals_columnwise_bit_exact(self):
         rng = np.random.default_rng(3)
-        for _ in range(10):
+        for trial in range(20):
             phi = random_design(rng, rows=40, cols=6)
             targets = rng.normal(size=(40, 3))
+            if trial % 2:
+                # a target that is zero on every row (a zero-payload mass)
+                # leaves its column out of LAPACK's updates, which moves the
+                # bits of the R it factors with
+                targets[:, 0] = 0.0
             joint = train(make_assembly(phi, targets)).weights
             for k in range(3):
                 single = train(make_assembly(phi, targets[:, k])).weights[:, 0]
@@ -234,53 +240,115 @@ class TestStackedSolve:
             assert np.array_equal(alone[0], w[i])
 
 
+def q_forming_oracle(phi, theta):
+    """R, Q^T theta and |theta - Q Q^T theta|^2 from a reduced QR that
+    forms Q."""
+    q, r = np.linalg.qr(phi)
+    z = q.T @ theta
+    resid = theta - q @ z
+    return r, z, resid @ resid
+
+
+def design_of(series, i0, rows):
+    """The design [1 | S] of ``rows`` samples of a run from sample ``i0``,
+    built here rather than by the package."""
+    return np.hstack([np.ones((rows, 1)),
+                      series.sensors[:, i0:i0 + rows].T])
+
+
+def random_window(data, rng, sensors, samples):
+    """A run of ``sensors`` random traces and a random angle over
+    ``samples`` samples at 1 Hz, and a window drawn inside it."""
+    # the window is drawn inside the run, so no draw is thrown away
+    start = data.draw(st.integers(0, samples - 1), label="start")
+    count = data.draw(st.integers(1, samples - start), label="count")
+    series = series_from_sensors(rng.normal(size=(sensors, samples)),
+                                 rate=1.0)
+    series = PressureStateSeries(series.grid, series.s_in, series.sensors,
+                                 rng.normal(size=samples))
+    return series, Window(float(start), float(start + count)), count
+
+
 class TestWindowFactor:
-    # Phi's first column is all ones, so Q^T (c 1) = c R[:, 0]: the sweeps
-    # build constant (mass, detect) targets from R with no target trace
+    # one R-only QR of [Phi | theta]: R, z and the floor with no Q formed;
+    # windows of no more rows than columns (wide designs) included
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), sensors=st.integers(1, 9),
+           samples=st.integers(1, 60), scale=st.floats(1e-3, 1e3),
+           data=st.data())
+    def test_r_bits_do_not_depend_on_the_targets_values(
+            self, seed, sensors, samples, scale, data):
+        # so a constant target may read the R its window's angle made (a
+        # theta zero on every row is the exception: see `TestTrain`)
+        rng = np.random.default_rng(seed)
+        series, window, _ = random_window(data, rng, sensors, samples)
+        other = dataclasses.replace(
+            series, theta=scale * rng.standard_cauchy(size=samples))
+        a, b = window_factor(series, window), window_factor(other, window)
+        assert a.r.shape == b.r.shape
+        assert a.r.tobytes() == b.r.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), sensors=st.integers(1, 9),
+           samples=st.integers(1, 60), data=st.data())
+    def test_z_and_the_floor_match_a_q_forming_oracle(
+            self, seed, sensors, samples, data):
+        rng = np.random.default_rng(seed)
+        series, window, rows = random_window(data, rng, sensors, samples)
+        got = window_factor(series, window)
+        i0 = int(window.start)
+        theta = series.theta[i0:i0 + rows]
+        r, z, floor = q_forming_oracle(design_of(series, i0, rows),
+                                       theta)
+        k = 1 + sensors
+        assert got.r.shape == r.shape == (min(rows, k), k)
+        assert got.z.shape == z.shape
+        # the floor is a share of |theta|^2 = |z|^2 + floor, so both are
+        # compared on that scale
+        energy = theta @ theta
+        assert np.linalg.norm(got.r - r) <= 1e-12 * np.linalg.norm(r)
+        assert np.linalg.norm(got.z - z) <= 1e-12 * np.sqrt(energy)
+        assert abs(got.floor - floor) <= 1e-12 * energy
+        if rows <= k:
+            # Phi's k columns span every row: no error is left to floor
+            assert got.floor == 0.0
+        else:
+            assert got.floor > 0.0
+
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 40),
            sensors=st.integers(0, 7),
            c=st.floats(1e-3, 1e3) | st.floats(-1e3, -1e-3))
     def test_a_constant_target_is_c_times_the_bias_column_of_r(
             self, seed, rows, sensors, c):
-        # rows < 1 + sensors gives a wide design and a wide R
+        # Phi's first column is all ones, so Q^T (c 1) = c R[:, 0]: the
+        # sweeps build constant (mass, detect) targets from R with no
+        # target trace; rows < 1 + sensors gives a wide design and a wide R
         phi = random_design(np.random.default_rng(seed), rows=rows,
                             cols=sensors)
-        q, r = np.linalg.qr(phi)
         target = np.full(rows, c)
         f = factor(phi, target)
-        assert np.array_equal(f.r, r)
-        ref = q.T @ target
+        _, ref, _ = q_forming_oracle(phi, target)
         assert np.linalg.norm(c * f.r[:, 0] - ref) <= 1e-12 * np.linalg.norm(ref)
-        assert np.array_equal(f.z, ref)
+        assert np.linalg.norm(f.z - ref) <= 1e-12 * np.linalg.norm(ref)
         assert f.floor <= 1e-24 * (target @ target)
 
 
-class TestWindowR:
-    # a fit to constant targets reads R alone: `window_r` gives it from
-    # the same LAPACK factorization as `window_factor`, so the same bits
+class TestWindowMeans:
+    # a constant target's score reads the design's column means alone:
+    # `window_means` gives them from the same design rows as
+    # `window_factor`, so the same bits, with no QR
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), sensors=st.integers(1, 9),
            samples=st.integers(1, 60), data=st.data())
-    def test_r_alone_is_the_bits_of_the_full_factors_r(
+    def test_means_alone_are_the_bits_of_the_full_factors_means(
             self, seed, sensors, samples, data):
-        # the window is drawn inside the run, so no draw is thrown away
-        start = data.draw(st.integers(0, samples - 1), label="start")
-        count = data.draw(st.integers(1, samples - start), label="count")
-        rng = np.random.default_rng(seed)
-        series = series_from_sensors(rng.normal(size=(sensors, samples)),
-                                     rate=1.0)
-        series = PressureStateSeries(series.grid, series.s_in, series.sensors,
-                                     rng.normal(size=samples))
-        window = Window(float(start), float(start + count))
-        r = window_r(series, window)
-        assert r.tobytes() == window_factor(series, window).r.tobytes()
-        assert r.shape == window_factor(series, window).r.shape
-        # a constant target's score reads the column means alone
+        series, window, _ = random_window(
+            data, np.random.default_rng(seed), sensors, samples)
         means = window_means(series, window)
         assert means.tobytes() == window_factor(series, window).means.tobytes()
 
-    @pytest.mark.parametrize("alone", [window_r, window_means])
+    @pytest.mark.parametrize("alone", [window_factor, window_means])
     def test_an_empty_window_is_refused(self, alone):
         series = series_from_sensors(np.ones((2, 10)), rate=1.0)
         with pytest.raises(ValueError, match="holds no samples"):

@@ -893,6 +893,22 @@ class TestFactorMemo:
             assert len(calls) == 14
         assert second.tobytes() == first.tobytes()
 
+    def test_a_second_mass_sweep_on_the_same_runs_factors_nothing(
+            self, cfg, payload_runs):
+        # constant-target fits read the memoized factors too
+        runs = _fresh(payload_runs)
+        spec = SweepSpec(task=TaskKind.PAYLOAD_MASS,
+                         subsets=nested_payload_subsets(),
+                         evaluation=payload_conditions()[1:])
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _spy_on_factors(mp)
+            first = subset_sweep(spec, runs, cfg.payloads).error_grid
+            # the six nonzero payloads' training windows
+            assert len(calls) == 6
+            second = subset_sweep(spec, runs, cfg.payloads).error_grid
+            assert len(calls) == 6
+        assert second.tobytes() == first.tobytes()
+
     def test_an_entry_dies_with_its_run(self, cfg, bending_runs):
         run = dataclasses.replace(bending_runs[P(1, 1)])
         train_on_subset((P(1, 1),), {P(1, 1): run}, cfg.payloads,
@@ -946,27 +962,24 @@ class TestFactorMemo:
         assert calls == []
 
 
-class TestConstantTargetsReadROnly:
-    # a (condition, window) all of whose targets are constants is fitted
-    # from its R alone (`readout.window_r`), with no Q formed; the weights
-    # are the bits a full factor gives
+class TestConstantTargetsReadTheWindowsR:
+    # a constant target c (mass, detect) is fitted from c R[:, 0] of its
+    # training window's one factor, whichever other tasks share the fit
     @pytest.mark.parametrize("ridge", [0.0, 1e-3])
-    def test_mass_and_detect_weights_equal_the_full_factors(
+    def test_mass_and_detect_weights_equal_the_multitask_solves(
             self, cfg, payload_runs, ridge):
         fits = sweeps._plan(payload_runs, None, nested_payload_subsets(),
                             TRAIN_WINDOW, (10, 100, None), (None, (4, 5, 6)))
         constant = (TaskKind.PAYLOAD_MASS, TaskKind.PAYLOAD_DETECT)
-        with pytest.MonkeyPatch.context() as mp:
-            calls = _spy_on_factors(mp)
-            alone = sweeps._solve(fits, _fresh(payload_runs), cfg.payloads,
-                                  constant, ridge)
-            assert calls == []
+        alone = sweeps._solve(fits, _fresh(payload_runs), cfg.payloads,
+                              constant, ridge)
         full = sweeps._solve(fits, _fresh(payload_runs), cfg.payloads,
                              (TaskKind.BENDING_ANGLE, *constant), ridge)
         assert alone.tobytes() == full[:, 1:].tobytes()
 
     @pytest.mark.parametrize("count", [100, None])
-    def test_a_mass_sweep_factors_no_window(self, cfg, payload_runs, count):
+    def test_a_mass_sweep_factors_no_test_window(self, cfg, payload_runs,
+                                                 count):
         # a mass cell's score reads only its test window's column means
         # (`readout.window_means`): the bits of the full factor's `means`
         runs, evaluation = _fresh(payload_runs), payload_conditions()[1:]
@@ -977,7 +990,12 @@ class TestConstantTargetsReadROnly:
             grid, w = sweeps._sweep(TaskKind.PAYLOAD_MASS, fits, evaluation,
                                     runs, cfg.payloads, TEST_WINDOW, 0.0,
                                     "range")
-            assert calls == []
+        # one factor per trained condition, of its training window alone
+        trained = {cond for subset, _, _ in fits for cond in subset}
+        assert len(calls) == len(trained)
+        factored = {cond: list(sweeps._factors[run])
+                    for cond, run in runs.items() if run in sweeps._factors}
+        assert factored == {cond: [fits[0][1]] for cond in trained}
         full = np.column_stack([
             score(TaskKind.PAYLOAD_MASS,
                   window_factor(runs[cond], TEST_WINDOW), w,
