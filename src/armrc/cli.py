@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .config import (ConfigError, ExperimentConfig, default_config,
                      load_config, training_window)
-from .core import (Window, condition_grid, parse_condition_label,
+from .core import (Window, condition_grid, fork_width, parse_condition_label,
                    slice_series, trace_columns)
 from .readout import (correlation_matrix, full_width, window_factor,
                       window_means)
@@ -32,7 +32,6 @@ from .runio import (
     load_weights,
     save_weights,
     sidecar_path,
-    usable_cpus,
     write_manifest,
     write_matrix_csv,
 )
@@ -106,17 +105,18 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     t0 = time.perf_counter()
     out.mkdir(parents=True, exist_ok=True)
-    # the workers write here; runs/ receives every file or, on an error, none
+    # the children write here; runs/ receives every file or, on an error, none
     staging = Path(tempfile.mkdtemp(prefix=".runs-", dir=out))
 
-    def write(share):  # in a `fork_map` worker: only the names go back
+    def write(share):  # in a `fork_map` child: only the names go back
         return [export_run(series, staging / f"{cond.label}.csv",
                            config_hash=digest, seed=cfg.seed).name
                 for cond, series in _simulate(cfg, share).items()]
 
     try:
         grid = condition_grid(len(cfg.profiles), cfg.payloads)
-        chunks = fork_map(write, contiguous_chunks(grid, usable_cpus()))
+        chunks = fork_map(write,
+                          contiguous_chunks(grid, fork_width(len(grid))))
         csvs = [csv for chunk in chunks for csv in chunk]
         names = [name for csv in csvs
                  for name in (csv, sidecar_path(csv).name)]
@@ -234,8 +234,8 @@ def _condition_tables(cfg: ExperimentConfig, runs: dict):
 
 
 def _sample_tables(cfg: ExperimentConfig, noise_free: dict):
-    """Both experiments' sample-count sweeps, one per `fork_map` worker:
-    each takes several times the pool's start-up. Workers inherit the runs."""
+    """Both experiments' sample-count sweeps, one per `fork_map` child:
+    each takes several times a fork's cost. Children inherit the runs."""
     table = experiments(cfg)
 
     def sweep(exp):

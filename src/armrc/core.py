@@ -1,12 +1,16 @@
 """Shared domain types: uniform sample clocks, half-open time windows, the
-pressure-profile x payload condition grid, and recorded pressure-state runs.
+pressure-profile x payload condition grid, and recorded pressure-state runs;
+and `forked`, the one way armrc starts a child process.
 
 All types are immutable value objects and safe to share between workers.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -23,6 +27,10 @@ DEFAULT_SEED = 7
 # Fuzz for seconds -> sample-index conversion; window edges are human-entered
 # decimals while the clock itself is exact.
 _INDEX_EPS = 1e-9
+
+# Set in a `forked` child, which never forks again: its parent already
+# keeps every usable CPU busy.
+_FORKED = False
 
 
 @dataclass(frozen=True)
@@ -276,3 +284,75 @@ def slice_series(series: PressureStateSeries, window: Window) -> PressureStateSe
         condition=series.condition,
         payload_grams=series.payload_grams,
     )
+
+
+def fork_width(n: int) -> int:
+    """How many `forked` children ``n`` tasks may use at once: one per CPU
+    this process may run on (`os.sched_getaffinity`), at most ``n``; 1, so
+    none, in a forked child or where the OS cannot fork."""
+    if _FORKED or not hasattr(os, "fork"):
+        return 1
+    return min(n, len(getattr(os, "sched_getaffinity", lambda pid: {0})(0)))
+
+
+@contextlib.contextmanager
+def forked(fn, *args):
+    """Run ``fn(pipe, *args)`` in a forked child, which inherits ``fn`` and
+    ``args`` unpickled and writes its reply to the binary file ``pipe``;
+    yields the parent's end of that pipe.
+
+    The child flushes its stdio and leaves with ``os._exit``: status 0 once
+    ``fn`` returns, 1 (its traceback on stderr) if it raises. Leaving the
+    block, the parent always reaps it: a nonzero status, or an EOFError in
+    the block (a reply cut short), is a ChildProcessError naming the status;
+    any other error kills the child and passes unchanged. If the fork itself fails, its OSError passes and no pipe end
+    stays open.
+    """
+    global _FORKED
+    # else the child could write what the parent had buffered a second time
+    sys.stdout.flush()
+    sys.stderr.flush()
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            _FORKED = True
+            os.close(read_end)
+            with open(write_end, "wb") as pipe:
+                fn(pipe, *args)
+            status = 0
+        except BaseException:
+            import traceback
+
+            traceback.print_exc()
+        finally:
+            try:  # what the child printed, which os._exit would drop
+                sys.stdout.flush()
+                sys.stderr.flush()
+            finally:
+                os._exit(status)
+    os.close(write_end)
+    cut = False
+    try:
+        with open(read_end, "rb") as pipe:
+            yield pipe
+    except EOFError:
+        cut = True
+    except BaseException:
+        import signal  # here, so that importing armrc does not pay for it
+
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if status or cut:
+        how = (f"was killed by signal {-status}" if status < 0
+               else f"exited with status {status}")
+        raise ChildProcessError(f"a forked child {how}" + (
+            " before its reply was complete" if cut else ""))

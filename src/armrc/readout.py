@@ -47,9 +47,20 @@ def columns(mask: Sequence[int]) -> list:
     return [0] + [1 + m for m in mask]
 
 
-def _design(sensors: np.ndarray) -> np.ndarray:
-    """The design rows [1 | S] of (n_sensors, T) sensor traces."""
-    return np.hstack([np.ones((sensors.shape[1], 1)), sensors.T])
+def _design(sensors: np.ndarray,
+            theta: Optional[np.ndarray] = None) -> np.ndarray:
+    """The design rows [1 | S] of (n_sensors, T) sensor traces, or, given
+    a (T,) target, [1 | S | theta]: one array, each value copied once.
+    Column-major unless S is one column, as ``np.hstack`` lays them out,
+    so a column mean sums in the same order as it did then."""
+    n, rows = sensors.shape
+    out = np.empty((rows, 1 + n + (theta is not None)),
+                   order="F" if n > 1 else "C")
+    out[:, 0] = 1.0
+    out[:, 1:1 + n] = sensors.T
+    if theta is not None:
+        out[:, -1] = theta
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,22 +204,26 @@ class WindowFactor(NamedTuple):
     means: np.ndarray   # column means of Phi
 
 
-def factor(phi: np.ndarray, theta: np.ndarray) -> WindowFactor:
+def factor(phi: np.ndarray,
+           theta: Optional[np.ndarray] = None) -> WindowFactor:
     """The `WindowFactor` of design rows ``phi`` and target ``theta``, from
-    one R-only QR of [Phi | theta]: R is its first k columns' top k rows,
+    one R-only QR of [Phi | theta], read in place when ``phi`` already is
+    [Phi | theta] (``theta`` None): R is its first k columns' top k rows,
     z = Q^T theta the rest of column k + 1, and |theta - Q z| its corner,
     which a window of no more than k rows lacks (floor 0). R's bits do not
     depend on theta's values, unless theta is zero on every row (LAPACK
     then leaves its column out of the updates)."""
-    if phi.shape[0] == 0:
+    rows = phi if theta is None else np.column_stack([phi, theta])
+    if rows.shape[0] == 0:
         raise ValueError("cannot factor a design with no rows")
-    k = phi.shape[1]
-    r = np.linalg.qr(np.column_stack([phi, theta]), mode="r")
+    k = rows.shape[1] - 1
+    r = np.linalg.qr(rows, mode="r")
     floor = r[k, k] ** 2 if r.shape[0] > k else 0.0
+    target = rows[:, k]
     return WindowFactor(r=r[:k, :k], z=r[:k, k], floor=float(floor),
-                        n_rows=phi.shape[0],
-                        span=(float(theta.min()), float(theta.max())),
-                        means=phi.mean(axis=0))
+                        n_rows=rows.shape[0],
+                        span=(float(target.min()), float(target.max())),
+                        means=rows[:, :k].mean(axis=0))
 
 
 def _window_rows(series: PressureStateSeries, window: Window) -> slice:
@@ -224,7 +239,7 @@ def window_factor(series: PressureStateSeries, window: Window) -> WindowFactor:
     """The `factor` of one run's all-sensor design and bending angle over a
     window, which every fit and score on that window reads."""
     rows = _window_rows(series, window)
-    return factor(_design(series.sensors[:, rows]), series.theta[rows])
+    return factor(_design(series.sensors[:, rows], series.theta[rows]))
 
 
 def window_means(series: PressureStateSeries, window: Window) -> np.ndarray:

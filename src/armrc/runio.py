@@ -1,5 +1,6 @@
 """File formats: recorded-run CSVs with JSON sidecars, readout-weight JSON,
-result-matrix CSVs, and run manifests.
+result-matrix CSVs, and run manifests; and `fork_map`, which writes runs
+(or does any other work) on one `core.forked` child per usable CPU.
 
 Run CSVs hold each float as its shortest round-trip decimal (``orjson``'s
 Ryu writer), so export followed by ingest reproduces every float
@@ -12,14 +13,14 @@ appear only in manifests so output trees stay byte-reproducible.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import io
 import json
 import math
-import os
+import pickle
 import platform
-import sys
 import time
 import warnings
 from pathlib import Path
@@ -28,7 +29,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .core import (InputCondition, PressureStateSeries, TimeGrid, __version__,
-                   as_int, trace_columns)
+                   as_int, fork_width, forked, trace_columns)
 from .readout import ReadoutWeights
 
 RUN_FORMAT = "armrc-run-v2"
@@ -101,27 +102,6 @@ def export_run(series: PressureStateSeries, csv_path, *,
     return csv_path
 
 
-# a pool worker's function and items, inherited through fork
-_JOB: tuple = (None, ())
-
-
-def _share(*job) -> None:
-    """Pool initializer: a forked worker inherits the function and items,
-    none is pickled."""
-    global _JOB
-    _JOB = job
-
-
-def _call(k: int):
-    fn, items = _JOB
-    return fn(items[k])
-
-
-def usable_cpus() -> int:
-    """CPUs this process may run on (1 where the OS cannot say)."""
-    return len(getattr(os, "sched_getaffinity", lambda pid: {0})(0))
-
-
 def contiguous_chunks(items: Sequence, n: int) -> list:
     """``items`` cut into ``min(n, len(items))`` runs of consecutive items,
     in order, whose sizes differ by at most one."""
@@ -130,27 +110,46 @@ def contiguous_chunks(items: Sequence, n: int) -> list:
             for k in range(n)]
 
 
-def fork_map(fn, items) -> list:
-    """``[fn(item) for item in items]`` on a fork pool of one worker per
-    usable CPU, or in-process with one CPU, one item or no ``fork``: the
-    same results. Workers inherit ``fn`` (a closure will do) and ``items``
-    unpickled; each result, or the exception raised, is pickled back. Worth
-    it when all the items together take much longer than the pool's ~35 ms
-    start: `armrc simulate` of the 49 default runs (about 10 ms each to
-    simulate, noise and write) takes 0.34-0.40 s as two chunks on two
-    workers of a 2-core Xeon, and 0.46-0.61 s as one chunk in-process."""
-    import multiprocessing  # here, so that importing armrc does not pay for it
+def _map_share(pipe, fn, share) -> None:
+    """A `fork_map` child: ``fn`` of each item of ``share`` in order, until
+    one raises; sends back the results and that exception (or None)."""
+    results, error = [], None
+    for item in share:
+        try:
+            results.append(fn(item))
+        except Exception as exc:
+            error = exc
+            break
+    pickle.dump((results, error), pipe, pickle.HIGHEST_PROTOCOL)
 
+
+def fork_map(fn, items) -> list:
+    """``[fn(item) for item in items]`` on one `forked` child per usable
+    CPU (`fork_width`), child j taking ``items[j::n]``, or in-process: the
+    same results, or the same exception, the first item's to raise.
+    Children inherit ``fn`` (a closure will do) and ``items`` unpickled, and
+    send back their results or exception pickled. Worth it when the items
+    take much longer than forking two children, 7-9 ms: `armrc simulate` of
+    the 49 default runs (about 10 ms each to simulate, noise and write)
+    takes 0.24-0.33 s as two chunks on two children of a 2-core Xeon, and
+    0.39-0.49 s as one chunk in-process."""
     items = list(items)
-    n_workers = min(usable_cpus(), len(items))
-    if n_workers < 2 or "fork" not in multiprocessing.get_all_start_methods():
+    n = fork_width(len(items))
+    if n < 2:
         return [fn(item) for item in items]
-    # a worker flushes the stdio buffers it inherited as it exits
-    sys.stdout.flush()
-    sys.stderr.flush()
-    with multiprocessing.get_context("fork").Pool(
-            n_workers, _share, (fn, items)) as pool:
-        return pool.map(_call, range(len(items)), chunksize=1)
+    with contextlib.ExitStack() as stack:
+        pipes = [stack.enter_context(forked(_map_share, fn, items[j::n]))
+                 for j in range(n)]
+        replies = [pipe.read() for pipe in pipes]
+    results, failed = [None] * len(items), []
+    for j, reply in enumerate(replies):
+        done, error = pickle.loads(reply)
+        results[j:j + n * len(done):n] = done
+        if error is not None:
+            failed.append((j + n * len(done), error))
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
+    return results
 
 
 def _read_object(path: Path, label: str) -> dict:
@@ -220,7 +219,8 @@ def _read_rows(fh) -> np.ndarray:
             if shape != row_shape * (rows := shape.count(b"\n")):
                 raise ValueError("not rows of plain JSON numbers")
             flat = b"[" + text.replace(b"\n", b",") + b"]"
-            block = np.array(orjson.loads(flat), dtype=float)
+            values = orjson.loads(flat)
+            block = np.fromiter(values, float, len(values))
             # only a block holding a zero can hold a -0 that orjson made +0
             if not block.all() and (b"-0," in flat or b"-0]" in flat):
                 raise ValueError("an integer -0")

@@ -35,18 +35,24 @@ functional of the node states plus a mass-proportional droop:
 Sensor readings are the node states plus white Gaussian noise drawn from
 counter-based streams keyed by (seed, condition, sensor), so results never
 depend on simulation order. The noise is added after the states are
-computed, so one noise-free run serves every seed (`add_noise`).
+computed, so one noise-free run serves every seed (`add_noise`). A
+process's first noisy batch of long runs draws it in a forked child while
+the kernel steps, if numpy.random is not yet imported
+(`_take_noise_child`): the same bits.
 
 One kernel, `simulate_batch`, steps all runs of a call together; every
 other entry point is a thin call into it. A run's bits do not depend on
 the batch it runs in. A step reads only the coupling's band (`bandwidth`
 w, 1 for the shipped nearest-neighbour coupling): 2w + 1 terms per node
 rather than n. Each run's states, angle and trace are made once and kept
-by its series uncopied; `add_noise` makes one new sensors array.
+by its series uncopied; its noise, drawn in-process or by the noise
+child, makes one new sensors array.
 """
 
 from __future__ import annotations
 
+import contextlib
+import sys
 from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence
 
@@ -60,6 +66,8 @@ from .core import (
     TimeGrid,
     Window,
     condition_grid,
+    fork_width,
+    forked,
     sample_count,
     trace_columns,
 )
@@ -74,6 +82,14 @@ _UINT64_MASK = (1 << 64) - 1
 # Time steps buffered between flushes into the per-run state arrays: short,
 # so the buffers stay small next to the runs themselves.
 _CHUNK = 64
+
+# Run length (samples) from which `_take_noise_child` forks: the child
+# pays once the steps hide its numpy.random import and its draws. A fresh
+# process's first simulate of one 7-sensor run on a 2-core Xeon took 5 ms
+# longer with the child at 1000 samples, and 3 ms less at 2000 and 5 ms
+# less at 4000 (medians of 15 pairs).
+_NOISE_CHILD_SAMPLES = 2000
+_noise_child_taken = False  # set by `_take_noise_child`'s one yes
 
 
 def default_coupling(n_nodes: int) -> tuple:
@@ -201,6 +217,18 @@ def _noise_stream(gen: np.random.Generator, seed: int,
     return gen.normal(0.0, noise_std, n_samples)
 
 
+def _run_noise(gen: np.random.Generator, seed: int,
+               condition: Optional[InputCondition], shape: tuple,
+               noise_std: float) -> np.ndarray:
+    """One run's (n_sensors, n_samples) sensor noise at ``seed``, row m
+    sensor m's `_noise_stream`: what `add_noise` adds, drawn in-process or
+    in `simulate_batch`'s noise child."""
+    noise = np.empty(shape)
+    for m in range(shape[0]):
+        noise[m] = _noise_stream(gen, seed, condition, m, shape[1], noise_std)
+    return noise
+
+
 def add_noise(params: SurrogateParams, run: PressureStateSeries,
               seed: int) -> PressureStateSeries:
     """A noise-free run plus its sensor noise at ``seed``: the run
@@ -210,12 +238,41 @@ def add_noise(params: SurrogateParams, run: PressureStateSeries,
     if params.noise_std == 0:
         return run
     gen = np.random.Generator(np.random.Philox(0))
-    sensors = np.empty_like(run.sensors)
-    for m, clean in enumerate(run.sensors):
-        np.add(clean, _noise_stream(gen, seed, run.condition, m,
-                                    sensors.shape[1], params.noise_std),
-               out=sensors[m])
-    return replace(run, sensors=_frozen(sensors))
+    noise = _run_noise(gen, seed, run.condition, run.sensors.shape,
+                       params.noise_std)
+    return replace(run, sensors=_frozen(np.add(run.sensors, noise, out=noise)))
+
+
+def _noise_child(pipe, params: SurrogateParams, conditions: Sequence,
+                 shape: tuple, seed: int) -> None:
+    """`simulate_batch`'s noise child: every run's `_run_noise`, sent in
+    run order once all are drawn, so that drawing never waits on the
+    pipe."""
+    gen = np.random.Generator(np.random.Philox(0))
+    blocks = [_run_noise(gen, seed, cond, shape, params.noise_std)
+              for cond in conditions]
+    for block in blocks:
+        pipe.write(block)
+
+
+def _take_noise_child(n_samples: int) -> bool:
+    """Whether a noisy batch of ``n_samples``-sample runs draws its noise in
+    a `_noise_child`: yes, once per process, if numpy.random is not yet
+    imported, the runs are at least `_NOISE_CHILD_SAMPLES` long, and
+    `fork_width` gives 2 CPUs (so never in a forked child).
+
+    The child pays by taking the numpy.random import (12-15 ms) off the
+    parent. Where it was already imported, 4000-sample batches of 1, 7 and
+    13 runs were 0.4-8.6 ms slower with the child (medians of 16
+    interleaved calls). Each child would import it again, so a process
+    forks at most one; its later batches draw in-process.
+    """
+    global _noise_child_taken
+    if (_noise_child_taken or "numpy.random" in sys.modules
+            or n_samples < _NOISE_CHILD_SAMPLES or fork_width(2) < 2):
+        return False
+    _noise_child_taken = True
+    return True
 
 
 def bandwidth(coupling) -> int:
@@ -321,7 +378,9 @@ def simulate_batch(
     each, every one bit-identical to the run ``simulate`` gives alone.
 
     ``x0`` is (B, n). Pass a repeated trace as the same array object so its
-    drive terms are computed once.
+    drive terms are computed once. Noise is drawn as `add_noise` draws it,
+    by a `_noise_child` while the steps run where `_take_noise_child` says
+    a fork pays.
     """
     traces = [np.asarray(t, dtype=float) for t in traces]
     conditions = [None] * len(traces) if conditions is None else conditions
@@ -340,18 +399,32 @@ def simulate_batch(
     noisy = with_noise and params.noise_std > 0
     for cond in conditions if noisy else ():
         _noise_key(cond, params.n_nodes - 1)
-    states = _advance(params, traces, masses, x0) if traces else []
-    # one read-only copy of each distinct trace, shared by its runs
-    s_in = {id(t): _frozen(t.copy()) for t in traces}
-    runs = []
-    for b, (trace, mass, cond) in enumerate(zip(traces, masses, conditions)):
-        st, states[b] = _frozen(states[b]), None
-        theta = (sum(w * s for w, s in zip(params.angle_weights, st))
-                 + params.angle_payload_slope * mass)
-        run = PressureStateSeries(grid=grid, s_in=s_in[id(trace)], sensors=st,
-                                  theta=_frozen(theta), condition=cond,
-                                  payload_grams=float(mass))
-        runs.append(add_noise(params, run, seed) if noisy else run)
+    shape = (params.n_nodes, grid.n_samples)
+    child = (forked(_noise_child, params, conditions, shape, seed)
+             if noisy and traces and _take_noise_child(grid.n_samples)
+             else contextlib.nullcontext())
+    with child as pipe:
+        states = _advance(params, traces, masses, x0) if traces else []
+        # one read-only copy of each distinct trace, shared by its runs
+        s_in = {id(t): _frozen(t.copy()) for t in traces}
+        runs = []
+        for b, (trace, mass, cond) in enumerate(
+                zip(traces, masses, conditions)):
+            st, states[b] = _frozen(states[b]), None
+            theta = (sum(w * s for w, s in zip(params.angle_weights, st))
+                     + params.angle_payload_slope * mass)
+            sensors = st
+            if pipe is not None:  # this run's noise, plus its clean states
+                noise = np.empty(shape)
+                if pipe.readinto(noise) < noise.nbytes:
+                    raise EOFError("the noise child's reply ended early")
+                sensors = _frozen(np.add(st, noise, out=noise))
+            run = PressureStateSeries(
+                grid=grid, s_in=s_in[id(trace)], sensors=sensors,
+                theta=_frozen(theta), condition=cond,
+                payload_grams=float(mass))
+            runs.append(add_noise(params, run, seed)
+                        if noisy and pipe is None else run)
     return runs
 
 

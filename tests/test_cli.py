@@ -1,5 +1,4 @@
 import json
-import multiprocessing
 import os
 import shutil
 import subprocess
@@ -10,7 +9,7 @@ import numpy as np
 import pytest
 
 import armrc
-from armrc import cli, readout, surrogate, sweeps
+from armrc import cli, readout, runio, surrogate, sweeps
 from armrc.cli import main
 from armrc.config import (ExperimentConfig, build_config, default_config,
                           training_window)
@@ -72,18 +71,25 @@ def _fresh(argv, cpus):
 
 def _main_on_cpus(argv, cpus, monkeypatch, status=0):
     """``main(argv)``, which must exit ``status``, seeing ``cpus`` usable
-    CPUs; returns the start methods asked of ``multiprocessing.get_context``."""
-    contexts = []
-    real = multiprocessing.get_context
+    CPUs; returns the name of the function each child `core.forked` started
+    ran, in order."""
+    children = []
+    real = runio.forked
 
-    def spy(method=None):
-        contexts.append(method)
-        return real(method)
+    def spy(fn, *args):
+        children.append(fn.__name__)
+        return real(fn, *args)
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    monkeypatch.setattr(multiprocessing, "get_context", spy)
+    monkeypatch.setattr(runio, "forked", spy)
     assert main(argv) == status
-    return contexts
+    return children
+
+
+def _no_child_left():
+    """No child of this process is left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def _tree(out):
@@ -95,9 +101,9 @@ def _tree(out):
 
 
 class TestSimulatePool:
-    # the grid is simulated and its run files written on a fork pool of one
-    # worker per usable CPU, each a contiguous share of the grid, or
-    # in-process with one; nothing about the output may tell which
+    # the grid is simulated and its run files written by one forked child
+    # per usable CPU, each a contiguous share of the grid, or in-process
+    # with one; nothing about the output may tell which
     @pytest.fixture
     def small(self, tmp_path):
         cfg = tmp_path / "small.yaml"
@@ -111,7 +117,8 @@ class TestSimulatePool:
     def test_pool_and_one_process_write_the_same_tree(self, small, tmp_path,
                                                       monkeypatch):
         pooled, alone = tmp_path / "pooled", tmp_path / "alone"
-        assert self._simulate(pooled, small, 2, monkeypatch) == ["fork"]
+        assert self._simulate(pooled, small, 2, monkeypatch) == [
+            "_map_share"] * 2
         assert self._simulate(alone, small, 1, monkeypatch) == []
         files = sorted(p.relative_to(pooled) for p in pooled.rglob("*")
                        if p.is_file() and p.name != "manifest.json")
@@ -130,7 +137,8 @@ class TestSimulatePool:
 
         monkeypatch.setattr(PressureStateSeries, "__reduce_ex__", refuse)
         out = tmp_path / "out"
-        assert self._simulate(out, small, 2, monkeypatch) == ["fork"]
+        assert self._simulate(out, small, 2, monkeypatch) == [
+            "_map_share"] * 2
         assert len(list((out / "runs").glob("*.csv"))) == 49
 
     def test_a_worker_error_is_one_error_line_and_no_manifest(
@@ -144,13 +152,14 @@ class TestSimulatePool:
 
         monkeypatch.setattr(surrogate, "simulate_batch", fail_on_p7m7)
         out = tmp_path / "out"
-        assert self._simulate(out, small, 2, monkeypatch, status=1) == ["fork"]
+        assert self._simulate(out, small, 2, monkeypatch, status=1) == [
+            "_map_share"] * 2
         assert capsys.readouterr().err == "error: cannot simulate P7M7\n"
         assert not (out / "manifest.json").exists()
         # the other worker's share succeeded, yet none of its files stays
         assert list(out.rglob("*.csv")) == []
         assert list(out.rglob("*.meta.json")) == []
-        assert multiprocessing.active_children() == []
+        _no_child_left()
 
     def test_a_run_path_in_the_way_is_one_error_line(self, small, tmp_path,
                                                      monkeypatch, capsys):
@@ -165,12 +174,13 @@ class TestSimulatePool:
         assert "P3M4.csv" in err
         # the runs before P3M4 were in place; they are taken out again
         assert [p for p in out.rglob("*") if p.is_file()] == []
-        assert multiprocessing.active_children() == []
+        _no_child_left()
 
     def test_a_run_path_in_the_way_spares_an_earlier_runs_files(
             self, small, tmp_path, monkeypatch, capsys):
         out = tmp_path / "out"
-        assert self._simulate(out, small, 2, monkeypatch) == ["fork"]
+        assert self._simulate(out, small, 2, monkeypatch) == [
+            "_map_share"] * 2
         (out / "runs" / "P3M4.csv").unlink()
         (out / "runs" / "P3M4.csv").mkdir()
         before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
@@ -183,7 +193,8 @@ class TestSimulatePool:
     def test_a_move_that_fails_leaves_no_stale_manifest(
             self, small, tmp_path, monkeypatch, capsys):
         out = tmp_path / "out"
-        assert self._simulate(out, small, 2, monkeypatch) == ["fork"]
+        assert self._simulate(out, small, 2, monkeypatch) == [
+            "_map_share"] * 2
         real = Path.replace
 
         def refuse_p3m4(self, target):
@@ -219,19 +230,18 @@ class TestSimulatePool:
 
 
 class TestSamplesPool:
-    # sweep samples runs its two experiments on a fork pool of one worker
-    # per usable CPU, or in-process with one; nothing about the output may
-    # tell which
+    # sweep samples runs its two experiments on one forked child per usable
+    # CPU, or in-process with one; nothing about the output may tell which
     def test_pool_and_one_process_write_the_same_tree(self, tmp_path,
                                                       monkeypatch):
         cfg = tmp_path / "small.yaml"
         cfg.write_text(SMALL_RUNS + "sample_repeats: 2\n")
         trees = {}
-        for cpus, contexts in ((2, ["fork"]), (1, [])):
+        for cpus, children in ((2, ["_map_share"] * 2), (1, [])):
             out = tmp_path / f"cpus{cpus}"
             assert _main_on_cpus(["sweep", "samples", "--config", str(cfg),
                                   "--out", str(out), "--quiet"],
-                                 cpus, monkeypatch) == contexts
+                                 cpus, monkeypatch) == children
             trees[cpus] = _tree(out)
         files, outputs = trees[2]
         assert trees[1] == trees[2]
@@ -1106,17 +1116,16 @@ class TestOneSeed:
     ], ids=lambda argv: "-".join(a for a in argv[:2] if a[0] != "-"))
     def test_every_noise_draw_uses_the_run_seed(self, argv, extra, seed,
                                                 tmp_path, monkeypatch):
-        # a line per draw, so that draws in fork-pool workers count too
+        # a line per run's draw, so that draws in forked children count too
         log = tmp_path / "seeds.txt"
-        real = surrogate.add_noise
+        real = surrogate._run_noise
 
-        def spy(params, run, noise_seed):
+        def spy(gen, noise_seed, *args):
             with open(log, "a", encoding="utf-8") as fh:
                 fh.write(f"{noise_seed}\n")
-            return real(params, run, noise_seed)
+            return real(gen, noise_seed, *args)
 
-        monkeypatch.setattr(surrogate, "add_noise", spy)
-        monkeypatch.setattr(sweeps, "add_noise", spy)
+        monkeypatch.setattr(surrogate, "_run_noise", spy)
         # the run CSVs are not under test; skip writing 35 MB of them, and
         # moving them into runs/
         monkeypatch.setattr(cli, "export_run",

@@ -1,11 +1,15 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from armrc import surrogate
+from armrc import runio, surrogate
 from armrc.core import InputCondition, PayloadSet, TimeGrid
 from armrc.profiles import (
     RampProfileSpec,
@@ -516,3 +520,164 @@ class TestBatchIndependence:
             assert np.array_equal(alone.sensors, batched.sensors)
             assert np.array_equal(alone.theta, batched.theta)
 
+
+
+def _spy_forks(monkeypatch):
+    """The names of the functions `surrogate` starts in forked children,
+    appended as each fork is asked for."""
+    children = []
+    real = surrogate.forked
+
+    def spy(fn, *args):
+        children.append(fn.__name__)
+        return real(fn, *args)
+
+    monkeypatch.setattr(surrogate, "forked", spy)
+    return children
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _fresh_process(monkeypatch):
+    """This process as a fresh one sees it for `_take_noise_child`: no
+    noise child forked yet and numpy.random not imported (the module stays
+    bound as np.random, so nothing imports it again)."""
+    monkeypatch.setattr(surrogate, "_noise_child_taken", False)
+    monkeypatch.delitem(sys.modules, "numpy.random")
+
+
+class TestNoiseChild:
+    # a process's first noisy batch of long runs draws its noise in a forked
+    # child while the kernel steps, if numpy.random is not yet imported and
+    # 2 CPUs are usable: the bits add_noise gives
+    @settings(max_examples=30, deadline=None)
+    @given(arm=banded_arms(), n_runs=st.integers(1, 6),
+           n_samples=st.integers(1, 120), seed=st.integers(0, 2**64 - 1),
+           noise_std=st.floats(0.01, 3.0), data=st.data())
+    def test_runs_with_the_child_are_bit_identical_to_runs_without(
+            self, arm, n_runs, n_samples, seed, noise_std, data):
+        params, _, rng = arm
+        params = dataclasses.replace(params, noise_std=noise_std)
+        conds = data.draw(st.lists(
+            st.none() | st.builds(InputCondition, st.integers(1, 2**31),
+                                  st.integers(1, 2**15)),
+            min_size=n_runs, max_size=n_runs))
+        grid = TimeGrid(n_samples=n_samples)
+        traces = [rng.uniform(0.0, 50.0, n_samples) for _ in range(n_runs)]
+        masses = list(rng.uniform(0.0, 400.0, n_runs))
+        runs = {}
+        for child in (True, False):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(surrogate, "_take_noise_child", lambda n: child)
+                children = _spy_forks(mp)
+                runs[child] = simulate_batch(params, traces, masses, grid,
+                                             conditions=conds, seed=seed)
+            assert children == (["_noise_child"] if child else [])
+        for child, alone in zip(runs[True], runs[False]):
+            for name in ("s_in", "sensors", "theta"):
+                assert (getattr(child, name).tobytes()
+                        == getattr(alone, name).tobytes())
+            assert child.condition == alone.condition
+            assert child.payload_grams == alone.payload_grams
+            assert not child.sensors.flags.writeable
+        _no_child_left()
+
+    @pytest.mark.parametrize("case", [
+        "at the size rule", "below the size rule", "inside a fork_map child",
+        "noise off", "zero noise", "one CPU", "numpy.random imported",
+        "second batch"])
+    def test_a_child_only_where_a_fork_pays(self, case, monkeypatch):
+        params = SurrogateParams(noise_std=0.0 if case == "zero noise"
+                                 else 0.3)
+        n = surrogate._NOISE_CHILD_SAMPLES - (case == "below the size rule")
+        grid = TimeGrid(n_samples=n)
+        cpus = 1 if case == "one CPU" else 2
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)))
+        monkeypatch.setattr(surrogate, "_noise_child_taken", False)
+        if case != "numpy.random imported":
+            _fresh_process(monkeypatch)
+        children = _spy_forks(monkeypatch)
+
+        def simulate_two(_):
+            before = len(children)
+            simulate_batch(params, [P1[:n]] * 2, [0.0, 100.0], grid,
+                           with_noise=case != "noise off")
+            return children[before:]
+
+        if case == "inside a fork_map child":
+            # each child's own forks, sent back with its results
+            assert runio.fork_map(simulate_two, [0, 1]) == [[], []]
+        elif case == "second batch":
+            assert simulate_two(0) == ["_noise_child"]
+            assert simulate_two(1) == []
+        else:
+            expected = ["_noise_child"] if case == "at the size rule" else []
+            assert simulate_two(0) == expected
+        _no_child_left()
+
+    def test_a_fresh_process_forks_one_noise_child_and_never_imports_numpy_random(
+            self):
+        code = (
+            "import os, sys\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "from armrc import surrogate\n"
+            "from armrc.core import TimeGrid\n"
+            "from armrc.profiles import default_profile_family, "
+            "generate_profile\n"
+            "grid = TimeGrid(n_samples=surrogate._NOISE_CHILD_SAMPLES)\n"
+            "trace = generate_profile(default_profile_family()[0], grid)\n"
+            "params, real, children = surrogate.SurrogateParams(), "
+            "surrogate.forked, []\n"
+            "def spy(fn, *args):\n"
+            "    children.append(fn.__name__)\n"
+            "    return real(fn, *args)\n"
+            "surrogate.forked = spy\n"
+            "def batch(**kw):\n"
+            "    return surrogate.simulate_batch(params, [trace] * 3, "
+            "[0.0, 50.0, 100.0], grid, seed=11, **kw)\n"
+            "first = batch()\n"
+            "print(children, 'numpy.random' in sys.modules)\n"
+            "clean = batch(with_noise=False)\n"
+            "alone = [surrogate.add_noise(params, r, 11) for r in clean]\n"
+            "print(all(a.sensors.tobytes() == b.sensors.tobytes() "
+            "for a, b in zip(first, alone)))\n"
+            "second = batch()\n"
+            "print(children, all(a.sensors.tobytes() == b.sensors.tobytes() "
+            "for a, b in zip(second, alone)))\n")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == ("['_noise_child'] False\nTrue\n"
+                               "['_noise_child'] True\n")
+
+    def test_a_kernel_error_reaches_the_caller_and_leaves_no_child(
+            self, monkeypatch):
+        error = RuntimeError("the kernel failed")
+
+        def fail(*args):
+            raise error
+
+        monkeypatch.setattr(surrogate, "_advance", fail)
+        monkeypatch.setattr(surrogate, "_take_noise_child", lambda n: True)
+        children = _spy_forks(monkeypatch)
+        with pytest.raises(RuntimeError) as raised:
+            simulate(SurrogateParams(), P1[:50], 0.0, TimeGrid(n_samples=50))
+        assert raised.value is error
+        assert children == ["_noise_child"]
+        _no_child_left()
+
+    def test_a_noise_child_that_dies_is_an_error_naming_its_status(
+            self, monkeypatch):
+        monkeypatch.setattr(surrogate, "_run_noise", lambda *args: os._exit(5))
+        monkeypatch.setattr(surrogate, "_take_noise_child", lambda n: True)
+        with pytest.raises(ChildProcessError,
+                           match="exited with status 5 before its reply"):
+            simulate(SurrogateParams(), P1[:50], 0.0, TimeGrid(n_samples=50))
+        _no_child_left()
