@@ -19,15 +19,13 @@ from pathlib import Path
 
 from .config import (ConfigError, ExperimentConfig, default_config,
                      load_config, training_window)
-from .core import (Window, condition_grid, fork_width, parse_condition_label,
+from .core import (Window, condition_grid, fork_map, parse_condition_label,
                    slice_series, trace_columns)
 from .readout import (correlation_matrix, full_width, window_factor,
                       window_means)
 from .runio import (
     config_digest,
-    contiguous_chunks,
     export_run,
-    fork_map,
     ingest_run,
     load_weights,
     save_weights,
@@ -47,7 +45,8 @@ from .sweeps import (
     tip_sensor_masks,
     train_on_subset,
 )
-from .tasks import TaskKind, constant_score, payload_status, score
+from .tasks import (PayloadStatus, TaskKind, constant_score, payload_status,
+                    score, true_status)
 
 HARDWARE_NOTE = ("percent errors are surrogate results; hardware-measured "
                  "percentages are qualitative ordering targets only")
@@ -114,10 +113,7 @@ def cmd_simulate(args) -> int:
                 for cond, series in _simulate(cfg, share).items()]
 
     try:
-        grid = condition_grid(len(cfg.profiles), cfg.payloads)
-        chunks = fork_map(write,
-                          contiguous_chunks(grid, fork_width(len(grid))))
-        csvs = [csv for chunk in chunks for csv in chunk]
+        csvs = fork_map(write, condition_grid(len(cfg.profiles), cfg.payloads))
         names = [name for csv in csvs
                  for name in (csv, sidecar_path(csv).name)]
         _publish(staging, out, names)
@@ -168,6 +164,7 @@ def cmd_evaluate(args) -> int:
         print(f"warning: {args.run}: the sidecar records no payload_grams; "
               f"taking {mass:g} g for {series.condition.label} from the "
               "config's payloads", file=sys.stderr)
+    truth = None if mass is None else true_status(mass)
     means = window_means(series, window)
     for name, w in zip(weights.task_names,
                        full_width(weights, series.n_sensors)):
@@ -179,17 +176,16 @@ def cmd_evaluate(args) -> int:
             line = f"task=bending nrmse_percent={err:.4f}"
         elif name == TaskKind.PAYLOAD_MASS.value:
             line = f"task=mass estimate_grams={mean:.4f}"
-            if mass is not None and mass > 0:
+            if truth is PayloadStatus.PRESENT:
                 err = constant_score(TaskKind.PAYLOAD_MASS, means, w, mass)
                 line += f" truth_grams={mass:.1f} relative_error_percent={err:.4f}"
         else:
             line = f"task={name} mean_output={mean:.4f}"
             if name == TaskKind.PAYLOAD_DETECT.value:
-                verdict = payload_status(mean).value
-                line += f" verdict={verdict}"
-                if mass is not None:
-                    truth = "present" if mass > 0 else "absent"
-                    line += f" truth={truth} correct={verdict == truth}"
+                verdict = payload_status(mean)
+                line += f" verdict={verdict.value}"
+                if truth is not None:
+                    line += f" truth={truth.value} correct={verdict is truth}"
         print(line)
     return 0
 
@@ -234,17 +230,17 @@ def _condition_tables(cfg: ExperimentConfig, runs: dict):
 
 
 def _sample_tables(cfg: ExperimentConfig, noise_free: dict):
-    """Both experiments' sample-count sweeps, one per `fork_map` child:
-    each takes several times a fork's cost. Children inherit the runs."""
+    """Both experiments' sample-count sweeps over `fork_map`, one child
+    each at 2 CPUs: each takes several forks' cost. Children inherit the runs."""
     table = experiments(cfg)
 
-    def sweep(exp):
-        return sample_count_sweep(
+    def sweep(share):
+        return [sample_count_sweep(
             exp.task, cfg.sample_counts, exp.subset, exp.evaluation,
             cfg.surrogate, noise_free, cfg.payloads, train_window=cfg.train,
             test_window=cfg.test, repeats=cfg.sample_repeats,
             base_seed=cfg.seed, ridge=cfg.ridge, normalizer=cfg.normalizer,
-        )
+        ) for exp in share]
 
     rows = [str(c) for c in cfg.sample_counts]
     for (name, exp), res in zip(table.items(),

@@ -1,6 +1,8 @@
 """Shared domain types: uniform sample clocks, half-open time windows, the
 pressure-profile x payload condition grid, and recorded pressure-state runs;
-and `forked`, the one way armrc starts a child process.
+and `forked`, the one way armrc starts a child process, with `fork_map`,
+which cuts any work into one contiguous share per usable CPU
+(`fork_width`) and runs each share in a child of its own.
 
 All types are immutable value objects and safe to share between workers.
 """
@@ -10,6 +12,7 @@ from __future__ import annotations
 import contextlib
 import math
 import os
+import pickle
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -356,3 +359,40 @@ def forked(fn, *args):
                else f"exited with status {status}")
         raise ChildProcessError(f"a forked child {how}" + (
             " before its reply was complete" if cut else ""))
+
+
+def _map_share(pipe, fn, share) -> None:
+    """A `fork_map` child: sends back ``fn(share)`` or its exception."""
+    try:
+        reply = fn(share), None
+    except Exception as exc:
+        reply = None, exc
+    pickle.dump(reply, pipe, pickle.HIGHEST_PROTOCOL)
+
+
+def fork_map(fn, items) -> list:
+    """``fn(items)``, for an ``fn`` that maps a list to one result per item
+    in order and stops at its first failing item: ``fn`` of each of one
+    contiguous share per usable CPU (`fork_width`), sizes within one, on a
+    `forked` child that inherits ``fn`` and its share and sends back its
+    results or exception pickled; the results joined in share order, or the
+    first failing share's exception raised (the one ``fn(items)`` raises).
+    In-process where `fork_width` is 1. Worth it when ``fn`` takes much
+    longer than forking two children, 7-9 ms: `armrc simulate` of the 49
+    default runs takes 0.24-0.33 s on two children of a 2-core Xeon, and
+    0.39-0.49 s in-process."""
+    items = list(items)
+    n = fork_width(len(items))
+    if n < 2:
+        return fn(items)
+    cuts = [k * len(items) // n for k in range(n + 1)]
+    with contextlib.ExitStack() as stack:
+        pipes = [stack.enter_context(forked(_map_share, fn, items[a:b]))
+                 for a, b in zip(cuts, cuts[1:])]
+        replies = [pipe.read() for pipe in pipes]
+    results = []
+    for done, error in map(pickle.loads, replies):
+        if error is not None:
+            raise error
+        results += done
+    return results

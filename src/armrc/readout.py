@@ -93,6 +93,8 @@ class ReadoutWeights:
     task_names: tuple = ()
 
     def __post_init__(self) -> None:
+        # the training masks' rule, over as many sensors as the mask names
+        normalize_mask(self.sensor_mask, 1 + max(self.sensor_mask, default=0))
         if self.weights.ndim != 2:
             raise ValueError("weights must be 2-D (1 + n_sensors, n_tasks)")
         if self.weights.shape[0] != 1 + len(self.sensor_mask):

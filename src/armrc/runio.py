@@ -1,6 +1,6 @@
 """File formats: recorded-run CSVs with JSON sidecars, readout-weight JSON,
-result-matrix CSVs, and run manifests; and `fork_map`, which writes runs
-(or does any other work) on one `core.forked` child per usable CPU.
+result-matrix CSVs, and run manifests. A caller that writes many runs
+hands them to `core.fork_map`, whose children write their own shares.
 
 Run CSVs hold each float as its shortest round-trip decimal (``orjson``'s
 Ryu writer), so export followed by ingest reproduces every float
@@ -13,13 +13,11 @@ appear only in manifests so output trees stay byte-reproducible.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
 import hashlib
 import io
 import json
 import math
-import pickle
 import platform
 import time
 import warnings
@@ -29,8 +27,8 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .core import (InputCondition, PressureStateSeries, TimeGrid, __version__,
-                   as_int, fork_width, forked, trace_columns)
-from .readout import ReadoutWeights
+                   as_int, trace_columns)
+from .readout import ReadoutWeights, normalize_mask
 
 RUN_FORMAT = "armrc-run-v2"
 # still read, with unknown grams (`payload_grams` None): a reader takes them
@@ -102,56 +100,6 @@ def export_run(series: PressureStateSeries, csv_path, *,
     return csv_path
 
 
-def contiguous_chunks(items: Sequence, n: int) -> list:
-    """``items`` cut into ``min(n, len(items))`` runs of consecutive items,
-    in order, whose sizes differ by at most one."""
-    n = min(n, len(items))
-    return [items[k * len(items) // n:(k + 1) * len(items) // n]
-            for k in range(n)]
-
-
-def _map_share(pipe, fn, share) -> None:
-    """A `fork_map` child: ``fn`` of each item of ``share`` in order, until
-    one raises; sends back the results and that exception (or None)."""
-    results, error = [], None
-    for item in share:
-        try:
-            results.append(fn(item))
-        except Exception as exc:
-            error = exc
-            break
-    pickle.dump((results, error), pipe, pickle.HIGHEST_PROTOCOL)
-
-
-def fork_map(fn, items) -> list:
-    """``[fn(item) for item in items]`` on one `forked` child per usable
-    CPU (`fork_width`), child j taking ``items[j::n]``, or in-process: the
-    same results, or the same exception, the first item's to raise.
-    Children inherit ``fn`` (a closure will do) and ``items`` unpickled, and
-    send back their results or exception pickled. Worth it when the items
-    take much longer than forking two children, 7-9 ms: `armrc simulate` of
-    the 49 default runs (about 10 ms each to simulate, noise and write)
-    takes 0.24-0.33 s as two chunks on two children of a 2-core Xeon, and
-    0.39-0.49 s as one chunk in-process."""
-    items = list(items)
-    n = fork_width(len(items))
-    if n < 2:
-        return [fn(item) for item in items]
-    with contextlib.ExitStack() as stack:
-        pipes = [stack.enter_context(forked(_map_share, fn, items[j::n]))
-                 for j in range(n)]
-        replies = [pipe.read() for pipe in pipes]
-    results, failed = [None] * len(items), []
-    for j, reply in enumerate(replies):
-        done, error = pickle.loads(reply)
-        results[j:j + n * len(done):n] = done
-        if error is not None:
-            failed.append((j + n * len(done), error))
-    if failed:
-        raise min(failed, key=lambda f: f[0])[1]
-    return results
-
-
 def _read_object(path: Path, label: str) -> dict:
     """The JSON object in ``path``; else a ValueError naming ``label``."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -180,6 +128,12 @@ def _grams(value) -> Optional[float]:
     if value is None or type(value) in (int, float) and 0 <= value < math.inf:
         return None if value is None else float(value)
     raise ValueError(f"must be null or a finite mass >= 0, got {value!r}")
+
+
+def _n_sensors(value) -> int:
+    if (n := as_int(value)) < 1:
+        raise ValueError(f"must be an integer >= 1, got {value!r}")
+    return n
 
 
 def _condition(value) -> Optional[InputCondition]:
@@ -253,7 +207,7 @@ def ingest_run(csv_path) -> PressureStateSeries:
     condition = _field({"condition": None, **meta}, "condition", label, _condition)
     n_sensors, n_samples, t0, sample_rate = (
         _field(meta, key, label, parse) for key, parse in (
-            ("n_sensors", as_int), ("n_samples", as_int), ("t0", float),
+            ("n_sensors", _n_sensors), ("n_samples", as_int), ("t0", float),
             ("sample_rate", float)))
     try:
         grid = TimeGrid(sample_rate=sample_rate, n_samples=n_samples, t0=t0)
@@ -349,7 +303,7 @@ def _weights_mask(value) -> tuple:
     if not isinstance(value, list) or not value or any(
             type(m) is not int or m < 0 for m in value):
         raise TypeError("expected a non-empty list of sensor indices >= 0")
-    return tuple(value)
+    return normalize_mask(value, 1 + max(value))
 
 
 def _weights_names(value) -> tuple:

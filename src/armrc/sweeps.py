@@ -61,13 +61,13 @@ from .readout import (
 # no sweep calls simulate_conditions: perfbench's spans name it here
 from .surrogate import SurrogateParams, add_noise, simulate_conditions
 from .tasks import (
-    DETECT_ABSENT,
-    DETECT_PRESENT,
+    DETECT_LABEL,
     PayloadStatus,
     TaskKind,
     constant_score,
     payload_status,
     score,
+    true_status,
 )
 
 
@@ -175,7 +175,7 @@ def _truth(task: TaskKind, runs: Mapping, cond: InputCondition,
                          f"payload set gives {mass:g} g")
     if task is TaskKind.PAYLOAD_MASS:
         return mass
-    return DETECT_ABSENT if mass == 0 else DETECT_PRESENT
+    return DETECT_LABEL[true_status(mass)]
 
 
 def _solve(fits: Sequence, runs: Mapping, payloads: PayloadSet, tasks: tuple,
@@ -416,21 +416,23 @@ def multitask_grid(
                        for c in cells])
     detect, angle_error, mass_error = np.full((3, len(cells)), np.nan)
     present = np.empty(len(cells), dtype=bool)
+    loaded = np.array([true_status(m) is PayloadStatus.PRESENT
+                       for m in masses])
     for k, cond in enumerate(cells):
         block = _factor(runs, cond, test_window)
         detect[k] = score(TaskKind.PAYLOAD_DETECT, block, w_detect, None,
                           normalizer)
         present[k] = payload_status(detect[k]) is PayloadStatus.PRESENT
-        if present[k] or masses[k] == 0:
+        if present[k] or not loaded[k]:
             angle_error[k] = score(TaskKind.BENDING_ANGLE, block, w_angle,
                                    None, normalizer)
-        if present[k] and masses[k] > 0:
+        if present[k] and loaded[k]:
             mass_error[k] = score(TaskKind.PAYLOAD_MASS, block, w_mass,
                                   masses[k], normalizer)
     shape = (n_profiles, len(payloads))
     return MultitaskGridResult(
         detect_output=detect.reshape(shape),
-        detect_correct=(present == (masses > 0)).reshape(shape),
+        detect_correct=(present == loaded).reshape(shape),
         angle_error=angle_error.reshape(shape),
         mass_error=mass_error.reshape(shape),
     )

@@ -14,10 +14,6 @@ from .core import PressureStateSeries, Window, window_indices
 from .readout import (ReadoutWeights, WindowFactor, predict, scaled_percent,
                       truth_scale)
 
-DETECT_ABSENT = 1.0
-DETECT_PRESENT = -1.0
-
-
 class TaskKind(enum.Enum):
     BENDING_ANGLE = "bending"
     PAYLOAD_DETECT = "detect"
@@ -27,6 +23,10 @@ class TaskKind(enum.Enum):
 class PayloadStatus(enum.Enum):
     ABSENT = "absent"
     PRESENT = "present"
+
+
+# the detect readout's target for each `true_status`
+DETECT_LABEL = {PayloadStatus.ABSENT: 1.0, PayloadStatus.PRESENT: -1.0}
 
 
 def bending_target(series: PressureStateSeries, window: Window) -> np.ndarray:
@@ -51,6 +51,11 @@ def payload_status(mean_output: float) -> PayloadStatus:
     present so the downstream mass step never silently skips a real payload.
     """
     return PayloadStatus.ABSENT if mean_output > 0 else PayloadStatus.PRESENT
+
+
+def true_status(mass: float) -> PayloadStatus:
+    """The detect truth: a payload of ``mass`` grams is present iff > 0."""
+    return PayloadStatus.PRESENT if mass > 0 else PayloadStatus.ABSENT
 
 
 def estimate_mass(

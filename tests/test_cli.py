@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import armrc
-from armrc import cli, readout, runio, surrogate, sweeps
+from armrc import cli, core, readout, surrogate, sweeps
 from armrc.cli import main
 from armrc.config import (ExperimentConfig, build_config, default_config,
                           training_window)
@@ -74,14 +74,14 @@ def _main_on_cpus(argv, cpus, monkeypatch, status=0):
     CPUs; returns the name of the function each child `core.forked` started
     ran, in order."""
     children = []
-    real = runio.forked
+    real = core.forked
 
     def spy(fn, *args):
         children.append(fn.__name__)
         return real(fn, *args)
 
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-    monkeypatch.setattr(runio, "forked", spy)
+    monkeypatch.setattr(core, "forked", spy)
     assert main(argv) == status
     return children
 
@@ -510,6 +510,24 @@ class TestMalformedSidecar:
         assert err.startswith("error: P1M1.meta.json") and err.count("\n") == 1
         assert field in err
 
+    @pytest.mark.parametrize("n_sensors", [0, -1])
+    def test_a_run_of_no_sensors_is_one_error_line(self, grid_dir, tmp_path,
+                                                   capsys, n_sensors):
+        # cut to t,s_in,theta, the run would be correlated as one of no
+        # sensors
+        run = _edited_run(grid_dir, tmp_path,
+                          lambda meta: {**meta, "n_sensors": n_sensors})
+        run.write_text("".join(
+            ",".join(cells[:2] + cells[-1:]) + "\n"
+            for cells in (line.split(",")
+                          for line in run.read_text().splitlines())))
+        rc = main(["correlate", "--runs", str(run), "--channel", "s_in",
+                   "--quiet"])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.out == ""
+        assert captured.err == ("error: P1M1.meta.json: field 'n_sensors': "
+                                f"must be an integer >= 1, got {n_sensors}\n")
+
     def test_a_text_cell_is_an_error_line_naming_the_csv(self, grid_dir,
                                                         tmp_path, capsys):
         run = _edited_run(grid_dir, tmp_path, lambda meta: meta)
@@ -738,8 +756,10 @@ class TestMalformedWeights:
          "weights"),
         (lambda doc: {**doc, "weights": [[1.0], [1.0, 2.0]]}, "weights"),
         (lambda doc: [doc], "object"),
+        (lambda doc: {**doc, "sensor_mask": [0, 0, 1, 2, 3, 4, 5]},
+         "sensor_mask"),
     ], ids=["task-names-number", "mask-null", "no-weights", "ragged-weights",
-            "top-level-list"])
+            "top-level-list", "mask-repeated"])
     def test_is_one_error_line_naming_the_file_and_field(self, edit, field,
                                                          tmp_path, capsys):
         path = tmp_path / "w.json"

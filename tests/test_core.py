@@ -1,7 +1,15 @@
+import contextlib
+import io
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from armrc import core
 from armrc.core import (
     DEFAULT_PAYLOADS_G,
     InputCondition,
@@ -13,6 +21,7 @@ from armrc.core import (
     WASHOUT_WINDOW,
     Window,
     condition_grid,
+    fork_map,
     parse_condition_label,
     slice_series,
     window_indices,
@@ -259,3 +268,185 @@ class TestPressureStateSeries:
         grid = TimeGrid()
         assert window_indices(grid, Window(50.0, 75.0)) == (2000, 3000)
         assert window_indices(grid, Window(0.0, 100.0)) == (0, 4000)
+
+
+def _absolutes(share):
+    return [abs(k) for k in share]
+
+
+def _spy_forks(monkeypatch):
+    """The names of the functions `core.forked` starts in children,
+    appended as each fork is asked for."""
+    children = []
+    real = core.forked
+
+    def spy(fn, *args):
+        children.append(fn.__name__)
+        return real(fn, *args)
+
+    monkeypatch.setattr(core, "forked", spy)
+    return children
+
+
+def _run_fresh(code, timeout):
+    """``code`` in a fresh interpreter that imports this checkout's armrc."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env.pop("PYTHONUNBUFFERED", None)  # stdout to a pipe is buffered
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+
+
+def _outcome(call):
+    """``call()``'s result, or the type and message of what it raised."""
+    try:
+        return "returned", call()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestForkMap:
+    # `fork_map` gives each usable CPU one contiguous share of the items,
+    # and joins the children's replies in share order
+    @settings(max_examples=200, deadline=None)
+    @given(cpus=st.integers(1, 8), n_items=st.integers(0, 60),
+           data=st.data())
+    def test_shares_are_contiguous_in_order_and_even(self, cpus, n_items,
+                                                     data):
+        # `core.forked` runs the child in-process into a BytesIO reply, so
+        # no process starts; every item from ``failing`` on raises
+        failing = data.draw(st.none() | st.integers(0, max(n_items - 1, 0)))
+        items = list(range(n_items))
+        shares = []
+
+        def fn(share):
+            for k in share:
+                if failing is not None and k >= failing:
+                    raise ValueError(f"item {k}")
+            return [k * k for k in share]
+
+        @contextlib.contextmanager
+        def fake_forked(child, *args):
+            shares.append(list(args[1]))
+            reply = io.BytesIO()
+            child(reply, *args)
+            reply.seek(0)
+            yield reply
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            mp.setattr(core, "forked", fake_forked)
+            mapped = _outcome(lambda: fork_map(fn, items))
+        assert mapped == _outcome(lambda: fn(items))
+        width = min(cpus, n_items)
+        assert len(shares) == (width if width > 1 else 0)
+        if shares:
+            assert [k for share in shares for k in share] == items
+            sizes = [len(share) for share in shares]
+            assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+
+    def test_output_buffered_before_the_fork_is_written_once(self):
+        # a forked child inherits the parent's stdio buffers: they are
+        # flushed before the fork, so no child writes them a second time;
+        # what a child prints is flushed before it leaves with os._exit
+        proc = _run_fresh(
+            "import os, sys\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "from armrc.core import fork_map\n"
+            "def shout(share):\n"
+            "    for k in share:\n"
+            "        print('child', k)\n"
+            "    return [abs(k) for k in share]\n"
+            "print('before')\n"
+            "print('before', file=sys.stderr)\n"
+            "assert fork_map(shout, [-1, -2, -3, -4]) == [1, 2, 3, 4]\n",
+            timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "before" and proc.stderr == "before\n"
+        assert sorted(lines[1:]) == [f"child {k}" for k in (-1, -2, -3, -4)]
+
+    def test_a_child_that_dies_is_an_error_naming_its_status(self):
+        # a dead child's pipe ends, so the map neither waits for a reply
+        # that will never come nor leaves either child unreaped
+        proc = _run_fresh(
+            "import os\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "from armrc.core import fork_map\n"
+            "def share_of(share):\n"
+            "    if 3 in share:\n"
+            "        os._exit(3)\n"
+            "    return share\n"
+            "try:\n"
+            "    fork_map(share_of, range(4))\n"
+            "except ChildProcessError as exc:\n"
+            "    print(exc)\n"
+            "try:\n"
+            "    os.waitpid(-1, os.WNOHANG)\n"
+            "except ChildProcessError:\n"
+            "    print('no child left')\n",
+            timeout=20)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == ("a forked child exited with status 3\n"
+                               "no child left\n")
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_results_and_the_first_error_are_the_serial_ones(
+            self, cpus, monkeypatch):
+        # one child per share; the results come back in item order, and of
+        # several failing shares the first one's error is raised
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)))
+        children = _spy_forks(monkeypatch)
+        assert fork_map(lambda share: [k * k for k in share],
+                        range(7)) == [k * k for k in range(7)]
+        assert children == ["_map_share"] * cpus
+
+        def fail_from_4(share):
+            for k in share:
+                if k >= 4:
+                    raise ValueError(f"item {k}")
+            return share
+
+        with pytest.raises(ValueError, match="^item 4$"):
+            fork_map(fail_from_4, range(7))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_a_forked_child_maps_in_process(self, monkeypatch):
+        # a child's parent already keeps every usable CPU busy
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        children = _spy_forks(monkeypatch)
+
+        def inner(share):  # the forks asked for inside a child, sent back
+            before = len(children)
+            assert [fork_map(_absolutes, [-k, k]) for k in share] == [
+                [k, k] for k in share]
+            return [children[before:] for _ in share]
+
+        assert fork_map(inner, [1, 2]) == [[], []]
+        assert children == ["_map_share"] * 2
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="lists open descriptors through /proc")
+    @pytest.mark.parametrize("failing", [1, 2])
+    def test_a_fork_that_fails_leaves_no_pipe_and_no_child(self, failing,
+                                                           monkeypatch):
+        # the fork's own error passes; a child already forked is reaped
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        real, forks = os.fork, []
+
+        def fork():
+            forks.append(1)
+            if len(forks) == failing:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            return real()
+
+        monkeypatch.setattr(os, "fork", fork)
+        before = set(os.listdir("/proc/self/fd"))
+        with pytest.raises(BlockingIOError):
+            fork_map(_absolutes, [-1, -2])
+        assert set(os.listdir("/proc/self/fd")) == before
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)

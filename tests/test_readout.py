@@ -569,3 +569,11 @@ class TestMaskHelper:
         assert normalize_mask((2, 0), 3) == (2, 0)
         with pytest.raises(ValueError):
             normalize_mask((3,), 3)
+
+    def test_a_repeated_sensor_is_refused_in_training_and_weights_alike(self):
+        # full_width would keep one weight of each repeated column
+        message = r"^sensor mask has duplicates: \(0, 0, 1\)$"
+        with pytest.raises(ValueError, match=message):
+            normalize_mask((0, 0, 1), 3)
+        with pytest.raises(ValueError, match=message):
+            ReadoutWeights(np.ones((4, 1)), (0, 0, 1))

@@ -4,9 +4,6 @@ import io
 import itertools
 import json
 import math
-import os
-import subprocess
-import sys
 import tempfile
 from decimal import Decimal
 from pathlib import Path
@@ -24,9 +21,7 @@ from armrc.readout import ReadoutWeights
 from armrc.runio import (
     CLOCK_TOLERANCE,
     config_digest,
-    contiguous_chunks,
     export_run,
-    fork_map,
     ingest_run,
     load_weights,
     save_weights,
@@ -148,143 +143,6 @@ class TestExportBlocks:
             theta=-s_in, condition=InputCondition(3, 1)))
 
 
-class TestForkMap:
-    # `armrc simulate` gives each `fork_map` worker one contiguous chunk
-    @pytest.mark.parametrize("cpus", range(1, 9))
-    def test_chunks_are_contiguous_in_order_and_even(self, cpus):
-        for n_items in range(1, 61):
-            items = list(range(n_items))
-            chunks = contiguous_chunks(items, cpus)
-            assert len(chunks) == min(cpus, n_items)
-            assert [x for chunk in chunks for x in chunk] == items
-            sizes = [len(chunk) for chunk in chunks]
-            assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
-
-    def test_output_buffered_before_the_pool_is_written_once(self):
-        # a forked child inherits the parent's stdio buffers: they are
-        # flushed before the fork, so no child writes them a second time;
-        # what a child prints is flushed before it leaves with os._exit
-        code = (
-            "import os, sys\n"
-            "os.sched_getaffinity = lambda pid: {0, 1}\n"
-            "from armrc.runio import fork_map\n"
-            "def shout(k):\n"
-            "    print('child', k)\n"
-            "    return abs(k)\n"
-            "print('before')\n"
-            "print('before', file=sys.stderr)\n"
-            "assert fork_map(shout, [-1, -2, -3, -4]) == [1, 2, 3, 4]\n")
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        env.pop("PYTHONUNBUFFERED", None)  # stdout to a pipe is buffered
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        lines = proc.stdout.splitlines()
-        assert lines[0] == "before" and proc.stderr == "before\n"
-        assert sorted(lines[1:]) == [f"child {k}" for k in (-1, -2, -3, -4)]
-
-    def test_a_child_that_dies_is_an_error_naming_its_status(self):
-        # a dead child's pipe ends, so the map neither waits for a reply
-        # that will never come nor leaves either child unreaped
-        code = (
-            "import os\n"
-            "os.sched_getaffinity = lambda pid: {0, 1}\n"
-            "from armrc.runio import fork_map\n"
-            "def item(k):\n"
-            "    if k == 3:\n"
-            "        os._exit(3)\n"
-            "    return k\n"
-            "try:\n"
-            "    fork_map(item, range(4))\n"
-            "except ChildProcessError as exc:\n"
-            "    print(exc)\n"
-            "try:\n"
-            "    os.waitpid(-1, os.WNOHANG)\n"
-            "except ChildProcessError:\n"
-            "    print('no child left')\n")
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=20)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == ("a forked child exited with status 3\n"
-                               "no child left\n")
-
-    @pytest.mark.parametrize("cpus", [2, 3])
-    def test_results_and_the_first_error_are_the_serial_ones(
-            self, cpus, monkeypatch):
-        # child j maps items[j::n]; the results come back in item order,
-        # and of several failing items the first one's error is raised
-        monkeypatch.setattr(os, "sched_getaffinity",
-                            lambda pid: set(range(cpus)))
-        children = []
-        real = runio.forked
-
-        def spy(fn, *args):
-            children.append(fn.__name__)
-            return real(fn, *args)
-
-        monkeypatch.setattr(runio, "forked", spy)
-        assert fork_map(lambda k: k * k, range(7)) == [k * k for k in range(7)]
-        assert children == ["_map_share"] * cpus
-
-        def fail_from_4(k):
-            if k >= 4:
-                raise ValueError(f"item {k}")
-            return k
-
-        with pytest.raises(ValueError, match="^item 4$"):
-            fork_map(fail_from_4, range(7))
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    def test_a_forked_child_maps_in_process(self, monkeypatch):
-        # a child's parent already keeps every usable CPU busy
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        children = []
-        real = runio.forked
-
-        def spy(fn, *args):
-            children.append(fn.__name__)
-            return real(fn, *args)
-
-        monkeypatch.setattr(runio, "forked", spy)
-
-        def inner(k):  # the forks asked for inside a child, sent back
-            before = len(children)
-            assert fork_map(abs, [-k, k]) == [k, k]
-            return children[before:]
-
-        assert fork_map(inner, [1, 2]) == [[], []]
-        assert children == ["_map_share"] * 2
-
-    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
-                        reason="lists open descriptors through /proc")
-    @pytest.mark.parametrize("failing", [1, 2])
-    def test_a_fork_that_fails_leaves_no_pipe_and_no_child(self, failing,
-                                                           monkeypatch):
-        # the fork's own error passes; a child already forked is reaped
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        real, forks = os.fork, []
-
-        def fork():
-            forks.append(1)
-            if len(forks) == failing:
-                raise BlockingIOError(11, "Resource temporarily unavailable")
-            return real()
-
-        monkeypatch.setattr(os, "fork", fork)
-        before = set(os.listdir("/proc/self/fd"))
-        with pytest.raises(BlockingIOError):
-            fork_map(abs, [-1, -2])
-        assert set(os.listdir("/proc/self/fd")) == before
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-
 class TestIngestValidation:
     def _write(self, tmp_path, mutate):
         path = export_run(
@@ -379,6 +237,20 @@ class TestIngestValidation:
         path = self._retag(tmp_path, **{field: value})
         with pytest.raises(ValueError,
                            match=rf"run\.meta\.json: field '{field}'"):
+            ingest_run(path)
+
+    @pytest.mark.parametrize("n_sensors", [0, -1])
+    def test_a_sensor_count_below_one_is_named(self, tmp_path, n_sensors):
+        # cut to t,s_in,theta, the run would read as one of no sensors
+        path = self._write(tmp_path, lambda lines: [
+            ",".join(cells[:2] + cells[-1:])
+            for cells in (line.split(",") for line in lines)])
+        meta = json.loads(sidecar_path(path).read_text())
+        sidecar_path(path).write_text(json.dumps({**meta,
+                                                  "n_sensors": n_sensors}))
+        with pytest.raises(ValueError, match=(
+                r"^run\.meta\.json: field 'n_sensors': must be an integer "
+                rf">= 1, got {n_sensors}$")):
             ingest_run(path)
 
     @pytest.mark.parametrize("rate", [0, -40.0, float("inf"), float("nan")])
@@ -750,6 +622,16 @@ class TestWeightsRoundTrip:
         assert back.sensor_mask == weights.sensor_mask
         assert back.task_names == weights.task_names
         assert provenance["seed"] == 7
+
+    def test_a_mask_naming_a_sensor_twice_is_named(self, tmp_path):
+        path = save_weights(tmp_path / "w.json", ReadoutWeights(
+            np.ones((8, 1)), tuple(range(7)), ("mass",)))
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps({**doc, "sensor_mask": [0, 0, 1, 2, 3, 4,
+                                                           5]}))
+        with pytest.raises(ValueError, match=(
+                r"w\.json: field 'sensor_mask': sensor mask has duplicates")):
+            load_weights(path)
 
     def test_rejects_foreign_format(self, tmp_path):
         path = tmp_path / "w.json"

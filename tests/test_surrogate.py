@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from armrc import runio, surrogate
+from armrc import core, surrogate
 from armrc.core import InputCondition, PayloadSet, TimeGrid
 from armrc.profiles import (
     RampProfileSpec,
@@ -610,7 +610,8 @@ class TestNoiseChild:
 
         if case == "inside a fork_map child":
             # each child's own forks, sent back with its results
-            assert runio.fork_map(simulate_two, [0, 1]) == [[], []]
+            assert core.fork_map(lambda share: [simulate_two(k) for k in share],
+                                 [0, 1]) == [[], []]
         elif case == "second batch":
             assert simulate_two(0) == ["_noise_child"]
             assert simulate_two(1) == []

@@ -9,6 +9,7 @@ from armrc.tasks import (
     bending_target,
     detect_payload,
     estimate_mass,
+    true_status,
 )
 
 
@@ -55,6 +56,15 @@ class TestDetectPayload:
         scaled = detect_payload(ReadoutWeights(w * scale, tuple(range(7))),
                                 series, window)
         assert base is scaled
+
+
+class TestTrueStatus:
+    @pytest.mark.parametrize("mass, status", [
+        (0.0, PayloadStatus.ABSENT), (5e-324, PayloadStatus.PRESENT),
+        (300.0, PayloadStatus.PRESENT)])
+    def test_a_payload_is_present_iff_its_mass_is_positive(self, mass,
+                                                            status):
+        assert true_status(mass) is status
 
 
 class TestEstimateMass:
