@@ -110,7 +110,7 @@ def cmd_simulate(args) -> int:
     def write(share):  # in a `fork_map` child: only the names go back
         return [export_run(series, staging / f"{cond.label}.csv",
                            config_hash=digest, seed=cfg.seed).name
-                for cond, series in _simulate(cfg, share).items()]
+                for cond, series in _simulate(cfg, share, cfg.seed).items()]
 
     try:
         csvs = fork_map(write, condition_grid(len(cfg.profiles), cfg.payloads))
@@ -135,7 +135,7 @@ def cmd_train(args) -> int:
     subset = tuple(parse_condition_label(t) for t in args.subset.split(","))
     mask = None if args.mask is None else [
         _sensor_index(t, cfg.surrogate.n_nodes) for t in args.mask.split(",")]
-    runs = _simulate(cfg, subset)
+    runs = _simulate(cfg, subset, cfg.seed)
     weights = train_on_subset(subset, runs, cfg.payloads, task,
                               training_window(cfg, task), mask, cfg.ridge)
     save_weights(
@@ -190,18 +190,17 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _simulate(cfg: ExperimentConfig, conditions, with_noise=True,
-              payloads=None) -> dict:
-    """``conditions``' runs under ``cfg``, noised at its run seed."""
+def _simulate(cfg: ExperimentConfig, conditions, seed, payloads=None) -> dict:
+    """``conditions``' runs under ``cfg`` at ``seed`` (None: noise-free)."""
     return simulate_conditions(
         cfg.surrogate, cfg.profiles, payloads or cfg.payloads, cfg.grid,
-        conditions, seed=cfg.seed, with_noise=with_noise)
+        conditions, seed=seed)
 
 
-def _experiment_runs(cfg: ExperimentConfig, with_noise=True) -> tuple:
+def _experiment_runs(cfg: ExperimentConfig) -> tuple:
     """Both experiments' conditions, as `_simulate` arguments."""
     return ([c for exp in experiments(cfg).values() for c in exp.conditions],
-            with_noise, cfg.payloads)
+            cfg.seed)
 
 
 def _multitask_runs(cfg: ExperimentConfig) -> tuple:
@@ -211,7 +210,7 @@ def _multitask_runs(cfg: ExperimentConfig) -> tuple:
     if n_profiles < 2:
         raise ValueError("the multitask 2x2 geometry trains on P1+Pn and needs "
                          f"at least 2 profiles; the config has {n_profiles}")
-    return condition_grid(n_profiles, payloads), True, payloads
+    return condition_grid(n_profiles, payloads), cfg.seed, payloads
 
 
 def _condition_tables(cfg: ExperimentConfig, runs: dict):
@@ -291,11 +290,11 @@ def _multitask_tables(cfg: ExperimentConfig, runs: dict):
            ["detection_perfect", "step2_mean_percent"], {})
 
 
-# kind -> (the runs it reads, as `_simulate` arguments; the tables of them)
+# kind -> (the runs it reads, as `_simulate` arguments; the tables of them).
+# `sweep samples` reads noise-free runs: each repeat draws its own noise.
 SWEEPS = {
     "conditions": (_experiment_runs, _condition_tables),
-    "samples": (lambda cfg: _experiment_runs(cfg, with_noise=False),
-                _sample_tables),
+    "samples": (lambda cfg: (_experiment_runs(cfg)[0], None), _sample_tables),
     "sensors": (_experiment_runs, _sensor_tables),
     "multitask": (_multitask_runs, _multitask_tables),
 }

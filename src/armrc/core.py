@@ -177,9 +177,14 @@ def condition_grid(n_profiles: int, payloads: PayloadSet) -> list:
     ]
 
 
+def sensor_name(index: int) -> str:
+    """The run CSV column of 0-based sensor ``index``: s1 for sensor 0."""
+    return f"s{index + 1}"
+
+
 def trace_columns(n_sensors: int) -> list:
     """The run CSV's column names of a series' traces, in file order."""
-    return ["s_in"] + [f"s{k}" for k in range(1, n_sensors + 1)] + ["theta"]
+    return ["s_in", *map(sensor_name, range(n_sensors)), "theta"]
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:

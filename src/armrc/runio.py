@@ -27,7 +27,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .core import (InputCondition, PressureStateSeries, TimeGrid, __version__,
-                   as_int, trace_columns)
+                   as_int, sensor_name, trace_columns)
 from .readout import ReadoutWeights, normalize_mask
 
 RUN_FORMAT = "armrc-run-v2"
@@ -288,12 +288,11 @@ def ingest_run(csv_path) -> PressureStateSeries:
 def save_weights(path, weights: ReadoutWeights, *,
                  provenance: Optional[Mapping] = None) -> Path:
     """Serialize readout weights with task names, mask, and provenance."""
-    names = trace_columns(1 + max(weights.sensor_mask))[1:-1]
     return _write_json(path, {
         "format": WEIGHTS_FORMAT,
         "task_names": list(weights.task_names),
         "sensor_mask": list(weights.sensor_mask),
-        "sensor_names": [names[m] for m in weights.sensor_mask],
+        "sensor_names": list(map(sensor_name, weights.sensor_mask)),
         "weights": [list(row) for row in weights.weights.tolist()],
         "provenance": dict(provenance or {}),
     })
@@ -329,6 +328,10 @@ def load_weights(path):
     fields = {key: _field(doc, key, str(path), parse) for key, parse in (
         ("weights", _weights_matrix), ("sensor_mask", _weights_mask),
         ("task_names", _weights_names))}
+    names = list(map(sensor_name, fields["sensor_mask"]))
+    if doc.get("sensor_names") != names:
+        raise ValueError(f"{path}: field 'sensor_names': must be the mask's "
+                         f"{names}, got {doc.get('sensor_names')!r}")
     try:
         weights = ReadoutWeights(**fields)
     except ValueError as exc:

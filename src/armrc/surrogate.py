@@ -34,19 +34,19 @@ functional of the node states plus a mass-proportional droop:
 
 Sensor readings are the node states plus white Gaussian noise drawn from
 counter-based streams keyed by (seed, condition, sensor), so results never
-depend on simulation order. The noise is added after the states are
-computed, so one noise-free run serves every seed (`add_noise`). A
-process's first noisy batch of long runs draws it in a forked child while
-the kernel steps, if numpy.random is not yet imported
-(`_take_noise_child`): the same bits.
+depend on simulation order; ``seed=None`` gives noise-free runs. Noise is
+added after the states, so one noise-free run serves every seed
+(`add_noise`). A run's noise is one `_noise_blocks` block, drawn in-process
+or, in a process's first noisy batch of long runs with numpy.random not yet
+imported, by a forked child while the kernel steps (`_take_noise_child`).
 
 One kernel, `simulate_batch`, steps all runs of a call together; every
 other entry point is a thin call into it. A run's bits do not depend on
 the batch it runs in. A step reads only the coupling's band (`bandwidth`
 w, 1 for the shipped nearest-neighbour coupling): 2w + 1 terms per node
 rather than n. Each run's states, angle and trace are made once and kept
-by its series uncopied; its noise, drawn in-process or by the noise
-child, makes one new sensors array.
+by its series uncopied; its noise makes one new sensors array, and each
+series is built once.
 """
 
 from __future__ import annotations
@@ -69,7 +69,7 @@ from .core import (
     fork_width,
     forked,
     sample_count,
-    trace_columns,
+    sensor_name,
 )
 from .profiles import RampProfileSpec, generate_profile
 
@@ -196,9 +196,8 @@ def _noise_key(condition: Optional[InputCondition], sensor: int) -> int:
     if ci >> 32 or cj >> 16 or (sensor + 1) >> 16:
         raise ValueError(
             f"condition {condition.label if condition else '-'} sensor "
-            f"{trace_columns(sensor + 1)[-2]} overflows the noise key "
-            "(profile < 2**32, payload and sensor < 2**16)"
-        )
+            f"{sensor_name(sensor)} overflows the noise key "
+            "(profile < 2**32, payload and sensor < 2**16)")
     return (ci << 32) | (cj << 16) | (sensor + 1)
 
 
@@ -217,42 +216,43 @@ def _noise_stream(gen: np.random.Generator, seed: int,
     return gen.normal(0.0, noise_std, n_samples)
 
 
-def _run_noise(gen: np.random.Generator, seed: int,
-               condition: Optional[InputCondition], shape: tuple,
-               noise_std: float) -> np.ndarray:
-    """One run's (n_sensors, n_samples) sensor noise at ``seed``, row m
-    sensor m's `_noise_stream`: what `add_noise` adds, drawn in-process or
-    in `simulate_batch`'s noise child."""
-    noise = np.empty(shape)
-    for m in range(shape[0]):
-        noise[m] = _noise_stream(gen, seed, condition, m, shape[1], noise_std)
-    return noise
+def _noise_blocks(params: SurrogateParams, conditions: Sequence,
+                  shape: tuple, seed: int):
+    """Each run's (n_sensors, n_samples) sensor noise at ``seed`` in run
+    order, row m sensor m's `_noise_stream`, from one generator re-keyed
+    per sensor: building a Philox costs a fifth of a 4000-sample stream."""
+    gen = np.random.Generator(np.random.Philox(0))
+    for cond in conditions:
+        yield np.array([_noise_stream(gen, seed, cond, m, shape[1],
+                                      params.noise_std)
+                        for m in range(shape[0])])
 
 
 def add_noise(params: SurrogateParams, run: PressureStateSeries,
               seed: int) -> PressureStateSeries:
     """A noise-free run plus its sensor noise at ``seed``: the run
     ``simulate(..., seed=seed)`` gives, as noise never feeds back into the
-    states. One generator, built here and re-keyed per sensor, serves the
-    run: building a Philox costs a fifth of a 4000-sample stream."""
+    states."""
     if params.noise_std == 0:
         return run
-    gen = np.random.Generator(np.random.Philox(0))
-    noise = _run_noise(gen, seed, run.condition, run.sensors.shape,
-                       params.noise_std)
+    noise, = _noise_blocks(params, [run.condition], run.sensors.shape, seed)
     return replace(run, sensors=_frozen(np.add(run.sensors, noise, out=noise)))
 
 
 def _noise_child(pipe, params: SurrogateParams, conditions: Sequence,
                  shape: tuple, seed: int) -> None:
-    """`simulate_batch`'s noise child: every run's `_run_noise`, sent in
-    run order once all are drawn, so that drawing never waits on the
-    pipe."""
-    gen = np.random.Generator(np.random.Philox(0))
-    blocks = [_run_noise(gen, seed, cond, shape, params.noise_std)
-              for cond in conditions]
-    for block in blocks:
-        pipe.write(block)
+    """`simulate_batch`'s noise child: every run's `_noise_blocks` block,
+    all drawn before the first is sent, so drawing never waits on the pipe."""
+    pipe.writelines(list(_noise_blocks(params, conditions, shape, seed)))
+
+
+def _piped_blocks(pipe, shape: tuple):
+    """The `_noise_child`'s blocks, each read as its run is built."""
+    while True:
+        noise = np.empty(shape)
+        if pipe.readinto(noise) < noise.nbytes:
+            raise EOFError("the noise child's reply ended early")
+        yield noise
 
 
 def _take_noise_child(n_samples: int) -> bool:
@@ -371,16 +371,15 @@ def simulate_batch(
     *,
     conditions: Optional[Sequence[Optional[InputCondition]]] = None,
     x0: Optional[np.ndarray] = None,
-    with_noise: bool = True,
-    seed: int = DEFAULT_SEED,
+    seed: Optional[int] = DEFAULT_SEED,
 ) -> list:
     """Run B (trace, mass) pairs through one shared step loop, one series
     each, every one bit-identical to the run ``simulate`` gives alone.
 
     ``x0`` is (B, n). Pass a repeated trace as the same array object so its
-    drive terms are computed once. Noise is drawn as `add_noise` draws it,
-    by a `_noise_child` while the steps run where `_take_noise_child` says
-    a fork pays.
+    drive terms are computed once. Each run's `_noise_blocks` block (none
+    at ``seed=None``), from a `_noise_child` where `_take_noise_child` says
+    a fork pays, is added into its clean states before the run is built.
     """
     traces = [np.asarray(t, dtype=float) for t in traces]
     conditions = [None] * len(traces) if conditions is None else conditions
@@ -396,7 +395,7 @@ def simulate_batch(
     shape = (len(traces), params.n_nodes)
     if x0 is not None and np.shape(x0) != shape:
         raise ValueError(f"x0 must have shape {shape}, got {np.shape(x0)}")
-    noisy = with_noise and params.noise_std > 0
+    noisy = seed is not None and params.noise_std > 0
     for cond in conditions if noisy else ():
         _noise_key(cond, params.n_nodes - 1)
     shape = (params.n_nodes, grid.n_samples)
@@ -405,26 +404,23 @@ def simulate_batch(
              else contextlib.nullcontext())
     with child as pipe:
         states = _advance(params, traces, masses, x0) if traces else []
+        blocks = (_piped_blocks(pipe, shape) if pipe is not None else
+                  _noise_blocks(params, conditions, shape, seed) if noisy else ())
         # one read-only copy of each distinct trace, shared by its runs
         s_in = {id(t): _frozen(t.copy()) for t in traces}
         runs = []
         for b, (trace, mass, cond) in enumerate(
                 zip(traces, masses, conditions)):
-            st, states[b] = _frozen(states[b]), None
-            theta = (sum(w * s for w, s in zip(params.angle_weights, st))
+            sensors, states[b] = _frozen(states[b]), None
+            theta = (sum(w * s for w, s in zip(params.angle_weights, sensors))
                      + params.angle_payload_slope * mass)
-            sensors = st
-            if pipe is not None:  # this run's noise, plus its clean states
-                noise = np.empty(shape)
-                if pipe.readinto(noise) < noise.nbytes:
-                    raise EOFError("the noise child's reply ended early")
-                sensors = _frozen(np.add(st, noise, out=noise))
-            run = PressureStateSeries(
+            if noisy:  # this run's noise, plus its clean states
+                noise = next(blocks)
+                sensors = _frozen(np.add(sensors, noise, out=noise))
+            runs.append(PressureStateSeries(
                 grid=grid, s_in=s_in[id(trace)], sensors=sensors,
                 theta=_frozen(theta), condition=cond,
-                payload_grams=float(mass))
-            runs.append(add_noise(params, run, seed)
-                        if noisy and pipe is None else run)
+                payload_grams=float(mass)))
     return runs
 
 
@@ -436,14 +432,13 @@ def simulate(
     *,
     condition: Optional[InputCondition] = None,
     x0: Optional[np.ndarray] = None,
-    with_noise: bool = True,
-    seed: int = DEFAULT_SEED,
+    seed: Optional[int] = DEFAULT_SEED,
 ) -> PressureStateSeries:
     """Run the surrogate on one actuation trace and payload mass: a batch of
     one. Bit-reproducible for fixed (params, inputs, seed)."""
     return simulate_batch(
         params, [s_in], [payload], grid, conditions=[condition],
-        x0=None if x0 is None else [x0], with_noise=with_noise, seed=seed,
+        x0=None if x0 is None else [x0], seed=seed,
     )[0]
 
 
@@ -470,7 +465,7 @@ def echo_check(
     rng = np.random.Generator(np.random.Philox(key=0))
     x0 = [rng.uniform(0.0, 10.0, params.n_nodes) for _ in range(2)]
     run_a, run_b = simulate_batch(params, [s_in, s_in], [payload, payload],
-                                  grid, x0=x0, with_noise=False)
+                                  grid, x0=x0, seed=None)
     k0 = sample_count(Window(0.0, washout_seconds), grid.sample_rate)
     gap = np.abs(run_a.sensors[:, k0:] - run_b.sensors[:, k0:]).max()
     return bool(gap < 1e-6)
@@ -482,8 +477,7 @@ def simulate_conditions(
     payloads: PayloadSet,
     grid: TimeGrid,
     conditions: Sequence[InputCondition],
-    seed: int = DEFAULT_SEED,
-    with_noise: bool = True,
+    seed: Optional[int] = DEFAULT_SEED,
 ) -> dict:
     """Simulate just the listed conditions (deduplicated), as one batch.
 
@@ -502,7 +496,7 @@ def simulate_conditions(
     runs = simulate_batch(
         params, [traces[c.profile_index] for c in conds],
         [payloads.mass_of(c.payload_index) for c in conds], grid,
-        conditions=conds, with_noise=with_noise, seed=seed,
+        conditions=conds, seed=seed,
     )
     return dict(zip(conds, runs))
 

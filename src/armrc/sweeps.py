@@ -3,9 +3,8 @@ sweeps, sensor ablations with readout-weight shares, and the multi-task
 grid with its two-step detect-then-predict pipeline.
 
 All sweeps are deterministic for a fixed base seed; repeated runs vary only
-the sensor-noise stream. Reported percentages follow the normalizer
-convention in `readout.nrmse_percent`; the paper's hardware percentages are
-ordering targets for these sweeps, not equality targets.
+the sensor-noise stream. Percentages divide by `readout.truth_scale`; the
+paper's hardware percentages are ordering targets, not equality targets.
 
 `experiments` is the table of the two shipped single-task experiments that
 three CLI sweeps read, and refuses a grid too small for them; each task's

@@ -384,7 +384,7 @@ class TestSweeps:
         real = surrogate.simulate_batch
 
         def spy(*args, **kwargs):
-            calls.append((kwargs["conditions"], kwargs["with_noise"]))
+            calls.append((kwargs["conditions"], kwargs["seed"]))
             return real(*args, **kwargs)
 
         monkeypatch.setattr(surrogate, "simulate_batch", spy)
@@ -398,9 +398,10 @@ class TestSweeps:
                     for c in exp.conditions}
         assert len(runs) == {"multitask": 35}.get(kind, 13)
         assert len(calls) == 1
-        conditions, with_noise = calls[0]
+        conditions, seed = calls[0]
         assert len(conditions) == len(runs) and set(conditions) == runs
-        assert with_noise is (kind != "samples")
+        # sweep samples reads noise-free runs and draws each repeat's noise
+        assert seed == (None if kind == "samples" else cfg.seed)
 
     def test_sensors_sweep_layout(self, tmp_path):
         out = tmp_path / "sweep"
@@ -758,8 +759,10 @@ class TestMalformedWeights:
         (lambda doc: [doc], "object"),
         (lambda doc: {**doc, "sensor_mask": [0, 0, 1, 2, 3, 4, 5]},
          "sensor_mask"),
+        (lambda doc: {**doc, "sensor_names": doc["sensor_names"][::-1]},
+         "sensor_names"),
     ], ids=["task-names-number", "mask-null", "no-weights", "ragged-weights",
-            "top-level-list", "mask-repeated"])
+            "top-level-list", "mask-repeated", "names-reversed"])
     def test_is_one_error_line_naming_the_file_and_field(self, edit, field,
                                                          tmp_path, capsys):
         path = tmp_path / "w.json"
@@ -1046,7 +1049,7 @@ class TestIngestedRuns:
         table = experiments(cfg)
         conds = list(dict.fromkeys(c for exp in table.values()
                                    for c in exp.conditions))
-        simulated = cli._simulate(cfg, conds)
+        simulated = cli._simulate(cfg, conds, cfg.seed)
         ingested = {c: ingest_run(grid_dir / "runs" / f"{c.label}.csv")
                     for c in conds}
         for exp in table.values():
@@ -1136,16 +1139,16 @@ class TestOneSeed:
     ], ids=lambda argv: "-".join(a for a in argv[:2] if a[0] != "-"))
     def test_every_noise_draw_uses_the_run_seed(self, argv, extra, seed,
                                                 tmp_path, monkeypatch):
-        # a line per run's draw, so that draws in forked children count too
+        # a line per noise source, so that draws in forked children count too
         log = tmp_path / "seeds.txt"
-        real = surrogate._run_noise
+        real = surrogate._noise_blocks
 
-        def spy(gen, noise_seed, *args):
+        def spy(params, conditions, shape, noise_seed):
             with open(log, "a", encoding="utf-8") as fh:
                 fh.write(f"{noise_seed}\n")
-            return real(gen, noise_seed, *args)
+            return real(params, conditions, shape, noise_seed)
 
-        monkeypatch.setattr(surrogate, "_run_noise", spy)
+        monkeypatch.setattr(surrogate, "_noise_blocks", spy)
         # the run CSVs are not under test; skip writing 35 MB of them, and
         # moving them into runs/
         monkeypatch.setattr(cli, "export_run",

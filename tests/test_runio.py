@@ -633,6 +633,36 @@ class TestWeightsRoundTrip:
                 r"w\.json: field 'sensor_mask': sensor mask has duplicates")):
             load_weights(path)
 
+    @pytest.mark.parametrize("names", [["s7", "s6", "s5"], ["s5", "s6"],
+                                       "s5,s6,s7", None],
+                             ids=["reversed", "short", "string", "missing"])
+    def test_names_that_are_not_the_masks_are_refused(self, names, tmp_path):
+        path = save_weights(tmp_path / "w.json", ReadoutWeights(
+            np.ones((4, 1)), (4, 5, 6), ("mass",)))
+        doc = json.loads(path.read_text())
+        assert doc["sensor_names"] == ["s5", "s6", "s7"]
+        if names is None:
+            del doc["sensor_names"]
+        else:
+            doc["sensor_names"] = names
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=(
+                r"w\.json: field 'sensor_names': must be the mask's "
+                r"\['s5', 's6', 's7'\]")):
+            load_weights(path)
+
+    def test_a_huge_sensor_index_is_refused_at_once(self, tmp_path):
+        # each name is made from its index alone, not from a list that long
+        path = tmp_path / "w.json"
+        path.write_text(json.dumps({
+            "format": runio.WEIGHTS_FORMAT, "task_names": ["mass"],
+            "sensor_mask": [2**40], "sensor_names": ["s1"],
+            "weights": [[0.0], [1.0]]}))
+        with pytest.raises(ValueError, match=(
+                r"w\.json: field 'sensor_names': must be the mask's "
+                r"\['s1099511627777'\], got \['s1'\]")):
+            load_weights(path)
+
     def test_rejects_foreign_format(self, tmp_path):
         path = tmp_path / "w.json"
         path.write_text('{"format": "other"}')

@@ -256,7 +256,7 @@ class TestNoiseKey:
 
     def test_noise_free_runs_need_no_key(self):
         run = simulate(SurrogateParams(), P1[:40], 0.0, SHORT,
-                       condition=InputCondition(1, 1 << 16), with_noise=False)
+                       condition=InputCondition(1, 1 << 16), seed=None)
         assert run.sensors.shape == (7, 40)
 
 
@@ -303,7 +303,7 @@ class TestRekeyedNoise:
         params = SurrogateParams()
         cond = InputCondition(4, 2)
         clean = simulate(params, P1[:33], 0.0, TimeGrid(n_samples=33),
-                         condition=cond, with_noise=False)
+                         condition=cond, seed=None)
         noisy = surrogate.add_noise(params, clean, 11)
         for m in range(params.n_nodes):
             expected = clean.sensors[m] + _fresh_draws(11, cond, m, 33,
@@ -361,7 +361,7 @@ class TestKernelOracle:
         x0 = -rng.uniform(0.5, 10.0, (n_runs, n))
         x0[0, 0] = -0.0
         runs = simulate_batch(params, traces, masses, grid, x0=x0,
-                              with_noise=False)
+                              seed=None)
         for run, trace, mass, start in zip(runs, traces, masses, x0):
             assert run.sensors.tobytes() == _oracle(params, trace, mass,
                                                     start).tobytes()
@@ -413,7 +413,7 @@ class TestBandedKernel:
         x0 = -rng.uniform(0.5, 10.0, (n_runs, params.n_nodes))
         x0[0, 0] = -0.0
         runs = simulate_batch(params, traces, masses, grid, x0=x0,
-                              with_noise=False)
+                              seed=None)
         for run, trace, mass, start in zip(runs, traces, masses, x0):
             assert run.sensors.tobytes() == _oracle(params, trace, mass,
                                                     start).tobytes()
@@ -426,21 +426,21 @@ class TestOneArrayPerRun:
         params = SurrogateParams()
         grid = TimeGrid(n_samples=50)
         runs = simulate_batch(params, [P1[:50], P1[:50]], [0.0, 100.0], grid,
-                              with_noise=False)
+                              seed=None)
         for run in runs:
             for a in (run.s_in, run.sensors, run.theta):
                 assert a.base is None and not a.flags.writeable
         # one read-only copy of a trace serves each of its runs
         trace = P1[:50].copy()
         a, b = simulate_batch(params, [trace, trace], [0.0, 100.0], grid,
-                              with_noise=False)
+                              seed=None)
         assert a.s_in is b.s_in
         assert not np.shares_memory(a.s_in, trace)
 
     def test_noise_makes_only_the_sensors_anew(self):
         params = SurrogateParams()
         clean = simulate(params, P1[:50], 100.0, TimeGrid(n_samples=50),
-                         condition=InputCondition(1, 2), with_noise=False)
+                         condition=InputCondition(1, 2), seed=None)
         noisy = surrogate.add_noise(params, clean, 3)
         assert noisy.s_in is clean.s_in and noisy.theta is clean.theta
         assert noisy.sensors.base is None and not noisy.sensors.flags.writeable
@@ -552,7 +552,8 @@ def _fresh_process(monkeypatch):
 class TestNoiseChild:
     # a process's first noisy batch of long runs draws its noise in a forked
     # child while the kernel steps, if numpy.random is not yet imported and
-    # 2 CPUs are usable: the bits add_noise gives
+    # 2 CPUs are usable; either way, the bits add_noise gives the
+    # noise-free (seed=None) runs
     @settings(max_examples=30, deadline=None)
     @given(arm=banded_arms(), n_runs=st.integers(1, 6),
            n_samples=st.integers(1, 120), seed=st.integers(0, 2**64 - 1),
@@ -569,21 +570,50 @@ class TestNoiseChild:
         traces = [rng.uniform(0.0, 50.0, n_samples) for _ in range(n_runs)]
         masses = list(rng.uniform(0.0, 400.0, n_runs))
         runs = {}
-        for child in (True, False):
+        for child, run_seed in ((True, seed), (False, seed), (True, None)):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(surrogate, "_take_noise_child", lambda n: child)
                 children = _spy_forks(mp)
-                runs[child] = simulate_batch(params, traces, masses, grid,
-                                             conditions=conds, seed=seed)
-            assert children == (["_noise_child"] if child else [])
-        for child, alone in zip(runs[True], runs[False]):
-            for name in ("s_in", "sensors", "theta"):
-                assert (getattr(child, name).tobytes()
-                        == getattr(alone, name).tobytes())
-            assert child.condition == alone.condition
-            assert child.payload_grams == alone.payload_grams
-            assert not child.sensors.flags.writeable
+                runs[child, run_seed] = simulate_batch(
+                    params, traces, masses, grid, conditions=conds,
+                    seed=run_seed)
+            noisy = child and run_seed is not None
+            assert children == (["_noise_child"] if noisy else [])
+        alone = [surrogate.add_noise(params, run, seed)
+                 for run in runs[True, None]]
+        for path in (True, False):  # the noise child, and in-process
+            for run, expected in zip(runs[path, seed], alone, strict=True):
+                for name in ("s_in", "sensors", "theta"):
+                    assert (getattr(run, name).tobytes()
+                            == getattr(expected, name).tobytes())
+                assert run.condition == expected.condition
+                assert run.payload_grams == expected.payload_grams
+                assert not run.sensors.flags.writeable
         _no_child_left()
+
+    def test_an_in_process_noisy_batch_builds_one_generator_and_each_run_once(
+            self, monkeypatch):
+        built = {"Philox": 0, "PressureStateSeries": 0}
+        real_philox = np.random.Philox
+        real_check = core.PressureStateSeries.__post_init__
+
+        def philox(*args, **kwargs):
+            built["Philox"] += 1
+            return real_philox(*args, **kwargs)
+
+        def check(series):
+            built["PressureStateSeries"] += 1
+            real_check(series)
+
+        monkeypatch.setattr(np.random, "Philox", philox)
+        monkeypatch.setattr(core.PressureStateSeries, "__post_init__", check)
+        monkeypatch.setattr(surrogate, "_take_noise_child", lambda n: False)
+        conds = [InputCondition(1, j) for j in range(1, 6)]
+        runs = simulate_batch(SurrogateParams(), [P1[:50]] * 5,
+                              [0.0, 50.0, 100.0, 150.0, 200.0],
+                              TimeGrid(n_samples=50), conditions=conds)
+        assert [run.condition for run in runs] == conds
+        assert built == {"Philox": 1, "PressureStateSeries": 5}
 
     @pytest.mark.parametrize("case", [
         "at the size rule", "below the size rule", "inside a fork_map child",
@@ -605,7 +635,8 @@ class TestNoiseChild:
         def simulate_two(_):
             before = len(children)
             simulate_batch(params, [P1[:n]] * 2, [0.0, 100.0], grid,
-                           with_noise=case != "noise off")
+                           seed=None if case == "noise off"
+                           else core.DEFAULT_SEED)
             return children[before:]
 
         if case == "inside a fork_map child":
@@ -637,12 +668,12 @@ class TestNoiseChild:
             "    children.append(fn.__name__)\n"
             "    return real(fn, *args)\n"
             "surrogate.forked = spy\n"
-            "def batch(**kw):\n"
+            "def batch(seed=11):\n"
             "    return surrogate.simulate_batch(params, [trace] * 3, "
-            "[0.0, 50.0, 100.0], grid, seed=11, **kw)\n"
+            "[0.0, 50.0, 100.0], grid, seed=seed)\n"
             "first = batch()\n"
             "print(children, 'numpy.random' in sys.modules)\n"
-            "clean = batch(with_noise=False)\n"
+            "clean = batch(None)\n"
             "alone = [surrogate.add_noise(params, r, 11) for r in clean]\n"
             "print(all(a.sensors.tobytes() == b.sensors.tobytes() "
             "for a, b in zip(first, alone)))\n"
@@ -676,7 +707,8 @@ class TestNoiseChild:
 
     def test_a_noise_child_that_dies_is_an_error_naming_its_status(
             self, monkeypatch):
-        monkeypatch.setattr(surrogate, "_run_noise", lambda *args: os._exit(5))
+        monkeypatch.setattr(surrogate, "_noise_blocks",
+                            lambda *args: os._exit(5))
         monkeypatch.setattr(surrogate, "_take_noise_child", lambda n: True)
         with pytest.raises(ChildProcessError,
                            match="exited with status 5 before its reply"):

@@ -48,7 +48,7 @@ P = InputCondition
 
 def _noise_free(cfg, *conds):
     return simulate_conditions(cfg.surrogate, cfg.profiles, cfg.payloads,
-                               cfg.grid, conds, with_noise=False)
+                               cfg.grid, conds, seed=None)
 
 
 class TestFamilies:
@@ -485,7 +485,7 @@ class TestSampleCountSweep:
         subset, evaluation = (P(1, 1), P(7, 1)), (P(4, 1),)
         noise_free = simulate_conditions(cfg.surrogate, cfg.profiles,
                                          cfg.payloads, grid,
-                                         subset + evaluation, with_noise=False)
+                                         subset + evaluation, seed=None)
         res = sample_count_sweep(
             TaskKind.BENDING_ANGLE, [100], subset, evaluation, cfg.surrogate,
             noise_free, cfg.payloads, repeats=1, base_seed=cfg.seed,
