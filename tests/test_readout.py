@@ -26,21 +26,7 @@ from armrc.readout import (
     window_factor,
     window_means,
 )
-
-
-def normal_equations_oracle(phi, y, rcond=RCOND):
-    """Independent reference: explicitly formed Gram pseudoinverse.
-
-    Cutting Gram singular values at (rcond * sigma_max)^2 matches cutting
-    the design's singular values at rcond * sigma_max.
-    """
-    gram = phi.T @ phi
-    return np.linalg.pinv(gram, rcond=rcond**2) @ (phi.T @ y)
-
-
-def ridge_oracle(phi, y, lam):
-    gram = phi.T @ phi + lam * np.eye(phi.shape[1])
-    return np.linalg.solve(gram, phi.T @ y)
+from reference import design, fit, normal_equations_oracle, q_forming_oracle
 
 
 def make_assembly(phi, y):
@@ -124,7 +110,7 @@ class TestTrain:
         phi = random_design(rng, rows=80, cols=7)
         y = rng.normal(size=80)
         w = train(make_assembly(phi, y), ridge=0.5).weights[:, 0]
-        assert np.allclose(w, ridge_oracle(phi, y, 0.5), atol=1e-10)
+        assert np.allclose(w, fit(phi, y, 0.5), atol=1e-10)
 
     def test_ridge_penalizes_the_bias(self):
         # the penalty covers every column, the bias included, so the bias
@@ -134,7 +120,7 @@ class TestTrain:
         y = np.full(80, 100.0)
         w = train(make_assembly(phi, y), ridge=1e3).weights[:, 0]
         assert w[0] < 100.0
-        assert np.allclose(w, ridge_oracle(phi, y, 1e3), rtol=0, atol=1e-10)
+        assert np.allclose(w, fit(phi, y, 1e3), rtol=0, atol=1e-10)
 
     def test_row_permutation_leaves_solution_unchanged(self):
         rng = np.random.default_rng(5)
@@ -196,11 +182,7 @@ class TestFactoredFit:
         phi = random_design(rng, rows=rows, cols=7)
         y = rng.normal(size=(rows, n_tasks))
         w = _stacked_reduced_fit(phi, y, sizes, mask, ridge)
-        design = phi[:, [0] + [1 + m for m in mask]]
-        if ridge == 0.0:
-            ref = np.linalg.lstsq(design, y, rcond=None)[0]
-        else:
-            ref = ridge_oracle(design, y, ridge)
+        ref = fit(phi[:, [0] + [1 + m for m in mask]], y, ridge)
         assert np.linalg.norm(w - ref) <= 1e-9 * np.linalg.norm(ref)
 
     def test_rank_deficient_blocks_keep_the_rcond_cutoff(self):
@@ -238,22 +220,6 @@ class TestStackedSolve:
             alone = solve_reduced(r[i:i + 1], z[:1] if shared else z[i:i + 1],
                                   ridge)
             assert np.array_equal(alone[0], w[i])
-
-
-def q_forming_oracle(phi, theta):
-    """R, Q^T theta and |theta - Q Q^T theta|^2 from a reduced QR that
-    forms Q."""
-    q, r = np.linalg.qr(phi)
-    z = q.T @ theta
-    resid = theta - q @ z
-    return r, z, resid @ resid
-
-
-def design_of(series, i0, rows):
-    """The design [1 | S] of ``rows`` samples of a run from sample ``i0``,
-    built here rather than by the package."""
-    return np.hstack([np.ones((rows, 1)),
-                      series.sensors[:, i0:i0 + rows].T])
 
 
 def random_window(data, rng, sensors, samples):
@@ -298,8 +264,8 @@ class TestWindowFactor:
         got = window_factor(series, window)
         i0 = int(window.start)
         theta = series.theta[i0:i0 + rows]
-        r, z, floor = q_forming_oracle(design_of(series, i0, rows),
-                                       theta)
+        r, z, floor = q_forming_oracle(
+            design(series.sensors[:, i0:i0 + rows]), theta)
         k = 1 + sensors
         assert got.r.shape == r.shape == (min(rows, k), k)
         assert got.z.shape == z.shape
@@ -384,15 +350,14 @@ class TestDesign:
         assert np.all(wide[:, outside] == 0.0)
         assert np.array_equal(wide[:, columns(mask)], weights.weights.T)
 
-        design = np.hstack([np.ones((rows, 1)),
-                            series.sensors[:, start:start + rows].T])
+        phi = design(series.sensors[:, start:start + rows])
         got = window_factor(series, window)
-        ref = factor(design, series.theta[start:start + rows])
+        ref = factor(phi, series.theta[start:start + rows])
         for a, b in zip(got, ref):
             assert np.array_equal(a, b)
 
         pred = predict(weights, series, window).reshape(rows, n_tasks)
-        assert np.array_equal(pred, design @ wide.T)
+        assert np.array_equal(pred, phi @ wide.T)
 
     @pytest.mark.parametrize("n", [1, 5, 7])
     def test_a_mask_the_run_lacks_is_refused_alike(self, n):
@@ -467,11 +432,10 @@ class TestPredict:
         w_true = rng.normal(size=8)
         target = w_true[0] + w_true[1:] @ sensors
         series = series_from_sensors(sensors)
-        window = Window(50.0, 75.0)
-        weights = train(assemble([(series, target)], window))
-        pred = predict(weights, series, window)
-        i0 = 2000
-        assert np.allclose(pred, target[i0:i0 + 1000], atol=1e-8)
+        weights = train(make_assembly(design(sensors[:, 2000:3000]),
+                                      target[2000:3000]))
+        pred = predict(weights, series, Window(50.0, 75.0))
+        assert np.allclose(pred, target[2000:3000], atol=1e-8)
 
     def test_multitask_prediction_shape(self):
         weights = ReadoutWeights(np.ones((8, 3)), tuple(range(7)))

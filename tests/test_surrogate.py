@@ -17,9 +17,9 @@ from armrc.profiles import (
     generate_profile,
 )
 from armrc.readout import correlation_matrix
+from reference import fresh_draws, states
 from armrc.surrogate import (
     SurrogateParams,
-    _noise_key,
     _noise_stream,
     echo_check,
     simulate,
@@ -260,11 +260,6 @@ class TestNoiseKey:
         assert run.sensors.shape == (7, 40)
 
 
-def _fresh_draws(seed, cond, sensor, n, std):
-    key = np.array([seed, _noise_key(cond, sensor)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key)).normal(0.0, std, n)
-
-
 class TestRekeyedNoise:
     """One generator re-keyed per stream draws what a fresh
     ``Generator(Philox(key=[seed, key]))`` draws, whatever it drew before."""
@@ -283,7 +278,7 @@ class TestRekeyedNoise:
             # 32-bit draws in between: an odd count leaves half a word cached
             gen.integers(0, 2**32, size=stray, dtype=np.uint32)
             got = _noise_stream(gen, seed, cond, sensor, n, std)
-            assert got.tobytes() == _fresh_draws(seed, cond, sensor, n,
+            assert got.tobytes() == fresh_draws(seed, cond, sensor, n,
                                                  std).tobytes()
 
     @pytest.mark.parametrize("before", ["odd-length", "uint32"])
@@ -297,48 +292,25 @@ class TestRekeyedNoise:
             gen.integers(0, 2**32, size=1, dtype=np.uint32)
             assert gen.bit_generator.state["has_uint32"] == 1
         got = _noise_stream(gen, 5, cond, 1, 9, 0.3)
-        assert got.tobytes() == _fresh_draws(5, cond, 1, 9, 0.3).tobytes()
+        assert got.tobytes() == fresh_draws(5, cond, 1, 9, 0.3).tobytes()
 
     def test_add_noise_draws_each_sensor_from_its_own_fresh_stream(self):
         params = SurrogateParams()
         cond = InputCondition(4, 2)
-        clean = simulate(params, P1[:33], 0.0, TimeGrid(n_samples=33),
-                         condition=cond, seed=None)
+        args = (params, P1[:33], 0.0, TimeGrid(n_samples=33))
+        clean = simulate(*args, condition=cond, seed=None)
         noisy = surrogate.add_noise(params, clean, 11)
+        # the run simulate gives at that seed, so a repeat's runs are too
+        assert noisy.sensors.tobytes() == simulate(
+            *args, condition=cond, seed=11).sensors.tobytes()
         for m in range(params.n_nodes):
-            expected = clean.sensors[m] + _fresh_draws(11, cond, m, 33,
-                                                       params.noise_std)
+            expected = clean.sensors[m] + fresh_draws(11, cond, m, 33,
+                                                      params.noise_std)
             assert noisy.sensors[m].tobytes() == expected.tobytes()
 
 
-def _oracle(params, trace, mass, x0):
-    """(n, T) noise-free states, stepped in plain Python floats in the
-    kernel's rounding order: ``(g * x + sum_j C[i, j] * x[j]) + drive``,
-    with the sum taken from 0.0 in j order. The drive terms use the
-    kernel's vectorized ``np.tanh`` over the whole trace."""
-    phi = 0.5 * (1.0 + np.tanh((trace - params.leak_pressure_knee)
-                               / params.leak_pressure_width))
-    v = np.tanh(trace / surrogate.U_PAYLOAD_REF)
-    rho = np.tanh(mass / params.payload_sat)
-    n, c = params.n_nodes, params.coupling
-    x, states = [float(a) for a in x0], []
-    for k in range(len(trace)):
-        new = []
-        for i in range(n):
-            g = ((1.0 - params.leak[i]
-                  * (1.0 - params.leak_pressure_coeff[i] * phi[k]))
-                 + params.payload_gain[i] * (rho * v[k]))
-            s = 0.0
-            for j in range(n):
-                s += c[i][j] * x[j]
-            new.append((g * x[i] + s) + params.input_gain[i] * trace[k])
-        x = new
-        states.append(x)
-    return np.array(states, dtype=float).T
-
-
 class TestKernelOracle:
-    """The kernel rounds as the plain-Python step does, to the bit (signed
+    """The kernel rounds as `reference.states` does, to the bit (signed
     zeros included, which ``np.array_equal`` cannot see)."""
 
     @pytest.mark.parametrize("n_runs", [1, 3])
@@ -363,19 +335,19 @@ class TestKernelOracle:
         runs = simulate_batch(params, traces, masses, grid, x0=x0,
                               seed=None)
         for run, trace, mass, start in zip(runs, traces, masses, x0):
-            assert run.sensors.tobytes() == _oracle(params, trace, mass,
-                                                    start).tobytes()
+            assert run.sensors.tobytes() == states(params, trace, mass,
+                                                   start).tobytes()
 
 
 @st.composite
-def banded_arms(draw):
+def banded_arms(draw, max_width=8):
     """Parameters for 1-9 nodes whose coupling has bandwidth w, drawn from
-    0..n-1: every entry with 0 < |i - j| <= w is nonzero and the diagonal
+    0..min(n - 1, max_width): every entry with 0 < |i - j| <= w is nonzero and the diagonal
     is all zero or all nonzero, so a row holds as many nonzero terms as its
     band allows (at least 3 once w >= 2), which pins their summation order.
     Row sums stay <= 0.04 < leak * (1 - leak_pressure_coeff)."""
     n = draw(st.integers(1, 9))
-    w = draw(st.integers(0, n - 1))
+    w = draw(st.integers(0, min(n - 1, max_width)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
     offset = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
     band = (offset <= w) & ((offset > 0) | draw(st.booleans()))
@@ -393,7 +365,7 @@ def banded_arms(draw):
 
 class TestBandedKernel:
     # the kernel steps along the coupling's band: whatever the bandwidth,
-    # its bits are the scalar step's over every j
+    # its bits are `reference.states`' over every j
     def test_bandwidth_is_the_widest_nonzero_offset(self):
         assert surrogate.bandwidth(SurrogateParams().coupling) == 1
         assert surrogate.bandwidth(np.zeros((3, 3))) == 0
@@ -415,8 +387,8 @@ class TestBandedKernel:
         runs = simulate_batch(params, traces, masses, grid, x0=x0,
                               seed=None)
         for run, trace, mass, start in zip(runs, traces, masses, x0):
-            assert run.sensors.tobytes() == _oracle(params, trace, mass,
-                                                    start).tobytes()
+            assert run.sensors.tobytes() == states(params, trace, mass,
+                                                   start).tobytes()
 
 
 class TestOneArrayPerRun:

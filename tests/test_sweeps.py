@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import reference
 from armrc import sweeps
 from armrc import readout
 from armrc.config import ConfigError, ExperimentConfig, training_window
@@ -19,11 +20,8 @@ from armrc.core import (
     Window,
     sample_count,
 )
-from armrc.profiles import generate_profile
-from armrc.readout import (NORMALIZERS, assemble, full_width, nrmse_percent,
-                           predict, train, window_factor)
-from armrc.surrogate import (SurrogateParams, add_noise, simulate,
-                             simulate_conditions)
+from armrc.readout import NORMALIZERS, full_width, window_factor
+from armrc.surrogate import SurrogateParams, add_noise, simulate_conditions
 from armrc.sweeps import (
     SweepSpec,
     all_profile_pairs,
@@ -40,8 +38,7 @@ from armrc.sweeps import (
     tip_sensor_masks,
     train_on_subset,
 )
-from armrc.tasks import (TaskKind, bending_target, estimate_mass,
-                         mass_error_percent, score)
+from armrc.tasks import TaskKind, score
 
 P = InputCondition
 
@@ -261,10 +258,11 @@ class TestSubsetSweep:
         window = cfg.train
 
         def residual(subset, weights):
-            data = [(runs[c], np.asarray(runs[c].theta)) for c in subset]
-            asm = assemble(data, window)
-            pred = asm.states @ weights.weights[:, 0]
-            return float(np.mean((pred - asm.targets[:, 0]) ** 2))
+            rows = reference.rows_of(cfg.grid, window)
+            pred = np.concatenate([reference.design(runs[c].sensors[:, rows])
+                                   @ weights.weights[:, 0] for c in subset])
+            theta = np.concatenate([runs[c].theta[rows] for c in subset])
+            return float(np.mean((pred - theta) ** 2))
 
         small = [P(1, 1), P(4, 1)]
         w_small = train_on_subset(small, runs, cfg.payloads,
@@ -395,21 +393,6 @@ class TestSampleCountSweep:
                 repeats=1,
             )
 
-    def test_full_count_matches_subset_sweep(self, cfg, bending_runs):
-        res = sample_count_sweep(
-            TaskKind.BENDING_ANGLE, [1000], [P(1, 1), P(7, 1)], [P(4, 1)],
-            cfg.surrogate, _noise_free(cfg, P(1, 1), P(7, 1), P(4, 1)),
-            cfg.payloads, repeats=1, base_seed=cfg.seed,
-        )
-        spec = SweepSpec(
-            task=TaskKind.BENDING_ANGLE,
-            subsets=((P(1, 1), P(7, 1)),),
-            evaluation=(P(4, 1),),
-        )
-        ref = subset_sweep(spec, bending_runs, cfg.payloads)
-        assert res.mean_grid[0, 0] == pytest.approx(ref.error_grid[0, 0])
-        assert res.std_grid[0, 0] == 0.0
-
     def test_repeats_vary_only_the_noise_seed(self, cfg):
         res = sample_count_sweep(
             TaskKind.BENDING_ANGLE, [400], [P(1, 1), P(7, 1)], [P(4, 1)],
@@ -417,38 +400,6 @@ class TestSampleCountSweep:
             cfg.payloads, repeats=3, base_seed=cfg.seed,
         )
         assert res.std_grid[0, 0] > 0.0
-
-    def test_repeats_score_exactly_the_runs_simulate_gives(self, cfg,
-                                                           monkeypatch):
-        # the noise-free states are simulated once and each repeat only
-        # adds its noise; that must equal simulating at base_seed + r
-        seen, real = [], sweeps._factor
-
-        def spy(runs, cond, window):
-            # every training and test factor is read off a repeat's runs
-            seen.append(runs)
-            return real(runs, cond, window)
-
-        monkeypatch.setattr(sweeps, "_factor", spy)
-        subset, evaluation = (P(1, 1), P(7, 2)), (P(4, 3),)
-        sample_count_sweep(
-            TaskKind.BENDING_ANGLE, [100, 400], subset, evaluation,
-            cfg.surrogate, _noise_free(cfg, *subset, *evaluation),
-            cfg.payloads, repeats=3, base_seed=11,
-        )
-        per_repeat = list({id(runs): runs for runs in seen}.values())
-        assert len(per_repeat) == 3
-        for r, runs in enumerate(per_repeat):
-            for cond in subset + evaluation:
-                alone = simulate(
-                    cfg.surrogate,
-                    generate_profile(cfg.profiles[cond.profile_index - 1],
-                                     cfg.grid),
-                    cfg.payloads.mass_of(cond.payload_index), cfg.grid,
-                    condition=cond, seed=11 + r,
-                )
-                assert np.array_equal(runs[cond].sensors, alone.sensors)
-                assert np.array_equal(runs[cond].theta, alone.theta)
 
     @pytest.mark.parametrize("counts, evaluation, message", [
         ([], [P(1, 1)], "need at least one sample count"),
@@ -479,42 +430,8 @@ class TestSampleCountSweep:
             assert grid[0].tobytes() == grid[2].tobytes()
             assert grid[0].tobytes() != grid[1].tobytes()
 
-    def test_counts_are_read_on_the_runs_clock(self, cfg):
-        # at 20 Hz, 100 samples per condition are the first 5 s of training
-        grid = TimeGrid(sample_rate=20.0, n_samples=2000)
-        subset, evaluation = (P(1, 1), P(7, 1)), (P(4, 1),)
-        noise_free = simulate_conditions(cfg.surrogate, cfg.profiles,
-                                         cfg.payloads, grid,
-                                         subset + evaluation, seed=None)
-        res = sample_count_sweep(
-            TaskKind.BENDING_ANGLE, [100], subset, evaluation, cfg.surrogate,
-            noise_free, cfg.payloads, repeats=1, base_seed=cfg.seed,
-        )
-        runs = {c: add_noise(cfg.surrogate, run, cfg.seed)
-                for c, run in noise_free.items()}
-        ref = subset_sweep(SweepSpec(task=TaskKind.BENDING_ANGLE,
-                                     subsets=(subset,), evaluation=evaluation,
-                                     train_window=Window(50.0, 55.0)),
-                           runs, cfg.payloads)
-        assert res.mean_grid.tobytes() == ref.error_grid.tobytes()
-
 
 class TestAblation:
-    def test_full_mask_reproduces_baseline(self, cfg, bending_runs):
-        evaluation = tuple(P(i, 1) for i in range(1, 8))
-        res = sensor_ablation_sweep(
-            TaskKind.BENDING_ANGLE,
-            [tuple(range(7))],
-            (P(1, 1), P(7, 1)), evaluation, bending_runs, cfg.payloads,
-        )
-        spec = SweepSpec(
-            task=TaskKind.BENDING_ANGLE,
-            subsets=((P(1, 1), P(7, 1)),),
-            evaluation=evaluation,
-        )
-        ref = subset_sweep(spec, bending_runs, cfg.payloads)
-        assert np.array_equal(res.error_grid[0], ref.error_grid[0])
-
     def test_weight_shares_sum_to_100_over_included_sensors(self, cfg,
                                                             bending_runs):
         res = sensor_ablation_sweep(
@@ -574,73 +491,21 @@ class TestMultitaskGrid:
         assert res.step2_mean == pytest.approx(np.nanmean(pool))
 
 
-def _random_series(rng, n=160):
-    # theta sits well away from 0, so mass-style window means are too
-    sensors = rng.normal(size=(7, n))
-    theta = 50.0 + rng.normal(size=7) @ sensors + 0.1 * rng.normal(size=n)
-    return PressureStateSeries(grid=TimeGrid(sample_rate=40.0, n_samples=n),
-                               s_in=np.zeros(n), sensors=sensors, theta=theta,
-                               condition=P(1, 2))
-
-
 class TestFactoredScore:
-    # `score` on one factor equals each task's per-trace reference, under
-    # either normalizer, though the factor was built with neither
-    @settings(max_examples=60, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1),
-           mask=st.lists(st.integers(0, 6), min_size=1, max_size=7,
-                         unique=True),
-           ridge=st.sampled_from([0.0, 0.5]),
-           start=st.integers(80, 120),
-           rows=st.integers(1, 40),
-           normalizer=st.sampled_from(NORMALIZERS))
-    def test_scores_equal_the_per_trace_scores(self, seed, mask, ridge,
-                                               start, rows, normalizer):
-        rng = np.random.default_rng(seed)
-        series = _random_series(rng)
-        weights = train(assemble([(series, series.theta)], Window(0.0, 2.0),
-                                 mask), ridge)
-        window = Window(start / 40.0, (start + rows) / 40.0)
-        block = window_factor(series, window)
-        w = full_width(weights, 7)[0]
-        truth = bending_target(series, window)
-        assert truth.shape == (rows,) and block.n_rows == rows
-
-        def scored(task, mass=None):
-            return score(task, block, w, mass, normalizer)
-
-        try:
-            ref = nrmse_percent(predict(weights, series, window), truth,
-                                normalizer)
-        except ValueError as err:
-            # one flat row under "range": both refuse with one message
-            with pytest.raises(ValueError, match=str(err)):
-                scored(TaskKind.BENDING_ANGLE)
-        else:
-            assert abs(scored(TaskKind.BENDING_ANGLE) - ref) <= 1e-10 * ref
-        estimate = estimate_mass(weights, series, window)
-        assert (abs(scored(TaskKind.PAYLOAD_DETECT) - estimate)
-                <= 1e-10 * abs(estimate))
-        # a truth this far from the estimate keeps the error well above 0
-        mass = 2.0 * abs(estimate) + 1.0
-        ref = mass_error_percent(estimate, mass)
-        assert abs(scored(TaskKind.PAYLOAD_MASS, mass) - ref) <= 1e-10 * ref
-
+    # a flat angle has no scale: its percent error is refused, not scored
     def test_flat_truth_keeps_the_zero_scale_error(self):
         rng = np.random.default_rng(3)
-        series = _random_series(rng)
-        flat = PressureStateSeries(grid=series.grid, s_in=series.s_in,
-                                   sensors=series.sensors,
-                                   theta=np.full(160, 2.0))
-        weights = train(assemble([(series, series.theta)], Window(0.0, 2.0)))
+        sensors, w = rng.normal(size=(7, 160)), rng.normal(size=8)
+        flat = PressureStateSeries(
+            grid=TimeGrid(sample_rate=40.0, n_samples=160), s_in=np.zeros(160),
+            sensors=sensors, theta=np.full(160, 2.0))
         block = window_factor(flat, Window(2.0, 4.0))
-        w = full_width(weights, 7)[0]
         with pytest.raises(ValueError, match="ground-truth scale is zero"):
             score(TaskKind.BENDING_ANGLE, block, w, None, "range")
-        # the mass estimate does not need the angle's scale
+        # the detect output, the window mean, does not need the angle's scale
         assert score(TaskKind.PAYLOAD_DETECT, block, w, None,
                      "range") == pytest.approx(
-            estimate_mass(weights, flat, Window(2.0, 4.0)), rel=1e-10)
+            np.mean(reference.design(sensors[:, 80:160]) @ w), rel=1e-10)
 
 
 class TestScoreSensorCount:
