@@ -311,10 +311,10 @@ def forked(fn, *args):
 
     The child flushes its stdio and leaves with ``os._exit``: status 0 once
     ``fn`` returns, 1 (its traceback on stderr) if it raises. Leaving the
-    block, the parent always reaps it: a nonzero status, or an EOFError in
-    the block (a reply cut short), is a ChildProcessError naming the status;
-    any other error kills the child and passes unchanged. If the fork itself fails, its OSError passes and no pipe end
-    stays open.
+    block, the parent always reaps it: a nonzero status is a
+    ChildProcessError naming it; an error in the block kills the child and
+    passes unchanged. If the fork itself fails, its OSError passes and no
+    pipe end stays open. `fork_map` is its one caller.
     """
     global _FORKED
     # else the child could write what the parent had buffered a second time
@@ -346,12 +346,9 @@ def forked(fn, *args):
             finally:
                 os._exit(status)
     os.close(write_end)
-    cut = False
     try:
         with open(read_end, "rb") as pipe:
             yield pipe
-    except EOFError:
-        cut = True
     except BaseException:
         import signal  # here, so that importing armrc does not pay for it
 
@@ -359,11 +356,10 @@ def forked(fn, *args):
         raise
     finally:
         status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if status or cut:
+    if status:
         how = (f"was killed by signal {-status}" if status < 0
                else f"exited with status {status}")
-        raise ChildProcessError(f"a forked child {how}" + (
-            " before its reply was complete" if cut else ""))
+        raise ChildProcessError(f"a forked child {how}")
 
 
 def _map_share(pipe, fn, share) -> None:

@@ -36,9 +36,8 @@ Sensor readings are the node states plus white Gaussian noise drawn from
 counter-based streams keyed by (seed, condition, sensor), so results never
 depend on simulation order; ``seed=None`` gives noise-free runs. Noise is
 added after the states, so one noise-free run serves every seed
-(`add_noise`). A run's noise is one `_noise_blocks` block, drawn in-process
-or, in a process's first noisy batch of long runs with numpy.random not yet
-imported, by a forked child while the kernel steps (`_take_noise_child`).
+(`add_noise`). A run's noise is one `_noise_blocks` block, drawn once the
+kernel has stepped.
 
 One kernel, `simulate_batch`, steps all runs of a call together; every
 other entry point is a thin call into it. A run's bits do not depend on
@@ -51,8 +50,6 @@ series is built once.
 
 from __future__ import annotations
 
-import contextlib
-import sys
 from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence
 
@@ -66,8 +63,6 @@ from .core import (
     TimeGrid,
     Window,
     condition_grid,
-    fork_width,
-    forked,
     sample_count,
     sensor_name,
 )
@@ -82,14 +77,6 @@ _UINT64_MASK = (1 << 64) - 1
 # Time steps buffered between flushes into the per-run state arrays: short,
 # so the buffers stay small next to the runs themselves.
 _CHUNK = 64
-
-# Run length (samples) from which `_take_noise_child` forks: the child
-# pays once the steps hide its numpy.random import and its draws. A fresh
-# process's first simulate of one 7-sensor run on a 2-core Xeon took 5 ms
-# longer with the child at 1000 samples, and 3 ms less at 2000 and 5 ms
-# less at 4000 (medians of 15 pairs).
-_NOISE_CHILD_SAMPLES = 2000
-_noise_child_taken = False  # set by `_take_noise_child`'s one yes
 
 
 def default_coupling(n_nodes: int) -> tuple:
@@ -239,42 +226,6 @@ def add_noise(params: SurrogateParams, run: PressureStateSeries,
     return replace(run, sensors=_frozen(np.add(run.sensors, noise, out=noise)))
 
 
-def _noise_child(pipe, params: SurrogateParams, conditions: Sequence,
-                 shape: tuple, seed: int) -> None:
-    """`simulate_batch`'s noise child: every run's `_noise_blocks` block,
-    all drawn before the first is sent, so drawing never waits on the pipe."""
-    pipe.writelines(list(_noise_blocks(params, conditions, shape, seed)))
-
-
-def _piped_blocks(pipe, shape: tuple):
-    """The `_noise_child`'s blocks, each read as its run is built."""
-    while True:
-        noise = np.empty(shape)
-        if pipe.readinto(noise) < noise.nbytes:
-            raise EOFError("the noise child's reply ended early")
-        yield noise
-
-
-def _take_noise_child(n_samples: int) -> bool:
-    """Whether a noisy batch of ``n_samples``-sample runs draws its noise in
-    a `_noise_child`: yes, once per process, if numpy.random is not yet
-    imported, the runs are at least `_NOISE_CHILD_SAMPLES` long, and
-    `fork_width` gives 2 CPUs (so never in a forked child).
-
-    The child pays by taking the numpy.random import (12-15 ms) off the
-    parent. Where it was already imported, 4000-sample batches of 1, 7 and
-    13 runs were 0.4-8.6 ms slower with the child (medians of 16
-    interleaved calls). Each child would import it again, so a process
-    forks at most one; its later batches draw in-process.
-    """
-    global _noise_child_taken
-    if (_noise_child_taken or "numpy.random" in sys.modules
-            or n_samples < _NOISE_CHILD_SAMPLES or fork_width(2) < 2):
-        return False
-    _noise_child_taken = True
-    return True
-
-
 def bandwidth(coupling) -> int:
     """The largest |i - j| with ``coupling[i][j]`` nonzero (0 if none)."""
     i, j = np.nonzero(np.asarray(coupling))
@@ -378,8 +329,8 @@ def simulate_batch(
 
     ``x0`` is (B, n). Pass a repeated trace as the same array object so its
     drive terms are computed once. Each run's `_noise_blocks` block (none
-    at ``seed=None``), from a `_noise_child` where `_take_noise_child` says
-    a fork pays, is added into its clean states before the run is built.
+    at ``seed=None``) is added into its clean states before the run is
+    built.
     """
     traces = [np.asarray(t, dtype=float) for t in traces]
     conditions = [None] * len(traces) if conditions is None else conditions
@@ -398,29 +349,22 @@ def simulate_batch(
     noisy = seed is not None and params.noise_std > 0
     for cond in conditions if noisy else ():
         _noise_key(cond, params.n_nodes - 1)
+    states = _advance(params, traces, masses, x0) if traces else []
     shape = (params.n_nodes, grid.n_samples)
-    child = (forked(_noise_child, params, conditions, shape, seed)
-             if noisy and traces and _take_noise_child(grid.n_samples)
-             else contextlib.nullcontext())
-    with child as pipe:
-        states = _advance(params, traces, masses, x0) if traces else []
-        blocks = (_piped_blocks(pipe, shape) if pipe is not None else
-                  _noise_blocks(params, conditions, shape, seed) if noisy else ())
-        # one read-only copy of each distinct trace, shared by its runs
-        s_in = {id(t): _frozen(t.copy()) for t in traces}
-        runs = []
-        for b, (trace, mass, cond) in enumerate(
-                zip(traces, masses, conditions)):
-            sensors, states[b] = _frozen(states[b]), None
-            theta = (sum(w * s for w, s in zip(params.angle_weights, sensors))
-                     + params.angle_payload_slope * mass)
-            if noisy:  # this run's noise, plus its clean states
-                noise = next(blocks)
-                sensors = _frozen(np.add(sensors, noise, out=noise))
-            runs.append(PressureStateSeries(
-                grid=grid, s_in=s_in[id(trace)], sensors=sensors,
-                theta=_frozen(theta), condition=cond,
-                payload_grams=float(mass)))
+    blocks = _noise_blocks(params, conditions, shape, seed) if noisy else ()
+    # one read-only copy of each distinct trace, shared by its runs
+    s_in = {id(t): _frozen(t.copy()) for t in traces}
+    runs = []
+    for b, (trace, mass, cond) in enumerate(zip(traces, masses, conditions)):
+        sensors, states[b] = _frozen(states[b]), None
+        theta = (sum(w * s for w, s in zip(params.angle_weights, sensors))
+                 + params.angle_payload_slope * mass)
+        if noisy:  # this run's noise, plus its clean states
+            noise = next(blocks)
+            sensors = _frozen(np.add(sensors, noise, out=noise))
+        runs.append(PressureStateSeries(
+            grid=grid, s_in=s_in[id(trace)], sensors=sensors,
+            theta=_frozen(theta), condition=cond, payload_grams=float(mass)))
     return runs
 
 

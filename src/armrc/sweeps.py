@@ -518,14 +518,16 @@ class Experiment:
 def experiments(cfg) -> dict:
     """The bending and payload experiments of an `ExperimentConfig`, keyed
     by the name their result files carry; the one rule of the grid's shape
-    refuses fewer than 2 profiles or 2 payloads, before a sweep simulates."""
+    refuses fewer than 2 profiles or 3 payloads, before a sweep simulates
+    (on 2 payloads the payload experiment would fit M2 alone, which the
+    bias does exactly, and score rounding)."""
     n_profiles, n_payloads = len(cfg.profiles), len(cfg.payloads)
     if n_profiles < 2:
         raise ValueError("the bending experiment trains on P1+Pn and needs "
                          f"at least 2 profiles; the config has {n_profiles}")
-    if n_payloads < 2:
+    if n_payloads < 3:
         raise ValueError("the payload experiment trains on M2..Mm and needs "
-                         f"at least 2 payloads; the config has {n_payloads}")
+                         f"at least 3 payloads; the config has {n_payloads}")
     payload_eval = payload_conditions(n_payloads)[1:]
     return {
         "bending": Experiment(

@@ -56,17 +56,22 @@ class TestSimulate:
 SMALL_RUNS = "grid: {sample_rate: 4.0, n_samples: 400}\nsample_counts: [10]\n"
 
 
-def _fresh(argv, cpus):
-    """``armrc <argv>`` in a fresh interpreter that sees ``cpus`` CPUs, so
-    the export pool runs (or not) whatever the host has."""
+def _python(code, argv):
+    """``python -c code argv`` in a fresh interpreter that imports this
+    checkout's armrc."""
     src = str(Path(armrc.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = ("import os, sys; os.sched_getaffinity = lambda pid: "
-            f"set(range({cpus})); from armrc.cli import main; "
-            "sys.exit(main(sys.argv[1:]))")
     return subprocess.run([sys.executable, "-c", code] + argv, env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+def _fresh(argv, cpus):
+    """``armrc <argv>`` in a fresh interpreter that sees ``cpus`` CPUs, so
+    the export pool runs (or not) whatever the host has."""
+    return _python("import os, sys; os.sched_getaffinity = lambda pid: "
+                   f"set(range({cpus})); from armrc.cli import main; "
+                   "sys.exit(main(sys.argv[1:]))", argv)
 
 
 def _main_on_cpus(argv, cpus, monkeypatch, status=0):
@@ -246,6 +251,42 @@ class TestSamplesPool:
         files, outputs = trees[2]
         assert trees[1] == trees[2]
         assert sorted(map(str, files)) == outputs and len(outputs) == 4
+
+
+class TestFreshProcessForks:
+    # a fresh process that imported numpy first and may use 2 CPUs forks
+    # only `fork_map` children: every noisy batch draws its noise
+    # in-process, and numpy.random is imported at the first draw, never by
+    # importing the CLI. The spy replaces every armrc module's binding of
+    # `core.forked`, so a fork asked for by a module that imported it by
+    # name counts too.
+    SPY = (
+        "import os, sys\n"
+        "import numpy\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "import armrc.cli\n"
+        "print('numpy.random' in sys.modules)\n"
+        "real, children = armrc.core.forked, []\n"
+        "def spy(fn, *args):\n"
+        "    children.append(fn.__name__)\n"
+        "    return real(fn, *args)\n"
+        "for name, module in list(sys.modules.items()):\n"
+        "    if name.startswith('armrc') and getattr(module, 'forked', None) "
+        "is real:\n"
+        "        module.forked = spy\n"
+        "print(armrc.cli.main(sys.argv[1:]), children)\n")
+
+    @pytest.mark.parametrize("argv, children", [
+        (["sweep", "conditions"], []),
+        (["sweep", "multitask"], []),
+        (["sweep", "samples"], ["_map_share"] * 2),
+        (["train", "--task", "mass", "--subset", "M2,M3,M4,M5,M6,M7"], []),
+    ], ids=["conditions", "multitask", "samples", "train"])
+    def test_forks_only_fork_map_children(self, argv, children, tmp_path):
+        out = tmp_path / ("mass.json" if argv[0] == "train" else "out")
+        proc = _python(self.SPY, argv + ["--out", str(out), "--quiet"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"False\n0 {children}\n"
 
 
 class TestTrainEvaluate:
@@ -958,6 +999,7 @@ class TestSweepOutputs:
 
     ONE_PROFILE = {"profiles": [{"u_min": 1.0, "u_max": 32.25}]}
     ONE_PAYLOAD = {"payloads": [0.0]}
+    TWO_PAYLOADS = {"payloads": [0.0, 100.0]}
     TWO_PROFILES = ("the bending experiment trains on P1+Pn and needs at "
                     "least 2 profiles; the config has 1")
     MULTITASK_TWO_PROFILES = ("the multitask 2x2 geometry trains on P1+Pn and "
@@ -976,12 +1018,18 @@ class TestSweepOutputs:
         ("sensors", ONE_PROFILE, TWO_PROFILES),
         ("multitask", ONE_PROFILE, MULTITASK_TWO_PROFILES),
         ("conditions", ONE_PAYLOAD, "the payload experiment trains on M2..Mm "
-         "and needs at least 2 payloads; the config has 1"),
-        ("samples", ONE_PAYLOAD, "needs at least 2 payloads; the config has 1"),
-        ("sensors", ONE_PAYLOAD, "needs at least 2 payloads; the config has 1"),
+         "and needs at least 3 payloads; the config has 1"),
+        ("samples", ONE_PAYLOAD, "needs at least 3 payloads; the config has 1"),
+        ("sensors", ONE_PAYLOAD, "needs at least 3 payloads; the config has 1"),
+        # M2 alone, which the bias fits exactly: every score is rounding
+        ("conditions", TWO_PAYLOADS, "the payload experiment trains on "
+         "M2..Mm and needs at least 3 payloads; the config has 2"),
+        ("samples", TWO_PAYLOADS, "needs at least 3 payloads; the config has 2"),
+        ("sensors", TWO_PAYLOADS, "needs at least 3 payloads; the config has 2"),
     ], ids=["conditions-1-profile", "samples-1-profile", "sensors-1-profile",
             "multitask-1-profile", "conditions-1-payload", "samples-1-payload",
-            "sensors-1-payload"])
+            "sensors-1-payload", "conditions-2-payloads", "samples-2-payloads",
+            "sensors-2-payloads"])
     def test_a_failing_sweep_is_one_error_line_and_writes_nothing(
             self, kind, doc, message, tmp_path, capsys):
         rc, out = self._sweep(kind, doc, tmp_path)

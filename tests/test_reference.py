@@ -41,8 +41,8 @@ def configs(draw):
                      for lo, swing in draw(st.lists(st.tuples(
                          st.floats(0.0, 15.0), st.floats(15.0, 35.0)),
                          min_size=2, max_size=4))],
-        # the payload experiment trains on two or more masses: on one, the
-        # bias fits it exactly and the sensor weights are rounding noise
+        # 3 payloads at least, as `sweeps.experiments` requires: the payload
+        # experiment then trains on two or more masses
         "payloads": sorted(draw(st.lists(st.integers(0, 400), min_size=3,
                                          max_size=4, unique=True))),
         "multitask_payloads": [0] + sorted(draw(grams)),

@@ -1,8 +1,4 @@
 import dataclasses
-import os
-import subprocess
-import sys
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -494,43 +490,14 @@ class TestBatchIndependence:
 
 
 
-def _spy_forks(monkeypatch):
-    """The names of the functions `surrogate` starts in forked children,
-    appended as each fork is asked for."""
-    children = []
-    real = surrogate.forked
-
-    def spy(fn, *args):
-        children.append(fn.__name__)
-        return real(fn, *args)
-
-    monkeypatch.setattr(surrogate, "forked", spy)
-    return children
-
-
-def _no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def _fresh_process(monkeypatch):
-    """This process as a fresh one sees it for `_take_noise_child`: no
-    noise child forked yet and numpy.random not imported (the module stays
-    bound as np.random, so nothing imports it again)."""
-    monkeypatch.setattr(surrogate, "_noise_child_taken", False)
-    monkeypatch.delitem(sys.modules, "numpy.random")
-
-
-class TestNoiseChild:
-    # a process's first noisy batch of long runs draws its noise in a forked
-    # child while the kernel steps, if numpy.random is not yet imported and
-    # 2 CPUs are usable; either way, the bits add_noise gives the
-    # noise-free (seed=None) runs
+class TestNoise:
+    # every noisy batch adds each run's `_noise_blocks` block into its
+    # clean states: the bits add_noise gives the noise-free (seed=None) runs
     @settings(max_examples=30, deadline=None)
     @given(arm=banded_arms(), n_runs=st.integers(1, 6),
            n_samples=st.integers(1, 120), seed=st.integers(0, 2**64 - 1),
            noise_std=st.floats(0.01, 3.0), data=st.data())
-    def test_runs_with_the_child_are_bit_identical_to_runs_without(
+    def test_a_noisy_batch_is_add_noise_of_its_noise_free_runs(
             self, arm, n_runs, n_samples, seed, noise_std, data):
         params, _, rng = arm
         params = dataclasses.replace(params, noise_std=noise_std)
@@ -541,27 +508,17 @@ class TestNoiseChild:
         grid = TimeGrid(n_samples=n_samples)
         traces = [rng.uniform(0.0, 50.0, n_samples) for _ in range(n_runs)]
         masses = list(rng.uniform(0.0, 400.0, n_runs))
-        runs = {}
-        for child, run_seed in ((True, seed), (False, seed), (True, None)):
-            with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(surrogate, "_take_noise_child", lambda n: child)
-                children = _spy_forks(mp)
-                runs[child, run_seed] = simulate_batch(
-                    params, traces, masses, grid, conditions=conds,
-                    seed=run_seed)
-            noisy = child and run_seed is not None
-            assert children == (["_noise_child"] if noisy else [])
-        alone = [surrogate.add_noise(params, run, seed)
-                 for run in runs[True, None]]
-        for path in (True, False):  # the noise child, and in-process
-            for run, expected in zip(runs[path, seed], alone, strict=True):
-                for name in ("s_in", "sensors", "theta"):
-                    assert (getattr(run, name).tobytes()
-                            == getattr(expected, name).tobytes())
-                assert run.condition == expected.condition
-                assert run.payload_grams == expected.payload_grams
-                assert not run.sensors.flags.writeable
-        _no_child_left()
+        noisy, clean = (simulate_batch(params, traces, masses, grid,
+                                       conditions=conds, seed=run_seed)
+                        for run_seed in (seed, None))
+        alone = [surrogate.add_noise(params, run, seed) for run in clean]
+        for run, expected in zip(noisy, alone, strict=True):
+            for name in ("s_in", "sensors", "theta"):
+                assert (getattr(run, name).tobytes()
+                        == getattr(expected, name).tobytes())
+            assert run.condition == expected.condition
+            assert run.payload_grams == expected.payload_grams
+            assert not run.sensors.flags.writeable
 
     def test_an_in_process_noisy_batch_builds_one_generator_and_each_run_once(
             self, monkeypatch):
@@ -579,110 +536,9 @@ class TestNoiseChild:
 
         monkeypatch.setattr(np.random, "Philox", philox)
         monkeypatch.setattr(core.PressureStateSeries, "__post_init__", check)
-        monkeypatch.setattr(surrogate, "_take_noise_child", lambda n: False)
         conds = [InputCondition(1, j) for j in range(1, 6)]
         runs = simulate_batch(SurrogateParams(), [P1[:50]] * 5,
                               [0.0, 50.0, 100.0, 150.0, 200.0],
                               TimeGrid(n_samples=50), conditions=conds)
         assert [run.condition for run in runs] == conds
         assert built == {"Philox": 1, "PressureStateSeries": 5}
-
-    @pytest.mark.parametrize("case", [
-        "at the size rule", "below the size rule", "inside a fork_map child",
-        "noise off", "zero noise", "one CPU", "numpy.random imported",
-        "second batch"])
-    def test_a_child_only_where_a_fork_pays(self, case, monkeypatch):
-        params = SurrogateParams(noise_std=0.0 if case == "zero noise"
-                                 else 0.3)
-        n = surrogate._NOISE_CHILD_SAMPLES - (case == "below the size rule")
-        grid = TimeGrid(n_samples=n)
-        cpus = 1 if case == "one CPU" else 2
-        monkeypatch.setattr(os, "sched_getaffinity",
-                            lambda pid: set(range(cpus)))
-        monkeypatch.setattr(surrogate, "_noise_child_taken", False)
-        if case != "numpy.random imported":
-            _fresh_process(monkeypatch)
-        children = _spy_forks(monkeypatch)
-
-        def simulate_two(_):
-            before = len(children)
-            simulate_batch(params, [P1[:n]] * 2, [0.0, 100.0], grid,
-                           seed=None if case == "noise off"
-                           else core.DEFAULT_SEED)
-            return children[before:]
-
-        if case == "inside a fork_map child":
-            # each child's own forks, sent back with its results
-            assert core.fork_map(lambda share: [simulate_two(k) for k in share],
-                                 [0, 1]) == [[], []]
-        elif case == "second batch":
-            assert simulate_two(0) == ["_noise_child"]
-            assert simulate_two(1) == []
-        else:
-            expected = ["_noise_child"] if case == "at the size rule" else []
-            assert simulate_two(0) == expected
-        _no_child_left()
-
-    def test_a_fresh_process_forks_one_noise_child_and_never_imports_numpy_random(
-            self):
-        code = (
-            "import os, sys\n"
-            "os.sched_getaffinity = lambda pid: {0, 1}\n"
-            "from armrc import surrogate\n"
-            "from armrc.core import TimeGrid\n"
-            "from armrc.profiles import default_profile_family, "
-            "generate_profile\n"
-            "grid = TimeGrid(n_samples=surrogate._NOISE_CHILD_SAMPLES)\n"
-            "trace = generate_profile(default_profile_family()[0], grid)\n"
-            "params, real, children = surrogate.SurrogateParams(), "
-            "surrogate.forked, []\n"
-            "def spy(fn, *args):\n"
-            "    children.append(fn.__name__)\n"
-            "    return real(fn, *args)\n"
-            "surrogate.forked = spy\n"
-            "def batch(seed=11):\n"
-            "    return surrogate.simulate_batch(params, [trace] * 3, "
-            "[0.0, 50.0, 100.0], grid, seed=seed)\n"
-            "first = batch()\n"
-            "print(children, 'numpy.random' in sys.modules)\n"
-            "clean = batch(None)\n"
-            "alone = [surrogate.add_noise(params, r, 11) for r in clean]\n"
-            "print(all(a.sensors.tobytes() == b.sensors.tobytes() "
-            "for a, b in zip(first, alone)))\n"
-            "second = batch()\n"
-            "print(children, all(a.sensors.tobytes() == b.sensors.tobytes() "
-            "for a, b in zip(second, alone)))\n")
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run([sys.executable, "-c", code], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == ("['_noise_child'] False\nTrue\n"
-                               "['_noise_child'] True\n")
-
-    def test_a_kernel_error_reaches_the_caller_and_leaves_no_child(
-            self, monkeypatch):
-        error = RuntimeError("the kernel failed")
-
-        def fail(*args):
-            raise error
-
-        monkeypatch.setattr(surrogate, "_advance", fail)
-        monkeypatch.setattr(surrogate, "_take_noise_child", lambda n: True)
-        children = _spy_forks(monkeypatch)
-        with pytest.raises(RuntimeError) as raised:
-            simulate(SurrogateParams(), P1[:50], 0.0, TimeGrid(n_samples=50))
-        assert raised.value is error
-        assert children == ["_noise_child"]
-        _no_child_left()
-
-    def test_a_noise_child_that_dies_is_an_error_naming_its_status(
-            self, monkeypatch):
-        monkeypatch.setattr(surrogate, "_noise_blocks",
-                            lambda *args: os._exit(5))
-        monkeypatch.setattr(surrogate, "_take_noise_child", lambda n: True)
-        with pytest.raises(ChildProcessError,
-                           match="exited with status 5 before its reply"):
-            simulate(SurrogateParams(), P1[:50], 0.0, TimeGrid(n_samples=50))
-        _no_child_left()
