@@ -280,8 +280,9 @@ class TestFreshProcessForks:
         (["sweep", "conditions"], []),
         (["sweep", "multitask"], []),
         (["sweep", "samples"], ["_map_share"] * 2),
+        (["sweep", "sensors"], []),
         (["train", "--task", "mass", "--subset", "M2,M3,M4,M5,M6,M7"], []),
-    ], ids=["conditions", "multitask", "samples", "train"])
+    ], ids=["conditions", "multitask", "samples", "sensors", "train"])
     def test_forks_only_fork_map_children(self, argv, children, tmp_path):
         out = tmp_path / ("mass.json" if argv[0] == "train" else "out")
         proc = _python(self.SPY, argv + ["--out", str(out), "--quiet"])
@@ -1038,6 +1039,12 @@ class TestSweepOutputs:
         assert err.startswith("error:") and err.count("\n") == 1
         assert message in err
         assert [p for p in out.rglob("*") if p.is_file()] == []
+
+    def test_multitask_runs_on_a_2_payload_grid(self, tmp_path, capsys):
+        # multitask trains on its own payload set, whatever the grid holds
+        rc, out = self._sweep("multitask", self.TWO_PAYLOADS, tmp_path)
+        assert rc == 0, capsys.readouterr().err
+        assert (out / "multitask_summary.csv").is_file()
 
     @pytest.mark.parametrize("kind, message", [
         ("conditions", TWO_PROFILES), ("samples", TWO_PROFILES),

@@ -542,3 +542,55 @@ class TestNoise:
                               TimeGrid(n_samples=50), conditions=conds)
         assert [run.condition for run in runs] == conds
         assert built == {"Philox": 1, "PressureStateSeries": 5}
+
+    def test_zero_noise_draws_nothing_and_gives_the_noise_free_bits(
+            self, monkeypatch):
+        def philox(*args, **kwargs):
+            raise AssertionError("built a noise generator at noise_std=0")
+
+        monkeypatch.setattr(np.random, "Philox", philox)
+        params = SurrogateParams(noise_std=0.0)
+        conds = [InputCondition(1, 1), InputCondition(1, 2)]
+        seeded, clean = (simulate_batch(params, [P1[:50]] * 2, [0.0, 100.0],
+                                        TimeGrid(n_samples=50),
+                                        conditions=conds, seed=run_seed)
+                         for run_seed in (core.DEFAULT_SEED, None))
+        for run, expected in zip(seeded, clean, strict=True):
+            assert run.sensors.tobytes() == expected.sensors.tobytes()
+            assert surrogate.add_noise(params, expected, 7) is expected
+
+    def test_a_key_that_overflows_is_refused_before_the_kernel_steps(
+            self, monkeypatch):
+        def step(*args):
+            raise AssertionError("stepped a batch whose noise key overflows")
+
+        monkeypatch.setattr(surrogate, "_advance", step)
+        cond = InputCondition(1, 1 << 16)
+        with pytest.raises(ValueError, match=cond.label):
+            simulate_batch(SurrogateParams(), [P1[:40]] * 2, [0.0, 100.0],
+                           SHORT, conditions=[InputCondition(1, 1), cond])
+
+    def test_a_kernel_error_reaches_the_caller_unchanged(self, monkeypatch):
+        error = RuntimeError("the kernel failed")
+
+        def fail(*args):
+            raise error
+
+        monkeypatch.setattr(surrogate, "_advance", fail)
+        with pytest.raises(RuntimeError) as raised:
+            simulate(SurrogateParams(), P1[:50], 0.0, TimeGrid(n_samples=50))
+        assert raised.value is error
+
+    def test_a_noisy_batch_in_a_fork_map_child_has_this_process_bits(self):
+        # `sweep samples` simulates its runs inside `fork_map` children
+        conds = [InputCondition(1, j) for j in range(1, 4)]
+
+        def batch(_=None):
+            runs = simulate_batch(SurrogateParams(), [P1[:50]] * 3,
+                                  [0.0, 50.0, 100.0], TimeGrid(n_samples=50),
+                                  conditions=conds)
+            return [run.sensors.tobytes() for run in runs]
+
+        here = batch()
+        assert core.fork_map(lambda share: [batch(k) for k in share],
+                             [0, 1]) == [here, here]
