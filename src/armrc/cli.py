@@ -20,7 +20,8 @@ from pathlib import Path
 from .config import (ConfigError, ExperimentConfig, default_config,
                      load_config, training_window)
 from .core import (Window, condition_grid, fork_map, parse_condition_label,
-                   slice_series, trace_columns)
+                   slice_series, trace_columns, window_indices)
+from .profiles import cycle_period
 from .readout import (correlation_matrix, full_width, window_factor,
                       window_means)
 from .runio import (
@@ -33,7 +34,7 @@ from .runio import (
     write_manifest,
     write_matrix_csv,
 )
-from .surrogate import simulate_conditions
+from .surrogate import add_noise, simulate_conditions
 from .sweeps import (
     SweepSpec,
     experiments,
@@ -110,7 +111,7 @@ def cmd_simulate(args) -> int:
     def write(share):  # in a `fork_map` child: only the names go back
         return [export_run(series, staging / f"{cond.label}.csv",
                            config_hash=digest, seed=cfg.seed).name
-                for cond, series in _simulate(cfg, share, cfg.seed).items()]
+                for cond, series in _simulate(cfg, share, seed=cfg.seed).items()]
 
     try:
         csvs = fork_map(write, condition_grid(len(cfg.profiles), cfg.payloads))
@@ -135,7 +136,7 @@ def cmd_train(args) -> int:
     subset = tuple(parse_condition_label(t) for t in args.subset.split(","))
     mask = None if args.mask is None else [
         _sensor_index(t, cfg.surrogate.n_nodes) for t in args.mask.split(",")]
-    runs = _simulate(cfg, subset, cfg.seed)
+    runs = _simulate(cfg, subset, seed=cfg.seed)
     weights = train_on_subset(subset, runs, cfg.payloads, task,
                               training_window(cfg, task), mask, cfg.ridge)
     save_weights(
@@ -190,7 +191,7 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _simulate(cfg: ExperimentConfig, conditions, seed, payloads=None) -> dict:
+def _simulate(cfg: ExperimentConfig, conditions, payloads=None, seed=None):
     """``conditions``' runs under ``cfg`` at ``seed`` (None: noise-free)."""
     return simulate_conditions(
         cfg.surrogate, cfg.profiles, payloads or cfg.payloads, cfg.grid,
@@ -200,7 +201,7 @@ def _simulate(cfg: ExperimentConfig, conditions, seed, payloads=None) -> dict:
 def _experiment_runs(cfg: ExperimentConfig) -> tuple:
     """Both experiments' conditions, as `_simulate` arguments."""
     return ([c for exp in experiments(cfg).values() for c in exp.conditions],
-            cfg.seed)
+            cfg.payloads)
 
 
 def _multitask_runs(cfg: ExperimentConfig) -> tuple:
@@ -210,11 +211,12 @@ def _multitask_runs(cfg: ExperimentConfig) -> tuple:
     if n_profiles < 2:
         raise ValueError("the multitask 2x2 geometry trains on P1+Pn and needs "
                          f"at least 2 profiles; the config has {n_profiles}")
-    return condition_grid(n_profiles, payloads), cfg.seed, payloads
+    return condition_grid(n_profiles, payloads), payloads
 
 
 def _condition_tables(cfg: ExperimentConfig, runs: dict):
     """Every experiment's families, each one `subset_sweep`."""
+    add_noise(cfg.surrogate, runs, cfg.seed)
     for name, exp in experiments(cfg).items():
         for family, subsets in exp.families.items():
             spec = SweepSpec(
@@ -251,6 +253,7 @@ def _sample_tables(cfg: ExperimentConfig, noise_free: dict):
 
 
 def _sensor_tables(cfg: ExperimentConfig, runs: dict):
+    add_noise(cfg.surrogate, runs, cfg.seed)
     n = cfg.surrogate.n_nodes
     masks = (tuple(range(n)),) + tip_sensor_masks(n)
     names = trace_columns(n)[1:-1]
@@ -268,6 +271,7 @@ def _sensor_tables(cfg: ExperimentConfig, runs: dict):
 
 
 def _multitask_tables(cfg: ExperimentConfig, runs: dict):
+    add_noise(cfg.surrogate, runs, cfg.seed)
     n_profiles = len(cfg.profiles)
     payloads = cfg.multitask_payloads
     rows = [f"P{i}" for i in range(1, n_profiles + 1)]
@@ -291,19 +295,36 @@ def _multitask_tables(cfg: ExperimentConfig, runs: dict):
 
 
 # kind -> (the runs it reads, as `_simulate` arguments; the tables of them).
-# `sweep samples` reads noise-free runs: each repeat draws its own noise.
+# Each reads them noise-free and adds their noise with `add_noise`.
 SWEEPS = {
     "conditions": (_experiment_runs, _condition_tables),
-    "samples": (lambda cfg: (_experiment_runs(cfg)[0], None), _sample_tables),
+    "samples": (_experiment_runs, _sample_tables),
     "sensors": (_experiment_runs, _sensor_tables),
     "multitask": (_multitask_runs, _multitask_tables),
 }
 
 
+def _check_ramps(cfg: ExperimentConfig) -> None:
+    """Refuse profiles whose ramp cycles end before the last sample of the
+    train or test window, where the trace would hold at u_min and every
+    error read rounding: `generate_profile`'s test, on that sample."""
+    last = max(window_indices(cfg.grid, w)[1] for w in (cfg.train, cfg.test))
+    t = cfg.grid.times()[last - 1] - cfg.grid.t0
+    for k, spec in enumerate(cfg.profiles, start=1):
+        end = spec.n_cycles * cycle_period(spec)
+        if t >= end:
+            raise ValueError(
+                f"profile P{k}'s {spec.n_cycles} ramp cycles end at {end:g} s,"
+                f" before the last train or test sample at {t:g} s: give it "
+                "more n_cycles")
+
+
 def _sweep(kind: str, cfg: ExperimentConfig, out: Path, digest: str) -> list:
-    """Simulate the runs a `SWEEPS` kind reads and compute all its tables;
-    then write each, tagged with the config hash and seed, and a manifest."""
+    """Simulate the noise-free runs a `SWEEPS` kind reads and compute all
+    its tables; then write each, tagged with the config hash and seed, and a
+    manifest. Ramps that end early are refused before any run."""
     t0 = time.perf_counter()
+    _check_ramps(cfg)
     reads, compute = SWEEPS[kind]
     tables = list(compute(cfg, _simulate(cfg, *reads(cfg))))
     for name, matrix, rows, cols, labels in tables:

@@ -14,7 +14,6 @@ appear only in manifests so output trees stay byte-reproducible.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import io
 import json
 import math
@@ -46,6 +45,8 @@ _VALUE_BYTES = b"0123456789.eE+-"
 
 def config_digest(config) -> str:
     """Stable short hash of a config (or any nested dataclass)."""
+    import hashlib  # here, so that importing armrc does not map OpenSSL
+
     payload = json.dumps(dataclasses.asdict(config), sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 

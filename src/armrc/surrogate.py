@@ -34,18 +34,18 @@ functional of the node states plus a mass-proportional droop:
 
 Sensor readings are the node states plus white Gaussian noise drawn from
 counter-based streams keyed by (seed, condition, sensor), so results never
-depend on simulation order; ``seed=None`` gives noise-free runs. Noise is
-added after the states, so one noise-free run serves every seed
-(`add_noise`). A run's noise is one `_noise_blocks` block, drawn once the
-kernel has stepped.
+depend on simulation order; ``seed=None`` gives noise-free runs. Noise
+never feeds back into the states, so it enters in one step after the
+kernel: `add_noise` puts each run's `_noise_blocks` block into a batch of
+noise-free runs, and one noise-free run serves every seed.
 
-One kernel, `simulate_batch`, steps all runs of a call together; every
-other entry point is a thin call into it. A run's bits do not depend on
-the batch it runs in. A step reads only the coupling's band (`bandwidth`
-w, 1 for the shipped nearest-neighbour coupling): 2w + 1 terms per node
-rather than n. Each run's states, angle and trace are made once and kept
-by its series uncopied; its noise makes one new sensors array, and each
-series is built once.
+One noise-free kernel, `simulate_batch`, steps all runs of a call
+together; every other entry point is a thin call into it. A run's bits do
+not depend on the batch it runs in. A step reads only the coupling's band
+(`bandwidth` w, 1 for the shipped nearest-neighbour coupling): 2w + 1
+terms per node rather than n. Each run's states, angle and trace are made
+once and kept by its series uncopied; its noise makes one new sensors
+array.
 """
 
 from __future__ import annotations
@@ -203,27 +203,31 @@ def _noise_stream(gen: np.random.Generator, seed: int,
     return gen.normal(0.0, noise_std, n_samples)
 
 
-def _noise_blocks(params: SurrogateParams, conditions: Sequence,
-                  shape: tuple, seed: int):
-    """Each run's (n_sensors, n_samples) sensor noise at ``seed`` in run
-    order, row m sensor m's `_noise_stream`, from one generator re-keyed
-    per sensor: building a Philox costs a fifth of a 4000-sample stream."""
+def _noise_blocks(params: SurrogateParams, runs: Mapping, seed: int):
+    """Each of ``runs``' sensor noise at ``seed``, in order, row m sensor
+    m's `_noise_stream` under the run's condition, from one generator
+    re-keyed per sensor: building a Philox costs a fifth of a 4000-sample
+    stream."""
     gen = np.random.Generator(np.random.Philox(0))
-    for cond in conditions:
-        yield np.array([_noise_stream(gen, seed, cond, m, shape[1],
-                                      params.noise_std)
-                        for m in range(shape[0])])
+    for run in runs.values():
+        n_sensors, n_samples = run.sensors.shape
+        yield np.array([_noise_stream(gen, seed, run.condition, m,
+                                      n_samples, params.noise_std)
+                        for m in range(n_sensors)])
 
 
-def add_noise(params: SurrogateParams, run: PressureStateSeries,
-              seed: int) -> PressureStateSeries:
-    """A noise-free run plus its sensor noise at ``seed``: the run
-    ``simulate(..., seed=seed)`` gives, as noise never feeds back into the
-    states."""
-    if params.noise_std == 0:
-        return run
-    noise, = _noise_blocks(params, [run.condition], run.sensors.shape, seed)
-    return replace(run, sensors=_frozen(np.add(run.sensors, noise, out=noise)))
+def add_noise(params: SurrogateParams, runs: dict,
+              seed: Optional[int]) -> dict:
+    """``runs``, noise-free runs keyed by condition, with their sensor
+    noise at ``seed`` (none at None) put in place: each run is replaced as
+    soon as its noisy copy is built, so no noise-free run that only
+    ``runs`` holds outlives its copy."""
+    if seed is None or params.noise_std == 0:
+        return runs
+    for cond, noise in zip(runs, _noise_blocks(params, runs, seed)):
+        runs[cond] = replace(runs[cond], sensors=_frozen(
+            np.add(runs[cond].sensors, noise, out=noise)))
+    return runs
 
 
 def bandwidth(coupling) -> int:
@@ -322,15 +326,13 @@ def simulate_batch(
     *,
     conditions: Optional[Sequence[Optional[InputCondition]]] = None,
     x0: Optional[np.ndarray] = None,
-    seed: Optional[int] = DEFAULT_SEED,
 ) -> list:
-    """Run B (trace, mass) pairs through one shared step loop, one series
-    each, every one bit-identical to the run ``simulate`` gives alone.
+    """Run B (trace, mass) pairs through one shared step loop, one
+    noise-free series each, every one bit-identical to the run it gives
+    alone.
 
     ``x0`` is (B, n). Pass a repeated trace as the same array object so its
-    drive terms are computed once. Each run's `_noise_blocks` block (none
-    at ``seed=None``) is added into its clean states before the run is
-    built.
+    drive terms are computed once.
     """
     traces = [np.asarray(t, dtype=float) for t in traces]
     conditions = [None] * len(traces) if conditions is None else conditions
@@ -346,12 +348,7 @@ def simulate_batch(
     shape = (len(traces), params.n_nodes)
     if x0 is not None and np.shape(x0) != shape:
         raise ValueError(f"x0 must have shape {shape}, got {np.shape(x0)}")
-    noisy = seed is not None and params.noise_std > 0
-    for cond in conditions if noisy else ():
-        _noise_key(cond, params.n_nodes - 1)
     states = _advance(params, traces, masses, x0) if traces else []
-    shape = (params.n_nodes, grid.n_samples)
-    blocks = _noise_blocks(params, conditions, shape, seed) if noisy else ()
     # one read-only copy of each distinct trace, shared by its runs
     s_in = {id(t): _frozen(t.copy()) for t in traces}
     runs = []
@@ -359,9 +356,6 @@ def simulate_batch(
         sensors, states[b] = _frozen(states[b]), None
         theta = (sum(w * s for w, s in zip(params.angle_weights, sensors))
                  + params.angle_payload_slope * mass)
-        if noisy:  # this run's noise, plus its clean states
-            noise = next(blocks)
-            sensors = _frozen(np.add(sensors, noise, out=noise))
         runs.append(PressureStateSeries(
             grid=grid, s_in=s_in[id(trace)], sensors=sensors,
             theta=_frozen(theta), condition=cond, payload_grams=float(mass)))
@@ -379,11 +373,11 @@ def simulate(
     seed: Optional[int] = DEFAULT_SEED,
 ) -> PressureStateSeries:
     """Run the surrogate on one actuation trace and payload mass: a batch of
-    one. Bit-reproducible for fixed (params, inputs, seed)."""
-    return simulate_batch(
-        params, [s_in], [payload], grid, conditions=[condition],
-        x0=None if x0 is None else [x0], seed=seed,
-    )[0]
+    one, plus its noise. Bit-reproducible for fixed (params, inputs, seed)."""
+    run, = simulate_batch(params, [s_in], [payload], grid,
+                          conditions=[condition],
+                          x0=None if x0 is None else [x0])
+    return add_noise(params, {condition: run}, seed)[condition]
 
 
 def echo_check(
@@ -409,7 +403,7 @@ def echo_check(
     rng = np.random.Generator(np.random.Philox(key=0))
     x0 = [rng.uniform(0.0, 10.0, params.n_nodes) for _ in range(2)]
     run_a, run_b = simulate_batch(params, [s_in, s_in], [payload, payload],
-                                  grid, x0=x0, seed=None)
+                                  grid, x0=x0)
     k0 = sample_count(Window(0.0, washout_seconds), grid.sample_rate)
     gap = np.abs(run_a.sensors[:, k0:] - run_b.sensors[:, k0:]).max()
     return bool(gap < 1e-6)
@@ -423,10 +417,10 @@ def simulate_conditions(
     conditions: Sequence[InputCondition],
     seed: Optional[int] = DEFAULT_SEED,
 ) -> dict:
-    """Simulate just the listed conditions (deduplicated), as one batch.
-
-    A condition outside the profiles x payloads grid is refused up front.
-    """
+    """Simulate just the listed conditions (deduplicated), as one batch,
+    plus their noise at ``seed``. A condition outside the profiles x
+    payloads grid, or, with a seed, whose noise key overflows, is refused
+    up front."""
     for cond in conditions:
         if (cond.profile_index > len(profile_specs)
                 or cond.payload_index > len(payloads)):
@@ -434,15 +428,16 @@ def simulate_conditions(
                 f"condition {cond.label} is outside the "
                 f"{len(profile_specs)}x{len(payloads)} profile x payload grid"
             )
+    for cond in conditions if seed is not None else ():
+        _noise_key(cond, params.n_nodes - 1)
     conds = list(dict.fromkeys(conditions))
     traces = {i: generate_profile(profile_specs[i - 1], grid)
               for i in {c.profile_index for c in conds}}
-    runs = simulate_batch(
+    # the dict holds the only reference to each noise-free run
+    return add_noise(params, dict(zip(conds, simulate_batch(
         params, [traces[c.profile_index] for c in conds],
         [payloads.mass_of(c.payload_index) for c in conds], grid,
-        conditions=conds, seed=seed,
-    )
-    return dict(zip(conds, runs))
+        conditions=conds))), seed)
 
 
 def simulate_grid(

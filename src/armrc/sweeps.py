@@ -309,8 +309,8 @@ def sample_count_sweep(
                  [int(count) for count in counts])
     errors = np.empty((len(fits), len(evaluation), repeats))
     for r in range(repeats):
-        runs = {c: add_noise(params, noise_free[c], base_seed + r)
-                for c in dict.fromkeys((*subset, *evaluation))}
+        runs = add_noise(params, {c: noise_free[c] for c in (
+            *subset, *evaluation)}, base_seed + r)
         errors[:, :, r] = _sweep(task, fits, evaluation, runs, payloads,
                                  test_window, ridge, normalizer)[0]
     return SampleCountResult(mean_grid=errors.mean(axis=2),

@@ -16,6 +16,7 @@ from armrc.config import (ExperimentConfig, build_config, default_config,
                           training_window)
 from armrc.core import (InputCondition, PayloadSet, PressureStateSeries,
                         TimeGrid)
+from armrc.profiles import RampProfileSpec
 from armrc.readout import ReadoutWeights, full_width, window_factor
 from armrc.runio import export_run, ingest_run, load_weights, save_weights
 from armrc.surrogate import simulate_conditions
@@ -290,6 +291,16 @@ class TestFreshProcessForks:
         assert proc.stdout == f"False\n0 {children}\n"
 
 
+class TestImportCost:
+    def test_importing_the_cli_loads_no_openssl(self):
+        # `config_digest` imports hashlib when it hashes: its libcrypto
+        # mapping is a few MiB of every armrc process's peak RSS
+        proc = _python("import sys, armrc.cli; print(sorted("
+                       "{'hashlib', '_hashlib'} & set(sys.modules)))", [])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+
 class TestTrainEvaluate:
     def test_train_then_evaluate(self, grid_dir, tmp_path, capsys):
         weights = tmp_path / "w.json"
@@ -420,30 +431,39 @@ class TestSweeps:
 
     @pytest.mark.parametrize("kind", ["conditions", "samples", "sensors",
                                       "multitask"])
-    def test_each_kind_simulates_exactly_the_runs_it_declares_in_one_batch(
+    def test_each_kind_simulates_one_noise_free_batch_and_draws_its_seeds(
             self, kind, tmp_path, monkeypatch):
-        calls = []
-        real = surrogate.simulate_batch
+        batches, draws = [], []
+        real_batch, real_blocks = surrogate.simulate_batch, surrogate._noise_blocks
 
-        def spy(*args, **kwargs):
-            calls.append((kwargs["conditions"], kwargs["seed"]))
-            return real(*args, **kwargs)
+        def batch(*args, **kwargs):
+            batches.append(kwargs["conditions"])
+            return real_batch(*args, **kwargs)
 
-        monkeypatch.setattr(surrogate, "simulate_batch", spy)
-        cfg = ExperimentConfig(sample_counts=(100,), sample_repeats=1)
+        def blocks(params, runs, seed):
+            draws.append((seed, set(runs)))
+            return real_blocks(params, runs, seed)
+
+        monkeypatch.setattr(surrogate, "simulate_batch", batch)
+        monkeypatch.setattr(surrogate, "_noise_blocks", blocks)
+        # one CPU: `sweep samples` draws in-process, where the spy sees it
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        cfg = ExperimentConfig(sample_counts=(100,), sample_repeats=2)
         getattr(cli, f"_sweep_{kind}")(cfg, tmp_path, "digest")
+        table = experiments(cfg)
         if kind == "multitask":  # the 7 x 5 profile x multitask-payload grid
             runs = {InputCondition(i, j) for i in range(1, 8)
                     for j in range(1, 6)}
         else:  # P1..P7 under M1, and M2..M7 under P1
-            runs = {c for exp in experiments(cfg).values()
-                    for c in exp.conditions}
+            runs = {c for exp in table.values() for c in exp.conditions}
         assert len(runs) == {"multitask": 35}.get(kind, 13)
-        assert len(calls) == 1
-        conditions, seed = calls[0]
-        assert len(conditions) == len(runs) and set(conditions) == runs
-        # sweep samples reads noise-free runs and draws each repeat's noise
-        assert seed == (None if kind == "samples" else cfg.seed)
+        assert len(batches) == 1
+        assert len(batches[0]) == len(runs) and set(batches[0]) == runs
+        if kind == "samples":  # repeat r of each experiment at seed + r
+            assert draws == [(cfg.seed + r, {*exp.subset, *exp.evaluation})
+                             for exp in table.values() for r in range(2)]
+        else:  # every run once, at the run seed
+            assert draws == [(cfg.seed, runs)]
 
     def test_sensors_sweep_layout(self, tmp_path):
         out = tmp_path / "sweep"
@@ -1063,6 +1083,43 @@ class TestSweepOutputs:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
+    # 8 cycles of 6 s: both traces hold at u_min from 48 s on, and every
+    # bending cell would read rounding as percent errors of 1e8 and more
+    SHORT_RAMPS = {"profiles": [{"u_min": 0.0, "u_max": 15.0},
+                                {"u_min": 1.0, "u_max": 16.0}]}
+
+    @pytest.mark.parametrize("kind", list(cli.SWEEPS))
+    def test_ramps_that_stop_early_are_refused_before_any_simulation(
+            self, kind, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulated ramps that stop early")
+
+        monkeypatch.setattr(surrogate, "simulate_batch", refuse)
+        rc, out = self._sweep(kind, self.SHORT_RAMPS, tmp_path)
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            "error: profile P1's 8 ramp cycles end at 48 s, before the last "
+            "train or test sample at 99.75 s: give it more n_cycles\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n_cycles, refused", [(133, True), (134, False)])
+    def test_a_ramp_ending_at_the_last_sample_is_refused(self, n_cycles,
+                                                         refused):
+        # at 4 Hz the last test sample is at 99.75 s, where 133 cycles of
+        # 0.75 s end: `generate_profile` holds the trace from that sample on
+        ramp = RampProfileSpec(u_min=1.0, u_max=1.375, r_up=1.0, r_down=1.0,
+                               n_cycles=n_cycles)
+        cfg = ExperimentConfig(grid=TimeGrid(sample_rate=4.0, n_samples=400),
+                               profiles=(RampProfileSpec(1.0, 32.25), ramp),
+                               sample_counts=(10,))
+        if refused:
+            with pytest.raises(ValueError, match=r"^profile P2's 133 ramp "
+                               r"cycles end at 99\.75 s, before the last "
+                               r"train or test sample at 99\.75 s"):
+                cli._check_ramps(cfg)
+        else:
+            cli._check_ramps(cfg)
+
     def _simulate_writes_7_runs(self, tmp_path):
         # simulate reads no experiment: 7 runs either way
         cfg = tmp_path / "cfg.yaml"  # the config `_sweep` wrote
@@ -1104,7 +1161,7 @@ class TestIngestedRuns:
         table = experiments(cfg)
         conds = list(dict.fromkeys(c for exp in table.values()
                                    for c in exp.conditions))
-        simulated = cli._simulate(cfg, conds, cfg.seed)
+        simulated = cli._simulate(cfg, conds, seed=cfg.seed)
         ingested = {c: ingest_run(grid_dir / "runs" / f"{c.label}.csv")
                     for c in conds}
         for exp in table.values():
@@ -1198,10 +1255,10 @@ class TestOneSeed:
         log = tmp_path / "seeds.txt"
         real = surrogate._noise_blocks
 
-        def spy(params, conditions, shape, noise_seed):
+        def spy(params, runs, noise_seed):
             with open(log, "a", encoding="utf-8") as fh:
                 fh.write(f"{noise_seed}\n")
-            return real(params, conditions, shape, noise_seed)
+            return real(params, runs, noise_seed)
 
         monkeypatch.setattr(surrogate, "_noise_blocks", spy)
         # the run CSVs are not under test; skip writing 35 MB of them, and

@@ -1,4 +1,5 @@
 import dataclasses
+import weakref
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,6 +18,7 @@ from reference import fresh_draws, states
 from armrc.surrogate import (
     SurrogateParams,
     _noise_stream,
+    add_noise,
     echo_check,
     simulate,
     simulate_batch,
@@ -295,7 +297,7 @@ class TestRekeyedNoise:
         cond = InputCondition(4, 2)
         args = (params, P1[:33], 0.0, TimeGrid(n_samples=33))
         clean = simulate(*args, condition=cond, seed=None)
-        noisy = surrogate.add_noise(params, clean, 11)
+        noisy = add_noise(params, {cond: clean}, 11)[cond]
         # the run simulate gives at that seed, so a repeat's runs are too
         assert noisy.sensors.tobytes() == simulate(
             *args, condition=cond, seed=11).sensors.tobytes()
@@ -328,8 +330,7 @@ class TestKernelOracle:
         masses = [0.0, 120.0, 400.0][:n_runs]
         x0 = -rng.uniform(0.5, 10.0, (n_runs, n))
         x0[0, 0] = -0.0
-        runs = simulate_batch(params, traces, masses, grid, x0=x0,
-                              seed=None)
+        runs = simulate_batch(params, traces, masses, grid, x0=x0)
         for run, trace, mass, start in zip(runs, traces, masses, x0):
             assert run.sensors.tobytes() == states(params, trace, mass,
                                                    start).tobytes()
@@ -380,8 +381,7 @@ class TestBandedKernel:
         masses = [0.0, 120.0, 400.0][:n_runs]
         x0 = -rng.uniform(0.5, 10.0, (n_runs, params.n_nodes))
         x0[0, 0] = -0.0
-        runs = simulate_batch(params, traces, masses, grid, x0=x0,
-                              seed=None)
+        runs = simulate_batch(params, traces, masses, grid, x0=x0)
         for run, trace, mass, start in zip(runs, traces, masses, x0):
             assert run.sensors.tobytes() == states(params, trace, mass,
                                                    start).tobytes()
@@ -393,23 +393,22 @@ class TestOneArrayPerRun:
     def test_a_run_keeps_the_kernels_arrays(self):
         params = SurrogateParams()
         grid = TimeGrid(n_samples=50)
-        runs = simulate_batch(params, [P1[:50], P1[:50]], [0.0, 100.0], grid,
-                              seed=None)
+        runs = simulate_batch(params, [P1[:50], P1[:50]], [0.0, 100.0], grid)
         for run in runs:
             for a in (run.s_in, run.sensors, run.theta):
                 assert a.base is None and not a.flags.writeable
         # one read-only copy of a trace serves each of its runs
         trace = P1[:50].copy()
-        a, b = simulate_batch(params, [trace, trace], [0.0, 100.0], grid,
-                              seed=None)
+        a, b = simulate_batch(params, [trace, trace], [0.0, 100.0], grid)
         assert a.s_in is b.s_in
         assert not np.shares_memory(a.s_in, trace)
 
     def test_noise_makes_only_the_sensors_anew(self):
         params = SurrogateParams()
+        cond = InputCondition(1, 2)
         clean = simulate(params, P1[:50], 100.0, TimeGrid(n_samples=50),
-                         condition=InputCondition(1, 2), seed=None)
-        noisy = surrogate.add_noise(params, clean, 3)
+                         condition=cond, seed=None)
+        noisy = add_noise(params, {cond: clean}, 3)[cond]
         assert noisy.s_in is clean.s_in and noisy.theta is clean.theta
         assert noisy.sensors.base is None and not noisy.sensors.flags.writeable
         assert not np.shares_memory(noisy.sensors, clean.sensors)
@@ -473,10 +472,11 @@ class TestBatchIndependence:
         by_conditions = simulate_conditions(params, specs, payloads, grid,
                                             conds, seed=seed)
         by_grid = simulate_grid(params, specs, payloads, grid, seed=seed)
-        from_x0 = simulate_batch(
-            params, [traces[c.profile_index - 1] for c in conds],
-            [payloads.mass_of(c.payload_index) for c in conds], grid,
-            conditions=conds, x0=x0, seed=seed)
+        from_x0 = [add_noise(params, {c: run}, seed)[c]
+                   for c, run in zip(conds, simulate_batch(
+                       params, [traces[c.profile_index - 1] for c in conds],
+                       [payloads.mass_of(c.payload_index) for c in conds],
+                       grid, conditions=conds, x0=x0))]
         for cond, start, batched in zip(conds, x0, from_x0):
             args = (params, traces[cond.profile_index - 1],
                     payloads.mass_of(cond.payload_index), grid)
@@ -491,37 +491,41 @@ class TestBatchIndependence:
 
 
 class TestNoise:
-    # every noisy batch adds each run's `_noise_blocks` block into its
-    # clean states: the bits add_noise gives the noise-free (seed=None) runs
+    # `add_noise` is the one step that puts noise into runs: one generator
+    # per call, each run's `_noise_blocks` block added into its noise-free
+    # states, each run replaced in its dict as its noisy copy is built
     @settings(max_examples=30, deadline=None)
     @given(arm=banded_arms(), n_runs=st.integers(1, 6),
            n_samples=st.integers(1, 120), seed=st.integers(0, 2**64 - 1),
            noise_std=st.floats(0.01, 3.0), data=st.data())
-    def test_a_noisy_batch_is_add_noise_of_its_noise_free_runs(
+    def test_a_runs_noise_does_not_depend_on_its_batch(
             self, arm, n_runs, n_samples, seed, noise_std, data):
         params, _, rng = arm
         params = dataclasses.replace(params, noise_std=noise_std)
         conds = data.draw(st.lists(
             st.none() | st.builds(InputCondition, st.integers(1, 2**31),
                                   st.integers(1, 2**15)),
-            min_size=n_runs, max_size=n_runs))
+            min_size=n_runs, max_size=n_runs, unique=True))
         grid = TimeGrid(n_samples=n_samples)
         traces = [rng.uniform(0.0, 50.0, n_samples) for _ in range(n_runs)]
         masses = list(rng.uniform(0.0, 400.0, n_runs))
-        noisy, clean = (simulate_batch(params, traces, masses, grid,
-                                       conditions=conds, seed=run_seed)
-                        for run_seed in (seed, None))
-        alone = [surrogate.add_noise(params, run, seed) for run in clean]
-        for run, expected in zip(noisy, alone, strict=True):
+        clean = simulate_batch(params, traces, masses, grid, conditions=conds)
+        noisy = add_noise(params, dict(zip(conds, clean)), seed)
+        assert list(noisy) == conds
+        for cond, run in zip(conds, clean, strict=True):
+            alone = add_noise(params, {cond: run}, seed)[cond]
             for name in ("s_in", "sensors", "theta"):
-                assert (getattr(run, name).tobytes()
-                        == getattr(expected, name).tobytes())
-            assert run.condition == expected.condition
-            assert run.payload_grams == expected.payload_grams
-            assert not run.sensors.flags.writeable
+                assert (getattr(noisy[cond], name).tobytes()
+                        == getattr(alone, name).tobytes())
+            assert noisy[cond].s_in is run.s_in
+            assert noisy[cond].theta is run.theta
+            assert noisy[cond].condition == cond
+            assert noisy[cond].payload_grams == run.payload_grams
+            assert not noisy[cond].sensors.flags.writeable
 
-    def test_an_in_process_noisy_batch_builds_one_generator_and_each_run_once(
+    def test_a_noisy_batch_builds_one_generator_and_each_run_twice(
             self, monkeypatch):
+        # once noise-free by the kernel, once noisy by add_noise
         built = {"Philox": 0, "PressureStateSeries": 0}
         real_philox = np.random.Philox
         real_check = core.PressureStateSeries.__post_init__
@@ -537,13 +541,33 @@ class TestNoise:
         monkeypatch.setattr(np.random, "Philox", philox)
         monkeypatch.setattr(core.PressureStateSeries, "__post_init__", check)
         conds = [InputCondition(1, j) for j in range(1, 6)]
-        runs = simulate_batch(SurrogateParams(), [P1[:50]] * 5,
-                              [0.0, 50.0, 100.0, 150.0, 200.0],
-                              TimeGrid(n_samples=50), conditions=conds)
-        assert [run.condition for run in runs] == conds
-        assert built == {"Philox": 1, "PressureStateSeries": 5}
+        runs = simulate_conditions(
+            SurrogateParams(), default_profile_family()[:1], PayloadSet(),
+            TimeGrid(n_samples=50), conds)
+        assert list(runs) == conds
+        assert [run.condition for run in runs.values()] == conds
+        assert built == {"Philox": 1, "PressureStateSeries": 10}
 
-    def test_zero_noise_draws_nothing_and_gives_the_noise_free_bits(
+    def test_no_noise_free_run_outlives_its_noisy_copy(self, monkeypatch):
+        conds = [InputCondition(1, j) for j in range(1, 5)]
+        runs = dict(zip(conds, simulate_batch(
+            SurrogateParams(), [P1[:50]] * 4, [0.0, 50.0, 100.0, 150.0],
+            TimeGrid(n_samples=50), conditions=conds)))
+        refs = [weakref.ref(run) for run in runs.values()]
+        real = surrogate._noise_blocks
+
+        def blocks(*args):
+            # block k is drawn only once runs 0..k-1 are gone
+            for k, block in enumerate(real(*args)):
+                assert [ref() for ref in refs[:k]] == [None] * k
+                yield block
+
+        monkeypatch.setattr(surrogate, "_noise_blocks", blocks)
+        assert add_noise(SurrogateParams(), runs, 7) is runs
+        assert [ref() for ref in refs] == [None] * len(refs)
+        assert list(runs) == conds
+
+    def test_zero_noise_draws_nothing_and_gives_the_noise_free_runs(
             self, monkeypatch):
         def philox(*args, **kwargs):
             raise AssertionError("built a noise generator at noise_std=0")
@@ -551,24 +575,33 @@ class TestNoise:
         monkeypatch.setattr(np.random, "Philox", philox)
         params = SurrogateParams(noise_std=0.0)
         conds = [InputCondition(1, 1), InputCondition(1, 2)]
-        seeded, clean = (simulate_batch(params, [P1[:50]] * 2, [0.0, 100.0],
-                                        TimeGrid(n_samples=50),
-                                        conditions=conds, seed=run_seed)
-                         for run_seed in (core.DEFAULT_SEED, None))
-        for run, expected in zip(seeded, clean, strict=True):
-            assert run.sensors.tobytes() == expected.sensors.tobytes()
-            assert surrogate.add_noise(params, expected, 7) is expected
+        clean = simulate_batch(params, [P1[:50]] * 2, [0.0, 100.0],
+                               TimeGrid(n_samples=50), conditions=conds)
+        runs = dict(zip(conds, clean))
+        assert add_noise(params, runs, core.DEFAULT_SEED) is runs
+        assert list(runs.values()) == clean
+        for seed in (core.DEFAULT_SEED, None):
+            seeded = simulate_conditions(
+                params, default_profile_family()[:1], PayloadSet(),
+                TimeGrid(n_samples=50), conds, seed=seed)
+            for run, expected in zip(seeded.values(), clean, strict=True):
+                assert run.sensors.tobytes() == expected.sensors.tobytes()
 
     def test_a_key_that_overflows_is_refused_before_the_kernel_steps(
             self, monkeypatch):
         def step(*args):
-            raise AssertionError("stepped a batch whose noise key overflows")
+            raise AssertionError("stepped the kernel")
 
         monkeypatch.setattr(surrogate, "_advance", step)
         cond = InputCondition(1, 1 << 16)
+        args = (SurrogateParams(), default_profile_family()[:1],
+                PayloadSet(tuple(range(1 << 16))), SHORT,
+                [InputCondition(1, 1), cond])
         with pytest.raises(ValueError, match=cond.label):
-            simulate_batch(SurrogateParams(), [P1[:40]] * 2, [0.0, 100.0],
-                           SHORT, conditions=[InputCondition(1, 1), cond])
+            simulate_conditions(*args, seed=7)
+        # noise-free runs need no key: the kernel is reached
+        with pytest.raises(AssertionError, match="stepped the kernel"):
+            simulate_conditions(*args, seed=None)
 
     def test_a_kernel_error_reaches_the_caller_unchanged(self, monkeypatch):
         error = RuntimeError("the kernel failed")
@@ -586,10 +619,10 @@ class TestNoise:
         conds = [InputCondition(1, j) for j in range(1, 4)]
 
         def batch(_=None):
-            runs = simulate_batch(SurrogateParams(), [P1[:50]] * 3,
-                                  [0.0, 50.0, 100.0], TimeGrid(n_samples=50),
-                                  conditions=conds)
-            return [run.sensors.tobytes() for run in runs]
+            runs = simulate_conditions(
+                SurrogateParams(), default_profile_family()[:1], PayloadSet(),
+                TimeGrid(n_samples=50), conds)
+            return [run.sensors.tobytes() for run in runs.values()]
 
         here = batch()
         assert core.fork_map(lambda share: [batch(k) for k in share],

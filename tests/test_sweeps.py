@@ -666,8 +666,8 @@ class TestBatchEquality:
                                      cfg.surrogate, noise_free, cfg.payloads,
                                      train_window=window, repeats=1,
                                      base_seed=cfg.seed, **common)
-        noisy = {c: add_noise(cfg.surrogate, noise_free[c], cfg.seed)
-                 for c in {*subsets[0], *evaluation}}
+        noisy = add_noise(cfg.surrogate, {c: noise_free[c] for c in {
+            *subsets[0], *evaluation}}, cfg.seed)
         check(counted.mean_grid,
               [(subsets[0], None,
                 Window(window.start, window.start + n / 40.0))
