@@ -136,6 +136,7 @@ def cmd_train(args) -> int:
     subset = tuple(parse_condition_label(t) for t in args.subset.split(","))
     mask = None if args.mask is None else [
         _sensor_index(t, cfg.surrogate.n_nodes) for t in args.mask.split(",")]
+    _check_ramps(cfg)
     runs = _simulate(cfg, subset, seed=cfg.seed)
     weights = train_on_subset(subset, runs, cfg.payloads, task,
                               training_window(cfg, task), mask, cfg.ridge)

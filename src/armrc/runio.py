@@ -157,7 +157,9 @@ def _read_rows(fh) -> np.ndarray:
     correctly rounded and faster than loadtxt's ``strtod``, takes the
     (rows, w) shape. Any other body (``nan``, ``.5``, CRLF, comments, blank
     lines, an empty cell, an integer ``-0`` that orjson reads as +0, no
-    final newline, ...) goes to `np.loadtxt`."""
+    final newline, ...) goes to `np.loadtxt`. A block is searched for the
+    text ``-0`` only when one of its zero cells parsed as an int, which no
+    exported zero (``0.0`` or ``-0.0``) does."""
     import orjson  # here, so that importing armrc does not pay for it
 
     start = fh.tell()
@@ -176,8 +178,11 @@ def _read_rows(fh) -> np.ndarray:
             flat = b"[" + text.replace(b"\n", b",") + b"]"
             values = orjson.loads(flat)
             block = np.fromiter(values, float, len(values))
-            # only a block holding a zero can hold a -0 that orjson made +0
-            if not block.all() and (b"-0," in flat or b"-0]" in flat):
+            # orjson reads an integer -0 as the int 0: an exported zero,
+            # 0.0 or -0.0, is a float, so exported blocks are not searched
+            if any(type(values[i]) is int
+                   for i in np.flatnonzero(block == 0)) and (
+                    b"-0," in flat or b"-0]" in flat):
                 raise ValueError("an integer -0")
             blocks.append(block.reshape(rows, len(row_shape)))
         if blocks and not rest:
@@ -247,9 +252,8 @@ def ingest_run(csv_path) -> PressureStateSeries:
         raise ValueError(
             f"{csv_path.name}: {data.shape[1]} columns, expected {len(expected)}"
         )
-    bad = np.argwhere(~np.isfinite(data))
-    if bad.size:
-        row, col = bad[0]
+    if not np.isfinite(data).all():
+        row, col = np.argwhere(~np.isfinite(data))[0]
         raise ValueError(
             f"{csv_path.name}: non-finite value in column "
             f"{expected[col]!r} at data row {row}"

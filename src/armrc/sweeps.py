@@ -184,34 +184,45 @@ def _solve(fits: Sequence, runs: Mapping, payloads: PayloadSet, tasks: tuple,
     target column per task (its z for bending, c R[:, 0] for a constant
     `_truth` c), stacked over the subset and read on the mask's `columns`,
     with no second QR. Each distinct (condition, window) is read once,
-    before grouping; fits of one stacked shape share one `solve_reduced`
-    call. It checks no run: `_plan` has given every run one sensor count
-    n, which it reads off the R rows. Returns (len(fits), n_tasks, 1 + n)
-    weight rows, zero outside each mask."""
-    parts, members = {}, []
-    for subset, window, _ in fits:
-        part = parts.setdefault(window, {})
+    before grouping, into a bank of its R shape: one (count, m, 1 + n)
+    array of R and one of target columns per shape. Fits of one stacked
+    shape (the tuple of their members' R shapes, and the mask size) share
+    one `solve_reduced` call, whose rows are one integer-array gather per
+    member position from that position's bank, joined along rows. It
+    checks no run: `_plan` has given every run one sensor count n, which
+    it reads off the R rows. Returns (len(fits), n_tasks, 1 + n) weight
+    rows, zero outside each mask."""
+    parts, banks, groups, members = {}, {}, {}, []
+    for i, (subset, window, mask) in enumerate(fits):
+        part, rows = parts.setdefault(window, {}), []
         for cond in subset:
-            if cond not in part:
+            row = part.get(cond)
+            if row is None:
                 truths = [_truth(t, runs, cond, payloads) for t in tasks]
                 r, z = _factor(runs, cond, window)[:2]
-                part[cond] = (r, np.column_stack([
+                bank = banks.setdefault(r.shape, ([], []))
+                row = part[cond] = (r.shape, len(bank[0]))
+                bank[0].append(r)
+                bank[1].append(np.column_stack([
                     z if c is None else c * r[:, 0] for c in truths]))
-        members.append([part[cond] for cond in subset])
-    out, groups = None, {}
-    for i, (rows, fit) in enumerate(zip(members, fits)):
-        key = (tuple(r.shape for r, _ in rows), len(fit[2]))
-        groups.setdefault(key, []).append(i)
+            rows.append(row)
+        shapes, at = zip(*rows)
+        groups.setdefault((shapes, len(mask)), []).append(i)
+        members.append(at)
+    banks = {shape: (np.stack(rs), np.stack(zs))
+             for shape, (rs, zs) in banks.items()}
+    out = None
     for (shapes, _), idx in groups.items():
         n = shapes[0][1] - 1
+        at = np.array([members[i] for i in idx])
         # each member position's (R, Z) over the group, side by side in rows
-        r, z = (np.concatenate([np.stack(position) for position in
-                                zip(*([part[j] for part in members[i]]
-                                      for i in idx))], axis=1)
+        r, z = (np.concatenate([banks[shape][j][at[:, p]]
+                                for p, shape in enumerate(shapes)], axis=1)
                 for j in (0, 1))
         # every sensor: R as it stands; taking its columns too gives the
         # same bits but made an in-process recorded search 10-20% slower
-        if all(fits[i][2] == tuple(range(n)) for i in idx):
+        every = tuple(range(n))
+        if all(fits[i][2] == every for i in idx):
             cols = np.arange(1 + n)[None]
         else:
             cols = np.array([columns(fits[i][2]) for i in idx])

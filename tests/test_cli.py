@@ -1102,6 +1102,23 @@ class TestSweepOutputs:
             "train or test sample at 99.75 s: give it more n_cycles\n")
         assert not out.exists()
 
+    def test_train_refuses_ramps_that_stop_early_before_any_simulation(
+            self, tmp_path, capsys, monkeypatch):
+        # `train` fits on the config's simulated runs, as a sweep does
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulated ramps that stop early")
+
+        monkeypatch.setattr(surrogate, "simulate_batch", refuse)
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(json.dumps({**TestAnyShape.SHORT, **self.SHORT_RAMPS}))
+        out = tmp_path / "w.json"
+        assert main(["train", "--config", str(cfg), "--task", "bending",
+                     "--subset", "P1,P2", "--out", str(out), "--quiet"]) == 1
+        assert capsys.readouterr().err == (
+            "error: profile P1's 8 ramp cycles end at 48 s, before the last "
+            "train or test sample at 99.75 s: give it more n_cycles\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("n_cycles, refused", [(133, True), (134, False)])
     def test_a_ramp_ending_at_the_last_sample_is_refused(self, n_cycles,
                                                          refused):

@@ -375,6 +375,29 @@ class TestOneClock:
         assert np.isfinite(subset_sweep(spec, mixed, cfg.payloads)
                            .error_grid).all()
 
+    def test_a_fit_may_stack_members_of_two_r_shapes(self, cfg, mixed):
+        # 5 rows at 20 Hz and 10 at 40 Hz against 8 columns: R factors of 5
+        # and 8 rows, so two fits whose first members share an R shape can
+        # differ at the next member
+        task, window = TaskKind.BENDING_ANGLE, Window(50.0, 50.25)
+        assert ({c: window_factor(run, window)[0].shape
+                 for c, run in mixed.items()}
+                == {P(1, 1): (5, 8), P(7, 1): (5, 8), P(4, 1): (8, 8)})
+        subsets = ((P(1, 1), P(4, 1)), (P(1, 1), P(7, 1)),
+                   (P(4, 1), P(1, 1)), (P(4, 1), P(7, 1)),
+                   (P(7, 1), P(4, 1), P(1, 1)), (P(1, 1), P(7, 1), P(4, 1)))
+        evaluation = (P(1, 1), P(4, 1), P(7, 1))
+        grid = subset_sweep(SweepSpec(task=task, subsets=subsets,
+                                      evaluation=evaluation,
+                                      train_window=window),
+                            mixed, cfg.payloads).error_grid
+        for subset, cells in zip(subsets, grid):
+            row = full_width(train_on_subset(subset, mixed, cfg.payloads,
+                                             task, window), 7)[0]
+            for cond, cell in zip(evaluation, cells):
+                assert cell == _lone_score(task, row, mixed, cond,
+                                           cfg.payloads)
+
 
 class TestSampleCountSweep:
     def test_count_beyond_window_rejected(self, cfg):
