@@ -52,7 +52,6 @@ from .runio import export_run, ingest_run, load_weights, save_weights
 from .sweeps import (
     AblationResult,
     MultitaskGridResult,
-    SampleCountResult,
     SweepResult,
     SweepSpec,
     multitask_grid,

@@ -17,6 +17,8 @@ import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
+
 from .config import (ConfigError, ExperimentConfig, default_config,
                      load_config, training_window)
 from .core import (Window, condition_grid, fork_map, parse_condition_label,
@@ -173,8 +175,7 @@ def cmd_evaluate(args) -> int:
         # the window mean: the detect output, or the mass estimate
         mean = constant_score(TaskKind.PAYLOAD_DETECT, means, w, mass)
         if name == TaskKind.BENDING_ANGLE.value:
-            err = score(TaskKind.BENDING_ANGLE, window_factor(series, window),
-                        w, mass, cfg.normalizer)
+            err = score(window_factor(series, window), w, cfg.normalizer)
             line = f"task=bending nrmse_percent={err:.4f}"
         elif name == TaskKind.PAYLOAD_MASS.value:
             line = f"task=mass estimate_grams={mean:.4f}"
@@ -217,7 +218,6 @@ def _multitask_runs(cfg: ExperimentConfig) -> tuple:
 
 def _condition_tables(cfg: ExperimentConfig, runs: dict):
     """Every experiment's families, each one `subset_sweep`."""
-    add_noise(cfg.surrogate, runs, cfg.seed)
     for name, exp in experiments(cfg).items():
         for family, subsets in exp.families.items():
             spec = SweepSpec(
@@ -231,30 +231,19 @@ def _condition_tables(cfg: ExperimentConfig, runs: dict):
                    [c.label for c in exp.evaluation], {"task": exp.task.value})
 
 
-def _sample_tables(cfg: ExperimentConfig, noise_free: dict):
-    """Both experiments' sample-count sweeps over `fork_map`, one child
-    each at 2 CPUs: each takes several forks' cost. Children inherit the runs."""
-    table = experiments(cfg)
-
-    def sweep(share):
-        return [sample_count_sweep(
-            exp.task, cfg.sample_counts, exp.subset, exp.evaluation,
-            cfg.surrogate, noise_free, cfg.payloads, train_window=cfg.train,
-            test_window=cfg.test, repeats=cfg.sample_repeats,
-            base_seed=cfg.seed, ridge=cfg.ridge, normalizer=cfg.normalizer,
-        ) for exp in share]
-
+def _sample_tables(cfg: ExperimentConfig, runs: dict):
+    """Both experiments' `sample_count_sweep`s, on the whole train window."""
     rows = [str(c) for c in cfg.sample_counts]
-    for (name, exp), res in zip(table.items(),
-                                fork_map(sweep, table.values())):
-        for stat, grid in (("mean", res.mean_grid), ("std", res.std_grid)):
-            yield (f"{name}_sample_counts_{stat}.csv", grid, rows,
-                   [c.label for c in exp.evaluation],
-                   {"task": name, "repeats": cfg.sample_repeats})
+    for name, exp in experiments(cfg).items():
+        res = sample_count_sweep(
+            exp.task, cfg.sample_counts, exp.subset, exp.evaluation, runs,
+            cfg.payloads, train_window=cfg.train, test_window=cfg.test,
+            ridge=cfg.ridge, normalizer=cfg.normalizer)
+        yield (f"{name}_sample_counts.csv", res.error_grid, rows,
+               [c.label for c in exp.evaluation], {"task": name})
 
 
 def _sensor_tables(cfg: ExperimentConfig, runs: dict):
-    add_noise(cfg.surrogate, runs, cfg.seed)
     n = cfg.surrogate.n_nodes
     masks = (tuple(range(n)),) + tip_sensor_masks(n)
     names = trace_columns(n)[1:-1]
@@ -272,7 +261,6 @@ def _sensor_tables(cfg: ExperimentConfig, runs: dict):
 
 
 def _multitask_tables(cfg: ExperimentConfig, runs: dict):
-    add_noise(cfg.surrogate, runs, cfg.seed)
     n_profiles = len(cfg.profiles)
     payloads = cfg.multitask_payloads
     rows = [f"P{i}" for i in range(1, n_profiles + 1)]
@@ -295,13 +283,13 @@ def _multitask_tables(cfg: ExperimentConfig, runs: dict):
            ["detection_perfect", "step2_mean_percent"], {})
 
 
-# kind -> (the runs it reads, as `_simulate` arguments; the tables of them).
-# Each reads them noise-free and adds their noise with `add_noise`.
+# kind -> (the runs it reads, as `_simulate` arguments; its tables of those
+# runs at one noise seed; None, or the config field of its number of seeds)
 SWEEPS = {
-    "conditions": (_experiment_runs, _condition_tables),
-    "samples": (_experiment_runs, _sample_tables),
-    "sensors": (_experiment_runs, _sensor_tables),
-    "multitask": (_multitask_runs, _multitask_tables),
+    "conditions": (_experiment_runs, _condition_tables, None),
+    "samples": (_experiment_runs, _sample_tables, "sample_repeats"),
+    "sensors": (_experiment_runs, _sensor_tables, None),
+    "multitask": (_multitask_runs, _multitask_tables, None),
 }
 
 
@@ -321,13 +309,31 @@ def _check_ramps(cfg: ExperimentConfig) -> None:
 
 
 def _sweep(kind: str, cfg: ExperimentConfig, out: Path, digest: str) -> list:
-    """Simulate the noise-free runs a `SWEEPS` kind reads and compute all
-    its tables; then write each, tagged with the config hash and seed, and a
-    manifest. Ramps that end early are refused before any run."""
+    """Simulate the noise-free runs a `SWEEPS` kind reads, once, and compute
+    its tables at each of its seeds cfg.seed + r over `fork_map`: one seed
+    noises the runs in place, so no noise-free run outlives its copy, and
+    several each noise a copy. A kind of several writes each table X.csv as
+    X_mean.csv and X_std.csv (ddof 0) over them. Each file is tagged with
+    the config hash and seed; then a manifest. Ramps that end early are
+    refused before any run."""
     t0 = time.perf_counter()
     _check_ramps(cfg)
-    reads, compute = SWEEPS[kind]
-    tables = list(compute(cfg, _simulate(cfg, *reads(cfg))))
+    reads, compute, repeats = SWEEPS[kind]
+    noise_free = _simulate(cfg, *reads(cfg))
+    n = 1 if repeats is None else getattr(cfg, repeats)
+
+    def at(seeds):  # in a `fork_map` child when there are several
+        return [list(compute(cfg, add_noise(
+            cfg.surrogate, noise_free if n == 1 else dict(noise_free), seed)))
+            for seed in seeds]
+
+    tables = (per_seed := fork_map(at, range(cfg.seed, cfg.seed + n)))[0]
+    if repeats is not None:  # each cell over the seeds, seed last
+        tables = [(f"{name.removesuffix('.csv')}_{stat}.csv", getattr(
+            np.stack([seed[k][1] for seed in per_seed], axis=2), stat)(axis=2),
+            rows, cols, {**labels, "repeats": n})
+            for k, (name, _, rows, cols, labels) in enumerate(tables)
+            for stat in ("mean", "std")]
     for name, matrix, rows, cols, labels in tables:
         write_matrix_csv(out / name, matrix, rows, cols, provenance={
             "config": digest, "seed": cfg.seed, **labels})

@@ -193,9 +193,8 @@ class WindowFactor(NamedTuple):
     Since Phi's first column is all ones, a constant target c has
     Q^T (c 1) = c R[:, 0] and needs no factor of its own. For weights w
     over all of Phi's columns, theta - Q z is orthogonal to Q's columns, so
-    |Phi w - theta|^2 = |R w - z|^2 + floor, and the window mean of Phi w
-    is means . w. (A NamedTuple: a dataclass would add about 1 ms to every
-    `armrc` start-up.)
+    |Phi w - theta|^2 = |R w - z|^2 + floor. (A NamedTuple: a dataclass
+    would add about 1 ms to every `armrc` start-up.)
     """
 
     r: np.ndarray       # R, at most (1 + n_sensors) square
@@ -203,7 +202,6 @@ class WindowFactor(NamedTuple):
     floor: float        # |theta - Q z|^2, the error no readout avoids
     n_rows: int
     span: tuple         # (min, max) of theta, all `truth_scale` reads
-    means: np.ndarray   # column means of Phi
 
 
 def factor(phi: np.ndarray,
@@ -224,8 +222,7 @@ def factor(phi: np.ndarray,
     target = rows[:, k]
     return WindowFactor(r=r[:k, :k], z=r[:k, k], floor=float(floor),
                         n_rows=rows.shape[0],
-                        span=(float(target.min()), float(target.max())),
-                        means=rows[:, :k].mean(axis=0))
+                        span=(float(target.min()), float(target.max())))
 
 
 def _window_rows(series: PressureStateSeries, window: Window) -> slice:
@@ -245,8 +242,8 @@ def window_factor(series: PressureStateSeries, window: Window) -> WindowFactor:
 
 
 def window_means(series: PressureStateSeries, window: Window) -> np.ndarray:
-    """The ``means`` of `window_factor` alone, all a constant target's score
-    reads: the same design rows, so the same bits, with no QR."""
+    """The column means of a window's design [1 | S], all a constant
+    target's score reads, with no QR."""
     return _design(series.sensors[:, _window_rows(series, window)]).mean(
         axis=0)
 

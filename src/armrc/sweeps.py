@@ -2,9 +2,11 @@
 sweeps, sensor ablations with readout-weight shares, and the multi-task
 grid with its two-step detect-then-predict pipeline.
 
-All sweeps are deterministic for a fixed base seed; repeated runs vary only
-the sensor-noise stream. Percentages divide by `readout.truth_scale`; the
-paper's hardware percentages are ordering targets, not equality targets.
+Every sweep fits and scores the runs it is given and draws no noise: the
+runs arrive with their noise at one seed, and a caller that repeats a
+sweep over seeds (`cli._sweep`) noises a copy of the noise-free runs at
+each. Percentages divide by `readout.truth_scale`; the paper's hardware
+percentages are ordering targets, not equality targets.
 
 `experiments` is the table of the two shipped single-task experiments that
 three CLI sweeps read, and refuses a grid too small for them; each task's
@@ -18,13 +20,13 @@ gives each sample count its training window. A condition's constant
 target (its mass, its detect label, or None for bending) is its `_truth`.
 
 Each (run, window) is factored once per process while its run lives
-(`readout.window_factor`, one R-only QR), and every fit and `tasks.score`
-reads it (README: "Readout solver"); a constant target (mass, detect) is
-fitted from that R alone, and a mass cell's score reads its test window's
-`readout.window_means` alone, with no QR.
+(`readout.window_factor`, one R-only QR), and every fit and every bending
+`tasks.score` reads it (README: "Readout solver"); a constant target
+(mass, detect) is fitted from that R alone, and scored from its test
+window's `readout.window_means` alone, with no QR.
 A sweep makes one `readout.solve_reduced` call per shape of stacked R rows
 and one score call per evaluation cell; the multitask grid scores each
-cell from its own factor. Every cell equals, bit for bit, its lone
+cell on its own. Every cell equals, bit for bit, its lone
 `train_on_subset` scored alone.
 """
 
@@ -41,7 +43,6 @@ from .core import (
     DEFAULT_SEED,
     InputCondition,
     PayloadSet,
-    PressureStateSeries,
     TEST_WINDOW,
     TRAIN_WINDOW,
     Window,
@@ -58,7 +59,7 @@ from .readout import (
     window_means,
 )
 # no sweep calls simulate_conditions: perfbench's spans name it here
-from .surrogate import SurrogateParams, add_noise, simulate_conditions
+from .surrogate import simulate_conditions
 from .tasks import (
     DETECT_LABEL,
     PayloadStatus,
@@ -249,7 +250,7 @@ def _sweep(task: TaskKind, fits: Sequence, evaluation, runs: Mapping,
                              f"zero-payload condition {cond.label}")
     w = _solve(fits, runs, payloads, (task,), ridge)[:, 0]
     grid = np.column_stack([
-        score(task, _factor(runs, cond, test_window), w, truth, normalizer)
+        score(_factor(runs, cond, test_window), w, normalizer)
         if truth is None else  # a mass reads the test window's means alone
         constant_score(task, window_means(runs[cond], test_window), w, truth)
         for cond, truth in zip(evaluation, truths)])
@@ -283,49 +284,26 @@ def subset_sweep(spec: SweepSpec, runs: Mapping,
                               spec.normalizer)[0])
 
 
-@dataclass(frozen=True, eq=False)
-class SampleCountResult:
-    """Error statistics versus training-sample count (mean and std over
-    noise-seed repeats)."""
-
-    mean_grid: np.ndarray
-    std_grid: np.ndarray
-
-
 def sample_count_sweep(
     task: TaskKind,
     counts: Sequence[int],
     subset: Sequence[InputCondition],
     evaluation: Sequence[InputCondition],
-    params: SurrogateParams,
-    noise_free: Mapping[InputCondition, PressureStateSeries],
+    runs: Mapping,
     payloads: PayloadSet,
     train_window: Window = TRAIN_WINDOW,
     test_window: Window = TEST_WINDOW,
-    repeats: int = 10,
-    base_seed: int = DEFAULT_SEED,
     ridge: float = 0.0,
     normalizer: str = "range",
-) -> SampleCountResult:
+) -> SweepResult:
     """`subset_sweep` of ``subset`` at each count of training samples per
-    condition, on the runs' clock; repeats vary only the noise seed.
-
-    ``noise_free`` holds each condition's run simulated without noise; a
-    repeat only draws its noise, which never feeds back into the states;
-    its noisy runs' factors serve every count and die with those runs. No
-    count, or one the train window does not hold, is refused before any
-    noise. All counts of a repeat are fitted and scored as one `_sweep`.
-    """
-    fits = _plan(noise_free, evaluation, (subset,), train_window,
+    condition, on the runs' clock, one row per count. No count, or one the
+    train window does not hold, is refused before any fit; all counts are
+    fitted and scored as one `_sweep`."""
+    fits = _plan(runs, evaluation, (subset,), train_window,
                  [int(count) for count in counts])
-    errors = np.empty((len(fits), len(evaluation), repeats))
-    for r in range(repeats):
-        runs = add_noise(params, {c: noise_free[c] for c in (
-            *subset, *evaluation)}, base_seed + r)
-        errors[:, :, r] = _sweep(task, fits, evaluation, runs, payloads,
-                                 test_window, ridge, normalizer)[0]
-    return SampleCountResult(mean_grid=errors.mean(axis=2),
-                             std_grid=errors.std(axis=2))
+    return SweepResult(_sweep(task, fits, evaluation, runs, payloads,
+                              test_window, ridge, normalizer)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -415,8 +393,8 @@ def multitask_grid(
     Step 1 classifies payload presence from the detect column's window
     mean. Step 2 (angle plus mass prediction) runs only where a payload is
     detected; zero-payload cells are scored on angle alone. Each cell is
-    scored from its own test-window factor, as `armrc evaluate` scores a
-    run: detect first, then angle and mass where the rule keeps the cell.
+    scored as `armrc evaluate` scores a run: detect and mass from its test
+    window's `window_means`, the angle from that window's own factor.
     """
     cells = condition_grid(n_profiles, payloads)
     fits = _plan(runs, cells, (training_cells,), train_window)
@@ -429,16 +407,16 @@ def multitask_grid(
     loaded = np.array([true_status(m) is PayloadStatus.PRESENT
                        for m in masses])
     for k, cond in enumerate(cells):
-        block = _factor(runs, cond, test_window)
-        detect[k] = score(TaskKind.PAYLOAD_DETECT, block, w_detect, None,
-                          normalizer)
+        means = window_means(runs[cond], test_window)
+        detect[k] = constant_score(TaskKind.PAYLOAD_DETECT, means, w_detect,
+                                   None)
         present[k] = payload_status(detect[k]) is PayloadStatus.PRESENT
         if present[k] or not loaded[k]:
-            angle_error[k] = score(TaskKind.BENDING_ANGLE, block, w_angle,
-                                   None, normalizer)
+            angle_error[k] = score(_factor(runs, cond, test_window), w_angle,
+                                   normalizer)
         if present[k] and loaded[k]:
-            mass_error[k] = score(TaskKind.PAYLOAD_MASS, block, w_mass,
-                                  masses[k], normalizer)
+            mass_error[k] = constant_score(TaskKind.PAYLOAD_MASS, means,
+                                           w_mass, masses[k])
     shape = (n_profiles, len(payloads))
     return MultitaskGridResult(
         detect_output=detect.reshape(shape),

@@ -1,6 +1,7 @@
 """Target signals, decision rules and reported numbers (`score`, read off
-a `readout.WindowFactor`) for the three perception tasks: bending-angle
-prediction, payload detection, and payload-mass estimation.
+a `readout.WindowFactor`, and `constant_score`, off a window's column
+means) for the three perception tasks: bending-angle prediction, payload
+detection, and payload-mass estimation.
 """
 
 from __future__ import annotations
@@ -73,28 +74,25 @@ def mass_error_percent(estimate: float, mass: float) -> float:
     return abs(estimate - mass) / mass * 100.0
 
 
-def score(task: TaskKind, block: WindowFactor, w: np.ndarray,
-          mass: Optional[float], normalizer: str) -> np.ndarray:
-    """The reported number of readout ``w`` on a factor's window, in
-    O(k^2) instead of O(T k): for bending the `readout.nrmse_percent` of
-    the angle, for mass the `mass_error_percent` of the window mean against
-    ``mass``, for detection the window mean itself (the detect output, as
-    `estimate_mass` is the mass estimate). ``w`` is one `readout.full_width`
-    row or an (N, 1 + n_sensors) batch of them. Stacked matmuls give every
-    row BLAS calls of its own, so no score depends on the rest of its batch
-    (README: the gemv pitfall)."""
-    if task is TaskKind.BENDING_ANGLE:
-        resid = (block.r @ w[..., None])[..., 0] - block.z
-        sq = (resid[..., None, :] @ resid[..., None])[..., 0, 0]
-        rms = np.sqrt((sq + block.floor) / block.n_rows)
-        return scaled_percent(rms, truth_scale(block.span, normalizer))
-    return constant_score(task, block.means, w, mass)
+def score(block: WindowFactor, w: np.ndarray, normalizer: str) -> np.ndarray:
+    """The bending error of readout ``w`` on a factor's window, the
+    `readout.nrmse_percent` of the angle, in O(k^2) instead of O(T k).
+    ``w`` is one `readout.full_width` row or an (N, 1 + n_sensors) batch of
+    them. Stacked matmuls give every row BLAS calls of its own, so no score
+    depends on the rest of its batch (README: the gemv pitfall)."""
+    resid = (block.r @ w[..., None])[..., 0] - block.z
+    sq = (resid[..., None, :] @ resid[..., None])[..., 0, 0]
+    rms = np.sqrt((sq + block.floor) / block.n_rows)
+    return scaled_percent(rms, truth_scale(block.span, normalizer))
 
 
 def constant_score(task: TaskKind, means: np.ndarray, w: np.ndarray,
                    mass: Optional[float]) -> np.ndarray:
-    """`score` of a constant-target task (mass or detect), which reads only
-    the window design's column ``means`` (`readout.window_means`)."""
+    """The reported number of readout ``w`` for a constant-target task, from
+    the window design's column ``means`` (`readout.window_means`) alone:
+    for mass the `mass_error_percent` of the window mean against ``mass``,
+    for detection the window mean itself (the detect output, as
+    `estimate_mass` is the mass estimate)."""
     mean = (w[..., None, :] @ means[..., None])[..., 0, 0]
     if task is TaskKind.PAYLOAD_MASS:
         return mass_error_percent(mean, mass)

@@ -1,12 +1,15 @@
+import dataclasses
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import armrc
 import reference
@@ -17,11 +20,11 @@ from armrc.config import (ExperimentConfig, build_config, default_config,
 from armrc.core import (InputCondition, PayloadSet, PressureStateSeries,
                         TimeGrid)
 from armrc.profiles import RampProfileSpec
-from armrc.readout import ReadoutWeights, full_width, window_factor
+from armrc.readout import ReadoutWeights, full_width, window_means
 from armrc.runio import export_run, ingest_run, load_weights, save_weights
 from armrc.surrogate import simulate_conditions
 from armrc.sweeps import experiments
-from armrc.tasks import TaskKind, score
+from armrc.tasks import TaskKind, constant_score
 from conftest import read_matrix_csv
 
 
@@ -236,8 +239,8 @@ class TestSimulatePool:
 
 
 class TestSamplesPool:
-    # sweep samples runs its two experiments on one forked child per usable
-    # CPU, or in-process with one; nothing about the output may tell which
+    # sweep samples runs its seeds on one forked child per usable CPU, or
+    # in-process with one; nothing about the output may tell which
     def test_pool_and_one_process_write_the_same_tree(self, tmp_path,
                                                       monkeypatch):
         cfg = tmp_path / "small.yaml"
@@ -280,15 +283,25 @@ class TestFreshProcessForks:
     @pytest.mark.parametrize("argv, children", [
         (["sweep", "conditions"], []),
         (["sweep", "multitask"], []),
+        # ten seeds: five on each of two children
         (["sweep", "samples"], ["_map_share"] * 2),
+        # one seed, in-process
+        (["sweep", "samples", "--config", "one_repeat.yaml"], []),
         (["sweep", "sensors"], []),
         (["train", "--task", "mass", "--subset", "M2,M3,M4,M5,M6,M7"], []),
-    ], ids=["conditions", "multitask", "samples", "sensors", "train"])
+    ], ids=["conditions", "multitask", "samples", "samples-one-repeat",
+            "sensors", "train"])
     def test_forks_only_fork_map_children(self, argv, children, tmp_path):
         out = tmp_path / ("mass.json" if argv[0] == "train" else "out")
+        (tmp_path / "one_repeat.yaml").write_text("sample_repeats: 1\n")
+        argv = [str(tmp_path / a) if a.endswith(".yaml") else a for a in argv]
         proc = _python(self.SPY, argv + ["--out", str(out), "--quiet"])
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == f"False\n0 {children}\n"
+        if argv[1] == "samples":  # a mean and a std at any number of seeds
+            assert sorted(p.name for p in out.glob("*.csv")) == [
+                f"{name}_sample_counts_{stat}.csv"
+                for name in ("bending", "payload") for stat in ("mean", "std")]
 
 
 class TestImportCost:
@@ -338,9 +351,9 @@ class TestTrainEvaluate:
         run = grid_dir / "runs" / "P1M5.csv"
         series, (w,) = ingest_run(run), full_width(
             load_weights(weights)[0], 7)
-        mean = score(TaskKind.PAYLOAD_DETECT,
-                     window_factor(series, default_config().test), w, None,
-                     "range")
+        mean = constant_score(TaskKind.PAYLOAD_DETECT,
+                              window_means(series, default_config().test), w,
+                              None)
         calls, real = [], readout.factor
 
         def spy(*args):
@@ -352,7 +365,7 @@ class TestTrainEvaluate:
                      "--run", str(run)]) == 0
         assert len(calls) == factors
         if not factors:
-            # the window mean a full factor's `means` gives
+            # the window mean of the design's column means
             assert f"={mean:.4f} " in capsys.readouterr().out
 
     def test_mask_mismatch_is_a_machine_parsable_failure(self, grid_dir,
@@ -429,6 +442,39 @@ class TestSweeps:
         assert std.shape == (2, 6)
         assert np.all(std >= 0.0)
 
+    @settings(max_examples=8, deadline=None)
+    @given(repeats=st.integers(1, 10), seed=st.integers(0, 2**32 - 1))
+    def test_samples_are_the_mean_and_std_over_the_seeds_seed_plus_r(
+            self, repeats, seed):
+        # repeat r is one `sample_count_sweep` of the noise-free runs noised
+        # at seed + r; each file is its cells' mean or std over r (ddof 0),
+        # taken along a last axis of seeds, bit for bit
+        cfg = dataclasses.replace(
+            build_config({"grid": {"sample_rate": 4.0, "n_samples": 400},
+                          "sample_counts": [10, 60, 100]}),
+            sample_repeats=repeats, seed=seed)
+        noise_free = simulate_conditions(
+            cfg.surrogate, cfg.profiles, cfg.payloads, cfg.grid,
+            [c for exp in experiments(cfg).values() for c in exp.conditions],
+            seed=None)
+        with tempfile.TemporaryDirectory() as tmp:
+            cli._sweep("samples", cfg, Path(tmp), "digest")
+            for name, exp in experiments(cfg).items():
+                errors = np.stack([sweeps.sample_count_sweep(
+                    exp.task, cfg.sample_counts, exp.subset, exp.evaluation,
+                    surrogate.add_noise(cfg.surrogate, dict(noise_free),
+                                        seed + r), cfg.payloads,
+                    train_window=cfg.train, test_window=cfg.test,
+                    ridge=cfg.ridge, normalizer=cfg.normalizer).error_grid
+                    for r in range(repeats)], axis=2)
+                for stat in ("mean", "std"):
+                    got, rows, _, comment = read_matrix_csv(
+                        Path(tmp) / f"{name}_sample_counts_{stat}.csv")
+                    assert rows == ["10", "60", "100"]
+                    assert f"repeats={repeats} seed={seed} " in comment
+                    assert got.tobytes() == getattr(errors, stat)(
+                        axis=2).tobytes()
+
     @pytest.mark.parametrize("kind", ["conditions", "samples", "sensors",
                                       "multitask"])
     def test_each_kind_simulates_one_noise_free_batch_and_draws_its_seeds(
@@ -459,11 +505,9 @@ class TestSweeps:
         assert len(runs) == {"multitask": 35}.get(kind, 13)
         assert len(batches) == 1
         assert len(batches[0]) == len(runs) and set(batches[0]) == runs
-        if kind == "samples":  # repeat r of each experiment at seed + r
-            assert draws == [(cfg.seed + r, {*exp.subset, *exp.evaluation})
-                             for exp in table.values() for r in range(2)]
-        else:  # every run once, at the run seed
-            assert draws == [(cfg.seed, runs)]
+        # every run once a seed: samples at seed + r, the rest at the seed
+        assert draws == [(cfg.seed + r, runs)
+                         for r in range({"samples": 2}.get(kind, 1))]
 
     def test_sensors_sweep_layout(self, tmp_path):
         out = tmp_path / "sweep"

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from armrc.core import InputCondition, PressureStateSeries, TimeGrid, Window
+from armrc import readout
+from armrc.core import (InputCondition, PressureStateSeries, TimeGrid, Window,
+                        window_indices)
 from armrc.readout import (
     NORMALIZERS,
     RCOND,
@@ -302,17 +304,19 @@ class TestWindowFactor:
 
 class TestWindowMeans:
     # a constant target's score reads the design's column means alone:
-    # `window_means` gives them from the same design rows as
-    # `window_factor`, so the same bits, with no QR
+    # `window_means` gives the bits of the [1 | S] columns of the
+    # [1 | S | theta] rows `window_factor` factors, with no QR
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), sensors=st.integers(1, 9),
            samples=st.integers(1, 60), data=st.data())
-    def test_means_alone_are_the_bits_of_the_full_factors_means(
+    def test_means_are_the_bits_of_the_factored_rows_column_means(
             self, seed, sensors, samples, data):
         series, window, _ = random_window(
             data, np.random.default_rng(seed), sensors, samples)
-        means = window_means(series, window)
-        assert means.tobytes() == window_factor(series, window).means.tobytes()
+        i0, i1 = window_indices(series.grid, window)
+        rows = readout._design(series.sensors[:, i0:i1], series.theta[i0:i1])
+        assert (window_means(series, window).tobytes()
+                == rows[:, :-1].mean(axis=0).tobytes())
 
     @pytest.mark.parametrize("alone", [window_factor, window_means])
     def test_an_empty_window_is_refused(self, alone):

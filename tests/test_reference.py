@@ -1,6 +1,7 @@
 """Every armrc command's output against `reference`, the plain numpy
 pipeline, on small drawn configs. Every number must match within 1e-10
-relative or 1e-12 absolute, NaN for NaN."""
+relative or 1e-12 absolute, NaN for NaN; a readout-weight share within
+1e-10 of its row's 100% (`SHARE_ATOL`)."""
 
 import contextlib
 import dataclasses
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import reference
 from armrc import cli
@@ -22,7 +23,18 @@ from armrc.readout import NORMALIZERS
 from armrc.runio import export_run, ingest_run
 from armrc.tasks import TaskKind
 from conftest import read_matrix_csv
-from test_surrogate import banded_arms
+from test_surrogate import banded_arm, banded_arms
+
+# A weight share is 100 |w_m| / sum |w| over its row's sensors. Both
+# pipelines fit w to within a small fraction of the row's weights, and
+# that error moves every share by as small a fraction of the row's 100%,
+# however small the share itself: a 0.005% share can move by 3e-9 of
+# itself. So the relative bar is taken of the row's sum, in percentage
+# points. (On 21 drawn 8-sensor arms whose shares crossed the relative bar
+# of their own value, the package and the reference each stayed within
+# 8.3e-11 points of a 60-digit solve of the same design, neither closer
+# throughout.)
+SHARE_ATOL = 1e-10 * 100.0
 
 
 @st.composite
@@ -65,10 +77,25 @@ def config_file(doc):
         yield Path(tmp), load_config(path)
 
 
-def assert_close(got, want):
+def assert_close(got, want, atol=1e-12):
     want = np.asarray(want, dtype=float)
     assert got.shape == want.shape
-    assert np.allclose(got, want, rtol=1e-10, atol=1e-12, equal_nan=True)
+    assert np.allclose(got, want, rtol=1e-10, atol=atol, equal_nan=True)
+
+
+def pinned(w, seed, diagonal):
+    """An 8-sensor arm (`banded_arm` of these draws) at 4 Hz on two ramps,
+    on whose payload_weight_shares.csv the package and the reference
+    differ by more than 1e-10 of a small share's own value."""
+    params, _ = banded_arm(8, w, seed, diagonal)
+    return {
+        "grid": {"sample_rate": 4.0, "n_samples": 400},
+        "profiles": [{"u_min": 0.0, "u_max": 24.5, "n_cycles": 17},
+                     {"u_min": 0.0, "u_max": 15.0, "n_cycles": 17}],
+        "payloads": [0, 372, 388], "multitask_payloads": [0, 1],
+        "surrogate": json.loads(json.dumps(dataclasses.asdict(params))),
+        "sample_counts": [1], "sample_repeats": 1, "ridge": 0.0,
+        "normalizer": "range", "seed": 3736204}
 
 
 def run_main(*argv) -> str:
@@ -98,6 +125,9 @@ def test_simulate_writes_the_reference_runs(doc):
 @pytest.mark.parametrize("kind", list(cli.SWEEPS))
 @settings(max_examples=5, deadline=None)
 @given(doc=configs())
+# the s8 share of s6+s7+s8: 3.3e-9 of a 0.0046% share, and 8.2e-11 points
+@example(doc=pinned(2, 3749382835, False))
+@example(doc=pinned(0, 451169310, False))
 def test_sweep_writes_the_reference_tables(kind, doc):
     with config_file(doc) as (tmp, cfg):
         cli._sweep(kind, cfg, tmp, "digest")
@@ -106,7 +136,8 @@ def test_sweep_writes_the_reference_tables(kind, doc):
         for name, (matrix, rows, cols) in tables.items():
             got, got_rows, got_cols, _ = read_matrix_csv(tmp / name)
             assert (got_rows, got_cols) == (rows, cols)
-            assert_close(got, matrix)
+            assert_close(got, matrix, SHARE_ATOL if name.endswith(
+                "_weight_shares.csv") else 1e-12)
 
 
 @settings(max_examples=5, deadline=None)

@@ -336,18 +336,13 @@ class TestKernelOracle:
                                                    start).tobytes()
 
 
-@st.composite
-def banded_arms(draw, max_width=8):
-    """Parameters for 1-9 nodes whose coupling has bandwidth w, drawn from
-    0..min(n - 1, max_width): every entry with 0 < |i - j| <= w is nonzero and the diagonal
-    is all zero or all nonzero, so a row holds as many nonzero terms as its
-    band allows (at least 3 once w >= 2), which pins their summation order.
-    Row sums stay <= 0.04 < leak * (1 - leak_pressure_coeff)."""
-    n = draw(st.integers(1, 9))
-    w = draw(st.integers(0, min(n - 1, max_width)))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+def banded_arm(n, w, seed, diagonal):
+    """The arm of `banded_arms`' draws: n nodes, bandwidth w, the values
+    from ``default_rng(seed)``, and a nonzero diagonal or none; returns
+    the parameters and that generator, for the caller's further draws."""
+    rng = np.random.default_rng(seed)
     offset = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
-    band = (offset <= w) & ((offset > 0) | draw(st.booleans()))
+    band = (offset <= w) & ((offset > 0) | diagonal)
     coupling = np.where(band, rng.uniform(0.001, 0.04 / (2 * w + 1), (n, n)),
                         0.0)
     params = SurrogateParams(
@@ -357,6 +352,20 @@ def banded_arms(draw, max_width=8):
         payload_gain=tuple(rng.uniform(-0.4, 0.0, n)),
         angle_weights=tuple(rng.uniform(0.0, 1.0, n)),
         leak_pressure_coeff=tuple(rng.uniform(0.0, 0.5, n)))
+    return params, rng
+
+
+@st.composite
+def banded_arms(draw, max_width=8):
+    """Parameters for 1-9 nodes whose coupling has bandwidth w, drawn from
+    0..min(n - 1, max_width): every entry with 0 < |i - j| <= w is nonzero and the diagonal
+    is all zero or all nonzero, so a row holds as many nonzero terms as its
+    band allows (at least 3 once w >= 2), which pins their summation order.
+    Row sums stay <= 0.04 < leak * (1 - leak_pressure_coeff)."""
+    n = draw(st.integers(1, 9))
+    w = draw(st.integers(0, min(n - 1, max_width)))
+    params, rng = banded_arm(n, w, draw(st.integers(0, 2**32)),
+                             draw(st.booleans()))
     return params, w, rng
 
 

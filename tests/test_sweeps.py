@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import os
 import weakref
 
 import numpy as np
@@ -7,8 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference
-from armrc import sweeps
-from armrc import readout
+from armrc import cli, readout, sweeps
 from armrc.config import ConfigError, ExperimentConfig, training_window
 from armrc.core import (
     InputCondition,
@@ -20,7 +20,7 @@ from armrc.core import (
     Window,
     sample_count,
 )
-from armrc.readout import NORMALIZERS, full_width, window_factor
+from armrc.readout import NORMALIZERS, full_width, window_factor, window_means
 from armrc.surrogate import SurrogateParams, add_noise, simulate_conditions
 from armrc.sweeps import (
     SweepSpec,
@@ -38,7 +38,7 @@ from armrc.sweeps import (
     tip_sensor_masks,
     train_on_subset,
 )
-from armrc.tasks import TaskKind, score
+from armrc.tasks import TaskKind, constant_score, score
 
 P = InputCondition
 
@@ -292,13 +292,11 @@ class TestSampleCountRule:
         with pytest.raises(ValueError, match="1000"):
             subset_sweep(self.spec(1000), bending_runs, cfg.payloads)
 
-    def test_sample_count_sweep_refuses_it_too(self, cfg):
+    def test_sample_count_sweep_refuses_it_too(self, cfg, bending_runs):
         with pytest.raises(ValueError, match="1000"):
             sample_count_sweep(
                 TaskKind.BENDING_ANGLE, [999, 1000], [P(1, 1)], [P(1, 1)],
-                cfg.surrogate, _noise_free(cfg, P(1, 1)), cfg.payloads,
-                train_window=self.SHORT, repeats=1,
-            )
+                bending_runs, cfg.payloads, train_window=self.SHORT)
 
 
 class TestOneCountRule:
@@ -367,7 +365,7 @@ class TestOneClock:
         with pytest.raises(ValueError, match="sample count needs one clock"):
             sample_count_sweep(
                 TaskKind.BENDING_ANGLE, [100], (P(1, 1), P(7, 1)),
-                (P(4, 1),), cfg.surrogate, mixed, cfg.payloads, repeats=1)
+                (P(4, 1),), mixed, cfg.payloads)
 
     def test_without_a_count_the_clocks_may_differ(self, cfg, mixed):
         spec = SweepSpec(task=TaskKind.BENDING_ANGLE,
@@ -400,58 +398,55 @@ class TestOneClock:
 
 
 class TestSampleCountSweep:
-    def test_count_beyond_window_rejected(self, cfg):
+    # one seed's sample-count table: a row per count, on the runs it is
+    # given; `cli._sweep` repeats it over seeds
+    def test_count_beyond_window_rejected(self, cfg, bending_runs):
         with pytest.raises(ValueError, match="sample count"):
-            sample_count_sweep(
-                TaskKind.BENDING_ANGLE, [2000], [P(1, 1)], [P(1, 1)],
-                cfg.surrogate, _noise_free(cfg, P(1, 1)), cfg.payloads,
-                repeats=1,
-            )
+            sample_count_sweep(TaskKind.BENDING_ANGLE, [2000], [P(1, 1)],
+                               [P(1, 1)], bending_runs, cfg.payloads)
 
-    def test_a_condition_missing_from_the_runs_is_refused(self, cfg):
+    def test_a_condition_missing_from_the_runs_is_refused(self, cfg,
+                                                          bending_runs):
         with pytest.raises(ValueError, match="P4M1 is not present"):
-            sample_count_sweep(
-                TaskKind.BENDING_ANGLE, [400], [P(1, 1)], [P(4, 1)],
-                cfg.surrogate, _noise_free(cfg, P(1, 1)), cfg.payloads,
-                repeats=1,
-            )
+            sample_count_sweep(TaskKind.BENDING_ANGLE, [400], [P(1, 1)],
+                               [P(4, 1)], {P(1, 1): bending_runs[P(1, 1)]},
+                               cfg.payloads)
 
-    def test_repeats_vary_only_the_noise_seed(self, cfg):
-        res = sample_count_sweep(
-            TaskKind.BENDING_ANGLE, [400], [P(1, 1), P(7, 1)], [P(4, 1)],
-            cfg.surrogate, _noise_free(cfg, P(1, 1), P(7, 1), P(4, 1)),
-            cfg.payloads, repeats=3, base_seed=cfg.seed,
-        )
-        assert res.std_grid[0, 0] > 0.0
+    def test_a_seed_varies_only_the_noise(self, cfg):
+        noise_free = _noise_free(cfg, P(1, 1), P(7, 1), P(4, 1))
+
+        def at(seed):
+            runs = add_noise(cfg.surrogate, dict(noise_free), seed)
+            return sample_count_sweep(
+                TaskKind.BENDING_ANGLE, [400], [P(1, 1), P(7, 1)], [P(4, 1)],
+                runs, cfg.payloads).error_grid
+
+        assert at(cfg.seed).tobytes() == at(cfg.seed).tobytes()
+        assert at(cfg.seed)[0, 0] != at(cfg.seed + 1)[0, 0]
 
     @pytest.mark.parametrize("counts, evaluation, message", [
         ([], [P(1, 1)], "need at least one sample count"),
         ([100], [], "evaluation set must be non-empty"),
     ], ids=["no-count", "no-evaluation"])
-    def test_a_sweep_of_nothing_is_refused_before_any_noise(
-            self, cfg, monkeypatch, counts, evaluation, message):
+    def test_a_sweep_of_nothing_is_refused_before_any_fit(
+            self, cfg, bending_runs, monkeypatch, counts, evaluation,
+            message):
         def refuse(*args, **kwargs):
-            raise AssertionError("drew noise for a sweep of nothing")
+            raise AssertionError("fitted a sweep of nothing")
 
-        monkeypatch.setattr(sweeps, "add_noise", refuse)
+        monkeypatch.setattr(sweeps, "_solve", refuse)
         with pytest.raises(ValueError, match=message):
-            sample_count_sweep(
-                TaskKind.BENDING_ANGLE, counts, [P(1, 1)], evaluation,
-                cfg.surrogate, _noise_free(cfg, P(1, 1)), cfg.payloads,
-                repeats=1,
-            )
+            sample_count_sweep(TaskKind.BENDING_ANGLE, counts, [P(1, 1)],
+                               evaluation, bending_runs, cfg.payloads)
 
-    def test_duplicate_counts_give_bit_identical_rows(self, cfg):
-        res = sample_count_sweep(
+    def test_duplicate_counts_give_bit_identical_rows(self, cfg,
+                                                      bending_runs):
+        grid = sample_count_sweep(
             TaskKind.BENDING_ANGLE, [100, 400, 100], [P(1, 1), P(7, 1)],
-            [P(4, 1), P(2, 1)], cfg.surrogate,
-            _noise_free(cfg, P(1, 1), P(7, 1), P(4, 1), P(2, 1)),
-            cfg.payloads, repeats=2,
-        )
-        assert res.mean_grid.shape == (3, 2)
-        for grid in (res.mean_grid, res.std_grid):
-            assert grid[0].tobytes() == grid[2].tobytes()
-            assert grid[0].tobytes() != grid[1].tobytes()
+            [P(4, 1), P(2, 1)], bending_runs, cfg.payloads).error_grid
+        assert grid.shape == (3, 2)
+        assert grid[0].tobytes() == grid[2].tobytes()
+        assert grid[0].tobytes() != grid[1].tobytes()
 
 
 class TestAblation:
@@ -524,10 +519,11 @@ class TestFactoredScore:
             sensors=sensors, theta=np.full(160, 2.0))
         block = window_factor(flat, Window(2.0, 4.0))
         with pytest.raises(ValueError, match="ground-truth scale is zero"):
-            score(TaskKind.BENDING_ANGLE, block, w, None, "range")
+            score(block, w, "range")
         # the detect output, the window mean, does not need the angle's scale
-        assert score(TaskKind.PAYLOAD_DETECT, block, w, None,
-                     "range") == pytest.approx(
+        assert constant_score(TaskKind.PAYLOAD_DETECT,
+                              window_means(flat, Window(2.0, 4.0)), w,
+                              None) == pytest.approx(
             np.mean(reference.design(sensors[:, 80:160]) @ w), rel=1e-10)
 
 
@@ -591,13 +587,12 @@ class TestOneSensorCount:
             TaskKind.BENDING_ANGLE, tip_sensor_masks(), (P(1, 1), P(7, 1)),
             (P(4, 1),), runs, cfg.payloads), "P4M1", "P1M1")
 
-    def test_a_sample_count_sweep_refuses_a_run_with_more_sensors(self, cfg):
-        noise_free = _another_arm(_noise_free(cfg, P(1, 1), P(7, 1), P(4, 1)),
-                                  P(4, 1), 8)
+    def test_a_sample_count_sweep_refuses_a_run_with_more_sensors(
+            self, cfg, bending_runs):
+        runs = _another_arm(bending_runs, P(4, 1), 8)
         self.refused(lambda: sample_count_sweep(
             TaskKind.BENDING_ANGLE, [100, 400], (P(1, 1), P(7, 1)),
-            (P(4, 1),), cfg.surrogate, noise_free, cfg.payloads, repeats=1),
-            "P4M1", "P1M1")
+            (P(4, 1),), runs, cfg.payloads), "P4M1", "P1M1")
 
     def test_a_lone_fit_refuses_a_run_with_more_sensors(self, cfg,
                                                         bending_runs):
@@ -613,11 +608,15 @@ class TestOneSensorCount:
 
 
 def _lone_score(task, row, runs, cond, payloads, normalizer="range"):
-    """A weight row's score, as a batch of one, from a block factored for
-    that condition alone."""
-    block = window_factor(runs[cond], TEST_WINDOW)
-    (cell,) = score(task, block, row[None],
-                    payloads.mass_of(cond.payload_index), normalizer)
+    """A weight row's score, as a batch of one, on that condition's test
+    window alone: from a block factored for it, or, for a constant target,
+    from its column means."""
+    if task is TaskKind.BENDING_ANGLE:
+        (cell,) = score(window_factor(runs[cond], TEST_WINDOW), row[None],
+                        normalizer)
+    else:
+        (cell,) = constant_score(task, window_means(runs[cond], TEST_WINDOW),
+                                 row[None], payloads.mass_of(cond.payload_index))
     return cell
 
 
@@ -626,11 +625,6 @@ class TestBatchEquality:
     # every fit on a cell in one call; each cell must equal, bit for bit, a
     # lone `train_on_subset` scored as a batch of one, whatever else the
     # sweep fits or scores, and so must the weights a sweep reports
-    @pytest.fixture(scope="class")
-    def noise_free(self, cfg):
-        return _noise_free(cfg, *bending_conditions(),
-                           *(P(1, j) for j in range(2, 8)))
-
     @settings(max_examples=20, deadline=None)
     @given(task=st.sampled_from([TaskKind.BENDING_ANGLE,
                                  TaskKind.PAYLOAD_MASS]),
@@ -643,9 +637,9 @@ class TestBatchEquality:
            ridge=st.sampled_from([0.0, 0.5]),
            normalizer=st.sampled_from(NORMALIZERS))
     def test_single_task_cells_equal_lone_fits(self, cfg, bending_runs,
-                                               payload_runs, noise_free,
-                                               task, subsets, masks, counts,
-                                               ridge, normalizer):
+                                               payload_runs, task, subsets,
+                                               masks, counts, ridge,
+                                               normalizer):
         if task is TaskKind.BENDING_ANGLE:
             runs, cond = bending_runs, lambda k: P(k, 1)
         else:
@@ -684,17 +678,13 @@ class TestBatchEquality:
             total = mags.sum()
             shares[k, list(mask)] = 100.0 * mags / total if total > 0 else 0
         assert np.array_equal(ablated.weight_shares, shares, equal_nan=True)
-        # one repeat: its mean is the repeat's own cell
         counted = sample_count_sweep(task, counts, subsets[0], evaluation,
-                                     cfg.surrogate, noise_free, cfg.payloads,
-                                     train_window=window, repeats=1,
-                                     base_seed=cfg.seed, **common)
-        noisy = add_noise(cfg.surrogate, {c: noise_free[c] for c in {
-            *subsets[0], *evaluation}}, cfg.seed)
-        check(counted.mean_grid,
+                                     runs, cfg.payloads, train_window=window,
+                                     **common)
+        check(counted.error_grid,
               [(subsets[0], None,
                 Window(window.start, window.start + n / 40.0))
-               for n in counts], noisy)
+               for n in counts], runs)
 
     @pytest.mark.parametrize("normalizer", NORMALIZERS)
     @pytest.mark.parametrize("ridge", [0.0, 0.5])
@@ -809,16 +799,23 @@ class TestFactorMemo:
         assert alive() is None
         assert len(sweeps._factors) == entries - 1
 
-    def test_the_noisy_runs_of_a_sample_sweep_leave_nothing_behind(self,
-                                                                   cfg):
+    def test_the_noisy_runs_of_a_sample_sweep_leave_nothing_behind(
+            self, tmp_path, monkeypatch):
+        # one CPU: every seed's runs are noised and factored in-process
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        cfg = ExperimentConfig(sample_counts=(100, 400), sample_repeats=2)
         gc.collect()
-        entries = len(sweeps._factors)
-        sample_count_sweep(
-            TaskKind.BENDING_ANGLE, [100, 400], [P(1, 1), P(7, 1)],
-            [P(4, 1)], cfg.surrogate,
-            _noise_free(cfg, P(1, 1), P(7, 1), P(4, 1)), cfg.payloads,
-            repeats=2,
-        )
+        entries, seen = len(sweeps._factors), []
+        real = sweeps._factor
+
+        def spy(runs, cond, window):
+            seen.append(runs[cond])
+            return real(runs, cond, window)
+
+        monkeypatch.setattr(sweeps, "_factor", spy)
+        cli._sweep("samples", cfg, tmp_path, "digest")
+        assert len({id(run) for run in seen}) == 2 * 13  # 13 runs a seed
+        seen.clear()
         gc.collect()
         assert len(sweeps._factors) == entries
 
@@ -869,7 +866,7 @@ class TestConstantTargetsReadTheWindowsR:
     def test_a_mass_sweep_factors_no_test_window(self, cfg, payload_runs,
                                                  count):
         # a mass cell's score reads only its test window's column means
-        # (`readout.window_means`): the bits of the full factor's `means`
+        # (`readout.window_means`)
         runs, evaluation = _fresh(payload_runs), payload_conditions()[1:]
         fits = sweeps._plan(runs, evaluation, nested_payload_subsets(),
                             TRAIN_WINDOW, (count,))
@@ -884,12 +881,12 @@ class TestConstantTargetsReadTheWindowsR:
         factored = {cond: list(sweeps._factors[run])
                     for cond, run in runs.items() if run in sweeps._factors}
         assert factored == {cond: [fits[0][1]] for cond in trained}
-        full = np.column_stack([
-            score(TaskKind.PAYLOAD_MASS,
-                  window_factor(runs[cond], TEST_WINDOW), w,
-                  cfg.payloads.mass_of(cond.payload_index), "range")
+        alone = np.column_stack([
+            constant_score(TaskKind.PAYLOAD_MASS,
+                           window_means(runs[cond], TEST_WINDOW), w,
+                           cfg.payloads.mass_of(cond.payload_index))
             for cond in evaluation])
-        assert grid.tobytes() == full.tobytes()
+        assert grid.tobytes() == alone.tobytes()
 
 
 class TestTruthMass:
