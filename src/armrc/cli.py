@@ -24,8 +24,7 @@ from .config import (ConfigError, ExperimentConfig, default_config,
 from .core import (Window, condition_grid, fork_map, parse_condition_label,
                    slice_series, trace_columns, window_indices)
 from .profiles import cycle_period
-from .readout import (correlation_matrix, full_width, window_factor,
-                      window_means)
+from .readout import correlation_matrix, full_width
 from .runio import (
     config_digest,
     export_run,
@@ -48,8 +47,7 @@ from .sweeps import (
     tip_sensor_masks,
     train_on_subset,
 )
-from .tasks import (PayloadStatus, TaskKind, constant_score, payload_status,
-                    score, true_status)
+from .tasks import PayloadStatus, TaskKind, payload_status, score, true_status
 
 HARDWARE_NOTE = ("percent errors are surrogate results; hardware-measured "
                  "percentages are qualitative ordering targets only")
@@ -169,18 +167,18 @@ def cmd_evaluate(args) -> int:
               f"taking {mass:g} g for {series.condition.label} from the "
               "config's payloads", file=sys.stderr)
     truth = None if mass is None else true_status(mass)
-    means = window_means(series, window)
     for name, w in zip(weights.task_names,
                        full_width(weights, series.n_sensors)):
         # the window mean: the detect output, or the mass estimate
-        mean = constant_score(TaskKind.PAYLOAD_DETECT, means, w, mass)
+        mean = score(TaskKind.PAYLOAD_DETECT, series, window, w)
         if name == TaskKind.BENDING_ANGLE.value:
-            err = score(window_factor(series, window), w, cfg.normalizer)
+            err = score(TaskKind.BENDING_ANGLE, series, window, w, None,
+                        cfg.normalizer)
             line = f"task=bending nrmse_percent={err:.4f}"
         elif name == TaskKind.PAYLOAD_MASS.value:
             line = f"task=mass estimate_grams={mean:.4f}"
             if truth is PayloadStatus.PRESENT:
-                err = constant_score(TaskKind.PAYLOAD_MASS, means, w, mass)
+                err = score(TaskKind.PAYLOAD_MASS, series, window, w, mass)
                 line += f" truth_grams={mass:.1f} relative_error_percent={err:.4f}"
         else:
             line = f"task={name} mean_output={mean:.4f}"

@@ -1,18 +1,20 @@
-"""Linear readout training and scoring.
+"""Linear readout training and window reads.
 
 The design is [1 | S], a bias column then one column per sensor, built
 only by `_design`; `columns` maps a mask onto it. Training and scoring
-share one factorization: `factor` takes one R-only QR of a window's design
-beside its target (`window_factor`) and keeps a `WindowFactor`, from which
-`solve_reduced` fits readouts (one SVD call for a whole stack of small R
-row blocks, each for any subset of the columns) and `tasks.score` scores
-them. `full_width` lays any readout's weights over all of [1 | S], and
-`predict` is the design rows times those weights.
+share one factorization: `factor` takes one R-only QR of a design beside
+its target and keeps a `WindowFactor`, from which `solve_reduced` fits
+readouts (one SVD call for a whole stack of small R row blocks, each for
+any subset of the columns). A run's `window_factor` and `window_means`
+are taken once per window while the run lives, for every fit and every
+`tasks.score`. `full_width` lays any readout's weights over all of
+[1 | S], and `predict` is the design rows times those weights.
 """
 
 from __future__ import annotations
 
 import warnings
+import weakref
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
@@ -218,6 +220,7 @@ def factor(phi: np.ndarray,
         raise ValueError("cannot factor a design with no rows")
     k = rows.shape[1] - 1
     r = np.linalg.qr(rows, mode="r")
+    r.setflags(write=False)  # R and z are views of it, and a memo shares them
     floor = r[k, k] ** 2 if r.shape[0] > k else 0.0
     target = rows[:, k]
     return WindowFactor(r=r[:k, :k], z=r[:k, k], floor=float(floor),
@@ -225,27 +228,40 @@ def factor(phi: np.ndarray,
                         span=(float(target.min()), float(target.max())))
 
 
-def _window_rows(series: PressureStateSeries, window: Window) -> slice:
-    """A window's samples of a run; a window of none is refused."""
-    i0, i1 = window_indices(series.grid, window)
-    if i1 == i0:
-        raise ValueError(
-            f"window [{window.start}, {window.end}) holds no samples")
-    return slice(i0, i1)
+# Each run's window reads by (window, kind) while the run lives; a series
+# compares by identity and its arrays are read-only, so none goes stale.
+_reads = weakref.WeakKeyDictionary()
+
+
+def _window_read(series: PressureStateSeries, window: Window, means: bool):
+    """One run's `window_means` (``means``) or `window_factor` of a window,
+    read on first use and kept, read-only, while the run lives; a window of
+    no samples is refused."""
+    memo = _reads.setdefault(series, {})
+    if (window, means) not in memo:
+        i0, i1 = window_indices(series.grid, window)
+        if i1 == i0:
+            raise ValueError(
+                f"window [{window.start}, {window.end}) holds no samples")
+        sensors = series.sensors[:, i0:i1]
+        if means:
+            memo[window, True] = _design(sensors).mean(axis=0)
+            memo[window, True].setflags(write=False)  # one copy, every caller
+        else:
+            memo[window, False] = factor(_design(sensors, series.theta[i0:i1]))
+    return memo[window, means]
 
 
 def window_factor(series: PressureStateSeries, window: Window) -> WindowFactor:
     """The `factor` of one run's all-sensor design and bending angle over a
-    window, which every fit and score on that window reads."""
-    rows = _window_rows(series, window)
-    return factor(_design(series.sensors[:, rows], series.theta[rows]))
+    window, which every fit on that window and every bending score reads."""
+    return _window_read(series, window, False)
 
 
 def window_means(series: PressureStateSeries, window: Window) -> np.ndarray:
     """The column means of a window's design [1 | S], all a constant
     target's score reads, with no QR."""
-    return _design(series.sensors[:, _window_rows(series, window)]).mean(
-        axis=0)
+    return _window_read(series, window, True)
 
 
 def solve_reduced(r: np.ndarray, z: np.ndarray,

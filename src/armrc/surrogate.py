@@ -34,7 +34,8 @@ functional of the node states plus a mass-proportional droop:
 
 Sensor readings are the node states plus white Gaussian noise drawn from
 counter-based streams keyed by (seed, condition, sensor), so results never
-depend on simulation order; ``seed=None`` gives noise-free runs. Noise
+depend on simulation order; ``seed=None`` gives noise-free runs, and a
+seed outside 0..2**64 - 1 is refused rather than wrapped. Noise
 never feeds back into the states, so it enters in one step after the
 kernel: `add_noise` puts each run's `_noise_blocks` block into a batch of
 noise-free runs, and one noise-free run serves every seed.
@@ -71,8 +72,6 @@ from .profiles import RampProfileSpec, generate_profile
 # Payload-term pressure scale (psi): well inside the profiles' range, so
 # tanh(u / U_PAYLOAD_REF) sweeps most of [0, 1) within every ramp cycle.
 U_PAYLOAD_REF = 15.0
-
-_UINT64_MASK = (1 << 64) - 1
 
 # Time steps buffered between flushes into the per-run state arrays: short,
 # so the buffers stay small next to the runs themselves.
@@ -175,9 +174,14 @@ def stability_margin(params: SurrogateParams) -> float:
     return float(1.0 - np.abs(m).sum(axis=1).max())
 
 
-def _noise_key(condition: Optional[InputCondition], sensor: int) -> int:
-    """Second Philox key word, (profile << 32) | (payload << 16) | (sensor + 1).
-    An index that overflows its field would alias another stream."""
+def _noise_key(seed: int, condition: Optional[InputCondition],
+               sensor: int) -> list:
+    """The Philox key of a noise stream, [seed, (profile << 32) |
+    (payload << 16) | (sensor + 1)]. A seed outside 0..2**64 - 1, or an
+    index that overflows its field, would alias another stream."""
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"seed {seed} is outside the noise key's range "
+                         "0..2**64 - 1")
     ci, cj = ((0, 0) if condition is None
               else (condition.profile_index, condition.payload_index))
     if ci >> 32 or cj >> 16 or (sensor + 1) >> 16:
@@ -185,7 +189,7 @@ def _noise_key(condition: Optional[InputCondition], sensor: int) -> int:
             f"condition {condition.label if condition else '-'} sensor "
             f"{sensor_name(sensor)} overflows the noise key "
             "(profile < 2**32, payload and sensor < 2**16)")
-    return (ci << 32) | (cj << 16) | (sensor + 1)
+    return [seed, (ci << 32) | (cj << 16) | (sensor + 1)]
 
 
 def _noise_stream(gen: np.random.Generator, seed: int,
@@ -194,7 +198,7 @@ def _noise_stream(gen: np.random.Generator, seed: int,
     """``sensor``'s noise under ``condition`` at ``seed``, from ``gen``
     re-keyed at counter 0 with an empty buffer: the draws of a fresh
     ``Generator(Philox(key=...))``, whatever ``gen`` drew before."""
-    key = [seed & _UINT64_MASK, _noise_key(condition, sensor)]
+    key = _noise_key(seed, condition, sensor)
     gen.bit_generator.state = {
         "bit_generator": "Philox", "buffer_pos": 4, "has_uint32": 0,
         "uinteger": 0, "buffer": np.zeros(4, dtype=np.uint64),
@@ -419,8 +423,8 @@ def simulate_conditions(
 ) -> dict:
     """Simulate just the listed conditions (deduplicated), as one batch,
     plus their noise at ``seed``. A condition outside the profiles x
-    payloads grid, or, with a seed, whose noise key overflows, is refused
-    up front."""
+    payloads grid, or, with a seed, a noise key that overflows (the seed's
+    or the condition's), is refused up front."""
     for cond in conditions:
         if (cond.profile_index > len(profile_specs)
                 or cond.payload_index > len(payloads)):
@@ -429,7 +433,7 @@ def simulate_conditions(
                 f"{len(profile_specs)}x{len(payloads)} profile x payload grid"
             )
     for cond in conditions if seed is not None else ():
-        _noise_key(cond, params.n_nodes - 1)
+        _noise_key(seed, cond, params.n_nodes - 1)
     conds = list(dict.fromkeys(conditions))
     traces = {i: generate_profile(profile_specs[i - 1], grid)
               for i in {c.profile_index for c in conds}}

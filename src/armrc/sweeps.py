@@ -19,21 +19,19 @@ its fits as (subset, window, mask) triples, made in one planning step
 gives each sample count its training window. A condition's constant
 target (its mass, its detect label, or None for bending) is its `_truth`.
 
-Each (run, window) is factored once per process while its run lives
-(`readout.window_factor`, one R-only QR), and every fit and every bending
-`tasks.score` reads it (README: "Readout solver"); a constant target
-(mass, detect) is fitted from that R alone, and scored from its test
-window's `readout.window_means` alone, with no QR.
-A sweep makes one `readout.solve_reduced` call per shape of stacked R rows
-and one score call per evaluation cell; the multitask grid scores each
-cell on its own. Every cell equals, bit for bit, its lone
+Every fit reads its training windows' R through `readout.window_factor`,
+which `readout` keeps per (run, window) while the run lives (README:
+"Readout solver"); a constant target (mass, detect) is fitted from that R
+alone. Every cell is scored by `tasks.score`, which picks the window read
+its task needs. A sweep makes one `readout.solve_reduced` call per shape of
+stacked R rows and one score call per evaluation cell; the multitask grid
+scores each cell on its own. Every cell equals, bit for bit, its lone
 `train_on_subset` scored alone.
 """
 
 from __future__ import annotations
 
 import itertools
-import weakref
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -49,26 +47,12 @@ from .core import (
     condition_grid,
     count_window,
 )
-from .readout import (
-    ReadoutWeights,
-    WindowFactor,
-    columns,
-    normalize_mask,
-    solve_reduced,
-    window_factor,
-    window_means,
-)
+from .readout import (ReadoutWeights, columns, normalize_mask, solve_reduced,
+                      window_factor)
 # no sweep calls simulate_conditions: perfbench's spans name it here
 from .surrogate import simulate_conditions
-from .tasks import (
-    DETECT_LABEL,
-    PayloadStatus,
-    TaskKind,
-    constant_score,
-    payload_status,
-    score,
-    true_status,
-)
+from .tasks import (DETECT_LABEL, PayloadStatus, TaskKind, payload_status,
+                    score, true_status)
 
 
 @dataclass(frozen=True)
@@ -147,20 +131,6 @@ def _plan(runs: Mapping, scored, subsets, window: Window, counts=(None,),
             for fit_window in windows for mask in masks]
 
 
-# Each run's factors by window while the run lives; a series compares by
-# identity and its arrays are read-only, so none goes stale.
-_factors = weakref.WeakKeyDictionary()
-
-
-def _factor(runs: Mapping, cond: InputCondition,
-            window: Window) -> WindowFactor:
-    """The `window_factor` of ``runs[cond]``, factored on first use."""
-    memo = _factors.setdefault(runs[cond], {})
-    if window not in memo:
-        memo[window] = window_factor(runs[cond], window)
-    return memo[window]
-
-
 def _truth(task: TaskKind, runs: Mapping, cond: InputCondition,
            payloads: PayloadSet) -> Optional[float]:
     """A condition's constant target for a task: for mass its payload-set
@@ -181,7 +151,7 @@ def _truth(task: TaskKind, runs: Mapping, cond: InputCondition,
 def _solve(fits: Sequence, runs: Mapping, payloads: PayloadSet, tasks: tuple,
            ridge: float) -> np.ndarray:
     """Fit one readout per (subset, window, mask) of ``fits``: each
-    member's all-sensor R factor over the window (`_factor`) with one
+    member's all-sensor R factor over the window (`window_factor`) with one
     target column per task (its z for bending, c R[:, 0] for a constant
     `_truth` c), stacked over the subset and read on the mask's `columns`,
     with no second QR. Each distinct (condition, window) is read once,
@@ -200,7 +170,7 @@ def _solve(fits: Sequence, runs: Mapping, payloads: PayloadSet, tasks: tuple,
             row = part.get(cond)
             if row is None:
                 truths = [_truth(t, runs, cond, payloads) for t in tasks]
-                r, z = _factor(runs, cond, window)[:2]
+                r, z = window_factor(runs[cond], window)[:2]
                 bank = banks.setdefault(r.shape, ([], []))
                 row = part[cond] = (r.shape, len(bank[0]))
                 bank[0].append(r)
@@ -250,9 +220,7 @@ def _sweep(task: TaskKind, fits: Sequence, evaluation, runs: Mapping,
                              f"zero-payload condition {cond.label}")
     w = _solve(fits, runs, payloads, (task,), ridge)[:, 0]
     grid = np.column_stack([
-        score(_factor(runs, cond, test_window), w, normalizer)
-        if truth is None else  # a mass reads the test window's means alone
-        constant_score(task, window_means(runs[cond], test_window), w, truth)
+        score(task, runs[cond], test_window, w, truth, normalizer)
         for cond, truth in zip(evaluation, truths)])
     return grid, w
 
@@ -393,8 +361,7 @@ def multitask_grid(
     Step 1 classifies payload presence from the detect column's window
     mean. Step 2 (angle plus mass prediction) runs only where a payload is
     detected; zero-payload cells are scored on angle alone. Each cell is
-    scored as `armrc evaluate` scores a run: detect and mass from its test
-    window's `window_means`, the angle from that window's own factor.
+    scored by `tasks.score`, as `armrc evaluate` scores a run.
     """
     cells = condition_grid(n_profiles, payloads)
     fits = _plan(runs, cells, (training_cells,), train_window)
@@ -407,16 +374,15 @@ def multitask_grid(
     loaded = np.array([true_status(m) is PayloadStatus.PRESENT
                        for m in masses])
     for k, cond in enumerate(cells):
-        means = window_means(runs[cond], test_window)
-        detect[k] = constant_score(TaskKind.PAYLOAD_DETECT, means, w_detect,
-                                   None)
+        run = runs[cond]
+        detect[k] = score(TaskKind.PAYLOAD_DETECT, run, test_window, w_detect)
         present[k] = payload_status(detect[k]) is PayloadStatus.PRESENT
         if present[k] or not loaded[k]:
-            angle_error[k] = score(_factor(runs, cond, test_window), w_angle,
-                                   normalizer)
+            angle_error[k] = score(TaskKind.BENDING_ANGLE, run, test_window,
+                                   w_angle, None, normalizer)
         if present[k] and loaded[k]:
-            mass_error[k] = constant_score(TaskKind.PAYLOAD_MASS, means,
-                                           w_mass, masses[k])
+            mass_error[k] = score(TaskKind.PAYLOAD_MASS, run, test_window,
+                                  w_mass, masses[k])
     shape = (n_profiles, len(payloads))
     return MultitaskGridResult(
         detect_output=detect.reshape(shape),

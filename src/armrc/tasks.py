@@ -1,7 +1,6 @@
-"""Target signals, decision rules and reported numbers (`score`, read off
-a `readout.WindowFactor`, and `constant_score`, off a window's column
-means) for the three perception tasks: bending-angle prediction, payload
-detection, and payload-mass estimation.
+"""Target signals, decision rules and the reported number (`score`, from
+a run window's `readout` reads) of the three perception tasks:
+bending-angle prediction, payload detection, and payload-mass estimation.
 """
 
 from __future__ import annotations
@@ -12,8 +11,8 @@ from typing import Optional
 import numpy as np
 
 from .core import PressureStateSeries, Window, window_indices
-from .readout import (ReadoutWeights, WindowFactor, predict, scaled_percent,
-                      truth_scale)
+from .readout import (ReadoutWeights, full_width, scaled_percent, truth_scale,
+                      window_factor, window_means)
 
 class TaskKind(enum.Enum):
     BENDING_ANGLE = "bending"
@@ -41,8 +40,10 @@ def detect_payload(
     series: PressureStateSeries,
     window: Window,
 ) -> PayloadStatus:
-    """Sign rule (see `payload_status`) on the window-averaged output."""
-    return payload_status(float(np.mean(predict(weights, series, window))))
+    """Sign rule (see `payload_status`) on the window-averaged detect
+    output (`_window_mean`)."""
+    return payload_status(
+        _window_mean(TaskKind.PAYLOAD_DETECT, weights, series, window))
 
 
 def payload_status(mean_output: float) -> PayloadStatus:
@@ -64,9 +65,23 @@ def estimate_mass(
     series: PressureStateSeries,
     window: Window,
 ) -> float:
-    """Point estimate of the payload mass: the window mean of the readout
-    trace, which oscillates with the actuation cycle."""
-    return float(np.mean(predict(weights, series, window)))
+    """Point estimate of the payload mass: the window mean of the readout's
+    mass trace (`_window_mean`), which oscillates with the actuation cycle."""
+    return _window_mean(TaskKind.PAYLOAD_MASS, weights, series, window)
+
+
+def _window_mean(task: TaskKind, weights: ReadoutWeights,
+                 series: PressureStateSeries, window: Window) -> float:
+    """The window mean of one output of ``weights`` (`score` of detection):
+    a single-task readout's one column, a multi-task one's column named
+    ``task``."""
+    names = weights.task_names
+    if len(names) > 1 and task.value not in names:
+        raise ValueError(f"a readout of tasks {list(names)} has no "
+                         f"{task.value!r} column")
+    w = full_width(weights, series.n_sensors)[
+        names.index(task.value) if len(names) > 1 else 0]
+    return float(score(TaskKind.PAYLOAD_DETECT, series, window, w))
 
 
 def mass_error_percent(estimate: float, mass: float) -> float:
@@ -74,26 +89,24 @@ def mass_error_percent(estimate: float, mass: float) -> float:
     return abs(estimate - mass) / mass * 100.0
 
 
-def score(block: WindowFactor, w: np.ndarray, normalizer: str) -> np.ndarray:
-    """The bending error of readout ``w`` on a factor's window, the
-    `readout.nrmse_percent` of the angle, in O(k^2) instead of O(T k).
-    ``w`` is one `readout.full_width` row or an (N, 1 + n_sensors) batch of
-    them. Stacked matmuls give every row BLAS calls of its own, so no score
+def score(task: TaskKind, series: PressureStateSeries, window: Window,
+          w: np.ndarray, truth: Optional[float] = None,
+          normalizer: str = "range") -> np.ndarray:
+    """The reported number of readout ``w`` for ``task`` on a run's window,
+    from the window's `readout` reads: for bending the
+    `readout.nrmse_percent` of the angle, in O(k^2) from its factor instead
+    of O(T k); for detection the window mean of the output, from its design
+    column means (the detect output, and equally the mass estimate); for mass
+    the `mass_error_percent` of that mean against ``truth`` grams. ``w`` is
+    one `readout.full_width` row or an (N, 1 + n_sensors) batch of them.
+    Stacked matmuls give every row BLAS calls of its own, so no score
     depends on the rest of its batch (README: the gemv pitfall)."""
-    resid = (block.r @ w[..., None])[..., 0] - block.z
-    sq = (resid[..., None, :] @ resid[..., None])[..., 0, 0]
-    rms = np.sqrt((sq + block.floor) / block.n_rows)
-    return scaled_percent(rms, truth_scale(block.span, normalizer))
-
-
-def constant_score(task: TaskKind, means: np.ndarray, w: np.ndarray,
-                   mass: Optional[float]) -> np.ndarray:
-    """The reported number of readout ``w`` for a constant-target task, from
-    the window design's column ``means`` (`readout.window_means`) alone:
-    for mass the `mass_error_percent` of the window mean against ``mass``,
-    for detection the window mean itself (the detect output, as
-    `estimate_mass` is the mass estimate)."""
-    mean = (w[..., None, :] @ means[..., None])[..., 0, 0]
-    if task is TaskKind.PAYLOAD_MASS:
-        return mass_error_percent(mean, mass)
-    return mean
+    if task is TaskKind.BENDING_ANGLE:
+        block = window_factor(series, window)
+        resid = (block.r @ w[..., None])[..., 0] - block.z
+        sq = (resid[..., None, :] @ resid[..., None])[..., 0, 0]
+        rms = np.sqrt((sq + block.floor) / block.n_rows)
+        return scaled_percent(rms, truth_scale(block.span, normalizer))
+    mean = (w[..., None, :] @ window_means(series, window)[..., None])[..., 0, 0]
+    return (mean if task is TaskKind.PAYLOAD_DETECT
+            else mass_error_percent(mean, truth))

@@ -64,7 +64,7 @@ def states(params, trace, mass, x0=None):
 
 def fresh_draws(seed, cond, sensor, n, std):
     """``sensor``'s noise under ``cond`` at ``seed``: a fresh generator."""
-    key = np.array([seed, _noise_key(cond, sensor)], dtype=np.uint64)
+    key = np.array(_noise_key(seed, cond, sensor), dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key)).normal(0.0, std, n)
 
 

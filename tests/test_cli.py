@@ -20,11 +20,11 @@ from armrc.config import (ExperimentConfig, build_config, default_config,
 from armrc.core import (InputCondition, PayloadSet, PressureStateSeries,
                         TimeGrid)
 from armrc.profiles import RampProfileSpec
-from armrc.readout import ReadoutWeights, full_width, window_means
+from armrc.readout import ReadoutWeights, full_width
 from armrc.runio import export_run, ingest_run, load_weights, save_weights
 from armrc.surrogate import simulate_conditions
 from armrc.sweeps import experiments
-from armrc.tasks import TaskKind, constant_score
+from armrc.tasks import TaskKind, score
 from conftest import read_matrix_csv
 
 
@@ -351,9 +351,7 @@ class TestTrainEvaluate:
         run = grid_dir / "runs" / "P1M5.csv"
         series, (w,) = ingest_run(run), full_width(
             load_weights(weights)[0], 7)
-        mean = constant_score(TaskKind.PAYLOAD_DETECT,
-                              window_means(series, default_config().test), w,
-                              None)
+        mean = score(TaskKind.PAYLOAD_DETECT, series, default_config().test, w)
         calls, real = [], readout.factor
 
         def spy(*args):
@@ -382,6 +380,40 @@ class TestTrainEvaluate:
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith("error:")
+
+
+class TestMultitaskEvaluate:
+    def test_evaluate_prints_the_numbers_of_the_multitask_grid(
+            self, cfg, multitask_runs, tmp_path, capsys):
+        # `armrc evaluate` of the saved 3x3 readout, on each cell's run,
+        # prints what `multitask_grid` reports for that cell
+        payloads = cfg.multitask_payloads
+        cells = sweeps.multitask_training_subsets()["3x3"]
+        res = sweeps.multitask_grid(cells, multitask_runs, payloads)
+        fits = sweeps._plan(multitask_runs, None, (cells,), cfg.train)
+        (w,) = sweeps._solve(fits, multitask_runs, payloads,
+                             sweeps.MULTITASK_TASKS, cfg.ridge)
+        weights = save_weights(tmp_path / "w.json", ReadoutWeights(
+            w.T, tuple(range(7)),
+            tuple(t.value for t in sweeps.MULTITASK_TASKS)))
+        compared = 0
+        for (i, j), detect in np.ndenumerate(res.detect_output):
+            cond = InputCondition(i + 1, j + 1)
+            run = export_run(multitask_runs[cond],
+                             tmp_path / f"{cond.label}.csv")
+            assert main(["evaluate", "--weights", str(weights),
+                         "--run", str(run)]) == 0
+            lines = dict(line.split(" ", 1)
+                         for line in capsys.readouterr().out.splitlines())
+            assert lines["task=detect"].startswith(
+                f"mean_output={detect:.4f} ")
+            for grid, task, key in (
+                    (res.angle_error, "bending", "nrmse_percent"),
+                    (res.mass_error, "mass", "relative_error_percent")):
+                if not np.isnan(grid[i, j]):
+                    compared += 1
+                    assert f"{key}={grid[i, j]:.4f}" in lines[f"task={task}"]
+        assert compared > 35
 
 
 class TestFullWindow:
@@ -1257,6 +1289,47 @@ class TestNoiseKeyRange:
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith("error:") and "P1M65536" in err
+
+
+class TestSeedRange:
+    # a noise key's seed word is 64 bits; a seed outside 0..2**64 - 1 would
+    # wrap onto another seed's noise while manifests record it unwrapped
+    @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+    @pytest.mark.parametrize("argv", [
+        ["simulate"],
+        ["train", "--task", "bending", "--subset", "P1,P7"],
+        ["sweep", "conditions"],
+        ["sweep", "samples"],
+        ["sweep", "sensors"],
+        ["sweep", "multitask"],
+    ], ids=lambda argv: "-".join(a for a in argv[:2] if a[0] != "-"))
+    def test_is_one_error_line_and_publishes_nothing(self, argv, seed,
+                                                     tmp_path, capsys):
+        cfg = tmp_path / "small.yaml"
+        cfg.write_text(SMALL_RUNS + "sample_repeats: 2\n")
+        out = tmp_path / ("w.json" if argv[0] == "train" else "out")
+        rc = main(argv + [f"--seed={seed}", "--config", str(cfg),
+                          "--out", str(out), "--quiet"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == f"error: seed {seed} is outside the noise key's range " \
+                      "0..2**64 - 1\n"
+        assert not out.exists() or [p for p in out.rglob("*")
+                                    if p.is_file()] == []
+
+    def test_a_samples_seed_is_refused_when_a_repeat_leaves_the_range(
+            self, tmp_path, capsys):
+        # repeat r draws at seed + r: r = 2 would wrap onto seed 0
+        cfg = tmp_path / "small.yaml"
+        cfg.write_text(SMALL_RUNS + "sample_repeats: 3\n")
+        out = tmp_path / "out"
+        rc = main(["sweep", "samples", f"--seed={(1 << 64) - 2}", "--config",
+                   str(cfg), "--out", str(out), "--quiet"])
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: seed {1 << 64} is outside the noise key's range "
+            "0..2**64 - 1\n")
+        assert [p for p in out.rglob("*") if p.is_file()] == []
 
 
 class TestOverrides:

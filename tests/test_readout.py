@@ -324,6 +324,18 @@ class TestWindowMeans:
         with pytest.raises(ValueError, match="holds no samples"):
             alone(series, Window(3.0, 3.0))
 
+    def test_each_read_is_kept_once_and_read_only(self):
+        # every caller is handed the one kept copy, so none may write it
+        series = series_from_sensors(np.arange(20.0).reshape(2, 10), rate=1.0)
+        window = Window(2.0, 8.0)
+        means, block = window_means(series, window), window_factor(series,
+                                                                   window)
+        assert window_means(series, window) is means
+        assert window_factor(series, window) is block
+        for array in (means, block.r, block.z):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1.0
+
 
 class TestDesign:
     # the all-sensor design [1 | S] of any arm: `full_width` puts masked

@@ -257,6 +257,33 @@ class TestNoiseKey:
                        condition=InputCondition(1, 1 << 16), seed=None)
         assert run.sensors.shape == (7, 40)
 
+    # Philox keys are two 64-bit words: a wider seed would wrap onto
+    # another seed's streams (-1 onto 2**64 - 1, 2**64 + 7 onto 7)
+    @pytest.mark.parametrize("seed", [-1, 1 << 64, (1 << 64) + 7])
+    def test_a_seed_outside_64_bits_is_refused(self, seed):
+        with pytest.raises(ValueError, match=f"seed {seed} is outside"):
+            simulate(SurrogateParams(), P1[:40], 0.0, SHORT, seed=seed)
+        clean = simulate(SurrogateParams(), P1[:40], 0.0, SHORT, seed=None)
+        with pytest.raises(ValueError, match=f"seed {seed} is outside"):
+            add_noise(SurrogateParams(), {None: clean}, seed)
+
+    def test_a_seed_outside_64_bits_is_refused_before_the_kernel_steps(
+            self, monkeypatch):
+        def step(*args):
+            raise AssertionError("stepped the kernel")
+
+        monkeypatch.setattr(surrogate, "_advance", step)
+        with pytest.raises(ValueError, match="seed -1 is outside"):
+            simulate_conditions(SurrogateParams(), default_profile_family(),
+                                PayloadSet(), SHORT, [InputCondition(1, 1)],
+                                seed=-1)
+
+    @pytest.mark.parametrize("seed", [0, (1 << 64) - 1])
+    def test_the_end_seeds_are_accepted(self, seed):
+        assert _noise_stream(_generator(), seed, InputCondition(1, 1), 0, 4,
+                             1.0).tobytes() == fresh_draws(
+            seed, InputCondition(1, 1), 0, 4, 1.0).tobytes()
+
 
 class TestRekeyedNoise:
     """One generator re-keyed per stream draws what a fresh

@@ -20,7 +20,7 @@ from armrc.core import (
     Window,
     sample_count,
 )
-from armrc.readout import NORMALIZERS, full_width, window_factor, window_means
+from armrc.readout import NORMALIZERS, full_width, window_factor
 from armrc.surrogate import SurrogateParams, add_noise, simulate_conditions
 from armrc.sweeps import (
     SweepSpec,
@@ -38,7 +38,7 @@ from armrc.sweeps import (
     tip_sensor_masks,
     train_on_subset,
 )
-from armrc.tasks import TaskKind, constant_score, score
+from armrc.tasks import TaskKind, score
 
 P = InputCondition
 
@@ -517,13 +517,12 @@ class TestFactoredScore:
         flat = PressureStateSeries(
             grid=TimeGrid(sample_rate=40.0, n_samples=160), s_in=np.zeros(160),
             sensors=sensors, theta=np.full(160, 2.0))
-        block = window_factor(flat, Window(2.0, 4.0))
         with pytest.raises(ValueError, match="ground-truth scale is zero"):
-            score(block, w, "range")
+            score(TaskKind.BENDING_ANGLE, flat, Window(2.0, 4.0), w, None,
+                  "range")
         # the detect output, the window mean, does not need the angle's scale
-        assert constant_score(TaskKind.PAYLOAD_DETECT,
-                              window_means(flat, Window(2.0, 4.0)), w,
-                              None) == pytest.approx(
+        assert score(TaskKind.PAYLOAD_DETECT, flat, Window(2.0, 4.0),
+                     w) == pytest.approx(
             np.mean(reference.design(sensors[:, 80:160]) @ w), rel=1e-10)
 
 
@@ -609,14 +608,12 @@ class TestOneSensorCount:
 
 def _lone_score(task, row, runs, cond, payloads, normalizer="range"):
     """A weight row's score, as a batch of one, on that condition's test
-    window alone: from a block factored for it, or, for a constant target,
-    from its column means."""
-    if task is TaskKind.BENDING_ANGLE:
-        (cell,) = score(window_factor(runs[cond], TEST_WINDOW), row[None],
-                        normalizer)
-    else:
-        (cell,) = constant_score(task, window_means(runs[cond], TEST_WINDOW),
-                                 row[None], payloads.mass_of(cond.payload_index))
+    window alone: read off a fresh copy of its run, so from a factor or
+    column means taken for it (see `_fresh`)."""
+    truth = (None if task is TaskKind.BENDING_ANGLE
+             else payloads.mass_of(cond.payload_index))
+    (cell,) = score(task, dataclasses.replace(runs[cond]), TEST_WINDOW,
+                    row[None], truth, normalizer)
     return cell
 
 
@@ -714,7 +711,7 @@ class TestBatchEquality:
 
 
 def _fresh(runs):
-    """Copies of ``runs`` that no sweep has factored yet."""
+    """Copies of ``runs`` whose windows nothing has read yet."""
     return {cond: dataclasses.replace(run) for cond, run in runs.items()}
 
 
@@ -729,10 +726,28 @@ def _spy_on_factors(mp):
     return calls
 
 
+def _spy_on_designs(mp):
+    calls, real = [], readout._design
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    mp.setattr(readout, "_design", spy)
+    return calls
+
+
+def _kept_windows(run, means):
+    """The windows whose `window_means` (``means``) or `window_factor` of
+    ``run`` the readout memo keeps."""
+    return [window for window, kind in readout._reads.get(run, {})
+            if kind == means]
+
+
 class TestFactorMemo:
-    # every sweep in a process shares one factor per (run, window), kept
-    # while the run lives, under either normalizer; sharing must move no
-    # result
+    # every sweep in a process shares one factor and one column mean per
+    # (run, window), kept by `readout` while the run lives, under either
+    # normalizer; sharing must move no result
     def test_warm_runs_give_the_bytes_of_fresh_copies(self, cfg,
                                                       bending_runs,
                                                       multitask_runs):
@@ -787,17 +802,44 @@ class TestFactorMemo:
             assert len(calls) == 6
         assert second.tobytes() == first.tobytes()
 
+    @pytest.mark.parametrize("sweep", ["multitask", "mass"])
+    def test_a_second_sweep_on_the_same_runs_builds_no_design(
+            self, cfg, payload_runs, multitask_runs, sweep):
+        # the test windows' column means are kept beside the factors
+        if sweep == "multitask":
+            runs = _fresh(multitask_runs)
+
+            def call():
+                return multitask_grid(multitask_training_subsets()["3x3"],
+                                      runs, cfg.multitask_payloads).mass_error
+        else:
+            runs = _fresh(payload_runs)
+            spec = SweepSpec(task=TaskKind.PAYLOAD_MASS,
+                             subsets=nested_payload_subsets(),
+                             evaluation=payload_conditions()[1:])
+
+            def call():
+                return subset_sweep(spec, runs, cfg.payloads).error_grid
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _spy_on_designs(mp)
+            first = call()
+            assert calls
+            calls.clear()
+            second = call()
+        assert calls == []
+        assert second.tobytes() == first.tobytes()
+
     def test_an_entry_dies_with_its_run(self, cfg, bending_runs):
         run = dataclasses.replace(bending_runs[P(1, 1)])
         train_on_subset((P(1, 1),), {P(1, 1): run}, cfg.payloads,
                         TaskKind.BENDING_ANGLE, TRAIN_WINDOW)
-        assert run in sweeps._factors
+        assert run in readout._reads
         gc.collect()
-        entries, alive = len(sweeps._factors), weakref.ref(run)
+        entries, alive = len(readout._reads), weakref.ref(run)
         del run
         gc.collect()
         assert alive() is None
-        assert len(sweeps._factors) == entries - 1
+        assert len(readout._reads) == entries - 1
 
     def test_the_noisy_runs_of_a_sample_sweep_leave_nothing_behind(
             self, tmp_path, monkeypatch):
@@ -805,19 +847,19 @@ class TestFactorMemo:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         cfg = ExperimentConfig(sample_counts=(100, 400), sample_repeats=2)
         gc.collect()
-        entries, seen = len(sweeps._factors), []
-        real = sweeps._factor
+        entries, seen = len(readout._reads), []
+        real = readout._window_read
 
-        def spy(runs, cond, window):
-            seen.append(runs[cond])
-            return real(runs, cond, window)
+        def spy(series, window, means):
+            seen.append(series)
+            return real(series, window, means)
 
-        monkeypatch.setattr(sweeps, "_factor", spy)
+        monkeypatch.setattr(readout, "_window_read", spy)
         cli._sweep("samples", cfg, tmp_path, "digest")
         assert len({id(run) for run in seen}) == 2 * 13  # 13 runs a seed
         seen.clear()
         gc.collect()
-        assert len(sweeps._factors) == entries
+        assert len(readout._reads) == entries
 
     def test_windows_never_share_a_factor_and_normalizers_do(self, cfg,
                                                            bending_runs):
@@ -835,11 +877,11 @@ class TestFactorMemo:
                              {cond: run}, cfg.payloads)
 
         sweep("range")
-        memo = sweeps._factors[run]
-        assert set(memo) == set(windows)
-        for window, block in memo.items():
-            lone = window_factor(run, window)
-            for got, want in zip(block, lone):
+        assert set(_kept_windows(run, False)) == set(windows)
+        assert _kept_windows(run, True) == []
+        for window in windows:
+            lone = window_factor(dataclasses.replace(run), window)
+            for got, want in zip(readout._reads[run][window, False], lone):
                 assert np.array_equal(got, want)
         with pytest.MonkeyPatch.context() as mp:
             calls = _spy_on_factors(mp)
@@ -878,13 +920,13 @@ class TestConstantTargetsReadTheWindowsR:
         # one factor per trained condition, of its training window alone
         trained = {cond for subset, _, _ in fits for cond in subset}
         assert len(calls) == len(trained)
-        factored = {cond: list(sweeps._factors[run])
-                    for cond, run in runs.items() if run in sweeps._factors}
+        factored = {cond: _kept_windows(run, False)
+                    for cond, run in runs.items()
+                    if _kept_windows(run, False)}
         assert factored == {cond: [fits[0][1]] for cond in trained}
         alone = np.column_stack([
-            constant_score(TaskKind.PAYLOAD_MASS,
-                           window_means(runs[cond], TEST_WINDOW), w,
-                           cfg.payloads.mass_of(cond.payload_index))
+            score(TaskKind.PAYLOAD_MASS, dataclasses.replace(runs[cond]),
+                  TEST_WINDOW, w, cfg.payloads.mass_of(cond.payload_index))
             for cond in evaluation])
         assert grid.tobytes() == alone.tobytes()
 

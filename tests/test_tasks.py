@@ -77,3 +77,38 @@ class TestEstimateMass:
         w = ReadoutWeights(np.array([[42.0]] + [[0.0]] * 7), tuple(range(7)))
         series = flat_series(123.0)
         assert estimate_mass(w, series, Window(0.0, 10.0)) == pytest.approx(42.0)
+
+
+class TestMultiTaskReadouts:
+    # a stacked readout's detect and mass outputs are its columns of those
+    # names, not the mean over every column
+    def readout(self, names=("bending", "detect", "mass")):
+        bias = np.array([[30.0, -1.0, 250.0]])
+        return ReadoutWeights(np.vstack([bias, np.zeros((7, 3))]),
+                              tuple(range(7)), names)
+
+    def test_each_reads_its_own_column(self):
+        series, window = flat_series(4.0), Window(0.0, 10.0)
+        weights = self.readout()
+        assert detect_payload(weights, series, window) is PayloadStatus.PRESENT
+        assert estimate_mass(weights, series, window) == 250.0
+
+    def test_a_readout_without_the_column_is_refused(self):
+        series, window = flat_series(4.0), Window(0.0, 10.0)
+        weights = self.readout(("bending", "angle2", "mass"))
+        with pytest.raises(ValueError,
+                           match=r"tasks \['bending', 'angle2', 'mass'\] "
+                                 "has no 'detect' column"):
+            detect_payload(weights, series, window)
+        assert estimate_mass(weights, series, window) == 250.0
+        with pytest.raises(ValueError, match="has no 'mass' column"):
+            estimate_mass(self.readout(("a", "b", "c")), series, window)
+
+    def test_a_single_task_readout_keeps_its_one_column(self):
+        series, window = flat_series(4.0), Window(0.0, 10.0)
+        w = np.vstack([[[-3.0]], np.zeros((7, 1))])
+        for name in ("detect", "mass", "bending"):
+            weights = ReadoutWeights(w, tuple(range(7)), (name,))
+            assert estimate_mass(weights, series, window) == -3.0
+            assert detect_payload(weights, series,
+                                  window) is PayloadStatus.PRESENT
