@@ -35,7 +35,7 @@ from .runio import (
     write_manifest,
     write_matrix_csv,
 )
-from .surrogate import add_noise, simulate_conditions
+from .surrogate import _noise_key, add_noise, simulate_conditions
 from .sweeps import (
     SweepSpec,
     experiments,
@@ -312,13 +312,15 @@ def _sweep(kind: str, cfg: ExperimentConfig, out: Path, digest: str) -> list:
     noises the runs in place, so no noise-free run outlives its copy, and
     several each noise a copy. A kind of several writes each table X.csv as
     X_mean.csv and X_std.csv (ddof 0) over them. Each file is tagged with
-    the config hash and seed; then a manifest. Ramps that end early are
-    refused before any run."""
+    the config hash and seed; then a manifest. Ramps that end early, and
+    seeds outside the noise key's range, are refused before any run."""
     t0 = time.perf_counter()
     _check_ramps(cfg)
     reads, compute, repeats = SWEEPS[kind]
-    noise_free = _simulate(cfg, *reads(cfg))
     n = 1 if repeats is None else getattr(cfg, repeats)
+    for seed in (cfg.seed, cfg.seed + n - 1):
+        _noise_key(seed, None, 0)
+    noise_free = _simulate(cfg, *reads(cfg))
 
     def at(seeds):  # in a `fork_map` child when there are several
         return [list(compute(cfg, add_noise(

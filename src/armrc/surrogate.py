@@ -377,7 +377,10 @@ def simulate(
     seed: Optional[int] = DEFAULT_SEED,
 ) -> PressureStateSeries:
     """Run the surrogate on one actuation trace and payload mass: a batch of
-    one, plus its noise. Bit-reproducible for fixed (params, inputs, seed)."""
+    one, plus its noise. Bit-reproducible for fixed (params, inputs, seed);
+    a seed outside the noise key's range is refused before the kernel."""
+    if seed is not None:
+        _noise_key(seed, condition, params.n_nodes - 1)
     run, = simulate_batch(params, [s_in], [payload], grid,
                           conditions=[condition],
                           x0=None if x0 is None else [x0])

@@ -15,9 +15,9 @@ training window is `config.training_window`.
 Every entry point (`subset_sweep`, `sample_count_sweep`,
 `sensor_ablation_sweep`, `train_on_subset`, `multitask_grid`) describes
 its fits as (subset, window, mask) triples, made in one planning step
-(`_plan`) before any fit, which checks the runs the entry point reads and
-gives each sample count its training window. A condition's constant
-target (its mass, its detect label, or None for bending) is its `_truth`.
+(`_plan`) before any fit, which checks the runs the entry point reads
+(their grams too), gives each sample count its training window, and
+gives each condition its target per task.
 
 Every fit reads its training windows' R through `readout.window_factor`,
 which `readout` keeps per (run, window) while the run lives (README:
@@ -86,18 +86,21 @@ class SweepResult:
         return self.error_grid.mean(axis=1)
 
 
-def _plan(runs: Mapping, scored, subsets, window: Window, counts=(None,),
-          masks=(None,)) -> list:
-    """Every readout fit of a sweep as a (subset, window, mask) triple, one
-    per subset, sample count and sensor mask. It refuses a sweep of no fit
+def _plan(tasks: tuple, runs: Mapping, payloads: PayloadSet, scored,
+          subsets, window: Window, counts=(None,), masks=(None,)) -> tuple:
+    """The whole pre-fit check of a sweep: its fits as (subset, window,
+    mask) triples, one per subset, sample count and sensor mask, and each
+    condition's target per task (None for bending, its payload-set mass,
+    or the detect label of its `true_status`). It refuses a sweep of no fit
     (a `SweepSpec` of no subset is refused as it is made) or no ``scored``
-    condition (None: a lone fit), then checks each run the sweep reads, the
-    scored ones first: each has the first run's sensor count n, since a
-    readout of one arm reads no other, and, when a count is set, its
-    sample rate. A count trains on the first that many samples
-    of ``window`` on that clock (`count_window`), None on all of it; a mask
-    is normalized on n sensors (None: all). It is the only place a sweep
-    looks a run up; the fit and score code reads ``runs[cond]``."""
+    condition (None: a lone fit), then checks each run the sweep reads,
+    the scored ones first: it has the first run's sensor count n, since a
+    readout of one arm reads no other; when a count is set, its sample
+    rate; when a task has a constant target, its recorded grams (if any).
+    A count trains on the first that many samples of ``window`` on that
+    clock (`count_window`), None on all of it; a mask is normalized on n
+    sensors (None: all). It is the only place a sweep looks a run or a
+    mass up; fit and score code reads ``runs[cond]`` and the targets."""
     if scored is not None and len(scored) == 0:
         raise ValueError("evaluation set must be non-empty")
     for name, values in (("sample count", counts), ("sensor mask", masks)):
@@ -106,7 +109,8 @@ def _plan(runs: Mapping, scored, subsets, window: Window, counts=(None,),
     if not all(subsets):
         raise ValueError("need at least one condition to assemble")
     one_clock = any(count is not None for count in counts)
-    first = None
+    constant = set(tasks) - {TaskKind.BENDING_ANGLE}
+    first, targets = None, {}
     for cond in dict.fromkeys(itertools.chain(scored or (), *subsets)):
         if cond not in runs:
             raise ValueError(f"condition {cond.label} is not present in "
@@ -123,59 +127,49 @@ def _plan(runs: Mapping, scored, subsets, window: Window, counts=(None,),
                 f"a sample count needs one clock: run {cond.label} is sampled "
                 f"at {run.grid.sample_rate:g} Hz, run {first.label} at "
                 f"{head.grid.sample_rate:g} Hz")
+        truth = {TaskKind.BENDING_ANGLE: None}
+        if constant:
+            mass = payloads.mass_of(cond.payload_index)
+            if (grams := run.payload_grams) is not None and grams != mass:
+                raise ValueError(f"run {cond.label} records {grams:g} g, but "
+                                 f"the payload set gives {mass:g} g")
+            truth[TaskKind.PAYLOAD_MASS] = mass
+            truth[TaskKind.PAYLOAD_DETECT] = DETECT_LABEL[true_status(mass)]
+        targets[cond] = tuple(truth[task] for task in tasks)
     windows = [window if count is None
                else count_window(window, count, head.grid.sample_rate)
                for count in counts]
     masks = [normalize_mask(mask, head.n_sensors) for mask in masks]
     return [(subset, fit_window, mask) for subset in subsets
-            for fit_window in windows for mask in masks]
+            for fit_window in windows for mask in masks], targets
 
 
-def _truth(task: TaskKind, runs: Mapping, cond: InputCondition,
-           payloads: PayloadSet) -> Optional[float]:
-    """A condition's constant target for a task: for mass its payload-set
-    mass, which a run's recorded grams must match, for detection its
-    detect label, and for bending None (the angle trace is the target)."""
-    if task is TaskKind.BENDING_ANGLE:
-        return None
-    mass = payloads.mass_of(cond.payload_index)
-    grams = runs[cond].payload_grams
-    if grams is not None and grams != mass:
-        raise ValueError(f"run {cond.label} records {grams:g} g, but the "
-                         f"payload set gives {mass:g} g")
-    if task is TaskKind.PAYLOAD_MASS:
-        return mass
-    return DETECT_LABEL[true_status(mass)]
-
-
-def _solve(fits: Sequence, runs: Mapping, payloads: PayloadSet, tasks: tuple,
+def _solve(fits: Sequence, runs: Mapping, targets: Mapping,
            ridge: float) -> np.ndarray:
-    """Fit one readout per (subset, window, mask) of ``fits``: each
-    member's all-sensor R factor over the window (`window_factor`) with one
-    target column per task (its z for bending, c R[:, 0] for a constant
-    `_truth` c), stacked over the subset and read on the mask's `columns`,
-    with no second QR. Each distinct (condition, window) is read once,
-    before grouping, into a bank of its R shape: one (count, m, 1 + n)
-    array of R and one of target columns per shape. Fits of one stacked
-    shape (the tuple of their members' R shapes, and the mask size) share
-    one `solve_reduced` call, whose rows are one integer-array gather per
-    member position from that position's bank, joined along rows. It
-    checks no run: `_plan` has given every run one sensor count n, which
-    it reads off the R rows. Returns (len(fits), n_tasks, 1 + n) weight
-    rows, zero outside each mask."""
+    """Fit one readout per (subset, window, mask) of ``fits``: each member's
+    all-sensor R factor over the window (`window_factor`) with one column per
+    `_plan` target (its z for None, c R[:, 0] for a constant c), stacked over
+    the subset and read on the mask's `columns`, with no second QR. Each
+    distinct (condition, window) is read once, before grouping, into a bank of
+    its R shape: one (count, m, 1 + n) array of R and one of target columns per
+    shape. Fits of one stacked shape (the tuple of their members' R shapes, and
+    the mask size) share one `solve_reduced` call, whose rows are one
+    integer-array gather per member position from that position's bank, joined
+    along rows. It checks no run: `_plan` has given every run one sensor count
+    n, which it reads off the R rows. Returns (len(fits), n_tasks, 1 + n)
+    weight rows, zero outside each mask."""
     parts, banks, groups, members = {}, {}, {}, []
     for i, (subset, window, mask) in enumerate(fits):
         part, rows = parts.setdefault(window, {}), []
         for cond in subset:
             row = part.get(cond)
             if row is None:
-                truths = [_truth(t, runs, cond, payloads) for t in tasks]
                 r, z = window_factor(runs[cond], window)[:2]
                 bank = banks.setdefault(r.shape, ([], []))
                 row = part[cond] = (r.shape, len(bank[0]))
                 bank[0].append(r)
                 bank[1].append(np.column_stack([
-                    z if c is None else c * r[:, 0] for c in truths]))
+                    z if c is None else c * r[:, 0] for c in targets[cond]]))
             rows.append(row)
         shapes, at = zip(*rows)
         groups.setdefault((shapes, len(mask)), []).append(i)
@@ -206,22 +200,21 @@ def _solve(fits: Sequence, runs: Mapping, payloads: PayloadSet, tasks: tuple,
 
 
 def _sweep(task: TaskKind, fits: Sequence, evaluation, runs: Mapping,
-           payloads: PayloadSet, test_window: Window, ridge: float,
+           targets: Mapping, test_window: Window, ridge: float,
            normalizer: str) -> tuple:
     """`_solve` every single-task readout of ``fits`` and `score` them all
-    on each ``evaluation`` condition against its `_truth` in one call (a
+    on each ``evaluation`` condition against its target in one call (a
     zero payload has no mass error); returns the error grid and weights."""
     if task is TaskKind.PAYLOAD_DETECT:
         raise ValueError(f"unsupported evaluation task {task}")
-    truths = [_truth(task, runs, cond, payloads) for cond in evaluation]
-    for cond, mass in zip(evaluation, truths):
-        if mass == 0:
+    for cond in evaluation:
+        if targets[cond][0] == 0:
             raise ValueError(f"relative mass error undefined for "
                              f"zero-payload condition {cond.label}")
-    w = _solve(fits, runs, payloads, (task,), ridge)[:, 0]
+    w = _solve(fits, runs, targets, ridge)[:, 0]
     grid = np.column_stack([
-        score(task, runs[cond], test_window, w, truth, normalizer)
-        for cond, truth in zip(evaluation, truths)])
+        score(task, runs[cond], test_window, w, targets[cond][0], normalizer)
+        for cond in evaluation])
     return grid, w
 
 
@@ -235,8 +228,9 @@ def train_on_subset(
     ridge: float = 0.0,
 ):
     """Train one readout from a condition subset."""
-    (fit,) = _plan(runs, None, (subset,), window, masks=(sensor_mask,))
-    (w,) = _solve([fit], runs, payloads, (task,), ridge)
+    (fit,), targets = _plan((task,), runs, payloads, None, (subset,), window,
+                            masks=(sensor_mask,))
+    (w,) = _solve([fit], runs, targets, ridge)
     return ReadoutWeights(weights=w[:, columns(fit[2])].T,
                           sensor_mask=fit[2], task_names=(task.value,))
 
@@ -245,10 +239,11 @@ def subset_sweep(spec: SweepSpec, runs: Mapping,
                  payloads: PayloadSet) -> SweepResult:
     """Train one readout per subset and score it on every evaluation
     condition's test window."""
-    fits = _plan(runs, spec.evaluation, spec.subsets, spec.train_window,
-                 (spec.samples_per_condition,))
+    fits, targets = _plan((spec.task,), runs, payloads, spec.evaluation,
+                          spec.subsets, spec.train_window,
+                          (spec.samples_per_condition,))
     return SweepResult(_sweep(spec.task, fits, spec.evaluation, runs,
-                              payloads, spec.test_window, spec.ridge,
+                              targets, spec.test_window, spec.ridge,
                               spec.normalizer)[0])
 
 
@@ -268,9 +263,9 @@ def sample_count_sweep(
     condition, on the runs' clock, one row per count. No count, or one the
     train window does not hold, is refused before any fit; all counts are
     fitted and scored as one `_sweep`."""
-    fits = _plan(runs, evaluation, (subset,), train_window,
-                 [int(count) for count in counts])
-    return SweepResult(_sweep(task, fits, evaluation, runs, payloads,
+    fits, targets = _plan((task,), runs, payloads, evaluation, (subset,),
+                          train_window, [int(count) for count in counts])
+    return SweepResult(_sweep(task, fits, evaluation, runs, targets,
                               test_window, ridge, normalizer)[0])
 
 
@@ -300,8 +295,9 @@ def sensor_ablation_sweep(
     (absolute sensor weights normalized to 100% per mask, bias excluded).
     All masks are fitted and scored as one `_sweep`, one stack per mask
     size."""
-    fits = _plan(runs, evaluation, (subset,), train_window, masks=masks)
-    error_grid, w = _sweep(task, fits, evaluation, runs, payloads,
+    fits, targets = _plan((task,), runs, payloads, evaluation, (subset,),
+                          train_window, masks=masks)
+    error_grid, w = _sweep(task, fits, evaluation, runs, targets,
                            test_window, ridge, normalizer)
     masks = tuple(mask for _, _, mask in fits)
     share_rows = np.full((len(masks), w.shape[1] - 1), np.nan)
@@ -364,15 +360,13 @@ def multitask_grid(
     scored by `tasks.score`, as `armrc evaluate` scores a run.
     """
     cells = condition_grid(n_profiles, payloads)
-    fits = _plan(runs, cells, (training_cells,), train_window)
-    w_angle, w_detect, w_mass = _solve(fits, runs, payloads, MULTITASK_TASKS,
-                                       ridge)[0]
-    masses = np.array([_truth(TaskKind.PAYLOAD_MASS, runs, c, payloads)
-                       for c in cells])
+    fits, targets = _plan(MULTITASK_TASKS, runs, payloads, cells,
+                          (training_cells,), train_window)
+    w_angle, w_detect, w_mass = _solve(fits, runs, targets, ridge)[0]
     detect, angle_error, mass_error = np.full((3, len(cells)), np.nan)
     present = np.empty(len(cells), dtype=bool)
-    loaded = np.array([true_status(m) is PayloadStatus.PRESENT
-                       for m in masses])
+    loaded = np.array([true_status(targets[c][2]) is PayloadStatus.PRESENT
+                       for c in cells])
     for k, cond in enumerate(cells):
         run = runs[cond]
         detect[k] = score(TaskKind.PAYLOAD_DETECT, run, test_window, w_detect)
@@ -382,7 +376,7 @@ def multitask_grid(
                                    w_angle, None, normalizer)
         if present[k] and loaded[k]:
             mass_error[k] = score(TaskKind.PAYLOAD_MASS, run, test_window,
-                                  w_mass, masses[k])
+                                  w_mass, targets[cond][2])
     shape = (n_profiles, len(payloads))
     return MultitaskGridResult(
         detect_output=detect.reshape(shape),

@@ -390,9 +390,9 @@ class TestMultitaskEvaluate:
         payloads = cfg.multitask_payloads
         cells = sweeps.multitask_training_subsets()["3x3"]
         res = sweeps.multitask_grid(cells, multitask_runs, payloads)
-        fits = sweeps._plan(multitask_runs, None, (cells,), cfg.train)
-        (w,) = sweeps._solve(fits, multitask_runs, payloads,
-                             sweeps.MULTITASK_TASKS, cfg.ridge)
+        fits, targets = sweeps._plan(sweeps.MULTITASK_TASKS, multitask_runs,
+                                     payloads, None, (cells,), cfg.train)
+        (w,) = sweeps._solve(fits, multitask_runs, targets, cfg.ridge)
         weights = save_weights(tmp_path / "w.json", ReadoutWeights(
             w.T, tuple(range(7)),
             tuple(t.value for t in sweeps.MULTITASK_TASKS)))
@@ -1293,7 +1293,15 @@ class TestNoiseKeyRange:
 
 class TestSeedRange:
     # a noise key's seed word is 64 bits; a seed outside 0..2**64 - 1 would
-    # wrap onto another seed's noise while manifests record it unwrapped
+    # wrap onto another seed's noise while manifests record it unwrapped.
+    # It is refused before the kernel runs a batch.
+    @staticmethod
+    def _spy_on_batches(mp):
+        batches, real = [], surrogate.simulate_batch
+        mp.setattr(surrogate, "simulate_batch", lambda *a, **k: (
+            batches.append(a) or real(*a, **k)))
+        return batches
+
     @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
     @pytest.mark.parametrize("argv", [
         ["simulate"],
@@ -1304,28 +1312,31 @@ class TestSeedRange:
         ["sweep", "multitask"],
     ], ids=lambda argv: "-".join(a for a in argv[:2] if a[0] != "-"))
     def test_is_one_error_line_and_publishes_nothing(self, argv, seed,
-                                                     tmp_path, capsys):
+                                                     tmp_path, capsys,
+                                                     monkeypatch):
         cfg = tmp_path / "small.yaml"
         cfg.write_text(SMALL_RUNS + "sample_repeats: 2\n")
         out = tmp_path / ("w.json" if argv[0] == "train" else "out")
+        batches = self._spy_on_batches(monkeypatch)
         rc = main(argv + [f"--seed={seed}", "--config", str(cfg),
                           "--out", str(out), "--quiet"])
         err = capsys.readouterr().err
-        assert rc == 1
+        assert (rc, batches) == (1, [])
         assert err == f"error: seed {seed} is outside the noise key's range " \
                       "0..2**64 - 1\n"
         assert not out.exists() or [p for p in out.rglob("*")
                                     if p.is_file()] == []
 
     def test_a_samples_seed_is_refused_when_a_repeat_leaves_the_range(
-            self, tmp_path, capsys):
+            self, tmp_path, capsys, monkeypatch):
         # repeat r draws at seed + r: r = 2 would wrap onto seed 0
         cfg = tmp_path / "small.yaml"
         cfg.write_text(SMALL_RUNS + "sample_repeats: 3\n")
         out = tmp_path / "out"
+        batches = self._spy_on_batches(monkeypatch)
         rc = main(["sweep", "samples", f"--seed={(1 << 64) - 2}", "--config",
                    str(cfg), "--out", str(out), "--quiet"])
-        assert rc == 1
+        assert (rc, batches) == (1, [])
         assert capsys.readouterr().err == (
             f"error: seed {1 << 64} is outside the noise key's range "
             "0..2**64 - 1\n")

@@ -278,6 +278,16 @@ class TestNoiseKey:
                                 PayloadSet(), SHORT, [InputCondition(1, 1)],
                                 seed=-1)
 
+    @pytest.mark.parametrize("seed", [-1, 1 << 64])
+    def test_simulate_refuses_a_seed_before_the_kernel(self, seed,
+                                                      monkeypatch):
+        batches, real = [], surrogate.simulate_batch
+        monkeypatch.setattr(surrogate, "simulate_batch", lambda *a, **k: (
+            batches.append(a) or real(*a, **k)))
+        with pytest.raises(ValueError, match=f"seed {seed} is outside"):
+            simulate(SurrogateParams(), P1[:40], 0.0, SHORT, seed=seed)
+        assert batches == []
+
     @pytest.mark.parametrize("seed", [0, (1 << 64) - 1])
     def test_the_end_seeds_are_accepted(self, seed):
         assert _noise_stream(_generator(), seed, InputCondition(1, 1), 0, 4,

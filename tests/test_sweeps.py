@@ -895,13 +895,16 @@ class TestConstantTargetsReadTheWindowsR:
     @pytest.mark.parametrize("ridge", [0.0, 1e-3])
     def test_mass_and_detect_weights_equal_the_multitask_solves(
             self, cfg, payload_runs, ridge):
-        fits = sweeps._plan(payload_runs, None, nested_payload_subsets(),
-                            TRAIN_WINDOW, (10, 100, None), (None, (4, 5, 6)))
+        def solve(tasks):
+            fits, targets = sweeps._plan(
+                tasks, payload_runs, cfg.payloads, None,
+                nested_payload_subsets(), TRAIN_WINDOW, (10, 100, None),
+                (None, (4, 5, 6)))
+            return sweeps._solve(fits, _fresh(payload_runs), targets, ridge)
+
         constant = (TaskKind.PAYLOAD_MASS, TaskKind.PAYLOAD_DETECT)
-        alone = sweeps._solve(fits, _fresh(payload_runs), cfg.payloads,
-                              constant, ridge)
-        full = sweeps._solve(fits, _fresh(payload_runs), cfg.payloads,
-                             (TaskKind.BENDING_ANGLE, *constant), ridge)
+        alone = solve(constant)
+        full = solve((TaskKind.BENDING_ANGLE, *constant))
         assert alone.tobytes() == full[:, 1:].tobytes()
 
     @pytest.mark.parametrize("count", [100, None])
@@ -910,13 +913,13 @@ class TestConstantTargetsReadTheWindowsR:
         # a mass cell's score reads only its test window's column means
         # (`readout.window_means`)
         runs, evaluation = _fresh(payload_runs), payload_conditions()[1:]
-        fits = sweeps._plan(runs, evaluation, nested_payload_subsets(),
-                            TRAIN_WINDOW, (count,))
+        fits, targets = sweeps._plan(
+            (TaskKind.PAYLOAD_MASS,), runs, cfg.payloads, evaluation,
+            nested_payload_subsets(), TRAIN_WINDOW, (count,))
         with pytest.MonkeyPatch.context() as mp:
             calls = _spy_on_factors(mp)
             grid, w = sweeps._sweep(TaskKind.PAYLOAD_MASS, fits, evaluation,
-                                    runs, cfg.payloads, TEST_WINDOW, 0.0,
-                                    "range")
+                                    runs, targets, TEST_WINDOW, 0.0, "range")
         # one factor per trained condition, of its training window alone
         trained = {cond for subset, _, _ in fits for cond in subset}
         assert len(calls) == len(trained)
@@ -956,6 +959,38 @@ class TestTruthMass:
         with pytest.raises(ValueError, match=r"P1M5.* 400 g.* 500 g"):
             multitask_grid(multitask_training_subsets()["2x2"],
                            multitask_runs, payloads)
+
+    # `_plan` refuses other grams before the first fit: no factor, no solve
+    def _spy_on_fits(self, mp):
+        solves, real = [], sweeps.solve_reduced
+        mp.setattr(sweeps, "solve_reduced",
+                   lambda *args: solves.append(args) or real(*args))
+        return _spy_on_factors(mp), solves
+
+    def test_a_training_run_is_refused_before_any_fit(self, cfg,
+                                                      payload_runs):
+        # the family M2, M4, M7: the lone fit reads M7 last
+        spec = SweepSpec(task=TaskKind.PAYLOAD_MASS,
+                         subsets=(nested_payload_subsets()[1],),
+                         evaluation=(P(1, 3),))
+        payloads = PayloadSet((*cfg.payloads.masses[:-1], 250.0))
+        with pytest.MonkeyPatch.context() as mp:
+            factors, solves = self._spy_on_fits(mp)
+            with pytest.raises(ValueError, match=r"P1M7.* 300 g.* 250 g"):
+                subset_sweep(spec, _fresh(payload_runs), payloads)
+        assert (len(factors), len(solves)) == (0, 0)
+
+    def test_a_scored_multitask_cell_is_refused_before_any_fit(
+            self, multitask_runs):
+        # P1M3 is scored but not in the 2x2 training cells
+        cells = multitask_training_subsets()["2x2"]
+        assert P(1, 3) not in cells
+        payloads = PayloadSet((0.0, 100.0, 250.0, 300.0, 400.0))
+        with pytest.MonkeyPatch.context() as mp:
+            factors, solves = self._spy_on_fits(mp)
+            with pytest.raises(ValueError, match=r"P1M3.* 200 g.* 250 g"):
+                multitask_grid(cells, _fresh(multitask_runs), payloads)
+        assert (len(factors), len(solves)) == (0, 0)
 
     def test_runs_of_unknown_grams_take_the_payload_set_s(self, cfg,
                                                           payload_runs):
