@@ -3,6 +3,8 @@
 Subcommands: simulate, train, evaluate, sweep, correlate. Exit status 0 on
 success, 1 with a machine-parsable ``error: ...`` line on failure, 2 on
 usage errors. Each ``sweep`` kind is one `SWEEPS` entry, run by `_sweep`.
+A forked child inherits the modules it uses (`_preload`); a successful
+`armrc simulate` leaves ``runs/`` holding exactly its manifest's files.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import argparse
 import dataclasses
 import errno
 import functools
+import importlib
 import shutil
 import sys
 import tempfile
@@ -76,17 +79,18 @@ def _say(args, text) -> None:
 
 
 def _publish(staging: Path, out: Path, names: list) -> None:
-    """Move the ``names`` written under ``staging`` into ``out/runs``: all
-    of them, or, when one cannot move, none (those moved are removed). A
-    non-file in the way is refused before anything moves, so an earlier
-    run's files stay; the earlier manifest goes before the first move, as
-    from then on it no longer describes ``runs/``."""
+    """Move the ``names`` written under ``staging`` into ``out/runs``, and
+    then remove every other file there, so that ``runs/`` holds exactly
+    ``names``: all of them, or, when one cannot move, none (those moved are
+    removed). A non-file in ``runs/`` is refused before anything moves, so
+    an earlier run's files stay; the earlier manifest goes before the first
+    move, as from then on it no longer describes ``runs/``."""
     runs = out / "runs"
     runs.mkdir(exist_ok=True)
-    for name in names:
-        if (runs / name).exists() and not (runs / name).is_file():
+    for path in sorted(runs.iterdir()):
+        if path.exists() and not path.is_file():
             raise FileExistsError(errno.EEXIST, "not a file, in the way",
-                                  str(runs / name))
+                                  str(path))
     (out / "manifest.json").unlink(missing_ok=True)
     moved = []
     try:
@@ -97,6 +101,17 @@ def _publish(staging: Path, out: Path, names: list) -> None:
         for path in moved:
             path.unlink()
         raise
+    for path in set(runs.iterdir()).difference(moved):  # an earlier grid's
+        path.unlink()
+
+
+def _preload(cfg: ExperimentConfig, *modules: str) -> None:
+    """Import ``modules``, and ``numpy.random`` when ``cfg`` draws noise,
+    before `fork_map`, so that no forked child imports them itself."""
+    if cfg.surrogate.noise_std > 0:
+        modules += ("numpy.random",)
+    for name in modules:
+        importlib.import_module(name)
 
 
 def cmd_simulate(args) -> int:
@@ -104,6 +119,7 @@ def cmd_simulate(args) -> int:
     digest = config_digest(cfg)
     out = Path(args.out)
     t0 = time.perf_counter()
+    _preload(cfg, "orjson")
     out.mkdir(parents=True, exist_ok=True)
     # the children write here; runs/ receives every file or, on an error, none
     staging = Path(tempfile.mkdtemp(prefix=".runs-", dir=out))
@@ -321,6 +337,7 @@ def _sweep(kind: str, cfg: ExperimentConfig, out: Path, digest: str) -> list:
     for seed in (cfg.seed, cfg.seed + n - 1):
         _noise_key(seed, None, 0)
     noise_free = _simulate(cfg, *reads(cfg))
+    _preload(cfg)
 
     def at(seeds):  # in a `fork_map` child when there are several
         return [list(compute(cfg, add_noise(

@@ -4,9 +4,11 @@ hands them to `core.fork_map`, whose children write their own shares.
 
 Run CSVs hold each float as its shortest round-trip decimal (``orjson``'s
 Ryu writer), so export followed by ingest reproduces every float
-bit-for-bit. Ingest parses rows of plain JSON numbers with ``orjson``, one
-flat list per 64 KiB block, and any other text with ``np.loadtxt``: the
-same floats and the same errors either way (`_read_rows`). Each artifact
+bit-for-bit. Export dumps each block of rows as one flat list and cuts it
+into rows with one byte scan (`export_run`). Ingest parses rows of plain
+JSON numbers with ``orjson``, one flat list per 64 KiB block, and any
+other text with ``np.loadtxt``: the same floats and the same errors either
+way (`_read_rows`). Each artifact
 embeds the config hash and seed for provenance; wall-clock timestamps
 appear only in manifests so output trees stay byte-reproducible.
 """
@@ -37,8 +39,10 @@ WEIGHTS_FORMAT = "armrc-weights-v1"
 # tolerance (seconds) for an ingested time column's spacing and for its
 # first time stamp against the sidecar's t0
 CLOCK_TOLERANCE = 1e-6
-# run rows per orjson call: a run's whole text is never held, only its floats
+# run rows per orjson call, each block dumped as one flat list and cut into
+# rows by one byte scan: a run's whole text is never held, only its floats
 _ROWS_PER_WRITE = 256
+_COMMA, _NEWLINE = b",\n"
 # every byte of a plain JSON number; a body's other bytes are its row shape
 _VALUE_BYTES = b"0123456789.eE+-"
 
@@ -74,15 +78,23 @@ def export_run(series: PressureStateSeries, csv_path, *,
     csv_path.parent.mkdir(parents=True, exist_ok=True)
     columns = np.ascontiguousarray(np.column_stack(  # orjson needs C order
         [series.grid.times(), series.s_in, series.sensors.T, series.theta]))
+    width = columns.shape[1]
     with open(csv_path, "wb") as fh:
         fh.write(",".join(["t", *trace_columns(series.n_sensors)]).encode()
                  + b"\n")
         for k in range(0, len(columns), _ROWS_PER_WRITE):
-            text = orjson.dumps(columns[k:k + _ROWS_PER_WRITE],
-                                option=orjson.OPT_SERIALIZE_NUMPY)
-            # [[a,b],[c,d]] -> a,b\nc,d\n; no NaN, which orjson writes as
-            # null, reaches here: a series holds finite floats
-            fh.write(b"\n".join(text[2:-2].split(b"],[")) + b"\n")
+            # [a,b,c,d] -> a,b\nc,d\n at width 2, the bytes of a 2-D dump
+            # split at its rows: every width-th comma and the closing
+            # bracket become newlines in place, and the opening one is not
+            # written. No NaN, which orjson writes as null, reaches here: a
+            # series holds finite floats
+            text = bytearray(orjson.dumps(
+                columns[k:k + _ROWS_PER_WRITE].ravel(),
+                option=orjson.OPT_SERIALIZE_NUMPY))
+            chars = np.frombuffer(text, np.uint8)
+            chars[np.flatnonzero(chars == _COMMA)[width - 1::width]] = _NEWLINE
+            chars[-1] = _NEWLINE
+            fh.write(memoryview(text)[1:])
     _write_json(sidecar_path(csv_path), {
         "format": RUN_FORMAT,
         "sample_rate": series.grid.sample_rate,

@@ -38,7 +38,8 @@ depend on simulation order; ``seed=None`` gives noise-free runs, and a
 seed outside 0..2**64 - 1 is refused rather than wrapped. Noise
 never feeds back into the states, so it enters in one step after the
 kernel: `add_noise` puts each run's `_noise_blocks` block into a batch of
-noise-free runs, and one noise-free run serves every seed.
+noise-free runs, and one noise-free run serves every seed. A block is
+drawn standard-normal and scaled in place, with ``normal``'s bits.
 
 One noise-free kernel, `simulate_batch`, steps all runs of a call
 together; every other entry point is a thin call into it. A run's bits do
@@ -74,7 +75,9 @@ from .profiles import RampProfileSpec, generate_profile
 U_PAYLOAD_REF = 15.0
 
 # Time steps buffered between flushes into the per-run state arrays: short,
-# so the buffers stay small next to the runs themselves.
+# so the buffers stay small next to the runs themselves. (At 128, a chunk's
+# drive temporaries for 25 runs pass glibc's 128 KiB mmap threshold: a
+# fresh process then faults in three times the pages.)
 _CHUNK = 64
 
 
@@ -192,32 +195,35 @@ def _noise_key(seed: int, condition: Optional[InputCondition],
     return [seed, (ci << 32) | (cj << 16) | (sensor + 1)]
 
 
-def _noise_stream(gen: np.random.Generator, seed: int,
-                  condition: Optional[InputCondition], sensor: int,
-                  n_samples: int, noise_std: float) -> np.ndarray:
-    """``sensor``'s noise under ``condition`` at ``seed``, from ``gen``
-    re-keyed at counter 0 with an empty buffer: the draws of a fresh
-    ``Generator(Philox(key=...))``, whatever ``gen`` drew before."""
+def _rekey(gen: np.random.Generator, seed: int,
+           condition: Optional[InputCondition], sensor: int) -> None:
+    """Re-key ``gen`` to ``sensor``'s noise stream under ``condition`` at
+    ``seed``, at counter 0 with an empty buffer: it then draws what a fresh
+    ``Generator(Philox(key=...))`` draws, whatever it drew before."""
     key = _noise_key(seed, condition, sensor)
     gen.bit_generator.state = {
         "bit_generator": "Philox", "buffer_pos": 4, "has_uint32": 0,
         "uinteger": 0, "buffer": np.zeros(4, dtype=np.uint64),
         "state": {"counter": np.zeros(4, dtype=np.uint64),
                   "key": np.array(key, dtype=np.uint64)}}
-    return gen.normal(0.0, noise_std, n_samples)
 
 
 def _noise_blocks(params: SurrogateParams, runs: Mapping, seed: int):
-    """Each of ``runs``' sensor noise at ``seed``, in order, row m sensor
-    m's `_noise_stream` under the run's condition, from one generator
-    re-keyed per sensor: building a Philox costs a fifth of a 4000-sample
-    stream."""
+    """Each of ``runs``' sensor noise at ``seed``, in order: one (n_sensors,
+    T) block per run, row m ``normal(0.0, noise_std, T)`` of sensor m's
+    stream under the run's condition, from one generator re-keyed per
+    sensor (building a Philox costs a fifth of a 4000-sample stream). Rows
+    are drawn standard-normal in place, then scaled and shifted by 0.0 as
+    ``normal``'s ``loc + scale * z``: its bits, signed zeros included."""
     gen = np.random.Generator(np.random.Philox(0))
     for run in runs.values():
-        n_sensors, n_samples = run.sensors.shape
-        yield np.array([_noise_stream(gen, seed, run.condition, m,
-                                      n_samples, params.noise_std)
-                        for m in range(n_sensors)])
+        block = np.empty(run.sensors.shape)
+        for m, row in enumerate(block):
+            _rekey(gen, seed, run.condition, m)
+            gen.standard_normal(out=row)
+        with np.errstate(over="ignore"):  # as ``normal``, on a huge std
+            np.multiply(block, params.noise_std, out=block)
+        yield np.add(block, 0.0, out=block)
 
 
 def add_noise(params: SurrogateParams, runs: dict,
@@ -306,6 +312,9 @@ def _advance(params: SurrogateParams, traces: list, masses: Sequence[float],
     steps = [(windows[k], terms[k, :slots], gain[k], x[k], terms[k, slots],
               terms[k], x[k + 1]) for k in range(_CHUNK)]
     states = [np.empty((n, n_samples)) for _ in traces]
+    # gain's memory, read by no step once a chunk's steps are done
+    chunk = gain.reshape(n_runs, n, _CHUNK)
+    multiply, reduce = np.multiply, np.add.reduce  # looked up once a call
     for k0 in range(0, n_samples, _CHUNK):
         k1 = min(k0 + _CHUNK, n_samples)
         phi = phi_u[idx, k0:k1].T[:, None, :]
@@ -313,11 +322,13 @@ def _advance(params: SurrogateParams, traces: list, masses: Sequence[float],
                           + pg * (rho * v_u[idx, k0:k1].T)[:, None, :])
         terms[:k1 - k0, slots + 1] = ig * s_u[idx, k0:k1].T[:, None, :]
         for window, coupled, g, xk, gained, summands, nxt in steps[:k1 - k0]:
-            np.multiply(band, window, out=coupled)
-            np.multiply(g, xk, out=gained)
-            np.add.reduce(summands, axis=0, out=nxt)
-        for b, st in enumerate(states):
-            st[:, k0:k1] = x[1:k1 - k0 + 1, :, b].T
+            multiply(band, window, coupled)
+            multiply(g, xk, gained)
+            reduce(summands, 0, None, nxt)
+        # one transposing copy of the chunk, then a contiguous one per run
+        chunk[:, :, :k1 - k0] = x[1:k1 - k0 + 1].transpose(2, 1, 0)
+        for st, rows in zip(states, chunk):
+            st[:, k0:k1] = rows[:, :k1 - k0]
         hist[0] = hist[k1 - k0]
     return states
 

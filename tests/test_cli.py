@@ -220,6 +220,40 @@ class TestSimulatePool:
         assert not (out / "runs" / "P1M1.csv").exists()
         assert (out / "runs" / "P7M7.csv").exists()
 
+    def test_a_second_grid_leaves_only_its_own_runs(self, small, tmp_path,
+                                                    monkeypatch, capsys):
+        out, fresh = tmp_path / "out", tmp_path / "fresh"
+        assert self._simulate(out, small, 2, monkeypatch) == [
+            "_map_share"] * 2
+        two = tmp_path / "two.yaml"
+        two.write_text(SMALL_RUNS + "payloads: [0.0, 100.0, 200.0]\n"
+                       "profiles:\n  - {u_min: 1.0, u_max: 32.25}\n"
+                       "  - {u_min: 3.5, u_max: 34.75}\n")
+        for target in (out, fresh):
+            self._simulate(target, two, 2, monkeypatch)
+        files, outputs = _tree(out)
+        assert sorted(map(str, files)) == outputs and len(outputs) == 12
+        assert _tree(out) == _tree(fresh)
+        # no run of the earlier grid is left to be read beside the new ones
+        capsys.readouterr()
+        assert main(["correlate", "--runs", str(out / "runs" / "P1M1.csv"),
+                     str(out / "runs" / "P7M7.csv")]) == 1
+        assert "P7M7" in capsys.readouterr().err
+
+    def test_a_stray_directory_in_runs_is_refused_before_anything_moves(
+            self, small, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "out"
+        assert self._simulate(out, small, 2, monkeypatch) == [
+            "_map_share"] * 2
+        (out / "runs" / "notes").mkdir()
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        self._simulate(out, small, 2, monkeypatch, status=1)
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "notes" in err
+        assert {p: p.read_bytes()
+                for p in out.rglob("*") if p.is_file()} == before
+
     def test_a_run_path_in_the_way_leaves_no_traceback(self, small, tmp_path):
         out = tmp_path / "out"
         (out / "runs" / "P3M4.csv").mkdir(parents=True)
@@ -236,6 +270,33 @@ class TestSimulatePool:
         assert proc.returncode == 0, proc.stderr
         assert [line for line in proc.stdout.splitlines()
                 if "wrote 49 runs" in line] == [proc.stdout.strip()]
+
+
+class TestPreload:
+    # the modules a forked child uses are imported before `fork_map`, so
+    # that each child inherits them rather than importing them itself
+    @pytest.mark.parametrize("argv, modules", [
+        (["simulate"], ["numpy.random", "orjson"]),
+        (["sweep", "samples"], ["numpy.random"]),
+    ], ids=["simulate", "samples"])
+    def test_a_childs_modules_are_imported_before_the_fork(
+            self, argv, modules, tmp_path):
+        cfg = tmp_path / "small.yaml"
+        cfg.write_text(SMALL_RUNS + "sample_repeats: 3\n")
+        code = (
+            "import os, sys\n"
+            "os.sched_getaffinity = lambda pid: {0, 1}\n"
+            "from armrc import cli\n"
+            "real = cli.fork_map\n"
+            "def spy(fn, items):\n"
+            f"    print([m for m in {modules!r} if m not in sys.modules])\n"
+            "    return real(fn, items)\n"
+            "cli.fork_map = spy\n"
+            "sys.exit(cli.main(sys.argv[1:]))\n")
+        proc = _python(code, argv + ["--config", str(cfg), "--out",
+                                     str(tmp_path / "out"), "--quiet"])
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
 
 class TestSamplesPool:

@@ -142,6 +142,45 @@ class TestExportBlocks:
             grid=grid, s_in=s_in + 3, sensors=np.vstack([s_in] * 3) / 3,
             theta=-s_in, condition=InputCondition(3, 1)))
 
+    # text whose value count is a multiple of the width, or one past it,
+    # at every row-block edge: the last comma of a block, and the first
+    # of the next, are where a flat list's rows are cut
+    EDGE_VALUES = (-0.0, 5e-324, 1.7976931348623157e308, 1e-7, 1e16)
+
+    @pytest.mark.parametrize("n_rows", [1, 255, 256, 257, 513])
+    def test_the_text_at_block_edges_is_the_row_dump_and_reads_back(
+            self, n_rows, tmp_path):
+        rng = np.random.default_rng(n_rows)
+        for n_sensors in range(0, 10):  # widths 3..12
+            values = rng.choice(self.EDGE_VALUES + (0.25, -3.0, 41.0),
+                                (n_sensors + 2, n_rows))
+            run = PressureStateSeries(
+                grid=TimeGrid(n_samples=n_rows), s_in=values[0],
+                sensors=values[1:-1], theta=values[-1])
+            path = export_run(run, tmp_path / f"run{n_sensors}.csv")
+            header, body = path.read_bytes().split(b"\n", 1)
+            assert body == _row_dump(np.column_stack(
+                [run.grid.times(), run.s_in, run.sensors.T, run.theta]))
+            if n_sensors == 0:  # a sidecar of no sensors is not read
+                continue
+            back = ingest_run(path)
+            for name in ("s_in", "sensors", "theta"):
+                assert (getattr(back, name).tobytes()
+                        == getattr(run, name).tobytes())
+
+
+def _row_dump(columns) -> bytes:
+    """Run CSV rows as a 2-D orjson dump of 256 rows at a time, split at
+    each row: an independent oracle of the flat-list formatting."""
+    import orjson
+
+    text = b""
+    for k in range(0, len(columns), 256):
+        rows = orjson.dumps(np.ascontiguousarray(columns[k:k + 256]),
+                            option=orjson.OPT_SERIALIZE_NUMPY)
+        text += b"\n".join(rows[2:-2].split(b"],[")) + b"\n"
+    return text
+
 
 class TestIngestValidation:
     def _write(self, tmp_path, mutate):

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 import weakref
 from types import SimpleNamespace
 
@@ -17,7 +18,7 @@ from armrc.readout import correlation_matrix
 from reference import fresh_draws, states
 from armrc.surrogate import (
     SurrogateParams,
-    _noise_stream,
+    _rekey,
     add_noise,
     echo_check,
     simulate,
@@ -32,8 +33,15 @@ P1 = generate_profile(default_profile_family()[0], GRID)
 
 
 def _generator():
-    """A generator for `_noise_stream`, which re-keys it before each draw."""
+    """A generator for `_stream`, which re-keys it before each draw."""
     return np.random.Generator(np.random.Philox(0))
+
+
+def _stream(gen, seed, cond, sensor, n, std):
+    """``normal(0.0, std, n)`` from ``gen`` once `_rekey` has keyed it to
+    ``sensor``'s stream under ``cond`` at ``seed``."""
+    _rekey(gen, seed, cond, sensor)
+    return gen.normal(0.0, std, n)
 
 
 class TestValidation:
@@ -237,19 +245,19 @@ class TestNoiseKey:
 
     def test_sensor_index_beyond_16_bits_is_refused(self):
         with pytest.raises(ValueError, match="P1M1 sensor s65536 "):
-            _noise_stream(_generator(), 7, InputCondition(1, 1),
-                          (1 << 16) - 1, 4, 1.0)
+            _stream(_generator(), 7, InputCondition(1, 1), (1 << 16) - 1,
+                    4, 1.0)
 
     def test_largest_in_range_indices_are_accepted(self):
         cond = InputCondition((1 << 32) - 1, (1 << 16) - 1)
-        assert _noise_stream(_generator(), 7, cond, (1 << 16) - 2, 4,
-                             1.0).shape == (4,)
+        assert _stream(_generator(), 7, cond, (1 << 16) - 2, 4,
+                       1.0).shape == (4,)
 
     def test_in_range_keys_are_unchanged(self):
         key = np.array([7, (3 << 32) | (4 << 16) | 3], dtype=np.uint64)
         expected = np.random.Generator(np.random.Philox(key=key)).normal(
             0.0, 0.5, 16)
-        got = _noise_stream(_generator(), 7, InputCondition(3, 4), 2, 16, 0.5)
+        got = _stream(_generator(), 7, InputCondition(3, 4), 2, 16, 0.5)
         assert np.array_equal(got, expected)
 
     def test_noise_free_runs_need_no_key(self):
@@ -290,8 +298,8 @@ class TestNoiseKey:
 
     @pytest.mark.parametrize("seed", [0, (1 << 64) - 1])
     def test_the_end_seeds_are_accepted(self, seed):
-        assert _noise_stream(_generator(), seed, InputCondition(1, 1), 0, 4,
-                             1.0).tobytes() == fresh_draws(
+        assert _stream(_generator(), seed, InputCondition(1, 1), 0, 4,
+                       1.0).tobytes() == fresh_draws(
             seed, InputCondition(1, 1), 0, 4, 1.0).tobytes()
 
 
@@ -312,7 +320,7 @@ class TestRekeyedNoise:
         for seed, cond, sensor, n, std, stray in draws:
             # 32-bit draws in between: an odd count leaves half a word cached
             gen.integers(0, 2**32, size=stray, dtype=np.uint32)
-            got = _noise_stream(gen, seed, cond, sensor, n, std)
+            got = _stream(gen, seed, cond, sensor, n, std)
             assert got.tobytes() == fresh_draws(seed, cond, sensor, n,
                                                  std).tobytes()
 
@@ -321,12 +329,12 @@ class TestRekeyedNoise:
         gen = _generator()
         cond = InputCondition(2, 3)
         if before == "odd-length":
-            _noise_stream(gen, 5, cond, 0, 3, 1.0)
+            _stream(gen, 5, cond, 0, 3, 1.0)
             assert gen.bit_generator.state["buffer_pos"] != 4
         else:
             gen.integers(0, 2**32, size=1, dtype=np.uint32)
             assert gen.bit_generator.state["has_uint32"] == 1
-        got = _noise_stream(gen, 5, cond, 1, 9, 0.3)
+        got = _stream(gen, 5, cond, 1, 9, 0.3)
         assert got.tobytes() == fresh_draws(5, cond, 1, 9, 0.3).tobytes()
 
     def test_add_noise_draws_each_sensor_from_its_own_fresh_stream(self):
@@ -568,6 +576,43 @@ class TestNoise:
             assert noisy[cond].condition == cond
             assert noisy[cond].payload_grams == run.payload_grams
             assert not noisy[cond].sensors.flags.writeable
+
+    @settings(max_examples=60, deadline=None)
+    @given(noise_std=st.floats(0.0, 5.0, exclude_min=True) | st.sampled_from(
+               [5e-324, 1e-310, 1e-160, 1e300, 1.7976931348623157e308]),
+           n_sensors=st.integers(1, 9), n_samples=st.integers(1, 40),
+           seed=st.integers(0, 2**64 - 1), data=st.data())
+    def test_each_stream_is_the_sensors_plus_a_fresh_normal_draw(
+            self, noise_std, n_sensors, n_samples, seed, data):
+        # a fresh Generator(Philox(key)).normal(0.0, std) per stream, to the
+        # bit: a tiny std draws signed zeros, which land on -0.0 sensors; a
+        # huge one overflows to an infinite sample, which the run refuses
+        params = dataclasses.replace(SurrogateParams(), noise_std=noise_std)
+        conds = data.draw(st.lists(
+            st.none() | st.builds(InputCondition, st.integers(1, 2**31),
+                                  st.integers(1, 2**15)),
+            min_size=1, max_size=3, unique=True))
+        grid = TimeGrid(n_samples=n_samples)
+        cell = st.sampled_from([-0.0, 0.0]) | st.floats(-50.0, 50.0)
+        runs = {cond: core.PressureStateSeries(
+            grid=grid, s_in=np.zeros(n_samples), theta=np.zeros(n_samples),
+            sensors=np.reshape(data.draw(st.lists(
+                cell, min_size=n_sensors * n_samples,
+                max_size=n_sensors * n_samples)), (n_sensors, n_samples)),
+            condition=cond) for cond in conds}
+        expected = {cond: np.array([
+            run.sensors[m] + fresh_draws(seed, cond, m, n_samples, noise_std)
+            for m in range(n_sensors)]) for cond, run in runs.items()}
+        with warnings.catch_warnings():  # no overflow warning before it
+            warnings.simplefilter("error", RuntimeWarning)
+            if not all(np.isfinite(e).all() for e in expected.values()):
+                with pytest.raises(ValueError, match="non-finite value"):
+                    add_noise(params, runs, seed)
+                return
+            noisy = add_noise(params, runs, seed)
+        for cond, run in noisy.items():
+            for m in range(n_sensors):
+                assert run.sensors[m].tobytes() == expected[cond][m].tobytes()
 
     def test_a_noisy_batch_builds_one_generator_and_each_run_twice(
             self, monkeypatch):
