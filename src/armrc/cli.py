@@ -2,9 +2,10 @@
 
 Subcommands: simulate, train, evaluate, sweep, correlate. Exit status 0 on
 success, 1 with a machine-parsable ``error: ...`` line on failure, 2 on
-usage errors. Each ``sweep`` kind is one `SWEEPS` entry, run by `_sweep`.
-A forked child inherits the modules it uses (`_preload`); a successful
-`armrc simulate` leaves ``runs/`` holding exactly its manifest's files.
+usage errors. Each ``sweep`` kind is one `sweeps.SWEEPS` entry; `_sweep`
+checks, seeds, noises, forks and writes every kind. A forked child
+inherits the modules it uses (`_preload`); a successful `armrc simulate`
+leaves ``runs/`` holding exactly its manifest's files.
 """
 
 from __future__ import annotations
@@ -39,17 +40,7 @@ from .runio import (
     write_matrix_csv,
 )
 from .surrogate import _noise_key, add_noise, simulate_conditions
-from .sweeps import (
-    SweepSpec,
-    experiments,
-    multitask_grid,
-    multitask_training_subsets,
-    sample_count_sweep,
-    sensor_ablation_sweep,
-    subset_sweep,
-    tip_sensor_masks,
-    train_on_subset,
-)
+from .sweeps import SWEEPS, train_on_subset
 from .tasks import PayloadStatus, TaskKind, payload_status, score, true_status
 
 HARDWARE_NOTE = ("percent errors are surrogate results; hardware-measured "
@@ -212,99 +203,6 @@ def _simulate(cfg: ExperimentConfig, conditions, payloads=None, seed=None):
     return simulate_conditions(
         cfg.surrogate, cfg.profiles, payloads or cfg.payloads, cfg.grid,
         conditions, seed=seed)
-
-
-def _experiment_runs(cfg: ExperimentConfig) -> tuple:
-    """Both experiments' conditions, as `_simulate` arguments."""
-    return ([c for exp in experiments(cfg).values() for c in exp.conditions],
-            cfg.payloads)
-
-
-def _multitask_runs(cfg: ExperimentConfig) -> tuple:
-    """The multitask grid's runs; fewer than 2 profiles is refused here,
-    before any run is simulated."""
-    n_profiles, payloads = len(cfg.profiles), cfg.multitask_payloads
-    if n_profiles < 2:
-        raise ValueError("the multitask 2x2 geometry trains on P1+Pn and needs "
-                         f"at least 2 profiles; the config has {n_profiles}")
-    return condition_grid(n_profiles, payloads), payloads
-
-
-def _condition_tables(cfg: ExperimentConfig, runs: dict):
-    """Every experiment's families, each one `subset_sweep`."""
-    for name, exp in experiments(cfg).items():
-        for family, subsets in exp.families.items():
-            spec = SweepSpec(
-                task=exp.task, subsets=subsets, evaluation=exp.evaluation,
-                train_window=training_window(cfg, exp.task),
-                test_window=cfg.test, ridge=cfg.ridge,
-                normalizer=cfg.normalizer)
-            yield (f"{name}_{family}.csv",
-                   subset_sweep(spec, runs, cfg.payloads).error_grid,
-                   ["+".join(c.label for c in s) for s in subsets],
-                   [c.label for c in exp.evaluation], {"task": exp.task.value})
-
-
-def _sample_tables(cfg: ExperimentConfig, runs: dict):
-    """Both experiments' `sample_count_sweep`s, on the whole train window."""
-    rows = [str(c) for c in cfg.sample_counts]
-    for name, exp in experiments(cfg).items():
-        res = sample_count_sweep(
-            exp.task, cfg.sample_counts, exp.subset, exp.evaluation, runs,
-            cfg.payloads, train_window=cfg.train, test_window=cfg.test,
-            ridge=cfg.ridge, normalizer=cfg.normalizer)
-        yield (f"{name}_sample_counts.csv", res.error_grid, rows,
-               [c.label for c in exp.evaluation], {"task": name})
-
-
-def _sensor_tables(cfg: ExperimentConfig, runs: dict):
-    n = cfg.surrogate.n_nodes
-    masks = (tuple(range(n)),) + tip_sensor_masks(n)
-    names = trace_columns(n)[1:-1]
-    rows = ["+".join(names[m] for m in mask) for mask in masks]
-    for name, exp in experiments(cfg).items():
-        res = sensor_ablation_sweep(
-            exp.task, masks, exp.subset, exp.evaluation, runs, cfg.payloads,
-            train_window=training_window(cfg, exp.task), test_window=cfg.test,
-            ridge=cfg.ridge, normalizer=cfg.normalizer,
-        )
-        yield (f"{name}_ablation.csv", res.error_grid, rows,
-               [c.label for c in exp.evaluation], {"task": name})
-        yield (f"{name}_weight_shares.csv", res.weight_shares, rows, names,
-               {"task": name})
-
-
-def _multitask_tables(cfg: ExperimentConfig, runs: dict):
-    n_profiles = len(cfg.profiles)
-    payloads = cfg.multitask_payloads
-    rows = [f"P{i}" for i in range(1, n_profiles + 1)]
-    cols = [f"{m:g}g" for m in payloads.masses]
-    summary = {}
-    for name, cells in multitask_training_subsets(n_profiles, len(payloads)).items():
-        res = multitask_grid(
-            cells, runs, payloads, n_profiles=n_profiles,
-            train_window=cfg.train, test_window=cfg.test,
-            ridge=cfg.ridge, normalizer=cfg.normalizer,
-        )
-        for part, grid in (("detect", res.detect_output),
-                           ("angle", res.angle_error),
-                           ("mass", res.mass_error)):
-            yield (f"multitask_{name}_{part}.csv", grid, rows, cols,
-                   {"training": name})
-        summary[name] = (float(res.detection_perfect), res.step2_mean)
-    names = sorted(summary)
-    yield ("multitask_summary.csv", [summary[k] for k in names], names,
-           ["detection_perfect", "step2_mean_percent"], {})
-
-
-# kind -> (the runs it reads, as `_simulate` arguments; its tables of those
-# runs at one noise seed; None, or the config field of its number of seeds)
-SWEEPS = {
-    "conditions": (_experiment_runs, _condition_tables, None),
-    "samples": (_experiment_runs, _sample_tables, "sample_repeats"),
-    "sensors": (_experiment_runs, _sensor_tables, None),
-    "multitask": (_multitask_runs, _multitask_tables, None),
-}
 
 
 def _check_ramps(cfg: ExperimentConfig) -> None:

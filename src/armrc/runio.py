@@ -71,11 +71,25 @@ def _write_json(path, doc: Mapping) -> Path:
 
 def export_run(series: PressureStateSeries, csv_path, *,
                config_hash: str = "", seed: Optional[int] = None) -> Path:
-    """Write one run as CSV plus its metadata sidecar; returns the CSV path."""
+    """Write one run's metadata sidecar, then its CSV; returns the CSV path."""
     import orjson  # here, so that importing armrc does not pay for it
 
     csv_path = Path(csv_path)
-    csv_path.parent.mkdir(parents=True, exist_ok=True)
+    _write_json(sidecar_path(csv_path), {
+        "format": RUN_FORMAT,
+        "sample_rate": series.grid.sample_rate,
+        "t0": series.grid.t0,
+        "n_samples": series.grid.n_samples,
+        "n_sensors": series.n_sensors,
+        "condition": None if series.condition is None else {
+            "profile_index": series.condition.profile_index,
+            "payload_index": series.condition.payload_index,
+        },
+        "payload_grams": series.payload_grams,
+        "units": {"pressure": "psi", "angle": "deg", "time": "s"},
+        "config_hash": config_hash,
+        "seed": seed,
+    })
     columns = np.ascontiguousarray(np.column_stack(  # orjson needs C order
         [series.grid.times(), series.s_in, series.sensors.T, series.theta]))
     width = columns.shape[1]
@@ -95,21 +109,6 @@ def export_run(series: PressureStateSeries, csv_path, *,
             chars[np.flatnonzero(chars == _COMMA)[width - 1::width]] = _NEWLINE
             chars[-1] = _NEWLINE
             fh.write(memoryview(text)[1:])
-    _write_json(sidecar_path(csv_path), {
-        "format": RUN_FORMAT,
-        "sample_rate": series.grid.sample_rate,
-        "t0": series.grid.t0,
-        "n_samples": series.grid.n_samples,
-        "n_sensors": series.n_sensors,
-        "condition": None if series.condition is None else {
-            "profile_index": series.condition.profile_index,
-            "payload_index": series.condition.payload_index,
-        },
-        "payload_grams": series.payload_grams,
-        "units": {"pressure": "psi", "angle": "deg", "time": "s"},
-        "config_hash": config_hash,
-        "seed": seed,
-    })
     return csv_path
 
 

@@ -8,9 +8,9 @@ sweep over seeds (`cli._sweep`) noises a copy of the noise-free runs at
 each. Percentages divide by `readout.truth_scale`; the paper's hardware
 percentages are ordering targets, not equality targets.
 
-`experiments` is the table of the two shipped single-task experiments that
-three CLI sweeps read, and refuses a grid too small for them; each task's
-training window is `config.training_window`.
+`SWEEPS` defines each `armrc sweep` kind: its runs, and its tables of them
+at one seed. Three kinds read `experiments`, the two shipped single-task
+experiments, which refuses a grid too small for them.
 
 Every entry point (`subset_sweep`, `sample_count_sweep`,
 `sensor_ablation_sweep`, `train_on_subset`, `multitask_grid`) describes
@@ -37,6 +37,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
+from .config import training_window
 from .core import (
     DEFAULT_SEED,
     InputCondition,
@@ -46,6 +47,7 @@ from .core import (
     Window,
     condition_grid,
     count_window,
+    sensor_name,
 )
 from .readout import (ReadoutWeights, columns, normalize_mask, solve_reduced,
                       window_factor)
@@ -493,3 +495,96 @@ def experiments(cfg) -> dict:
             families={"subsets": nested_payload_subsets(n_payloads)},
         ),
     }
+
+
+def _experiment_runs(cfg) -> tuple:
+    """Both experiments' conditions, and the payload set they are of."""
+    return ([c for exp in experiments(cfg).values() for c in exp.conditions],
+            cfg.payloads)
+
+
+def _multitask_runs(cfg) -> tuple:
+    """The multitask grid's runs; fewer than 2 profiles is refused here."""
+    n_profiles, payloads = len(cfg.profiles), cfg.multitask_payloads
+    if n_profiles < 2:
+        raise ValueError("the multitask 2x2 geometry trains on P1+Pn and needs "
+                         f"at least 2 profiles; the config has {n_profiles}")
+    return condition_grid(n_profiles, payloads), payloads
+
+
+def _condition_tables(cfg, runs: Mapping):
+    """Every experiment's families, each one `subset_sweep`."""
+    for name, exp in experiments(cfg).items():
+        for family, subsets in exp.families.items():
+            spec = SweepSpec(
+                task=exp.task, subsets=subsets, evaluation=exp.evaluation,
+                train_window=training_window(cfg, exp.task),
+                test_window=cfg.test, ridge=cfg.ridge,
+                normalizer=cfg.normalizer)
+            yield (f"{name}_{family}.csv",
+                   subset_sweep(spec, runs, cfg.payloads).error_grid,
+                   ["+".join(c.label for c in s) for s in subsets],
+                   [c.label for c in exp.evaluation], {"task": exp.task.value})
+
+
+def _sample_tables(cfg, runs: Mapping):
+    """Both experiments' `sample_count_sweep`s, on the whole train window."""
+    rows = [str(c) for c in cfg.sample_counts]
+    for name, exp in experiments(cfg).items():
+        res = sample_count_sweep(
+            exp.task, cfg.sample_counts, exp.subset, exp.evaluation, runs,
+            cfg.payloads, train_window=cfg.train, test_window=cfg.test,
+            ridge=cfg.ridge, normalizer=cfg.normalizer)
+        yield (f"{name}_sample_counts.csv", res.error_grid, rows,
+               [c.label for c in exp.evaluation], {"task": exp.task.value})
+
+
+def _sensor_tables(cfg, runs: Mapping):
+    """Both experiments' `sensor_ablation_sweep`s: errors, weight shares."""
+    n = cfg.surrogate.n_nodes
+    masks = (tuple(range(n)),) + tip_sensor_masks(n)
+    names = list(map(sensor_name, range(n)))
+    rows = ["+".join(names[m] for m in mask) for mask in masks]
+    for name, exp in experiments(cfg).items():
+        res = sensor_ablation_sweep(
+            exp.task, masks, exp.subset, exp.evaluation, runs, cfg.payloads,
+            train_window=training_window(cfg, exp.task), test_window=cfg.test,
+            ridge=cfg.ridge, normalizer=cfg.normalizer)
+        yield (f"{name}_ablation.csv", res.error_grid, rows,
+               [c.label for c in exp.evaluation], {"task": exp.task.value})
+        yield (f"{name}_weight_shares.csv", res.weight_shares, rows, names,
+               {"task": exp.task.value})
+
+
+def _multitask_tables(cfg, runs: Mapping):
+    """Each training geometry's `multitask_grid`, and a summary row each."""
+    n_profiles, payloads = len(cfg.profiles), cfg.multitask_payloads
+    rows = [f"P{i}" for i in range(1, n_profiles + 1)]
+    cols = [f"{m:g}g" for m in payloads.masses]
+    summary = {}
+    for name, cells in multitask_training_subsets(n_profiles, len(payloads)).items():
+        res = multitask_grid(
+            cells, runs, payloads, n_profiles=n_profiles,
+            train_window=cfg.train, test_window=cfg.test,
+            ridge=cfg.ridge, normalizer=cfg.normalizer)
+        for part, grid in (("detect", res.detect_output),
+                           ("angle", res.angle_error),
+                           ("mass", res.mass_error)):
+            yield (f"multitask_{name}_{part}.csv", grid, rows, cols,
+                   {"training": name})
+        summary[name] = (float(res.detection_perfect), res.step2_mean)
+    names = sorted(summary)
+    yield ("multitask_summary.csv", [summary[k] for k in names], names,
+           ["detection_perfect", "step2_mean_percent"], {})
+
+
+# The kinds of `armrc sweep`: kind -> (the runs it reads, as (conditions,
+# payload set); its tables of those runs at one noise seed, each (file name,
+# matrix, row labels, column labels, provenance labels); None, or the config
+# field of its number of seeds). `cli._sweep` simulates, noises and writes.
+SWEEPS = {
+    "conditions": (_experiment_runs, _condition_tables, None),
+    "samples": (_experiment_runs, _sample_tables, "sample_repeats"),
+    "sensors": (_experiment_runs, _sensor_tables, None),
+    "multitask": (_multitask_runs, _multitask_tables, None),
+}

@@ -1307,6 +1307,61 @@ class TestSweepOutputs:
             _csvs(out) + ["manifest.json"])
 
 
+class TestSweepKinds:
+    """Each `sweeps.SWEEPS` kind, on its own and through `cli._sweep`."""
+
+    @pytest.mark.parametrize("kind", ["conditions", "samples", "sensors"])
+    def test_every_table_is_labelled_with_its_tasks_name(self, kind,
+                                                          tmp_path):
+        # as `armrc train` and `evaluate` name the tasks: mass, not payload
+        cfg = tmp_path / "cfg.yaml"
+        cfg.write_text(json.dumps(TestAnyShape.SHORT))
+        out = tmp_path / kind
+        assert main(["sweep", kind, "--config", str(cfg), "--out", str(out),
+                     "--quiet"]) == 0
+        for experiment, task in (("bending", "bending"), ("payload", "mass")):
+            paths = sorted(out.glob(f"{experiment}_*.csv"))
+            assert paths
+            for path in paths:
+                labels = read_matrix_csv(path)[3].split()
+                assert [x for x in labels if x.startswith("task=")] == [
+                    f"task={task}"], path.name
+
+    @pytest.mark.parametrize("kind", list(sweeps.SWEEPS))
+    @settings(max_examples=8, deadline=None)
+    @given(n_profiles=st.integers(2, 4), n_payloads=st.integers(3, 5),
+           n_sensors=st.integers(2, 7), seed=st.integers(0, 2**32 - 1))
+    def test_each_reader_names_exactly_the_runs_its_tables_read(
+            self, kind, n_profiles, n_payloads, n_sensors, seed):
+        cfg = build_config({**TestAnyShape.SHORT,
+                            **_grid(n_profiles, n_payloads),
+                            "surrogate": _arm(n_sensors),
+                            "sample_repeats": 1, "seed": seed})
+        reads, compute, repeats = sweeps.SWEEPS[kind]
+        conditions, payloads = reads(cfg)
+        runs = simulate_conditions(cfg.surrogate, cfg.profiles, payloads,
+                                   cfg.grid, conditions, seed=cfg.seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            want = cli._sweep(kind, cfg, Path(tmp), "digest")
+        if repeats is not None:  # one seed: each X_mean.csv is X.csv
+            want = [(name.replace("_mean.csv", ".csv"), matrix, rows, cols,
+                     {k: v for k, v in labels.items() if k != "repeats"})
+                    for name, matrix, rows, cols, labels in want
+                    if name.endswith("_mean.csv")]
+        got = list(compute(cfg, runs))
+        assert [t[0] for t in got] == [t[0] for t in want]
+        for (_, *a), (_, *b) in zip(got, want):
+            assert np.asarray(a[0], float).tobytes() == np.asarray(
+                b[0], float).tobytes()
+            assert a[1:] == b[1:]
+        # every run it names is read: without any one, the tables refuse
+        for cond in runs:
+            fewer = {c: run for c, run in runs.items() if c != cond}
+            with pytest.raises(ValueError, match=(
+                    f"condition {cond.label} is not present")):
+                list(compute(cfg, fewer))
+
+
 class TestIngestedRuns:
     # a run read back from its CSV holds the simulated bits in another
     # memory layout (sensors transposed); no sweep cell may tell them apart

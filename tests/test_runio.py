@@ -68,6 +68,30 @@ class TestRunRoundTrip:
         assert back.grid.n_samples == 4000
         assert back.grid.duration == 100.0
 
+    @pytest.mark.parametrize("parent", ["", "new"])
+    def test_one_export_makes_its_directory_once(self, sample_run, tmp_path,
+                                                 monkeypatch, parent):
+        # a sidecar and its CSV share one directory, there or not: one call
+        calls, real = [], Path.mkdir
+
+        def mkdir(self, *args, **kwargs):
+            calls.append(self)
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "mkdir", mkdir)
+        path = export_run(sample_run, tmp_path / parent / "run.csv")
+        assert calls == [path.parent]
+        assert sorted(p.name for p in path.parent.iterdir()
+                      if p.is_file()) == ["run.csv", "run.meta.json"]
+        assert ingest_run(path).condition == sample_run.condition
+
+    def test_weights_and_manifests_make_their_directories(self, tmp_path):
+        weights = ReadoutWeights(np.ones((2, 1)), (0,), ("mass",))
+        assert save_weights(tmp_path / "a" / "w.json", weights).is_file()
+        assert write_manifest(tmp_path / "b" / "c" / "manifest.json",
+                              config_hash="abc", seed=7, outputs=[],
+                              elapsed_seconds=0.0).is_file()
+
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
