@@ -25,10 +25,7 @@ from .profiles import (
 from .readout import (
     ReadoutWeights,
     TrainingAssembly,
-    assemble,
     correlation_matrix,
-    nrmse_percent,
-    predict,
     rmse,
     train,
 )
@@ -43,9 +40,7 @@ from .surrogate import (
 from .tasks import (
     PayloadStatus,
     TaskKind,
-    bending_target,
     detect_payload,
-    estimate_mass,
 )
 from .config import ConfigError, ExperimentConfig, default_config, load_config
 from .runio import export_run, ingest_run, load_weights, save_weights

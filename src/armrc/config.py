@@ -13,8 +13,8 @@ from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from .core import (DEFAULT_SEED, TEST_WINDOW, TRAIN_WINDOW, WASHOUT_WINDOW,
-                   PayloadSet, TimeGrid, Window, as_int, count_window,
-                   window_indices)
+                   PayloadSet, TimeGrid, Window, as_float, as_int,
+                   count_window, window_indices)
 from .profiles import RampProfileSpec, default_profile_family
 from .readout import NORMALIZERS
 from .surrogate import SurrogateParams
@@ -56,6 +56,9 @@ class ExperimentConfig:
         problems = validate_config(self)
         if problems:
             raise ConfigError(problems)
+        # a whole float (7.0) is the int it equals, as it is in YAML
+        for key in ("seed", "sample_repeats", "sample_counts"):
+            object.__setattr__(self, key, _VALUES[key](getattr(self, key)))
 
 
 def training_window(cfg: ExperimentConfig, task: TaskKind) -> Window:
@@ -92,8 +95,10 @@ def validate_config(cfg: ExperimentConfig) -> list:
     if cfg.normalizer not in NORMALIZERS:
         problems.append(f"normalizer must be {' or '.join(map(repr, NORMALIZERS))}"
                         f", got {cfg.normalizer!r}")
-    if cfg.sample_repeats < 1:
-        problems.append(f"sample_repeats must be >= 1, got {cfg.sample_repeats}")
+    _parse(as_int, cfg.seed, "seed", problems)
+    repeats = _parse(as_int, cfg.sample_repeats, "sample_repeats", problems)
+    if repeats is not None and repeats < 1:
+        problems.append(f"sample_repeats must be >= 1, got {repeats}")
     if len(cfg.profiles) == 0:
         problems.append("need at least one pressure profile")
     if cfg.train.end > cfg.test.start and cfg.test.end > cfg.train.start:
@@ -125,9 +130,11 @@ def validate_config(cfg: ExperimentConfig) -> list:
                 f"1..{train_samples} samples inside the train window")
     if len(cfg.sample_counts) == 0:
         problems.append("sample_counts must be non-empty")
-    for count in cfg.sample_counts if train_samples is not None else ():
+    for count in cfg.sample_counts:
+        count = _parse(as_int, count, "sample_counts", problems)
         try:
-            count_window(cfg.train, int(count), cfg.grid.sample_rate)
+            if count is not None and train_samples is not None:
+                count_window(cfg.train, count, cfg.grid.sample_rate)
         except ValueError as exc:
             problems.append(str(exc))
     return problems
@@ -181,7 +188,7 @@ _VALUES = {
     **dict.fromkeys(("payloads", "multitask_payloads"),
                     lambda raw: PayloadSet(tuple(raw))),
     **dict.fromkeys(("ridge", "detection_seconds", "mass_segment_seconds"),
-                    float),
+                    as_float),
     **dict.fromkeys(("sample_repeats", "seed"), as_int),
     "normalizer": str,
     "sample_counts": lambda raw: tuple(map(as_int, raw)),

@@ -142,10 +142,18 @@ class PayloadSet:
 
 
 def as_int(value) -> int:
-    """``int(value)``, but a non-integral number is refused, not truncated."""
-    if isinstance(value, float) and not value.is_integer():
+    """``int(value)`` of a number; a bool, a string or a fraction is refused."""
+    if isinstance(value, (bool, str)) or (
+            isinstance(value, float) and not value.is_integer()):
         raise ValueError(f"expected an integer, got {value!r}")
     return int(value)
+
+
+def as_float(value) -> float:
+    """``float(value)`` of a number; a bool or a string is refused."""
+    if isinstance(value, (bool, str)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
 
 
 def parse_condition_label(token: str) -> InputCondition:

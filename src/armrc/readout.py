@@ -189,9 +189,10 @@ class WindowFactor(NamedTuple):
     """One QR of a window's design Phi = [1 | S] = Q R and what fitting and
     scoring need from it, for a target theta; Q is never formed.
 
-    Phi[:, cols] = Q R[:, cols] with Q's columns orthonormal, so the R rows
-    with z pose the same least-squares problem as the window's rows, for
-    any subset of the columns, alone or stacked with other factors' rows.
+    Phi[:, cols] = Q R[:, cols] with Q's columns orthonormal (or zero, for
+    a short window's zero rows of R), so the R rows with z pose the same
+    least-squares problem as the window's rows, for any subset of the
+    columns, alone or stacked with other factors' rows.
     Since Phi's first column is all ones, a constant target c has
     Q^T (c 1) = c R[:, 0] and needs no factor of its own. For weights w
     over all of Phi's columns, theta - Q z is orthogonal to Q's columns, so
@@ -199,8 +200,8 @@ class WindowFactor(NamedTuple):
     would add about 1 ms to every `armrc` start-up.)
     """
 
-    r: np.ndarray       # R, at most (1 + n_sensors) square
-    z: np.ndarray       # Q^T theta
+    r: np.ndarray       # R, (1 + n_sensors) square, zero below the QR's rows
+    z: np.ndarray       # Q^T theta, (1 + n_sensors,)
     floor: float        # |theta - Q z|^2, the error no readout avoids
     n_rows: int
     span: tuple         # (min, max) of theta, all `truth_scale` reads
@@ -210,20 +211,21 @@ def factor(phi: np.ndarray,
            theta: Optional[np.ndarray] = None) -> WindowFactor:
     """The `WindowFactor` of design rows ``phi`` and target ``theta``, from
     one R-only QR of [Phi | theta], read in place when ``phi`` already is
-    [Phi | theta] (``theta`` None): R is its first k columns' top k rows,
-    z = Q^T theta the rest of column k + 1, and |theta - Q z| its corner,
-    which a window of no more than k rows lacks (floor 0). R's bits do not
-    depend on theta's values, unless theta is zero on every row (LAPACK
-    then leaves its column out of the updates)."""
+    [Phi | theta] (``theta`` None), in a zeroed (k + 1) square: R is its
+    first k columns' top k rows, z = Q^T theta the rest of column k + 1,
+    and |theta - Q z| its corner, zero, like every row below the QR's, for
+    a window of no more than k rows. R's bits do not depend on theta's
+    values, unless theta is zero on every row (LAPACK then leaves its
+    column out of the updates)."""
     rows = phi if theta is None else np.column_stack([phi, theta])
     if rows.shape[0] == 0:
         raise ValueError("cannot factor a design with no rows")
     k = rows.shape[1] - 1
-    r = np.linalg.qr(rows, mode="r")
+    r = np.zeros((k + 1, k + 1))
+    r[:min(rows.shape)] = np.linalg.qr(rows, mode="r")
     r.setflags(write=False)  # R and z are views of it, and a memo shares them
-    floor = r[k, k] ** 2 if r.shape[0] > k else 0.0
     target = rows[:, k]
-    return WindowFactor(r=r[:k, :k], z=r[:k, k], floor=float(floor),
+    return WindowFactor(r=r[:k, :k], z=r[:k, k], floor=float(r[k, k] ** 2),
                         n_rows=rows.shape[0],
                         span=(float(target.min()), float(target.max())))
 

@@ -28,7 +28,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .core import (InputCondition, PressureStateSeries, TimeGrid, __version__,
-                   as_int, sensor_name, trace_columns)
+                   as_float, as_int, sensor_name, trace_columns)
 from .readout import ReadoutWeights, normalize_mask
 
 RUN_FORMAT = "armrc-run-v2"
@@ -224,8 +224,8 @@ def ingest_run(csv_path) -> PressureStateSeries:
     condition = _field({"condition": None, **meta}, "condition", label, _condition)
     n_sensors, n_samples, t0, sample_rate = (
         _field(meta, key, label, parse) for key, parse in (
-            ("n_sensors", _n_sensors), ("n_samples", as_int), ("t0", float),
-            ("sample_rate", float)))
+            ("n_sensors", _n_sensors), ("n_samples", as_int), ("t0", as_float),
+            ("sample_rate", as_float)))
     try:
         grid = TimeGrid(sample_rate=sample_rate, n_samples=n_samples, t0=t0)
     except ValueError as exc:

@@ -23,8 +23,8 @@ Every fit reads its training windows' R through `readout.window_factor`,
 which `readout` keeps per (run, window) while the run lives (README:
 "Readout solver"); a constant target (mass, detect) is fitted from that R
 alone. Every cell is scored by `tasks.score`, which picks the window read
-its task needs. A sweep makes one `readout.solve_reduced` call per shape of
-stacked R rows and one score call per evaluation cell; the multitask grid
+its task needs. A sweep makes one `readout.solve_reduced` call per subset
+size and mask size and one score call per evaluation cell; the multitask grid
 scores each cell on its own. Every cell equals, bit for bit, its lone
 `train_on_subset` scored alone.
 """
@@ -45,6 +45,7 @@ from .core import (
     TEST_WINDOW,
     TRAIN_WINDOW,
     Window,
+    as_int,
     condition_grid,
     count_window,
     sensor_name,
@@ -149,55 +150,41 @@ def _plan(tasks: tuple, runs: Mapping, payloads: PayloadSet, scored,
 def _solve(fits: Sequence, runs: Mapping, targets: Mapping,
            ridge: float) -> np.ndarray:
     """Fit one readout per (subset, window, mask) of ``fits``: each member's
-    all-sensor R factor over the window (`window_factor`) with one column per
-    `_plan` target (its z for None, c R[:, 0] for a constant c), stacked over
-    the subset and read on the mask's `columns`, with no second QR. Each
-    distinct (condition, window) is read once, before grouping, into a bank of
-    its R shape: one (count, m, 1 + n) array of R and one of target columns per
-    shape. Fits of one stacked shape (the tuple of their members' R shapes, and
-    the mask size) share one `solve_reduced` call, whose rows are one
-    integer-array gather per member position from that position's bank, joined
-    along rows. It checks no run: `_plan` has given every run one sensor count
-    n, which it reads off the R rows. Returns (len(fits), n_tasks, 1 + n)
-    weight rows, zero outside each mask."""
-    parts, banks, groups, members = {}, {}, {}, []
+    all-sensor R factor over the window (`window_factor`, always (1 + n)
+    square) with one column per `_plan` target (its z for None, c R[:, 0] for
+    a constant c), stacked over the subset and read on the mask's `columns`,
+    with no second QR. Each distinct (condition, window) is read once, before
+    grouping, into one bank: a (count, 1 + n, 1 + n) array of R and one of
+    target columns. Fits of one subset size and mask size share one
+    `solve_reduced` call, whose rows are one integer-array gather from the
+    bank. It checks no run: `_plan` has given every run one sensor count n,
+    which it reads off the R rows. Returns (len(fits), n_tasks, 1 + n) weight
+    rows, zero outside each mask."""
+    parts, bank, groups = {}, [], {}
     for i, (subset, window, mask) in enumerate(fits):
-        part, rows = parts.setdefault(window, {}), []
+        part, at = parts.setdefault(window, {}), []
         for cond in subset:
             row = part.get(cond)
             if row is None:
                 r, z = window_factor(runs[cond], window)[:2]
-                bank = banks.setdefault(r.shape, ([], []))
-                row = part[cond] = (r.shape, len(bank[0]))
-                bank[0].append(r)
-                bank[1].append(np.column_stack([
-                    z if c is None else c * r[:, 0] for c in targets[cond]]))
-            rows.append(row)
-        shapes, at = zip(*rows)
-        groups.setdefault((shapes, len(mask)), []).append(i)
-        members.append(at)
-    banks = {shape: (np.stack(rs), np.stack(zs))
-             for shape, (rs, zs) in banks.items()}
-    out = None
-    for (shapes, _), idx in groups.items():
-        n = shapes[0][1] - 1
-        at = np.array([members[i] for i in idx])
-        # each member position's (R, Z) over the group, side by side in rows
-        r, z = (np.concatenate([banks[shape][j][at[:, p]]
-                                for p, shape in enumerate(shapes)], axis=1)
-                for j in (0, 1))
-        # every sensor: R as it stands; taking its columns too gives the
+                row = part[cond] = len(bank)
+                bank.append((r, np.column_stack([
+                    z if c is None else c * r[:, 0] for c in targets[cond]])))
+            at.append(row)
+        groups.setdefault((len(subset), len(mask)), []).append((i, at))
+    bank = [np.stack(b) for b in zip(*bank)]
+    n = bank[0].shape[1] - 1
+    out = np.zeros((len(fits), bank[1].shape[2], 1 + n))
+    for group in groups.values():
+        idx, at = map(np.array, zip(*group))
+        # every member's (R, Z) over the group, side by side in rows
+        r, z = (b[at].reshape(len(idx), -1, b.shape[2]) for b in bank)
+        cols = np.array([columns(fits[i][2]) for i in idx])
+        # every column in order: R as it stands; taking them too gives the
         # same bits but made an in-process recorded search 10-20% slower
-        every = tuple(range(n))
-        if all(fits[i][2] == every for i in idx):
-            cols = np.arange(1 + n)[None]
-        else:
-            cols = np.array([columns(fits[i][2]) for i in idx])
+        if cols.shape[1] <= n or (cols != np.arange(1 + n)).any():
             r = np.take_along_axis(r, cols[:, None, :], axis=2)
-        w = solve_reduced(r, z, ridge)
-        if out is None:
-            out = np.zeros((len(fits), w.shape[2], 1 + n))
-        out[np.array(idx)[:, None], :, cols] = w
+        out[idx[:, None], :, cols] = solve_reduced(r, z, ridge)
     return out
 
 
@@ -266,7 +253,7 @@ def sample_count_sweep(
     train window does not hold, is refused before any fit; all counts are
     fitted and scored as one `_sweep`."""
     fits, targets = _plan((task,), runs, payloads, evaluation, (subset,),
-                          train_window, [int(count) for count in counts])
+                          train_window, [as_int(count) for count in counts])
     return SweepResult(_sweep(task, fits, evaluation, runs, targets,
                               test_window, ridge, normalizer)[0])
 

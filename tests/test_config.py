@@ -234,12 +234,60 @@ class TestMalformedSections:
         ({"seed": float("inf")}, "seed: expected an integer"),
         ({"ridge": [1]}, "ridge: float() argument"),
         ({"ridge": 10 ** 400}, "ridge:"),
+        # a bool or a quoted number is no number: YAML `seed: true` would
+        # run at seed 1
+        ({"seed": True}, "seed: expected an integer, got True"),
+        ({"seed": "7"}, "seed: expected an integer, got '7'"),
+        ({"sample_repeats": "3"}, "sample_repeats: expected an integer"),
+        ({"sample_counts": [100, "200"]}, "sample_counts: expected an integer"),
+        ({"ridge": "0.5"}, "ridge: expected a number, got '0.5'"),
+        ({"detection_seconds": False}, "detection_seconds: expected a number"),
     ], ids=lambda v: v if isinstance(v, str) else None)
     def test_is_one_config_error_naming_the_place(self, doc, problem):
         with pytest.raises(ConfigError) as err:
             build_config(doc)
         assert any(p.startswith(problem) for p in err.value.problems), \
             err.value.problems
+
+
+def test_an_exponent_without_a_dot_is_a_yaml_string(tmp_path):
+    # YAML 1.1 reads `1e-3` as a string, refused like "0.5"; `1.0e-3` is a
+    # number
+    path = tmp_path / "cfg.yaml"
+    path.write_text("ridge: 1e-3\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="ridge: expected a number, got '1e-3'"):
+        load_config(path)
+    path.write_text("ridge: 1.0e-3\n", encoding="utf-8")
+    assert load_config(path).ridge == 0.001
+
+
+class TestWholeNumbers:
+    # a config built in Python is held to the integers YAML is: a fraction,
+    # a bool or a string is refused (`sweep samples` would label a 150.7 row
+    # and fit 150 samples; `cli._sweep` would fail on a 2.5 repeat count)
+    @pytest.mark.parametrize("key, value, problem", [
+        ("sample_counts", (150.7, 200), "sample_counts: expected an integer"),
+        ("sample_counts", (True,), "sample_counts: expected an integer"),
+        ("sample_repeats", 2.5, "sample_repeats: expected an integer"),
+        ("sample_repeats", "3", "sample_repeats: expected an integer"),
+        ("seed", 7.5, "seed: expected an integer"),
+        ("seed", True, "seed: expected an integer"),
+    ])
+    def test_a_non_integer_is_refused(self, key, value, problem):
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(**{key: value})
+        assert any(p.startswith(problem) for p in err.value.problems), \
+            err.value.problems
+
+    def test_a_whole_float_is_the_int_it_equals(self):
+        cfg = ExperimentConfig(seed=7.0, sample_repeats=2.0,
+                               sample_counts=[100.0, 200])
+        assert (cfg.seed, cfg.sample_repeats, cfg.sample_counts) == (
+            7, 2, (100, 200))
+        assert {type(v) for v in (cfg.seed, cfg.sample_repeats,
+                                  *cfg.sample_counts)} == {int}
+        assert cfg == ExperimentConfig(seed=7, sample_repeats=2,
+                                       sample_counts=(100, 200))
 
 
 class TestNonFinite:

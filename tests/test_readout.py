@@ -268,14 +268,17 @@ class TestWindowFactor:
         theta = series.theta[i0:i0 + rows]
         r, z, floor = q_forming_oracle(
             design(series.sensors[:, i0:i0 + rows]), theta)
-        k = 1 + sensors
-        assert got.r.shape == r.shape == (min(rows, k), k)
-        assert got.z.shape == z.shape
+        k, m = 1 + sensors, min(rows, 1 + sensors)
+        # R and z are square and full length; a short window's rows below
+        # the oracle's m are exact zeros
+        assert got.r.shape == (k, k) and r.shape == (m, k)
+        assert got.z.shape == (k,) and z.shape == (m,)
+        assert not got.r[m:].any() and not got.z[m:].any()
         # the floor is a share of |theta|^2 = |z|^2 + floor, so both are
         # compared on that scale
         energy = theta @ theta
-        assert np.linalg.norm(got.r - r) <= 1e-12 * np.linalg.norm(r)
-        assert np.linalg.norm(got.z - z) <= 1e-12 * np.sqrt(energy)
+        assert np.linalg.norm(got.r[:m] - r) <= 1e-12 * np.linalg.norm(r)
+        assert np.linalg.norm(got.z[:m] - z) <= 1e-12 * np.sqrt(energy)
         assert abs(got.floor - floor) <= 1e-12 * energy
         if rows <= k:
             # Phi's k columns span every row: no error is left to floor
@@ -291,15 +294,37 @@ class TestWindowFactor:
             self, seed, rows, sensors, c):
         # Phi's first column is all ones, so Q^T (c 1) = c R[:, 0]: the
         # sweeps build constant (mass, detect) targets from R with no
-        # target trace; rows < 1 + sensors gives a wide design and a wide R
+        # target trace; rows < 1 + sensors gives a wide design, whose R
+        # has zero rows below the QR's
         phi = random_design(np.random.default_rng(seed), rows=rows,
                             cols=sensors)
         target = np.full(rows, c)
         f = factor(phi, target)
         _, ref, _ = q_forming_oracle(phi, target)
+        ref = np.concatenate([ref, np.zeros(1 + sensors - len(ref))])
         assert np.linalg.norm(c * f.r[:, 0] - ref) <= 1e-12 * np.linalg.norm(ref)
         assert np.linalg.norm(f.z - ref) <= 1e-12 * np.linalg.norm(ref)
         assert f.floor <= 1e-24 * (target @ target)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), sensors=st.integers(0, 8),
+           data=st.data())
+    def test_every_design_of_k_columns_gives_a_k_square_r(self, seed, sensors,
+                                                          data):
+        # 1..3k rows: R is (k, k) with the oracle's R as its top rows and
+        # zeros below, and a floor only where theta can leave Phi's span
+        k = 1 + sensors
+        rows = data.draw(st.integers(1, 3 * k), label="rows")
+        rng = np.random.default_rng(seed)
+        phi = random_design(rng, rows=rows, cols=sensors)
+        theta = rng.normal(size=rows)
+        f = factor(phi, theta)
+        r, _, _ = q_forming_oracle(phi, theta)
+        m = min(rows, k)
+        assert f.r.shape == (k, k) and f.z.shape == (k,)
+        assert np.linalg.norm(f.r[:m] - r) <= 1e-12 * np.linalg.norm(r)
+        assert not f.r[m:].any()
+        assert (f.floor == 0.0) == (rows <= k)
 
 
 class TestWindowMeans:

@@ -128,6 +128,10 @@ def test_simulate_writes_the_reference_runs(doc):
 # the s8 share of s6+s7+s8: 3.3e-9 of a 0.0046% share, and 8.2e-11 points
 @example(doc=pinned(2, 3749382835, False))
 @example(doc=pinned(0, 451169310, False))
+# every count 1..n + 2 on the 8-sensor arm: fits on 1 to 10 rows a
+# condition, windows shorter than their 9-square R and longer
+@example(doc={**pinned(1, 7, True), "sample_counts": list(range(1, 11)),
+              "sample_repeats": 2})
 def test_sweep_writes_the_reference_tables(kind, doc):
     with config_file(doc) as (tmp, cfg):
         cli._sweep(kind, cfg, tmp, "digest")

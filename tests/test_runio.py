@@ -295,7 +295,13 @@ class TestIngestValidation:
                                               ("t0", [0.0]),
                                               ("sample_rate", "fast"),
                                               ("n_sensors", 7.9),
-                                              ("n_samples", 49.5)])
+                                              ("n_samples", 49.5),
+                                              # no bool or string is a number:
+                                              # true read as 1 sensor
+                                              ("n_sensors", True),
+                                              ("n_samples", "400"),
+                                              ("t0", False),
+                                              ("sample_rate", "40")])
     def test_an_unparsable_clock_field_is_named(self, tmp_path, field, value):
         path = self._retag(tmp_path, **{field: value})
         with pytest.raises(ValueError,

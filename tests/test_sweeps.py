@@ -373,14 +373,15 @@ class TestOneClock:
         assert np.isfinite(subset_sweep(spec, mixed, cfg.payloads)
                            .error_grid).all()
 
-    def test_a_fit_may_stack_members_of_two_r_shapes(self, cfg, mixed):
-        # 5 rows at 20 Hz and 10 at 40 Hz against 8 columns: R factors of 5
-        # and 8 rows, so two fits whose first members share an R shape can
-        # differ at the next member
+    def test_a_fit_may_stack_short_and_full_windows(self, cfg, mixed):
+        # 5 rows at 20 Hz and 10 at 40 Hz against 8 columns: every R is
+        # 8 square, a 5-row window's zero below its QR's 5 rows, so two fits
+        # whose first members share a window length can differ at the next
         task, window = TaskKind.BENDING_ANGLE, Window(50.0, 50.25)
-        assert ({c: window_factor(run, window)[0].shape
-                 for c, run in mixed.items()}
-                == {P(1, 1): (5, 8), P(7, 1): (5, 8), P(4, 1): (8, 8)})
+        factors = {c: window_factor(run, window) for c, run in mixed.items()}
+        assert {c: (f.r.shape, f.n_rows) for c, f in factors.items()} == {
+            P(1, 1): ((8, 8), 5), P(7, 1): ((8, 8), 5), P(4, 1): ((8, 8), 10)}
+        assert not any(factors[c].r[5:].any() for c in (P(1, 1), P(7, 1)))
         subsets = ((P(1, 1), P(4, 1)), (P(1, 1), P(7, 1)),
                    (P(4, 1), P(1, 1)), (P(4, 1), P(7, 1)),
                    (P(7, 1), P(4, 1), P(1, 1)), (P(1, 1), P(7, 1), P(4, 1)))
@@ -403,6 +404,12 @@ class TestSampleCountSweep:
     def test_count_beyond_window_rejected(self, cfg, bending_runs):
         with pytest.raises(ValueError, match="sample count"):
             sample_count_sweep(TaskKind.BENDING_ANGLE, [2000], [P(1, 1)],
+                               [P(1, 1)], bending_runs, cfg.payloads)
+
+    def test_a_fractional_count_is_refused(self, cfg, bending_runs):
+        # not fitted on 150 samples under a row labelled 150.7
+        with pytest.raises(ValueError, match="expected an integer, got 150.7"):
+            sample_count_sweep(TaskKind.BENDING_ANGLE, [150.7, 200], [P(1, 1)],
                                [P(1, 1)], bending_runs, cfg.payloads)
 
     def test_a_condition_missing_from_the_runs_is_refused(self, cfg,
