@@ -179,7 +179,7 @@ def _build(cls, raw, where: str, problems: list):
 def _window(raw) -> Window:
     if not isinstance(raw, (list, tuple)) or len(raw) != 2:
         raise ValueError(f"expected [start, end] seconds, got {raw!r}")
-    return Window(float(raw[0]), float(raw[1]))
+    return Window(*map(as_float, raw))
 
 
 # top-level key -> parser of its YAML value, for the keys that set one

@@ -45,6 +45,7 @@ class TimeGrid:
     t0: float = 0.0
 
     def __post_init__(self) -> None:
+        check_numbers(self)
         if not 0 < self.sample_rate < math.inf:
             raise ValueError(f"sample_rate must be finite and > 0, got {self.sample_rate}")
         if not math.isfinite(self.t0):
@@ -154,6 +155,19 @@ def as_float(value) -> float:
     if isinstance(value, (bool, str)):
         raise ValueError(f"expected a number, got {value!r}")
     return float(value)
+
+
+def check_numbers(obj) -> None:
+    """Refuse a bool or a string in a field of the dataclass ``obj``, or
+    inside a field's tuples: each field holds a number or numbers (or None),
+    so YAML ``true`` is no 1 and ``"32.25"`` no 32.25."""
+    def text_or_bool(value) -> bool:
+        return (isinstance(value, (bool, str)) or isinstance(
+            value, (tuple, list)) and any(map(text_or_bool, value)))
+
+    for name, value in vars(obj).items():
+        if text_or_bool(value):
+            raise ValueError(f"{name} must be numeric, got {value!r}")
 
 
 def parse_condition_label(token: str) -> InputCondition:

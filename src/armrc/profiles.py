@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import TimeGrid
+from .core import TimeGrid, check_numbers
 
 DEFAULT_RAMP_RATE = 5.0  # psi/s, both directions
 DEFAULT_N_CYCLES = 8
@@ -28,6 +28,7 @@ class RampProfileSpec:
     n_cycles: int = DEFAULT_N_CYCLES
 
     def __post_init__(self) -> None:
+        check_numbers(self)
         for name, value in vars(self).items():
             if not np.isfinite(np.asarray(value, dtype=float)).all():
                 raise ValueError(f"{name} must be finite, got {value}")

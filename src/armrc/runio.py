@@ -6,9 +6,10 @@ Run CSVs hold each float as its shortest round-trip decimal (``orjson``'s
 Ryu writer), so export followed by ingest reproduces every float
 bit-for-bit. Export dumps each block of rows as one flat list and cuts it
 into rows with one byte scan (`export_run`). Ingest parses rows of plain
-JSON numbers with ``orjson``, one flat list per 64 KiB block, and any
-other text with ``np.loadtxt``: the same floats and the same errors either
-way (`_read_rows`). Each artifact
+JSON numbers with ``orjson``, one flat list per 64 KiB block, made float64
+by one ``struct`` pack read through ``np.frombuffer``; any other text, or a
+value the pack refuses, goes to ``np.loadtxt``: the same floats and the
+same errors either way (`_read_rows`). Each artifact
 embeds the config hash and seed for provenance; wall-clock timestamps
 appear only in manifests so output trees stay byte-reproducible.
 """
@@ -20,6 +21,7 @@ import io
 import json
 import math
 import platform
+import struct
 import time
 import warnings
 from pathlib import Path
@@ -165,12 +167,15 @@ def _read_rows(fh) -> np.ndarray:
     Per 64 KiB chunk, cut after its last newline, deleting the value bytes
     ``0-9 . e E + -`` must leave the first line's commas and newline once
     per row (no other byte, no ragged row); then one flat ``orjson`` list,
-    correctly rounded and faster than loadtxt's ``strtod``, takes the
-    (rows, w) shape. Any other body (``nan``, ``.5``, CRLF, comments, blank
-    lines, an empty cell, an integer ``-0`` that orjson reads as +0, no
-    final newline, ...) goes to `np.loadtxt`. A block is searched for the
-    text ``-0`` only when one of its zero cells parsed as an int, which no
-    exported zero (``0.0`` or ``-0.0``) does."""
+    correctly rounded and faster than loadtxt's ``strtod``, becomes float64
+    through one ``struct.pack(f"{n}d", ...)``, read by ``np.frombuffer``
+    and given the (rows, w) shape. The pack rounds an int that orjson
+    returns (an integer inside 64 bits) as ``float()`` and ``strtod`` do.
+    Any other body (``nan``, ``.5``, CRLF, comments, blank lines, an empty
+    cell, an integer ``-0`` that orjson reads as +0, no final newline, a
+    value the pack refuses, ...) goes to `np.loadtxt`. A block is searched
+    for the text ``-0`` only when one of its zero cells parsed as an int,
+    which no exported zero (``0.0`` or ``-0.0``) does."""
     import orjson  # here, so that importing armrc does not pay for it
 
     start = fh.tell()
@@ -188,7 +193,7 @@ def _read_rows(fh) -> np.ndarray:
                 raise ValueError("not rows of plain JSON numbers")
             flat = b"[" + text.replace(b"\n", b",") + b"]"
             values = orjson.loads(flat)
-            block = np.fromiter(values, float, len(values))
+            block = np.frombuffer(struct.pack(f"{len(values)}d", *values))
             # orjson reads an integer -0 as the int 0: an exported zero,
             # 0.0 or -0.0, is a float, so exported blocks are not searched
             if any(type(values[i]) is int
@@ -198,7 +203,9 @@ def _read_rows(fh) -> np.ndarray:
             blocks.append(block.reshape(rows, len(row_shape)))
         if blocks and not rest:
             return np.concatenate(blocks)
-    except ValueError:  # a numeral outside JSON, an empty cell, a check above
+    # a numeral outside JSON, an empty cell, a check above, a value the pack
+    # refuses
+    except (ValueError, OverflowError, struct.error):
         pass
     fh.seek(start)
     with io.TextIOWrapper(fh, encoding="utf-8") as text, \

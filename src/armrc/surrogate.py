@@ -64,6 +64,7 @@ from .core import (
     PressureStateSeries,
     TimeGrid,
     Window,
+    check_numbers,
     condition_grid,
     sample_count,
     sensor_name,
@@ -75,9 +76,10 @@ from .profiles import RampProfileSpec, generate_profile
 U_PAYLOAD_REF = 15.0
 
 # Time steps buffered between flushes into the per-run state arrays: short,
-# so the buffers stay small next to the runs themselves. (At 128, a chunk's
-# drive temporaries for 25 runs pass glibc's 128 KiB mmap threshold: a
-# fresh process then faults in three times the pages.)
+# so the buffers stay small next to the runs themselves. A chunk's gain and
+# drive are computed in place in those buffers, so no (_CHUNK, n, B)
+# temporary is made (each one past glibc's 128 KiB mmap threshold is fresh
+# pages to fault in).
 _CHUNK = 64
 
 
@@ -105,6 +107,7 @@ class SurrogateParams:
     leak_pressure_width: float = 3.0
 
     def __post_init__(self) -> None:
+        check_numbers(self)
         for name, value in vars(self).items():
             if value is not None and not np.isfinite(
                     np.asarray(value, dtype=float)).all():
@@ -317,10 +320,16 @@ def _advance(params: SurrogateParams, traces: list, masses: Sequence[float],
     multiply, reduce = np.multiply, np.add.reduce  # looked up once a call
     for k0 in range(0, n_samples, _CHUNK):
         k1 = min(k0 + _CHUNK, n_samples)
-        phi = phi_u[idx, k0:k1].T[:, None, :]
-        gain[:k1 - k0] = ((1.0 - leak * (1.0 - kp * phi))
-                          + pg * (rho * v_u[idx, k0:k1].T)[:, None, :])
-        terms[:k1 - k0, slots + 1] = ig * s_u[idx, k0:k1].T[:, None, :]
+        # (1 - leak * (1 - kp * phi)) + pg * (rho * v), then ig * u, each
+        # op in place in its slab: the drive slab holds pg * (rho * v) first
+        gains, drive = gain[:k1 - k0], terms[:k1 - k0, slots + 1]
+        np.multiply(kp, phi_u[idx, k0:k1].T[:, None, :], gains)
+        np.subtract(1.0, gains, gains)
+        np.multiply(leak, gains, gains)
+        np.subtract(1.0, gains, gains)
+        np.multiply(pg, (rho * v_u[idx, k0:k1].T)[:, None, :], drive)
+        np.add(gains, drive, gains)
+        np.multiply(ig, s_u[idx, k0:k1].T[:, None, :], drive)
         for window, coupled, g, xk, gained, summands, nxt in steps[:k1 - k0]:
             multiply(band, window, coupled)
             multiply(g, xk, gained)

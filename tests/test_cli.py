@@ -768,6 +768,34 @@ class TestMalformedConfig:
         assert f"- {key}" in err
 
 
+class TestNumbersInSections:
+    # a bool or a quoted number in a section is one config error naming its
+    # field, where it was stored, built a 1 Hz grid or failed a comparison
+    @pytest.mark.parametrize("text, problem", [
+        ("surrogate: {noise_std: true}\n",
+         "- surrogate: noise_std must be numeric, got True"),
+        ("grid: {sample_rate: true, n_samples: 100}\n",
+         "- grid: sample_rate must be numeric, got True"),
+        ("profiles:\n  - {u_min: 1.0, u_max: 32.25, n_cycles: true}\n",
+         "- profiles[1]: n_cycles must be numeric, got True"),
+        ("windows: {train: [\"50\", \"75\"]}\n",
+         "- windows.train: expected a number, got '50'"),
+        ("profiles:\n  - {u_min: 1.0, u_max: \"32.25\"}\n",
+         "- profiles[1]: u_max must be numeric, got '32.25'"),
+    ], ids=["noise_std", "sample_rate", "n_cycles", "windows", "u_max"])
+    def test_is_one_config_error_naming_the_field(self, text, problem,
+                                                   tmp_path, capsys):
+        cfg = tmp_path / "bad.yaml"
+        cfg.write_text(text)
+        rc = main(["simulate", "--config", str(cfg), "--out",
+                   str(tmp_path / "out"), "--quiet"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: config:") and err.count("error:") == 1
+        assert problem in err.splitlines()
+        assert not (tmp_path / "out").exists()
+
+
 class TestNoTraceback:
     # the installed entry point, in a fresh process: one error line, exit 1
     @pytest.mark.parametrize("case", ["profiles", "surrogate",

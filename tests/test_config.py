@@ -242,6 +242,24 @@ class TestMalformedSections:
         ({"sample_counts": [100, "200"]}, "sample_counts: expected an integer"),
         ({"ridge": "0.5"}, "ridge: expected a number, got '0.5'"),
         ({"detection_seconds": False}, "detection_seconds: expected a number"),
+        # nor in a section: `noise_std: true` stored True, `sample_rate:
+        # true` built a 1 Hz grid, a quoted leak rate was read as a float
+        ({"surrogate": {"noise_std": True}},
+         "surrogate: noise_std must be numeric, got True"),
+        ({"surrogate": {"leak": [0.14, 0.13, "0.40", 0.075, 0.055, 0.035,
+                                 0.0175]}}, "surrogate: leak must be numeric"),
+        ({"grid": {"sample_rate": True, "n_samples": 100}},
+         "grid: sample_rate must be numeric, got True"),
+        ({"grid": {"n_samples": "4000"}},
+         "grid: n_samples must be numeric, got '4000'"),
+        ({"profiles": [{"u_min": 1.0, "u_max": 32.25, "n_cycles": True}]},
+         "profiles[1]: n_cycles must be numeric, got True"),
+        ({"profiles": [{"u_min": 1.0, "u_max": "32.25"}]},
+         "profiles[1]: u_max must be numeric, got '32.25'"),
+        ({"windows": {"train": ["50", "75"]}},
+         "windows.train: expected a number, got '50'"),
+        ({"windows": {"test": [75.0, True]}},
+         "windows.test: expected a number, got True"),
     ], ids=lambda v: v if isinstance(v, str) else None)
     def test_is_one_config_error_naming_the_place(self, doc, problem):
         with pytest.raises(ConfigError) as err:

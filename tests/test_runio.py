@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -377,6 +377,14 @@ class TestIngestValidation:
 # subnormals, integral values and magnitudes up to 1e300
 CELLS = st.floats(-1e300, 1e300) | st.sampled_from(
     [0.0, -0.0, 5e-324, -2.225073858507201e-308, 9007199254740993.0])
+# integer cells: CELLS' integral values, almost all beyond 64 bits, where
+# orjson returns a float; and integers inside 64 bits (-2**63..2**64 - 1),
+# where it returns an int that int -> double rounds, most of them near
+# +-2**53, +-2**63 and 2**64 - 1
+INTEGER_CELLS = CELLS.map(int) | st.integers(-2 ** 63, 2 ** 64 - 1) | (
+    st.sampled_from([2 ** 53, -2 ** 53, 2 ** 63, -2 ** 63, 2 ** 64 - 1])
+    .flatmap(lambda edge: st.integers(edge - 4096, min(edge + 4096,
+                                                       2 ** 64 - 1))))
 CELL_TEXT = {
     "%.17g": "%.17g".__mod__,
     "repr": repr,
@@ -388,25 +396,28 @@ CELL_TEXT = {
 
 @st.composite
 def run_texts(draw):
-    """(format name, cells): 1-300 samples of s_in, 1-12 sensors and theta,
-    integral cells for the integer format."""
+    """(format name, rows): 1-300 samples of s_in, 1-12 sensors and theta,
+    Python ints for the integer format."""
     fmt = draw(st.sampled_from(sorted(CELL_TEXT)))
-    shape = (draw(st.integers(1, 300)), draw(st.integers(1, 12)) + 2)
-    cells = CELLS.map(lambda v: float(int(v))) if fmt == "integer" else CELLS
-    return fmt, draw(arrays(float, shape, elements=cells))
+    n, width = draw(st.integers(1, 300)), draw(st.integers(1, 12)) + 2
+    if fmt == "integer":
+        row = st.lists(INTEGER_CELLS, min_size=width, max_size=width)
+        return fmt, draw(st.lists(row, min_size=n, max_size=n))
+    return fmt, draw(arrays(float, (n, width), elements=CELLS)).tolist()
 
 
-def _write_run_text(tmp, cells, cell_text):
-    """A run CSV of ``cells`` (s_in, sensors, theta) on a 1 Hz clock from 0,
+def _write_run_text(tmp, rows, cell_text):
+    """A run CSV of ``rows`` (s_in, sensors, theta) on a 1 Hz clock from 0,
     every cell printed by ``cell_text``, beside its sidecar."""
-    n = len(cells)
+    cells = np.array(rows, dtype=float)
     path = export_run(PressureStateSeries(
-        grid=TimeGrid(sample_rate=1.0, n_samples=n), s_in=cells[:, 0],
-        sensors=cells[:, 1:-1].T, theta=cells[:, -1]), Path(tmp) / "run.csv")
+        grid=TimeGrid(sample_rate=1.0, n_samples=len(cells)),
+        s_in=cells[:, 0], sensors=cells[:, 1:-1].T, theta=cells[:, -1]),
+        Path(tmp) / "run.csv")
     header = path.read_text().split("\n", 1)[0]
     path.write_text(header + "\n" + "".join(
         ",".join(map(cell_text, [float(k), *row])) + "\n"
-        for k, row in enumerate(cells.tolist())))
+        for k, row in enumerate(rows)))
     return path
 
 
@@ -420,10 +431,13 @@ class TestReadPaths:
 
     @settings(max_examples=60, deadline=None)
     @given(run_texts())
+    # each of these ints rounds on its way to a double
+    @example(("integer", [[2 ** 53 + 1, -2 ** 53 - 1, 2 ** 63 - 1],
+                          [-2 ** 63 + 1, 2 ** 63 + 1025, 2 ** 64 - 1]]))
     def test_any_number_text_reads_as_loadtxt_reads_it(self, drawn):
-        fmt, cells = drawn
+        fmt, rows = drawn
         with tempfile.TemporaryDirectory() as tmp:
-            path = _write_run_text(tmp, cells, CELL_TEXT[fmt])
+            path = _write_run_text(tmp, rows, CELL_TEXT[fmt])
             back = ingest_run(path)
             ref = np.loadtxt(path, delimiter=",", ndmin=2, skiprows=1)
         got = np.column_stack([back.s_in, back.sensors.T, back.theta])
