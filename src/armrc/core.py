@@ -36,6 +36,45 @@ _INDEX_EPS = 1e-9
 _FORKED = False
 
 
+def as_int(value, where: str = "") -> int:
+    """``int(value)`` of a number; a bool, a string or a fraction is refused."""
+    if isinstance(value, (bool, str)) or (
+            isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"{where}expected an integer, got {value!r}")
+    return int(value)
+
+
+def as_float(value) -> float:
+    """``float(value)`` of a number; a bool or a string is refused."""
+    if isinstance(value, (bool, str)):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def numeric(value, scalar: bool = False) -> bool:
+    """True for a real number, no bool, or (unless ``scalar``) such in sequences."""
+    if isinstance(value, (tuple, list, np.ndarray)):
+        return not scalar and all(map(numeric, value))
+    return type(value) in (int, float) or isinstance(value, (np.integer, np.floating))
+
+
+def check_numbers(obj, *integers) -> None:
+    """The one number rule, first in each value type's ``__post_init__``:
+    each field is finite and `numeric` (one number if annotated int or float,
+    None only if that is its default), and `as_int` of each in ``integers``."""
+    for name, value in vars(obj).items():
+        if type(value) in (int, float) and math.isfinite(value):
+            pass  # a plain number, as most are (an int past any float overflows)
+        elif value is None and getattr(type(obj), name, 0) is None:
+            continue  # the field's default, which the class attribute holds
+        elif not numeric(value, type(obj).__annotations__[name] in ("int", "float")):
+            raise ValueError(f"{name} must be numeric, got {value!r}")
+        elif not np.isfinite(np.asarray(value, dtype=float)).all():
+            raise ValueError(f"{name} must be finite, got {value}")
+        if name in integers and type(value) is not int:
+            object.__setattr__(obj, name, as_int(value, f"{name}: "))
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Uniform sample clock: ``n_samples`` points spaced ``1/sample_rate`` from ``t0``."""
@@ -45,15 +84,11 @@ class TimeGrid:
     t0: float = 0.0
 
     def __post_init__(self) -> None:
-        check_numbers(self)
-        if not 0 < self.sample_rate < math.inf:
-            raise ValueError(f"sample_rate must be finite and > 0, got {self.sample_rate}")
-        if not math.isfinite(self.t0):
-            raise ValueError(f"t0 must be a finite number, got {self.t0}")
-        n = self.n_samples
-        if isinstance(n, float) and not n.is_integer() or n < 0:
-            raise ValueError(f"n_samples must be an integer >= 0, got {n}")
-        object.__setattr__(self, "n_samples", int(n))
+        check_numbers(self, "n_samples")
+        if self.sample_rate <= 0:
+            raise ValueError(f"sample_rate must be > 0, got {self.sample_rate}")
+        if self.n_samples < 0:
+            raise ValueError(f"n_samples must be >= 0, got {self.n_samples}")
 
     @property
     def duration(self) -> float:
@@ -75,6 +110,7 @@ class Window:
     end: float
 
     def __post_init__(self) -> None:
+        check_numbers(self)
         if self.end < self.start:
             raise ValueError(f"window end {self.end} precedes start {self.start}")
         if not math.isfinite(self.end - self.start):
@@ -104,6 +140,7 @@ class InputCondition:
     payload_index: int
 
     def __post_init__(self) -> None:
+        check_numbers(self, "profile_index", "payload_index")
         if self.profile_index < 1:
             raise ValueError(f"profile_index must be >= 1, got {self.profile_index}")
         if self.payload_index < 1:
@@ -121,11 +158,11 @@ class PayloadSet:
     masses: tuple = DEFAULT_PAYLOADS_G
 
     def __post_init__(self) -> None:
+        check_numbers(self)
         if len(self.masses) == 0:
             raise ValueError("payload set must be non-empty")
-        if not all(0 <= m < math.inf for m in self.masses):
-            raise ValueError(
-                f"payload masses must be finite and >= 0 grams: {self.masses}")
+        if any(m < 0 for m in self.masses):
+            raise ValueError(f"payload masses must be >= 0 grams: {self.masses}")
         if any(b <= a for a, b in zip(self.masses, self.masses[1:])):
             raise ValueError(f"payload masses must be strictly increasing: {self.masses}")
         object.__setattr__(self, "masses", tuple(float(m) for m in self.masses))
@@ -140,34 +177,6 @@ class PayloadSet:
                 f"payload_index {payload_index} outside 1..{len(self.masses)}"
             )
         return self.masses[payload_index - 1]
-
-
-def as_int(value) -> int:
-    """``int(value)`` of a number; a bool, a string or a fraction is refused."""
-    if isinstance(value, (bool, str)) or (
-            isinstance(value, float) and not value.is_integer()):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
-
-
-def as_float(value) -> float:
-    """``float(value)`` of a number; a bool or a string is refused."""
-    if isinstance(value, (bool, str)):
-        raise ValueError(f"expected a number, got {value!r}")
-    return float(value)
-
-
-def check_numbers(obj) -> None:
-    """Refuse a bool or a string in a field of the dataclass ``obj``, or
-    inside a field's tuples: each field holds a number or numbers (or None),
-    so YAML ``true`` is no 1 and ``"32.25"`` no 32.25."""
-    def text_or_bool(value) -> bool:
-        return (isinstance(value, (bool, str)) or isinstance(
-            value, (tuple, list)) and any(map(text_or_bool, value)))
-
-    for name, value in vars(obj).items():
-        if text_or_bool(value):
-            raise ValueError(f"{name} must be numeric, got {value!r}")
 
 
 def parse_condition_label(token: str) -> InputCondition:

@@ -30,7 +30,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .core import (InputCondition, PressureStateSeries, TimeGrid, __version__,
-                   as_float, as_int, sensor_name, trace_columns)
+                   as_float, as_int, numeric, sensor_name, trace_columns)
 from .readout import ReadoutWeights, normalize_mask
 
 RUN_FORMAT = "armrc-run-v2"
@@ -335,6 +335,8 @@ def _weights_names(value) -> tuple:
 
 
 def _weights_matrix(value) -> np.ndarray:
+    if not numeric(value):
+        raise TypeError(f"expected rows of JSON numbers, got {value!r}")
     matrix = np.array(value, dtype=float)
     if not np.isfinite(matrix).all():
         raise ValueError("non-finite weight")

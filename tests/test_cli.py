@@ -782,7 +782,11 @@ class TestNumbersInSections:
          "- windows.train: expected a number, got '50'"),
         ("profiles:\n  - {u_min: 1.0, u_max: \"32.25\"}\n",
          "- profiles[1]: u_max must be numeric, got '32.25'"),
-    ], ids=["noise_std", "sample_rate", "n_cycles", "windows", "u_max"])
+        # simulated as a 1 g payload
+        ("payloads: [0.0, true, 200.0]\n",
+         "- payloads: masses must be numeric, got (0.0, True, 200.0)"),
+    ], ids=["noise_std", "sample_rate", "n_cycles", "windows", "u_max",
+            "payloads"])
     def test_is_one_config_error_naming_the_field(self, text, problem,
                                                    tmp_path, capsys):
         cfg = tmp_path / "bad.yaml"
@@ -988,8 +992,14 @@ class TestMalformedWeights:
          "sensor_mask"),
         (lambda doc: {**doc, "sensor_names": doc["sensor_names"][::-1]},
          "sensor_names"),
+        # a cell is a JSON number: "0.5" and true were scored as 0.5 and 1
+        (lambda doc: {**doc, "weights": [["0.5"]] + doc["weights"][1:]},
+         "field 'weights': expected rows of JSON numbers"),
+        (lambda doc: {**doc, "weights": [[True]] + doc["weights"][1:]},
+         "field 'weights': expected rows of JSON numbers"),
     ], ids=["task-names-number", "mask-null", "no-weights", "ragged-weights",
-            "top-level-list", "mask-repeated", "names-reversed"])
+            "top-level-list", "mask-repeated", "names-reversed",
+            "string-cell", "bool-cell"])
     def test_is_one_error_line_naming_the_file_and_field(self, edit, field,
                                                          tmp_path, capsys):
         path = tmp_path / "w.json"

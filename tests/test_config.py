@@ -195,6 +195,42 @@ EVERY_KEY = {
 }
 
 
+# the arms CI's tier-1 workflow writes as shape.yaml and band2.yaml
+SHAPE_YAML = """\
+profiles:
+  - {u_min: 1.0, u_max: 32.25}
+  - {u_min: 3.5, u_max: 34.75}
+  - {u_min: 6.0, u_max: 37.25}
+  - {u_min: 8.5, u_max: 39.75}
+  - {u_min: 11.0, u_max: 42.25}
+surrogate:
+  n_nodes: 5
+  leak: [0.14, 0.11, 0.08, 0.05, 0.02]
+  input_gain: [0.018, 0.0215, 0.025, 0.0285, 0.032]
+  payload_gain: [-0.16, -0.245, -0.33, -0.415, -0.5]
+  angle_weights: [0.33, 0.435, 0.54, 0.645, 0.75]
+  leak_pressure_coeff: [0.9, 0.7, 0.5, 0.3, 0.1]
+sample_repeats: 2
+"""
+BAND2_YAML = """\
+surrogate:
+  n_nodes: 6
+  leak: [0.14, 0.12, 0.10, 0.08, 0.06, 0.04]
+  coupling:
+    - [0.002, 0.004, 0.002, 0.0, 0.0, 0.0]
+    - [0.004, 0.002, 0.004, 0.002, 0.0, 0.0]
+    - [0.002, 0.004, 0.002, 0.004, 0.002, 0.0]
+    - [0.0, 0.002, 0.004, 0.002, 0.004, 0.002]
+    - [0.0, 0.0, 0.002, 0.004, 0.002, 0.004]
+    - [0.0, 0.0, 0.0, 0.002, 0.004, 0.002]
+  input_gain: [0.018, 0.021, 0.024, 0.027, 0.030, 0.032]
+  payload_gain: [-0.16, -0.2, -0.25, -0.3, -0.4, -0.5]
+  angle_weights: [0.33, 0.4, 0.47, 0.54, 0.64, 0.75]
+  leak_pressure_coeff: [0.5, 0.5, 0.4, 0.3, 0.2, 0.1]
+sample_repeats: 2
+"""
+
+
 class TestEveryKey:
     # pinned digests: a config keeps every value, type and nesting it loads
     # with, so the provenance hash of every output stays put
@@ -207,6 +243,25 @@ class TestEveryKey:
     def test_the_default_config_keeps_its_digest(self):
         assert config_digest(load_config(REPO_CONFIG)) == "7b590ced32fb296b"
         assert config_digest(default_config()) == "7b590ced32fb296b"
+
+    @pytest.mark.parametrize("text, digest", [
+        (SHAPE_YAML, "f124e6f7d7f96548"), (BAND2_YAML, "eb2ca79cc82d187f")],
+        ids=["shape", "band2"])
+    def test_the_ci_arms_keep_their_digests(self, text, digest):
+        assert config_digest(build_config(yaml.safe_load(text))) == digest
+
+    def test_a_whole_float_integer_field_keeps_the_default_digest(self):
+        # `n_nodes: 7.0` builds the 7-node arm, and `n_cycles: 8.0` the
+        # default ramps, so the experiment's digest is the default one
+        doc = copy.deepcopy(DEFAULT_DOC)
+        doc["surrogate"]["n_nodes"] = 7.0
+        for profile in doc["profiles"]:
+            profile["n_cycles"] = 8.0
+        cfg = build_config(doc)
+        assert type(cfg.surrogate.n_nodes) is int
+        assert {type(p.n_cycles) for p in cfg.profiles} == {int}
+        assert cfg == default_config()
+        assert config_digest(cfg) == "7b590ced32fb296b"
 
     def test_an_integral_float_is_an_integer(self):
         cfg = build_config({"grid": {"n_samples": 4000.0}, "seed": 9.0})
@@ -260,6 +315,28 @@ class TestMalformedSections:
          "windows.train: expected a number, got '50'"),
         ({"windows": {"test": [75.0, True]}},
          "windows.test: expected a number, got True"),
+        # nor in a payload set, which simulated a 1 g payload for `true`
+        ({"payloads": [0.0, True, 200.0]},
+         "payloads: masses must be numeric, got (0.0, True, 200.0)"),
+        ({"payloads": [0.0, "100", 200.0]},
+         "payloads: masses must be numeric, got (0.0, '100', 200.0)"),
+        ({"multitask_payloads": [0, True, 2, 3]},
+         "multitask_payloads: masses must be numeric"),
+        # an integer field takes a whole float only, and a scalar field one
+        # number
+        ({"profiles": [{"u_min": 1.0, "u_max": 32.25, "n_cycles": 8.5}]},
+         "profiles[1]: n_cycles: expected an integer, got 8.5"),
+        ({"surrogate": {"n_nodes": 7.5}},
+         "surrogate: n_nodes: expected an integer, got 7.5"),
+        ({"grid": {"n_samples": 4000.5}},
+         "grid: n_samples: expected an integer, got 4000.5"),
+        ({"grid": {"t0": None}}, "grid: t0 must be numeric, got None"),
+        ({"grid": {"t0": []}}, "grid: t0 must be numeric, got ()"),
+        ({"surrogate": {"noise_std": [0.3]}},
+         "surrogate: noise_std must be numeric, got (0.3,)"),
+        # an integer past the largest float is no finite number
+        ({"surrogate": {"noise_std": 10 ** 400}}, "surrogate:"),
+        ({"profiles": [{"u_min": 1.0, "u_max": 10 ** 400}]}, "profiles[1]:"),
     ], ids=lambda v: v if isinstance(v, str) else None)
     def test_is_one_config_error_naming_the_place(self, doc, problem):
         with pytest.raises(ConfigError) as err:
@@ -384,3 +461,76 @@ class TestFuzz:
         except ConfigError:
             return
         assert isinstance(cfg, ExperimentConfig)
+
+
+
+def _numeric_leaves(doc, path=()):
+    """The path of each number in a parsed YAML document, at any depth."""
+    if isinstance(doc, dict):
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return [path] if type(doc) in (int, float) else []
+    return [leaf for key, value in items
+            for leaf in _numeric_leaves(value, path + (key,))]
+
+
+def _at(doc, path):
+    """The value at ``path`` in a parsed YAML document."""
+    for step in path:
+        doc = doc[step]
+    return doc
+
+
+def _place(path) -> str:
+    """How a problem with the leaf at ``path`` begins: the key, section or
+    list it is read in, and the field it sets."""
+    head = path[0]
+    if head in ("grid", "surrogate"):
+        return f"{head}: {path[1]} "
+    if head == "profiles":
+        return f"profiles[{path[1] + 1}]: {path[2]} "
+    if head == "windows":
+        return f"windows.{path[1]}: "
+    if head in ("payloads", "multitask_payloads"):
+        return f"{head}: masses "
+    return head
+
+
+# the shipped config and the two arms CI runs, as parsed YAML
+RULE_DOCS = {"default": DEFAULT_DOC, "shape": yaml.safe_load(SHAPE_YAML),
+             "band2": yaml.safe_load(BAND2_YAML)}
+
+
+class TestNumberRule:
+    # every number a config sets, wherever it sits, is held to one rule: a
+    # bool, a quoted number, a NaN or an infinity is one problem naming its
+    # place, and a whole float in place of an integer is that integer
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_a_non_number_anywhere_is_one_problem_naming_its_place(self, data):
+        doc = copy.deepcopy(RULE_DOCS[data.draw(st.sampled_from(
+            sorted(RULE_DOCS)))])
+        path = data.draw(st.sampled_from(_numeric_leaves(doc)))
+        value = _at(doc, path)
+        _set(doc, path, data.draw(st.sampled_from(
+            [True, str(value)] + ([float("nan"), float("inf")]
+                                  if type(value) is float else []))))
+        with pytest.raises(ConfigError) as err:
+            build_config(doc)
+        assert len(err.value.problems) == 1, err.value.problems
+        assert err.value.problems[0].startswith(_place(path)), (
+            path, err.value.problems)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_a_whole_float_for_an_integer_changes_nothing(self, data):
+        name = data.draw(st.sampled_from(sorted(RULE_DOCS)))
+        doc = copy.deepcopy(RULE_DOCS[name])
+        path = data.draw(st.sampled_from([
+            p for p in _numeric_leaves(doc) if type(_at(doc, p)) is int]))
+        _set(doc, path, float(_at(doc, path)))
+        cfg, original = build_config(doc), build_config(RULE_DOCS[name])
+        assert cfg == original
+        assert config_digest(cfg) == config_digest(original)

@@ -63,6 +63,8 @@ class TestTimeGrid:
         {"sample_rate": float("nan")},
         {"t0": float("inf")},
         {"t0": float("nan")},
+        {"t0": None},
+        {"sample_rate": (40.0,)},
     ])
     def test_rejects_bad_parameters(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
@@ -89,6 +91,19 @@ class TestWindow:
         with pytest.raises(ValueError, match="finite"):
             Window(*bounds)
 
+    # a bound is a number: `True` ended a washout at 1 s, and "50" failed
+    # with a bare TypeError
+    @pytest.mark.parametrize("bounds, problem", [
+        ((0.0, True), "end must be numeric, got True"),
+        (("50", "75"), "start must be numeric, got '50'"),
+        ((None, 1.0), "start must be numeric, got None"),
+        (((0.0,), (1.0,)), "start must be numeric, got (0.0,)"),
+    ])
+    def test_refuses_a_bound_that_is_no_number(self, bounds, problem):
+        with pytest.raises(ValueError) as err:
+            Window(*bounds)
+        assert str(err.value) == problem
+
 
 class TestPayloadSet:
     def test_default_masses(self):
@@ -109,6 +124,15 @@ class TestPayloadSet:
     def test_rejects_a_mass_that_is_not_finite(self, mass):
         with pytest.raises(ValueError, match="finite"):
             PayloadSet((0.0, mass))
+
+    @pytest.mark.parametrize("masses, problem", [
+        ((0.0, True, 200.0), "masses must be numeric, got (0.0, True, 200.0)"),
+        ((0.0, "100", 200.0), "masses must be numeric, got (0.0, '100', 200.0)"),
+    ])
+    def test_rejects_a_mass_that_is_no_number(self, masses, problem):
+        with pytest.raises(ValueError) as err:
+            PayloadSet(masses)
+        assert str(err.value) == problem
 
     def test_rejects_non_increasing(self):
         with pytest.raises(ValueError):
@@ -135,6 +159,26 @@ class TestConditionGrid:
 
     def test_single_condition(self):
         assert condition_grid(1, PayloadSet((0.0,))) == [InputCondition(1, 1)]
+
+
+class TestInputCondition:
+    # both indices are integers: `True` made the label PTrueM2, and 1.0 the
+    # label P1.0M2
+    def test_a_whole_float_index_is_the_int(self):
+        cond = InputCondition(1.0, 2.0)
+        assert cond.label == "P1M2" and cond == InputCondition(1, 2)
+        assert {type(cond.profile_index), type(cond.payload_index)} == {int}
+
+    @pytest.mark.parametrize("indices, problem", [
+        ((True, 2), "profile_index must be numeric, got True"),
+        ((1, "2"), "payload_index must be numeric, got '2'"),
+        ((1.5, 2), "profile_index: expected an integer, got 1.5"),
+        ((1, float("nan")), "payload_index must be finite, got nan"),
+    ])
+    def test_refuses_an_index_that_is_no_integer(self, indices, problem):
+        with pytest.raises(ValueError) as err:
+            InputCondition(*indices)
+        assert str(err.value) == problem
 
 
 class TestConditionLabels:

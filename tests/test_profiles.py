@@ -58,6 +58,18 @@ class TestTiming:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             RampProfileSpec(**{"u_min": 0.0, "u_max": 10.0, name: value})
 
+    # a whole float cycle count is the int (`n_cycles: 8.0` moved the
+    # config's digest), and a fraction is refused, not compared
+    def test_a_whole_float_cycle_count_is_the_int(self):
+        spec = RampProfileSpec(1.0, 32.25, n_cycles=8.0)
+        assert type(spec.n_cycles) is int
+        assert spec == RampProfileSpec(1.0, 32.25, n_cycles=8)
+
+    def test_a_fractional_cycle_count_is_refused(self):
+        with pytest.raises(ValueError) as err:
+            RampProfileSpec(1.0, 32.25, n_cycles=8.5)
+        assert str(err.value) == "n_cycles: expected an integer, got 8.5"
+
 
 class TestGenerate:
     def test_boundary_values(self):

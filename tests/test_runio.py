@@ -746,6 +746,21 @@ class TestWeightsRoundTrip:
                 r"\['s1099511627777'\], got \['s1'\]")):
             load_weights(path)
 
+    # each cell is a JSON number: a string or a bool was read as the float
+    # it converts to, and null was reported as a non-finite weight
+    @pytest.mark.parametrize("cell", ["0.5", True, None],
+                             ids=["string", "bool", "null"])
+    def test_a_cell_that_is_no_json_number_is_refused(self, cell, tmp_path):
+        path = save_weights(tmp_path / "w.json", ReadoutWeights(
+            np.ones((4, 1)), (4, 5, 6), ("mass",)))
+        doc = json.loads(path.read_text())
+        doc["weights"][2] = [cell]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=(
+                r"w\.json: field 'weights': expected rows of JSON numbers, "
+                r"got \[\[1\.0\], \[1\.0\], \[")):
+            load_weights(path)
+
     def test_rejects_foreign_format(self, tmp_path):
         path = tmp_path / "w.json"
         path.write_text('{"format": "other"}')

@@ -98,6 +98,15 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             SurrogateParams(**params)
 
+    # a whole float node count is the int, where numpy refused to size the
+    # default coupling with it
+    def test_a_whole_float_node_count_is_the_int(self):
+        params = SurrogateParams(n_nodes=7.0)
+        assert type(params.n_nodes) is int and params == SurrogateParams()
+        with pytest.raises(ValueError) as err:
+            SurrogateParams(n_nodes=7.5)
+        assert str(err.value) == "n_nodes: expected an integer, got 7.5"
+
 
 class TestSimulate:
     def test_zero_input_zero_payload_is_identically_zero(self):
