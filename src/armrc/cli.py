@@ -144,9 +144,11 @@ def cmd_train(args) -> int:
     mask = None if args.mask is None else [
         _sensor_index(t, cfg.surrogate.n_nodes) for t in args.mask.split(",")]
     _check_ramps(cfg)
-    runs = _simulate(cfg, subset, seed=cfg.seed)
-    weights = train_on_subset(subset, runs, cfg.payloads, task,
-                              training_window(cfg, task), mask, cfg.ridge)
+    window = training_window(cfg, task)
+    runs = _simulate(cfg, subset, seed=cfg.seed,
+                     first=_samples_read(cfg, window)[0])
+    weights = train_on_subset(subset, runs, cfg.payloads, task, window, mask,
+                              cfg.ridge)
     save_weights(
         args.out, weights,
         provenance={
@@ -198,18 +200,27 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _simulate(cfg: ExperimentConfig, conditions, payloads=None, seed=None):
-    """``conditions``' runs under ``cfg`` at ``seed`` (None: noise-free)."""
+def _simulate(cfg: ExperimentConfig, conditions, payloads=None, seed=None,
+              first=0):
+    """``conditions``' runs under ``cfg`` at ``seed`` (None: noise-free),
+    kept from sample ``first`` on."""
     return simulate_conditions(
         cfg.surrogate, cfg.profiles, payloads or cfg.payloads, cfg.grid,
-        conditions, seed=seed)
+        conditions, seed=seed, first=first)
+
+
+def _samples_read(cfg: ExperimentConfig, *windows: Window) -> tuple:
+    """The first sample any of ``windows`` reads on ``cfg``'s grid, and one
+    past the last (`window_indices`)."""
+    spans = [window_indices(cfg.grid, w) for w in windows]
+    return min(i0 for i0, _ in spans), max(i1 for _, i1 in spans)
 
 
 def _check_ramps(cfg: ExperimentConfig) -> None:
     """Refuse profiles whose ramp cycles end before the last sample of the
     train or test window, where the trace would hold at u_min and every
     error read rounding: `generate_profile`'s test, on that sample."""
-    last = max(window_indices(cfg.grid, w)[1] for w in (cfg.train, cfg.test))
+    last = _samples_read(cfg, cfg.train, cfg.test)[1]
     t = cfg.grid.times()[last - 1] - cfg.grid.t0
     for k, spec in enumerate(cfg.profiles, start=1):
         end = spec.n_cycles * cycle_period(spec)
@@ -227,20 +238,23 @@ def _sweep(kind: str, cfg: ExperimentConfig, out: Path, digest: str) -> list:
     several each noise a copy. A kind of several writes each table X.csv as
     X_mean.csv and X_std.csv (ddof 0) over them. Each file is tagged with
     the config hash and seed; then a manifest. Ramps that end early, and
-    seeds outside the noise key's range, are refused before any run."""
+    seeds outside the noise key's range, are refused before any run. No
+    table reads a sample before the train or test window, so the runs are
+    kept from the first sample either reads on."""
     t0 = time.perf_counter()
     _check_ramps(cfg)
     reads, compute, repeats = SWEEPS[kind]
     n = 1 if repeats is None else getattr(cfg, repeats)
     for seed in (cfg.seed, cfg.seed + n - 1):
         _noise_key(seed, None, 0)
-    noise_free = _simulate(cfg, *reads(cfg))
+    first = _samples_read(cfg, cfg.train, cfg.test)[0]
+    noise_free = _simulate(cfg, *reads(cfg), first=first)
     _preload(cfg)
 
     def at(seeds):  # in a `fork_map` child when there are several
         return [list(compute(cfg, add_noise(
-            cfg.surrogate, noise_free if n == 1 else dict(noise_free), seed)))
-            for seed in seeds]
+            cfg.surrogate, noise_free if n == 1 else dict(noise_free), seed,
+            first))) for seed in seeds]
 
     tables = (per_seed := fork_map(at, range(cfg.seed, cfg.seed + n)))[0]
     if repeats is not None:  # each cell over the seeds, seed last

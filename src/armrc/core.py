@@ -58,21 +58,31 @@ def numeric(value, scalar: bool = False) -> bool:
     return type(value) in (int, float) or isinstance(value, (np.integer, np.floating))
 
 
-def check_numbers(obj, *integers) -> None:
+def check_numbers(obj) -> None:
     """The one number rule, first in each value type's ``__post_init__``:
     each field is finite and `numeric` (one number if annotated int or float,
-    None only if that is its default), and `as_int` of each in ``integers``."""
+    None only if that is its default). A field annotated int is stored as
+    `as_int` of it, one annotated float as a float; tuple entries stay as
+    written."""
+    kinds = type(obj).__annotations__
     for name, value in vars(obj).items():
-        if type(value) in (int, float) and math.isfinite(value):
-            pass  # a plain number, as most are (an int past any float overflows)
-        elif value is None and getattr(type(obj), name, 0) is None:
-            continue  # the field's default, which the class attribute holds
-        elif not numeric(value, type(obj).__annotations__[name] in ("int", "float")):
-            raise ValueError(f"{name} must be numeric, got {value!r}")
-        elif not np.isfinite(np.asarray(value, dtype=float)).all():
-            raise ValueError(f"{name} must be finite, got {value}")
-        if name in integers and type(value) is not int:
+        kind = kinds[name]
+        try:
+            if type(value) in (int, float) and math.isfinite(value):
+                pass  # a plain number, as most are
+            elif value is None and getattr(type(obj), name, 0) is None:
+                continue  # the field's default, which the class attribute holds
+            elif not numeric(value, kind in ("int", "float")):
+                raise ValueError(f"{name} must be numeric, got {value!r}")
+            elif not np.isfinite(np.asarray(value, dtype=float)).all():
+                raise ValueError(f"{name} must be finite, got {value}")
+        except OverflowError:  # an int past the largest float
+            raise ValueError(f"{name} must be finite, got an integer too "
+                             "large for a float") from None
+        if kind == "int" and type(value) is not int:
             object.__setattr__(obj, name, as_int(value, f"{name}: "))
+        elif kind == "float" and type(value) is not float:
+            object.__setattr__(obj, name, float(value))
 
 
 @dataclass(frozen=True)
@@ -84,7 +94,7 @@ class TimeGrid:
     t0: float = 0.0
 
     def __post_init__(self) -> None:
-        check_numbers(self, "n_samples")
+        check_numbers(self)
         if self.sample_rate <= 0:
             raise ValueError(f"sample_rate must be > 0, got {self.sample_rate}")
         if self.n_samples < 0:
@@ -100,6 +110,10 @@ class TimeGrid:
 
     def times(self) -> np.ndarray:
         return self.t0 + np.arange(self.n_samples) / self.sample_rate
+
+    def span(self, i0: int, i1: int) -> TimeGrid:
+        """The clock of samples i0..i1 - 1: same rate, from sample i0's time."""
+        return TimeGrid(self.sample_rate, i1 - i0, self.t0 + i0 / self.sample_rate)
 
 
 @dataclass(frozen=True)
@@ -140,7 +154,7 @@ class InputCondition:
     payload_index: int
 
     def __post_init__(self) -> None:
-        check_numbers(self, "profile_index", "payload_index")
+        check_numbers(self)
         if self.profile_index < 1:
             raise ValueError(f"profile_index must be >= 1, got {self.profile_index}")
         if self.payload_index < 1:
@@ -310,13 +324,8 @@ def count_window(window: Window, count: int, sample_rate: float) -> Window:
 def slice_series(series: PressureStateSeries, window: Window) -> PressureStateSeries:
     """Sub-series with samples whose time lies in the half-open window."""
     i0, i1 = window_indices(series.grid, window)
-    sub_grid = TimeGrid(
-        sample_rate=series.grid.sample_rate,
-        n_samples=i1 - i0,
-        t0=series.grid.t0 + i0 / series.grid.sample_rate,
-    )
     return PressureStateSeries(
-        grid=sub_grid,
+        grid=series.grid.span(i0, i1),
         s_in=series.s_in[i0:i1],
         sensors=series.sensors[:, i0:i1],
         theta=series.theta[i0:i1],

@@ -28,7 +28,7 @@ class RampProfileSpec:
     n_cycles: int = DEFAULT_N_CYCLES
 
     def __post_init__(self) -> None:
-        check_numbers(self, "n_cycles")
+        check_numbers(self)
         if self.u_min < 0:
             raise ValueError(f"u_min must be >= 0 psi, got {self.u_min}")
         if self.u_max <= self.u_min:

@@ -40,6 +40,7 @@ never feeds back into the states, so it enters in one step after the
 kernel: `add_noise` puts each run's `_noise_blocks` block into a batch of
 noise-free runs, and one noise-free run serves every seed. A block is
 drawn standard-normal and scaled in place, with ``normal``'s bits.
+Each stream stays keyed to sample 0, whatever a run keeps of it.
 
 One noise-free kernel, `simulate_batch`, steps all runs of a call
 together; every other entry point is a thin call into it. A run's bits do
@@ -47,7 +48,11 @@ not depend on the batch it runs in. A step reads only the coupling's band
 (`bandwidth` w, 1 for the shipped nearest-neighbour coupling): 2w + 1
 terms per node rather than n. Each run's states, angle and trace are made
 once and kept by its series uncopied; its noise makes one new sensors
-array.
+array. A caller that reads no sample before ``first`` (a sweep, which
+reads only its train and test windows) keeps only the tail: the kernel
+steps through the samples before it without storing them, and the tail's
+noise draws and drops the stream's first ``first`` normals, so every kept
+sample has the bits of the whole run's.
 """
 
 from __future__ import annotations
@@ -107,7 +112,7 @@ class SurrogateParams:
     leak_pressure_width: float = 3.0
 
     def __post_init__(self) -> None:
-        check_numbers(self, "n_nodes")
+        check_numbers(self)
         n = self.n_nodes
         if n < 1:
             raise ValueError(f"n_nodes must be >= 1, got {n}")
@@ -207,33 +212,41 @@ def _rekey(gen: np.random.Generator, seed: int,
                   "key": np.array(key, dtype=np.uint64)}}
 
 
-def _noise_blocks(params: SurrogateParams, runs: Mapping, seed: int):
+def _noise_blocks(params: SurrogateParams, runs: Mapping, seed: int,
+                  first: int):
     """Each of ``runs``' sensor noise at ``seed``, in order: one (n_sensors,
-    T) block per run, row m ``normal(0.0, noise_std, T)`` of sensor m's
-    stream under the run's condition, from one generator re-keyed per
-    sensor (building a Philox costs a fifth of a 4000-sample stream). Rows
-    are drawn standard-normal in place, then scaled and shifted by 0.0 as
-    ``normal``'s ``loc + scale * z``: its bits, signed zeros included."""
+    L) block per run of L samples kept from sample ``first`` on, row m
+    samples ``first``..``first`` + L - 1 of ``normal(0.0, noise_std)`` of
+    sensor m's stream under the run's condition, from one generator
+    re-keyed per sensor (building a Philox costs a fifth of a 4000-sample
+    stream). The first ``first`` normals of a stream are drawn into one
+    scratch row and dropped; rows are drawn standard-normal in place, then
+    scaled and shifted by 0.0 as ``normal``'s ``loc + scale * z``: its
+    bits, signed zeros included."""
     gen = np.random.Generator(np.random.Philox(0))
+    dropped = np.empty(first)
     for run in runs.values():
         block = np.empty(run.sensors.shape)
         for m, row in enumerate(block):
             _rekey(gen, seed, run.condition, m)
+            gen.standard_normal(out=dropped)
             gen.standard_normal(out=row)
         with np.errstate(over="ignore"):  # as ``normal``, on a huge std
             np.multiply(block, params.noise_std, out=block)
         yield np.add(block, 0.0, out=block)
 
 
-def add_noise(params: SurrogateParams, runs: dict,
-              seed: Optional[int]) -> dict:
+def add_noise(params: SurrogateParams, runs: dict, seed: Optional[int],
+              first: int = 0) -> dict:
     """``runs``, noise-free runs keyed by condition, with their sensor
     noise at ``seed`` (none at None) put in place: each run is replaced as
     soon as its noisy copy is built, so no noise-free run that only
-    ``runs`` holds outlives its copy."""
+    ``runs`` holds outlives its copy. Runs kept from sample ``first`` on
+    (`simulate_batch`) take their streams from that sample on, so each
+    kept sample gets the noise it gets in the whole run."""
     if seed is None or params.noise_std == 0:
         return runs
-    for cond, noise in zip(runs, _noise_blocks(params, runs, seed)):
+    for cond, noise in zip(runs, _noise_blocks(params, runs, seed, first)):
         runs[cond] = replace(runs[cond], sensors=_frozen(
             np.add(runs[cond].sensors, noise, out=noise)))
     return runs
@@ -252,8 +265,9 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def _advance(params: SurrogateParams, traces: list, masses: Sequence[float],
-             x0: Optional[np.ndarray]) -> list:
-    """Noise-free (n, T) states of B runs, stepped together as one block.
+             x0: Optional[np.ndarray], first: int) -> list:
+    """Noise-free (n, T - first) states of B runs, samples ``first`` on,
+    stepped together as one block through all T samples.
 
     The block is held as (n, B), a column per run, inside a history buffer
     whose rows are padded with w zero rows on each side, w the coupling's
@@ -271,7 +285,8 @@ def _advance(params: SurrogateParams, traces: list, masses: Sequence[float],
     Reducing a contiguous inner axis would not do: at B = 1 and n >= 8
     numpy sums it pairwise. So a run's bits do not depend on the batch.
     The drive terms are taken with ``np.tanh`` per distinct (T,) trace and
-    per scalar mass.
+    per scalar mass. Each chunk of steps is flushed into the per-run arrays
+    from sample ``first`` on; a chunk wholly before it is not copied.
     """
     n, n_samples, n_runs = params.n_nodes, len(traces[0]), len(traces)
     leak, kp, ig, pg = (np.asarray(v)[:, None] for v in (
@@ -310,7 +325,7 @@ def _advance(params: SurrogateParams, traces: list, masses: Sequence[float],
     gain = np.empty((_CHUNK, n, n_runs))
     steps = [(windows[k], terms[k, :slots], gain[k], x[k], terms[k, slots],
               terms[k], x[k + 1]) for k in range(_CHUNK)]
-    states = [np.empty((n, n_samples)) for _ in traces]
+    states = [np.empty((n, n_samples - first)) for _ in traces]
     # gain's memory, read by no step once a chunk's steps are done
     chunk = gain.reshape(n_runs, n, _CHUNK)
     multiply, reduce = np.multiply, np.add.reduce  # looked up once a call
@@ -330,10 +345,13 @@ def _advance(params: SurrogateParams, traces: list, masses: Sequence[float],
             multiply(band, window, coupled)
             multiply(g, xk, gained)
             reduce(summands, 0, None, nxt)
-        # one transposing copy of the chunk, then a contiguous one per run
-        chunk[:, :, :k1 - k0] = x[1:k1 - k0 + 1].transpose(2, 1, 0)
-        for st, rows in zip(states, chunk):
-            st[:, k0:k1] = rows[:, :k1 - k0]
+        # one transposing copy of the kept steps, then a contiguous one per run
+        if k1 > first:
+            lo = max(k0, first)
+            chunk[:, :, :k1 - lo] = x[lo - k0 + 1:k1 - k0 + 1].transpose(
+                2, 1, 0)
+            for st, rows in zip(states, chunk):
+                st[:, lo - first:k1 - first] = rows[:, :k1 - lo]
         hist[0] = hist[k1 - k0]
     return states
 
@@ -346,13 +364,17 @@ def simulate_batch(
     *,
     conditions: Optional[Sequence[Optional[InputCondition]]] = None,
     x0: Optional[np.ndarray] = None,
+    first: int = 0,
 ) -> list:
     """Run B (trace, mass) pairs through one shared step loop, one
     noise-free series each, every one bit-identical to the run it gives
     alone.
 
     ``x0`` is (B, n). Pass a repeated trace as the same array object so its
-    drive terms are computed once.
+    drive terms are computed once. Each series keeps samples ``first``..T
+    - 1 on the grid's clock from there (`TimeGrid.span`), bit for bit the
+    tail of the whole run; ``first`` outside 0..T - 1 is refused (0 is
+    always taken).
     """
     traces = [np.asarray(t, dtype=float) for t in traces]
     conditions = [None] * len(traces) if conditions is None else conditions
@@ -368,16 +390,20 @@ def simulate_batch(
     shape = (len(traces), params.n_nodes)
     if x0 is not None and np.shape(x0) != shape:
         raise ValueError(f"x0 must have shape {shape}, got {np.shape(x0)}")
-    states = _advance(params, traces, masses, x0) if traces else []
-    # one read-only copy of each distinct trace, shared by its runs
-    s_in = {id(t): _frozen(t.copy()) for t in traces}
+    if first and not 0 < first < grid.n_samples:
+        raise ValueError(f"first kept sample {first} is outside the run's "
+                         f"samples 0..{grid.n_samples - 1}")
+    states = _advance(params, traces, masses, x0, first) if traces else []
+    kept = grid.span(first, grid.n_samples)
+    # one read-only copy of each distinct trace's tail, shared by its runs
+    s_in = {id(t): _frozen(t[first:].copy()) for t in traces}
     runs = []
     for b, (trace, mass, cond) in enumerate(zip(traces, masses, conditions)):
         sensors, states[b] = _frozen(states[b]), None
         theta = (sum(w * s for w, s in zip(params.angle_weights, sensors))
                  + params.angle_payload_slope * mass)
         runs.append(PressureStateSeries(
-            grid=grid, s_in=s_in[id(trace)], sensors=sensors,
+            grid=kept, s_in=s_in[id(trace)], sensors=sensors,
             theta=_frozen(theta), condition=cond, payload_grams=float(mass)))
     return runs
 
@@ -439,11 +465,14 @@ def simulate_conditions(
     grid: TimeGrid,
     conditions: Sequence[InputCondition],
     seed: Optional[int] = DEFAULT_SEED,
+    first: int = 0,
 ) -> dict:
     """Simulate just the listed conditions (deduplicated), as one batch,
-    plus their noise at ``seed``. A condition outside the profiles x
-    payloads grid, or, with a seed, a noise key that overflows (the seed's
-    or the condition's), is refused up front."""
+    plus their noise at ``seed``, each run kept from sample ``first`` on
+    (`simulate_batch`; its noise as in the whole run, `add_noise`). A
+    condition outside the profiles x payloads grid, or, with a seed, a
+    noise key that overflows (the seed's or the condition's), is refused
+    up front."""
     for cond in conditions:
         if (cond.profile_index > len(profile_specs)
                 or cond.payload_index > len(payloads)):
@@ -460,7 +489,7 @@ def simulate_conditions(
     return add_noise(params, dict(zip(conds, simulate_batch(
         params, [traces[c.profile_index] for c in conds],
         [payloads.mass_of(c.payload_index) for c in conds], grid,
-        conditions=conds))), seed)
+        conditions=conds, first=first))), seed, first)
 
 
 def simulate_grid(

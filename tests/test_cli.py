@@ -576,12 +576,12 @@ class TestSweeps:
         real_batch, real_blocks = surrogate.simulate_batch, surrogate._noise_blocks
 
         def batch(*args, **kwargs):
-            batches.append(kwargs["conditions"])
+            batches.append((kwargs["conditions"], kwargs["first"]))
             return real_batch(*args, **kwargs)
 
-        def blocks(params, runs, seed):
-            draws.append((seed, set(runs)))
-            return real_blocks(params, runs, seed)
+        def blocks(params, runs, seed, first):
+            draws.append((seed, set(runs), first))
+            return real_blocks(params, runs, seed, first)
 
         monkeypatch.setattr(surrogate, "simulate_batch", batch)
         monkeypatch.setattr(surrogate, "_noise_blocks", blocks)
@@ -597,9 +597,12 @@ class TestSweeps:
             runs = {c for exp in table.values() for c in exp.conditions}
         assert len(runs) == {"multitask": 35}.get(kind, 13)
         assert len(batches) == 1
-        assert len(batches[0]) == len(runs) and set(batches[0]) == runs
+        conditions, first = batches[0]
+        assert len(conditions) == len(runs) and set(conditions) == runs
+        # kept from the train window's first sample, 50 s at 40 Hz
+        assert first == 2000
         # every run once a seed: samples at seed + r, the rest at the seed
-        assert draws == [(cfg.seed + r, runs)
+        assert draws == [(cfg.seed + r, runs, first)
                          for r in range({"samples": 2}.get(kind, 1))]
 
     def test_sensors_sweep_layout(self, tmp_path):
@@ -1533,6 +1536,51 @@ class TestOverrides:
         assert "ridge" in err and "normalizer" in err
 
 
+class TestKeptSamples:
+    # a command keeps its runs from the first sample its windows read: a
+    # sweep from its train or test window, whichever starts first, train
+    # from its training window; here the test window comes first
+    SWAPPED = "windows: {test: [50.0, 75.0], train: [75.0, 100.0]}\n"
+
+    @pytest.mark.parametrize("argv, first", [
+        (["train", "--task", "mass", "--subset", "M2,M5,M7"], 3000),
+        (["sweep", "conditions"], 2000),
+    ], ids=["train", "sweep"])
+    def test_from_the_first_sample_its_windows_read(self, argv, first,
+                                                    tmp_path, monkeypatch):
+        kept, real = [], surrogate.simulate_batch
+
+        def batch(*args, **kwargs):
+            kept.append(kwargs["first"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(surrogate, "simulate_batch", batch)
+        cfg = tmp_path / "swapped.yaml"
+        cfg.write_text(self.SWAPPED)
+        out = tmp_path / ("out.json" if argv[0] == "train" else "out")
+        assert main(argv + ["--config", str(cfg), "--out", str(out),
+                            "--quiet"]) == 0
+        assert kept == [first]
+
+    def test_train_writes_the_weights_of_the_whole_runs(self, tmp_path):
+        cfg = build_config({"windows": {"test": [50.0, 75.0],
+                                        "train": [75.0, 100.0]}})
+        subset = [InputCondition(1, j) for j in (2, 5, 7)]
+        whole = simulate_conditions(cfg.surrogate, cfg.profiles, cfg.payloads,
+                                    cfg.grid, subset, seed=cfg.seed)
+        expected = sweeps.train_on_subset(
+            subset, whole, cfg.payloads, TaskKind.PAYLOAD_MASS,
+            training_window(cfg, TaskKind.PAYLOAD_MASS))
+        path = tmp_path / "swapped.yaml"
+        path.write_text(self.SWAPPED)
+        out = tmp_path / "mass.json"
+        assert main(["train", "--task", "mass", "--subset", "M2,M5,M7",
+                     "--config", str(path), "--out", str(out),
+                     "--quiet"]) == 0
+        got, _ = load_weights(out)
+        assert got.weights.tobytes() == expected.weights.tobytes()
+
+
 class TestOneSeed:
     # every sensor-noise draw of a command uses the run seed: the config's,
     # or --seed's when given; sweep samples draws repeat r at seed + r
@@ -1554,10 +1602,10 @@ class TestOneSeed:
         log = tmp_path / "seeds.txt"
         real = surrogate._noise_blocks
 
-        def spy(params, runs, noise_seed):
+        def spy(params, runs, noise_seed, first):
             with open(log, "a", encoding="utf-8") as fh:
-                fh.write(f"{noise_seed}\n")
-            return real(params, runs, noise_seed)
+                fh.write(f"{noise_seed} {first}\n")
+            return real(params, runs, noise_seed, first)
 
         monkeypatch.setattr(surrogate, "_noise_blocks", spy)
         # the run CSVs are not under test; skip writing 35 MB of them, and
@@ -1573,8 +1621,14 @@ class TestOneSeed:
                                     "--quiet"]) == 0
         expected = ({seed + r for r in range(self.REPEATS)}
                     if argv[-1] == "samples" else {seed})
-        seeds = [int(s) for s in log.read_text().split()] if log.exists() else []
-        assert seeds and set(seeds) == expected
+        draws = ([tuple(map(int, line.split()))
+                  for line in log.read_text().splitlines()]
+                 if log.exists() else [])
+        assert draws and {s for s, _ in draws} == expected
+        # simulate keeps every sample; train and the sweeps keep theirs from
+        # the train window's first, 50 s at 40 Hz
+        assert {first for _, first in draws} == {
+            0 if argv[0] == "simulate" else 2000}
 
 
 class TestSensorNames:

@@ -19,6 +19,7 @@ from armrc.config import (
     default_config,
     load_config,
 )
+from armrc.core import Window
 from armrc.runio import config_digest
 
 REPO_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "default.yaml"
@@ -263,6 +264,19 @@ class TestEveryKey:
         assert cfg == default_config()
         assert config_digest(cfg) == "7b590ced32fb296b"
 
+    def test_a_float_field_written_as_an_int_keeps_the_default_digest(self):
+        # equal configs have one digest: `payload_sat: 300` is the default
+        # 300.0, and so is a window built from ints
+        cfg = build_config({"surrogate": {"payload_sat": 300}})
+        assert type(cfg.surrogate.payload_sat) is float
+        assert cfg == default_config()
+        assert config_digest(cfg) == "7b590ced32fb296b"
+        cfg = ExperimentConfig(train=Window(50, 75))
+        assert (type(cfg.train.start), type(cfg.train.end)) == (float, float)
+        assert config_digest(cfg) == "7b590ced32fb296b"
+        cfg = build_config({"grid": {"sample_rate": 40, "t0": 0}})
+        assert config_digest(cfg) == "7b590ced32fb296b"
+
     def test_an_integral_float_is_an_integer(self):
         cfg = build_config({"grid": {"n_samples": 4000.0}, "seed": 9.0})
         assert type(cfg.grid.n_samples) is int and type(cfg.seed) is int
@@ -337,6 +351,13 @@ class TestMalformedSections:
         # an integer past the largest float is no finite number
         ({"surrogate": {"noise_std": 10 ** 400}}, "surrogate:"),
         ({"profiles": [{"u_min": 1.0, "u_max": 10 ** 400}]}, "profiles[1]:"),
+        # ... and the problem names its field
+        ({"surrogate": {"noise_std": 10 ** 400}},
+         "surrogate: noise_std must be finite"),
+        ({"profiles": [{"u_min": 1.0, "u_max": 10 ** 400}]},
+         "profiles[1]: u_max must be finite"),
+        ({"surrogate": {"leak": [10 ** 400, 0.13, 0.40, 0.075, 0.055, 0.035,
+                                 0.0175]}}, "surrogate: leak must be finite"),
     ], ids=lambda v: v if isinstance(v, str) else None)
     def test_is_one_config_error_naming_the_place(self, doc, problem):
         with pytest.raises(ConfigError) as err:
@@ -531,6 +552,23 @@ class TestNumberRule:
         path = data.draw(st.sampled_from([
             p for p in _numeric_leaves(doc) if type(_at(doc, p)) is int]))
         _set(doc, path, float(_at(doc, path)))
+        cfg, original = build_config(doc), build_config(RULE_DOCS[name])
+        assert cfg == original
+        assert config_digest(cfg) == config_digest(original)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_an_int_for_a_whole_float_changes_nothing(self, data):
+        # a float field holds a float however it is written; the entries of
+        # a list in a section (`leak`, `coupling`) stay as written, and
+        # band2.yaml sets no other float
+        name = data.draw(st.sampled_from(["default", "shape"]))
+        doc = copy.deepcopy(RULE_DOCS[name])
+        path = data.draw(st.sampled_from([
+            p for p in _numeric_leaves(doc) if type(_at(doc, p)) is float
+            and _at(doc, p).is_integer()
+            and not (p[0] == "surrogate" and len(p) > 2)]))
+        _set(doc, path, int(_at(doc, path)))
         cfg, original = build_config(doc), build_config(RULE_DOCS[name])
         assert cfg == original
         assert config_digest(cfg) == config_digest(original)

@@ -450,6 +450,64 @@ class TestBandedKernel:
                                                    start).tobytes()
 
 
+class TestKeptTail:
+    # a batch kept from sample `first` on is the whole batch's tail, bit for
+    # bit; its noise is the whole run's noise on those samples
+    @settings(max_examples=40, deadline=None)
+    @given(arm=banded_arms(), n_runs=st.integers(1, 4),
+           n_samples=st.integers(1, 200), seed=st.integers(0, 2**64 - 1),
+           t0=st.sampled_from([0.0, -3.5, 12.25]), data=st.data())
+    def test_a_batch_from_first_on_is_the_whole_batchs_tail(
+            self, arm, n_runs, n_samples, seed, t0, data):
+        params, _, rng = arm
+        # any sample, chunk edges and their neighbours included
+        first = data.draw(st.integers(0, n_samples - 1) | st.sampled_from(
+            [k for k in (63, 64, 65, 128) if k < n_samples] or [0]))
+        grid = TimeGrid(sample_rate=40.0, n_samples=n_samples, t0=t0)
+        conds = [InputCondition(1, j) for j in range(1, n_runs + 1)]
+        traces = [rng.uniform(0.0, 50.0, n_samples) for _ in range(n_runs)]
+        traces[-1] = traces[0]  # a repeated trace shares its drive terms
+        masses = list(rng.uniform(0.0, 400.0, n_runs))
+        x0 = rng.uniform(-10.0, 10.0, (n_runs, params.n_nodes))
+        whole = simulate_batch(params, traces, masses, grid, conditions=conds,
+                               x0=x0)
+        tail = simulate_batch(params, traces, masses, grid, conditions=conds,
+                              x0=x0, first=first)
+        for full, kept in zip(whole, tail, strict=True):
+            assert kept.grid == grid.span(first, n_samples)
+            assert kept.grid.n_samples == n_samples - first
+            for name in ("s_in", "theta"):
+                assert (getattr(kept, name).tobytes()
+                        == getattr(full, name)[first:].tobytes())
+            assert kept.sensors.tobytes() == full.sensors[:, first:].tobytes()
+            assert kept.condition == full.condition
+            assert kept.payload_grams == full.payload_grams
+        noisy = add_noise(params, dict(zip(conds, whole)), seed)
+        noisy_tail = add_noise(params, dict(zip(conds, tail)), seed, first)
+        for cond in conds:
+            assert (noisy_tail[cond].sensors.tobytes()
+                    == noisy[cond].sensors[:, first:].tobytes())
+
+    @pytest.mark.parametrize("first", [-1, 50, 51])
+    def test_a_first_sample_outside_the_run_is_refused(self, first,
+                                                       monkeypatch):
+        def step(*args):
+            raise AssertionError("stepped the kernel")
+
+        monkeypatch.setattr(surrogate, "_advance", step)
+        with pytest.raises(ValueError, match=f"first kept sample {first}"):
+            simulate_batch(SurrogateParams(), [P1[:50]], [0.0],
+                           TimeGrid(n_samples=50), first=first)
+
+    def test_the_washout_is_stepped_but_not_kept(self):
+        params = SurrogateParams()
+        grid = TimeGrid(n_samples=200, t0=1.0)
+        run, = simulate_batch(params, [P1[:200]], [100.0], grid, first=130)
+        assert run.sensors.shape == (params.n_nodes, 70)
+        assert run.grid == TimeGrid(n_samples=70, t0=1.0 + 130 / 40.0)
+        assert run.s_in.base is None and run.sensors.base is None
+
+
 class TestOneArrayPerRun:
     # a simulated run keeps the arrays the kernel made, uncopied, and its
     # noise makes one new sensors array and nothing else
