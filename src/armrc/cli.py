@@ -203,7 +203,7 @@ def cmd_evaluate(args) -> int:
 def _simulate(cfg: ExperimentConfig, conditions, payloads=None, seed=None,
               first=0):
     """``conditions``' runs under ``cfg`` at ``seed`` (None: noise-free),
-    kept from sample ``first`` on."""
+    kept from sample ``first`` on (an int, or one per condition)."""
     return simulate_conditions(
         cfg.surrogate, cfg.profiles, payloads or cfg.payloads, cfg.grid,
         conditions, seed=seed, first=first)
@@ -239,16 +239,23 @@ def _sweep(kind: str, cfg: ExperimentConfig, out: Path, digest: str) -> list:
     X_mean.csv and X_std.csv (ddof 0) over them. Each file is tagged with
     the config hash and seed; then a manifest. Ramps that end early, and
     seeds outside the noise key's range, are refused before any run. No
-    table reads a sample before the train or test window, so the runs are
-    kept from the first sample either reads on."""
+    table reads a sample before the train or test window, and none reads a
+    run no fit trains on (`SWEEPS`) before the test window: a training run
+    is kept from the first sample either window reads, every other run from
+    the test window's first, and a table that reads before a run's kept
+    span is refused (`window ... outside run`)."""
     t0 = time.perf_counter()
     _check_ramps(cfg)
     reads, compute, repeats = SWEEPS[kind]
     n = 1 if repeats is None else getattr(cfg, repeats)
     for seed in (cfg.seed, cfg.seed + n - 1):
         _noise_key(seed, None, 0)
-    first = _samples_read(cfg, cfg.train, cfg.test)[0]
-    noise_free = _simulate(cfg, *reads(cfg), first=first)
+    conditions, payloads, trained = reads(cfg)
+    fitted = _samples_read(cfg, cfg.train, cfg.test)[0]
+    tested = _samples_read(cfg, cfg.test)[0]
+    keep = {c: fitted if c in trained else tested for c in conditions}
+    first = list(keep.values())
+    noise_free = _simulate(cfg, list(keep), payloads, first=first)
     _preload(cfg)
 
     def at(seeds):  # in a `fork_map` child when there are several

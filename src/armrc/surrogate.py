@@ -48,8 +48,9 @@ not depend on the batch it runs in. A step reads only the coupling's band
 (`bandwidth` w, 1 for the shipped nearest-neighbour coupling): 2w + 1
 terms per node rather than n. Each run's states, angle and trace are made
 once and kept by its series uncopied; its noise makes one new sensors
-array. A caller that reads no sample before ``first`` (a sweep, which
-reads only its train and test windows) keeps only the tail: the kernel
+array. A caller that reads no sample of a run before some sample
+``first`` (a sweep reads a run no fit trains on only in its test window)
+keeps only that run's tail, each run from its own ``first``: the kernel
 steps through the samples before it without storing them, and the tail's
 noise draws and drops the stream's first ``first`` normals, so every kept
 sample has the bits of the whole run's.
@@ -212,24 +213,35 @@ def _rekey(gen: np.random.Generator, seed: int,
                   "key": np.array(key, dtype=np.uint64)}}
 
 
+def _per_run(first, n_runs: int) -> list:
+    """``first`` as each of ``n_runs`` runs' first kept sample: an int is
+    every run's, a sequence gives one per run, in order."""
+    if np.ndim(first) == 0:
+        return [first] * n_runs
+    if len(first) != n_runs:
+        raise ValueError(f"need one first kept sample per run: got "
+                         f"{len(first)} for {n_runs} runs")
+    return list(first)
+
+
 def _noise_blocks(params: SurrogateParams, runs: Mapping, seed: int,
-                  first: int):
+                  firsts: Sequence[int]):
     """Each of ``runs``' sensor noise at ``seed``, in order: one (n_sensors,
-    L) block per run of L samples kept from sample ``first`` on, row m
-    samples ``first``..``first`` + L - 1 of ``normal(0.0, noise_std)`` of
-    sensor m's stream under the run's condition, from one generator
-    re-keyed per sensor (building a Philox costs a fifth of a 4000-sample
-    stream). The first ``first`` normals of a stream are drawn into one
-    scratch row and dropped; rows are drawn standard-normal in place, then
-    scaled and shifted by 0.0 as ``normal``'s ``loc + scale * z``: its
-    bits, signed zeros included."""
+    L) block per run of L samples kept from its own sample ``first`` on
+    (``firsts``, one per run), row m samples ``first``..``first`` + L - 1
+    of ``normal(0.0, noise_std)`` of sensor m's stream under the run's
+    condition, from one generator re-keyed per sensor (building a Philox
+    costs a fifth of a 4000-sample stream). The first ``first`` normals of
+    a stream are drawn into one scratch row and dropped; rows are drawn
+    standard-normal in place, then scaled and shifted by 0.0 as
+    ``normal``'s ``loc + scale * z``: its bits, signed zeros included."""
     gen = np.random.Generator(np.random.Philox(0))
-    dropped = np.empty(first)
-    for run in runs.values():
+    dropped = np.empty(max(firsts, default=0))
+    for run, first in zip(runs.values(), firsts):
         block = np.empty(run.sensors.shape)
         for m, row in enumerate(block):
             _rekey(gen, seed, run.condition, m)
-            gen.standard_normal(out=dropped)
+            gen.standard_normal(out=dropped[:first])
             gen.standard_normal(out=row)
         with np.errstate(over="ignore"):  # as ``normal``, on a huge std
             np.multiply(block, params.noise_std, out=block)
@@ -237,16 +249,19 @@ def _noise_blocks(params: SurrogateParams, runs: Mapping, seed: int,
 
 
 def add_noise(params: SurrogateParams, runs: dict, seed: Optional[int],
-              first: int = 0) -> dict:
+              first=0) -> dict:
     """``runs``, noise-free runs keyed by condition, with their sensor
     noise at ``seed`` (none at None) put in place: each run is replaced as
     soon as its noisy copy is built, so no noise-free run that only
-    ``runs`` holds outlives its copy. Runs kept from sample ``first`` on
-    (`simulate_batch`) take their streams from that sample on, so each
-    kept sample gets the noise it gets in the whole run."""
+    ``runs`` holds outlives its copy. ``first`` is each run's first kept
+    sample (`simulate_batch`): an int is every run's, a sequence gives one
+    per run in ``runs``' order. A run kept from sample ``first`` on takes
+    its streams from that sample on, so each kept sample gets the noise it
+    gets in the whole run."""
+    firsts = _per_run(first, len(runs))
     if seed is None or params.noise_std == 0:
         return runs
-    for cond, noise in zip(runs, _noise_blocks(params, runs, seed, first)):
+    for cond, noise in zip(runs, _noise_blocks(params, runs, seed, firsts)):
         runs[cond] = replace(runs[cond], sensors=_frozen(
             np.add(runs[cond].sensors, noise, out=noise)))
     return runs
@@ -265,9 +280,10 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 def _advance(params: SurrogateParams, traces: list, masses: Sequence[float],
-             x0: Optional[np.ndarray], first: int) -> list:
-    """Noise-free (n, T - first) states of B runs, samples ``first`` on,
-    stepped together as one block through all T samples.
+             x0: Optional[np.ndarray], firsts: Sequence[int]) -> list:
+    """Noise-free (n, T - first) states of B runs, each from its own sample
+    ``first`` (``firsts``) on, stepped together as one block through all T
+    samples.
 
     The block is held as (n, B), a column per run, inside a history buffer
     whose rows are padded with w zero rows on each side, w the coupling's
@@ -325,7 +341,8 @@ def _advance(params: SurrogateParams, traces: list, masses: Sequence[float],
     gain = np.empty((_CHUNK, n, n_runs))
     steps = [(windows[k], terms[k, :slots], gain[k], x[k], terms[k, slots],
               terms[k], x[k + 1]) for k in range(_CHUNK)]
-    states = [np.empty((n, n_samples - first)) for _ in traces]
+    states = [np.empty((n, n_samples - first)) for first in firsts]
+    lowest = min(firsts)
     # gain's memory, read by no step once a chunk's steps are done
     chunk = gain.reshape(n_runs, n, _CHUNK)
     multiply, reduce = np.multiply, np.add.reduce  # looked up once a call
@@ -345,13 +362,16 @@ def _advance(params: SurrogateParams, traces: list, masses: Sequence[float],
             multiply(band, window, coupled)
             multiply(g, xk, gained)
             reduce(summands, 0, None, nxt)
-        # one transposing copy of the kept steps, then a contiguous one per run
-        if k1 > first:
-            lo = max(k0, first)
+        # one transposing copy of the steps any run keeps, then a
+        # contiguous one per run of the steps it keeps
+        if k1 > lowest:
+            lo = max(k0, lowest)
             chunk[:, :, :k1 - lo] = x[lo - k0 + 1:k1 - k0 + 1].transpose(
                 2, 1, 0)
-            for st, rows in zip(states, chunk):
-                st[:, lo - first:k1 - first] = rows[:, :k1 - lo]
+            for st, rows, first in zip(states, chunk, firsts):
+                if k1 > first:
+                    at = max(lo, first)
+                    st[:, at - first:k1 - first] = rows[:, at - lo:k1 - lo]
         hist[0] = hist[k1 - k0]
     return states
 
@@ -364,17 +384,19 @@ def simulate_batch(
     *,
     conditions: Optional[Sequence[Optional[InputCondition]]] = None,
     x0: Optional[np.ndarray] = None,
-    first: int = 0,
+    first=0,
 ) -> list:
     """Run B (trace, mass) pairs through one shared step loop, one
     noise-free series each, every one bit-identical to the run it gives
     alone.
 
     ``x0`` is (B, n). Pass a repeated trace as the same array object so its
-    drive terms are computed once. Each series keeps samples ``first``..T
-    - 1 on the grid's clock from there (`TimeGrid.span`), bit for bit the
-    tail of the whole run; ``first`` outside 0..T - 1 is refused (0 is
-    always taken).
+    drive terms are computed once. ``first`` is each run's first kept
+    sample: an int is every run's, a sequence gives one per run. Each
+    series keeps its samples ``first``..T - 1 on the grid's clock from
+    there (`TimeGrid.span`), bit for bit the tail of the whole run; a
+    ``first`` outside 0..T - 1, for any run, is refused before the kernel
+    steps (0 is always taken).
     """
     traces = [np.asarray(t, dtype=float) for t in traces]
     conditions = [None] * len(traces) if conditions is None else conditions
@@ -390,20 +412,24 @@ def simulate_batch(
     shape = (len(traces), params.n_nodes)
     if x0 is not None and np.shape(x0) != shape:
         raise ValueError(f"x0 must have shape {shape}, got {np.shape(x0)}")
-    if first and not 0 < first < grid.n_samples:
-        raise ValueError(f"first kept sample {first} is outside the run's "
-                         f"samples 0..{grid.n_samples - 1}")
-    states = _advance(params, traces, masses, x0, first) if traces else []
-    kept = grid.span(first, grid.n_samples)
+    firsts = _per_run(first, len(traces))
+    for first in firsts:
+        if first and not 0 < first < grid.n_samples:
+            raise ValueError(f"first kept sample {first} is outside the "
+                             f"run's samples 0..{grid.n_samples - 1}")
+    states = _advance(params, traces, masses, x0, firsts) if traces else []
+    kept = {first: grid.span(first, grid.n_samples) for first in firsts}
     # one read-only copy of each distinct trace's tail, shared by its runs
-    s_in = {id(t): _frozen(t[first:].copy()) for t in traces}
+    s_in = {(id(t), first): _frozen(t[first:].copy())
+            for t, first in zip(traces, firsts)}
     runs = []
-    for b, (trace, mass, cond) in enumerate(zip(traces, masses, conditions)):
+    for b, (trace, mass, cond, first) in enumerate(zip(
+            traces, masses, conditions, firsts)):
         sensors, states[b] = _frozen(states[b]), None
         theta = (sum(w * s for w, s in zip(params.angle_weights, sensors))
                  + params.angle_payload_slope * mass)
         runs.append(PressureStateSeries(
-            grid=kept, s_in=s_in[id(trace)], sensors=sensors,
+            grid=kept[first], s_in=s_in[id(trace), first], sensors=sensors,
             theta=_frozen(theta), condition=cond, payload_grams=float(mass)))
     return runs
 
@@ -441,20 +467,25 @@ def echo_check(
 
     Runs the noise-free surrogate from two random initial states (drawn
     from Philox key 0, so the check is deterministic) under the same input,
-    as one two-row batch; True iff the post-washout state trajectories
-    agree within 1e-6. Required before treating the arm as a
-    reservoir: readouts of the state must not depend on where the state
-    started.
+    as one two-row batch that steps through the washout without storing
+    it; True iff the post-washout state trajectories agree within 1e-6.
+    Required before treating the arm as a reservoir: readouts of the state
+    must not depend on where the state started. A washout that leaves no
+    sample of the run is refused.
     """
     s_in = np.asarray(s_in, dtype=float)
     if grid is None:
         grid = TimeGrid(n_samples=len(s_in))
+    k0 = sample_count(Window(0.0, washout_seconds), grid.sample_rate)
+    if k0 >= grid.n_samples:
+        raise ValueError(
+            f"a washout of {washout_seconds:g} s ({k0} samples) leaves no "
+            f"sample of the {grid.n_samples}-sample run to compare")
     rng = np.random.Generator(np.random.Philox(key=0))
     x0 = [rng.uniform(0.0, 10.0, params.n_nodes) for _ in range(2)]
     run_a, run_b = simulate_batch(params, [s_in, s_in], [payload, payload],
-                                  grid, x0=x0)
-    k0 = sample_count(Window(0.0, washout_seconds), grid.sample_rate)
-    gap = np.abs(run_a.sensors[:, k0:] - run_b.sensors[:, k0:]).max()
+                                  grid, x0=x0, first=k0)
+    gap = np.abs(run_a.sensors - run_b.sensors).max()
     return bool(gap < 1e-6)
 
 
@@ -465,13 +496,15 @@ def simulate_conditions(
     grid: TimeGrid,
     conditions: Sequence[InputCondition],
     seed: Optional[int] = DEFAULT_SEED,
-    first: int = 0,
+    first=0,
 ) -> dict:
     """Simulate just the listed conditions (deduplicated), as one batch,
-    plus their noise at ``seed``, each run kept from sample ``first`` on
-    (`simulate_batch`; its noise as in the whole run, `add_noise`). A
-    condition outside the profiles x payloads grid, or, with a seed, a
-    noise key that overflows (the seed's or the condition's), is refused
+    plus their noise at ``seed``. ``first`` is each condition's first kept
+    sample (`simulate_batch`; its noise as in the whole run, `add_noise`):
+    an int is every condition's, a sequence gives one per listed
+    condition, and a condition listed twice is kept from the earlier of its
+    two. A condition outside the profiles x payloads grid, or, with a seed,
+    a noise key that overflows (the seed's or the condition's), is refused
     up front."""
     for cond in conditions:
         if (cond.profile_index > len(profile_specs)
@@ -482,14 +515,17 @@ def simulate_conditions(
             )
     for cond in conditions if seed is not None else ():
         _noise_key(seed, cond, params.n_nodes - 1)
-    conds = list(dict.fromkeys(conditions))
+    keep = {}
+    for cond, at in zip(conditions, _per_run(first, len(conditions))):
+        keep[cond] = min(at, keep.get(cond, at))
+    conds, firsts = list(keep), list(keep.values())
     traces = {i: generate_profile(profile_specs[i - 1], grid)
               for i in {c.profile_index for c in conds}}
     # the dict holds the only reference to each noise-free run
     return add_noise(params, dict(zip(conds, simulate_batch(
         params, [traces[c.profile_index] for c in conds],
         [payloads.mass_of(c.payload_index) for c in conds], grid,
-        conditions=conds, first=first))), seed, first)
+        conditions=conds, first=firsts))), seed, firsts)
 
 
 def simulate_grid(

@@ -8,9 +8,10 @@ sweep over seeds (`cli._sweep`) noises a copy of the noise-free runs at
 each. Percentages divide by `readout.truth_scale`; the paper's hardware
 percentages are ordering targets, not equality targets.
 
-`SWEEPS` defines each `armrc sweep` kind: its runs, and its tables of them
-at one seed. Three kinds read `experiments`, the two shipped single-task
-experiments, which refuses a grid too small for them.
+`SWEEPS` defines each `armrc sweep` kind: its runs, those its fits train
+on, and its tables of them at one seed. Three kinds read `experiments`,
+the two shipped single-task experiments, which refuses a grid too small
+for them.
 
 Every entry point (`subset_sweep`, `sample_count_sweep`,
 `sensor_ablation_sweep`, `train_on_subset`, `multitask_grid`) describes
@@ -31,6 +32,7 @@ scores each cell on its own. Every cell equals, bit for bit, its lone
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
@@ -484,19 +486,28 @@ def experiments(cfg) -> dict:
     }
 
 
-def _experiment_runs(cfg) -> tuple:
-    """Both experiments' conditions, and the payload set they are of."""
-    return ([c for exp in experiments(cfg).values() for c in exp.conditions],
-            cfg.payloads)
+def _experiment_runs(cfg, families: bool = False) -> tuple:
+    """Both experiments' conditions, the payload set they are of, and the
+    conditions a fit trains on: each experiment's subset, and with
+    ``families`` every family member too."""
+    exps = experiments(cfg).values()
+    trained = [c for exp in exps for c in exp.subset]
+    if families:
+        trained += [c for exp in exps for subsets in exp.families.values()
+                    for subset in subsets for c in subset]
+    return [c for exp in exps for c in exp.conditions], cfg.payloads, trained
 
 
 def _multitask_runs(cfg) -> tuple:
-    """The multitask grid's runs; fewer than 2 profiles is refused here."""
+    """The multitask grid's runs, its payload set, and the cells its
+    training geometries fit; fewer than 2 profiles is refused here."""
     n_profiles, payloads = len(cfg.profiles), cfg.multitask_payloads
     if n_profiles < 2:
         raise ValueError("the multitask 2x2 geometry trains on P1+Pn and needs "
                          f"at least 2 profiles; the config has {n_profiles}")
-    return condition_grid(n_profiles, payloads), payloads
+    trained = [c for cells in multitask_training_subsets(
+        n_profiles, len(payloads)).values() for c in cells]
+    return condition_grid(n_profiles, payloads), payloads, trained
 
 
 def _condition_tables(cfg, runs: Mapping):
@@ -566,11 +577,15 @@ def _multitask_tables(cfg, runs: Mapping):
 
 
 # The kinds of `armrc sweep`: kind -> (the runs it reads, as (conditions,
-# payload set); its tables of those runs at one noise seed, each (file name,
-# matrix, row labels, column labels, provenance labels); None, or the config
-# field of its number of seeds). `cli._sweep` simulates, noises and writes.
+# payload set, the conditions a fit trains on, taken from the subsets and
+# families its tables fit); its tables of those runs at one noise seed, each
+# (file name, matrix, row labels, column labels, provenance labels); None,
+# or the config field of its number of seeds). `cli._sweep` simulates,
+# noises and writes; a table reads a run no fit trains on only in the test
+# window.
 SWEEPS = {
-    "conditions": (_experiment_runs, _condition_tables, None),
+    "conditions": (functools.partial(_experiment_runs, families=True),
+                   _condition_tables, None),
     "samples": (_experiment_runs, _sample_tables, "sample_repeats"),
     "sensors": (_experiment_runs, _sensor_tables, None),
     "multitask": (_multitask_runs, _multitask_tables, None),

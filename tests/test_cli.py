@@ -28,6 +28,24 @@ from armrc.tasks import TaskKind, score
 from conftest import read_matrix_csv
 
 
+def _kept_from(kind: str) -> dict:
+    """Each default-config run of `sweep kind` and the first sample it is
+    kept from: 2,000, the train window's (50 s at 40 Hz), for a run a fit
+    trains on, and 3,000, the test window's, for any other. The condition
+    sweep trains on every run; the sample and sensor sweeps on P1 and P7 at
+    M1 and on M2..M7 at P1, so P2..P6 at M1 are scored only; the multitask
+    geometries on their cells (2x2 lies within 5x2), 13 of 35."""
+    if kind == "multitask":
+        cells = [(i, j) for i in range(1, 8) for j in range(1, 6)]
+        trained = ({(i, j) for i in (1, 2, 4, 6, 7) for j in (1, 5)}
+                   | {(i, j) for i in (1, 4, 7) for j in (1, 3, 5)})
+    else:
+        cells = [(i, 1) for i in range(1, 8)] + [(1, j) for j in range(2, 8)]
+        trained = (set(cells) if kind == "conditions" else
+                   {(1, 1), (7, 1)} | {(1, j) for j in range(2, 8)})
+    return {InputCondition(*c): 2000 if c in trained else 3000 for c in cells}
+
+
 @pytest.fixture(scope="module")
 def grid_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("grid")
@@ -599,8 +617,8 @@ class TestSweeps:
         assert len(batches) == 1
         conditions, first = batches[0]
         assert len(conditions) == len(runs) and set(conditions) == runs
-        # kept from the train window's first sample, 50 s at 40 Hz
-        assert first == 2000
+        # each run kept from its own first sample (`_kept_from`)
+        assert dict(zip(conditions, first)) == _kept_from(kind)
         # every run once a seed: samples at seed + r, the rest at the seed
         assert draws == [(cfg.seed + r, runs, first)
                          for r in range({"samples": 2}.get(kind, 1))]
@@ -1379,7 +1397,7 @@ class TestSweepKinds:
                             "surrogate": _arm(n_sensors),
                             "sample_repeats": 1, "seed": seed})
         reads, compute, repeats = sweeps.SWEEPS[kind]
-        conditions, payloads = reads(cfg)
+        conditions, payloads, trained = reads(cfg)
         runs = simulate_conditions(cfg.surrogate, cfg.profiles, payloads,
                                    cfg.grid, conditions, seed=cfg.seed)
         with tempfile.TemporaryDirectory() as tmp:
@@ -1401,6 +1419,20 @@ class TestSweepKinds:
             with pytest.raises(ValueError, match=(
                     f"condition {cond.label} is not present")):
                 list(compute(cfg, fewer))
+        # a run it names as untrained is read only in the test window, and
+        # every run it names as trained before it: kept from the test
+        # window's first sample on, the first give the same tables, and any
+        # one of the others is refused
+        tested = core.Window(cfg.test.start, cfg.grid.t_end)
+        kept = {c: run if c in trained else core.slice_series(run, tested)
+                for c, run in runs.items()}
+        for (_, *a), (_, *b) in zip(compute(cfg, kept), got, strict=True):
+            assert np.asarray(a[0], float).tobytes() == np.asarray(
+                b[0], float).tobytes()
+        for cond in set(trained):
+            late = {**kept, cond: core.slice_series(runs[cond], tested)}
+            with pytest.raises(ValueError, match="outside run"):
+                list(compute(cfg, late))
 
 
 class TestIngestedRuns:
@@ -1550,8 +1582,8 @@ class TestKeptSamples:
                                                     tmp_path, monkeypatch):
         kept, real = [], surrogate.simulate_batch
 
-        def batch(*args, **kwargs):
-            kept.append(kwargs["first"])
+        def batch(*args, **kwargs):  # every run's first, one per run
+            kept.append(set(kwargs["first"]))
             return real(*args, **kwargs)
 
         monkeypatch.setattr(surrogate, "simulate_batch", batch)
@@ -1560,7 +1592,27 @@ class TestKeptSamples:
         out = tmp_path / ("out.json" if argv[0] == "train" else "out")
         assert main(argv + ["--config", str(cfg), "--out", str(out),
                             "--quiet"]) == 0
-        assert kept == [first]
+        assert kept == [{first}]
+
+    @pytest.mark.parametrize("kind", list(sweeps.SWEEPS))
+    def test_a_sweep_keeps_a_run_no_fit_trains_on_from_the_test_window(
+            self, kind, tmp_path, monkeypatch):
+        # the tables get each training run from sample 2,000, the train
+        # window's first, and every other run from sample 3,000, the test
+        # window's: the whole run's tail on the run's clock from there
+        reads, compute, repeats = sweeps.SWEEPS[kind]
+        seen = {}
+
+        def tables(cfg, runs):
+            seen.update(runs)
+            return compute(cfg, runs)
+
+        monkeypatch.setitem(sweeps.SWEEPS, kind, (reads, tables, repeats))
+        cli._sweep(kind, ExperimentConfig(sample_repeats=1), tmp_path,
+                   "digest")
+        assert {c: run.grid for c, run in seen.items()} == {
+            c: TimeGrid(n_samples=4000 - first, t0=first / 40.0)
+            for c, first in _kept_from(kind).items()}
 
     def test_train_writes_the_weights_of_the_whole_runs(self, tmp_path):
         cfg = build_config({"windows": {"test": [50.0, 75.0],
@@ -1604,7 +1656,8 @@ class TestOneSeed:
 
         def spy(params, runs, noise_seed, first):
             with open(log, "a", encoding="utf-8") as fh:
-                fh.write(f"{noise_seed} {first}\n")
+                for cond, at in zip(runs, first, strict=True):
+                    fh.write(f"{noise_seed} {cond.label} {at}\n")
             return real(params, runs, noise_seed, first)
 
         monkeypatch.setattr(surrogate, "_noise_blocks", spy)
@@ -1621,14 +1674,19 @@ class TestOneSeed:
                                     "--quiet"]) == 0
         expected = ({seed + r for r in range(self.REPEATS)}
                     if argv[-1] == "samples" else {seed})
-        draws = ([tuple(map(int, line.split()))
-                  for line in log.read_text().splitlines()]
+        draws = ([line.split() for line in log.read_text().splitlines()]
                  if log.exists() else [])
-        assert draws and {s for s, _ in draws} == expected
-        # simulate keeps every sample; train and the sweeps keep theirs from
-        # the train window's first, 50 s at 40 Hz
-        assert {first for _, first in draws} == {
-            0 if argv[0] == "simulate" else 2000}
+        assert draws and {int(s) for s, _, _ in draws} == expected
+        # each run's noise from its own first kept sample: simulate keeps
+        # every sample, train the train window's, 50 s at 40 Hz, and a
+        # sweep each run's own (`_kept_from`)
+        kept = {label: int(first) for _, label, first in draws}
+        assert len({(label, first) for _, label, first in draws}) == len(kept)
+        if argv[0] == "sweep":
+            assert kept == {c.label: first
+                            for c, first in _kept_from(argv[1]).items()}
+        else:
+            assert set(kept.values()) == {0 if argv[0] == "simulate" else 2000}
 
 
 class TestSensorNames:

@@ -2,6 +2,7 @@ import dataclasses
 import warnings
 import weakref
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -197,13 +198,33 @@ class TestEchoCheck:
         apart = np.zeros((params.n_nodes, 8))
         apart[:, 3] = 1.0
 
-        def runs(*args, **kwargs):
-            return [SimpleNamespace(sensors=s)
+        def runs(*args, first, **kwargs):  # the runs kept from ``first``
+            assert first == 3
+            return [SimpleNamespace(sensors=s[:, first:])
                     for s in (np.zeros((params.n_nodes, 8)), apart)]
 
         monkeypatch.setattr(surrogate, "simulate_batch", runs)
         assert not echo_check(params, np.zeros(8), 0.0, grid=grid,
                               washout_seconds=1.75)
+
+    def test_the_washout_is_stepped_but_not_kept(self, monkeypatch):
+        kept, real = [], surrogate.simulate_batch
+
+        def batch(*args, **kwargs):
+            kept.append(kwargs["first"])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(surrogate, "simulate_batch", batch)
+        assert echo_check(SurrogateParams(), P1, 0.0)
+        assert kept == [2000]  # 50 s at 40 Hz
+
+    @pytest.mark.parametrize("washout", [1.0, 50.0])
+    def test_a_washout_that_leaves_no_sample_is_refused(self, washout):
+        # 40 samples at 40 Hz: a 1 s washout reaches the run's end
+        with pytest.raises(ValueError, match=(
+                f"washout of {washout:g} s .* the 40-sample run")):
+            echo_check(SurrogateParams(), np.zeros(40), 0.0,
+                       washout_seconds=washout)
 
 
 class TestCorrelationStructure:
@@ -487,6 +508,58 @@ class TestKeptTail:
         for cond in conds:
             assert (noisy_tail[cond].sensors.tobytes()
                     == noisy[cond].sensors[:, first:].tobytes())
+
+    @settings(max_examples=40, deadline=None)
+    @given(arm=banded_arms(), n_samples=st.integers(66, 200),
+           seed=st.integers(0, 2**64 - 1),
+           t0=st.sampled_from([0.0, -3.5, 12.25]), data=st.data())
+    def test_each_run_of_a_batch_keeps_its_own_tail(self, arm, n_samples,
+                                                    seed, t0, data):
+        # one batch, each run from its own first sample: chunk edges and
+        # their neighbours, and a test window's first, as a sweep keeps a
+        # run no fit trains on
+        params, _, rng = arm
+        grid = TimeGrid(sample_rate=40.0, n_samples=n_samples, t0=t0)
+        tested = core.window_indices(
+            grid, core.Window(t0 + 0.75 * grid.duration, grid.t_end))[0]
+        firsts = data.draw(st.permutations([63, 64, 65, tested] + data.draw(
+            st.lists(st.integers(0, n_samples - 1), max_size=3))))
+        conds = [InputCondition(1, j) for j in range(1, len(firsts) + 1)]
+        # a trace shared by runs of different firsts keeps a tail for each
+        shared = rng.uniform(0.0, 50.0, n_samples)
+        traces = [shared if b % 2 else rng.uniform(0.0, 50.0, n_samples)
+                  for b in range(len(firsts))]
+        masses = list(rng.uniform(0.0, 400.0, len(firsts)))
+        x0 = rng.uniform(-10.0, 10.0, (len(firsts), params.n_nodes))
+        whole = simulate_batch(params, traces, masses, grid, conditions=conds,
+                               x0=x0)
+        tail = simulate_batch(params, traces, masses, grid, conditions=conds,
+                              x0=x0, first=firsts)
+        noisy = add_noise(params, dict(zip(conds, whole)), seed)
+        noisy_tail = add_noise(params, dict(zip(conds, tail)), seed, firsts)
+        for cond, full, kept, first in zip(conds, whole, tail, firsts,
+                                           strict=True):
+            assert kept.grid == grid.span(first, n_samples)
+            for name in ("s_in", "theta"):
+                assert (getattr(kept, name).tobytes()
+                        == getattr(full, name)[first:].tobytes())
+            assert kept.sensors.tobytes() == full.sensors[:, first:].tobytes()
+            assert (noisy_tail[cond].sensors.tobytes()
+                    == noisy[cond].sensors[:, first:].tobytes())
+        # an out-of-range first, for any one run, is refused unstepped
+        bad = list(firsts)
+        bad[data.draw(st.integers(0, len(bad) - 1))] = data.draw(
+            st.sampled_from([-1, n_samples, n_samples + 1]))
+        with mock.patch.object(surrogate, "_advance", side_effect=(
+                AssertionError("stepped the kernel"))):
+            with pytest.raises(ValueError, match="first kept sample"):
+                simulate_batch(params, traces, masses, grid, x0=x0,
+                               first=bad)
+
+    def test_one_first_per_run(self):
+        with pytest.raises(ValueError, match="got 1 for 2 runs"):
+            simulate_batch(SurrogateParams(), [P1[:50]] * 2, [0.0, 1.0],
+                           TimeGrid(n_samples=50), first=[10])
 
     @pytest.mark.parametrize("first", [-1, 50, 51])
     def test_a_first_sample_outside_the_run_is_refused(self, first,
